@@ -15,9 +15,10 @@ from .core import (CapabilityError, CertificateReport, CompositeObjective,
 from .directions import DirectionRule, beta_for_holder, generalize, validate_sufficient_descent
 from .solvers import ArmijoParams, DealConfig, armijo_bound, dealc_step_size, run_deala, run_dealc
 from .boosted import BoostedConfig, choose_order, run_bhippa, run_bpga
-from .envelopes import (EnvelopeEval, L1Norm, SeparableProx, fbe_value,
+from .envelopes import (AbsPower, EnvelopeEval, L1Norm, SeparableProx, fbe_value,
                         fbe_value_grad, forward_backward_map, home_value,
-                        home_value_grad, prox_home_separable, prox_l1)
+                        home_value_grad, prox_home_separable, prox_l1,
+                        prox_oracle_check)
 from .problems import (LassoProblem, LeastPProblem, PowerAbsProblem,
                        QuadraticProblem, generate_problem, reference_optimum)
 from .analysis import (RateReport, complexity_K, estimate_kl_exponent,

@@ -239,9 +239,10 @@ def _run_bpga(problem, spec, run, x0, digest, rep):
                         seed=run.x0_seed + rep, config_digest=digest)
     trace = run_bpga(composite, x0, cfg)
     ref = problems.reference_optimum(problem)
+    value, grad = _shared_oracles(
+        lambda x: envelopes.fbe_value_grad(composite, x, gamma))
     ctx = {
-        "value": lambda x: envelopes.fbe_value(composite, x, gamma),
-        "grad": lambda x: envelopes.fbe_value_grad(composite, x, gamma).gradient,
+        "value": value, "grad": grad,
         "fstar": ref.fstar if ref.converged else None,
         "xstar": None, "c": None, "eps": run.eps,
     }
@@ -265,28 +266,49 @@ def _run_bhippa(problem, spec, run, x0, digest, rep):
                         store_iterates=run.store_iterates,
                         seed=run.x0_seed + rep, config_digest=digest)
     trace = run_bhippa(phi, x0, cfg)
+    value, grad = _shared_oracles(
+        lambda x: envelopes.home_value_grad(phi, x, gamma, order))
     ctx = {
-        "value": lambda x: envelopes.home_value(phi, x, gamma, order),
-        "grad": lambda x: envelopes.home_value_grad(phi, x, gamma, order).gradient,
+        "value": value, "grad": grad,
         "fstar": 0.0,  # envelope and function share optimal value 0
         "xstar": None, "c": None, "eps": run.eps,
+        "prox_oracle": lambda x: envelopes.prox_oracle_check(phi, x, gamma, order),
     }
     return trace, ctx
+
+
+def _shared_oracles(evaluate):
+    """Value and gradient oracles that share one ``evaluate(x)`` per point.
+
+    ``reevaluate_trace`` asks for the gradient and then the value at each
+    stored iterate; both are read from one fused envelope evaluation.
+    """
+    last = [None, None]
+
+    def at(x):
+        if last[0] is None or not np.array_equal(last[0], x):
+            last[0], last[1] = np.array(x, dtype=float), evaluate(x)
+        return last[1]
+    return (lambda x: at(x).value), (lambda x: at(x).gradient)
 
 
 def certify_run(trace: IterateTrace, ctx: dict) -> dict:
     """Certificate bundle for one finished run.
 
     Re-evaluates the trace through the run's own value/gradient oracles when
-    iterates were stored, then applies every certificate whose constants are
+    iterates were stored, and then cross-checks the run's prox at the final
+    iterate against the grid oracle when the run supplies that check
+    (``prox_oracle``).  Applies every certificate whose constants are
     available.  Heuristic runs get rate fits but no guarantee checks.
     """
     bundle = {"guaranteed": trace.guaranteed, "solver": trace.solver_id,
               "termination": trace.extras.get("termination", "unknown")}
     checked = trace
-    if trace.iterates() is not None:
+    if all(rec.x is not None for rec in trace.records):
         checked = reevaluate_trace(trace, ctx["value"], ctx["grad"])
         bundle["reevaluated"] = True
+        if "prox_oracle" in ctx:
+            bundle["prox_oracle"] = ctx["prox_oracle"](trace.records[-1].x)
     if trace.guaranteed:
         bundle["descent"] = certify_descent(checked, trace.rho, trace.theta).as_dict()
         if trace.solver_id in ("deal-c", "deal-a") and ctx.get("c"):

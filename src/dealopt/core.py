@@ -387,14 +387,14 @@ def reevaluate_trace(trace: IterateTrace,
     stored its iterates this recomputes every logged quantity through the
     supplied oracles (for envelope solvers, pass the envelope value/gradient).
     """
-    X = trace.iterates()
-    if X is None:
+    if any(rec.x is None for rec in trace.records):
         raise DataError("trace does not store iterates; rerun with storage enabled")
     records = []
     for i, rec in enumerate(trace.records):
-        x = X[i]
+        x = rec.x
         gnorm = float(np.linalg.norm(grad(x)))
-        disp = float(np.linalg.norm(X[i + 1] - x)) if i + 1 < len(X) else math.nan
+        disp = (float(np.linalg.norm(trace.records[i + 1].x - x))
+                if i + 1 < len(trace.records) else math.nan)
         records.append(IterateRecord(
             k=rec.k,
             f=float(value(x)),

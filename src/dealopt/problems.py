@@ -202,16 +202,13 @@ class PowerAbsProblem:
         x = as_vector(x, self.n)
         return self.s * np.sign(x) * np.abs(x) ** (self.s - 1.0)
 
-    def scalar(self, t):
-        return abs(t) ** self.s
-
     def kl_info(self) -> KLInfo:
         vartheta = 1.0 - 1.0 / self.s
         tau = max(1.0, self.n ** (0.5 - 1.0 / self.s)) / self.s
         return KLInfo(vartheta=vartheta, tau=tau)
 
     def as_prox_capable(self):
-        return envelopes.SeparableProx(self.scalar, name=f"|t|^{self.s}")
+        return envelopes.AbsPower(self.s)
 
     def as_smooth(self) -> SmoothObjective:
         if self.s < 2.0:

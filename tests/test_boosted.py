@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dealopt import bench, envelopes
 from dealopt.analysis import fit_linear_rate
 from dealopt.boosted import BoostedConfig, choose_order, run_bhippa, run_bpga
 from dealopt.core import UsageError, certify_descent, reevaluate_trace
@@ -168,3 +169,36 @@ class TestOrderMatching:
         assert rep2.regime == "sublinear"
         # predicted decay 1/(vartheta*theta - 1) = 2 for vartheta=3/4, theta=2
         assert 1.0 <= rep2.decay_hat <= 3.0
+
+
+def _bhippa_experiment(n, seed=0):
+    problem = bench.build_problem(bench.ProblemSpec(kind="powerabs", n=n, s=4.0, seed=seed))
+    spec = bench.SolverSpec(name="BHIPPA", solver="bhippa", order="auto")
+    return problem, spec, bench.RunSpec(x0_seed=seed)
+
+
+class TestBHiPPAScale:
+    def test_n1000_reaches_tolerance_with_every_certificate(self):
+        result = bench.run_variant(*_bhippa_experiment(1000))
+        certs = result.certificates
+        assert certs["termination"] == "tolerance"
+        assert result.ok
+        checks = [k for k, v in certs.items() if isinstance(v, dict) and "passed" in v]
+        assert {"descent", "min_grad_bound", "prox_oracle"} <= set(checks)
+        assert all(certs[k]["passed"] for k in checks)
+        assert certs["prox_oracle"]["worst_excess"] <= 1e-12
+
+    def test_reevaluation_computes_each_envelope_once(self, monkeypatch):
+        calls = {"home_value": 0, "home_value_grad": 0}
+        for name in calls:
+            real = getattr(envelopes, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(envelopes, name, counted)
+        problem, spec, run = _bhippa_experiment(5)
+        result = bench.run_variant(problem, spec, run)
+        assert result.certificates["reevaluated"]
+        # the solver calls boosted's own names; these are re-evaluation only
+        assert calls == {"home_value": 0, "home_value_grad": len(result.trace)}

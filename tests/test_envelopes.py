@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from dealopt.core import (CapabilityError, CompositeObjective, HolderInfo,
-                          SmoothObjective, UsageError)
-from dealopt.envelopes import (L1Norm, SeparableProx, fbe_value, fbe_value_grad,
+                          NumericalError, SmoothObjective, UsageError)
+from dealopt.envelopes import (PROX_ORACLE_REL_TOL, AbsPower, L1Norm, ProxResult,
+                               SeparableProx, fbe_value, fbe_value_grad,
                                forward_backward_map, home_value,
-                               home_value_grad, prox_home_separable, prox_l1)
+                               home_value_grad, prox_home_separable, prox_l1,
+                               prox_oracle_check)
 from dealopt.oracles import finite_diff_gradient, grid_minimize_nd, scalar_minimize
 from dealopt.problems import LassoProblem, PowerAbsProblem, generate_problem
 
@@ -57,6 +59,134 @@ class TestHomeProx:
         x = np.array([3.0, -0.5, 0.2, -4.0])
         res = prox_home_separable(abs, x, gamma=0.7, p=2.0)
         assert res.point == pytest.approx(prox_l1(x, 0.7), abs=1e-8)
+
+
+def _coordinates(seed=0):
+    """Zero, tiny, flat-region, order-one and large coordinates of both signs."""
+    rng = np.random.default_rng(seed)
+    fixed = [0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-3, 0.1, -0.1, 50.0, -100.0]
+    return np.concatenate([fixed, rng.uniform(-5.0, 5.0, 10)])
+
+
+def _home_objective(scalar, x, u, gamma, p):
+    return (np.array([scalar(t) for t in u])
+            + np.abs(x - u) ** p / (p * gamma))
+
+
+POWERS = (1.5, 2.0, 4.0)
+GAMMAS = (0.5, 1.0, 2.0)
+
+
+class TestAbsPowerProx:
+    @pytest.mark.parametrize("s", POWERS)
+    @pytest.mark.parametrize("p", POWERS)
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_matches_grid_oracle(self, s, p, gamma):
+        g = AbsPower(s)
+        x = _coordinates()
+        fast = g.prox(x, gamma, p)
+        ref = prox_home_separable(g.scalar, x, gamma, p)
+        assert not ref.multi_valued
+        h_fast = _home_objective(g.scalar, x, fast, gamma, p)
+        h_ref = _home_objective(g.scalar, x, ref.point, gamma, p)
+        assert np.all(h_fast <= h_ref + 1e-12 * np.maximum(1.0, np.abs(h_ref)))
+        # the oracle cannot place a flat minimum near 0; compare points
+        # only where the coordinate is not small
+        big = np.abs(x) >= 0.1
+        assert np.abs(fast - ref.point)[big].max() <= 1e-7
+        assert np.all(np.sign(fast) * np.sign(x) >= 0.0)
+        assert np.all(np.abs(fast) <= np.abs(x))
+        assert prox_oracle_check(g, x, gamma, p)["passed"]
+
+    def test_infinite_curvature_does_not_stall(self):
+        # s = p = 1.5: F'(0) is infinite, so a zero Newton step at u = 0 is
+        # no sign of a root; the prox of -100 is exactly -10 (F(-10) = 0)
+        y = AbsPower(1.5).prox(np.array([-100.0]), 2.0, 1.5)
+        assert y == pytest.approx([-10.0], rel=1e-14)
+
+    @pytest.mark.parametrize("s", (1.5, 3.0, 4.0))
+    def test_matched_order_closed_form(self, s):
+        # for p = s the optimality condition is linear in u / (x - u)
+        gamma = 0.7
+        x = np.array([-3.0, 0.25, 2.0, 40.0])
+        expected = x / (1.0 + (s * gamma) ** (1.0 / (s - 1.0)))
+        assert AbsPower(s).prox(x, gamma, s) == pytest.approx(expected, rel=1e-14)
+
+    def test_value_zero_and_nonfinite(self):
+        g = AbsPower(3.0)
+        assert g.value(np.array([1.0, -2.0])) == pytest.approx(9.0)
+        y = g.prox(np.array([0.0, 1e-320, np.nan, np.inf]), 1.0, 2.0)
+        assert y[0] == 0.0 and y[1] == 0.0 and np.isnan(y[2]) and np.isnan(y[3])
+        assert not g.prox_detailed(np.array([1.0]), 1.0, 4.0).multi_valued
+
+    def test_overflowing_residual_raises(self):
+        with pytest.raises(NumericalError):
+            AbsPower(4.0).prox(np.array([1.0, 1e200]), 1.0, 4.0)
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(UsageError):
+            AbsPower(1.0)
+        with pytest.raises(UsageError):
+            AbsPower(2.0).prox(np.ones(2), 1.0, 1.0)
+        with pytest.raises(UsageError):
+            AbsPower(2.0).prox(np.ones(2), 0.0, 2.0)
+
+    @pytest.mark.parametrize("s, p", [(4.0, 4.0), (1.5, 3.0), (3.0, 1.5)])
+    def test_envelope_gradient_matches_finite_differences(self, s, p):
+        g = AbsPower(s)
+        rng = np.random.default_rng(31)
+        for _ in range(15):
+            x = rng.uniform(-3.0, 3.0, 3)
+            ev = home_value_grad(g, x, gamma=0.9, p=p)
+            fd = finite_diff_gradient(lambda z: home_value(g, z, 0.9, p), x)
+            assert np.all(np.abs(fd - ev.gradient) <= 1e-5 * (1.0 + np.abs(ev.gradient)))
+
+    def test_powerabs_problem_uses_it(self):
+        phi = PowerAbsProblem(s=4.0, n=3).as_prox_capable()
+        assert isinstance(phi, AbsPower) and phi.s == 4.0
+
+
+class TestProxOracleCheck:
+    def test_reports_worst_excess_and_point_gap(self):
+        x = np.array([-2.0, 0.5, 3.0])
+        rep = prox_oracle_check(AbsPower(4.0), x, 1.0, 4.0)
+        assert rep["passed"]
+        assert rep["worst_excess"] <= PROX_ORACLE_REL_TOL
+        assert 0.0 <= rep["max_point_diff"] <= 1e-7
+
+    def test_fails_on_a_wrong_prox(self):
+        class Shrunk(AbsPower):
+            def prox_detailed(self, x, gamma, p=2.0):
+                return ProxResult(0.999 * super().prox(x, gamma, p), False)
+
+        rep = prox_oracle_check(Shrunk(4.0), np.array([-2.0, 0.5, 3.0]), 1.0, 4.0)
+        assert not rep["passed"]
+        assert rep["worst_excess"] > PROX_ORACLE_REL_TOL
+
+
+class TestL1OrderP:
+    @pytest.mark.parametrize("p", (1.5, 3.0, 4.0))
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_closed_form_matches_grid_oracle(self, p, gamma):
+        w = 0.8
+        x = _coordinates(seed=1)
+        fast = L1Norm(w).prox(x, gamma, p)
+        ref = prox_home_separable(lambda t: w * abs(t), x, gamma, p).point
+        h_fast = _home_objective(lambda t: w * abs(t), x, fast, gamma, p)
+        h_ref = _home_objective(lambda t: w * abs(t), x, ref, gamma, p)
+        assert np.all(h_fast <= h_ref + 1e-12 * np.maximum(1.0, np.abs(h_ref)))
+        big = np.abs(x) >= 0.1
+        assert np.abs(fast - ref)[big].max() <= 1e-7
+        assert prox_oracle_check(L1Norm(w), x, gamma, p)["passed"]
+
+    def test_threshold_is_a_power_of_gamma_w(self):
+        # zero up to (gamma w)^(1/(p-1)) = 2 for gamma w = 8, p = 4
+        y = L1Norm(2.0).prox(np.array([1.9, -2.5, 5.0]), 4.0, 4.0)
+        assert y == pytest.approx([0.0, -0.5, 3.0])
+
+    def test_order_two_is_the_soft_threshold(self):
+        x = np.array([3.0, -0.5, 0.2, -4.0])
+        assert np.array_equal(L1Norm(1.3).prox(x, 0.7, 2.0), prox_l1(x, 0.7 * 1.3))
 
 
 class TestHomeEnvelope:
