@@ -299,10 +299,15 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
     iterates were stored, and then cross-checks the run's prox at the final
     iterate against the grid oracle when the run supplies that check
     (``prox_oracle``).  Applies every certificate whose constants are
-    available.  Heuristic runs get rate fits but no guarantee checks.
+    available.  Heuristic runs get rate fits but no guarantee checks.  A run
+    that stopped before its first record gets its termination and diagnostic
+    and no checks.
     """
     bundle = {"guaranteed": trace.guaranteed, "solver": trace.solver_id,
               "termination": trace.extras.get("termination", "unknown")}
+    if not trace.records:
+        bundle["diagnostic"] = trace.extras.get("diagnostic")
+        return bundle
     checked = trace
     if all(rec.x is not None for rec in trace.records):
         checked = reevaluate_trace(trace, ctx["value"], ctx["grad"])
@@ -374,15 +379,17 @@ def run_experiment(config: ExperimentConfig) -> Path:
                 json.dumps(sidecar, indent=2, default=_json_default))
             (out / f"{stem}.certificates.json").write_text(
                 json.dumps(result.certificates, indent=2, default=_json_default))
-            iters_to_tol = (len(result.trace) - 1
+            records = result.trace.records
+            iterations = max(len(records) - 1, 0)
+            iters_to_tol = (iterations
                             if result.trace.extras.get("termination") == "tolerance"
                             else None)
             summary["variants"].append({
                 "variant": spec.name, "rep": rep, "ok": result.ok,
-                "iterations": len(result.trace) - 1,
+                "iterations": iterations,
                 "iterations_to_tolerance": iters_to_tol,
                 "termination": result.trace.extras.get("termination"),
-                "final_grad_norm": result.trace.records[-1].grad_norm,
+                "final_grad_norm": records[-1].grad_norm if records else None,
             })
             summary["ok"] = summary["ok"] and result.ok
     (out / "summary.json").write_text(json.dumps(summary, indent=2,

@@ -10,6 +10,9 @@ sequence directly:
 
 Order selection p = 1/(1 - vartheta) matches theta to 1/vartheta, the regime
 in which the envelope values contract linearly.
+
+Both run one loop, ``_boost``; they differ only in the envelope, the
+candidate point built from a trial step, and the schedule of trial steps.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig) -> IterateT
     x^{k+1} = T(x^k) + alpha d^k decreases the envelope by at least
     sigma/(1+gamma L)^2 times the squared envelope gradient norm.  If no trial
     passes, the plain forward-backward point is taken (it always satisfies the
-    test given sigma < gamma(1 - gamma L)/2).
+    test given sigma < gamma(1 - gamma L)/2).  ``max_linesearch=0`` skips the
+    search entirely, reproducing the plain forward-backward update.
     """
     holder = problem.smooth.holder
     if holder is None or holder.nu != 1.0:
@@ -97,40 +101,11 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig) -> IterateT
                 "alpha_bar": config.alpha_bar, "eps": config.eps,
                 "direction": rule.kind, "beta": rule.beta, "fallbacks": 0},
     )
-    x = as_vector(x0, problem.smooth.dim, "x0")
-    for k in range(config.max_iter + 1):
-        ev = fbe_value_grad(problem, x, config.gamma)
-        gn = ev.grad_norm
-        rec = IterateRecord(k=k, f=ev.value, grad_norm=gn,
-                            x=x.copy() if config.store_iterates else None)
-        trace.records.append(rec)
-        if gn <= config.eps:
-            trace.extras["termination"] = "tolerance"
-            break
-        if k == config.max_iter:
-            trace.extras["termination"] = "max_iter"
-            break
-        d_bar = rule.base_direction(x, ev.gradient)
-        rule.push(x, ev.gradient)
-        d = generalize(d_bar, ev.gradient, rule.beta)
-        threshold = ev.value - rho * gn ** 2
-        x_next = None
-        for m in range(1, config.max_linesearch + 1):
-            alpha = config.alpha_bar ** m
-            cand = ev.prox_point + alpha * d
-            if fbe_value(problem, cand, config.gamma) <= threshold:
-                x_next = cand
-                rec.step = alpha
-                rec.inner_count = m
-                break
-        if x_next is None:
-            x_next = ev.prox_point
-            rec.step = 0.0
-            rec.inner_count = config.max_linesearch
-            trace.extras["fallbacks"] += 1
-        rec.displacement = float(np.linalg.norm(x_next - x))
-        x = x_next
-    return trace
+    trials = [(m, config.alpha_bar ** m) for m in range(1, config.max_linesearch + 1)]
+    return _boost(as_vector(x0, problem.smooth.dim, "x0"), config, rule, trace,
+                  lambda x: fbe_value_grad(problem, x, config.gamma),
+                  lambda x: fbe_value(problem, x, config.gamma),
+                  lambda x, T, alpha, d: T + alpha * d, trials)
 
 
 def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
@@ -161,9 +136,28 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
                 "eps": config.eps, "direction": rule.kind, "beta": rule.beta,
                 "fallbacks": 0},
     )
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    trials = [(m, config.eta ** m) for m in range(config.max_linesearch)]
+    return _boost(as_vector(x0, name="x0"), config, rule, trace,
+                  lambda x: home_value_grad(phi, x, gamma, p),
+                  lambda x: home_value(phi, x, gamma, p),
+                  lambda x, y, kappa, d: (1.0 - kappa) * y + kappa * (x + d), trials,
+                  x_tol=config.eps * gamma ** q)
+
+
+def _boost(x, config: BoostedConfig, rule: DirectionRule, trace: IterateTrace,
+           evaluate, value, candidate, trials, x_tol: Optional[float] = None):
+    """The iteration loop of both boosted solvers, filling ``trace``.
+
+    ``evaluate(x)`` gives the envelope value, gradient and proximal point y
+    at x, and ``value(x)`` the envelope value alone.  Each step tries
+    ``candidate(x, y, t, d)`` for every (m, t) in ``trials`` in order and
+    takes the first one whose envelope value is at most
+    value - rho ||grad||^theta; otherwise it takes y.  With no trials the
+    direction rule is never consulted.  ``x_tol`` stops the run once
+    ||x - y|| falls to it.
+    """
     for k in range(config.max_iter + 1):
-        ev = home_value_grad(phi, x, gamma, p)
+        ev = evaluate(x)
         if ev.multi_valued:
             trace.extras["termination"] = "multivalued"
             trace.extras["diagnostic"] = (
@@ -177,7 +171,7 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
         if gn <= config.eps:
             trace.extras["termination"] = "tolerance"
             break
-        if np.linalg.norm(x - y) <= config.eps * gamma ** q:
+        if x_tol is not None and np.linalg.norm(x - y) <= x_tol:
             # proximal residual below the scaled tolerance; for orders below 2
             # this can trigger while the envelope gradient is still above eps
             trace.extras["termination"] = "displacement"
@@ -186,25 +180,24 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
             trace.extras["termination"] = "max_iter"
             break
         x_next = None
-        if config.max_linesearch > 0:
+        if trials:
             d_bar = rule.base_direction(x, ev.gradient)
             rule.push(x, ev.gradient)
             d = generalize(d_bar, ev.gradient, rule.beta)
-            threshold = ev.value - rho * gn ** theta
-            for m in range(config.max_linesearch):
-                kappa = config.eta ** m
-                cand = (1.0 - kappa) * y + kappa * (x + d)
-                if home_value(phi, cand, gamma, p) <= threshold:
+            threshold = ev.value - trace.rho * gn ** trace.theta
+            for m, t in trials:
+                cand = candidate(x, y, t, d)
+                if value(cand) <= threshold:
                     x_next = cand
-                    rec.step = kappa
+                    rec.step = t
                     rec.inner_count = m
                     break
+            else:
+                trace.extras["fallbacks"] += 1
         if x_next is None:
-            x_next = y.copy()
+            x_next = y
             rec.step = 0.0
             rec.inner_count = config.max_linesearch
-            if config.max_linesearch > 0:
-                trace.extras["fallbacks"] += 1
         rec.displacement = float(np.linalg.norm(x_next - x))
         x = x_next
     return trace

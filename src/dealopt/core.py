@@ -102,20 +102,13 @@ class SmoothObjective:
 class CompositeObjective:
     """Smooth part plus a prox-capable nonsmooth part.
 
-    ``nonsmooth`` must expose ``value(x)`` and ``prox(x, gamma, p)``;
-    ``weak_convexity`` is the modulus making nonsmooth + (m/2)||.||^2 convex
-    (0 means convex).
+    ``nonsmooth`` must expose ``value(x)`` and ``prox(x, gamma, p)``.
     """
 
     smooth: SmoothObjective
     nonsmooth: object
-    weak_convexity: float = 0.0
     fstar: Optional[float] = None
     name: str = "composite"
-
-    def __post_init__(self):
-        if self.weak_convexity < 0.0:
-            raise UsageError("weak-convexity modulus must be >= 0")
 
     def value(self, x):
         return self.smooth.value(x) + self.nonsmooth.value(x)

@@ -116,10 +116,6 @@ class DirectionRule:
         self._pairs = deque(maxlen=self.memory)
         self.fallback_count = 0
 
-    def clone(self) -> "DirectionRule":
-        return DirectionRule(self.kind, self.beta, self.c1, self.c2,
-                             self.memory, self.alpha_min, self.alpha_max)
-
     def push(self, x, grad):
         """Record the pair observed at the current iterate (call once per step)."""
         x = np.asarray(x, dtype=float).copy()

@@ -267,26 +267,31 @@ def home_value_grad(g, x, gamma: float, p: float = 2.0) -> EnvelopeEval:
     coordinate flagged multi-valued the envelope is not differentiable; the
     value is still returned but the gradient is refused (None).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    res = _prox_detailed(g, x, gamma, p)
-    y = np.atleast_1d(res.point)
-    value = float(g.value(y) + _penalty(x - y, gamma, p))
-    if res.multi_valued:
-        return EnvelopeEval(x=x, prox_point=y, value=value, gradient=None, multi_valued=True)
-    d = x - y
+    ev = _home(g, x, gamma, p)
+    if ev.multi_valued:
+        return ev
+    d = ev.x - ev.prox_point
     if p == 2.0:
-        grad = d / gamma
+        ev.gradient = d / gamma
     else:
-        grad = np.abs(d) ** (p - 2.0) * d / gamma
-        grad[d == 0.0] = 0.0
-    return EnvelopeEval(x=x, prox_point=y, value=value, gradient=grad)
+        ev.gradient = np.abs(d) ** (p - 2.0) * d / gamma
+        ev.gradient[d == 0.0] = 0.0
+    return ev
 
 
 def home_value(g, x, gamma: float, p: float = 2.0) -> float:
     """Envelope value only (cheaper inner-loop check: no gradient needed)."""
+    return _home(g, x, gamma, p).value
+
+
+def _home(g, x, gamma, p) -> EnvelopeEval:
+    """Order-p proximal point and envelope value at x, without the gradient."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(_prox_detailed(g, x, gamma, p).point)
-    return float(g.value(y) + _penalty(x - y, gamma, p))
+    res = _prox_detailed(g, x, gamma, p)
+    y = np.atleast_1d(res.point)
+    value = float(g.value(y) + _penalty(x - y, gamma, p))
+    return EnvelopeEval(x=x, prox_point=y, value=value, gradient=None,
+                        multi_valued=res.multi_valued)
 
 
 def _prox_detailed(g, x, gamma, p) -> ProxResult:
@@ -304,10 +309,7 @@ def _penalty(d, gamma, p):
 
 def forward_backward_map(problem: CompositeObjective, x, gamma: float) -> np.ndarray:
     """Gradient step on the smooth part followed by the order-2 prox of the rest."""
-    _check_gamma(problem, gamma)
-    x = as_vector(x, problem.smooth.dim)
-    step = x - gamma * problem.smooth.grad(x)
-    return np.atleast_1d(np.asarray(problem.nonsmooth.prox(step, gamma, 2.0), dtype=float))
+    return _forward_backward(problem, x, gamma)[2]
 
 
 def fbe_value_grad(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval:
@@ -320,29 +322,33 @@ def fbe_value_grad(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval
     """
     if problem.smooth.hess_apply is None:
         raise CapabilityError("forward-backward envelope gradient needs a Hessian-apply oracle")
-    _check_gamma(problem, gamma)
-    x = as_vector(x, problem.smooth.dim)
-    gf = problem.smooth.grad(x)
-    step = x - gamma * gf
-    T = np.atleast_1d(np.asarray(problem.nonsmooth.prox(step, gamma, 2.0), dtype=float))
-    d = T - x
-    value = float(problem.smooth.value(x) + gf @ d + (d @ d) / (2.0 * gamma)
-                  + problem.nonsmooth.value(T))
-    xmT = -d
-    grad = xmT / gamma - problem.smooth.hess_apply(x, xmT)
-    return EnvelopeEval(x=x, prox_point=T, value=value, gradient=grad)
+    ev = _fbe(problem, x, gamma)
+    xmT = ev.x - ev.prox_point
+    ev.gradient = xmT / gamma - problem.smooth.hess_apply(ev.x, xmT)
+    return ev
 
 
 def fbe_value(problem: CompositeObjective, x, gamma: float) -> float:
     """Forward-backward envelope value only."""
+    return _fbe(problem, x, gamma).value
+
+
+def _fbe(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval:
+    """Forward-backward point T and envelope value at x, without the gradient."""
+    x, gf, T = _forward_backward(problem, x, gamma)
+    d = T - x
+    value = float(problem.smooth.value(x) + gf @ d + (d @ d) / (2.0 * gamma)
+                  + problem.nonsmooth.value(T))
+    return EnvelopeEval(x=x, prox_point=T, value=value, gradient=None)
+
+
+def _forward_backward(problem: CompositeObjective, x, gamma: float):
+    """x as a vector, grad f(x), and the forward-backward point T."""
     _check_gamma(problem, gamma)
     x = as_vector(x, problem.smooth.dim)
     gf = problem.smooth.grad(x)
-    step = x - gamma * gf
-    T = np.atleast_1d(np.asarray(problem.nonsmooth.prox(step, gamma, 2.0), dtype=float))
-    d = T - x
-    return float(problem.smooth.value(x) + gf @ d + (d @ d) / (2.0 * gamma)
-                 + problem.nonsmooth.value(T))
+    T = problem.nonsmooth.prox(x - gamma * gf, gamma, 2.0)
+    return x, gf, np.atleast_1d(np.asarray(T, dtype=float))
 
 
 def _check_gamma(problem: CompositeObjective, gamma: float):

@@ -166,7 +166,6 @@ class LassoProblem:
         return CompositeObjective(
             smooth=self.as_smooth(),
             nonsmooth=envelopes.L1Norm(self.lam),
-            weak_convexity=0.0,
             name=f"lasso(m={self.m}, n={self.n}, lam={self.lam})",
         )
 

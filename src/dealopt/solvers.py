@@ -12,6 +12,9 @@ Hölder exponent nu via beta = (1-nu)/nu the runs carry certified constants:
 where alpha_tilde is the worst-case accepted step computed by
 :func:`armijo_bound`.  Any other beta is allowed but the trace is marked
 heuristic and rate/bound certificates are skipped downstream.
+
+Both run one loop, ``_descend``: the constant step is the case with no Armijo
+test, a single trial at alpha that is always taken.
 """
 
 from __future__ import annotations
@@ -117,33 +120,7 @@ def run_dealc(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrac
                 "beta": rule.beta, "eps": config.eps, "direction": rule.kind,
                 "constants": "estimated" if estimated else "declared"},
     )
-    x = as_vector(x0, objective.dim, "x0")
-    f = objective.value(x)
-    for k in range(config.max_iter + 1):
-        g = objective.grad(x)
-        gn = float(np.linalg.norm(g))
-        rec = IterateRecord(k=k, f=f, grad_norm=gn,
-                            x=x.copy() if config.store_iterates else None)
-        trace.records.append(rec)
-        if gn <= config.eps:
-            trace.extras["termination"] = "tolerance"
-            break
-        if k == config.max_iter:
-            trace.extras["termination"] = "max_iter"
-            break
-        d_bar, _ = rule.sufficient_base_direction(x, g)
-        rule.push(x, g)
-        d = generalize(d_bar, g, rule.beta)
-        x_next = x + alpha * d
-        f_next = objective.value(x_next)
-        if not math.isfinite(f_next):
-            trace.extras["termination"] = "nonfinite"
-            trace.extras["diagnostic"] = f"non-finite objective at k={k + 1}"
-            break
-        rec.step = alpha
-        rec.displacement = float(np.linalg.norm(x_next - x))
-        x, f = x_next, f_next
-    return trace
+    return _descend(objective, x0, config, rule, trace, alpha)
 
 
 def run_deala(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrace:
@@ -169,6 +146,18 @@ def run_deala(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrac
                 "eps": config.eps, "direction": rule.kind,
                 "constants": "estimated" if estimated else "declared"},
     )
+    return _descend(objective, x0, config, rule, trace, ap.alpha_bar, ap)
+
+
+def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: DirectionRule,
+             trace: IterateTrace, alpha: float,
+             armijo: Optional[ArmijoParams] = None) -> IterateTrace:
+    """The iteration loop of both step rules, filling ``trace``.
+
+    Every step first tries ``alpha``.  Without ``armijo`` that trial is
+    always taken; with it, the step shrinks to eta^p alpha_bar until the
+    Armijo test passes or p exceeds max_backtracks.
+    """
     x = as_vector(x0, objective.dim, "x0")
     f = objective.value(x)
     for k in range(config.max_iter + 1):
@@ -186,27 +175,28 @@ def run_deala(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrac
         d_bar, _ = rule.sufficient_base_direction(x, g)
         rule.push(x, g)
         d = generalize(d_bar, g, rule.beta)
-        slope = float(g @ d)
         p = 0
-        alpha_k = ap.alpha_bar
-        x_next = x + alpha_k * d
+        step = alpha
+        x_next = x + step * d
         f_next = objective.value(x_next)
-        while not f_next <= f + ap.sigma * alpha_k * slope:
-            p += 1
-            if p > ap.max_backtracks:
-                trace.extras["termination"] = "backtrack_limit"
-                trace.extras["diagnostic"] = (
-                    f"no Armijo step within {ap.max_backtracks} backtracks at k={k}; "
-                    "declared Hölder constant is likely too small")
-                return trace
-            alpha_k = ap.eta ** p * ap.alpha_bar
-            x_next = x + alpha_k * d
-            f_next = objective.value(x_next)
+        if armijo is not None:
+            slope = float(g @ d)
+            while not f_next <= f + armijo.sigma * step * slope:
+                p += 1
+                if p > armijo.max_backtracks:
+                    trace.extras["termination"] = "backtrack_limit"
+                    trace.extras["diagnostic"] = (
+                        f"no Armijo step within {armijo.max_backtracks} backtracks at "
+                        f"k={k}; declared Hölder constant is likely too small")
+                    return trace
+                step = armijo.eta ** p * armijo.alpha_bar
+                x_next = x + step * d
+                f_next = objective.value(x_next)
         if not math.isfinite(f_next):
             trace.extras["termination"] = "nonfinite"
             trace.extras["diagnostic"] = f"non-finite objective at k={k + 1}"
             break
-        rec.step = alpha_k
+        rec.step = step
         rec.inner_count = p
         rec.displacement = float(np.linalg.norm(x_next - x))
         x, f = x_next, f_next

@@ -1,10 +1,13 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from dealopt import bench, envelopes
 from dealopt.analysis import fit_linear_rate
 from dealopt.boosted import BoostedConfig, choose_order, run_bhippa, run_bpga
-from dealopt.core import UsageError, certify_descent, reevaluate_trace
+from dealopt.core import DataError, UsageError, certify_descent, reevaluate_trace
 from dealopt.directions import DirectionRule
 from dealopt.envelopes import (SeparableProx, fbe_value, fbe_value_grad,
                                forward_backward_map, home_value,
@@ -90,6 +93,18 @@ class TestBPGA:
         f = tr.f_values()
         assert np.all(np.diff(f) < 0.0)
 
+    def test_no_linesearch_skips_the_direction_rule(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("direction rule called without a line search")
+        for name in ("base_direction", "sufficient_base_direction", "push"):
+            monkeypatch.setattr(DirectionRule, name, unused)
+        _, comp, gamma, sigma = lasso_setup()
+        cfg = BoostedConfig(gamma=gamma, sigma=sigma, max_linesearch=0)
+        tr = run_bpga(comp, np.ones(6) * 2.0, cfg)
+        assert tr.extras["termination"] == "tolerance"
+        assert len(tr) > 2
+        assert tr.extras["fallbacks"] == 0
+
     def test_parameter_validation(self):
         _, comp, gamma, _ = lasso_setup()
         with pytest.raises(UsageError):
@@ -138,6 +153,39 @@ class TestBHiPPA:
         tr = run_bhippa(phi, np.array([0.0]), cfg)
         assert tr.extras["termination"] == "multivalued"
         assert len(tr) == 0
+
+    def test_multivalued_at_start_certifies_empty_trace(self):
+        phi = SeparableProx(lambda t: (t * t - 1.0) ** 2)
+        cfg = BoostedConfig(gamma=20.0, sigma=0.01, store_iterates=True)
+        tr = run_bhippa(phi, [0.0], cfg)
+        assert len(tr) == 0
+        bundle = bench.certify_run(tr, {})
+        assert bundle["termination"] == "multivalued"
+        assert bundle["diagnostic"] == tr.extras["diagnostic"]
+        assert not [v for v in bundle.values() if isinstance(v, dict)]
+
+    def test_empty_trace_summary(self, tmp_path, monkeypatch):
+        # the powerabs family has a unique prox, so the double-well run that
+        # stops before its first record stands in for the solver
+        real = bench.run_bhippa
+        monkeypatch.setattr(bench, "run_bhippa", lambda phi, x0, cfg: real(
+            SeparableProx(lambda t: (t * t - 1.0) ** 2), [0.0],
+            BoostedConfig(gamma=20.0, sigma=0.01, store_iterates=True)))
+        out = bench.run_experiment(bench.ExperimentConfig(
+            problem=bench.ProblemSpec(kind="powerabs", n=1),
+            solvers=[bench.SolverSpec(name="BHIPPA", solver="bhippa")],
+            output=bench.OutputSpec(directory=str(tmp_path / "out"))))
+        [row] = json.loads((out / "summary.json").read_text())["variants"]
+        assert row["termination"] == "multivalued"
+        assert row["iterations"] == 0
+        assert row["iterations_to_tolerance"] is None
+        assert row["final_grad_norm"] is None
+
+    def test_nonfinite_start_rejected(self):
+        pa = PowerAbsProblem(s=4.0, n=2)
+        with pytest.raises(DataError, match="x0 contains non-finite entries"):
+            run_bhippa(pa.as_prox_capable(), [math.nan, 1.0],
+                       BoostedConfig(gamma=1.0, sigma=0.1, p=4.0))
 
     def test_sigma_cap_enforced(self):
         pa = PowerAbsProblem(s=4.0, n=1)

@@ -181,6 +181,24 @@ class TestDealA:
         tr = run_deala(obj, np.array([50.0]), cfg)
         assert tr.extras["termination"] == "backtrack_limit"
 
+    def test_first_trial_at_constant_step_reproduces_dealc(self):
+        # f = x'Hx/2 with exact L = max eig H: the constant step 1/L always
+        # passes the Armijo test, so both step rules take the same steps
+        h = np.array([1.0, 3.0, 10.0])
+        obj = SmoothObjective(dim=3, value=lambda x: 0.5 * float(x @ (h * x)),
+                              grad=lambda x: h * np.asarray(x, dtype=float),
+                              holder=HolderInfo(nu=1.0, L=10.0))
+        x0 = np.array([4.0, -2.0, 1.0])
+        const = run_dealc(obj, x0, DealConfig())
+        alpha = const.extras["alpha"]
+        armijo = run_deala(obj, x0, DealConfig(armijo=ArmijoParams(alpha_bar=alpha)))
+        assert const.extras["termination"] == armijo.extras["termination"] == "tolerance"
+        assert len(const) == len(armijo) > 2
+        for a, b in zip(const.records, armijo.records):
+            assert (a.f, a.grad_norm, a.displacement) == (b.f, b.grad_norm, b.displacement)
+            assert a.step == b.step or (math.isnan(a.step) and math.isnan(b.step))
+            assert b.inner_count == 0
+
     def test_config_validation(self):
         with pytest.raises(UsageError):
             ArmijoParams(sigma=0.0)
