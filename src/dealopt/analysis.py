@@ -263,7 +263,7 @@ def per_step_ratio_check(trace: IterateTrace, fstar: float, q_theory: float,
                          rel_tol: float = 1e-10):
     """Verify gap_{k+1} <= q * gap_k for every consecutive pair above the floor.
 
-    Returns (passed, worst_ratio, n_checked).
+    Returns (passed, worst_ratio or None when nothing was checked, n_checked).
     """
     if not 0.0 < q_theory < 1.0:
         raise UsageError("q_theory must lie in (0, 1)")
@@ -280,7 +280,7 @@ def per_step_ratio_check(trace: IterateTrace, fstar: float, q_theory: float,
         worst = max(worst, ratio)
         if ratio > q_theory * (1.0 + rel_tol):
             passed = False
-    return passed, worst, n
+    return passed, (worst if n else None), n
 
 
 def box_sampler(dim: int, seed: int, low: float = -5.0, high: float = 5.0) -> Callable:

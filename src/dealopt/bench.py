@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -217,7 +216,6 @@ def _run_deal(problem, spec, run, x0, digest, rep):
     if kl is not None and trace.guaranteed and (
             consistent or isinstance(problem, problems.QuadraticProblem)):
         ctx["tau"] = kl.tau
-        ctx["vartheta"] = kl.vartheta
     return trace, ctx
 
 
@@ -301,7 +299,8 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
     (``prox_oracle``).  Applies every certificate whose constants are
     available.  Heuristic runs get rate fits but no guarantee checks.  A run
     that stopped before its first record gets its termination and diagnostic
-    and no checks.
+    and no checks; one that stopped before its first step gets no
+    displacement check.
     """
     bundle = {"guaranteed": trace.guaranteed, "solver": trace.solver_id,
               "termination": trace.extras.get("termination", "unknown")}
@@ -316,7 +315,8 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
             bundle["prox_oracle"] = ctx["prox_oracle"](trace.records[-1].x)
     if trace.guaranteed:
         bundle["descent"] = certify_descent(checked, trace.rho, trace.theta).as_dict()
-        if trace.solver_id in ("deal-c", "deal-a") and ctx.get("c"):
+        if (trace.solver_id in ("deal-c", "deal-a") and ctx.get("c")
+                and len(checked) > 1):
             bundle["displacement"] = certify_displacement(
                 checked, ctx["c"], trace.theta).as_dict()
     fstar = ctx.get("fstar")
@@ -431,8 +431,6 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
     return str(obj)
 
 

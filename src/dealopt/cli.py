@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     fd.add_argument("--at", required=True)
     spec = orc_sub.add_parser("spectral")
     spec.add_argument("--matrix", required=True, help="JSON file holding a matrix")
-    spec.add_argument("--method", choices=("auto", "svd", "iterative"), default="auto")
     return parser
 
 
@@ -248,9 +247,11 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK
     if args.oracle_verb == "spectral":
         A = np.asarray(json.loads(Path(args.matrix).read_text()), dtype=float)
-        spec = oracles.spectral_constants(A, method=args.method)
-        print(json.dumps({"opnorm": spec.opnorm, "sigma_min": spec.sigma_min},
-                         indent=2))
+        spec = oracles.spectral_constants(A)
+        it = oracles.iterative_spectral_constants(A)
+        print(json.dumps({"opnorm": spec.opnorm, "sigma_min": spec.sigma_min,
+                          "iterative": {"opnorm": it.opnorm,
+                                        "sigma_min": it.sigma_min}}, indent=2))
         return EXIT_OK
     raise UsageError(f"unknown oracle verb {args.oracle_verb!r}")
 

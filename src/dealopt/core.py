@@ -256,7 +256,7 @@ class CertificateReport:
             "name": self.name,
             "passed": bool(self.passed),
             "n_checked": self.n_checked,
-            "worst_violation": self.worst_violation,
+            "worst_violation": self.worst_violation if self.n_checked else None,
             "worst_index": self.worst_index,
             "details": self.details,
         }

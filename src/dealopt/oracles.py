@@ -1,8 +1,7 @@
-"""Independent brute-force oracles: finite differences, scalar and small-grid
-minimization, and iterative spectral constants.
-
-These are deliberately kept separate from the closed-form implementations they
-validate; tests compare the two routes.
+"""Spectral constants, and independent brute-force oracles kept separate from
+the closed-form implementations they validate: finite differences, scalar and
+small-grid minimization, and power/inverse spectral iteration, the
+cross-check of the outward-rounded SVD in ``spectral_constants``.
 """
 
 from __future__ import annotations
@@ -175,29 +174,31 @@ class SpectralConstants:
     sigma_min: float
 
 
-def spectral_constants(A, config: OracleConfig = DEFAULT_CONFIG,
-                       method: str = "auto") -> SpectralConstants:
-    """Largest/smallest singular values of a full-column-rank matrix.
+def spectral_constants(A) -> SpectralConstants:
+    """Largest and smallest singular values of A from one SVD, rounded outward.
 
-    ``opnorm`` comes from power iteration on A^T A.  ``sigma_min`` uses exact
-    SVD when min(m, n) <= 64, otherwise inverse iteration through a Cholesky
-    factor of A^T A.  ``method`` forces one route ("svd" or "iterative").
+    The computed values are exact for some A + E with ||E||_2 <= c eps ||A||_2,
+    c a modest function of (m, n) (Golub & Van Loan, ch. 8), so padding by
+    max(m, n) eps s_max makes ``opnorm`` an upper and ``sigma_min`` a lower
+    bound: declared constants sit on the safe side.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or not np.all(np.isfinite(A)):
-        raise DataError("A must be a finite 2-D matrix")
-    if method not in ("auto", "svd", "iterative"):
-        raise UsageError(f"unknown method {method!r}")
-    if method == "svd":
-        s = np.linalg.svd(A, compute_uv=False)
-        return SpectralConstants(opnorm=float(s[0]), sigma_min=float(s[-1]))
+    if A.ndim != 2 or A.size == 0 or not np.all(np.isfinite(A)):
+        raise DataError("A must be a finite, non-empty 2-D matrix")
+    s = np.linalg.svd(A, compute_uv=False)
+    pad = max(A.shape) * float(np.finfo(float).eps) * float(s[0])
+    return SpectralConstants(opnorm=float(s[0]) + pad,
+                             sigma_min=max(float(s[-1]) - pad, 0.0))
+
+
+def iterative_spectral_constants(A, config: OracleConfig = DEFAULT_CONFIG
+                                 ) -> SpectralConstants:
+    """Unrounded cross-check of ``spectral_constants`` by power and inverse
+    iteration on the Gram matrix; its Rayleigh-quotient ``opnorm`` is <= ||A||."""
+    A = np.asarray(A, dtype=float)
     B = A.T @ A if A.shape[0] >= A.shape[1] else A @ A.T
     lam_max = _power_iteration(B, config)
-    if method == "auto" and min(A.shape) <= 64:
-        s = np.linalg.svd(A, compute_uv=False)
-        sig_min = float(s[-1])
-    else:
-        sig_min = math.sqrt(max(_inverse_iteration(B, config), 0.0))
+    sig_min = math.sqrt(max(_inverse_iteration(B, config), 0.0))
     return SpectralConstants(opnorm=math.sqrt(lam_max), sigma_min=sig_min)
 
 

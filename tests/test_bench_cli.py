@@ -21,6 +21,16 @@ def small_config(tmp_path, solvers=None, **problem_kw):
     )
 
 
+def assert_strict_json(run_dir, n_files):
+    """Every JSON file in run_dir parses without NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+    files = sorted(run_dir.glob("*.json"))
+    assert len(files) == n_files
+    for path in files:
+        json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestConfigValidation:
     def test_round_trip(self):
         cfg = bench.preset("sec53")
@@ -100,6 +110,41 @@ class TestRunExperiment:
         assert (out / "DEAL-A_rep0.csv").exists()
         assert (out / "DEAL-A_rep1.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["leastp", "powerabs"])
+    def test_stop_before_first_step_writes_strict_json(self, tmp_path, kind):
+        solvers = ([bench.SolverSpec(name="DEAL-C", solver="deal-c"),
+                    bench.SolverSpec(name="DEAL-A", solver="deal-a")]
+                   if kind == "leastp"
+                   else [bench.SolverSpec(name="BHIPPA", solver="bhippa")])
+        problem = ({} if kind == "leastp"
+                   else dict(kind="powerabs", s=4.0, n=3, m=0))
+        cfg = small_config(tmp_path, solvers=solvers, **problem)
+        cfg.run.eps = 1e9
+        out = bench.run_experiment(cfg)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["ok"]
+        for variant in summary["variants"]:
+            assert variant["iterations"] == 0
+            assert variant["termination"] == "tolerance"
+            certs = json.loads((out / f"{variant['variant']}.certificates.json")
+                               .read_text())
+            assert "displacement" not in certs
+            assert certs["descent"]["n_checked"] == 0
+            assert certs["descent"]["worst_violation"] is None
+        assert_strict_json(out, 3 + 2 * len(solvers))
+
+    def test_backtrack_limit_at_first_step_writes_a_summary(self, tmp_path):
+        # every trial down to 1e30 * 2**-60 overshoots, so the first step fails
+        cfg = small_config(tmp_path, solvers=[
+            bench.SolverSpec(name="DEAL-A", solver="deal-a", alpha_bar=1e30)])
+        out = bench.run_experiment(cfg)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["variants"][0]["termination"] == "backtrack_limit"
+        assert summary["variants"][0]["iterations"] == 0
+        certs = json.loads((out / "DEAL-A.certificates.json").read_text())
+        assert "displacement" not in certs
+        assert_strict_json(out, 5)
+
     def test_deal_seed_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DEAL_SEED", "99")
         prob = bench.build_problem(bench.ProblemSpec(kind="leastp", m=30, n=5,
@@ -175,6 +220,20 @@ class TestCLI:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["opnorm"] == pytest.approx(1.0)
+
+    def test_oracle_spectral_rounds_outward_next_to_iteration(self, tmp_path,
+                                                              capsys):
+        mat = tmp_path / "m.json"
+        mat.write_text("[[1, 0], [0, 2], [0, 0]]")
+        rc = cli.main(["oracle", "spectral", "--matrix", str(mat)])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert 2.0 <= doc["opnorm"] <= 2.0 + 1e-14
+        assert 1.0 - 1e-14 <= doc["sigma_min"] <= 1.0
+        assert doc["iterative"]["opnorm"] == pytest.approx(2.0)
+        assert doc["iterative"]["sigma_min"] == pytest.approx(1.0)
+        assert cli.main(["oracle", "spectral", "--matrix", str(mat),
+                         "--method", "svd"]) == cli.EXIT_USAGE
 
     def test_oracle_fd_grad(self, tmp_path, capsys):
         point = tmp_path / "x.json"

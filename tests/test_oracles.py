@@ -4,7 +4,9 @@ import pytest
 from dealopt.core import DataError
 from dealopt.envelopes import prox_l1
 from dealopt.oracles import (finite_diff_gradient, grid_minimize_nd,
+                             iterative_spectral_constants,
                              scalar_minimize, spectral_constants)
+from dealopt.problems import LassoProblem, LeastPProblem, generate_problem
 
 
 def test_fd_gradient_quadratic():
@@ -87,10 +89,35 @@ def test_spectral_identity_and_diagonal():
 def test_spectral_iterative_matches_svd(shape):
     rng = np.random.default_rng(hash(shape) % 2 ** 31)
     A = rng.standard_normal(shape)
-    it = spectral_constants(A, method="iterative")
-    sv = spectral_constants(A, method="svd")
+    it = iterative_spectral_constants(A)
+    sv = spectral_constants(A)
     assert abs(it.opnorm - sv.opnorm) < 1e-7 * sv.opnorm
     assert abs(it.sigma_min - sv.sigma_min) < 1e-6 * sv.opnorm
+
+
+_BRACKET_SHAPES = {"tall-n10": (1000, 10), "tall-n100": (300, 100),
+                   "wide": (30, 80)}
+
+
+@pytest.mark.parametrize("name", ["sec51", *_BRACKET_SHAPES])
+def test_declared_constants_bracket_the_truth(name):
+    if name == "sec51":
+        A = generate_problem(0, "leastp", 1000, 200, p=1.5, consistent=True).A
+    else:
+        A = np.random.default_rng(21).standard_normal(_BRACKET_SHAPES[name])
+    s = np.linalg.svd(A, compute_uv=False)
+    spec = spectral_constants(A)
+    it = iterative_spectral_constants(A)
+    assert spec.opnorm >= s[0] and spec.opnorm >= it.opnorm
+    assert spec.sigma_min <= s[-1] and spec.sigma_min <= it.sigma_min
+    assert spec.opnorm - s[0] <= 1e-12 * s[0]
+    assert s[-1] - spec.sigma_min <= 1e-12 * s[-1]
+    b = np.ones(A.shape[0])
+    if A.shape[0] >= A.shape[1]:
+        p = 1.5
+        _, L, _, _ = LeastPProblem(A, b, p).constants()
+        assert L >= 2.0 ** (2.0 - p) * s[0] ** p
+    assert LassoProblem(A, b, lam=0.1).L >= s[0] ** 2
 
 
 def test_spectral_large_gaussian_sane():
