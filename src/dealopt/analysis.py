@@ -31,11 +31,18 @@ def gap_floor(fstar: float) -> float:
 
 def complexity_K(x: float, y: float, eps: float, q: float) -> int:
     """ceil((y log(1/eps) + log x) / log(1/q) + 1), clamped below at 1."""
-    if not (x > 0.0 and y > 0.0 and eps > 0.0):
-        raise UsageError("need x, y, eps > 0")
+    if not x > 0.0:
+        raise UsageError("need x > 0")
+    return _complexity_K_log(math.log(x), y, eps, q)
+
+
+def _complexity_K_log(log_x: float, y: float, eps: float, q: float) -> int:
+    """``complexity_K`` from log x, for an x beyond the float range."""
+    if not (y > 0.0 and eps > 0.0):
+        raise UsageError("need y, eps > 0")
     if not 0.0 < q < 1.0:
         raise UsageError(f"q must lie in (0, 1), got {q}")
-    val = (y * math.log(1.0 / eps) + math.log(x)) / math.log(1.0 / q) + 1.0
+    val = (y * math.log(1.0 / eps) + log_x) / math.log(1.0 / q) + 1.0
     return max(int(math.ceil(val)), 1)
 
 
@@ -250,8 +257,14 @@ def verify_complexity(trace: IterateTrace, fstar: float, rho: float, theta: floa
     if xstar is not None and c is not None and X is not None:
         dist = np.linalg.norm(X - np.asarray(xstar, dtype=float)[None, :], axis=1)
         m_x = first_k(dist <= eps)
-        s = (c / (1.0 - q ** ((theta - 1.0) / theta))) ** (theta / (theta - 1.0))
-        b_x = complexity_K(s * gap0 / rho, theta / (theta - 1.0), eps, q)
+        y_x = theta / (theta - 1.0)
+        r = 1.0 - q ** ((theta - 1.0) / theta)
+        try:
+            b_x = complexity_K((c / r) ** y_x * gap0 / rho, y_x, eps, q)
+        except OverflowError:
+            # s gap0 / rho is beyond the float range: the same bound from its log
+            log_x = y_x * (math.log(c) - math.log(r)) + math.log(gap0) - math.log(rho)
+            b_x = _complexity_K_log(log_x, y_x, eps, q)
         report.checks.append(BoundCheck(
             "iterate", m_x, b_x,
             None if m_x is None else m_x <= b_x,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -137,12 +136,8 @@ def validate_config(doc: dict) -> list:
 
 
 def build_problem(spec: ProblemSpec):
-    seed = spec.seed
-    env = os.environ.get("DEAL_SEED")
-    if env is not None:
-        seed = int(env)
     return problems.generate_problem(
-        seed, spec.kind, spec.m, spec.n, p=spec.p, lam=spec.lam, s=spec.s,
+        spec.seed, spec.kind, spec.m, spec.n, p=spec.p, lam=spec.lam, s=spec.s,
         consistent=spec.consistent)
 
 
@@ -193,9 +188,8 @@ def _run_deal(problem, spec, run, x0, digest, rep):
     beta = _resolve_beta(spec, objective.holder.nu)
     rule = DirectionRule(spec.direction, beta=beta, c1=spec.c1, c2=spec.c2,
                          memory=spec.memory)
-    armijo = ArmijoParams(sigma=spec.sigma if spec.sigma is not None else 1e-4,
-                          eta=spec.eta,
-                          alpha_bar=spec.alpha_bar if spec.alpha_bar is not None else 1.0)
+    armijo = ArmijoParams(eta=spec.eta,
+                          **_given(sigma=spec.sigma, alpha_bar=spec.alpha_bar))
     cfg = DealConfig(eps=run.eps, max_iter=run.max_iter, rule=rule, armijo=armijo,
                      store_iterates=run.store_iterates,
                      seed=run.x0_seed + rep, config_digest=digest)
@@ -205,12 +199,7 @@ def _run_deal(problem, spec, run, x0, digest, rep):
         "value": objective.value, "grad": objective.grad,
         "fstar": getattr(problem, "fstar", None),
         "xstar": getattr(problem, "x_ls", getattr(problem, "xstar", None)),
-        "eps": run.eps,
     }
-    if spec.solver == "deal-c":
-        ctx["c"] = rule.c2 * trace.extras["alpha"]
-    else:
-        ctx["c"] = rule.c2 * armijo.alpha_bar
     kl = objective.kl
     consistent = getattr(problem, "consistent", False)
     if kl is not None and trace.guaranteed and (
@@ -223,26 +212,22 @@ def _run_bpga(problem, spec, run, x0, digest, rep):
     if not isinstance(problem, problems.LassoProblem):
         raise UsageError("the boosted proximal-gradient preset expects the lasso family")
     composite = problem.as_composite()
-    L = problem.L
-    gamma = spec.gamma if spec.gamma is not None else 0.95 / L
-    sigma_cap = gamma * (1.0 - gamma * L) / 2.0
-    sigma = spec.sigma if spec.sigma is not None else 0.9 * sigma_cap
     beta = 0.0 if spec.beta == "auto" else float(spec.beta)
     rule = DirectionRule(spec.direction, beta=beta, memory=spec.memory)
-    cfg = BoostedConfig(gamma=gamma, sigma=sigma,
-                        alpha_bar=spec.alpha_bar if spec.alpha_bar is not None else 0.5,
+    cfg = BoostedConfig(gamma=spec.gamma, sigma=spec.sigma,
                         max_linesearch=spec.max_linesearch, rule=rule,
                         eps=run.eps, max_iter=run.max_iter,
                         store_iterates=run.store_iterates,
-                        seed=run.x0_seed + rep, config_digest=digest)
+                        seed=run.x0_seed + rep, config_digest=digest,
+                        **_given(alpha_bar=spec.alpha_bar))
     trace = run_bpga(composite, x0, cfg)
+    gamma = trace.extras["gamma"]
     ref = problems.reference_optimum(problem)
     value, grad = _shared_oracles(
         lambda x: envelopes.fbe_value_grad(composite, x, gamma))
     ctx = {
         "value": value, "grad": grad,
         "fstar": ref.fstar if ref.converged else None,
-        "xstar": None, "c": None, "eps": run.eps,
     }
     return trace, ctx
 
@@ -253,26 +238,28 @@ def _run_bhippa(problem, spec, run, x0, digest, rep):
     phi = problem.as_prox_capable()
     kl = problem.kl_info()
     order = choose_order(kl.vartheta) if spec.order == "auto" else float(spec.order)
-    gamma = spec.gamma if spec.gamma is not None else 1.0
-    sigma_cap = min(1.0, 1.0 / (order * gamma))
-    sigma = spec.sigma if spec.sigma is not None else 0.5 * sigma_cap
     rule = DirectionRule(spec.direction, beta=0.0 if spec.beta == "auto" else float(spec.beta),
                          memory=spec.memory)
-    cfg = BoostedConfig(gamma=gamma, sigma=sigma, eta=spec.eta, p=order,
+    cfg = BoostedConfig(gamma=spec.gamma, sigma=spec.sigma, eta=spec.eta, p=order,
                         max_linesearch=spec.max_linesearch, rule=rule,
                         eps=run.eps, max_iter=run.max_iter,
                         store_iterates=run.store_iterates,
                         seed=run.x0_seed + rep, config_digest=digest)
     trace = run_bhippa(phi, x0, cfg)
+    gamma = trace.extras["gamma"]
     value, grad = _shared_oracles(
         lambda x: envelopes.home_value_grad(phi, x, gamma, order))
     ctx = {
         "value": value, "grad": grad,
         "fstar": 0.0,  # envelope and function share optimal value 0
-        "xstar": None, "c": None, "eps": run.eps,
         "prox_oracle": lambda x: envelopes.prox_oracle_check(phi, x, gamma, order),
     }
     return trace, ctx
+
+
+def _given(**fields) -> dict:
+    """The fields that are set, so that unset ones keep the solver's default."""
+    return {k: v for k, v in fields.items() if v is not None}
 
 
 def _shared_oracles(evaluate):
@@ -297,7 +284,9 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
     iterates were stored, and then cross-checks the run's prox at the final
     iterate against the grid oracle when the run supplies that check
     (``prox_oracle``).  Applies every certificate whose constants are
-    available.  Heuristic runs get rate fits but no guarantee checks.  A run
+    available: the solver's own (rho, theta, eps and the displacement
+    constant c) from the trace, the problem's (fstar, xstar, tau) from
+    ``ctx``.  Heuristic runs get rate fits but no guarantee checks.  A run
     that stopped before its first record gets its termination and diagnostic
     and no checks; one that stopped before its first step gets no
     displacement check.
@@ -313,12 +302,12 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
         bundle["reevaluated"] = True
         if "prox_oracle" in ctx:
             bundle["prox_oracle"] = ctx["prox_oracle"](trace.records[-1].x)
+    c = trace.extras.get("c")
     if trace.guaranteed:
         bundle["descent"] = certify_descent(checked, trace.rho, trace.theta).as_dict()
-        if (trace.solver_id in ("deal-c", "deal-a") and ctx.get("c")
-                and len(checked) > 1):
+        if c is not None and len(checked) > 1:
             bundle["displacement"] = certify_displacement(
-                checked, ctx["c"], trace.theta).as_dict()
+                checked, c, trace.theta).as_dict()
     fstar = ctx.get("fstar")
     if fstar is not None and trace.guaranteed:
         bundle["min_grad_bound"] = min_grad_bound_check(
@@ -334,8 +323,8 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
         bundle["rate"] = rate.as_dict()
         if tau is not None:
             comp = analysis.verify_complexity(
-                checked, fstar, trace.rho, trace.theta, tau, ctx["eps"],
-                xstar=ctx.get("xstar"), c=ctx.get("c"))
+                checked, fstar, trace.rho, trace.theta, tau, trace.extras["eps"],
+                xstar=ctx.get("xstar"), c=c)
             bundle["complexity"] = comp.as_dict()
             if rate.q_theory is not None:
                 ok, worst, n = analysis.per_step_ratio_check(checked, fstar,

@@ -26,13 +26,14 @@ import numpy as np
 from .core import (CompositeObjective, IterateRecord, IterateTrace, UsageError,
                    as_vector)
 from .directions import DirectionRule, generalize
-from .envelopes import fbe_value, fbe_value_grad, home_value, home_value_grad
+from .envelopes import (_check_gamma, fbe_value, fbe_value_grad, home_value,
+                        home_value_grad)
 
 
 @dataclass
 class BoostedConfig:
-    gamma: float
-    sigma: float
+    gamma: Optional[float] = None   # per-solver default when None
+    sigma: Optional[float] = None   # per-solver fraction of its cap when None
     eta: float = 0.5          # trial shrink factor for the proximal-point search
     alpha_bar: float = 0.5    # trial base for the proximal-gradient search
     max_linesearch: int = 50
@@ -45,9 +46,9 @@ class BoostedConfig:
     config_digest: str = ""
 
     def __post_init__(self):
-        if not self.gamma > 0.0:
+        if self.gamma is not None and not self.gamma > 0.0:
             raise UsageError("gamma must be positive")
-        if not self.sigma > 0.0:
+        if self.sigma is not None and not self.sigma > 0.0:
             raise UsageError("sigma must be positive")
         if not 0.0 < self.eta < 1.0:
             raise UsageError("eta must lie in (0, 1)")
@@ -80,31 +81,32 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig) -> IterateT
     sigma/(1+gamma L)^2 times the squared envelope gradient norm.  If no trial
     passes, the plain forward-backward point is taken (it always satisfies the
     test given sigma < gamma(1 - gamma L)/2).  ``max_linesearch=0`` skips the
-    search entirely, reproducing the plain forward-backward update.
+    search entirely, reproducing the plain forward-backward update.  Unset
+    ``gamma`` defaults to 0.95/L and unset ``sigma`` to 0.9 of its cap.
     """
     holder = problem.smooth.holder
-    if holder is None or holder.nu != 1.0:
-        raise UsageError("boosted proximal gradient needs a Lipschitz-gradient smooth part")
-    L = holder.L
-    if not 0.0 < config.gamma < 1.0 / L:
-        raise UsageError(f"gamma must lie in (0, 1/L) = (0, {1.0 / L:g})")
-    sigma_max = config.gamma * (1.0 - config.gamma * L) / 2.0
-    if not config.sigma < sigma_max:
-        raise UsageError(f"sigma must lie in (0, {sigma_max:g})")
+    gamma = config.gamma
+    if gamma is None and holder is not None:  # no holder: _check_gamma rejects it
+        gamma = 0.95 / holder.L
+    L = _check_gamma(problem, gamma)
+    sigma_cap = gamma * (1.0 - gamma * L) / 2.0
+    sigma = config.sigma if config.sigma is not None else 0.9 * sigma_cap
+    if not sigma < sigma_cap:
+        raise UsageError(f"sigma must lie in (0, {sigma_cap:g})")
     rule = config.rule if config.rule is not None else DirectionRule("gradient")
     rule.reset()
-    rho = config.sigma / (1.0 + config.gamma * L) ** 2
+    rho = sigma / (1.0 + gamma * L) ** 2
     trace = IterateTrace(
         seed=config.seed, config_digest=config.config_digest, solver_id="bpga",
         rho=rho, theta=2.0, guaranteed=True,
-        extras={"gamma": config.gamma, "sigma": config.sigma, "L": L,
+        extras={"gamma": gamma, "sigma": sigma, "L": L,
                 "alpha_bar": config.alpha_bar, "eps": config.eps,
                 "direction": rule.kind, "beta": rule.beta, "fallbacks": 0},
     )
     trials = [(m, config.alpha_bar ** m) for m in range(1, config.max_linesearch + 1)]
     return _boost(as_vector(x0, problem.smooth.dim, "x0"), config, rule, trace,
-                  lambda x: fbe_value_grad(problem, x, config.gamma),
-                  lambda x: fbe_value(problem, x, config.gamma),
+                  lambda x: fbe_value_grad(problem, x, gamma),
+                  lambda x: fbe_value(problem, x, gamma),
                   lambda x, T, alpha, d: T + alpha * d, trials)
 
 
@@ -118,21 +120,24 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
     point itself is the fallback (it satisfies the test since sigma < 1).
     ``max_linesearch=0`` skips the search entirely, reproducing the plain
     proximal-point update.  A multi-valued prox on the trajectory aborts with
-    a diagnostic: the envelope is not differentiable there.
+    a diagnostic: the envelope is not differentiable there.  Unset ``gamma``
+    defaults to 1 and unset ``sigma`` to 0.5 of its cap.
     """
-    p, gamma = config.p, config.gamma
+    p = config.p
+    gamma = config.gamma if config.gamma is not None else 1.0
     sigma_cap = min(1.0, 1.0 / (p * gamma))
-    if not config.sigma < sigma_cap:
+    sigma = config.sigma if config.sigma is not None else 0.5 * sigma_cap
+    if not sigma < sigma_cap:
         raise UsageError(f"sigma must lie in (0, {sigma_cap:g}) for order {p}")
     rule = config.rule if config.rule is not None else DirectionRule("gradient")
     rule.reset()
     q = 1.0 / (p - 1.0)
-    rho = config.sigma * gamma ** q / p
+    rho = sigma * gamma ** q / p
     theta = p / (p - 1.0)
     trace = IterateTrace(
         seed=config.seed, config_digest=config.config_digest, solver_id="bhippa",
         rho=rho, theta=theta, guaranteed=True,
-        extras={"gamma": gamma, "sigma": config.sigma, "p": p, "eta": config.eta,
+        extras={"gamma": gamma, "sigma": sigma, "p": p, "eta": config.eta,
                 "eps": config.eps, "direction": rule.kind, "beta": rule.beta,
                 "fallbacks": 0},
     )

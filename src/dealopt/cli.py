@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, bench, envelopes, oracles, problems
-from .core import (DataError, IterateTrace, NumericalError, UsageError,
+from .core import (DataError, IterateTrace, NumericalError, UsageError, as_vector,
                    certify_descent, certify_displacement, min_grad_bound_check)
 
 EXIT_OK = 0
@@ -218,7 +218,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
-    x = np.asarray(json.loads(Path(args.at).read_text()), dtype=float)
+    x = as_vector(json.loads(Path(args.at).read_text()), name="--at")
     if args.g == "l1":
         g = envelopes.L1Norm(args.weight)
     else:
@@ -238,7 +238,7 @@ def _cmd_oracle(args) -> int:
     if args.oracle_verb == "fd-grad":
         prob = problems.generate_problem(args.seed, args.problem, args.m, args.n,
                                          p=args.p, lam=args.lam)
-        x = np.asarray(json.loads(Path(args.at).read_text()), dtype=float)
+        x = as_vector(json.loads(Path(args.at).read_text()), prob.n, "--at")
         value = prob.value if args.problem == "leastp" else prob.smooth_value
         grad = prob.grad if args.problem == "leastp" else prob.smooth_grad
         fd = oracles.finite_diff_gradient(value, x)

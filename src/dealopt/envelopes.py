@@ -177,8 +177,7 @@ class SeparableProx:
         return prox_home_separable(self.scalar, x, gamma, p)
 
 
-def prox_home_separable(g_scalar, x, gamma: float, p: float,
-                        config: oracles.OracleConfig = oracles.DEFAULT_CONFIG) -> ProxResult:
+def prox_home_separable(g_scalar, x, gamma: float, p: float) -> ProxResult:
     """Order-p proximal point of a separable function, coordinate by coordinate.
 
     Each coordinate solves argmin_u g(u) + |x_i - u|^p / (p gamma) by a grid
@@ -194,7 +193,7 @@ def prox_home_separable(g_scalar, x, gamma: float, p: float,
     for i, xi in enumerate(x):
         h = lambda u: g_scalar(u) + abs(xi - u) ** p / (p * gamma)
         lo, hi = _expand_bracket(h, xi)
-        res = oracles.scalar_minimize(h, (lo, hi), config)
+        res = oracles.scalar_minimize(h, (lo, hi))
         if res.multi_valued:
             multi = True
             out[i] = min((u for u, _ in res.candidates), key=abs)
@@ -351,9 +350,11 @@ def _forward_backward(problem: CompositeObjective, x, gamma: float):
     return x, gf, np.atleast_1d(np.asarray(T, dtype=float))
 
 
-def _check_gamma(problem: CompositeObjective, gamma: float):
+def _check_gamma(problem: CompositeObjective, gamma: float) -> float:
+    """The smooth part's Lipschitz constant L, once gamma is checked in (0, 1/L)."""
     holder = problem.smooth.holder
     if holder is None or holder.nu != 1.0:
         raise CapabilityError("forward-backward map needs a Lipschitz-gradient smooth part")
     if not 0.0 < gamma < 1.0 / holder.L:
         raise UsageError(f"gamma must lie in (0, 1/L) = (0, {1.0 / holder.L:g}), got {gamma}")
+    return holder.L

@@ -14,32 +14,17 @@ import numpy as np
 
 from .core import DataError, NumericalError, UsageError
 
-_CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
+_CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)  # finite-difference step scale
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    fd_step_scale: float = _CBRT_EPS
-    grid_points: int = 201
-    golden_tol: float = 1e-10
-    tie_tol: float = 1e-8
-    multi_start: int = 5
-    spectral_tol: float = 1e-10
-    spectral_max_iter: int = 100000
-
-    def __post_init__(self):
-        if min(self.fd_step_scale, self.golden_tol, self.tie_tol, self.spectral_tol) <= 0:
-            raise UsageError("oracle tolerances must be positive")
-        if self.grid_points < 5 or self.spectral_max_iter < 1:
-            raise UsageError("oracle iteration/grid caps must be sensible")
-
-
-DEFAULT_CONFIG = OracleConfig()
+_GRID_POINTS = 201        # scalar pre-scan grid
+_GOLDEN_TOL = 1e-10       # golden-section bracket width, relative
+_TIE_TOL = 1e-8           # basins within this of the best are ties
+_MULTI_START = 5          # grid basins refined per scalar minimization
+_SPECTRAL_TOL = 1e-10     # power/inverse iteration eigenvalue change, relative
+_SPECTRAL_MAX_ITER = 100000
 
 
 def finite_diff_gradient(value: Callable[[np.ndarray], float], x,
-                         config: OracleConfig = DEFAULT_CONFIG,
                          return_kink_mask: bool = False):
     """Central-difference gradient with per-coordinate scaled steps.
 
@@ -52,7 +37,7 @@ def finite_diff_gradient(value: Callable[[np.ndarray], float], x,
     kink = np.zeros(x.shape, dtype=bool)
     f0 = None
     for i in range(x.size):
-        h = config.fd_step_scale * (1.0 + abs(x[i]))
+        h = _CBRT_EPS * (1.0 + abs(x[i]))
         xp = x.copy(); xp[i] += h
         xm = x.copy(); xm[i] -= h
         fp, fm = value(xp), value(xm)
@@ -81,18 +66,17 @@ class ScalarMinResult:
         return len(self.candidates) > 1
 
 
-def scalar_minimize(g: Callable[[float], float], bracket,
-                    config: OracleConfig = DEFAULT_CONFIG) -> ScalarMinResult:
+def scalar_minimize(g: Callable[[float], float], bracket) -> ScalarMinResult:
     """Grid pre-scan plus golden-section refinement of a 1-D function.
 
-    Refines the best ``config.multi_start`` grid basins; basins whose refined
-    value ties the global best within ``tie_tol`` are reported as candidates
+    Refines the best ``_MULTI_START`` grid basins; basins whose refined
+    value ties the global best within ``_TIE_TOL`` are reported as candidates
     so callers can detect multi-valued minimizers.
     """
     lo, hi = float(min(bracket)), float(max(bracket))
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise UsageError(f"invalid bracket {bracket}")
-    ts = np.linspace(lo, hi, config.grid_points)
+    ts = np.linspace(lo, hi, _GRID_POINTS)
     vals = np.array([g(t) for t in ts], dtype=float)
     if not np.all(np.isfinite(vals)):
         raise DataError("non-finite values on scalar grid")
@@ -103,10 +87,10 @@ def scalar_minimize(g: Callable[[float], float], bracket,
               if (i == 0 or vals[i] <= vals[i - 1]) and (i == len(ts) - 1 or vals[i] <= vals[i + 1])]
     basins.sort(key=lambda i: vals[i])
     refined = []
-    for i in basins[:config.multi_start]:
+    for i in basins[:_MULTI_START]:
         a = ts[max(i - 1, 0)]
         b = ts[min(i + 1, len(ts) - 1)]
-        u, v = _golden_section(g, a, b, config.golden_tol)
+        u, v = _golden_section(g, a, b, _GOLDEN_TOL)
         u, v = _parabolic_polish(g, u, v, lo, hi)
         if vals[i] < v:
             # refinement assumes the cell is unimodal; a discontinuous g can
@@ -114,7 +98,7 @@ def scalar_minimize(g: Callable[[float], float], bracket,
             u, v = ts[i], vals[i]
         refined.append((u, v))
     best_u, best_v = min(refined, key=lambda uv: uv[1])
-    tie = config.tie_tol * max(1.0, abs(best_v))
+    tie = _TIE_TOL * max(1.0, abs(best_v))
     candidates = []
     for u, v in sorted(refined, key=lambda uv: uv[1]):
         if v - best_v <= tie and all(abs(u - c) > 1e-6 * (1.0 + abs(u)) for c, _ in candidates):
@@ -191,36 +175,35 @@ def spectral_constants(A) -> SpectralConstants:
                              sigma_min=max(float(s[-1]) - pad, 0.0))
 
 
-def iterative_spectral_constants(A, config: OracleConfig = DEFAULT_CONFIG
-                                 ) -> SpectralConstants:
+def iterative_spectral_constants(A) -> SpectralConstants:
     """Unrounded cross-check of ``spectral_constants`` by power and inverse
     iteration on the Gram matrix; its Rayleigh-quotient ``opnorm`` is <= ||A||."""
     A = np.asarray(A, dtype=float)
     B = A.T @ A if A.shape[0] >= A.shape[1] else A @ A.T
-    lam_max = _power_iteration(B, config)
-    sig_min = math.sqrt(max(_inverse_iteration(B, config), 0.0))
+    lam_max = _power_iteration(B)
+    sig_min = math.sqrt(max(_inverse_iteration(B), 0.0))
     return SpectralConstants(opnorm=math.sqrt(lam_max), sigma_min=sig_min)
 
 
-def _power_iteration(B, config):
+def _power_iteration(B):
     rng = np.random.default_rng(0)
     v = rng.standard_normal(B.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(config.spectral_max_iter):
+    for _ in range(_SPECTRAL_MAX_ITER):
         w = B @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
         lam_new = float(v @ (B @ v))
-        if abs(lam_new - lam) <= config.spectral_tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= _SPECTRAL_TOL * max(1.0, abs(lam_new)):
             return lam_new
         lam = lam_new
     raise NumericalError("power iteration did not converge")
 
 
-def _inverse_iteration(B, config):
+def _inverse_iteration(B):
     try:
         Lc = np.linalg.cholesky(B)
     except np.linalg.LinAlgError as exc:
@@ -229,11 +212,11 @@ def _inverse_iteration(B, config):
     v = rng.standard_normal(B.shape[0])
     v /= np.linalg.norm(v)
     lam = math.inf
-    for _ in range(config.spectral_max_iter):
+    for _ in range(_SPECTRAL_MAX_ITER):
         w = _cho_solve(Lc, v)
         v = w / np.linalg.norm(w)
         lam_new = float(v @ (B @ v))
-        if abs(lam_new - lam) <= config.spectral_tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= _SPECTRAL_TOL * max(1.0, abs(lam_new)):
             return lam_new
         lam = lam_new
     raise NumericalError("inverse iteration did not converge")

@@ -4,6 +4,9 @@ gradient-dominance constants each family is known to satisfy.
 Two data-driven families (least-p residual fitting and l1-regularized least
 squares) plus two synthetic sanity families (separable powers of |x_i| and
 quadratics).
+
+Constructors validate their data.  The oracles do not re-check ``x``: it is
+validated once where it enters, by the solver entry points and the CLI.
 """
 
 from __future__ import annotations
@@ -57,18 +60,18 @@ class LeastPProblem:
         return self.A.shape[1]
 
     def value(self, x):
-        r = self.A @ as_vector(x, self.n) - self.b
+        r = self.A @ x - self.b
         return float(np.linalg.norm(r) ** self.p / self.p)
 
     def grad(self, x):
-        r = self.A @ as_vector(x, self.n) - self.b
+        r = self.A @ x - self.b
         nr = np.linalg.norm(r)
         if nr == 0.0:
             return np.zeros(self.n)
         return nr ** (self.p - 2.0) * (self.A.T @ r)
 
     def value_grad(self, x):
-        r = self.A @ as_vector(x, self.n) - self.b
+        r = self.A @ x - self.b
         nr = np.linalg.norm(r)
         if nr == 0.0:
             return 0.0, np.zeros(self.n)
@@ -138,18 +141,17 @@ class LassoProblem:
         return self.A.shape[1]
 
     def smooth_value(self, x):
-        r = self.A @ as_vector(x, self.n) - self.b
+        r = self.A @ x - self.b
         return float(0.5 * (r @ r))
 
     def smooth_grad(self, x):
-        return self.A.T @ (self.A @ as_vector(x, self.n) - self.b)
+        return self.A.T @ (self.A @ x - self.b)
 
     def hess_apply(self, x, v):
         # constant Hessian A^T A; x accepted for interface uniformity
-        return self.A.T @ (self.A @ as_vector(v, self.n, "v"))
+        return self.A.T @ (self.A @ v)
 
     def value(self, x):
-        x = as_vector(x, self.n)
         return self.smooth_value(x) + self.lam * float(np.abs(x).sum())
 
     def as_smooth(self) -> SmoothObjective:
@@ -194,11 +196,9 @@ class PowerAbsProblem:
         self.fstar = 0.0
 
     def value(self, x):
-        x = as_vector(x, self.n)
         return float(np.sum(np.abs(x) ** self.s))
 
     def grad(self, x):
-        x = as_vector(x, self.n)
         return self.s * np.sign(x) * np.abs(x) ** (self.s - 1.0)
 
     def kl_info(self) -> KLInfo:
@@ -233,6 +233,8 @@ class QuadraticProblem:
         Q = np.asarray(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise UsageError("Q must be square")
+        if not np.all(np.isfinite(Q)):
+            raise DataError("Q contains non-finite entries")
         if not np.allclose(Q, Q.T, atol=1e-12):
             raise UsageError("Q must be symmetric")
         self.Q = Q
@@ -252,14 +254,14 @@ class QuadraticProblem:
             self.fstar = None
 
     def value(self, x):
-        x = as_vector(x, self.n)
+        x = np.asarray(x, dtype=float)
         return float(0.5 * x @ (self.Q @ x) + self.c @ x)
 
     def grad(self, x):
-        return self.Q @ as_vector(x, self.n) + self.c
+        return self.Q @ x + self.c
 
     def hess_apply(self, x, v):
-        return self.Q @ as_vector(v, self.n, "v")
+        return self.Q @ v
 
     def as_smooth(self) -> SmoothObjective:
         kl = None

@@ -10,8 +10,11 @@ Hölder exponent nu via beta = (1-nu)/nu the runs carry certified constants:
   Armijo search:  rho = sigma alpha_tilde c1,      theta = 1 + 1/nu
 
 where alpha_tilde is the worst-case accepted step computed by
-:func:`armijo_bound`.  Any other beta is allowed but the trace is marked
-heuristic and rate/bound certificates are skipped downstream.
+:func:`armijo_bound`.  Every step moves at most c ||grad||^(theta-1), with
+the displacement constant c = c2 alpha (constant step) or c2 alpha_bar
+(Armijo), recorded as the trace extra ``c``.  Any other beta is allowed but
+the trace is marked heuristic and rate/bound certificates are skipped
+downstream.
 
 Both run one loop, ``_descend``: the constant step is the case with no Armijo
 test, a single trial at alpha that is always taken.
@@ -116,7 +119,8 @@ def run_dealc(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrac
     trace = IterateTrace(
         seed=config.seed, config_digest=config.config_digest, solver_id="deal-c",
         rho=rho, theta=theta, guaranteed=guaranteed,
-        extras={"alpha": alpha, "nu": nu, "L": L, "c1": rule.c1, "c2": rule.c2,
+        extras={"alpha": alpha, "c": rule.c2 * alpha, "nu": nu, "L": L,
+                "c1": rule.c1, "c2": rule.c2,
                 "beta": rule.beta, "eps": config.eps, "direction": rule.kind,
                 "constants": "estimated" if estimated else "declared"},
     )
@@ -142,6 +146,7 @@ def run_deala(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrac
         rho=rho, theta=theta, guaranteed=guaranteed,
         extras={"nu": nu, "L": L, "c1": rule.c1, "c2": rule.c2, "beta": rule.beta,
                 "sigma": ap.sigma, "eta": ap.eta, "alpha_bar": ap.alpha_bar,
+                "c": rule.c2 * ap.alpha_bar,
                 "c_bar": c_bar, "p_bar": p_bar, "alpha_tilde": alpha_tilde,
                 "eps": config.eps, "direction": rule.kind,
                 "constants": "estimated" if estimated else "declared"},

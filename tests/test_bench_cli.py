@@ -145,11 +145,39 @@ class TestRunExperiment:
         assert "displacement" not in certs
         assert_strict_json(out, 5)
 
-    def test_deal_seed_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DEAL_SEED", "99")
-        prob = bench.build_problem(bench.ProblemSpec(kind="leastp", m=30, n=5,
-                                                     seed=1))
-        assert prob.seed == 99
+    def test_iterate_bound_beyond_float_range_writes_a_summary(self, tmp_path):
+        # c = c2 * alpha_bar = 1e300 puts the iterate bound's s gap0 / rho far
+        # beyond the float range; it is taken in log space instead
+        cfg = small_config(tmp_path, solvers=[
+            bench.SolverSpec(name="DEAL-A", solver="deal-a", alpha_bar=1e300)],
+            m=40, n=8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = bench.run_experiment(cfg)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["variants"][0]["termination"] == "backtrack_limit"
+        certs = json.loads((out / "DEAL-A.certificates.json").read_text())
+        iterate = [c for c in certs["complexity"]["checks"]
+                   if c["criterion"] == "iterate"]
+        assert len(iterate) == 1 and iterate[0]["bound"] > 1
+        assert_strict_json(out, 5)
+
+    def test_sidecar_c_reproduces_the_displacement_certificate(self, tmp_path,
+                                                               capsys):
+        out = bench.run_experiment(small_config(tmp_path))
+        for stem, step in (("DEAL-C", "alpha"), ("DEAL-A", "alpha_bar")):
+            sidecar = json.loads((out / f"{stem}.json").read_text())
+            bundle = json.loads((out / f"{stem}.certificates.json").read_text())
+            extras = sidecar["extras"]
+            assert extras["c"] == extras["c2"] * extras[step]
+            rc = cli.main(["certify", "--trace", str(out / f"{stem}.csv"),
+                           "--rho", repr(sidecar["rho"]),
+                           "--theta", repr(sidecar["theta"]),
+                           "--c", repr(extras["c"])])
+            assert rc == cli.EXIT_OK
+            doc = json.loads(capsys.readouterr().out)
+            assert bundle["displacement"]["n_checked"] > 0
+            for key in ("passed", "n_checked"):
+                assert doc["displacement"][key] == bundle["displacement"][key]
 
 
 class TestBHiPPAVariant:
@@ -212,6 +240,22 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == pytest.approx(1.5)
         assert doc["gradient"] == pytest.approx([1.0])
+
+    def test_envelope_rejects_a_nonfinite_point(self, tmp_path, capsys):
+        point = tmp_path / "pt.json"
+        point.write_text("[1.0, NaN]")
+        rc = cli.main(["envelope", "--g", "l1", "--at", str(point)])
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+    def test_oracle_fd_grad_rejects_a_wrong_length_point(self, tmp_path, capsys):
+        point = tmp_path / "x.json"
+        point.write_text("[0.5, 0.5]")
+        rc = cli.main(["oracle", "fd-grad", "--n", "5", "--at", str(point)])
+        assert rc == cli.EXIT_USAGE
+        assert "dimension 2, expected 5" in capsys.readouterr().err
 
     def test_oracle_spectral(self, tmp_path, capsys):
         mat = tmp_path / "m.json"

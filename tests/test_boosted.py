@@ -109,6 +109,18 @@ class TestBPGA:
         assert len(tr) > 2
         assert tr.extras["fallbacks"] == 0
 
+    def test_unset_gamma_and_sigma_take_the_solver_defaults(self):
+        prob, comp, gamma, _ = lasso_setup()
+        x0 = np.linspace(-2.0, 2.0, 6)
+        sigma = 0.9 * (gamma * (1.0 - gamma * prob.L) / 2.0)  # as bench set it
+        explicit = run_bpga(comp, x0, BoostedConfig(
+            gamma=gamma, sigma=sigma, rule=DirectionRule("bb1")))
+        default = run_bpga(comp, x0, BoostedConfig(rule=DirectionRule("bb1")))
+        assert len(default) > 2
+        assert default.records == explicit.records
+        assert default.extras == explicit.extras
+        assert default.extras["gamma"] == 0.95 / prob.L
+
     def test_parameter_validation(self):
         _, comp, gamma, _ = lasso_setup()
         with pytest.raises(UsageError):
@@ -190,6 +202,17 @@ class TestBHiPPA:
         with pytest.raises(DataError, match="x0 contains non-finite entries"):
             run_bhippa(pa.as_prox_capable(), [math.nan, 1.0],
                        BoostedConfig(gamma=1.0, sigma=0.1, p=4.0))
+
+    def test_unset_gamma_and_sigma_take_the_solver_defaults(self):
+        pa = PowerAbsProblem(s=4.0, n=5)
+        x0 = np.linspace(-1.5, 2.0, 5)
+        explicit = run_bhippa(pa.as_prox_capable(), x0, BoostedConfig(
+            gamma=1.0, sigma=0.5 * min(1.0, 1.0 / 4.0), p=4.0))
+        default = run_bhippa(pa.as_prox_capable(), x0, BoostedConfig(p=4.0))
+        assert len(default) > 2
+        assert default.records == explicit.records
+        assert default.extras == explicit.extras
+        assert default.extras["sigma"] == 0.125
 
     def test_sigma_cap_enforced(self):
         pa = PowerAbsProblem(s=4.0, n=1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dealopt.core import UsageError
+from dealopt.core import DataError, UsageError
 from dealopt.oracles import finite_diff_gradient, iterative_spectral_constants
 from dealopt.problems import (LassoProblem, LeastPProblem, PowerAbsProblem,
                               QuadraticProblem, generate_problem,
@@ -171,6 +171,11 @@ class TestQuadratic:
         prob2 = QuadraticProblem(np.diag([1.0, 4.0]), np.array([1.0, 0.0]))
         assert prob2.xstar == pytest.approx([-1.0, 0.0])
         assert prob2.fstar == pytest.approx(-0.5)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_Q_rejected(self, bad):
+        with pytest.raises(DataError, match="Q contains non-finite entries"):
+            QuadraticProblem([[bad, 0.0], [0.0, 1.0]])
 
     def test_generated(self):
         prob = generate_problem(0, "quadratic", 12, 5)

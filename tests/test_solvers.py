@@ -109,6 +109,18 @@ class TestDealC:
         assert tr.extras["termination"] == "nonfinite"
         assert "diagnostic" in tr.extras
 
+    def test_overflowing_trial_point_stops_nonfinite(self):
+        # a far too small declared L makes the first trial point overflow; the
+        # oracle must not reject it as bad caller data
+        prob = generate_problem(0, "leastp", 40, 8)
+        obj = prob.as_smooth()
+        obj.holder = HolderInfo(nu=0.5, L=1e-154)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = run_dealc(obj, np.ones(8), DealConfig(max_iter=50))
+        assert tr.extras["termination"] == "nonfinite"
+        assert tr.extras["diagnostic"] == "non-finite objective at k=1"
+        assert len(tr) == 1
+
 
 class TestArmijoBound:
     def test_unit_case(self):
