@@ -95,7 +95,8 @@ def fit_linear_rate(trace_or_gaps, fstar: float, tail_fraction: float = 0.5, *,
     residuals of the geometric fit (log gap vs k) and the power-law fit
     (log gap vs log k): linear needs q_hat_max < 1 and the geometric model to
     fit at least as well.  Fewer than five alive tail points is inconclusive
-    by construction (ratios are still reported when two points exist).
+    by construction (ratios are still reported when two points exist).  Given
+    a trace, the report also carries ``estimate_kl_exponent``'s vartheta_hat.
     """
     report = RateReport()
     if rho is not None and theta is not None and tau is not None:
@@ -128,6 +129,10 @@ def fit_linear_rate(trace_or_gaps, fstar: float, tail_fraction: float = 0.5, *,
             report.regime = "linear"
         else:
             report.regime = "sublinear"
+    if isinstance(trace_or_gaps, IterateTrace):
+        kl_est = estimate_kl_exponent(trace_or_gaps, fstar)
+        if kl_est is not None:
+            report.vartheta_hat = kl_est.vartheta_hat
     return report
 
 
@@ -196,11 +201,12 @@ class ComplexityReport:
     reason: str = ""
 
     @property
-    def passed(self) -> bool:
+    def passed(self) -> Optional[bool]:
+        """All verdicts passed; None when no criterion reached a verdict."""
         if self.skipped:
             return True
         verdicts = [c.passed for c in self.checks if c.passed is not None]
-        return bool(verdicts) and all(verdicts)
+        return all(verdicts) if verdicts else None
 
     def as_dict(self) -> dict:
         return {"q_theory": self.q_theory, "eps": self.eps, "skipped": self.skipped,

@@ -167,9 +167,13 @@ def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunRes
         trace, ctx = _run_bhippa(problem, spec, run, x0, digest, rep)
     else:
         raise UsageError(f"unknown solver {spec.solver!r}")
+    ref = problems.reference_optimum(problem)
+    if ref.converged:
+        ctx.update(fstar=ref.fstar, xstar=ref.xstar)
     certificates = certify_run(trace, ctx)
-    ok = all(rep_.get("passed", True) for rep_ in certificates.values()
-             if isinstance(rep_, dict) and "passed" in rep_)
+    # a check with no verdict (passed None) neither passes nor fails the run
+    ok = all(rep_.get("passed") is None or rep_["passed"]
+             for rep_ in certificates.values() if isinstance(rep_, dict))
     return RunResult(name=spec.name, trace=trace, certificates=certificates,
                      ok=ok, fstar=ctx.get("fstar"))
 
@@ -195,11 +199,7 @@ def _run_deal(problem, spec, run, x0, digest, rep):
                      seed=run.x0_seed + rep, config_digest=digest)
     runner = run_dealc if spec.solver == "deal-c" else run_deala
     trace = runner(objective, x0, cfg)
-    ctx = {
-        "value": objective.value, "grad": objective.grad,
-        "fstar": getattr(problem, "fstar", None),
-        "xstar": getattr(problem, "x_ls", getattr(problem, "xstar", None)),
-    }
+    ctx = {"evaluate": problem.value_grad}
     kl = objective.kl
     consistent = getattr(problem, "consistent", False)
     if kl is not None and trace.guaranteed and (
@@ -222,14 +222,7 @@ def _run_bpga(problem, spec, run, x0, digest, rep):
                         **_given(alpha_bar=spec.alpha_bar))
     trace = run_bpga(composite, x0, cfg)
     gamma = trace.extras["gamma"]
-    ref = problems.reference_optimum(problem)
-    value, grad = _shared_oracles(
-        lambda x: envelopes.fbe_value_grad(composite, x, gamma))
-    ctx = {
-        "value": value, "grad": grad,
-        "fstar": ref.fstar if ref.converged else None,
-    }
-    return trace, ctx
+    return trace, {"evaluate": lambda x: envelopes.fbe_value_grad(composite, x, gamma)}
 
 
 def _run_bhippa(problem, spec, run, x0, digest, rep):
@@ -247,11 +240,8 @@ def _run_bhippa(problem, spec, run, x0, digest, rep):
                         seed=run.x0_seed + rep, config_digest=digest)
     trace = run_bhippa(phi, x0, cfg)
     gamma = trace.extras["gamma"]
-    value, grad = _shared_oracles(
-        lambda x: envelopes.home_value_grad(phi, x, gamma, order))
     ctx = {
-        "value": value, "grad": grad,
-        "fstar": 0.0,  # envelope and function share optimal value 0
+        "evaluate": lambda x: envelopes.home_value_grad(phi, x, gamma, order),
         "prox_oracle": lambda x: envelopes.prox_oracle_check(phi, x, gamma, order),
     }
     return trace, ctx
@@ -266,30 +256,30 @@ def _shared_oracles(evaluate):
     """Value and gradient oracles that share one ``evaluate(x)`` per point.
 
     ``reevaluate_trace`` asks for the gradient and then the value at each
-    stored iterate; both are read from one fused envelope evaluation.
+    stored iterate; both come from one ``evaluate(x) -> (value, gradient)``.
     """
     last = [None, None]
 
     def at(x):
         if last[0] is None or not np.array_equal(last[0], x):
-            last[0], last[1] = np.array(x, dtype=float), evaluate(x)
+            last[0], last[1] = np.array(x, dtype=float), tuple(evaluate(x))
         return last[1]
-    return (lambda x: at(x).value), (lambda x: at(x).gradient)
+    return (lambda x: at(x)[0]), (lambda x: at(x)[1])
 
 
 def certify_run(trace: IterateTrace, ctx: dict) -> dict:
     """Certificate bundle for one finished run.
 
-    Re-evaluates the trace through the run's own value/gradient oracles when
-    iterates were stored, and then cross-checks the run's prox at the final
-    iterate against the grid oracle when the run supplies that check
-    (``prox_oracle``).  Applies every certificate whose constants are
-    available: the solver's own (rho, theta, eps and the displacement
-    constant c) from the trace, the problem's (fstar, xstar, tau) from
-    ``ctx``.  Heuristic runs get rate fits but no guarantee checks.  A run
-    that stopped before its first record gets its termination and diagnostic
-    and no checks; one that stopped before its first step gets no
-    displacement check.
+    Re-evaluates the stored iterates, if any, through the run's own
+    ``ctx["evaluate"](x) -> (value, gradient)``, once per iterate, and then
+    cross-checks the run's prox at the final iterate against the grid oracle
+    when the run supplies that check (``prox_oracle``).  Applies every
+    certificate whose constants are available: the solver's own (rho, theta,
+    eps and the displacement constant c) from the trace, and the reference
+    optimum (fstar, xstar) and dominance constant tau from ``ctx``.
+    Heuristic runs get rate fits but no guarantee checks.  A run that stopped
+    before its first record gets its termination and diagnostic and no
+    checks; one that stopped before its first step gets no displacement check.
     """
     bundle = {"guaranteed": trace.guaranteed, "solver": trace.solver_id,
               "termination": trace.extras.get("termination", "unknown")}
@@ -298,7 +288,8 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
         return bundle
     checked = trace
     if all(rec.x is not None for rec in trace.records):
-        checked = reevaluate_trace(trace, ctx["value"], ctx["grad"])
+        value, grad = _shared_oracles(ctx["evaluate"])
+        checked = reevaluate_trace(trace, value, grad)
         bundle["reevaluated"] = True
         if "prox_oracle" in ctx:
             bundle["prox_oracle"] = ctx["prox_oracle"](trace.records[-1].x)
@@ -317,9 +308,6 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
         rate = analysis.fit_linear_rate(
             checked, fstar, rho=trace.rho if tau else None,
             theta=trace.theta if tau else None, tau=tau)
-        kl_est = analysis.estimate_kl_exponent(checked, fstar)
-        if kl_est is not None:
-            rate.vartheta_hat = kl_est.vartheta_hat
         bundle["rate"] = rate.as_dict()
         if tau is not None:
             comp = analysis.verify_complexity(

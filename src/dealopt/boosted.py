@@ -149,6 +149,8 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
                   x_tol=config.eps * gamma ** q)
 
 
+# an overflowing trial fails the decrease test; numpy need not warn
+@np.errstate(over="ignore", invalid="ignore")
 def _boost(x, config: BoostedConfig, rule: DirectionRule, trace: IterateTrace,
            evaluate, value, candidate, trials, x_tol: Optional[float] = None):
     """The iteration loop of both boosted solvers, filling ``trace``.

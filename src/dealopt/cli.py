@@ -205,9 +205,6 @@ def _cmd_analyze(args) -> int:
                                   theta=args.theta or 2.0)
     rate = analysis.fit_linear_rate(trace, args.fstar, args.tail_fraction,
                                     rho=args.rho, theta=args.theta, tau=args.tau)
-    kl_est = analysis.estimate_kl_exponent(trace, args.fstar)
-    if kl_est is not None:
-        rate.vartheta_hat = kl_est.vartheta_hat
     doc = {"rate": rate.as_dict()}
     if None not in (args.rho, args.theta, args.tau):
         doc["complexity"] = analysis.verify_complexity(

@@ -94,9 +94,6 @@ class SmoothObjective:
         if self.dim < 1:
             raise UsageError("dimension must be >= 1")
 
-    def value_grad(self, x):
-        return self.value(x), self.grad(x)
-
 
 @dataclass
 class CompositeObjective:
@@ -107,7 +104,6 @@ class CompositeObjective:
 
     smooth: SmoothObjective
     nonsmooth: object
-    fstar: Optional[float] = None
     name: str = "composite"
 
     def value(self, x):

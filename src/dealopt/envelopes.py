@@ -257,6 +257,10 @@ class EnvelopeEval:
             return math.nan
         return float(np.linalg.norm(self.gradient))
 
+    def __iter__(self):
+        """Unpacks as (value, gradient), the shape of a problem's ``value_grad``."""
+        return iter((self.value, self.gradient))
+
 
 def home_value_grad(g, x, gamma: float, p: float = 2.0) -> EnvelopeEval:
     """Order-p Moreau envelope value and gradient of a prox-capable g.

@@ -227,30 +227,6 @@ def _cho_solve(Lc, b):
     return np.linalg.solve(Lc.T, y)
 
 
-def estimate_holder_constant(grad: Callable[[np.ndarray], np.ndarray], dim: int,
-                             nu: float = 1.0, n_pairs: int = 200, seed: int = 0,
-                             box: float = 5.0, safety: float = 1.5) -> float:
-    """Sampled bound on ||grad(x) - grad(y)|| / ||x - y||^nu over a box.
-
-    The safety factor over-estimates on purpose: a too-large constant only
-    shortens steps, while a too-small one invalidates descent guarantees.
-    """
-    if not 0.0 < nu <= 1.0:
-        raise UsageError("nu must lie in (0, 1]")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_pairs):
-        x = rng.uniform(-box, box, dim)
-        y = rng.uniform(-box, box, dim)
-        d = float(np.linalg.norm(x - y))
-        if d == 0.0:
-            continue
-        worst = max(worst, float(np.linalg.norm(grad(x) - grad(y))) / d ** nu)
-    if worst == 0.0:
-        raise NumericalError("gradient appears constant on the sample box")
-    return safety * worst
-
-
 def grid_minimize_nd(f: Callable[[np.ndarray], float], bounds: Sequence,
                      points_per_axis: int = 21, levels: int = 8):
     """Coarse-to-fine grid minimization for n <= 3 (oracle-scale only)."""

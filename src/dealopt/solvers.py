@@ -60,18 +60,12 @@ class DealConfig:
     store_iterates: bool = False
     seed: Optional[int] = None
     config_digest: str = ""
-    # objectives without declared smoothness metadata may opt into a sampled
-    # estimate; the trace then marks its constants "estimated"
-    estimate_constants: bool = False
-    assumed_nu: float = 1.0
 
     def __post_init__(self):
         if not self.eps > 0.0:
             raise UsageError("eps must be positive")
         if self.max_iter < 1:
             raise UsageError("max_iter must be >= 1")
-        if not 0.0 < self.assumed_nu <= 1.0:
-            raise UsageError("assumed_nu must lie in (0, 1]")
 
 
 def dealc_step_size(c1: float, c2: float, nu: float, L: float) -> float:
@@ -112,7 +106,7 @@ def run_dealc(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrac
     max_iter.  A non-finite trial value aborts the run with a diagnostic in
     the trace extras instead of raising.
     """
-    rule, nu, L, guaranteed, estimated = _prepare(objective, config, "deal-c")
+    rule, nu, L, guaranteed = _prepare(objective, config, "deal-c")
     alpha = dealc_step_size(rule.c1, rule.c2, nu, L)
     rho = rule.c1 * alpha * nu / (1.0 + nu)
     theta = rule.beta + 2.0
@@ -121,8 +115,7 @@ def run_dealc(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrac
         rho=rho, theta=theta, guaranteed=guaranteed,
         extras={"alpha": alpha, "c": rule.c2 * alpha, "nu": nu, "L": L,
                 "c1": rule.c1, "c2": rule.c2,
-                "beta": rule.beta, "eps": config.eps, "direction": rule.kind,
-                "constants": "estimated" if estimated else "declared"},
+                "beta": rule.beta, "eps": config.eps, "direction": rule.kind},
     )
     return _descend(objective, x0, config, rule, trace, alpha)
 
@@ -135,7 +128,7 @@ def run_deala(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrac
     backtrack count p_k is logged per iteration.  Exceeding max_backtracks
     aborts with a diagnostic (possible only when the declared L is wrong).
     """
-    rule, nu, L, guaranteed, estimated = _prepare(objective, config, "deal-a")
+    rule, nu, L, guaranteed = _prepare(objective, config, "deal-a")
     ap = config.armijo
     c_bar, p_bar, alpha_tilde = armijo_bound(nu, ap.sigma, ap.eta, rule.c1,
                                              rule.c2, L, ap.alpha_bar)
@@ -148,12 +141,13 @@ def run_deala(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrac
                 "sigma": ap.sigma, "eta": ap.eta, "alpha_bar": ap.alpha_bar,
                 "c": rule.c2 * ap.alpha_bar,
                 "c_bar": c_bar, "p_bar": p_bar, "alpha_tilde": alpha_tilde,
-                "eps": config.eps, "direction": rule.kind,
-                "constants": "estimated" if estimated else "declared"},
+                "eps": config.eps, "direction": rule.kind},
     )
     return _descend(objective, x0, config, rule, trace, ap.alpha_bar, ap)
 
 
+# an overflowing trial ends the run with a diagnostic; numpy need not warn
+@np.errstate(over="ignore", invalid="ignore")
 def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: DirectionRule,
              trace: IterateTrace, alpha: float,
              armijo: Optional[ArmijoParams] = None) -> IterateTrace:
@@ -209,20 +203,11 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
 
 
 def _prepare(objective: SmoothObjective, config: DealConfig, solver: str):
-    estimated = False
-    if objective.holder is not None:
-        nu, L = objective.holder.nu, objective.holder.L
-    elif config.estimate_constants:
-        from .oracles import estimate_holder_constant
-        nu = config.assumed_nu
-        L = estimate_holder_constant(objective.grad, objective.dim, nu=nu,
-                                     seed=config.seed or 0)
-        estimated = True
-    else:
-        raise CapabilityError(f"{solver} needs Hölder gradient metadata (nu, L); "
-                              "declare it or enable estimate_constants")
+    if objective.holder is None:
+        raise CapabilityError(f"{solver} needs declared Hölder gradient metadata (nu, L)")
+    nu, L = objective.holder.nu, objective.holder.L
     rule = config.rule if config.rule is not None else DirectionRule("gradient",
                                                                      beta=beta_for_holder(nu))
     rule.reset()
     guaranteed = abs(rule.beta - beta_for_holder(nu)) <= 1e-12
-    return rule, nu, L, guaranteed, estimated
+    return rule, nu, L, guaranteed

@@ -1,9 +1,11 @@
 import json
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from dealopt import bench, cli
+from dealopt import bench, cli, problems
 from dealopt.core import UsageError
 
 
@@ -161,6 +163,63 @@ class TestRunExperiment:
         assert len(iterate) == 1 and iterate[0]["bound"] > 1
         assert_strict_json(out, 5)
 
+    def test_overflowing_trials_stop_without_a_warning(self, tmp_path):
+        cfg = small_config(tmp_path, solvers=[
+            bench.SolverSpec(name="DEAL-A", solver="deal-a", alpha_bar=1e300)],
+            m=40, n=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = bench.run_experiment(cfg)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["variants"][0]["termination"] == "backtrack_limit"
+
+    def test_sec53_solves_the_lasso_reference_once(self, tmp_path, monkeypatch):
+        solves = []
+        real = problems._lasso_reference
+
+        def counted(problem):
+            solves.append(problem)
+            return real(problem)
+        monkeypatch.setattr(problems, "_lasso_reference", counted)
+        out = bench.run_experiment(bench.preset("sec53", 0, out_dir=str(tmp_path)))
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(summary["variants"]) == 5 and summary["ok"]
+        assert len(solves) == 1
+
+    def test_leastp_reevaluation_makes_one_fused_call_per_record(self, monkeypatch):
+        problem = bench.build_problem(bench.ProblemSpec(kind="leastp", m=40, n=8, seed=1))
+        calls = Counter()
+        reevaluating = [False]
+        for name in ("value", "grad", "value_grad"):
+            def counted(x, _real=getattr(problem, name), _name=name):
+                if reevaluating[0]:
+                    calls[_name] += 1
+                return _real(x)
+            monkeypatch.setattr(problem, name, counted)
+        real_reevaluate = bench.reevaluate_trace
+
+        def reevaluate(*args):
+            reevaluating[0] = True
+            try:
+                return real_reevaluate(*args)
+            finally:
+                reevaluating[0] = False
+        monkeypatch.setattr(bench, "reevaluate_trace", reevaluate)
+        for solver in ("deal-c", "deal-a"):
+            calls.clear()
+            result = bench.run_variant(problem, bench.SolverSpec(solver=solver),
+                                       bench.RunSpec(max_iter=100, x0_seed=3))
+            assert result.certificates["reevaluated"]
+            assert calls == {"value_grad": len(result.trace)}
+
+    def test_singular_quadratic_certifies_without_fstar(self):
+        problem = problems.QuadraticProblem(np.diag([1.0, 0.0]), [1.0, 0.0])
+        result = bench.run_variant(problem, bench.SolverSpec(solver="deal-c"),
+                                   bench.RunSpec(max_iter=100))
+        assert result.fstar is None and result.ok
+        assert result.certificates["descent"]["passed"]
+        assert "min_grad_bound" not in result.certificates
+
     def test_sidecar_c_reproduces_the_displacement_certificate(self, tmp_path,
                                                                capsys):
         out = bench.run_experiment(small_config(tmp_path))
@@ -221,6 +280,17 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["rate"]["regime"] == "linear"
         assert doc["complexity"]["passed"]
+
+    def test_run_with_no_complexity_verdict_exits_ok(self, tmp_path, capsys):
+        # 50 iterations reach none of the three criteria: no verdict, no failure
+        out = tmp_path / "short"
+        rc = cli.main(["run", "--problem", "leastp", "--m", "40", "--n", "8",
+                       "--solver", "deal-c", "--max-iter", "50", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["ok"]
+        certs = json.loads((out / "DEAL-C.certificates.json").read_text())
+        assert certs["complexity"]["passed"] is None
+        assert all(c["passed"] is None for c in certs["complexity"]["checks"])
 
     def test_certify_detects_violation(self, tmp_path, capsys):
         trace = tmp_path / "bad.csv"

@@ -24,6 +24,15 @@ class TestLeastP:
         assert prob.value([1.0, 2.0]) == 0.0
         assert prob.grad([1.0, 2.0]) == pytest.approx([0.0, 0.0])
 
+    def test_fused_value_grad_is_value_and_grad_bit_for_bit(self):
+        prob = generate_problem(5, "leastp", 30, 6, p=1.5, consistent=False)
+        x = np.random.default_rng(0).uniform(-5, 5, 6)
+        exact = LeastPProblem(np.eye(2), np.array([1.0, 2.0]), p=1.7)
+        for problem, point in ((prob, x), (exact, np.array([1.0, 2.0]))):
+            value, grad = problem.value_grad(point)
+            assert value == problem.value(point)
+            assert np.array_equal(grad, problem.grad(point))
+
     def test_constants_p2_identity(self):
         nu, L, vt, tau = LeastPProblem(np.eye(3), np.zeros(3), p=2.0).constants()
         assert (nu, vt) == (1.0, 0.5)
@@ -171,6 +180,18 @@ class TestQuadratic:
         prob2 = QuadraticProblem(np.diag([1.0, 4.0]), np.array([1.0, 0.0]))
         assert prob2.xstar == pytest.approx([-1.0, 0.0])
         assert prob2.fstar == pytest.approx(-0.5)
+
+    def test_fused_value_grad_is_value_and_grad_bit_for_bit(self):
+        prob = generate_problem(3, "quadratic", 12, 5)
+        x = np.random.default_rng(1).uniform(-5, 5, 5)
+        value, grad = prob.value_grad(x)
+        assert value == prob.value(x)
+        assert np.array_equal(grad, prob.grad(x))
+
+    def test_singular_reference_is_not_converged(self):
+        ref = reference_optimum(QuadraticProblem(np.diag([1.0, 0.0]), [1.0, 0.0]))
+        assert not ref.converged
+        assert ref.fstar is None and ref.xstar is None
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nonfinite_Q_rejected(self, bad):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,19 +82,6 @@ class TestDealC:
         with pytest.raises(CapabilityError):
             run_dealc(obj, np.ones(1), DealConfig())
 
-    def test_estimated_constants_opt_in(self):
-        # no declared smoothness metadata: sampled estimate, marked on the trace
-        obj = SmoothObjective(dim=2, value=lambda x: 0.5 * float(x @ x),
-                              grad=lambda x: np.asarray(x, dtype=float),
-                              fstar=0.0)
-        tr = run_dealc(obj, np.array([3.0, -1.0]),
-                       DealConfig(estimate_constants=True))
-        assert tr.extras["constants"] == "estimated"
-        assert tr.extras["termination"] == "tolerance"
-        # over-estimated L shortens steps, so the certified decrease still holds
-        assert tr.extras["L"] >= 1.0
-        assert certify_descent(tr, tr.rho, tr.theta).passed
-
     def test_zero_gradient_start(self):
         tr = run_dealc(quadratic_objective(), np.array([0.0]), DealConfig())
         assert len(tr) == 1 and tr.extras["termination"] == "tolerance"
@@ -120,6 +108,16 @@ class TestDealC:
         assert tr.extras["termination"] == "nonfinite"
         assert tr.extras["diagnostic"] == "non-finite objective at k=1"
         assert len(tr) == 1
+
+    def test_overflowing_trial_point_stops_without_a_warning(self):
+        # the termination and its diagnostic name the stop; numpy stays quiet
+        prob = generate_problem(0, "leastp", 40, 8)
+        obj = prob.as_smooth()
+        obj.holder = HolderInfo(nu=0.5, L=1e-154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = run_dealc(obj, np.ones(8), DealConfig(max_iter=50))
+        assert tr.extras["termination"] == "nonfinite"
 
 
 class TestArmijoBound:
