@@ -78,12 +78,18 @@ class KLInfo:
 class SmoothObjective:
     """Value/gradient oracle with optional Hessian-apply and metadata.
 
-    Oracles must be re-entrant: no hidden mutable state across calls.
+    Oracles must be re-entrant: no hidden mutable state across calls, so the
+    same ``x`` always gives the same result, bit for bit.  The solvers rely
+    on that to replay an exact fixed point instead of re-evaluating it.
+    ``value_grad(x) -> (value, gradient)``, when given, is a fused oracle
+    that must equal ``(value(x), grad(x))`` bit for bit; without it, callers
+    that want both compose ``value`` and ``grad``.
     """
 
     dim: int
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
+    value_grad: Optional[Callable[[np.ndarray], tuple]] = None
     hess_apply: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     holder: Optional[HolderInfo] = None
     kl: Optional[KLInfo] = None

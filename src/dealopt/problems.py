@@ -98,6 +98,7 @@ class LeastPProblem:
             dim=self.n,
             value=self.value,
             grad=self.grad,
+            value_grad=self.value_grad,
             holder=HolderInfo(nu=nu, L=L),
             kl=KLInfo(vartheta=vartheta, tau=tau),
             fstar=self.fstar,
@@ -254,10 +255,9 @@ class QuadraticProblem:
         self.positive_definite = self.lam_min > 1e-12
         if self.positive_definite:
             self.xstar = np.linalg.solve(Q, -self.c)
-            self.fstar = self.value(self.xstar)
         else:
-            self.xstar = None
-            self.fstar = None
+            self.xstar = _attained_minimiser(Q, self.c, self.L)
+        self.fstar = None if self.xstar is None else self.value(self.xstar)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -279,7 +279,7 @@ class QuadraticProblem:
             kl = KLInfo(vartheta=0.5, tau=1.0 / math.sqrt(2.0 * self.lam_min))
         return SmoothObjective(
             dim=self.n, value=self.value, grad=self.grad,
-            hess_apply=self.hess_apply,
+            value_grad=self.value_grad, hess_apply=self.hess_apply,
             holder=HolderInfo(nu=1.0, L=self.L) if self.L > 0 else None,
             kl=kl, fstar=self.fstar,
             name=f"quadratic(n={self.n})",
@@ -288,6 +288,19 @@ class QuadraticProblem:
     def descriptor(self) -> dict:
         return {"kind": self.kind, "n": self.n, "L": self.L,
                 "lam_min": self.lam_min, "fstar": self.fstar}
+
+
+def _attained_minimiser(Q, c, L):
+    """A minimiser of 0.5 x'Qx + c'x for singular PSD ``Q``, or None.
+
+    The minimum is attained exactly when Q x = -c is solvable.  The
+    least-squares solution is taken when its residual is within rounding,
+    10 n eps (L ||x|| + ||c||); otherwise c has a component in the null
+    space of Q and f is unbounded below along it.
+    """
+    x, *_ = np.linalg.lstsq(Q, -c, rcond=None)
+    tol = 10.0 * len(c) * np.finfo(float).eps * (L * np.linalg.norm(x) + np.linalg.norm(c))
+    return x if np.linalg.norm(Q @ x + c) <= tol else None
 
 
 def generate_problem(seed: int, kind: str, m: int = 0, n: int = 0, *,
@@ -340,18 +353,19 @@ def reference_optimum(problem) -> ReferenceOptimum:
     """High-confidence optimal value and minimiser for rate fits and certificates.
 
     Least-p and positive-definite quadratics have closed forms, and the
-    separable powers attain 0 at the origin.  A singular quadratic has no
-    closed form and is reported not converged.  The lasso family runs a
-    fixed-step forward-backward iteration once per problem (see
-    ``_lasso_reference``); a run that hits the cap is flagged low-confidence
-    rather than silently trusted.
+    separable powers attain 0 at the origin.  A singular quadratic takes the
+    least-squares solution of Q x = -c when that solves the system to
+    rounding; otherwise it is unbounded below and reported not converged.
+    The lasso family runs a fixed-step forward-backward iteration once per
+    problem (see ``_lasso_reference``); a run that hits the cap is flagged
+    low-confidence rather than silently trusted.
     """
     if isinstance(problem, LeastPProblem):
         return ReferenceOptimum(problem.fstar, problem.x_ls.copy(), True)
     if isinstance(problem, PowerAbsProblem):
         return ReferenceOptimum(0.0, np.zeros(problem.n), True)
     if isinstance(problem, QuadraticProblem):
-        if not problem.positive_definite:
+        if problem.xstar is None:
             return ReferenceOptimum(None, None, False)
         return ReferenceOptimum(problem.fstar, problem.xstar.copy(), True)
     if isinstance(problem, LassoProblem):

@@ -154,13 +154,21 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
     """The iteration loop of both step rules, filling ``trace``.
 
     Every step first tries ``alpha``.  Without ``armijo`` that trial is
-    always taken; with it, the step shrinks to eta^p alpha_bar until the
-    Armijo test passes or p exceeds max_backtracks.
+    always taken, so its value and gradient come from one fused oracle call;
+    with it, the step shrinks to eta^p alpha_bar until the Armijo test passes
+    or p exceeds max_backtracks, and the gradient is taken at the accepted
+    point.  Once two consecutive steps leave ``x`` bitwise unchanged, the
+    rest of the run is replayed (see :func:`_replay_fixed_point`).
     """
+    fused = None
+    if armijo is None:
+        fused = objective.value_grad or (lambda y: (objective.value(y), objective.grad(y)))
     x = as_vector(x0, objective.dim, "x0")
-    f = objective.value(x)
+    f, g = fused(x) if fused else (objective.value(x), None)
+    unmoved = 0
     for k in range(config.max_iter + 1):
-        g = objective.grad(x)
+        if g is None:
+            g = objective.grad(x)
         gn = float(np.linalg.norm(g))
         rec = IterateRecord(k=k, f=f, grad_norm=gn,
                             x=x.copy() if config.store_iterates else None)
@@ -177,8 +185,10 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
         p = 0
         step = alpha
         x_next = x + step * d
-        f_next = objective.value(x_next)
-        if armijo is not None:
+        if fused:
+            f_next, g_next = fused(x_next)
+        else:
+            f_next, g_next = objective.value(x_next), None
             slope = float(g @ d)
             while not f_next <= f + armijo.sigma * step * slope:
                 p += 1
@@ -198,8 +208,36 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
         rec.step = step
         rec.inner_count = p
         rec.displacement = float(np.linalg.norm(x_next - x))
-        x, f = x_next, f_next
+        # bytes, not displacement == 0: the norm can underflow and -0.0 == 0.0
+        unmoved = unmoved + 1 if x_next.tobytes() == x.tobytes() else 0
+        if unmoved == 2:
+            _replay_fixed_point(trace, rec, config.max_iter)
+            break
+        x, f, g = x_next, f_next, g_next
     return trace
+
+
+def _replay_fixed_point(trace: IterateTrace, last: IterateRecord, max_iter: int):
+    """Append records last.k + 1 .. max_iter, each a repeat of ``last``.
+
+    Called after two consecutive steps left x bitwise unchanged.  The oracles
+    are deterministic, and ``DirectionRule.push`` of a repeated (x, g) adds no
+    pair and keeps its previous point, so every later step would evaluate the
+    same points, take the same step and stay put again: the run would end at
+    ``max_iter`` with these records.  The replayed records share one
+    read-only stored iterate, and ``fixed_point_at`` names the first of them.
+    """
+    x = last.x
+    if x is not None:
+        x.flags.writeable = False
+    trace.extras["fixed_point_at"] = last.k + 1
+    for k in range(last.k + 1, max_iter):
+        trace.records.append(IterateRecord(
+            k=k, f=last.f, grad_norm=last.grad_norm, step=last.step,
+            inner_count=last.inner_count, displacement=0.0, x=x))
+    trace.records.append(IterateRecord(k=max_iter, f=last.f,
+                                       grad_norm=last.grad_norm, x=x))
+    trace.extras["termination"] = "max_iter"
 
 
 def _prepare(objective: SmoothObjective, config: DealConfig, solver: str):

@@ -213,12 +213,20 @@ class TestRunExperiment:
             assert calls == {"value_grad": len(result.trace)}
 
     def test_singular_quadratic_certifies_without_fstar(self):
-        problem = problems.QuadraticProblem(np.diag([1.0, 0.0]), [1.0, 0.0])
+        # c has a component in the null space of Q: unbounded below
+        problem = problems.QuadraticProblem(np.diag([1.0, 0.0]), [0.0, 1.0])
         result = bench.run_variant(problem, bench.SolverSpec(solver="deal-c"),
                                    bench.RunSpec(max_iter=100))
         assert result.fstar is None and result.ok
         assert result.certificates["descent"]["passed"]
         assert "min_grad_bound" not in result.certificates
+
+    def test_singular_quadratic_with_attained_minimum_gets_fstar(self):
+        problem = problems.QuadraticProblem(np.diag([1.0, 0.0]), [1.0, 0.0])
+        result = bench.run_variant(problem, bench.SolverSpec(solver="deal-c"),
+                                   bench.RunSpec(max_iter=100))
+        assert result.fstar == -0.5 and result.ok
+        assert result.certificates["min_grad_bound"]["passed"]
 
     def test_sidecar_c_reproduces_the_displacement_certificate(self, tmp_path,
                                                                capsys):

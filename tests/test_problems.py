@@ -189,9 +189,15 @@ class TestQuadratic:
         assert np.array_equal(grad, prob.grad(x))
 
     def test_singular_reference_is_not_converged(self):
-        ref = reference_optimum(QuadraticProblem(np.diag([1.0, 0.0]), [1.0, 0.0]))
+        # c = (0, 1) lies outside the range of Q: f is unbounded below
+        ref = reference_optimum(QuadraticProblem(np.diag([1.0, 0.0]), [0.0, 1.0]))
         assert not ref.converged
         assert ref.fstar is None and ref.xstar is None
+
+    def test_singular_reference_with_attained_minimum(self):
+        ref = reference_optimum(QuadraticProblem(np.diag([1.0, 0.0]), [1.0, 0.0]))
+        assert ref.converged
+        assert ref.fstar == -0.5 and np.array_equal(ref.xstar, [-1.0, 0.0])
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nonfinite_Q_rejected(self, bad):

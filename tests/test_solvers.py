@@ -1,13 +1,16 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from dealopt.core import (CapabilityError, HolderInfo, SmoothObjective,
-                          UsageError, certify_descent, certify_displacement,
+from dealopt import solvers
+from dealopt.core import (CapabilityError, HolderInfo, IterateRecord,
+                          SmoothObjective, UsageError, as_vector,
+                          certify_descent, certify_displacement,
                           reevaluate_trace)
-from dealopt.directions import DirectionRule
+from dealopt.directions import KINDS, DirectionRule, beta_for_holder, generalize
 from dealopt.problems import generate_problem
 from dealopt.solvers import (ArmijoParams, DealConfig, armijo_bound,
                              dealc_step_size, run_deala, run_dealc)
@@ -230,3 +233,158 @@ def test_traces_monotone_and_terminal_gradient():
             assert np.all(np.diff(f) <= 1e-12)
             if tr.extras["termination"] == "tolerance":
                 assert tr.records[-1].grad_norm <= 1e-6
+
+
+def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None):
+    """The descent loop evaluated at every step: no fused oracle, no replay."""
+    x = as_vector(x0, objective.dim, "x0")
+    f = objective.value(x)
+    for k in range(config.max_iter + 1):
+        g = objective.grad(x)
+        gn = float(np.linalg.norm(g))
+        rec = IterateRecord(k=k, f=f, grad_norm=gn,
+                            x=x.copy() if config.store_iterates else None)
+        trace.records.append(rec)
+        if gn <= config.eps:
+            trace.extras["termination"] = "tolerance"
+            break
+        if k == config.max_iter:
+            trace.extras["termination"] = "max_iter"
+            break
+        d_bar, _ = rule.sufficient_base_direction(x, g)
+        rule.push(x, g)
+        d = generalize(d_bar, g, rule.beta)
+        p = 0
+        step = alpha
+        x_next = x + step * d
+        f_next = objective.value(x_next)
+        if armijo is not None:
+            slope = float(g @ d)
+            while not f_next <= f + armijo.sigma * step * slope:
+                p += 1
+                if p > armijo.max_backtracks:
+                    trace.extras["termination"] = "backtrack_limit"
+                    trace.extras["diagnostic"] = (
+                        f"no Armijo step within {armijo.max_backtracks} backtracks at "
+                        f"k={k}; declared Hölder constant is likely too small")
+                    return trace
+                step = armijo.eta ** p * armijo.alpha_bar
+                x_next = x + step * d
+                f_next = objective.value(x_next)
+        if not math.isfinite(f_next):
+            trace.extras["termination"] = "nonfinite"
+            trace.extras["diagnostic"] = f"non-finite objective at k={k + 1}"
+            break
+        rec.step = step
+        rec.inner_count = p
+        rec.displacement = float(np.linalg.norm(x_next - x))
+        x, f = x_next, f_next
+    return trace
+
+
+def run_without_replay(monkeypatch, runner, objective, x0, config):
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_descend", reference_descend)
+        return runner(objective, x0, config)
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def consistent_leastp(seed):
+    prob = generate_problem(seed, "leastp", 40, 8, p=1.5, consistent=True)
+    return prob, np.random.default_rng(seed).uniform(-5, 5, 8)
+
+
+class TestFixedPointReplay:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bitwise_equal_to_the_loop_without_replay(self, monkeypatch, kind):
+        replayed = 0
+        for seed in (1, 2):
+            prob, x0 = consistent_leastp(seed)
+            obj = prob.as_smooth()
+            for runner in (run_dealc, run_deala):
+                for beta in (beta_for_holder(obj.holder.nu), 0.5, 0.0):
+                    def config():
+                        return DealConfig(eps=1e-30, max_iter=3000, store_iterates=True,
+                                          rule=DirectionRule(kind, beta=beta))
+                    tr = runner(obj, x0, config())
+                    ref = run_without_replay(monkeypatch, runner, obj, x0, config())
+                    replayed += tr.extras.pop("fixed_point_at", None) is not None
+                    assert tr.extras == ref.extras
+                    assert len(tr) == len(ref)
+                    for a, b in zip(tr.records, ref.records):
+                        assert (a.k, a.inner_count) == (b.k, b.inner_count)
+                        for name in ("f", "grad_norm", "step", "displacement"):
+                            assert same_bits(getattr(a, name), getattr(b, name))
+                        assert a.x.tobytes() == b.x.tobytes()
+        assert replayed
+
+    def test_replay_waits_for_a_second_unmoved_step(self, monkeypatch):
+        # f is NaN off two points and grad f = 2x.  Step 1 uses the BB1 scale
+        # 1/2 and cannot move x; step 2 then sees s = 0, falls back to -grad
+        # and needs one more backtrack to stay put, so a replay after one
+        # unmoved step would repeat the wrong inner count
+        table = {1.0: 1.0, 0.5: 0.5}
+        obj = SmoothObjective(dim=1, value=lambda x: table.get(float(x[0]), math.nan),
+                              grad=lambda x: 2.0 * np.asarray(x, dtype=float),
+                              holder=HolderInfo(nu=1.0, L=1.0))
+
+        def config():
+            return DealConfig(max_iter=20, store_iterates=True,
+                              rule=DirectionRule("bb1", beta=0.0, c1=0.25, c2=4.0))
+        tr = run_deala(obj, np.array([1.0]), config())
+        ref = run_without_replay(monkeypatch, run_deala, obj, np.array([1.0]), config())
+        assert tr.extras.pop("fixed_point_at") == 3
+        assert tr.records[2].inner_count == tr.records[1].inner_count + 1
+        assert tr.extras == ref.extras
+        assert [dataclasses.astuple(r)[:5] for r in tr.records] == [
+            dataclasses.astuple(r)[:5] for r in ref.records]
+
+    def test_nan_objective_stops_evaluating_at_the_fixed_point(self):
+        # NaN everywhere except at x0: every trial fails until the step is
+        # too small to move x, and then the unchanged f passes the test
+        x0 = np.array([1.0, 1.0])
+        calls = [0]
+
+        def value(x):
+            calls[0] += 1
+            return 1.0 if np.array_equal(x, x0) else math.nan
+        obj = SmoothObjective(dim=2, value=value, grad=lambda x: np.ones(2),
+                              holder=HolderInfo(nu=1.0, L=1.0))
+        cfg = DealConfig(max_iter=200)
+        tr = run_deala(obj, x0, cfg)
+        assert calls[0] <= 2 * (cfg.armijo.max_backtracks + 1) + 1
+        assert tr.extras["termination"] == "max_iter" and len(tr) == 201
+        assert tr.extras["fixed_point_at"] == 2
+
+    def test_replayed_records_share_one_read_only_iterate(self):
+        prob, x0 = consistent_leastp(1)
+        tr = run_deala(prob.as_smooth(), x0,
+                       DealConfig(eps=1e-30, max_iter=3000, store_iterates=True))
+        first = tr.extras["fixed_point_at"]
+        assert isinstance(first, int) and 0 < first < 3000
+        shared = tr.records[first].x
+        assert all(rec.x is shared for rec in tr.records[first:])
+        assert all(rec.displacement == 0.0 for rec in tr.records[first:-1])
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+
+    def test_dealc_takes_one_fused_oracle_call_per_step(self, monkeypatch):
+        prob, x0 = consistent_leastp(2)
+        calls = {"value": 0, "grad": 0, "value_grad": 0}
+
+        def counted(name):
+            def call(x):
+                calls[name] += 1
+                return getattr(prob, name)(x)
+            return call
+        obj = dataclasses.replace(prob.as_smooth(),
+                                  **{name: counted(name) for name in calls})
+        tr = run_dealc(obj, x0, DealConfig(max_iter=100))
+        assert calls == {"value": 0, "grad": 0, "value_grad": len(tr)}
+        ref = run_without_replay(monkeypatch, run_dealc, prob.as_smooth(), x0,
+                                 DealConfig(max_iter=100))
+        assert [dataclasses.astuple(r) for r in tr.records] == [
+            dataclasses.astuple(r) for r in ref.records]
