@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -199,7 +200,7 @@ def _run_deal(problem, spec, run, x0, digest, rep):
                      seed=run.x0_seed + rep, config_digest=digest)
     runner = run_dealc if spec.solver == "deal-c" else run_deala
     trace = runner(objective, x0, cfg)
-    ctx = {"evaluate": problem.value_grad}
+    ctx = {"evaluate": problem.value_grad, "rows": problem.value_grad_rows}
     kl = objective.kl
     consistent = getattr(problem, "consistent", False)
     if kl is not None and trace.guaranteed and (
@@ -270,10 +271,12 @@ def _shared_oracles(evaluate):
 def certify_run(trace: IterateTrace, ctx: dict) -> dict:
     """Certificate bundle for one finished run.
 
-    Re-evaluates the stored iterates, if any, through the run's own
-    ``ctx["evaluate"](x) -> (value, gradient)``, once per iterate, and then
-    cross-checks the run's prox at the final iterate against the grid oracle
-    when the run supplies that check (``prox_oracle``).  Applies every
+    Re-evaluates the stored iterates, if any, through the run's own oracles:
+    in blocks through the batch oracle ``ctx["rows"](X) -> (values,
+    gradients)`` when the problem has one, else through ``ctx["evaluate"](x)
+    -> (value, gradient)`` once per distinct iterate.  It then cross-checks
+    the run's prox at the final iterate against the grid oracle when the run
+    supplies that check (``prox_oracle``).  Applies every
     certificate whose constants are available: the solver's own (rho, theta,
     eps and the displacement constant c) from the trace, and the reference
     optimum (fstar, xstar) and dominance constant tau from ``ctx``.
@@ -289,7 +292,9 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
     checked = trace
     if all(rec.x is not None for rec in trace.records):
         value, grad = _shared_oracles(ctx["evaluate"])
-        checked = reevaluate_trace(trace, value, grad)
+        # rows goes positionally: wrappers of reevaluate_trace bind
+        # (trace, value, grad) and pass the rest through
+        checked = reevaluate_trace(trace, value, grad, ctx.get("rows"))
         bundle["reevaluated"] = True
         if "prox_oracle" in ctx:
             bundle["prox_oracle"] = ctx["prox_oracle"](trace.records[-1].x)
@@ -335,7 +340,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     (out / "problem.json").write_text(json.dumps(problem.descriptor(), indent=2,
                                                  default=_json_default))
     (out / "config.json").write_text(json.dumps(config.as_dict(), indent=2))
-    summary = {"variants": [], "ok": True}
+    summary = {"variants": [], "ok": True, "terminations": Counter()}
     for spec in config.solvers:
         for rep in range(config.run.repetitions):
             result = run_variant(problem, spec, config.run, rep)
@@ -369,6 +374,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
                 "final_grad_norm": records[-1].grad_norm if records else None,
             })
             summary["ok"] = summary["ok"] and result.ok
+            summary["terminations"][result.trace.extras.get("termination")] += 1
     (out / "summary.json").write_text(json.dumps(summary, indent=2,
                                                  default=_json_default))
     emit_plot_data(out)

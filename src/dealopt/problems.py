@@ -78,6 +78,20 @@ class LeastPProblem:
             return 0.0, np.zeros(self.n)
         return float(nr ** self.p / self.p), nr ** (self.p - 2.0) * (self.A.T @ r)
 
+    def value_grad_rows(self, X):
+        """Values and gradients at the rows of ``X``: one product with A each way.
+
+        Equals ``value_grad`` row by row up to rounding (the products are
+        summed in another order); a zero-residual row gives exactly 0 and a
+        zero gradient, as ``value_grad`` does.
+        """
+        R = X @ self.A.T - self.b
+        nr = np.sqrt(np.einsum("ij,ij->i", R, R))
+        zero = nr == 0.0
+        G = (np.where(zero, 1.0, nr) ** (self.p - 2.0))[:, None] * (R @ self.A)
+        G[zero] = 0.0
+        return nr ** self.p / self.p, G
+
     def constants(self):
         """(nu, L, vartheta, tau): gradient Hölder exponent/constant and the
         gradient-dominance exponent/constant this family satisfies.
@@ -269,6 +283,12 @@ class QuadraticProblem:
     def value_grad(self, x):
         Qx = self.Q @ x
         return float(0.5 * x @ Qx + self.c @ x), Qx + self.c
+
+    def value_grad_rows(self, X):
+        """Values and gradients at the rows of ``X`` (``Q`` is symmetric, so
+        the rows of ``X Q`` are the products ``Q x``)."""
+        QX = X @ self.Q
+        return 0.5 * np.einsum("ij,ij->i", X, QX) + X @ self.c, QX + self.c
 
     def hess_apply(self, x, v):
         return self.Q @ v

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dealopt import bench, cli, problems
-from dealopt.core import UsageError
+from dealopt.core import REEVALUATE_BLOCK, UsageError
 
 
 def small_config(tmp_path, solvers=None, **problem_kw):
@@ -31,6 +31,18 @@ def assert_strict_json(run_dir, n_files):
     assert len(files) == n_files
     for path in files:
         json.loads(path.read_text(), parse_constant=reject)
+
+
+def verdicts(bundle, path=""):
+    """Every ``passed`` and ``n_checked`` in a certificate bundle, by path."""
+    found = {}
+    items = bundle.items() if isinstance(bundle, dict) else (
+        enumerate(bundle) if isinstance(bundle, list) else ())
+    for key, value in items:
+        if key in ("passed", "n_checked"):
+            found[path + key] = value
+        found.update(verdicts(value, f"{path}{key}."))
+    return found
 
 
 class TestConfigValidation:
@@ -187,13 +199,18 @@ class TestRunExperiment:
         assert len(solves) == 1
 
     def test_leastp_reevaluation_makes_one_fused_call_per_record(self, monkeypatch):
+        # each distinct stored iterate is re-evaluated once, through one fused
+        # batch call per block of REEVALUATE_BLOCK distinct iterates
         problem = bench.build_problem(bench.ProblemSpec(kind="leastp", m=40, n=8, seed=1))
         calls = Counter()
+        rows = []
         reevaluating = [False]
-        for name in ("value", "grad", "value_grad"):
+        for name in ("value", "grad", "value_grad", "value_grad_rows"):
             def counted(x, _real=getattr(problem, name), _name=name):
                 if reevaluating[0]:
                     calls[_name] += 1
+                    if _name == "value_grad_rows":
+                        rows.append(len(x))
                 return _real(x)
             monkeypatch.setattr(problem, name, counted)
         real_reevaluate = bench.reevaluate_trace
@@ -207,10 +224,50 @@ class TestRunExperiment:
         monkeypatch.setattr(bench, "reevaluate_trace", reevaluate)
         for solver in ("deal-c", "deal-a"):
             calls.clear()
+            rows.clear()
             result = bench.run_variant(problem, bench.SolverSpec(solver=solver),
-                                       bench.RunSpec(max_iter=100, x0_seed=3))
+                                       bench.RunSpec(max_iter=1500, x0_seed=3,
+                                                     eps=1e-30))
             assert result.certificates["reevaluated"]
-            assert calls == {"value_grad": len(result.trace)}
+            records = result.trace.records
+            distinct = 1 + sum(b.x is not a.x for a, b in zip(records, records[1:]))
+            assert distinct < len(records)      # a replayed fixed-point tail
+            assert calls == {"value_grad_rows": -(-distinct // REEVALUATE_BLOCK)}
+            assert calls["value_grad_rows"] > 1
+            assert sum(rows) == distinct
+
+    @pytest.mark.parametrize("solver", ["deal-c", "deal-a"])
+    @pytest.mark.parametrize("kind, run", [
+        pytest.param("leastp", dict(max_iter=1500, eps=1e-30), id="replayed-tail"),
+        pytest.param("leastp", dict(max_iter=100), id="one-block"),
+        pytest.param("leastp", dict(eps=1e9), id="one-record"),
+        pytest.param("quadratic", dict(max_iter=1500, eps=1e-30), id="quadratic"),
+    ])
+    def test_batch_reevaluation_keeps_every_verdict(self, monkeypatch, solver,
+                                                    kind, run):
+        problem = bench.build_problem(bench.ProblemSpec(kind=kind, m=40, n=8, seed=1))
+        real_certify = bench.certify_run
+        seen = []
+
+        def certify(trace, ctx):
+            seen.append((trace, ctx))
+            return real_certify(trace, ctx)
+        monkeypatch.setattr(bench, "certify_run", certify)
+        bench.run_variant(problem, bench.SolverSpec(solver=solver),
+                          bench.RunSpec(x0_seed=3, **run))
+        (trace, ctx), = seen
+        assert "rows" in ctx
+        batched = real_certify(trace, ctx)
+        per_point = real_certify(trace, {k: v for k, v in ctx.items() if k != "rows"})
+        assert batched["reevaluated"] and "descent" in batched
+        assert verdicts(batched) == verdicts(per_point)
+
+    def test_summary_counts_terminations_by_cause(self, tmp_path):
+        out = bench.run_experiment(bench.preset("sec53", 0, out_dir=str(tmp_path)))
+        summary = json.loads((out / "summary.json").read_text())
+        causes = Counter(v["termination"] for v in summary["variants"])
+        assert summary["terminations"] == causes and sum(causes.values()) == 5
+        assert all("terminations" not in v for v in summary["variants"])
 
     def test_singular_quadratic_certifies_without_fstar(self):
         # c has a component in the null space of Q: unbounded below

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dealopt.core import (DataError, HolderInfo, IterateRecord, IterateTrace,
-                          KLInfo, UsageError, as_vector, certify_descent,
+from dealopt.core import (REEVALUATE_BLOCK, DataError, HolderInfo,
+                          IterateRecord, IterateTrace, KLInfo, UsageError,
+                          as_vector, certify_descent,
                           certify_displacement, config_digest,
                           min_grad_bound_check, reevaluate_trace)
 
@@ -61,6 +62,20 @@ def test_certify_descent_constructed_violation():
     assert not rep.passed
     assert rep.worst_violation == pytest.approx(0.4)
     assert rep.worst_index == 0
+
+
+def test_certify_descent_counts_vacuous_pairs():
+    # rel_tol = 2^-40 and |f| <= 1 make every slack exactly 2^-40; the
+    # required decrease rho g^2 is 1, 2^-40 (at the slack: vacuous), 2^-38
+    # and 2^-42 (below it: vacuous)
+    tr = make_trace([0.75, -0.5, -0.5, -0.75, -0.75],
+                    [1.0, 2.0 ** -20, 2.0 ** -19, 2.0 ** -21, 0.0], rho=1.0)
+    rep = certify_descent(tr, rho=1.0, theta=2.0, rel_tol=2.0 ** -40)
+    assert rep.passed and rep.n_checked == 4 and rep.n_vacuous == 2
+    doc = rep.as_dict()
+    assert list(doc)[:4] == ["name", "passed", "n_checked", "n_vacuous"]
+    assert doc["n_vacuous"] == 2
+    assert certify_descent(make_trace([1.0], [1.0]), 0.5, 2.0).n_vacuous == 0
 
 
 def test_certify_descent_errors():
@@ -152,6 +167,73 @@ def test_reevaluate_trace_overrides_logged_values():
     assert fixed.displacements()[:-1] == pytest.approx([1.0, 0.5])
     with pytest.raises(DataError):
         reevaluate_trace(make_trace([1.0], [1.0]), value, grad)
+
+
+class CountingHalfSquare:
+    """f(x) = ||x||^2 / 2 through per-point and batch oracles that log what
+    they are given."""
+
+    def __init__(self):
+        self.points = []
+        self.blocks = []
+
+    def value(self, x):
+        self.points.append(("value", x))
+        return 0.5 * float(x @ x)
+
+    def grad(self, x):
+        self.points.append(("grad", x))
+        return x.copy()
+
+    def rows(self, X):
+        self.blocks.append(X.copy())
+        return 0.5 * np.einsum("ij,ij->i", X, X), X.copy()
+
+
+def replayed_trace(distinct, tail, n=3):
+    """``distinct`` stored iterates, the last one repeated as one shared
+    array by ``tail`` replayed records, as a fixed-point replay stores it."""
+    X = np.random.default_rng(distinct).uniform(-5.0, 5.0, (distinct, n))
+    xs = [row.copy() for row in X]
+    xs += [xs[-1]] * tail
+    records = [IterateRecord(k=k, f=9.0, grad_norm=9.0, step=0.5, inner_count=k % 3,
+                             x=x) for k, x in enumerate(xs)]
+    return IterateTrace(records=records, rho=0.5, theta=2.0), X
+
+
+@pytest.mark.parametrize("distinct, tail", [
+    (1, 0), (1, 5), (300, 400), (511, 300), (512, 300), (513, 300), (1100, 0)])
+@pytest.mark.parametrize("batched", [False, True])
+def test_reevaluate_trace_evaluates_each_distinct_iterate_once(distinct, tail,
+                                                               batched):
+    tr, X = replayed_trace(distinct, tail)
+    oracle = CountingHalfSquare()
+    fixed = reevaluate_trace(tr, oracle.value, oracle.grad,
+                             oracle.rows if batched else None)
+    stored = [rec.x for rec in tr.records[:distinct]]
+    if batched:
+        assert oracle.points == []
+        full, rest = divmod(distinct, REEVALUATE_BLOCK)
+        assert [len(B) for B in oracle.blocks] == [REEVALUATE_BLOCK] * full + [rest] * (rest > 0)
+        assert np.array_equal(np.vstack(oracle.blocks), X)
+    else:
+        assert oracle.blocks == []
+        assert [name for name, _ in oracle.points] == ["grad", "value"] * distinct
+        assert all(x is stored[i // 2] for i, (_, x) in enumerate(oracle.points))
+    last = len(tr) - 1
+    for i, (rec, out) in enumerate(zip(tr.records, fixed.records)):
+        x = X[min(i, distinct - 1)]
+        assert out.x is rec.x
+        assert (out.k, out.step, out.inner_count) == (rec.k, rec.step, rec.inner_count)
+        assert out.f == pytest.approx(0.5 * float(x @ x), rel=1e-15)
+        assert out.grad_norm == pytest.approx(float(np.linalg.norm(x)), rel=1e-15)
+        if i == last:
+            assert math.isnan(out.displacement)
+        elif i >= distinct - 1:
+            assert out.displacement == 0.0
+        else:
+            assert out.displacement == float(np.linalg.norm(X[i + 1] - x))
+    assert fixed.extras["reevaluated"]
 
 
 def test_config_digest_stable():

@@ -1,11 +1,29 @@
 import numpy as np
 import pytest
 
+from dealopt.bench import build_problem, preset
 from dealopt.core import DataError, UsageError
 from dealopt.oracles import finite_diff_gradient, iterative_spectral_constants
 from dealopt.problems import (LassoProblem, LeastPProblem, PowerAbsProblem,
                               QuadraticProblem, generate_problem,
                               reference_optimum)
+
+
+def assert_rows_match_points(problem, X):
+    """value_grad_rows(X) agrees with value_grad at every row of X to within
+    16 eps relative: the batch products round in another order."""
+    eps = np.finfo(float).eps
+    f, G = problem.value_grad_rows(X)
+    assert f.shape == (len(X),) and G.shape == X.shape
+    for x, f_row, g_row in zip(X, f, G):
+        f_pt, g_pt = problem.value_grad(x)
+        assert abs(f_row - f_pt) <= 16 * eps * max(1.0, abs(f_pt))
+        assert (np.linalg.norm(g_row - g_pt)
+                <= 16 * eps * max(1.0, np.linalg.norm(g_pt)))
+
+
+def uniform_rows(n, seed=0, count=700):
+    return np.random.default_rng(seed).uniform(-5.0, 5.0, size=(count, n))
 
 
 class TestLeastP:
@@ -32,6 +50,25 @@ class TestLeastP:
             value, grad = problem.value_grad(point)
             assert value == problem.value(point)
             assert np.array_equal(grad, problem.grad(point))
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_problem(preset("sec51", 0).problem),
+        lambda: generate_problem(1, "leastp", 40, 8, p=1.5, consistent=True),
+    ], ids=["sec51", "40x8"])
+    def test_rows_match_value_grad(self, make):
+        prob = make()
+        assert_rows_match_points(prob, uniform_rows(prob.n))
+
+    def test_rows_give_zero_residual_rows_exactly(self):
+        b = np.array([1.0, -2.0, 0.5])
+        prob = LeastPProblem(np.eye(3), b, p=1.5)
+        X = np.vstack([uniform_rows(3, count=3), b, uniform_rows(3, seed=1, count=2)])
+        f, G = prob.value_grad_rows(X)
+        assert f[3] == 0.0 and np.array_equal(G[3], np.zeros(3))
+        value, grad = prob.value_grad(b)
+        assert (value, grad.tolist()) == (0.0, [0.0, 0.0, 0.0])
+        assert np.all(f[[0, 1, 2, 4, 5]] > 0.0)
+        assert_rows_match_points(prob, X)
 
     def test_constants_p2_identity(self):
         nu, L, vt, tau = LeastPProblem(np.eye(3), np.zeros(3), p=2.0).constants()
@@ -187,6 +224,19 @@ class TestQuadratic:
         value, grad = prob.value_grad(x)
         assert value == prob.value(x)
         assert np.array_equal(grad, prob.grad(x))
+
+    @pytest.mark.parametrize("size", [(1000, 200), (12, 5)])
+    def test_rows_match_value_grad(self, size):
+        prob = generate_problem(3, "quadratic", *size)
+        assert_rows_match_points(prob, uniform_rows(prob.n))
+
+    def test_rows_at_the_origin_give_zero_and_c_exactly(self):
+        prob = generate_problem(3, "quadratic", 12, 5)
+        X = np.vstack([uniform_rows(5, count=2), np.zeros(5), uniform_rows(5, seed=1, count=2)])
+        f, G = prob.value_grad_rows(X)
+        assert f[2] == 0.0 and np.array_equal(G[2], prob.c)
+        assert prob.value_grad(np.zeros(5))[0] == 0.0
+        assert_rows_match_points(prob, X)
 
     def test_singular_reference_is_not_converged(self):
         # c = (0, 1) lies outside the range of Q: f is unbounded below
