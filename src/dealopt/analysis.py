@@ -19,7 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import IterateTrace, SmoothObjective, UsageError
+from .core import (CertificateReport, IterateTrace, SmoothObjective, UsageError,
+                   _verdict)
 
 GAP_FLOOR_FACTOR = 1e3 * float(np.finfo(float).eps)
 
@@ -259,9 +260,17 @@ def verify_complexity(trace: IterateTrace, fstar: float, rho: float, theta: floa
         None if m_grad is None else m_grad <= b_grad,
         "" if m_grad is not None else "criterion not reached within the trace"))
 
-    X = trace.iterates()
-    if xstar is not None and c is not None and X is not None:
-        dist = np.linalg.norm(X - np.asarray(xstar, dtype=float)[None, :], axis=1)
+    records = trace.records
+    if xstar is not None and c is not None and all(r.x is not None for r in records):
+        xstar = np.asarray(xstar, dtype=float)
+        dist = np.empty(len(records))
+        for i, rec in enumerate(records):
+            if i and rec.x is records[i - 1].x:
+                dist[i] = dist[i - 1]  # a replayed fixed point
+            else:
+                d = rec.x - xstar
+                # pairwise-summed, as np.linalg.norm(X, axis=1) rounds a row
+                dist[i] = np.sqrt(np.add.reduce(d * d))
         m_x = first_k(dist <= eps)
         y_x = theta / (theta - 1.0)
         r = 1.0 - q ** ((theta - 1.0) / theta)
@@ -279,27 +288,20 @@ def verify_complexity(trace: IterateTrace, fstar: float, rho: float, theta: floa
 
 
 def per_step_ratio_check(trace: IterateTrace, fstar: float, q_theory: float,
-                         rel_tol: float = 1e-10):
+                         rel_tol: float = 1e-10) -> CertificateReport:
     """Verify gap_{k+1} <= q * gap_k for every consecutive pair above the floor.
 
-    Returns (passed, worst_ratio or None when nothing was checked, n_checked).
+    The report's ``worst_violation`` is the largest ratio gap_{k+1}/gap_k and
+    ``worst_index`` its k; each ratio is allowed up to q * (1 + rel_tol).
     """
     if not 0.0 < q_theory < 1.0:
         raise UsageError("q_theory must lie in (0, 1)")
     gaps = trace.f_values() - fstar
-    floor = gap_floor(fstar)
-    worst = -math.inf
-    n = 0
-    passed = True
-    for k in range(len(gaps) - 1):
-        if gaps[k] <= floor:
-            continue
-        n += 1
-        ratio = gaps[k + 1] / gaps[k]
-        worst = max(worst, ratio)
-        if ratio > q_theory * (1.0 + rel_tol):
-            passed = False
-    return passed, (worst if n else None), n
+    # not "> floor": a NaN gap is checked, and its NaN ratio fails
+    alive = np.flatnonzero(~(gaps[:-1] <= gap_floor(fstar)))
+    return _verdict("per_step_ratio", gaps[alive + 1] / gaps[alive],
+                    q_theory * (1.0 + rel_tol), alive,
+                    {"q_theory": q_theory, "rel_tol": rel_tol}, None)
 
 
 def box_sampler(dim: int, seed: int, low: float = -5.0, high: float = 5.0) -> Callable:

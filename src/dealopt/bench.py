@@ -161,13 +161,14 @@ def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunRes
                             "problem": problem.descriptor(), "rep": rep})
 
     if spec.solver in ("deal-c", "deal-a"):
-        trace, ctx = _run_deal(problem, spec, run, x0, digest, rep)
+        trace, ctx = _run_deal(problem, spec, run, x0)
     elif spec.solver == "bpga":
-        trace, ctx = _run_bpga(problem, spec, run, x0, digest, rep)
+        trace, ctx = _run_bpga(problem, spec, run, x0)
     elif spec.solver == "bhippa":
-        trace, ctx = _run_bhippa(problem, spec, run, x0, digest, rep)
+        trace, ctx = _run_bhippa(problem, spec, run, x0)
     else:
         raise UsageError(f"unknown solver {spec.solver!r}")
+    trace.seed, trace.config_digest = run.x0_seed + rep, digest
     ref = problems.reference_optimum(problem)
     if ref.converged:
         ctx.update(fstar=ref.fstar, xstar=ref.xstar)
@@ -185,7 +186,7 @@ def _resolve_beta(spec: SolverSpec, nu: float) -> float:
     return float(spec.beta)
 
 
-def _run_deal(problem, spec, run, x0, digest, rep):
+def _run_deal(problem, spec, run, x0):
     if not isinstance(problem, problems.LeastPProblem) and not isinstance(
             problem, problems.QuadraticProblem):
         raise UsageError(f"{spec.solver} expects a smooth problem family")
@@ -196,8 +197,7 @@ def _run_deal(problem, spec, run, x0, digest, rep):
     armijo = ArmijoParams(eta=spec.eta,
                           **_given(sigma=spec.sigma, alpha_bar=spec.alpha_bar))
     cfg = DealConfig(eps=run.eps, max_iter=run.max_iter, rule=rule, armijo=armijo,
-                     store_iterates=run.store_iterates,
-                     seed=run.x0_seed + rep, config_digest=digest)
+                     store_iterates=run.store_iterates)
     runner = run_dealc if spec.solver == "deal-c" else run_deala
     trace = runner(objective, x0, cfg)
     ctx = {"evaluate": problem.value_grad, "rows": problem.value_grad_rows}
@@ -209,7 +209,7 @@ def _run_deal(problem, spec, run, x0, digest, rep):
     return trace, ctx
 
 
-def _run_bpga(problem, spec, run, x0, digest, rep):
+def _run_bpga(problem, spec, run, x0):
     if not isinstance(problem, problems.LassoProblem):
         raise UsageError("the boosted proximal-gradient preset expects the lasso family")
     composite = problem.as_composite()
@@ -219,14 +219,13 @@ def _run_bpga(problem, spec, run, x0, digest, rep):
                         max_linesearch=spec.max_linesearch, rule=rule,
                         eps=run.eps, max_iter=run.max_iter,
                         store_iterates=run.store_iterates,
-                        seed=run.x0_seed + rep, config_digest=digest,
                         **_given(alpha_bar=spec.alpha_bar))
     trace = run_bpga(composite, x0, cfg)
     gamma = trace.extras["gamma"]
     return trace, {"evaluate": lambda x: envelopes.fbe_value_grad(composite, x, gamma)}
 
 
-def _run_bhippa(problem, spec, run, x0, digest, rep):
+def _run_bhippa(problem, spec, run, x0):
     if not isinstance(problem, problems.PowerAbsProblem):
         raise UsageError("the boosted proximal-point preset expects the separable power family")
     phi = problem.as_prox_capable()
@@ -237,8 +236,7 @@ def _run_bhippa(problem, spec, run, x0, digest, rep):
     cfg = BoostedConfig(gamma=spec.gamma, sigma=spec.sigma, eta=spec.eta, p=order,
                         max_linesearch=spec.max_linesearch, rule=rule,
                         eps=run.eps, max_iter=run.max_iter,
-                        store_iterates=run.store_iterates,
-                        seed=run.x0_seed + rep, config_digest=digest)
+                        store_iterates=run.store_iterates)
     trace = run_bhippa(phi, x0, cfg)
     gamma = trace.extras["gamma"]
     ctx = {
@@ -320,11 +318,8 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
                 xstar=ctx.get("xstar"), c=c)
             bundle["complexity"] = comp.as_dict()
             if rate.q_theory is not None:
-                ok, worst, n = analysis.per_step_ratio_check(checked, fstar,
-                                                             rate.q_theory)
-                bundle["per_step_ratio"] = {"passed": ok, "worst_ratio": worst,
-                                            "n_checked": n,
-                                            "q_theory": rate.q_theory}
+                bundle["per_step_ratio"] = analysis.per_step_ratio_check(
+                    checked, fstar, rate.q_theory).as_dict()
     return bundle
 
 

@@ -42,8 +42,6 @@ class BoostedConfig:
     eps: float = 1e-6
     max_iter: int = 10000
     store_iterates: bool = False
-    seed: Optional[int] = None
-    config_digest: str = ""
 
     def __post_init__(self):
         if self.gamma is not None and not self.gamma > 0.0:
@@ -97,8 +95,7 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig) -> IterateT
     rule.reset()
     rho = sigma / (1.0 + gamma * L) ** 2
     trace = IterateTrace(
-        seed=config.seed, config_digest=config.config_digest, solver_id="bpga",
-        rho=rho, theta=2.0, guaranteed=True,
+        solver_id="bpga", rho=rho, theta=2.0, guaranteed=True,
         extras={"gamma": gamma, "sigma": sigma, "L": L,
                 "alpha_bar": config.alpha_bar, "eps": config.eps,
                 "direction": rule.kind, "beta": rule.beta, "fallbacks": 0},
@@ -135,8 +132,7 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
     rho = sigma * gamma ** q / p
     theta = p / (p - 1.0)
     trace = IterateTrace(
-        seed=config.seed, config_digest=config.config_digest, solver_id="bhippa",
-        rho=rho, theta=theta, guaranteed=True,
+        solver_id="bhippa", rho=rho, theta=theta, guaranteed=True,
         extras={"gamma": gamma, "sigma": sigma, "p": p, "eta": config.eta,
                 "eps": config.eps, "direction": rule.kind, "beta": rule.beta,
                 "fallbacks": 0},

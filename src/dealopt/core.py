@@ -264,45 +264,48 @@ class CertificateReport:
         return doc
 
 
+def _verdict(name: str, excess, allowed, index, details: dict,
+             n_vacuous: Optional[int]) -> CertificateReport:
+    """The report of one check over all its records at once.
+
+    Record ``i`` passes when ``excess[i] <= allowed`` (a scalar or one bound
+    per record); ``index[i]`` names it in the trace.  The worst violation is
+    the largest excess, at its first occurrence.  ``n_vacuous`` is None for
+    a check without a vacuous case.
+    """
+    report = CertificateReport(name=name, passed=bool(np.all(excess <= allowed)),
+                               n_checked=len(excess), details=details,
+                               n_vacuous=n_vacuous)
+    if len(excess):
+        i = int(np.argmax(excess))
+        report.worst_violation = float(excess[i])
+        report.worst_index = int(index[i])
+    return report
+
+
 def certify_descent(trace: IterateTrace, rho: float, theta: float,
                     rel_tol: float = 1e-10) -> CertificateReport:
     """Check f(x^{k+1}) <= f(x^k) - rho ||grad f(x^k)||^theta on every pair.
 
     A pair passes when the signed violation
-    ``f[k+1] - f[k] + rho * g[k]**theta`` stays below
+    ``f[k+1] - f[k] + rho * g[k]**theta`` stays below the slack
     ``rel_tol * max(1, |f[k]|)``.  Reports the worst violation and where it
     occurred, and how many pairs were vacuous: their required decrease
-    ``rho * g[k]**theta`` is at or below that slack, so they pass whatever
-    ``f[k+1]`` is.
+    ``rho * g[k]**theta`` is at or below the slack, so they certify no
+    decrease at all.  A vacuous pair still fails when ``f`` rises by more
+    than ``slack - required``.
     """
     if rho <= 0.0 or theta <= 1.0:
         raise UsageError("certify_descent needs rho > 0 and theta > 1")
     if rel_tol < 0.0:
         raise UsageError("rel_tol must be nonnegative")
     f, g = _finite_series(trace)
-    worst = -math.inf
-    worst_k = -1
-    passed = True
-    vacuous = 0
-    for k in range(len(f) - 1):
-        required = rho * g[k] ** theta
-        viol = f[k + 1] - f[k] + required
-        slack = rel_tol * max(1.0, abs(f[k]))
-        if required <= slack:
-            vacuous += 1
-        if viol > slack:
-            passed = False
-        if viol > worst:
-            worst, worst_k = viol, k
-    return CertificateReport(
-        name="descent",
-        passed=passed,
-        n_checked=max(len(f) - 1, 0),
-        worst_violation=worst,
-        worst_index=worst_k,
-        details={"rho": rho, "theta": theta, "rel_tol": rel_tol},
-        n_vacuous=vacuous,
-    )
+    required = rho * g[:-1] ** theta
+    slack = rel_tol * np.maximum(1.0, np.abs(f[:-1]))
+    return _verdict("descent", f[1:] - f[:-1] + required, slack,
+                    np.arange(len(required)),
+                    {"rho": rho, "theta": theta, "rel_tol": rel_tol},
+                    int(np.count_nonzero(required <= slack)))
 
 
 def certify_displacement(trace: IterateTrace, c: float, theta: float,
@@ -318,28 +321,13 @@ def certify_displacement(trace: IterateTrace, c: float, theta: float,
         raise UsageError("certify_displacement needs c > 0 and theta > 1")
     _finite_series(trace)
     disp = trace.displacements()
-    g = trace.grad_norms()
-    have = np.isfinite(disp)
-    if not have.any():
+    have = np.flatnonzero(np.isfinite(disp))
+    if not have.size:
         raise DataError("trace stores no displacements")
-    worst = -math.inf
-    worst_k = -1
-    passed = True
-    for k in np.flatnonzero(have):
-        bound = c * g[k] ** (theta - 1.0)
-        viol = disp[k] - (bound + rel_tol * max(1.0, bound))
-        if viol > 0.0:
-            passed = False
-        if viol > worst:
-            worst, worst_k = viol, int(k)
-    return CertificateReport(
-        name="displacement",
-        passed=passed,
-        n_checked=int(have.sum()),
-        worst_violation=worst,
-        worst_index=worst_k,
-        details={"c": c, "theta": theta, "rel_tol": rel_tol},
-    )
+    bound = c * trace.grad_norms()[have] ** (theta - 1.0)
+    return _verdict("displacement",
+                    disp[have] - (bound + rel_tol * np.maximum(1.0, bound)), 0.0,
+                    have, {"c": c, "theta": theta, "rel_tol": rel_tol}, None)
 
 
 def min_grad_bound_check(trace: IterateTrace, rho: float, theta: float,
@@ -348,7 +336,7 @@ def min_grad_bound_check(trace: IterateTrace, rho: float, theta: float,
 
     The bound follows from summing the descent inequality, so equality is
     attainable (one-step exact minimization); a 1e-12 relative guard absorbs
-    round-off in that case.
+    round-off in that case.  The worst index is the prefix length N.
     """
     if rho <= 0.0 or theta <= 1.0:
         raise UsageError("min_grad_bound_check needs rho > 0 and theta > 1")
@@ -358,26 +346,11 @@ def min_grad_bound_check(trace: IterateTrace, rho: float, theta: float,
     if fstar > f.min() + 1e-12 * max(1.0, abs(fstar)):
         raise UsageError("fstar exceeds the smallest recorded objective value")
     gap0 = max(f[0] - fstar, 0.0)
-    running = math.inf
-    worst = -math.inf
-    worst_n = -1
-    passed = True
-    for n in range(1, len(f) + 1):
-        running = min(running, g[n - 1])
-        bound = (gap0 / (rho * n)) ** (1.0 / theta)
-        viol = running - bound * (1.0 + 1e-12)
-        if viol > 0.0:
-            passed = False
-        if viol > worst:
-            worst, worst_n = viol, n
-    return CertificateReport(
-        name="min_grad_bound",
-        passed=passed,
-        n_checked=len(f),
-        worst_violation=worst,
-        worst_index=worst_n,
-        details={"rho": rho, "theta": theta, "fstar": fstar},
-    )
+    n = np.arange(1, len(f) + 1)
+    bound = (gap0 / (rho * n)) ** (1.0 / theta)
+    return _verdict("min_grad_bound",
+                    np.minimum.accumulate(g) - bound * (1.0 + 1e-12), 0.0, n,
+                    {"rho": rho, "theta": theta, "fstar": fstar}, None)
 
 
 # distinct iterates per batch call: a block of residuals of a 1000-row

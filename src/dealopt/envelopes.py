@@ -230,9 +230,13 @@ def prox_oracle_check(g, x, gamma: float, p: float) -> dict:
             "max_point_diff": float(np.abs(fast - ref).max())}
 
 
-def _expand_bracket(h, center, initial: float = 1.0, limit: float = 1e6):
-    r = initial * (1.0 + 2.0 * abs(center))
-    while r <= limit:
+# bracket half-width past which a prox objective is taken to be unbounded below
+_BRACKET_LIMIT = 1e6
+
+
+def _expand_bracket(h, center):
+    r = 1.0 + 2.0 * abs(center)
+    while r <= _BRACKET_LIMIT:
         lo, hi = center - r, center + r
         inner = 0.5 * r
         if h(lo) >= h(center - inner) and h(hi) >= h(center + inner):

@@ -323,9 +323,13 @@ def _attained_minimiser(Q, c, L):
     return x if np.linalg.norm(Q @ x + c) <= tol else None
 
 
+# draws of a data-driven family tried before generate_problem gives up
+_MAX_REGEN = 5
+
+
 def generate_problem(seed: int, kind: str, m: int = 0, n: int = 0, *,
                      p: float = 1.5, lam: float = 0.1, s: float = 4.0,
-                     consistent: bool = False, max_regen: int = 5):
+                     consistent: bool = False):
     """Seeded problem generator; entries are i.i.d. standard normal.
 
     ``consistent=True`` plants b = A x_true (so the least-p optimum is 0).
@@ -345,7 +349,7 @@ def generate_problem(seed: int, kind: str, m: int = 0, n: int = 0, *,
     if m < n or n < 1:
         raise UsageError("need m >= n >= 1 for data-driven families")
     attempt = seed
-    for _ in range(max_regen):
+    for _ in range(_MAX_REGEN):
         rng = np.random.default_rng(attempt)
         A = rng.standard_normal((m, n))
         if consistent:
@@ -359,7 +363,7 @@ def generate_problem(seed: int, kind: str, m: int = 0, n: int = 0, *,
             return LassoProblem(A, b, lam, seed=attempt)
         except NumericalError:
             attempt += 1  # rank-deficient draw; shift seed and retry
-    raise NumericalError(f"could not draw a full-rank {m}x{n} matrix after {max_regen} tries")
+    raise NumericalError(f"could not draw a full-rank {m}x{n} matrix after {_MAX_REGEN} tries")
 
 
 @dataclass

@@ -58,8 +58,6 @@ class DealConfig:
     rule: Optional[DirectionRule] = None
     armijo: ArmijoParams = field(default_factory=ArmijoParams)
     store_iterates: bool = False
-    seed: Optional[int] = None
-    config_digest: str = ""
 
     def __post_init__(self):
         if not self.eps > 0.0:
@@ -111,8 +109,7 @@ def run_dealc(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrac
     rho = rule.c1 * alpha * nu / (1.0 + nu)
     theta = rule.beta + 2.0
     trace = IterateTrace(
-        seed=config.seed, config_digest=config.config_digest, solver_id="deal-c",
-        rho=rho, theta=theta, guaranteed=guaranteed,
+        solver_id="deal-c", rho=rho, theta=theta, guaranteed=guaranteed,
         extras={"alpha": alpha, "c": rule.c2 * alpha, "nu": nu, "L": L,
                 "c1": rule.c1, "c2": rule.c2,
                 "beta": rule.beta, "eps": config.eps, "direction": rule.kind},
@@ -135,8 +132,7 @@ def run_deala(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrac
     rho = ap.sigma * alpha_tilde * rule.c1
     theta = rule.beta + 2.0
     trace = IterateTrace(
-        seed=config.seed, config_digest=config.config_digest, solver_id="deal-a",
-        rho=rho, theta=theta, guaranteed=guaranteed,
+        solver_id="deal-a", rho=rho, theta=theta, guaranteed=guaranteed,
         extras={"nu": nu, "L": L, "c1": rule.c1, "c2": rule.c2, "beta": rule.beta,
                 "sigma": ap.sigma, "eta": ap.eta, "alpha_bar": ap.alpha_bar,
                 "c": rule.c2 * ap.alpha_bar,

@@ -139,9 +139,9 @@ def test_criterion_03_linear_rate_bound(dealc_runs):
         if not 0.0 < q_theory < 1.0:
             failures.append(f"run {i}: vacuous q_theory {q_theory:.4f}")
             continue
-        ok, worst, n = analysis.per_step_ratio_check(tr, 0.0, q_theory)
-        if not ok:
-            failures.append(f"run {i}: ratio {worst:.6f} > q {q_theory:.6f}")
+        ratio = analysis.per_step_ratio_check(tr, 0.0, q_theory)
+        if not ratio.passed:
+            failures.append(f"run {i}: ratio {ratio.worst_violation:.6f} > q {q_theory:.6f}")
         rep = analysis.fit_linear_rate(tr, 0.0)
         if not (rep.q_hat_max is not None and rep.q_hat_max < 1.0):
             failures.append(f"run {i}: q_hat_max {rep.q_hat_max}")

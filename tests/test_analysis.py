@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,14 +150,32 @@ class TestVerifyComplexity:
         assert rep.passed
         assert len(rep.checks) == 3
 
+    def test_iterate_distances_stack_no_iterates(self):
+        # 10,001 records x 200 coordinates: stacking them would take 16 MB
+        rng = np.random.default_rng(0)
+        distinct = [rng.standard_normal(200) for _ in range(1000)]
+        xs = distinct + [distinct[-1]] * 9001   # a replayed fixed-point tail
+        gaps = 0.5 ** np.minimum(np.arange(len(xs)), 999)
+        tr = synthetic_trace(gaps, xs=xs)
+        assert tr.records[-1].x is tr.records[999].x
+        tracemalloc.start()
+        try:
+            rep = verify_complexity(tr, fstar=0.0, rho=0.5, theta=2.0, tau=1.0,
+                                    eps=1e-6, xstar=np.zeros(200), c=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [c.criterion for c in rep.checks] == ["gap", "grad", "iterate"]
+        assert peak < 4 * 2 ** 20
+
 
 class TestPerStepRatio:
     def test_ratio_guard(self):
         tr = synthetic_trace([1.0, 0.5, 0.25])
-        ok, worst, n = per_step_ratio_check(tr, fstar=0.0, q_theory=0.5)
-        assert ok and worst == pytest.approx(0.5) and n == 2
-        ok, worst, _ = per_step_ratio_check(tr, fstar=0.0, q_theory=0.4)
-        assert not ok
+        rep = per_step_ratio_check(tr, fstar=0.0, q_theory=0.5)
+        assert rep.passed and rep.worst_violation == pytest.approx(0.5) and rep.n_checked == 2
+        rep = per_step_ratio_check(tr, fstar=0.0, q_theory=0.4)
+        assert not rep.passed
 
     def test_remark_gap_power_consistency(self):
         # certified runs keep (gap)^(vartheta - 1/theta) <= tau / rho^(1/theta)

@@ -78,6 +78,14 @@ def test_certify_descent_counts_vacuous_pairs():
     assert certify_descent(make_trace([1.0], [1.0]), 0.5, 2.0).n_vacuous == 0
 
 
+def test_vacuous_pair_still_fails_when_f_rises_past_its_slack():
+    # required 2^-42 is below the slack 2^-40, but f rises by 2^-38 > slack - required
+    tr = make_trace([0.5, 0.5 + 2.0 ** -38], [2.0 ** -21, 0.0], rho=1.0)
+    rep = certify_descent(tr, rho=1.0, theta=2.0, rel_tol=2.0 ** -40)
+    assert rep.n_vacuous == 1 and not rep.passed
+    assert rep.worst_violation == 2.0 ** -38 + 2.0 ** -42
+
+
 def test_certify_descent_errors():
     with pytest.raises(UsageError):
         certify_descent(IterateTrace(records=[], rho=0.5, theta=2.0), 0.5, 2.0)
