@@ -23,6 +23,8 @@ from .core import (CertificateReport, IterateTrace, SmoothObjective, UsageError,
                    _verdict)
 
 GAP_FLOOR_FACTOR = 1e3 * float(np.finfo(float).eps)
+# the rate fits read the trailing half of the alive gaps
+TAIL_FRACTION = 0.5
 
 
 def gap_floor(fstar: float) -> float:
@@ -67,26 +69,33 @@ class RateReport:
         return {k: v for k, v in self.__dict__.items()}
 
 
-def _tail(trace_or_gaps, fstar: float, tail_fraction: float):
-    """(ks, gaps) for the trailing window of numerically alive gaps."""
-    if isinstance(trace_or_gaps, IterateTrace):
-        ks = np.array([r.k for r in trace_or_gaps.records], dtype=float)
-        gaps = trace_or_gaps.f_values() - fstar
-    else:
-        gaps = np.asarray(trace_or_gaps, dtype=float) - fstar
-        ks = np.arange(len(gaps), dtype=float)
+def _tail(trace: IterateTrace, fstar: float):
+    """(ks, gaps) for the trailing ``TAIL_FRACTION`` of numerically alive gaps."""
+    ks = np.array([r.k for r in trace.records], dtype=float)
+    gaps = trace.f_values() - fstar
     alive = gaps > gap_floor(fstar)
     ks, gaps = ks[alive], gaps[alive]
-    if len(gaps) == 0:
-        return ks, gaps
-    if not 0.0 < tail_fraction <= 1.0:
-        raise UsageError("tail_fraction must lie in (0, 1]")
-    start = len(gaps) - max(int(math.ceil(tail_fraction * len(gaps))), 2)
+    start = len(gaps) - max(int(math.ceil(TAIL_FRACTION * len(gaps))), 2)
     start = max(start, 0)
     return ks[start:], gaps[start:]
 
 
-def fit_linear_rate(trace_or_gaps, fstar: float, tail_fraction: float = 0.5, *,
+def _power_fit(ks, log_gaps):
+    """Least-squares fit of log gap = log mu - decay log k over the k > 0.
+
+    Returns (mu, decay, mean squared residual), or None with fewer than two
+    such points.
+    """
+    pos = ks > 0
+    if pos.sum() < 2:
+        return None
+    logk = np.log(ks[pos])
+    fit = np.polyfit(logk, log_gaps[pos], 1)
+    residual = float(np.mean((np.polyval(fit, logk) - log_gaps[pos]) ** 2))
+    return float(math.exp(fit[1])), float(-fit[0]), residual
+
+
+def fit_linear_rate(trace: IterateTrace, fstar: float, *,
                     rho: Optional[float] = None, theta: Optional[float] = None,
                     tau: Optional[float] = None) -> RateReport:
     """Fit a geometric contraction to the tail of the gap sequence.
@@ -96,15 +105,15 @@ def fit_linear_rate(trace_or_gaps, fstar: float, tail_fraction: float = 0.5, *,
     residuals of the geometric fit (log gap vs k) and the power-law fit
     (log gap vs log k): linear needs q_hat_max < 1 and the geometric model to
     fit at least as well.  Fewer than five alive tail points is inconclusive
-    by construction (ratios are still reported when two points exist).  Given
-    a trace, the report also carries ``estimate_kl_exponent``'s vartheta_hat.
+    by construction (ratios are still reported when two points exist).  The
+    report also carries ``estimate_kl_exponent``'s vartheta_hat.
     """
     report = RateReport()
     if rho is not None and theta is not None and tau is not None:
         q_theory = 1.0 - rho / tau ** theta
         if 0.0 < q_theory < 1.0:
             report.q_theory = q_theory
-    ks, gaps = _tail(trace_or_gaps, fstar, tail_fraction)
+    ks, gaps = _tail(trace, fstar)
     report.n_tail = len(gaps)
     if len(gaps) >= 2:
         report.tail_window = (int(ks[0]), int(ks[-1]))
@@ -114,14 +123,9 @@ def fit_linear_rate(trace_or_gaps, fstar: float, tail_fraction: float = 0.5, *,
         geo = np.polyfit(ks, logg, 1)
         report.q_hat_ls = float(math.exp(geo[0]))
         report.residual_geometric = float(np.mean((np.polyval(geo, ks) - logg) ** 2))
-        pos = ks > 0
-        if pos.sum() >= 2:
-            logk = np.log(ks[pos])
-            pow_fit = np.polyfit(logk, logg[pos], 1)
-            report.mu_hat = float(math.exp(pow_fit[1]))
-            report.decay_hat = float(-pow_fit[0])
-            report.residual_power = float(
-                np.mean((np.polyval(pow_fit, logk) - logg[pos]) ** 2))
+        power = _power_fit(ks, logg)
+        if power is not None:
+            report.mu_hat, report.decay_hat, report.residual_power = power
     if report.n_tail >= 5 and report.q_hat_max is not None:
         if report.q_hat_max >= 1.0:
             report.regime = "inconclusive"
@@ -130,21 +134,17 @@ def fit_linear_rate(trace_or_gaps, fstar: float, tail_fraction: float = 0.5, *,
             report.regime = "linear"
         else:
             report.regime = "sublinear"
-    if isinstance(trace_or_gaps, IterateTrace):
-        kl_est = estimate_kl_exponent(trace_or_gaps, fstar)
-        if kl_est is not None:
-            report.vartheta_hat = kl_est.vartheta_hat
+    kl_est = estimate_kl_exponent(trace, fstar)
+    if kl_est is not None:
+        report.vartheta_hat = kl_est.vartheta_hat
     return report
 
 
-def fit_sublinear(trace_or_gaps, fstar: float, tail_fraction: float = 0.5):
+def fit_sublinear(trace: IterateTrace, fstar: float):
     """Power-law fit of the tail: returns (mu_hat, decay_hat) for mu * k^(-decay)."""
-    ks, gaps = _tail(trace_or_gaps, fstar, tail_fraction)
-    pos = ks > 0
-    if pos.sum() < 2:
-        return None, None
-    slope, intercept = np.polyfit(np.log(ks[pos]), np.log(gaps[pos]), 1)
-    return float(math.exp(intercept)), float(-slope)
+    ks, gaps = _tail(trace, fstar)
+    power = _power_fit(ks, np.log(gaps))
+    return (None, None) if power is None else power[:2]
 
 
 @dataclass
@@ -154,25 +154,17 @@ class KLEstimate:
     n: int
 
 
-def estimate_kl_exponent(trace_or_gaps, fstar: float,
-                         grad_norms=None, tail_fraction: float = 1.0) -> Optional[KLEstimate]:
-    """Slope of log||grad|| against log(gap): the exponent at which the
-    gradient-dominance inequality is near-tight along the trace.
+def estimate_kl_exponent(trace: IterateTrace, fstar: float) -> Optional[KLEstimate]:
+    """Slope of log||grad|| against log(gap) over the whole trace: the
+    exponent at which the gradient-dominance inequality is near-tight.
 
     A heuristic estimator (the inequality alone bounds only one side);
-    returns None when the tail is degenerate.
+    returns None when the alive records are degenerate.
     """
-    if isinstance(trace_or_gaps, IterateTrace):
-        gaps = trace_or_gaps.f_values() - fstar
-        gns = trace_or_gaps.grad_norms()
-    else:
-        gaps = np.asarray(trace_or_gaps, dtype=float) - fstar
-        gns = np.asarray(grad_norms, dtype=float)
+    gaps = trace.f_values() - fstar
+    gns = trace.grad_norms()
     keep = (gaps > gap_floor(fstar)) & (gns > 0.0)
     gaps, gns = gaps[keep], gns[keep]
-    n = len(gaps)
-    start = n - max(int(math.ceil(tail_fraction * n)), 2) if n else 0
-    gaps, gns = gaps[max(start, 0):], gns[max(start, 0):]
     if len(gaps) < 2 or np.ptp(np.log(gaps)) < 1e-12:
         return None
     slope, intercept = np.polyfit(np.log(gaps), np.log(gns), 1)
@@ -242,24 +234,16 @@ def verify_complexity(trace: IterateTrace, fstar: float, rho: float, theta: floa
         report.checks.append(BoundCheck("gap", 0, 1, True, "started at the optimum"))
         return report
 
-    def first_k(mask) -> Optional[int]:
-        idx = np.flatnonzero(mask)
-        return int(ks[idx[0]]) if idx.size else None
+    def criterion(name: str, reached, bound: int):
+        idx = np.flatnonzero(reached)
+        measured = int(ks[idx[0]]) if idx.size else None
+        report.checks.append(BoundCheck(
+            name, measured, bound,
+            None if measured is None else measured <= bound,
+            "" if measured is not None else "criterion not reached within the trace"))
 
-    m_gap = first_k(f - fstar <= eps)
-    b_gap = complexity_K(gap0, 1.0, eps, q)
-    report.checks.append(BoundCheck(
-        "gap", m_gap, b_gap,
-        None if m_gap is None else m_gap <= b_gap,
-        "" if m_gap is not None else "criterion not reached within the trace"))
-
-    m_grad = first_k(g <= eps)
-    b_grad = complexity_K(gap0 / rho, theta, eps, q)
-    report.checks.append(BoundCheck(
-        "grad", m_grad, b_grad,
-        None if m_grad is None else m_grad <= b_grad,
-        "" if m_grad is not None else "criterion not reached within the trace"))
-
+    criterion("gap", f - fstar <= eps, complexity_K(gap0, 1.0, eps, q))
+    criterion("grad", g <= eps, complexity_K(gap0 / rho, theta, eps, q))
     records = trace.records
     if xstar is not None and c is not None and all(r.x is not None for r in records):
         xstar = np.asarray(xstar, dtype=float)
@@ -271,7 +255,6 @@ def verify_complexity(trace: IterateTrace, fstar: float, rho: float, theta: floa
                 d = rec.x - xstar
                 # pairwise-summed, as np.linalg.norm(X, axis=1) rounds a row
                 dist[i] = np.sqrt(np.add.reduce(d * d))
-        m_x = first_k(dist <= eps)
         y_x = theta / (theta - 1.0)
         r = 1.0 - q ** ((theta - 1.0) / theta)
         try:
@@ -280,10 +263,7 @@ def verify_complexity(trace: IterateTrace, fstar: float, rho: float, theta: floa
             # s gap0 / rho is beyond the float range: the same bound from its log
             log_x = y_x * (math.log(c) - math.log(r)) + math.log(gap0) - math.log(rho)
             b_x = _complexity_K_log(log_x, y_x, eps, q)
-        report.checks.append(BoundCheck(
-            "iterate", m_x, b_x,
-            None if m_x is None else m_x <= b_x,
-            "" if m_x is not None else "criterion not reached within the trace"))
+        criterion("iterate", dist <= eps, b_x)
     return report
 
 

@@ -130,7 +130,8 @@ def validate_config(doc: dict) -> list:
                           for k in sub if k not in fields)
             if sub.get("solver") not in DEAL_SOLVERS + (None,):
                 errors.append(f"solvers[{i}].solver must be one of {DEAL_SOLVERS}")
-    pk = doc.get("problem", {}).get("kind")
+    problem = doc.get("problem", {})
+    pk = problem.get("kind") if isinstance(problem, dict) else None
     if pk not in ("leastp", "lasso", "powerabs", "quadratic", None):
         errors.append(f"problem.kind {pk!r} is not supported")
     return errors
@@ -173,11 +174,8 @@ def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunRes
     if ref.converged:
         ctx.update(fstar=ref.fstar, xstar=ref.xstar)
     certificates = certify_run(trace, ctx)
-    # a check with no verdict (passed None) neither passes nor fails the run
-    ok = all(rep_.get("passed") is None or rep_["passed"]
-             for rep_ in certificates.values() if isinstance(rep_, dict))
     return RunResult(name=spec.name, trace=trace, certificates=certificates,
-                     ok=ok, fstar=ctx.get("fstar"))
+                     ok=bundle_ok(certificates), fstar=ctx.get("fstar"))
 
 
 def _resolve_beta(spec: SolverSpec, nu: float) -> float:
@@ -203,8 +201,7 @@ def _run_deal(problem, spec, run, x0):
     ctx = {"evaluate": problem.value_grad, "rows": problem.value_grad_rows}
     kl = objective.kl
     consistent = getattr(problem, "consistent", False)
-    if kl is not None and trace.guaranteed and (
-            consistent or isinstance(problem, problems.QuadraticProblem)):
+    if kl is not None and (consistent or isinstance(problem, problems.QuadraticProblem)):
         ctx["tau"] = kl.tau
     return trace, ctx
 
@@ -278,9 +275,10 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
     certificate whose constants are available: the solver's own (rho, theta,
     eps and the displacement constant c) from the trace, and the reference
     optimum (fstar, xstar) and dominance constant tau from ``ctx``.
-    Heuristic runs get rate fits but no guarantee checks.  A run that stopped
-    before its first record gets its termination and diagnostic and no
-    checks; one that stopped before its first step gets no displacement check.
+    Heuristic runs get rate fits but no guarantee checks, and tau is not
+    used for them.  A run that stopped before its first record gets its
+    termination and diagnostic and no checks; one that stopped before its
+    first step gets no displacement check.
     """
     bundle = {"guaranteed": trace.guaranteed, "solver": trace.solver_id,
               "termination": trace.extras.get("termination", "unknown")}
@@ -307,7 +305,7 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
         bundle["min_grad_bound"] = min_grad_bound_check(
             checked, trace.rho, trace.theta, fstar).as_dict()
     if fstar is not None:
-        tau = ctx.get("tau")
+        tau = ctx.get("tau") if trace.guaranteed else None
         rate = analysis.fit_linear_rate(
             checked, fstar, rho=trace.rho if tau else None,
             theta=trace.theta if tau else None, tau=tau)
@@ -321,6 +319,16 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
                 bundle["per_step_ratio"] = analysis.per_step_ratio_check(
                     checked, fstar, rate.q_theory).as_dict()
     return bundle
+
+
+def bundle_ok(bundle: dict) -> bool:
+    """The verdict of a certificate bundle: no check in it failed.
+
+    A check that reached no verdict (``passed`` None) neither passes nor
+    fails the bundle.
+    """
+    return all(rep.get("passed") is None or rep["passed"]
+               for rep in bundle.values() if isinstance(rep, dict))
 
 
 def run_experiment(config: ExperimentConfig) -> Path:
@@ -377,25 +385,28 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
 
 def emit_plot_data(run_dir) -> Path:
-    """Condense a run directory into series.csv: variant,k,f_gap,grad_norm."""
+    """Condense a run directory into series.csv: variant,k,f_gap,grad_norm.
+
+    The traces are those its ``summary.json`` lists, in file-name order, so
+    CSVs left by an earlier run into the same directory are not mixed in.
+    """
     run_dir = Path(run_dir)
+    summary = run_dir / "summary.json"
+    if not summary.exists():
+        raise UsageError(f"no summary.json found in {run_dir}")
+    variants = json.loads(summary.read_text())["variants"]
+    repeated = {v["variant"] for v in variants if v["rep"] > 0}
+    stems = sorted({f"{v['variant']}_rep{v['rep']}" if v["variant"] in repeated
+                    else v["variant"] for v in variants}, key=lambda stem: stem + ".csv")
     rows = []
-    traces = sorted(p for p in run_dir.glob("*.csv") if p.name != "series.csv")
-    if not traces:
-        raise UsageError(f"no trace CSVs found in {run_dir}")
-    for path in traces:
-        sidecar = run_dir / (path.stem + ".json")
-        fstar = None
-        variant = path.stem
-        if sidecar.exists():
-            meta = json.loads(sidecar.read_text())
-            variant = meta.get("variant", variant)
-            fstar = meta.get("fstar")
-        trace = IterateTrace.from_csv(path)
+    for stem in stems:
+        meta = json.loads((run_dir / f"{stem}.json").read_text())
+        trace = IterateTrace.from_csv(run_dir / f"{stem}.csv")
         f = trace.f_values()
+        fstar = meta["fstar"]
         base = fstar if fstar is not None else float(f.min())
         for rec, gap in zip(trace.records, f - base):
-            rows.append((variant, rec.k, float(gap), float(rec.grad_norm)))
+            rows.append((meta["variant"], rec.k, float(gap), float(rec.grad_norm)))
     target = run_dir / "series.csv"
     with open(target, "w") as fh:
         fh.write("variant,k,f_gap,grad_norm\n")

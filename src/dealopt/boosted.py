@@ -157,7 +157,8 @@ def _boost(x, config: BoostedConfig, rule: DirectionRule, trace: IterateTrace,
     takes the first one whose envelope value is at most
     value - rho ||grad||^theta; otherwise it takes y.  With no trials the
     direction rule is never consulted.  ``x_tol`` stops the run once
-    ||x - y|| falls to it.
+    ||x - y|| falls to it.  A point whose envelope value or gradient norm is
+    not finite ends the run ``nonfinite`` before it is recorded.
     """
     for k in range(config.max_iter + 1):
         ev = evaluate(x)
@@ -167,6 +168,10 @@ def _boost(x, config: BoostedConfig, rule: DirectionRule, trace: IterateTrace,
                 f"multi-valued proximal point at k={k}; envelope gradient undefined")
             break
         gn = ev.grad_norm
+        if not (math.isfinite(ev.value) and math.isfinite(gn)):
+            trace.extras["termination"] = "nonfinite"
+            trace.extras["diagnostic"] = f"non-finite envelope value or gradient at k={k}"
+            break
         y = ev.prox_point
         rec = IterateRecord(k=k, f=ev.value, grad_norm=gn,
                             x=x.copy() if config.store_iterates else None)

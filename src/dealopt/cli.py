@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Verbs: run (one solver on one generated problem), sweep (a named preset),
-certify (re-check a persisted trace), analyze (rate/complexity report for a
-trace), envelope (evaluate an envelope at a point), oracle (debugging access
-to the numerical oracles).  Exit codes: 0 ok, 1 usage error, 2 certificate
-failure, 3 numerical error.
+certify and analyze (the certificate bundle of a persisted trace; certify
+requires the solver's rho and theta), envelope (evaluate an envelope at a
+point), oracle (debugging access to the numerical oracles).  Exit codes:
+0 ok, 1 usage error, 2 certificate failure, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, bench, envelopes, oracles, problems
-from .core import (DataError, IterateTrace, NumericalError, UsageError, as_vector,
-                   certify_descent, certify_displacement, min_grad_bound_check)
+from . import bench, envelopes, oracles, problems
+from .core import DataError, IterateTrace, NumericalError, UsageError, as_vector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,23 +66,19 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", default=None,
                        help="JSON config file; overrides the preset fields")
 
-    cert = sub.add_parser("certify", help="re-check certificates on a trace CSV")
-    cert.add_argument("--trace", required=True)
-    cert.add_argument("--rho", type=float, required=True)
-    cert.add_argument("--theta", type=float, required=True)
-    cert.add_argument("--c", type=float, default=None, help="displacement constant")
-    cert.add_argument("--fstar", type=float, default=None)
-    cert.add_argument("--rel-tol", type=float, default=1e-10)
-
-    ana = sub.add_parser("analyze", help="rate fit and bound report for a trace CSV")
-    ana.add_argument("--trace", required=True)
-    ana.add_argument("--fstar", type=float, required=True)
-    ana.add_argument("--tau", type=float, default=None)
-    ana.add_argument("--vartheta", type=float, default=None)
-    ana.add_argument("--rho", type=float, default=None)
-    ana.add_argument("--theta", type=float, default=None)
-    ana.add_argument("--eps", type=float, default=1e-6)
-    ana.add_argument("--tail-fraction", type=float, default=0.5)
+    for verb, required, text in (
+            ("certify", True, "re-check a trace CSV's certificates"),
+            ("analyze", False, "rate fit and certificates of a trace CSV")):
+        cert = sub.add_parser(verb, help=text)
+        cert.add_argument("--trace", required=True)
+        cert.add_argument("--rho", type=float, required=required)
+        cert.add_argument("--theta", type=float, required=required)
+        cert.add_argument("--c", type=float, default=None, help="displacement constant")
+        cert.add_argument("--fstar", type=float, default=None)
+        cert.add_argument("--tau", type=float, default=None,
+                          help="gradient-dominance constant")
+        cert.add_argument("--eps", type=float, default=1e-6,
+                          help="the run's tolerance, for the complexity bounds")
 
     env = sub.add_parser("envelope", help="evaluate an envelope at a point")
     env.add_argument("--g", choices=("l1", "powerabs"), default="l1")
@@ -117,7 +112,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return _dispatch(args)
-    except (UsageError, DataError) as exc:
+    except (UsageError, DataError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:
@@ -130,10 +125,8 @@ def _dispatch(args) -> int:
         return _cmd_run(args)
     if args.verb == "sweep":
         return _cmd_sweep(args)
-    if args.verb == "certify":
+    if args.verb in ("certify", "analyze"):
         return _cmd_certify(args)
-    if args.verb == "analyze":
-        return _cmd_analyze(args)
     if args.verb == "envelope":
         return _cmd_envelope(args)
     if args.verb == "oracle":
@@ -171,6 +164,8 @@ def _cmd_sweep(args) -> int:
     config = bench.preset(args.preset, seed=args.seed, out_dir=args.out)
     if args.config:
         doc = json.loads(Path(args.config).read_text())
+        if not isinstance(doc, dict):
+            raise UsageError("invalid experiment config: config must be a JSON object")
         merged = config.as_dict()
         for key, value in doc.items():
             if isinstance(value, dict):
@@ -185,33 +180,20 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    trace = IterateTrace.from_csv(args.trace, rho=args.rho, theta=args.theta)
-    reports = {"descent": certify_descent(trace, args.rho, args.theta,
-                                          args.rel_tol).as_dict()}
-    if args.c is not None:
-        reports["displacement"] = certify_displacement(trace, args.c, args.theta,
-                                                       args.rel_tol).as_dict()
-    if args.fstar is not None:
-        reports["min_grad_bound"] = min_grad_bound_check(trace, args.rho,
-                                                         args.theta,
-                                                         args.fstar).as_dict()
-    print(json.dumps(reports, indent=2, default=bench._json_default))
-    ok = all(rep["passed"] for rep in reports.values())
-    return EXIT_OK if ok else EXIT_CERTIFICATE
+    """The certificate bundle a run writes, for a persisted trace.
 
-
-def _cmd_analyze(args) -> int:
-    trace = IterateTrace.from_csv(args.trace, rho=args.rho or 1.0,
-                                  theta=args.theta or 2.0)
-    rate = analysis.fit_linear_rate(trace, args.fstar, args.tail_fraction,
-                                    rho=args.rho, theta=args.theta, tau=args.tau)
-    doc = {"rate": rate.as_dict()}
-    if None not in (args.rho, args.theta, args.tau):
-        doc["complexity"] = analysis.verify_complexity(
-            trace, args.fstar, args.rho, args.theta, args.tau,
-            args.eps).as_dict()
-    print(json.dumps(doc, indent=2, default=bench._json_default))
-    return EXIT_OK
+    rho and theta make the trace guaranteed; without them it gets the rate
+    fit alone.  Its iterates are not stored, so nothing is re-evaluated.
+    """
+    if (args.rho is None) != (args.theta is None):
+        raise UsageError("give both --rho and --theta, or neither")
+    guaranteed = args.rho is not None
+    trace = IterateTrace.from_csv(
+        args.trace, guaranteed=guaranteed, extras={"eps": args.eps, "c": args.c},
+        **({"rho": args.rho, "theta": args.theta} if guaranteed else {}))
+    bundle = bench.certify_run(trace, {"fstar": args.fstar, "tau": args.tau})
+    print(json.dumps(bundle, indent=2, default=bench._json_default))
+    return EXIT_OK if bench.bundle_ok(bundle) else EXIT_CERTIFICATE
 
 
 def _cmd_envelope(args) -> int:

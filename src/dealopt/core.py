@@ -155,6 +155,11 @@ class IterateTrace:
             raise UsageError(f"trace rho must be positive, got {self.rho}")
         if not (self.theta > 1.0):
             raise UsageError(f"trace theta must exceed 1, got {self.theta}")
+        return self.validate_records()
+
+    def validate_records(self):
+        """Check the records alone, whatever the constants: strictly
+        increasing k, finite f, nonnegative grad_norm and inner_count."""
         last = -1
         for rec in self.records:
             if rec.k <= last:
@@ -208,6 +213,8 @@ class IterateTrace:
 
     @classmethod
     def from_csv(cls, path, **meta) -> "IterateTrace":
+        """Read a trace written by ``to_csv``; its records are validated here,
+        so a malformed file raises ``DataError`` before anything reads it."""
         records = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -215,17 +222,14 @@ class IterateTrace:
             if header is None or tuple(header) != TRACE_COLUMNS:
                 raise DataError(f"trace CSV must start with header {','.join(TRACE_COLUMNS)}")
             for row in reader:
-                if len(row) != len(TRACE_COLUMNS):
-                    raise DataError(f"malformed trace row: {row!r}")
-                records.append(IterateRecord(
-                    k=int(row[0]),
-                    f=_parse(row[1]),
-                    grad_norm=_parse(row[2]),
-                    step=_parse(row[3]),
-                    inner_count=int(row[4]),
-                    displacement=_parse(row[5]),
-                ))
-        return cls(records=records, **meta)
+                try:
+                    k, f, gn, step, inner, disp = row
+                    records.append(IterateRecord(
+                        k=int(k), f=_parse(f), grad_norm=_parse(gn), step=_parse(step),
+                        inner_count=int(inner), displacement=_parse(disp)))
+                except ValueError:
+                    raise DataError(f"malformed trace row: {row!r}") from None
+        return cls(records=records, **meta).validate_records()
 
 
 def _fmt(v: float) -> str:

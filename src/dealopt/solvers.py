@@ -101,8 +101,9 @@ def run_dealc(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrac
     """Constant-step generalized descent.
 
     Terminates when ||grad f(x^k)|| <= eps (checked before stepping) or at
-    max_iter.  A non-finite trial value aborts the run with a diagnostic in
-    the trace extras instead of raising.
+    max_iter.  A non-finite value or gradient norm, at x0 or at a trial,
+    ends the run ``nonfinite`` with a diagnostic in the trace extras instead
+    of raising, and is not recorded.
     """
     rule, nu, L, guaranteed = _prepare(objective, config, "deal-c")
     alpha = dealc_step_size(rule.c1, rule.c2, nu, L)
@@ -153,8 +154,10 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
     always taken, so its value and gradient come from one fused oracle call;
     with it, the step shrinks to eta^p alpha_bar until the Armijo test passes
     or p exceeds max_backtracks, and the gradient is taken at the accepted
-    point.  Once two consecutive steps leave ``x`` bitwise unchanged, the
-    rest of the run is replayed (see :func:`_replay_fixed_point`).
+    point.  A point whose value or gradient norm is not finite ends the run
+    ``nonfinite`` before it is recorded.  Once two consecutive steps leave
+    ``x`` bitwise unchanged, the rest of the run is replayed (see
+    :func:`_replay_fixed_point`).
     """
     fused = None
     if armijo is None:
@@ -166,6 +169,10 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
         if g is None:
             g = objective.grad(x)
         gn = float(np.linalg.norm(g))
+        if not (math.isfinite(f) and math.isfinite(gn)):
+            trace.extras["termination"] = "nonfinite"
+            trace.extras["diagnostic"] = f"non-finite objective or gradient at k={k}"
+            break
         rec = IterateRecord(k=k, f=f, grad_norm=gn,
                             x=x.copy() if config.store_iterates else None)
         trace.records.append(rec)

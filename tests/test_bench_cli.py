@@ -453,3 +453,167 @@ class TestCLI:
         summary = json.loads(capsys.readouterr().out)
         assert summary["ok"]
         assert len(summary["variants"]) == 5
+
+
+def check_verdicts(bundle):
+    """{check name: passed} for every entry of a bundle that reached a verdict."""
+    return {name: rep["passed"] for name, rep in bundle.items()
+            if isinstance(rep, dict) and "passed" in rep}
+
+
+def certify_args(run_dir, stem):
+    """The `deal certify` flags for a persisted trace, from its sidecar."""
+    sidecar = json.loads((run_dir / f"{stem}.json").read_text())
+    extras = sidecar["extras"]
+    args = ["--trace", str(run_dir / f"{stem}.csv"),
+            "--rho", repr(sidecar["rho"]), "--theta", repr(sidecar["theta"]),
+            "--fstar", repr(sidecar["fstar"]), "--eps", repr(extras["eps"])]
+    if "c" in extras:
+        args += ["--c", repr(extras["c"])]
+    tau = sidecar["problem"].get("tau")
+    if tau is not None:
+        args += ["--tau", repr(tau)]
+    return args
+
+
+BAD_TRACE = ("k,f,grad_norm,step,inner_count,displacement\n"
+             "0,1.0,1.0,0.1,0,0.05\n1,0.9,0.5,0.1,0,\n")
+
+
+class TestTraceVerbs:
+    @pytest.mark.parametrize("solver", ["deal-c", "deal-a"])
+    def test_certify_gives_the_bundle_of_a_leastp_run(self, tmp_path, capsys,
+                                                      solver):
+        out = tmp_path / solver
+        assert cli.main(["run", "--m", "40", "--n", "8", "--solver", solver,
+                         "--out", str(out)]) == cli.EXIT_OK
+        capsys.readouterr()
+        stem = solver.upper()
+        bundle = json.loads((out / f"{stem}.certificates.json").read_text())
+        assert {"complexity", "per_step_ratio", "displacement"} <= bundle.keys()
+        rc = cli.main(["certify"] + certify_args(out, stem))
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == cli.EXIT_OK
+        assert check_verdicts(doc) == check_verdicts(bundle)
+        assert "reevaluated" not in doc and bundle["reevaluated"]
+        assert doc["rate"]["regime"] == bundle["rate"]["regime"]
+
+    def test_certify_gives_the_bundles_of_sec53(self, tmp_path, capsys):
+        out = bench.run_experiment(bench.preset("sec53", 0, out_dir=str(tmp_path)))
+        summary = json.loads((out / "summary.json").read_text())
+        for variant in summary["variants"]:
+            stem = variant["variant"]
+            bundle = json.loads((out / f"{stem}.certificates.json").read_text())
+            rc = cli.main(["certify"] + certify_args(out, stem))
+            doc = json.loads(capsys.readouterr().out)
+            assert rc == (cli.EXIT_OK if variant["ok"] else cli.EXIT_CERTIFICATE)
+            assert check_verdicts(doc) == check_verdicts(bundle)
+            assert {"descent", "min_grad_bound"} <= check_verdicts(doc).keys()
+
+    def test_analyze_exits_2_on_a_violation(self, tmp_path, capsys):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(BAD_TRACE)
+        rc = cli.main(["analyze", "--trace", str(trace), "--fstar", "0.0",
+                       "--rho", "0.5", "--theta", "2.0"])
+        assert rc == cli.EXIT_CERTIFICATE
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["descent"]["passed"] is False and "rate" in doc
+
+    def test_analyze_without_constants_fits_the_rate_alone(self, tmp_path, capsys):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(BAD_TRACE)
+        rc = cli.main(["analyze", "--trace", str(trace), "--fstar", "0.0",
+                       "--tau", "1.0"])
+        assert rc == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert not doc["guaranteed"]
+        assert set(doc) == {"guaranteed", "solver", "termination", "rate"}
+        assert doc["rate"]["q_theory"] is None
+        assert cli.main(["analyze", "--trace", str(trace),
+                         "--rho", "0.5"]) == cli.EXIT_USAGE
+        assert "--theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["certify", "analyze"])
+    def test_a_repeated_k_is_a_data_error(self, tmp_path, capsys, verb):
+        trace = tmp_path / "dup.csv"
+        trace.write_text("k,f,grad_norm,step,inner_count,displacement\n"
+                         "0,1.0,1.0,0.1,0,0.05\n0,0.5,0.5,0.1,0,\n")
+        rc = cli.main([verb, "--trace", str(trace), "--rho", "0.5", "--theta", "2.0"])
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "strictly increasing" in captured.err
+
+    def test_a_malformed_row_is_a_data_error(self, tmp_path, capsys):
+        trace = tmp_path / "text.csv"
+        trace.write_text("k,f,grad_norm,step,inner_count,displacement\n"
+                         "0,one,1.0,0.1,0,0.05\n")
+        rc = cli.main(["certify", "--trace", str(trace), "--rho", "0.5",
+                       "--theta", "2.0"])
+        assert rc == cli.EXIT_USAGE
+        assert "malformed trace row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--tail-fraction", "--vartheta"])
+    def test_dropped_flags_are_refused(self, tmp_path, capsys, flag):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(BAD_TRACE)
+        assert cli.main(["analyze", "--trace", str(trace), "--fstar", "0.0",
+                         flag, "0.5"]) == cli.EXIT_USAGE
+        capsys.readouterr()
+
+
+class TestRunDirectoryInputs:
+    def test_series_holds_only_the_summarys_variants(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        for solver in ("deal-c", "deal-a"):
+            assert cli.main(["run", "--m", "40", "--n", "8", "--solver", solver,
+                             "--max-iter", "20", "--out", str(out)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert (out / "DEAL-C.csv").exists()
+        lines = (out / "series.csv").read_text().splitlines()
+        assert {line.split(",")[0] for line in lines[1:]} == {"DEAL-A"}
+        assert len(lines) == len((out / "DEAL-A.csv").read_text().splitlines())
+
+    def test_series_of_repetitions_in_file_name_order(self, tmp_path):
+        cfg = small_config(tmp_path, solvers=[
+            bench.SolverSpec(name="B", solver="deal-c"),
+            bench.SolverSpec(name="A-B", solver="deal-c")])
+        cfg.run.max_iter = 3
+        cfg.run.repetitions = 2
+        out = bench.run_experiment(cfg)
+        lines = (out / "series.csv").read_text().splitlines()[1:]
+        order = [line.split(",")[0] for line in lines if line.split(",")[1] == "0"]
+        assert order == ["A-B", "A-B", "B", "B"]
+
+    @pytest.mark.parametrize("section", ["problem", "run", "output"])
+    def test_non_object_section_is_reported(self, section):
+        assert bench.validate_config({section: []}) == [f"{section} must be an object"]
+
+    def test_sweep_config_with_a_non_object_section_exits_1(self, tmp_path, capsys):
+        override = tmp_path / "f.json"
+        override.write_text(json.dumps({"problem": []}))
+        rc = cli.main(["sweep", "--preset", "sec53", "--config", str(override),
+                       "--out", str(tmp_path / "runs")])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid experiment config: ")
+        assert "problem must be an object" in err
+
+    @pytest.mark.parametrize("text", ["[]", "{bad"])
+    def test_sweep_config_that_is_no_object_exits_1(self, tmp_path, capsys, text):
+        override = tmp_path / "f.json"
+        override.write_text(text)
+        rc = cli.main(["sweep", "--preset", "sec53", "--config", str(override),
+                       "--out", str(tmp_path / "runs")])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--trace", "missing.csv", "--rho", "0.5", "--theta", "2.0"],
+        ["sweep", "--preset", "sec53", "--config", "missing.json"],
+        ["envelope", "--at", "missing.json"]])
+    def test_a_missing_input_file_exits_1(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing." in err

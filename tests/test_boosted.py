@@ -277,3 +277,15 @@ class TestBHiPPAScale:
         assert result.certificates["reevaluated"]
         # the solver calls boosted's own names; these are re-evaluation only
         assert calls == {"home_value": 0, "home_value_grad": len(result.trace)}
+
+
+def test_bpga_nonfinite_start_stops_without_a_record():
+    # from 1e170 the envelope is NaN: 21 NaN records and max_iter before
+    problem = generate_problem(0, "lasso", 50, 5)
+    trace = run_bpga(problem.as_composite(), np.full(5, 1e170),
+                     BoostedConfig(max_iter=20))
+    assert trace.extras["termination"] == "nonfinite"
+    assert "k=0" in trace.extras["diagnostic"]
+    assert len(trace) == 0
+    bundle = bench.certify_run(trace, {"fstar": 0.0})
+    assert bundle["termination"] == "nonfinite" and bench.bundle_ok(bundle)

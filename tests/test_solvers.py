@@ -388,3 +388,29 @@ class TestFixedPointReplay:
                                  DealConfig(max_iter=100))
         assert [dataclasses.astuple(r) for r in tr.records] == [
             dataclasses.astuple(r) for r in ref.records]
+
+
+@pytest.mark.parametrize("runner", [run_dealc, run_deala])
+def test_a_nonfinite_start_stops_without_a_record(runner):
+    # at 1e170 the least-p value overflows to inf, while inf ** (p - 2) makes
+    # the gradient 0: recorded, it read as convergence to the tolerance
+    problem = generate_problem(0, "leastp", 50, 5, p=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = runner(problem.as_smooth(), np.full(5, 1e170), DealConfig())
+    assert trace.extras["termination"] == "nonfinite"
+    assert "k=0" in trace.extras["diagnostic"]
+    assert len(trace) == 0
+
+
+def test_a_nonfinite_gradient_after_a_step_is_not_recorded():
+    # f stays finite, but the gradient below x = 1.5 is infinite
+    objective = SmoothObjective(
+        dim=1, value=lambda x: 0.5 * float(x @ x),
+        grad=lambda x: np.where(x < 1.5, np.inf, x),
+        holder=HolderInfo(nu=1.0, L=1.0))
+    trace = run_deala(objective, [2.0], DealConfig(max_iter=10))
+    assert trace.extras["termination"] == "nonfinite"
+    assert trace.extras["diagnostic"].endswith(f"k={len(trace)}")
+    assert np.all(np.isfinite(trace.f_values()))
+    assert np.all(np.isfinite(trace.grad_norms()))
