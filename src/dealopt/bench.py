@@ -219,7 +219,8 @@ def _run_bpga(problem, spec, run, x0):
                         **_given(alpha_bar=spec.alpha_bar))
     trace = run_bpga(composite, x0, cfg)
     gamma = trace.extras["gamma"]
-    return trace, {"evaluate": lambda x: envelopes.fbe_value_grad(composite, x, gamma)}
+    return trace, {"evaluate": lambda x: envelopes.fbe_value_grad(composite, x, gamma),
+                   "rows": lambda X: problem.fbe_rows(X, gamma)}
 
 
 def _run_bhippa(problem, spec, run, x0):

@@ -39,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--lam", type=float, default=0.1, help="l1 weight")
     run.add_argument("--s", type=float, default=4.0, help="separable power exponent")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--consistent", action="store_true", default=True)
-    run.add_argument("--inconsistent", dest="consistent", action="store_false")
+    run.add_argument("--inconsistent", dest="consistent", action="store_false",
+                     help="draw b at random instead of planting b = A x_true")
     run.add_argument("--solver", choices=bench.DEAL_SOLVERS, default="deal-c")
     run.add_argument("--beta", default="auto",
                      help="'auto' = (1-nu)/nu, or a real > -1")
@@ -77,8 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
         cert.add_argument("--fstar", type=float, default=None)
         cert.add_argument("--tau", type=float, default=None,
                           help="gradient-dominance constant")
-        cert.add_argument("--eps", type=float, default=1e-6,
-                          help="the run's tolerance, for the complexity bounds")
+        cert.add_argument("--eps", type=float, default=None,
+                          help="the run's tolerance, for the complexity bounds; "
+                               "read from the trace's sidecar when unset")
 
     env = sub.add_parser("envelope", help="evaluate an envelope at a point")
     env.add_argument("--g", choices=("l1", "powerabs"), default="l1")
@@ -184,16 +185,33 @@ def _cmd_certify(args) -> int:
 
     rho and theta make the trace guaranteed; without them it gets the rate
     fit alone.  Its iterates are not stored, so nothing is re-evaluated.
+    The complexity check reads the run's tolerance: ``--eps``, else the one
+    in the sidecar ``STEM.json`` that a run writes next to ``STEM.csv``.
     """
     if (args.rho is None) != (args.theta is None):
         raise UsageError("give both --rho and --theta, or neither")
     guaranteed = args.rho is not None
+    eps = args.eps if args.eps is not None else _sidecar_eps(args.trace)
+    if guaranteed and args.tau is not None and eps is None:
+        raise UsageError("--tau needs --eps: no sidecar next to the trace records "
+                         "the run's tolerance")
     trace = IterateTrace.from_csv(
-        args.trace, guaranteed=guaranteed, extras={"eps": args.eps, "c": args.c},
+        args.trace, guaranteed=guaranteed, extras={"eps": eps, "c": args.c},
         **({"rho": args.rho, "theta": args.theta} if guaranteed else {}))
     bundle = bench.certify_run(trace, {"fstar": args.fstar, "tau": args.tau})
     print(json.dumps(bundle, indent=2, default=bench._json_default))
     return EXIT_OK if bench.bundle_ok(bundle) else EXIT_CERTIFICATE
+
+
+def _sidecar_eps(trace_path):
+    """The tolerance in the sidecar next to a trace CSV, or None without one."""
+    sidecar = Path(trace_path).with_suffix(".json")
+    if not sidecar.is_file():
+        return None
+    doc = json.loads(sidecar.read_text())
+    if not isinstance(doc, dict) or not isinstance(doc.get("extras"), dict):
+        raise DataError(f"{sidecar} is not the sidecar of a run")
+    return doc["extras"].get("eps")
 
 
 def _cmd_envelope(args) -> int:

@@ -83,7 +83,10 @@ class SmoothObjective:
     on that to replay an exact fixed point instead of re-evaluating it.
     ``value_grad(x) -> (value, gradient)``, when given, is a fused oracle
     that must equal ``(value(x), grad(x))`` bit for bit; without it, callers
-    that want both compose ``value`` and ``grad``.
+    that want both compose ``value`` and ``grad``.  ``constant_hessian``
+    declares that ``hess_apply`` does not depend on ``x`` (the part is
+    quadratic); the boosted proximal-gradient search then screens its trials
+    in closed form, and still confirms every step it takes exactly.
     """
 
     dim: int
@@ -95,6 +98,7 @@ class SmoothObjective:
     kl: Optional[KLInfo] = None
     fstar: Optional[float] = None
     name: str = "objective"
+    constant_hessian: bool = False
 
     def __post_init__(self):
         if self.dim < 1:

@@ -117,7 +117,12 @@ class DirectionRule:
         self.fallback_count = 0
 
     def push(self, x, grad):
-        """Record the pair observed at the current iterate (call once per step)."""
+        """Record the pair observed at the current iterate (call once per step).
+
+        The gradient direction reads no history, so it keeps none.
+        """
+        if self.kind == "gradient":
+            return
         x = np.asarray(x, dtype=float).copy()
         g = np.asarray(grad, dtype=float).copy()
         if self._prev_x is not None:

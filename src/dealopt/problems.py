@@ -170,6 +170,24 @@ class LassoProblem:
     def value(self, x):
         return self.smooth_value(x) + self.lam * float(np.abs(x).sum())
 
+    def fbe_rows(self, X, gamma):
+        """Forward-backward envelope values and gradients at the rows of ``X``.
+
+        Four products per block: R = X A^T - b, the smooth gradients R A,
+        and the two of the Hessian term (X - T) A^T A of the gradient, where
+        T is the row-wise soft threshold of X - gamma R A.  Equals
+        ``envelopes.fbe_value_grad`` row by row up to rounding (the products
+        are summed in another order).
+        """
+        R = X @ self.A.T - self.b
+        G = R @ self.A
+        T = envelopes.prox_l1(X - gamma * G, gamma * self.lam)
+        D = T - X
+        values = (0.5 * np.einsum("ij,ij->i", R, R) + np.einsum("ij,ij->i", G, D)
+                  + np.einsum("ij,ij->i", D, D) / (2.0 * gamma)
+                  + self.lam * np.abs(T).sum(axis=1))
+        return values, (D @ self.A.T) @ self.A - D / gamma
+
     @functools.cached_property
     def _reference(self) -> "ReferenceOptimum":
         # solved on first use, not at construction: building a problem stays
@@ -184,6 +202,7 @@ class LassoProblem:
             hess_apply=self.hess_apply,
             holder=HolderInfo(nu=1.0, L=self.L),
             name=f"lasso-smooth(m={self.m}, n={self.n})",
+            constant_hessian=True,
         )
 
     def as_composite(self) -> CompositeObjective:

@@ -262,6 +262,27 @@ class TestRunExperiment:
         assert batched["reevaluated"] and "descent" in batched
         assert verdicts(batched) == verdicts(per_point)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bpga_batch_reevaluation_keeps_every_verdict(self, monkeypatch, seed):
+        config = bench.preset("sec53", seed)
+        problem = bench.build_problem(config.problem)
+        real_certify = bench.certify_run
+        seen = []
+
+        def certify(trace, ctx):
+            seen.append((trace, ctx))
+            return real_certify(trace, ctx)
+        monkeypatch.setattr(bench, "certify_run", certify)
+        for spec in config.solvers:
+            bench.run_variant(problem, spec, config.run)
+        assert len(seen) == len(config.solvers) == 5
+        for trace, ctx in seen:
+            assert "rows" in ctx
+            batched = real_certify(trace, ctx)
+            per_point = real_certify(trace, {k: v for k, v in ctx.items() if k != "rows"})
+            assert batched["reevaluated"] and "descent" in batched
+            assert verdicts(batched) == verdicts(per_point)
+
     def test_summary_counts_terminations_by_cause(self, tmp_path):
         out = bench.run_experiment(bench.preset("sec53", 0, out_dir=str(tmp_path)))
         summary = json.loads((out / "summary.json").read_text())
@@ -345,6 +366,25 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["rate"]["regime"] == "linear"
         assert doc["complexity"]["passed"]
+
+    def test_consistent_flag_is_refused_and_inconsistent_reaches_the_problem(
+            self, tmp_path, capsys):
+        parser = cli.build_parser()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["run", "--consistent"])
+        assert exc.value.code == 2
+        assert cli.main(["run", "--consistent", "--out", str(tmp_path / "no")]) \
+            == cli.EXIT_USAGE
+        assert not (tmp_path / "no").exists()
+        capsys.readouterr()
+        for flags, consistent in (([], True), (["--inconsistent"], False)):
+            out = tmp_path / f"run{len(flags)}"
+            assert cli.main(["run", "--m", "40", "--n", "8", "--max-iter", "50",
+                             "--out", str(out)] + flags) == cli.EXIT_OK
+            config = json.loads((out / "config.json").read_text())
+            assert config["problem"]["consistent"] is consistent
+            assert json.loads((out / "problem.json").read_text())["consistent"] is consistent
+        capsys.readouterr()
 
     def test_run_with_no_complexity_verdict_exits_ok(self, tmp_path, capsys):
         # 50 iterations reach none of the three criteria: no verdict, no failure
@@ -497,6 +537,30 @@ class TestTraceVerbs:
         assert check_verdicts(doc) == check_verdicts(bundle)
         assert "reevaluated" not in doc and bundle["reevaluated"]
         assert doc["rate"]["regime"] == bundle["rate"]["regime"]
+
+    def test_certify_reads_the_runs_own_eps(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["run", "--m", "40", "--n", "8", "--eps", "1e-8",
+                         "--out", str(out)]) == cli.EXIT_OK
+        capsys.readouterr()
+        args = certify_args(out, "DEAL-C")
+        at = args.index("--eps")
+        del args[at:at + 2]
+        # unset, --eps is the one of the sidecar next to the trace
+        assert cli.main(["certify"] + args) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        bundle = json.loads((out / "DEAL-C.certificates.json").read_text())
+        assert doc["complexity"]["eps"] == bundle["complexity"]["eps"] == 1e-8
+        # a trace without a sidecar has no tolerance to judge complexity by
+        lone = tmp_path / "lone.csv"
+        lone.write_bytes((out / "DEAL-C.csv").read_bytes())
+        args[args.index("--trace") + 1] = str(lone)
+        for verb in ("certify", "analyze"):
+            assert cli.main([verb] + args) == cli.EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == "" and "error: --tau needs --eps" in captured.err
+        assert cli.main(["certify"] + args + ["--eps", "1e-8"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["complexity"]["eps"] == 1e-8
 
     def test_certify_gives_the_bundles_of_sec53(self, tmp_path, capsys):
         out = bench.run_experiment(bench.preset("sec53", 0, out_dir=str(tmp_path)))

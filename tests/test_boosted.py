@@ -1,18 +1,21 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from dealopt import bench, envelopes
+from dealopt import bench, boosted, envelopes
 from dealopt.analysis import fit_linear_rate
 from dealopt.boosted import BoostedConfig, choose_order, run_bhippa, run_bpga
-from dealopt.core import DataError, UsageError, certify_descent, reevaluate_trace
+from dealopt.core import (CompositeObjective, DataError, HolderInfo,
+                          SmoothObjective, UsageError, certify_descent,
+                          reevaluate_trace)
 from dealopt.directions import DirectionRule
 from dealopt.envelopes import (SeparableProx, fbe_value, fbe_value_grad,
                                forward_backward_map, home_value,
                                home_value_grad)
-from dealopt.problems import PowerAbsProblem, generate_problem
+from dealopt.problems import PowerAbsProblem, generate_problem, reference_optimum
 
 
 class TestChooseOrder:
@@ -127,6 +130,218 @@ class TestBPGA:
             run_bpga(comp, np.zeros(6), BoostedConfig(gamma=10.0, sigma=1e-9))
         with pytest.raises(UsageError):
             run_bpga(comp, np.zeros(6), BoostedConfig(gamma=gamma, sigma=0.9))
+
+
+def undeclared(composite):
+    """The same composite without the constant-Hessian declaration: its
+    search evaluates every trial exactly."""
+    return dataclasses.replace(composite, smooth=dataclasses.replace(
+        composite.smooth, constant_hessian=False))
+
+
+def record_bits(trace):
+    """Every field of every record, bit for bit (NaN included)."""
+    return [(r.k, r.inner_count, np.array([r.f, r.grad_norm, r.step, r.displacement]).tobytes(),
+             None if r.x is None else r.x.tobytes()) for r in trace.records]
+
+
+def count_exact_trials(monkeypatch):
+    """Log of the exact envelope evaluations the solver makes: the bytes of
+    each trial point and its value."""
+    log = []
+    real = boosted.fbe_value
+
+    def logged(problem, x, gamma):
+        value = real(problem, x, gamma)
+        log.append((x.tobytes(), value))
+        return value
+    monkeypatch.setattr(boosted, "fbe_value", logged)
+    return log
+
+
+def assert_accepted_steps_pass_exactly(trace, log):
+    """Every step taken at a trial was evaluated exactly at its threshold."""
+    exact = dict(log)
+    taken = 0
+    for rec, nxt in zip(trace.records, trace.records[1:]):
+        if rec.step > 0.0:
+            threshold = rec.f - trace.rho * rec.grad_norm ** trace.theta
+            assert exact[nxt.x.tobytes()] <= threshold, rec.k
+            taken += 1
+    return taken
+
+
+def sec53_runs(seed, monkeypatch):
+    """(screened, per-trial) trace pairs of the five sec53 variants on one seed."""
+    pairs = []
+    real = bench.run_bpga
+
+    def both(composite, x0, cfg):
+        screened = real(composite, x0, cfg)
+        pairs.append((screened, real(undeclared(composite), x0, cfg)))
+        return screened
+    monkeypatch.setattr(bench, "run_bpga", both)
+    config = bench.preset("sec53", seed)
+    problem = bench.build_problem(config.problem)
+    for spec in config.solvers:
+        bench.run_variant(problem, spec, config.run)
+    monkeypatch.undo()
+    return pairs
+
+
+class TestBPGAScreen:
+    """The closed-form screen of the trial schedule on lasso: the same trace
+    as the per-trial loop, with fewer exact evaluations."""
+
+    def test_lasso_declares_a_constant_hessian(self):
+        assert generate_problem(0, "lasso", 30, 4).as_smooth().constant_hessian
+        assert not undeclared(generate_problem(0, "lasso", 30, 4).as_composite()
+                              ).smooth.constant_hessian
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sec53_traces_equal_the_per_trial_loop(self, monkeypatch, seed):
+        pairs = sec53_runs(seed, monkeypatch)
+        assert len(pairs) == 5
+        for screened, loop in pairs:
+            assert len(screened) > 2
+            assert record_bits(screened) == record_bits(loop)
+            assert screened.extras == loop.extras
+
+    @pytest.mark.parametrize("shape, lam", [pytest.param((50, 5), 0.1, id="50x5"),
+                                            pytest.param((30, 4), 0.2, id="30x4-lam0.2")])
+    @pytest.mark.parametrize("max_linesearch", [0, 1, 2, 50])
+    @pytest.mark.parametrize("alpha_bar", [0.5, 0.9])
+    @pytest.mark.parametrize("direction", ["gradient", "bb1", "bb2", "lbfgs"])
+    def test_small_lassos_equal_the_per_trial_loop(self, shape, lam, max_linesearch,
+                                                   alpha_bar, direction):
+        comp = generate_problem(2, "lasso", *shape, lam=lam).as_composite()
+        x0 = np.random.default_rng(1).uniform(-5.0, 5.0, shape[1])
+
+        def run(composite):
+            return run_bpga(composite, x0, BoostedConfig(
+                max_linesearch=max_linesearch, alpha_bar=alpha_bar,
+                rule=DirectionRule(direction, beta=0.5 if direction == "gradient" else 0.0),
+                store_iterates=True))
+        screened, loop = run(comp), run(undeclared(comp))
+        assert len(screened) > 2
+        assert record_bits(screened) == record_bits(loop)
+        assert screened.extras == loop.extras
+
+    def test_every_step_taken_passes_the_exact_test(self, monkeypatch):
+        problem = bench.build_problem(bench.preset("sec53", 0).problem)
+        comp = problem.as_composite()
+        x0 = np.random.default_rng(0).uniform(-5.0, 5.0, problem.n)
+        taken = 0
+        for direction in ("gradient", "bb1", "bb2", "lbfgs"):
+            for alpha_bar in (0.5, 0.9):
+                log = count_exact_trials(monkeypatch)
+                trace = run_bpga(comp, x0, BoostedConfig(
+                    alpha_bar=alpha_bar, rule=DirectionRule(direction),
+                    store_iterates=True))
+                assert trace.extras["termination"] == "tolerance"
+                taken += assert_accepted_steps_pass_exactly(trace, log)
+                monkeypatch.undo()
+        assert taken > 100
+
+    def test_screen_halves_the_exact_evaluations_on_sec53(self, monkeypatch):
+        config = bench.preset("sec53", 0)
+        problem = bench.build_problem(config.problem)
+        x0 = np.random.default_rng(config.run.x0_seed).uniform(-5.0, 5.0, problem.n)
+        calls = {}
+        for name, comp in (("screened", problem.as_composite()),
+                           ("per-trial", undeclared(problem.as_composite()))):
+            log = count_exact_trials(monkeypatch)
+            for spec in config.solvers:
+                beta = float(spec.beta) if spec.beta != "auto" else 0.0
+                run_bpga(comp, x0, BoostedConfig(
+                    rule=DirectionRule(spec.direction, beta=beta)))
+            calls[name] = len(log)
+            monkeypatch.undo()
+        assert 0 < 2 * calls["screened"] <= calls["per-trial"], calls
+
+    def test_a_false_declaration_takes_only_steps_that_pass_exactly(self, monkeypatch):
+        # f = 0.5 ||A x - b||^2 + 4 sum log cosh(x_i) is not quadratic: the
+        # screen's model of it is wrong away from T, and it offers trials
+        # that fail the exact test; none of them is taken
+        lasso = generate_problem(4, "lasso", 60, 6)
+        A = lasso.A
+        smooth = SmoothObjective(
+            dim=6,
+            value=lambda x: lasso.smooth_value(x) + 4.0 * float(np.sum(np.log(np.cosh(x)))),
+            grad=lambda x: lasso.smooth_grad(x) + 4.0 * np.tanh(x),
+            hess_apply=lambda x, v: A.T @ (A @ v) + 4.0 * v / np.cosh(x) ** 2,
+            holder=HolderInfo(nu=1.0, L=lasso.L + 4.0),
+            constant_hessian=True)
+        comp = CompositeObjective(smooth, envelopes.L1Norm(lasso.lam))
+        gamma = 0.95 / smooth.holder.L
+        offered_and_failed = []
+        real_screen = boosted._screened_trials
+
+        def screen(problem, gamma, T, d, threshold, trials):
+            for m, t in real_screen(problem, gamma, T, d, threshold, trials):
+                if m > trials[0][0]:
+                    excess = envelopes.fbe_value(problem, T + t * d, gamma) - threshold
+                    offered_and_failed.append(excess > 1e-9 * abs(threshold))
+                yield m, t
+        monkeypatch.setattr(boosted, "_screened_trials", screen)
+        x0 = np.random.default_rng(3).uniform(-5.0, 5.0, 6)
+        for direction in ("gradient", "bb1", "lbfgs"):
+            log = count_exact_trials(monkeypatch)
+            trace = run_bpga(comp, x0, BoostedConfig(
+                alpha_bar=0.9, rule=DirectionRule(direction), store_iterates=True))
+            assert trace.extras["termination"] == "tolerance"
+            assert assert_accepted_steps_pass_exactly(trace, log) > 10
+            checked = reevaluate_trace(trace, lambda x: fbe_value(comp, x, gamma),
+                                       lambda x: fbe_value_grad(comp, x, gamma).gradient)
+            assert certify_descent(checked, trace.rho, trace.theta).passed
+        assert any(offered_and_failed)
+
+    def test_composites_without_the_declaration_run_every_trial(self, monkeypatch):
+        prob = generate_problem(3, "lasso", 60, 6)
+        screens = []
+        monkeypatch.setattr(boosted, "_screened_trials",
+                            lambda *args: screens.append(1) or [])
+        x0 = np.ones(6)
+        run_bpga(undeclared(prob.as_composite()), x0, BoostedConfig())
+        smooth = prob.as_smooth()
+        run_bpga(CompositeObjective(smooth, SeparableProx(lambda t: 0.1 * abs(t))), x0,
+                 BoostedConfig(max_iter=3))
+        assert screens == []
+        run_bpga(prob.as_composite(), x0, BoostedConfig(max_iter=3))
+        assert screens
+
+
+FBE_ROWS_CASES = {
+    "sec53": lambda: bench.build_problem(bench.preset("sec53", 0).problem),
+    "50x5": lambda: generate_problem(0, "lasso", 50, 5),
+    "30x4-lam0.2": lambda: generate_problem(0, "lasso", 30, 4, lam=0.2),
+}
+
+
+@pytest.mark.parametrize("case", FBE_ROWS_CASES)
+def test_fbe_rows_matches_the_per_point_envelope(case):
+    # the two round in another order; each term of the envelope is known to
+    # a few eps of its own magnitude (measured: at most 3.4 eps for values,
+    # 1.2 eps for gradients, at the scales below), not of the envelope
+    # value, which cancels (up to 96 eps of max(1, |value|))
+    eps = np.finfo(float).eps
+    problem = FBE_ROWS_CASES[case]()
+    comp = problem.as_composite()
+    gamma = 0.95 / problem.L
+    X = np.vstack([np.random.default_rng(1).uniform(-5.0, 5.0, (700, problem.n)),
+                   reference_optimum(problem).xstar, np.zeros(problem.n)])
+    values, G = problem.fbe_rows(X, gamma)
+    assert values.shape == (len(X),) and G.shape == X.shape
+    for x, value, gradient in zip(X, values, G):
+        ev = fbe_value_grad(comp, x, gamma)
+        D = ev.prox_point - x
+        gf = problem.smooth_grad(x)
+        terms = (problem.smooth_value(x) + abs(gf @ D) + D @ D / (2.0 * gamma)
+                 + problem.lam * np.abs(ev.prox_point).sum())
+        assert abs(value - ev.value) <= 32.0 * eps * terms
+        scale = (1.0 / gamma + problem.L) * (np.linalg.norm(x) + np.linalg.norm(ev.prox_point)
+                                             + gamma * np.linalg.norm(gf))
+        assert np.linalg.norm(gradient - ev.gradient) <= 16.0 * eps * scale
 
 
 class TestBHiPPA:

@@ -161,3 +161,19 @@ def test_rule_constructor_validation():
     with pytest.raises(UsageError):
         rule = DirectionRule("gradient")
         rule.base_direction(np.zeros(2), np.zeros(2))
+
+
+def test_push_keeps_history_only_for_rules_that_read_it():
+    x0, g0 = np.zeros(2), np.array([2.0, 1.0])
+    x1, g1 = np.array([1.0, -1.0]), np.array([3.0, 0.0])   # curvature <s, y> = 2
+    rule = DirectionRule("gradient")
+    rule.push(x0, g0)
+    rule.push(x1, g1)
+    assert rule._prev_x is None and rule._prev_g is None and not rule._pairs
+    assert rule.base_direction(x1, g1) == pytest.approx(-g1)
+    for kind in ("bb1", "bb2", "lbfgs"):
+        rule = DirectionRule(kind)
+        rule.push(x0, g0)
+        rule.push(x1, g1)
+        assert np.array_equal(rule._prev_x, x1) and np.array_equal(rule._prev_g, g1)
+        assert len(rule._pairs) == 1
