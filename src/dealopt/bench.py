@@ -26,7 +26,6 @@ from .core import (IterateTrace, UsageError, certify_descent,
 from .directions import DirectionRule, beta_for_holder
 from .solvers import ArmijoParams, DealConfig, run_deala, run_dealc
 
-DEAL_SOLVERS = ("deal-c", "deal-a", "bpga", "bhippa")
 HEURISTIC_BETAS = (0.5, 0.0, -0.2)
 
 
@@ -90,9 +89,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        errors = validate_config(doc)
-        if errors:
-            raise UsageError("invalid experiment config: " + "; ".join(errors))
+        _check_config(doc)
         return cls(
             problem=ProblemSpec(**doc.get("problem", {})),
             solvers=[SolverSpec(**s) for s in doc.get("solvers", [{}])],
@@ -102,7 +99,8 @@ class ExperimentConfig:
 
 
 def validate_config(doc: dict) -> list:
-    """Schema check for a config document; returns offending-key messages."""
+    """Schema check for a config document; returns offending-key messages.
+    Each solver, or its default, must be one the problem's family accepts."""
     errors = []
     if not isinstance(doc, dict):
         return ["config must be a JSON object"]
@@ -117,7 +115,12 @@ def validate_config(doc: dict) -> list:
             continue
         fields = {f.name for f in dataclasses.fields(klass)}
         errors.extend(f"{key}.{k} is not a recognized key" for k in sub if k not in fields)
-    solvers = doc.get("solvers", [])
+    problem = doc.get("problem", {})
+    kind = problem.get("kind", ProblemSpec.kind) if isinstance(problem, dict) else None
+    family = problems.FAMILIES.get(kind) if isinstance(kind, str) else None
+    if family is None and isinstance(problem, dict):
+        errors.append(f"problem.kind {kind!r} is not supported")
+    solvers = doc.get("solvers", [{}])
     if not isinstance(solvers, list):
         errors.append("solvers must be a list")
     else:
@@ -128,13 +131,17 @@ def validate_config(doc: dict) -> list:
                 continue
             errors.extend(f"solvers[{i}].{k} is not a recognized key"
                           for k in sub if k not in fields)
-            if sub.get("solver") not in DEAL_SOLVERS + (None,):
-                errors.append(f"solvers[{i}].solver must be one of {DEAL_SOLVERS}")
-    problem = doc.get("problem", {})
-    pk = problem.get("kind") if isinstance(problem, dict) else None
-    if pk not in ("leastp", "lasso", "powerabs", "quadratic", None):
-        errors.append(f"problem.kind {pk!r} is not supported")
+            accepted = DEAL_SOLVERS if family is None else family.solvers
+            if sub.get("solver", SolverSpec.solver) not in accepted:
+                errors.append(f"solvers[{i}].solver must be one of {accepted} "
+                              f"for problem.kind {kind!r}")
     return errors
+
+
+def _check_config(doc: dict) -> None:
+    errors = validate_config(doc)
+    if errors:
+        raise UsageError("invalid experiment config: " + "; ".join(errors))
 
 
 def build_problem(spec: ProblemSpec):
@@ -150,10 +157,14 @@ class RunResult:
     certificates: dict
     ok: bool
     fstar: Optional[float] = None
+    tau: Optional[float] = None     # the dominance constant the bundle used
 
 
 def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunResult:
     """Run one solver variant on a built problem and certify its trace."""
+    if spec.solver not in problem.solvers:
+        raise UsageError(f"solver must be one of {problem.solvers} for the {problem.kind} "
+                         f"family, got {spec.solver!r}")
     dim = problem.n
     rng = np.random.default_rng(run.x0_seed + rep)
     x0 = rng.uniform(-5.0, 5.0, size=dim)
@@ -161,35 +172,20 @@ def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunRes
                             "run": dataclasses.asdict(run),
                             "problem": problem.descriptor(), "rep": rep})
 
-    if spec.solver in ("deal-c", "deal-a"):
-        trace, ctx = _run_deal(problem, spec, run, x0)
-    elif spec.solver == "bpga":
-        trace, ctx = _run_bpga(problem, spec, run, x0)
-    elif spec.solver == "bhippa":
-        trace, ctx = _run_bhippa(problem, spec, run, x0)
-    else:
-        raise UsageError(f"unknown solver {spec.solver!r}")
+    trace, ctx = _RUNNERS[spec.solver](problem, spec, run, x0)
     trace.seed, trace.config_digest = run.x0_seed + rep, digest
     ref = problems.reference_optimum(problem)
     if ref.converged:
-        ctx.update(fstar=ref.fstar, xstar=ref.xstar)
+        ctx.update(fstar=ref.fstar, xstar=ref.xstar, tau=ref.tau)
     certificates = certify_run(trace, ctx)
     return RunResult(name=spec.name, trace=trace, certificates=certificates,
-                     ok=bundle_ok(certificates), fstar=ctx.get("fstar"))
-
-
-def _resolve_beta(spec: SolverSpec, nu: float) -> float:
-    if spec.beta == "auto":
-        return beta_for_holder(nu)
-    return float(spec.beta)
+                     ok=bundle_ok(certificates), fstar=ctx.get("fstar"),
+                     tau=ctx.get("tau") if trace.guaranteed else None)
 
 
 def _run_deal(problem, spec, run, x0):
-    if not isinstance(problem, problems.LeastPProblem) and not isinstance(
-            problem, problems.QuadraticProblem):
-        raise UsageError(f"{spec.solver} expects a smooth problem family")
     objective = problem.as_smooth()
-    beta = _resolve_beta(spec, objective.holder.nu)
+    beta = beta_for_holder(objective.holder.nu) if spec.beta == "auto" else float(spec.beta)
     rule = DirectionRule(spec.direction, beta=beta, c1=spec.c1, c2=spec.c2,
                          memory=spec.memory)
     armijo = ArmijoParams(eta=spec.eta,
@@ -198,17 +194,10 @@ def _run_deal(problem, spec, run, x0):
                      store_iterates=run.store_iterates)
     runner = run_dealc if spec.solver == "deal-c" else run_deala
     trace = runner(objective, x0, cfg)
-    ctx = {"evaluate": problem.value_grad, "rows": problem.value_grad_rows}
-    kl = objective.kl
-    consistent = getattr(problem, "consistent", False)
-    if kl is not None and (consistent or isinstance(problem, problems.QuadraticProblem)):
-        ctx["tau"] = kl.tau
-    return trace, ctx
+    return trace, {"evaluate": problem.value_grad, "rows": problem.value_grad_rows}
 
 
 def _run_bpga(problem, spec, run, x0):
-    if not isinstance(problem, problems.LassoProblem):
-        raise UsageError("the boosted proximal-gradient preset expects the lasso family")
     composite = problem.as_composite()
     beta = 0.0 if spec.beta == "auto" else float(spec.beta)
     rule = DirectionRule(spec.direction, beta=beta, memory=spec.memory)
@@ -224,8 +213,6 @@ def _run_bpga(problem, spec, run, x0):
 
 
 def _run_bhippa(problem, spec, run, x0):
-    if not isinstance(problem, problems.PowerAbsProblem):
-        raise UsageError("the boosted proximal-point preset expects the separable power family")
     phi = problem.as_prox_capable()
     kl = problem.kl_info()
     order = choose_order(kl.vartheta) if spec.order == "auto" else float(spec.order)
@@ -237,11 +224,17 @@ def _run_bhippa(problem, spec, run, x0):
                         store_iterates=run.store_iterates)
     trace = run_bhippa(phi, x0, cfg)
     gamma = trace.extras["gamma"]
-    ctx = {
+    return trace, {
         "evaluate": lambda x: envelopes.home_value_grad(phi, x, gamma, order),
+        "rows": lambda X: envelopes.home_rows(phi, X, gamma, order),
         "prox_oracle": lambda x: envelopes.prox_oracle_check(phi, x, gamma, order),
     }
-    return trace, ctx
+
+
+# each runner returns the trace and its certificate context (evaluate, rows, ...)
+_RUNNERS = {"deal-c": _run_deal, "deal-a": _run_deal, "bpga": _run_bpga,
+            "bhippa": _run_bhippa}
+DEAL_SOLVERS = tuple(_RUNNERS)
 
 
 def _given(**fields) -> dict:
@@ -249,28 +242,13 @@ def _given(**fields) -> dict:
     return {k: v for k, v in fields.items() if v is not None}
 
 
-def _shared_oracles(evaluate):
-    """Value and gradient oracles that share one ``evaluate(x)`` per point.
-
-    ``reevaluate_trace`` asks for the gradient and then the value at each
-    stored iterate; both come from one ``evaluate(x) -> (value, gradient)``.
-    """
-    last = [None, None]
-
-    def at(x):
-        if last[0] is None or not np.array_equal(last[0], x):
-            last[0], last[1] = np.array(x, dtype=float), tuple(evaluate(x))
-        return last[1]
-    return (lambda x: at(x)[0]), (lambda x: at(x)[1])
-
-
 def certify_run(trace: IterateTrace, ctx: dict) -> dict:
     """Certificate bundle for one finished run.
 
     Re-evaluates the stored iterates, if any, through the run's own oracles:
     in blocks through the batch oracle ``ctx["rows"](X) -> (values,
-    gradients)`` when the problem has one, else through ``ctx["evaluate"](x)
-    -> (value, gradient)`` once per distinct iterate.  It then cross-checks
+    gradients)`` that every runner supplies, else (the tests' reference)
+    through ``ctx["evaluate"](x) -> (value, gradient)``.  It then cross-checks
     the run's prox at the final iterate against the grid oracle when the run
     supplies that check (``prox_oracle``).  Applies every
     certificate whose constants are available: the solver's own (rho, theta,
@@ -288,10 +266,11 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
         return bundle
     checked = trace
     if all(rec.x is not None for rec in trace.records):
-        value, grad = _shared_oracles(ctx["evaluate"])
+        evaluate = ctx["evaluate"]
         # rows goes positionally: wrappers of reevaluate_trace bind
         # (trace, value, grad) and pass the rest through
-        checked = reevaluate_trace(trace, value, grad, ctx.get("rows"))
+        checked = reevaluate_trace(trace, lambda x: tuple(evaluate(x))[0],
+                                   lambda x: tuple(evaluate(x))[1], ctx.get("rows"))
         bundle["reevaluated"] = True
         if "prox_oracle" in ctx:
             bundle["prox_oracle"] = ctx["prox_oracle"](trace.records[-1].x)
@@ -338,6 +317,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     Deterministic for fixed seeds.  Returns the run directory; the summary
     records whether any guaranteed certificate failed.
     """
+    _check_config(config.as_dict())
     out = Path(config.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     problem = build_problem(config.problem)
@@ -357,7 +337,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
                 "config_digest": result.trace.config_digest,
                 "rho": result.trace.rho, "theta": result.trace.theta,
                 "guaranteed": result.trace.guaranteed,
-                "fstar": result.fstar,
+                "fstar": result.fstar, "tau": result.tau,
                 "extras": {k: v for k, v in result.trace.extras.items()},
                 "problem": problem.descriptor(),
             }

@@ -31,8 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     run = sub.add_parser("run", help="run one solver variant on a generated problem")
-    run.add_argument("--problem", choices=("leastp", "lasso", "powerabs", "quadratic"),
-                     default="leastp")
+    run.add_argument("--problem", choices=tuple(problems.FAMILIES), default=bench.ProblemSpec.kind)
     run.add_argument("--m", type=int, default=1000)
     run.add_argument("--n", type=int, default=200)
     run.add_argument("--p", type=float, default=1.5, help="least-p exponent")
@@ -93,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="debugging access to the numerical oracles")
     orc_sub = orc.add_subparsers(dest="oracle_verb", required=True)
     fd = orc_sub.add_parser("fd-grad")
-    fd.add_argument("--problem", choices=("leastp", "lasso"), default="leastp")
+    fd.add_argument("--problem", choices=tuple(problems.FAMILIES), default=bench.ProblemSpec.kind)
     fd.add_argument("--m", type=int, default=20)
     fd.add_argument("--n", type=int, default=5)
     fd.add_argument("--p", type=float, default=1.5)
@@ -216,10 +215,7 @@ def _sidecar_eps(trace_path):
 
 def _cmd_envelope(args) -> int:
     x = as_vector(json.loads(Path(args.at).read_text()), name="--at")
-    if args.g == "l1":
-        g = envelopes.L1Norm(args.weight)
-    else:
-        g = problems.PowerAbsProblem(s=args.s, n=x.size).as_prox_capable()
+    g = envelopes.L1Norm(args.weight) if args.g == "l1" else envelopes.AbsPower(args.s)
     ev = envelopes.home_value_grad(g, x, args.gamma, args.p)
     print(json.dumps({
         "x": ev.x.tolist(),
@@ -236,11 +232,10 @@ def _cmd_oracle(args) -> int:
         prob = problems.generate_problem(args.seed, args.problem, args.m, args.n,
                                          p=args.p, lam=args.lam)
         x = as_vector(json.loads(Path(args.at).read_text()), prob.n, "--at")
-        value = prob.value if args.problem == "leastp" else prob.smooth_value
-        grad = prob.grad if args.problem == "leastp" else prob.smooth_grad
-        fd = oracles.finite_diff_gradient(value, x)
+        smooth = prob.as_smooth()
+        fd = oracles.finite_diff_gradient(smooth.value, x)
         print(json.dumps({"finite_diff": fd.tolist(),
-                          "closed_form": np.asarray(grad(x)).tolist()}, indent=2))
+                          "closed_form": np.asarray(smooth.grad(x)).tolist()}, indent=2))
         return EXIT_OK
     if args.oracle_verb == "spectral":
         A = np.asarray(json.loads(Path(args.matrix).read_text()), dtype=float)

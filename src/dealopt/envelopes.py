@@ -10,7 +10,9 @@ coordinates at once by safeguarded Newton.  An arbitrary scalar term
 (``SeparableProx``) goes through ``prox_home_separable``, a bracketed grid +
 golden-section oracle that surfaces near-ties between basins through a
 ``multi_valued`` flag instead of assuming them away; ``prox_oracle_check``
-uses the same oracle to cross-check a fast prox.
+uses the same oracle to cross-check a fast prox.  ``fbe_value``,
+``fbe_value_grad`` and ``forward_backward_map`` take a validated 1-D float
+array, as the problem oracles do.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import oracles
 from .core import (CapabilityError, CompositeObjective, DataError,
-                   NumericalError, UsageError, as_vector)
+                   NumericalError, UsageError)
 
 
 def prox_l1(x, w: float) -> np.ndarray:
@@ -75,7 +77,7 @@ class AbsPower:
     convex, so its minimizer is the unique root of the increasing function
     F(u) = s sign(u)|u|^(s-1) + sign(u - x)|u - x|^(p-1) / gamma, which lies
     between 0 and x.  ``_abs_power_root`` finds it for every coordinate at
-    once.
+    once, so the prox acts elementwise on an array of any shape.
     """
 
     def __init__(self, s: float):
@@ -93,7 +95,7 @@ class AbsPower:
         if not (p > 1.0 and gamma > 0.0):
             raise UsageError("need p > 1 and gamma > 0")
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.sign(x) * _abs_power_root(np.abs(x), self.s, gamma, p)
+        return np.sign(x) * _abs_power_root(np.abs(x).ravel(), self.s, gamma, p).reshape(x.shape)
 
     def prox_detailed(self, x, gamma, p: float = 2.0) -> ProxResult:
         return ProxResult(self.prox(x, gamma, p), False)
@@ -275,15 +277,27 @@ def home_value_grad(g, x, gamma: float, p: float = 2.0) -> EnvelopeEval:
     value is still returned but the gradient is refused (None).
     """
     ev = _home(g, x, gamma, p)
-    if ev.multi_valued:
-        return ev
-    d = ev.x - ev.prox_point
-    if p == 2.0:
-        ev.gradient = d / gamma
-    else:
-        ev.gradient = np.abs(d) ** (p - 2.0) * d / gamma
-        ev.gradient[d == 0.0] = 0.0
+    if not ev.multi_valued:
+        ev.gradient = _home_gradient(ev.x - ev.prox_point, gamma, p)
     return ev
+
+
+def home_rows(g, X, gamma: float, p: float = 2.0):
+    """Envelope values and gradients at the rows of ``X`` from one prox solve,
+    for a term whose ``prox`` and ``scalar`` act elementwise (``AbsPower``).
+    Each row's sums are the per-point ones, so rows agree with ``home_value_grad``."""
+    Y = g.prox(X, gamma, p)
+    D = X - Y
+    values = g.scalar(Y).sum(axis=1) + [_penalty(d, gamma, p) for d in D]
+    return values, _home_gradient(D, gamma, p)
+
+
+def _home_gradient(d, gamma, p):
+    if p == 2.0:
+        return d / gamma
+    grad = np.abs(d) ** (p - 2.0) * d / gamma
+    grad[d == 0.0] = 0.0
+    return grad
 
 
 def home_value(g, x, gamma: float, p: float = 2.0) -> float:
@@ -316,7 +330,7 @@ def _penalty(d, gamma, p):
 
 def forward_backward_map(problem: CompositeObjective, x, gamma: float) -> np.ndarray:
     """Gradient step on the smooth part followed by the order-2 prox of the rest."""
-    return _forward_backward(problem, x, gamma)[2]
+    return _forward_backward(problem, x, gamma)[1]
 
 
 def fbe_value_grad(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval:
@@ -342,7 +356,7 @@ def fbe_value(problem: CompositeObjective, x, gamma: float) -> float:
 
 def _fbe(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval:
     """Forward-backward point T and envelope value at x, without the gradient."""
-    x, gf, T = _forward_backward(problem, x, gamma)
+    gf, T = _forward_backward(problem, x, gamma)
     d = T - x
     value = float(problem.smooth.value(x) + gf @ d + (d @ d) / (2.0 * gamma)
                   + problem.nonsmooth.value(T))
@@ -350,12 +364,11 @@ def _fbe(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval:
 
 
 def _forward_backward(problem: CompositeObjective, x, gamma: float):
-    """x as a vector, grad f(x), and the forward-backward point T."""
+    """grad f(x) and the forward-backward point T."""
     _check_gamma(problem, gamma)
-    x = as_vector(x, problem.smooth.dim)
     gf = problem.smooth.grad(x)
     T = problem.nonsmooth.prox(x - gamma * gf, gamma, 2.0)
-    return x, gf, np.atleast_1d(np.asarray(T, dtype=float))
+    return gf, np.atleast_1d(np.asarray(T, dtype=float))
 
 
 def _check_gamma(problem: CompositeObjective, gamma: float) -> float:

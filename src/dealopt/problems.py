@@ -3,7 +3,8 @@ gradient-dominance constants each family is known to satisfy.
 
 Two data-driven families (least-p residual fitting and l1-regularized least
 squares) plus two synthetic sanity families (separable powers of |x_i| and
-quadratics).
+quadratics).  ``FAMILIES`` maps each kind to its class, which declares the
+``solvers`` it accepts, how it is drawn (``generate``) and its ``reference``.
 
 Constructors validate their data.  The oracles do not re-check ``x``: it is
 validated once where it enters, by the solver entry points and the CLI.
@@ -32,6 +33,12 @@ class LeastPProblem:
     """
 
     kind = "leastp"
+    solvers = ("deal-c", "deal-a")
+
+    @classmethod
+    def generate(cls, seed, m, n, *, p, consistent, **_):
+        return _draw(seed, m, n, consistent,
+                     lambda A, b, attempt: cls(A, b, p, seed=attempt, consistent=consistent))
 
     def __init__(self, A, b, p, seed: Optional[int] = None, consistent: bool = False):
         A = np.asarray(A, dtype=float)
@@ -40,7 +47,8 @@ class LeastPProblem:
         if not 1.0 < p <= 2.0:
             raise UsageError(f"p must lie in (1, 2], got {p}")
         self.A = A
-        self.b = as_vector(b, A.shape[0], "b")
+        self.m, self.n = A.shape
+        self.b = as_vector(b, self.m, "b")
         self.p = float(p)
         self.seed = seed
         self.consistent = consistent
@@ -51,14 +59,6 @@ class LeastPProblem:
             raise NumericalError("A is numerically rank deficient")
         self.x_ls, *_ = np.linalg.lstsq(A, self.b, rcond=None)
         self.fstar = self.value(self.x_ls)
-
-    @property
-    def m(self):
-        return self.A.shape[0]
-
-    @property
-    def n(self):
-        return self.A.shape[1]
 
     def value(self, x):
         r = self.A @ x - self.b
@@ -129,11 +129,22 @@ class LeastPProblem:
             "vartheta": vartheta, "tau": tau,
         }
 
+    def reference(self) -> "ReferenceOptimum":
+        # tau bounds (f - 0)^vartheta: it goes with fstar only when b is planted
+        return ReferenceOptimum(self.fstar, self.x_ls.copy(), True,
+                                self.constants()[3] if self.consistent else None)
+
 
 class LassoProblem:
     """phi(x) = 0.5 ||A x - b||^2 + lam ||x||_1."""
 
     kind = "lasso"
+    solvers = ("bpga",)
+
+    @classmethod
+    def generate(cls, seed, m, n, *, lam, consistent, **_):
+        return _draw(seed, m, n, consistent,
+                     lambda A, b, attempt: cls(A, b, lam, seed=attempt))
 
     def __init__(self, A, b, lam, seed: Optional[int] = None):
         A = np.asarray(A, dtype=float)
@@ -142,19 +153,12 @@ class LassoProblem:
         if not lam > 0.0:
             raise UsageError(f"lambda must be positive, got {lam}")
         self.A = A
-        self.b = as_vector(b, A.shape[0], "b")
+        self.m, self.n = A.shape
+        self.b = as_vector(b, self.m, "b")
         self.lam = float(lam)
         self.seed = seed
         self.opnorm = oracles.spectral_constants(A).opnorm
         self.L = self.opnorm ** 2
-
-    @property
-    def m(self):
-        return self.A.shape[0]
-
-    @property
-    def n(self):
-        return self.A.shape[1]
 
     def smooth_value(self, x):
         r = self.A @ x - self.b
@@ -194,6 +198,10 @@ class LassoProblem:
         # cheap, and every variant run on this problem shares the one solve
         return _lasso_reference(self)
 
+    def reference(self) -> "ReferenceOptimum":
+        ref = self._reference
+        return ReferenceOptimum(ref.fstar, ref.xstar.copy(), ref.converged)
+
     def as_smooth(self) -> SmoothObjective:
         return SmoothObjective(
             dim=self.n,
@@ -228,6 +236,11 @@ class PowerAbsProblem:
     """
 
     kind = "powerabs"
+    solvers = ("bhippa",)
+
+    @classmethod
+    def generate(cls, seed, m, n, *, s, **_):
+        return cls(s=s, n=max(n, 1))
 
     def __init__(self, s, n=1):
         if not s > 1.0:
@@ -263,11 +276,22 @@ class PowerAbsProblem:
         return {"kind": self.kind, "s": self.s, "n": self.n, "fstar": 0.0,
                 "vartheta": kl.vartheta, "tau": kl.tau}
 
+    def reference(self) -> "ReferenceOptimum":
+        # kl_info's tau is phi's, not its envelope's, which bhippa certifies
+        return ReferenceOptimum(0.0, np.zeros(self.n), True)
+
 
 class QuadraticProblem:
     """f(x) = 0.5 x^T Q x + c^T x with symmetric positive semidefinite Q."""
 
     kind = "quadratic"
+    solvers = ("deal-c", "deal-a")
+
+    @classmethod
+    def generate(cls, seed, m, n, **_):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((max(m, n), n))
+        return cls(M.T @ M + np.eye(n), rng.standard_normal(n))  # safely positive definite
 
     def __init__(self, Q, c=None):
         Q = np.asarray(Q, dtype=float)
@@ -285,8 +309,9 @@ class QuadraticProblem:
             raise UsageError("Q must be positive semidefinite")
         self.lam_min = float(max(eig[0], 0.0))
         self.L = float(eig[-1])
-        self.positive_definite = self.lam_min > 1e-12
-        if self.positive_definite:
+        # positive definite: gradient dominance with exponent 1/2 and this tau
+        self.tau = 1.0 / math.sqrt(2.0 * self.lam_min) if self.lam_min > 1e-12 else None
+        if self.tau is not None:
             self.xstar = np.linalg.solve(Q, -self.c)
         else:
             self.xstar = _attained_minimiser(Q, self.c, self.L)
@@ -313,9 +338,7 @@ class QuadraticProblem:
         return self.Q @ v
 
     def as_smooth(self) -> SmoothObjective:
-        kl = None
-        if self.positive_definite:
-            kl = KLInfo(vartheta=0.5, tau=1.0 / math.sqrt(2.0 * self.lam_min))
+        kl = KLInfo(vartheta=0.5, tau=self.tau) if self.tau is not None else None
         return SmoothObjective(
             dim=self.n, value=self.value, grad=self.grad,
             value_grad=self.value_grad, hess_apply=self.hess_apply,
@@ -327,6 +350,11 @@ class QuadraticProblem:
     def descriptor(self) -> dict:
         return {"kind": self.kind, "n": self.n, "L": self.L,
                 "lam_min": self.lam_min, "fstar": self.fstar}
+
+    def reference(self) -> "ReferenceOptimum":
+        if self.xstar is None:
+            return ReferenceOptimum(None, None, False)
+        return ReferenceOptimum(self.fstar, self.xstar.copy(), True, self.tau)
 
 
 def _attained_minimiser(Q, c, L):
@@ -342,6 +370,9 @@ def _attained_minimiser(Q, c, L):
     return x if np.linalg.norm(Q @ x + c) <= tol else None
 
 
+FAMILIES = {family.kind: family for family in
+            (LeastPProblem, LassoProblem, PowerAbsProblem, QuadraticProblem)}
+
 # draws of a data-driven family tried before generate_problem gives up
 _MAX_REGEN = 5
 
@@ -355,31 +386,23 @@ def generate_problem(seed: int, kind: str, m: int = 0, n: int = 0, *,
     A draw whose smallest singular value is below 1e-10 is regenerated with a
     shifted seed; the instance records the seed actually used.
     """
-    kind = kind.lower()
-    if kind == "powerabs":
-        return PowerAbsProblem(s=s, n=max(n, 1))
-    if kind == "quadratic":
-        rng = np.random.default_rng(seed)
-        M = rng.standard_normal((max(m, n), n))
-        Q = M.T @ M + np.eye(n)  # safely positive definite
-        return QuadraticProblem(Q, rng.standard_normal(n))
-    if kind not in ("leastp", "lasso"):
+    family = FAMILIES.get(kind.lower())
+    if family is None:
         raise UsageError(f"unknown problem kind {kind!r}")
+    return family.generate(seed, m, n, p=p, lam=lam, s=s, consistent=consistent)
+
+
+def _draw(seed, m, n, consistent, build):
+    """``build(A, b, seed)`` on the first draw it accepts without NumericalError."""
     if m < n or n < 1:
         raise UsageError("need m >= n >= 1 for data-driven families")
     attempt = seed
     for _ in range(_MAX_REGEN):
         rng = np.random.default_rng(attempt)
         A = rng.standard_normal((m, n))
-        if consistent:
-            x_true = rng.standard_normal(n)
-            b = A @ x_true
-        else:
-            b = rng.standard_normal(m)
+        b = A @ rng.standard_normal(n) if consistent else rng.standard_normal(m)
         try:
-            if kind == "leastp":
-                return LeastPProblem(A, b, p, seed=attempt, consistent=consistent)
-            return LassoProblem(A, b, lam, seed=attempt)
+            return build(A, b, attempt)
         except NumericalError:
             attempt += 1  # rank-deficient draw; shift seed and retry
     raise NumericalError(f"could not draw a full-rank {m}x{n} matrix after {_MAX_REGEN} tries")
@@ -390,31 +413,14 @@ class ReferenceOptimum:
     fstar: Optional[float]
     xstar: Optional[np.ndarray]
     converged: bool
+    tau: Optional[float] = None     # the dominance constant valid with fstar, if known
 
 
 def reference_optimum(problem) -> ReferenceOptimum:
-    """High-confidence optimal value and minimiser for rate fits and certificates.
-
-    Least-p and positive-definite quadratics have closed forms, and the
-    separable powers attain 0 at the origin.  A singular quadratic takes the
-    least-squares solution of Q x = -c when that solves the system to
-    rounding; otherwise it is unbounded below and reported not converged.
-    The lasso family runs a fixed-step forward-backward iteration once per
-    problem (see ``_lasso_reference``); a run that hits the cap is flagged
-    low-confidence rather than silently trusted.
-    """
-    if isinstance(problem, LeastPProblem):
-        return ReferenceOptimum(problem.fstar, problem.x_ls.copy(), True)
-    if isinstance(problem, PowerAbsProblem):
-        return ReferenceOptimum(0.0, np.zeros(problem.n), True)
-    if isinstance(problem, QuadraticProblem):
-        if problem.xstar is None:
-            return ReferenceOptimum(None, None, False)
-        return ReferenceOptimum(problem.fstar, problem.xstar.copy(), True)
-    if isinstance(problem, LassoProblem):
-        ref = problem._reference
-        return ReferenceOptimum(ref.fstar, ref.xstar.copy(), ref.converged)
-    raise UsageError(f"no reference optimum rule for {type(problem).__name__}")
+    """High-confidence optimal value, minimiser and dominance constant for
+    rate fits and certificates, from the problem's family.  One that did not
+    converge (an unbounded quadratic, a capped lasso solve) is flagged so."""
+    return problem.reference()
 
 
 def _lasso_reference(problem: LassoProblem) -> ReferenceOptimum:

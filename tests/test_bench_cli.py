@@ -23,6 +23,13 @@ def small_config(tmp_path, solvers=None, **problem_kw):
     )
 
 
+def bhippa_config(n, seed):
+    return bench.ExperimentConfig(
+        problem=bench.ProblemSpec(kind="powerabs", n=n, s=4.0, seed=seed),
+        solvers=[bench.SolverSpec(name="BHIPPA", solver="bhippa", order="auto")],
+        run=bench.RunSpec(x0_seed=seed))
+
+
 def assert_strict_json(run_dir, n_files):
     """Every JSON file in run_dir parses without NaN or Infinity."""
     def reject(constant):
@@ -262,9 +269,11 @@ class TestRunExperiment:
         assert batched["reevaluated"] and "descent" in batched
         assert verdicts(batched) == verdicts(per_point)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_bpga_batch_reevaluation_keeps_every_verdict(self, monkeypatch, seed):
-        config = bench.preset("sec53", seed)
+    @pytest.mark.parametrize("config", [
+        *(pytest.param(bench.preset("sec53", seed), id=str(seed)) for seed in range(5)),
+        *(pytest.param(bhippa_config(100, seed), id=f"bhippa-n100-{seed}") for seed in (7, 8)),
+    ])
+    def test_bpga_batch_reevaluation_keeps_every_verdict(self, monkeypatch, config):
         problem = bench.build_problem(config.problem)
         real_certify = bench.certify_run
         seen = []
@@ -275,7 +284,7 @@ class TestRunExperiment:
         monkeypatch.setattr(bench, "certify_run", certify)
         for spec in config.solvers:
             bench.run_variant(problem, spec, config.run)
-        assert len(seen) == len(config.solvers) == 5
+        assert len(seen) == len(config.solvers)
         for trace, ctx in seen:
             assert "rows" in ctx
             batched = real_certify(trace, ctx)
@@ -323,6 +332,69 @@ class TestRunExperiment:
             assert bundle["displacement"]["n_checked"] > 0
             for key in ("passed", "n_checked"):
                 assert doc["displacement"][key] == bundle["displacement"][key]
+
+
+class TestFamilies:
+    def test_a_solver_the_family_refuses_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        rc = cli.main(["run", "--problem", "lasso", "--m", "30", "--n", "4",
+                       "--solver", "deal-c", "--out", str(out)])
+        assert rc == cli.EXIT_USAGE and not out.exists()
+        assert ("solvers[0].solver must be one of ('bpga',) for problem.kind 'lasso'"
+                in capsys.readouterr().err)
+        # a missing solver or kind is its SolverSpec or ProblemSpec default
+        assert bench.validate_config({"problem": {"kind": "lasso"}}) == [
+            "solvers[0].solver must be one of ('bpga',) for problem.kind 'lasso'"]
+        assert bench.validate_config({"solvers": [{"solver": "bhippa"}]}) == [
+            "solvers[0].solver must be one of ('deal-c', 'deal-a') for problem.kind 'leastp'"]
+        config = bench.ExperimentConfig.from_dict({"problem": {"kind": "lasso"},
+                                                   "solvers": [{"solver": "bpga"}]})
+        config.solvers[0].solver = "bhippa"
+        config.output.directory = str(out)
+        with pytest.raises(UsageError, match=r"must be one of \('bpga',\)"):
+            bench.run_experiment(config)
+        assert not out.exists()
+        lasso = bench.build_problem(config.problem)
+        with pytest.raises(UsageError, match=r"one of \('bpga',\) for the lasso family"):
+            bench.run_variant(lasso, bench.SolverSpec(solver="deal-c"), bench.RunSpec())
+
+    def test_a_family_registered_in_problems_reaches_every_reader(self, tmp_path,
+                                                                monkeypatch, capsys):
+        class Toy(problems.QuadraticProblem):
+            kind = "toy"
+            solvers = ("deal-a",)
+
+            @classmethod
+            def generate(cls, seed, m, n, **_):
+                return cls(np.diag(np.arange(1.0, n + 1.0)), np.ones(n))
+
+        monkeypatch.setitem(problems.FAMILIES, "toy", Toy)
+        assert bench.validate_config({"problem": {"kind": "toy"},
+                                      "solvers": [{"solver": "deal-a"}]}) == []
+        parser = cli.build_parser()
+        assert parser.parse_args(["oracle", "fd-grad", "--problem", "toy",
+                                  "--at", "x.json"]).problem == "toy"
+        run = ["run", "--problem", "toy", "--n", "4", "--x0-seed", "2"]
+        assert cli.main(run + ["--solver", "deal-c", "--out", str(tmp_path / "c")]) == cli.EXIT_USAGE
+        assert "one of ('deal-a',) for problem.kind 'toy'" in capsys.readouterr().err
+        assert cli.main(run + ["--solver", "deal-a", "--out", str(tmp_path / "a")]) == cli.EXIT_OK
+        sidecar = json.loads((tmp_path / "a" / "DEAL-A.json").read_text())
+        bundle = json.loads((tmp_path / "a" / "DEAL-A.certificates.json").read_text())
+        assert sidecar["problem"]["kind"] == "toy"
+        assert sidecar["tau"] == 1.0 / np.sqrt(2.0) and bundle["complexity"]["passed"]
+
+    def test_sidecar_records_the_tau_the_bundle_used(self, tmp_path):
+        solvers = [bench.SolverSpec(name="DEAL-C", solver="deal-c"),
+                   bench.SolverSpec(name="DEAL-C1", solver="deal-c", beta=0.5)]
+        for consistent in (True, False):
+            out = bench.run_experiment(small_config(tmp_path / str(consistent), solvers,
+                                                    consistent=consistent))
+            tau = json.loads((out / "problem.json").read_text())["tau"]
+            for stem, used in (("DEAL-C", consistent), ("DEAL-C1", False)):
+                sidecar = json.loads((out / f"{stem}.json").read_text())
+                bundle = json.loads((out / f"{stem}.certificates.json").read_text())
+                assert sidecar["tau"] == (tau if used else None)
+                assert ("complexity" in bundle) == used
 
 
 class TestBHiPPAVariant:

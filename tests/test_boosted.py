@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from dealopt import bench, boosted, envelopes
 from dealopt.analysis import fit_linear_rate
 from dealopt.boosted import BoostedConfig, choose_order, run_bhippa, run_bpga
-from dealopt.core import (CompositeObjective, DataError, HolderInfo,
-                          SmoothObjective, UsageError, certify_descent,
-                          reevaluate_trace)
+from dealopt.core import (REEVALUATE_BLOCK, CompositeObjective, DataError,
+                          HolderInfo, SmoothObjective, UsageError,
+                          certify_descent, reevaluate_trace)
 from dealopt.directions import DirectionRule
 from dealopt.envelopes import (SeparableProx, fbe_value, fbe_value_grad,
                                forward_backward_map, home_value,
@@ -344,6 +345,35 @@ def test_fbe_rows_matches_the_per_point_envelope(case):
         assert np.linalg.norm(gradient - ev.gradient) <= 16.0 * eps * scale
 
 
+HOME_ROWS_POINTS = np.vstack([
+    np.random.default_rng(2).uniform(-5.0, 5.0, (300, 6)),
+    [0.0, 1e-12, -1e-12, 5e-324, 50.0, -100.0],
+    [-100.0, 50.0, -5e-324, -1e-12, 1e-12, 0.0],
+])
+
+
+@pytest.mark.parametrize("s", [3.0, 4.0, 6.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0, "matched"])
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_home_rows_matches_the_per_point_envelope(s, p):
+    # one prox solve for the block against one per point: the prox is
+    # elementwise and each row's sums are the per-point ones, so every term
+    # agrees to a few eps of its own magnitude (measured: bitwise).  The
+    # warnings come from |d|^(p-2) at d = 0 for p < 2, zeroed by both.
+    eps = np.finfo(float).eps
+    p = choose_order(1.0 - 1.0 / s) if p == "matched" else p
+    g = PowerAbsProblem(s=s, n=6).as_prox_capable()
+    for gamma in (1.0, 0.3):
+        values, G = envelopes.home_rows(g, HOME_ROWS_POINTS, gamma, p)
+        assert values.shape == (len(HOME_ROWS_POINTS),) and G.shape == HOME_ROWS_POINTS.shape
+        for x, value, gradient in zip(HOME_ROWS_POINTS, values, G):
+            ev = home_value_grad(g, x, gamma, p)
+            # both terms of the envelope are nonnegative: ev.value is their sum
+            assert abs(value - ev.value) <= 4.0 * eps * ev.value
+            assert np.all(np.abs(gradient - ev.gradient) <= 4.0 * eps * np.abs(ev.gradient))
+
+
 class TestBHiPPA:
     def test_pure_prox_on_quadratic_halves_iterates(self):
         phi = SeparableProx(lambda t: 0.5 * t * t)
@@ -479,19 +509,34 @@ class TestBHiPPAScale:
         assert certs["prox_oracle"]["worst_excess"] <= 1e-12
 
     def test_reevaluation_computes_each_envelope_once(self, monkeypatch):
-        calls = {"home_value": 0, "home_value_grad": 0}
-        for name in calls:
+        # each distinct stored iterate is re-evaluated once, through one batch
+        # call per block of REEVALUATE_BLOCK distinct iterates, and never
+        # through the per-point envelope
+        calls = Counter()
+        rows = []
+        for name in ("home_value", "home_value_grad", "home_rows"):
             real = getattr(envelopes, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
+                if _name == "home_rows":
+                    rows.append(len(args[1]))
                 return _real(*args, **kwargs)
             monkeypatch.setattr(envelopes, name, counted)
         problem, spec, run = _bhippa_experiment(5)
-        result = bench.run_variant(problem, spec, run)
-        assert result.certificates["reevaluated"]
-        # the solver calls boosted's own names; these are re-evaluation only
-        assert calls == {"home_value": 0, "home_value_grad": len(result.trace)}
+        # matched order: 36 records; order 2 to max_iter: three blocks
+        for order, extra in (("auto", {}), (2.0, dict(eps=1e-12, max_iter=1200))):
+            calls.clear()
+            rows.clear()
+            result = bench.run_variant(problem, dataclasses.replace(spec, order=order),
+                                       dataclasses.replace(run, **extra))
+            assert result.certificates["reevaluated"]
+            records = result.trace.records
+            distinct = 1 + sum(b.x is not a.x for a, b in zip(records, records[1:]))
+            # the solver calls boosted's own names; these are re-evaluation only
+            assert calls == {"home_rows": -(-distinct // REEVALUATE_BLOCK)}
+            assert sum(rows) == distinct
+        assert len(rows) == 3
 
 
 def test_bpga_nonfinite_start_stops_without_a_record():
