@@ -194,6 +194,9 @@ def _run_deal(problem, spec, run, x0):
                      store_iterates=run.store_iterates)
     runner = run_dealc if spec.solver == "deal-c" else run_deala
     trace = runner(objective, x0, cfg)
+    # the boosted loop records this itself; _descend does not, because its
+    # fixed-point replay skips the rule, so the count covers evaluated steps
+    trace.extras["direction_fallbacks"] = rule.fallback_count
     return trace, {"evaluate": problem.value_grad, "rows": problem.value_grad_rows}
 
 
@@ -231,7 +234,8 @@ def _run_bhippa(problem, spec, run, x0):
     }
 
 
-# each runner returns the trace and its certificate context (evaluate, rows, ...)
+# each runner returns the trace, with the direction rule's fallback count in
+# its extras, and its certificate context (evaluate, rows, ...)
 _RUNNERS = {"deal-c": _run_deal, "deal-a": _run_deal, "bpga": _run_bpga,
             "bhippa": _run_bhippa}
 DEAL_SOLVERS = tuple(_RUNNERS)
@@ -325,6 +329,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
                                                  default=_json_default))
     (out / "config.json").write_text(json.dumps(config.as_dict(), indent=2))
     summary = {"variants": [], "ok": True, "terminations": Counter()}
+    series = {}
     for spec in config.solvers:
         for rep in range(config.run.repetitions):
             result = run_variant(problem, spec, config.run, rep)
@@ -359,41 +364,51 @@ def run_experiment(config: ExperimentConfig) -> Path:
             })
             summary["ok"] = summary["ok"] and result.ok
             summary["terminations"][result.trace.extras.get("termination")] += 1
+            series[stem] = _series(spec.name, result.fstar, result.trace)
     (out / "summary.json").write_text(json.dumps(summary, indent=2,
                                                  default=_json_default))
-    emit_plot_data(out)
+    emit_plot_data(out, series)
     return out
 
 
-def emit_plot_data(run_dir) -> Path:
+def emit_plot_data(run_dir, series=None) -> Path:
     """Condense a run directory into series.csv: variant,k,f_gap,grad_norm.
 
-    The traces are those its ``summary.json`` lists, in file-name order, so
-    CSVs left by an earlier run into the same directory are not mixed in.
+    ``series`` maps each trace's stem to its ``_series`` columns, as
+    ``run_experiment`` keeps them in memory.  Without it, the traces are read
+    back: those the directory's ``summary.json`` lists, so CSVs left by an
+    earlier run into the same directory are not mixed in.  Either way the
+    traces go in file-name order.
     """
     run_dir = Path(run_dir)
-    summary = run_dir / "summary.json"
-    if not summary.exists():
-        raise UsageError(f"no summary.json found in {run_dir}")
-    variants = json.loads(summary.read_text())["variants"]
-    repeated = {v["variant"] for v in variants if v["rep"] > 0}
-    stems = sorted({f"{v['variant']}_rep{v['rep']}" if v["variant"] in repeated
-                    else v["variant"] for v in variants}, key=lambda stem: stem + ".csv")
-    rows = []
-    for stem in stems:
-        meta = json.loads((run_dir / f"{stem}.json").read_text())
-        trace = IterateTrace.from_csv(run_dir / f"{stem}.csv")
-        f = trace.f_values()
-        fstar = meta["fstar"]
-        base = fstar if fstar is not None else float(f.min())
-        for rec, gap in zip(trace.records, f - base):
-            rows.append((meta["variant"], rec.k, float(gap), float(rec.grad_norm)))
+    if series is None:
+        summary = run_dir / "summary.json"
+        if not summary.exists():
+            raise UsageError(f"no summary.json found in {run_dir}")
+        variants = json.loads(summary.read_text())["variants"]
+        repeated = {v["variant"] for v in variants if v["rep"] > 0}
+        series = {}
+        for stem in {f"{v['variant']}_rep{v['rep']}" if v["variant"] in repeated
+                     else v["variant"] for v in variants}:
+            meta = json.loads((run_dir / f"{stem}.json").read_text())
+            series[stem] = _series(meta["variant"], meta["fstar"],
+                                   IterateTrace.from_csv(run_dir / f"{stem}.csv"))
     target = run_dir / "series.csv"
     with open(target, "w") as fh:
         fh.write("variant,k,f_gap,grad_norm\n")
-        for variant, k, gap, gn in rows:
-            fh.write(f"{variant},{k},{gap!r},{gn!r}\n")
+        for stem in sorted(series, key=lambda stem: stem + ".csv"):
+            variant, fstar, k, f, grad_norm = series[stem]
+            base = fstar if fstar is not None else float(f.min())
+            fh.writelines(f"{variant},{i},{gap!r},{gn!r}\n" for i, gap, gn in zip(
+                k.tolist(), (f - base).tolist(), grad_norm.tolist()))
     return target
+
+
+def _series(variant, fstar, trace: IterateTrace):
+    """The columns series.csv needs of one trace: (variant, fstar, k, f,
+    grad_norm), the last three as arrays, so no record or iterate is kept."""
+    k = np.array([rec.k for rec in trace.records], dtype=np.int64)
+    return variant, fstar, k, trace.f_values(), trace.grad_norms()
 
 
 def _json_default(obj):

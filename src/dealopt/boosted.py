@@ -13,6 +13,8 @@ in which the envelope values contract linearly.
 
 Both run one loop, ``_boost``; they differ only in the envelope, the
 candidate point built from a trial step, and the schedule of trial steps.
+The loop evaluates the envelope once per accepted point: the evaluation that
+accepted a trial is completed with its gradient for the next step.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import numpy as np
 from .core import (CompositeObjective, IterateRecord, IterateTrace, UsageError,
                    as_vector)
 from .directions import DirectionRule, generalize
-from .envelopes import (L1Norm, _check_gamma, fbe_value, fbe_value_grad,
-                        home_value, home_value_grad, prox_l1)
+from .envelopes import (L1Norm, _check_gamma, fbe_complete, fbe_value,
+                        fbe_value_grad, home_complete, home_value,
+                        home_value_grad, prox_l1)
 
 
 @dataclass
@@ -113,6 +116,7 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig) -> IterateT
     return _boost(as_vector(x0, problem.smooth.dim, "x0"), config, rule, trace,
                   lambda x: fbe_value_grad(problem, x, gamma),
                   lambda x: fbe_value(problem, x, gamma),
+                  lambda ev: fbe_complete(problem, ev, gamma),
                   lambda x, T, alpha, d: T + alpha * d, trials, schedule=schedule)
 
 
@@ -205,6 +209,7 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
     return _boost(as_vector(x0, name="x0"), config, rule, trace,
                   lambda x: home_value_grad(phi, x, gamma, p),
                   lambda x: home_value(phi, x, gamma, p),
+                  lambda ev: home_complete(ev, gamma, p),
                   lambda x, y, kappa, d: (1.0 - kappa) * y + kappa * (x + d), trials,
                   x_tol=config.eps * gamma ** q)
 
@@ -212,22 +217,30 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
 # an overflowing trial fails the decrease test; numpy need not warn
 @np.errstate(over="ignore", invalid="ignore")
 def _boost(x, config: BoostedConfig, rule: DirectionRule, trace: IterateTrace,
-           evaluate, value, candidate, trials, x_tol: Optional[float] = None,
-           schedule=None):
+           evaluate, value, complete, candidate, trials,
+           x_tol: Optional[float] = None, schedule=None):
     """The iteration loop of both boosted solvers, filling ``trace``.
 
     ``evaluate(x)`` gives the envelope value, gradient and proximal point y
-    at x, and ``value(x)`` the envelope value alone.  Each step tries
-    ``candidate(x, y, t, d)`` for every (m, t) in ``trials`` in order and
-    takes the first one whose envelope value is at most
-    value - rho ||grad||^theta; otherwise it takes y.  ``schedule(y, d,
+    at x, and ``value(x)`` the envelope value alone, as an ``EnvelopeValue``
+    that keeps its evaluation.  Each step tries ``candidate(x, y, t, d)`` for
+    every (m, t) in ``trials`` in order and takes the first one whose
+    envelope value is at most value - rho ||grad||^theta; otherwise it takes
+    y.  The accepted trial's evaluation is carried to the next step, where
+    ``complete(ev)`` adds its gradient alone, so the envelope is evaluated
+    once per accepted point: ``evaluate`` runs only at k=0 and after a step
+    that took y.  Both paths run the same operations on the same array, so
+    the trace does not depend on which one ran.  ``schedule(y, d,
     threshold)``, when given, yields the trials to try in place of all of
     them.  With no trials the direction rule is never consulted.  ``x_tol``
-    stops the run once ||x - y|| falls to it.  A point whose envelope value or gradient norm is
-    not finite ends the run ``nonfinite`` before it is recorded.
+    stops the run once ||x - y|| falls to it.  A point whose envelope value
+    or gradient norm is not finite ends the run ``nonfinite`` before it is
+    recorded.  The extras count the steps that took y (``fallbacks``) and
+    the direction rule's own fallbacks (``direction_fallbacks``).
     """
+    accepted = None
     for k in range(config.max_iter + 1):
-        ev = evaluate(x)
+        ev = evaluate(x) if accepted is None else complete(accepted.evaluation)
         if ev.multi_valued:
             trace.extras["termination"] = "multivalued"
             trace.extras["diagnostic"] = (
@@ -253,7 +266,7 @@ def _boost(x, config: BoostedConfig, rule: DirectionRule, trace: IterateTrace,
         if k == config.max_iter:
             trace.extras["termination"] = "max_iter"
             break
-        x_next = None
+        x_next = accepted = None
         if trials:
             d_bar = rule.base_direction(x, ev.gradient)
             rule.push(x, ev.gradient)
@@ -261,8 +274,9 @@ def _boost(x, config: BoostedConfig, rule: DirectionRule, trace: IterateTrace,
             threshold = ev.value - trace.rho * gn ** trace.theta
             for m, t in (trials if schedule is None else schedule(y, d, threshold)):
                 cand = candidate(x, y, t, d)
-                if value(cand) <= threshold:
-                    x_next = cand
+                trial = value(cand)
+                if trial <= threshold:
+                    x_next, accepted = cand, trial
                     rec.step = t
                     rec.inner_count = m
                     break
@@ -274,4 +288,5 @@ def _boost(x, config: BoostedConfig, rule: DirectionRule, trace: IterateTrace,
             rec.inner_count = config.max_linesearch
         rec.displacement = float(np.linalg.norm(x_next - x))
         x = x_next
+    trace.extras["direction_fallbacks"] = rule.fallback_count
     return trace

@@ -12,7 +12,10 @@ golden-section oracle that surfaces near-ties between basins through a
 ``multi_valued`` flag instead of assuming them away; ``prox_oracle_check``
 uses the same oracle to cross-check a fast prox.  ``fbe_value``,
 ``fbe_value_grad`` and ``forward_backward_map`` take a validated 1-D float
-array, as the problem oracles do.
+array, as the problem oracles do.  ``fbe_value`` and ``home_value`` return an
+``EnvelopeValue``, a float that keeps its evaluation; ``fbe_complete`` and
+``home_complete`` add the gradient to it, and the ``*_value_grad`` functions
+are the evaluation plus that completion.
 """
 
 from __future__ import annotations
@@ -268,6 +271,19 @@ class EnvelopeEval:
         return iter((self.value, self.gradient))
 
 
+class EnvelopeValue(float):
+    """An envelope value that keeps the evaluation it came from (point,
+    proximal point, no gradient), so that a caller who accepts the point
+    completes it with ``fbe_complete`` or ``home_complete`` instead of
+    evaluating the envelope there again.  It compares and computes as the
+    float it is."""
+
+    def __new__(cls, ev: EnvelopeEval):
+        value = super().__new__(cls, ev.value)
+        value.evaluation = ev
+        return value
+
+
 def home_value_grad(g, x, gamma: float, p: float = 2.0) -> EnvelopeEval:
     """Order-p Moreau envelope value and gradient of a prox-capable g.
 
@@ -276,7 +292,12 @@ def home_value_grad(g, x, gamma: float, p: float = 2.0) -> EnvelopeEval:
     coordinate flagged multi-valued the envelope is not differentiable; the
     value is still returned but the gradient is refused (None).
     """
-    ev = _home(g, x, gamma, p)
+    return home_complete(_home(g, x, gamma, p), gamma, p)
+
+
+def home_complete(ev: EnvelopeEval, gamma: float, p: float = 2.0) -> EnvelopeEval:
+    """Adds the envelope gradient to an evaluation without one, in closed form
+    from its point and proximal point; a multi-valued one keeps None."""
     if not ev.multi_valued:
         ev.gradient = _home_gradient(ev.x - ev.prox_point, gamma, p)
     return ev
@@ -300,9 +321,11 @@ def _home_gradient(d, gamma, p):
     return grad
 
 
-def home_value(g, x, gamma: float, p: float = 2.0) -> float:
-    """Envelope value only (cheaper inner-loop check: no gradient needed)."""
-    return _home(g, x, gamma, p).value
+def home_value(g, x, gamma: float, p: float = 2.0) -> EnvelopeValue:
+    """Envelope value only (cheaper inner-loop check: no gradient needed).
+    It keeps its evaluation: ``home_complete(value.evaluation, gamma, p)``
+    is then ``home_value_grad(g, x, gamma, p)`` without a second prox solve."""
+    return EnvelopeValue(_home(g, x, gamma, p))
 
 
 def _home(g, x, gamma, p) -> EnvelopeEval:
@@ -343,15 +366,22 @@ def fbe_value_grad(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval
     """
     if problem.smooth.hess_apply is None:
         raise CapabilityError("forward-backward envelope gradient needs a Hessian-apply oracle")
-    ev = _fbe(problem, x, gamma)
+    return fbe_complete(problem, _fbe(problem, x, gamma), gamma)
+
+
+def fbe_complete(problem: CompositeObjective, ev: EnvelopeEval, gamma: float) -> EnvelopeEval:
+    """Adds the envelope gradient to an evaluation without one: one Hessian-apply."""
     xmT = ev.x - ev.prox_point
     ev.gradient = xmT / gamma - problem.smooth.hess_apply(ev.x, xmT)
     return ev
 
 
-def fbe_value(problem: CompositeObjective, x, gamma: float) -> float:
-    """Forward-backward envelope value only."""
-    return _fbe(problem, x, gamma).value
+def fbe_value(problem: CompositeObjective, x, gamma: float) -> EnvelopeValue:
+    """Forward-backward envelope value only.  It keeps its evaluation:
+    ``fbe_complete(problem, value.evaluation, gamma)`` is then
+    ``fbe_value_grad(problem, x, gamma)`` without a second forward-backward
+    step."""
+    return EnvelopeValue(_fbe(problem, x, gamma))
 
 
 def _fbe(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval:

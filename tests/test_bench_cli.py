@@ -720,6 +720,28 @@ class TestRunDirectoryInputs:
         order = [line.split(",")[0] for line in lines if line.split(",")[1] == "0"]
         assert order == ["A-B", "A-B", "B", "B"]
 
+    def test_emit_plot_data_rewrites_the_series_of_the_run(self, tmp_path, monkeypatch):
+        # run_experiment writes series.csv from the traces it holds, without
+        # reading one back; emit_plot_data on the finished directory reads
+        # them and writes the same bytes
+        cfg = small_config(tmp_path, solvers=[
+            bench.SolverSpec(name="B", solver="deal-c"),
+            bench.SolverSpec(name="A-B", solver="deal-a"),
+            bench.SolverSpec(name="C3", solver="deal-c", beta=-0.2)])
+        cfg.run.max_iter = 400
+        cfg.run.repetitions = 2
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a trace was read back")
+        with monkeypatch.context() as m:
+            m.setattr(bench.IterateTrace, "from_csv", refused)
+            out = bench.run_experiment(cfg)
+        written = (out / "series.csv").read_bytes()
+        assert len(written.splitlines()) > 100
+        (out / "series.csv").unlink()
+        assert bench.emit_plot_data(out) == out / "series.csv"
+        assert (out / "series.csv").read_bytes() == written
+
     @pytest.mark.parametrize("section", ["problem", "run", "output"])
     def test_non_object_section_is_reported(self, section):
         assert bench.validate_config({section: []}) == [f"{section} must be an object"]
@@ -753,3 +775,32 @@ class TestRunDirectoryInputs:
         assert cli.main(argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing." in err
+
+
+class TestDirectionFallbacks:
+    @pytest.mark.parametrize("solver, kind", [("deal-c", "leastp"), ("deal-a", "leastp"),
+                                              ("bpga", "lasso"), ("bhippa", "powerabs")])
+    def test_sidecar_records_the_rules_fallbacks(self, tmp_path, monkeypatch, solver, kind):
+        # BB1 has no previous pair at k=0, so its rule falls back at least once
+        rules, real = [], bench.DirectionRule
+
+        def recorded(*args, **kwargs):
+            rules.append(real(*args, **kwargs))
+            return rules[-1]
+        monkeypatch.setattr(bench, "DirectionRule", recorded)
+        out = bench.run_experiment(small_config(tmp_path, solvers=[
+            bench.SolverSpec(name="BB1", solver=solver, direction="bb1")], kind=kind))
+        [rule] = rules
+        extras = json.loads((out / "BB1.json").read_text())["extras"]
+        assert extras["direction_fallbacks"] == rule.fallback_count > 0
+        # the boosted solvers keep their line-search count beside it
+        assert ("fallbacks" in extras) == (solver in ("bpga", "bhippa"))
+
+    def test_sec51_gradient_variants_record_none(self, tmp_path):
+        cfg = bench.preset("sec51", 0, out_dir=str(tmp_path))
+        cfg.run.max_iter = 30
+        out = bench.run_experiment(cfg)
+        for spec in cfg.solvers:
+            assert spec.direction == "gradient"
+            extras = json.loads((out / f"{spec.name}.json").read_text())["extras"]
+            assert extras["direction_fallbacks"] == 0, spec.name

@@ -539,6 +539,118 @@ class TestBHiPPAScale:
         assert len(rows) == 3
 
 
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def assert_records_are_fresh_evaluations(trace, evaluate):
+    """Every record's value and gradient norm are, bit for bit, those of a
+    fresh ``evaluate`` at its stored iterate, although the loop completed
+    the accepted trial's evaluation in place of most of them."""
+    assert len(trace) > 2
+    for rec in trace.records:
+        ev = evaluate(rec.x)
+        assert same_bits(rec.f, ev.value) and same_bits(rec.grad_norm, ev.grad_norm), rec.k
+
+
+def logcosh_lasso():
+    """f = 0.5 ||A x - b||^2 + 4 sum log cosh(x_i) with the l1 term, falsely
+    declared to have a constant Hessian, as in TestBPGAScreen."""
+    lasso = generate_problem(4, "lasso", 60, 6)
+    A = lasso.A
+    smooth = SmoothObjective(
+        dim=6,
+        value=lambda x: lasso.smooth_value(x) + 4.0 * float(np.sum(np.log(np.cosh(x)))),
+        grad=lambda x: lasso.smooth_grad(x) + 4.0 * np.tanh(x),
+        hess_apply=lambda x, v: A.T @ (A @ v) + 4.0 * v / np.cosh(x) ** 2,
+        holder=HolderInfo(nu=1.0, L=lasso.L + 4.0),
+        constant_hessian=True)
+    return CompositeObjective(smooth, envelopes.L1Norm(lasso.lam))
+
+
+def count_envelope_calls(monkeypatch):
+    """Calls of the four envelope names the boosted loop goes through."""
+    calls = Counter()
+    for name in ("fbe_value", "fbe_value_grad", "home_value", "home_value_grad"):
+        def counted(*args, _real=getattr(boosted, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(boosted, name, counted)
+    return calls
+
+
+def prox_steps(trace):
+    return sum(rec.step == 0.0 for rec in trace.records)
+
+
+class TestCarriedEvaluation:
+    """The accepted trial's envelope evaluation is completed with its
+    gradient and becomes the next step's, in place of a second evaluation."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sec53_records_are_fresh_evaluations(self, seed):
+        config = bench.preset("sec53", seed)
+        problem = bench.build_problem(config.problem)
+        comp = problem.as_composite()
+        for spec in config.solvers:
+            trace = bench.run_variant(problem, spec, config.run).trace
+            gamma = trace.extras["gamma"]
+            assert_records_are_fresh_evaluations(
+                trace, lambda x: fbe_value_grad(comp, x, gamma))
+
+    @pytest.mark.parametrize("direction", ["gradient", "bb1", "lbfgs"])
+    def test_logcosh_records_are_fresh_evaluations(self, direction):
+        comp = logcosh_lasso()
+        trace = run_bpga(comp, np.random.default_rng(3).uniform(-5.0, 5.0, 6), BoostedConfig(
+            alpha_bar=0.9, rule=DirectionRule(direction), store_iterates=True))
+        assert trace.extras["termination"] == "tolerance"
+        gamma = trace.extras["gamma"]
+        assert_records_are_fresh_evaluations(trace, lambda x: fbe_value_grad(comp, x, gamma))
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_powerabs_records_are_fresh_evaluations(self, seed):
+        problem, spec, run = _bhippa_experiment(100, seed)
+        trace = bench.run_variant(problem, spec, run).trace
+        phi, extras = problem.as_prox_capable(), trace.extras
+        assert_records_are_fresh_evaluations(
+            trace, lambda x: home_value_grad(phi, x, extras["gamma"], extras["p"]))
+
+    def test_separable_records_are_fresh_evaluations(self):
+        phi = SeparableProx(lambda t: abs(t) ** 3 + 0.5 * t * t)
+        trace = run_bhippa(phi, np.array([1.5, -0.7]), BoostedConfig(
+            p=3.0, eps=1e-5, store_iterates=True))
+        assert trace.extras["termination"] == "tolerance"
+        assert_records_are_fresh_evaluations(trace, lambda x: home_value_grad(phi, x, 1.0, 3.0))
+
+    def test_the_full_evaluation_runs_at_k0_and_after_each_prox_step(self, monkeypatch):
+        calls = count_envelope_calls(monkeypatch)
+        trials, taken = Counter(), Counter()
+        # sec53 seed 0 takes no proximal point; seed 5's BPGA-BB1 takes one
+        for seed in (0, 5):
+            config = bench.preset("sec53", seed)
+            problem = bench.build_problem(config.problem)
+            for spec in config.solvers:
+                calls.clear()
+                trace = bench.run_variant(problem, spec, config.run).trace
+                assert calls["fbe_value_grad"] == 1 + prox_steps(trace), spec.name
+                trials[seed] += calls["fbe_value"]
+                taken[seed] += prox_steps(trace)
+        assert taken[0] == 0 and taken[5] == 1
+        # the trials themselves are unchanged
+        assert trials[0] == 286
+        calls.clear()
+        trace = run_bpga(generate_problem(3, "lasso", 60, 6).as_composite(), np.ones(6),
+                         BoostedConfig(max_linesearch=0))
+        assert calls == {"fbe_value_grad": len(trace)}
+        calls.clear()
+        trace = bench.run_variant(*_bhippa_experiment(100, 7)).trace
+        assert calls["home_value_grad"] == 1 and calls["home_value"] > len(trace) > 2
+        calls.clear()
+        phi = PowerAbsProblem(s=4.0, n=5).as_prox_capable()
+        trace = run_bhippa(phi, np.linspace(-1.5, 2.0, 5), BoostedConfig(p=4.0, max_linesearch=0))
+        assert calls == {"home_value_grad": len(trace)} and len(trace) > 2
+
+
 def test_bpga_nonfinite_start_stops_without_a_record():
     # from 1e170 the envelope is NaN: 21 NaN records and max_iter before
     problem = generate_problem(0, "lasso", 50, 5)
