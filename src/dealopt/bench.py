@@ -398,9 +398,16 @@ def emit_plot_data(run_dir, series=None) -> Path:
         fh.write("variant,k,f_gap,grad_norm\n")
         for stem in sorted(series, key=lambda stem: stem + ".csv"):
             variant, fstar, k, f, grad_norm = series[stem]
-            base = fstar if fstar is not None else float(f.min())
-            fh.writelines(f"{variant},{i},{gap!r},{gn!r}\n" for i, gap, gn in zip(
-                k.tolist(), (f - base).tolist(), grad_norm.tolist()))
+            gap = f - (fstar if fstar is not None else float(f.min()))
+            # a row whose bits repeat the previous row's (a replayed fixed
+            # point) reuses its formatting
+            bits = np.stack([gap, grad_norm]).view(np.int64)
+            fresh = np.ones(len(k), dtype=bool)
+            fresh[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+            tails = [f"{a!r},{b!r}\n" for a, b in zip(gap[fresh].tolist(),
+                                                       grad_norm[fresh].tolist())]
+            fh.writelines(f"{variant},{i},{tails[j]}" for i, j in zip(
+                k.tolist(), (np.cumsum(fresh) - 1).tolist()))
     return target
 
 

@@ -268,9 +268,9 @@ def _boost(x, config: BoostedConfig, rule: DirectionRule, trace: IterateTrace,
             break
         x_next = accepted = None
         if trials:
-            d_bar = rule.base_direction(x, ev.gradient)
+            d_bar = rule.base_direction(x, ev.gradient, gn)
             rule.push(x, ev.gradient)
-            d = generalize(d_bar, ev.gradient, rule.beta)
+            d = generalize(d_bar, ev.gradient, rule.beta, gn)
             threshold = ev.value - trace.rho * gn ** trace.theta
             for m, t in (trials if schedule is None else schedule(y, d, threshold)):
                 cand = candidate(x, y, t, d)

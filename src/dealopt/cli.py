@@ -2,7 +2,8 @@
 
 Verbs: run (one solver on one generated problem), sweep (a named preset),
 certify and analyze (the certificate bundle of a persisted trace; certify
-requires the solver's rho and theta), envelope (evaluate an envelope at a
+takes the run's constants from the sidecar next to the trace, and needs the
+solver's rho and theta without one), envelope (evaluate an envelope at a
 point), oracle (debugging access to the numerical oracles).  Exit codes:
 0 ok, 1 usage error, 2 certificate failure, 3 numerical error.
 """
@@ -65,13 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", default=None,
                        help="JSON config file; overrides the preset fields")
 
-    for verb, required, text in (
-            ("certify", True, "re-check a trace CSV's certificates"),
-            ("analyze", False, "rate fit and certificates of a trace CSV")):
+    for verb, text in (
+            ("certify", "re-check a trace CSV's certificates, with the constants "
+                        "of the sidecar STEM.json next to it when there is one"),
+            ("analyze", "rate fit and certificates of a trace CSV")):
         cert = sub.add_parser(verb, help=text)
         cert.add_argument("--trace", required=True)
-        cert.add_argument("--rho", type=float, required=required)
-        cert.add_argument("--theta", type=float, required=required)
+        cert.add_argument("--rho", type=float, default=None)
+        cert.add_argument("--theta", type=float, default=None)
         cert.add_argument("--c", type=float, default=None, help="displacement constant")
         cert.add_argument("--fstar", type=float, default=None)
         cert.add_argument("--tau", type=float, default=None,
@@ -184,13 +186,27 @@ def _cmd_certify(args) -> int:
 
     rho and theta make the trace guaranteed; without them it gets the rate
     fit alone.  Its iterates are not stored, so nothing is re-evaluated.
-    The complexity check reads the run's tolerance: ``--eps``, else the one
-    in the sidecar ``STEM.json`` that a run writes next to ``STEM.csv``.
+    ``certify`` takes every constant of the run from the sidecar
+    ``STEM.json`` that a run writes next to ``STEM.csv``: rho and theta (of
+    a guaranteed run only), c, fstar, tau and eps.  A flag may supply a
+    constant the sidecar does not record, but one that contradicts it is an
+    error.  Without a sidecar, ``certify`` needs --rho and --theta.
+    ``analyze`` takes the constants from its flags, and only the run's
+    tolerance from the sidecar when --eps is unset.
     """
+    sidecar = _read_sidecar(args.trace)
+    if args.verb == "certify":
+        if sidecar is not None:
+            _take_sidecar_constants(args, sidecar)
+        elif args.rho is None or args.theta is None:
+            raise UsageError("certify needs --rho and --theta: no sidecar next to "
+                             "the trace records them")
     if (args.rho is None) != (args.theta is None):
         raise UsageError("give both --rho and --theta, or neither")
     guaranteed = args.rho is not None
-    eps = args.eps if args.eps is not None else _sidecar_eps(args.trace)
+    eps = args.eps
+    if eps is None and sidecar is not None:
+        eps = sidecar["extras"].get("eps")
     if guaranteed and args.tau is not None and eps is None:
         raise UsageError("--tau needs --eps: no sidecar next to the trace records "
                          "the run's tolerance")
@@ -202,15 +218,37 @@ def _cmd_certify(args) -> int:
     return EXIT_OK if bench.bundle_ok(bundle) else EXIT_CERTIFICATE
 
 
-def _sidecar_eps(trace_path):
-    """The tolerance in the sidecar next to a trace CSV, or None without one."""
+def _read_sidecar(trace_path):
+    """The sidecar ``STEM.json`` next to a trace ``STEM.csv``, or None
+    without one."""
     sidecar = Path(trace_path).with_suffix(".json")
     if not sidecar.is_file():
         return None
     doc = json.loads(sidecar.read_text())
     if not isinstance(doc, dict) or not isinstance(doc.get("extras"), dict):
         raise DataError(f"{sidecar} is not the sidecar of a run")
-    return doc["extras"].get("eps")
+    return doc
+
+
+def _take_sidecar_constants(args, sidecar: dict) -> None:
+    """Set each constant flag from the sidecar; a flag that contradicts it
+    is a usage error.  A heuristic run certifies no rho and theta."""
+    guaranteed = sidecar.get("guaranteed") is True
+    recorded = {"rho": sidecar.get("rho") if guaranteed else None,
+                "theta": sidecar.get("theta") if guaranteed else None,
+                "c": sidecar["extras"].get("c"), "fstar": sidecar.get("fstar"),
+                "tau": sidecar.get("tau"), "eps": sidecar["extras"].get("eps")}
+    for name, value in recorded.items():
+        given = getattr(args, name)
+        if value is None:
+            if given is not None and name in ("rho", "theta"):
+                raise UsageError(f"--{name} contradicts the sidecar of {args.trace}: "
+                                 "the run is heuristic and certifies no rho or theta")
+            continue
+        if given is not None and given != value:
+            raise UsageError(f"--{name} {given!r} contradicts the sidecar of "
+                             f"{args.trace}, which records {value!r}")
+        setattr(args, name, value)
 
 
 def _cmd_envelope(args) -> int:

@@ -87,6 +87,11 @@ class SmoothObjective:
     declares that ``hess_apply`` does not depend on ``x`` (the part is
     quadratic); the boosted proximal-gradient search then screens its trials
     in closed form, and still confirms every step it takes exactly.
+    ``line_values(x, d, steps) -> (values, margins)``, when given, screens
+    the Armijo trials ``x + t d`` for every ``t`` in ``steps`` at once: each
+    ``values[i]`` lies within ``margins[i]`` of ``value(x + steps[i] d)`` as
+    ``value`` computes it, so a trial whose screened value exceeds the test
+    by more than its margin fails the exact test too.
     """
 
     dim: int
@@ -99,6 +104,7 @@ class SmoothObjective:
     fstar: Optional[float] = None
     name: str = "objective"
     constant_hessian: bool = False
+    line_values: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -201,19 +207,27 @@ class IterateTrace:
         return np.stack([r.x for r in self.records])
 
     def to_csv(self, path):
-        """Write the exact column layout k,f,grad_norm,step,inner_count,displacement."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
+        """Write the exact column layout k,f,grad_norm,step,inner_count,displacement.
+
+        The bytes are those of ``csv.writer`` (comma-separated, CRLF line
+        ends; no field needs quoting).  A record whose fields are the very
+        objects of its predecessor's, as a replayed fixed point's are, reuses
+        their formatting.
+        """
+        def rows():
+            prev = tail = None
             for rec in self.records:
-                writer.writerow([
-                    rec.k,
-                    _fmt(rec.f),
-                    _fmt(rec.grad_norm),
-                    _fmt(rec.step),
-                    rec.inner_count,
-                    _fmt(rec.displacement),
-                ])
+                if not (prev is not None and rec.f is prev.f
+                        and rec.grad_norm is prev.grad_norm and rec.step is prev.step
+                        and rec.inner_count is prev.inner_count
+                        and rec.displacement is prev.displacement):
+                    tail = (f"{_fmt(rec.f)},{_fmt(rec.grad_norm)},{_fmt(rec.step)},"
+                            f"{rec.inner_count},{_fmt(rec.displacement)}\r\n")
+                prev = rec
+                yield f"{rec.k},{tail}"
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+            fh.writelines(rows())
 
     @classmethod
     def from_csv(cls, path, **meta) -> "IterateTrace":

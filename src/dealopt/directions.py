@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -56,18 +57,20 @@ def validate_sufficient_descent(d_bar, grad, c1: float, c2: float) -> Sufficient
     return SufficientDescentCheck(passed, c1_measured, c2_measured)
 
 
-def generalize(d_bar, grad, beta: float) -> np.ndarray:
+def generalize(d_bar, grad, beta: float, grad_norm: Optional[float] = None) -> np.ndarray:
     """Rescale a base direction by ||grad||^beta (beta > -1).
 
     Rescaling changes only the length, never the orientation, so the sign of
     <grad, d> matches the sign of <grad, d_bar> for every admissible beta.
+    ``grad_norm``, when the caller has it, is ||grad|| and is not recomputed.
     """
     if beta <= -1.0:
         raise UsageError(f"beta must exceed -1, got {beta}")
     d_bar = np.asarray(d_bar, dtype=float)
     if beta == 0.0:
         return d_bar.copy()
-    gn = float(np.linalg.norm(np.asarray(grad, dtype=float)))
+    gn = (float(np.linalg.norm(np.asarray(grad, dtype=float)))
+          if grad_norm is None else grad_norm)
     if gn == 0.0:
         if beta < 0.0:
             raise UsageError("negative beta is undefined at a zero gradient")
@@ -133,10 +136,11 @@ class DirectionRule:
                 self._pairs.append((s, y, sy))
         self._prev_x, self._prev_g = x, g
 
-    def base_direction(self, x, grad) -> np.ndarray:
-        """Raw safeguarded direction; no sufficient-descent enforcement."""
+    def base_direction(self, x, grad, grad_norm: Optional[float] = None) -> np.ndarray:
+        """Raw safeguarded direction; no sufficient-descent enforcement.
+        ``grad_norm`` is ||grad|| when the caller has it."""
         grad = np.asarray(grad, dtype=float)
-        if not np.linalg.norm(grad) > 0.0:
+        if not (np.linalg.norm(grad) if grad_norm is None else grad_norm) > 0.0:
             raise UsageError("direction is undefined at a zero gradient")
         if self.kind == "gradient":
             return -grad
@@ -148,9 +152,10 @@ class DirectionRule:
             return -t * grad
         return self._lbfgs_direction(grad)
 
-    def sufficient_base_direction(self, x, grad):
-        """Direction guaranteed to satisfy the (c1, c2) pair; returns (d_bar, fell_back)."""
-        d_bar = self.base_direction(x, grad)
+    def sufficient_base_direction(self, x, grad, grad_norm: Optional[float] = None):
+        """Direction guaranteed to satisfy the (c1, c2) pair; returns (d_bar, fell_back).
+        ``grad_norm`` is ||grad|| when the caller has it."""
+        d_bar = self.base_direction(x, grad, grad_norm)
         if self.kind == "gradient":
             return d_bar, False
         check = validate_sufficient_descent(d_bar, grad, self.c1, self.c2)

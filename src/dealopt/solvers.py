@@ -17,7 +17,11 @@ the trace is marked heuristic and rate/bound certificates are skipped
 downstream.
 
 Both run one loop, ``_descend``: the constant step is the case with no Armijo
-test, a single trial at alpha that is always taken.
+test, a single trial at alpha that is always taken.  When the first Armijo
+trial fails and the objective has a line oracle (``line_values``, which
+least-p supplies), the remaining backtracks are screened at once and only
+those the screen cannot rule out are evaluated, in order; the step taken is
+the one the per-trial loop takes.
 """
 
 from __future__ import annotations
@@ -154,27 +158,36 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
     always taken, so its value and gradient come from one fused oracle call;
     with it, the step shrinks to eta^p alpha_bar until the Armijo test passes
     or p exceeds max_backtracks, and the gradient is taken at the accepted
-    point.  A point whose value or gradient norm is not finite ends the run
-    ``nonfinite`` before it is recorded.  Once two consecutive steps leave
+    point.  The backtracks that :func:`_screened_backtracks` rules out are
+    not evaluated.  A point whose value or gradient norm is not finite ends
+    the run ``nonfinite`` before it is recorded.  Once two consecutive steps leave
     ``x`` bitwise unchanged, the rest of the run is replayed (see
     :func:`_replay_fixed_point`).
     """
-    fused = None
+    fused = backtracks = None
     if armijo is None:
         fused = objective.value_grad or (lambda y: (objective.value(y), objective.grad(y)))
+    else:
+        backtracks = [(p, armijo.eta ** p * armijo.alpha_bar)
+                      for p in range(1, armijo.max_backtracks + 1)]
     x = as_vector(x0, objective.dim, "x0")
     f, g = fused(x) if fused else (objective.value(x), None)
     unmoved = 0
     for k in range(config.max_iter + 1):
         if g is None:
             g = objective.grad(x)
-        gn = float(np.linalg.norm(g))
+        # sqrt(g . g) is np.linalg.norm(g) for a vector, bit for bit
+        gn = math.sqrt(g @ g)
         if not (math.isfinite(f) and math.isfinite(gn)):
             trace.extras["termination"] = "nonfinite"
             trace.extras["diagnostic"] = f"non-finite objective or gradient at k={k}"
             break
-        rec = IterateRecord(k=k, f=f, grad_norm=gn,
-                            x=x.copy() if config.store_iterates else None)
+        # the loop never writes into x, and every later x is an array of its
+        # own, so only x0, which may be the caller's, is copied
+        stored = None
+        if config.store_iterates:
+            stored = x.copy() if k == 0 else x
+        rec = IterateRecord(k=k, f=f, grad_norm=gn, x=stored)
         trace.records.append(rec)
         if gn <= config.eps:
             trace.extras["termination"] = "tolerance"
@@ -182,9 +195,9 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
         if k == config.max_iter:
             trace.extras["termination"] = "max_iter"
             break
-        d_bar, _ = rule.sufficient_base_direction(x, g)
+        d_bar, _ = rule.sufficient_base_direction(x, g, gn)
         rule.push(x, g)
-        d = generalize(d_bar, g, rule.beta)
+        d = generalize(d_bar, g, rule.beta, gn)
         p = 0
         step = alpha
         x_next = x + step * d
@@ -193,24 +206,27 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
         else:
             f_next, g_next = objective.value(x_next), None
             slope = float(g @ d)
-            while not f_next <= f + armijo.sigma * step * slope:
-                p += 1
-                if p > armijo.max_backtracks:
+            if not f_next <= f + armijo.sigma * step * slope:
+                for p, step in _screened_backtracks(objective, armijo, backtracks,
+                                                    x, d, f, slope):
+                    x_next = x + step * d
+                    f_next = objective.value(x_next)
+                    if f_next <= f + armijo.sigma * step * slope:
+                        break
+                else:
                     trace.extras["termination"] = "backtrack_limit"
                     trace.extras["diagnostic"] = (
                         f"no Armijo step within {armijo.max_backtracks} backtracks at "
                         f"k={k}; declared Hölder constant is likely too small")
                     return trace
-                step = armijo.eta ** p * armijo.alpha_bar
-                x_next = x + step * d
-                f_next = objective.value(x_next)
         if not math.isfinite(f_next):
             trace.extras["termination"] = "nonfinite"
             trace.extras["diagnostic"] = f"non-finite objective at k={k + 1}"
             break
         rec.step = step
         rec.inner_count = p
-        rec.displacement = float(np.linalg.norm(x_next - x))
+        dx = x_next - x
+        rec.displacement = math.sqrt(dx @ dx)
         # bytes, not displacement == 0: the norm can underflow and -0.0 == 0.0
         unmoved = unmoved + 1 if x_next.tobytes() == x.tobytes() else 0
         if unmoved == 2:
@@ -218,6 +234,31 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
             break
         x, f, g = x_next, f_next, g_next
     return trace
+
+
+def _screened_backtracks(objective: SmoothObjective, armijo: ArmijoParams,
+                         backtracks, x, d, f: float, slope: float):
+    """The backtracks (p, eta^p alpha_bar) worth an exact value, in order.
+
+    Without a line oracle that is all of them.  With one, every backtrack is
+    screened at once, and two kinds are skipped, because their exact value
+    fails the Armijo test too: those whose screened value exceeds the
+    threshold by more than its margin, and those whose trial point is x
+    itself, bit for bit, whose value is f (the oracle is deterministic) and
+    whose threshold lies below f.  So the first backtrack that passes is
+    still the first one tried that passes.
+    """
+    if objective.line_values is None:
+        return backtracks
+    steps = np.array([step for _, step in backtracks])
+    values, margins = objective.line_values(x, d, steps)
+    thresholds = f + armijo.sigma * steps * slope
+    # NaN compares False, so a non-finite screened value is never skipped
+    skip = values > thresholds + margins
+    # the trial points as the loop forms them; bytes, because -0.0 == 0.0
+    unmoved = ((x + steps[:, None] * d).view(np.int64) == x.view(np.int64)).all(axis=1)
+    skip |= unmoved & ~(f <= thresholds)
+    return [trial for trial, skipped in zip(backtracks, skip.tolist()) if not skipped]
 
 
 def _replay_fixed_point(trace: IterateTrace, last: IterateRecord, max_iter: int):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import warnings
 from collections import Counter
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from dealopt import bench, cli, problems
-from dealopt.core import REEVALUATE_BLOCK, UsageError
+from dealopt.core import REEVALUATE_BLOCK, TRACE_COLUMNS, UsageError, _fmt
 
 
 def small_config(tmp_path, solvers=None, **problem_kw):
@@ -21,6 +23,23 @@ def small_config(tmp_path, solvers=None, **problem_kw):
         run=bench.RunSpec(x0_seed=3),
         output=bench.OutputSpec(directory=str(tmp_path / "out")),
     )
+
+
+@pytest.fixture(scope="module")
+def sec51_run(tmp_path_factory):
+    """sec51 seed 0's run directory, and the trace of each variant."""
+    traces = {}
+    run_variant = bench.run_variant
+
+    def kept(problem, spec, run, rep=0):
+        result = run_variant(problem, spec, run, rep)
+        traces[spec.name] = result.trace
+        return result
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bench, "run_variant", kept)
+        out = bench.run_experiment(bench.preset(
+            "sec51", 0, out_dir=str(tmp_path_factory.mktemp("sec51"))))
+    return out, traces
 
 
 def bhippa_config(n, seed):
@@ -422,10 +441,11 @@ class TestCLI:
         assert rc == 0
         capsys.readouterr()
         sidecar = json.loads((out / "DEAL-C.json").read_text())
+        # the sidecar records fstar = f(x_ls), not 0.0: flags must agree with it
         rc = cli.main(["certify", "--trace", str(out / "DEAL-C.csv"),
                        "--rho", str(sidecar["rho"]),
                        "--theta", str(sidecar["theta"]),
-                       "--fstar", "0.0"])
+                       "--fstar", repr(sidecar["fstar"])])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["descent"]["passed"] and doc["min_grad_bound"]["passed"]
@@ -646,6 +666,65 @@ class TestTraceVerbs:
             assert check_verdicts(doc) == check_verdicts(bundle)
             assert {"descent", "min_grad_bound"} <= check_verdicts(doc).keys()
 
+    def test_certify_gives_the_bundles_of_sec51_from_the_trace_alone(self, sec51_run,
+                                                                     capsys):
+        out, _ = sec51_run
+        for variant in json.loads((out / "summary.json").read_text())["variants"]:
+            stem = variant["variant"]
+            bundle = json.loads((out / f"{stem}.certificates.json").read_text())
+            rc = cli.main(["certify", "--trace", str(out / f"{stem}.csv")])
+            doc = json.loads(capsys.readouterr().out)
+            assert rc == (cli.EXIT_OK if variant["ok"] else cli.EXIT_CERTIFICATE)
+            assert check_verdicts(doc) == check_verdicts(bundle), stem
+            assert doc["guaranteed"] == bundle["guaranteed"]
+
+    def test_certify_takes_every_constant_from_the_sidecar(self, tmp_path, capsys):
+        specs = [bench.SolverSpec(name="DEAL-C", solver="deal-c"),
+                 bench.SolverSpec(name="DEAL-A", solver="deal-a"),
+                 bench.SolverSpec(name="DEAL-A1", solver="deal-a", beta=0.5)]
+        out = bench.run_experiment(small_config(tmp_path, solvers=specs))
+        for spec in specs:
+            bundle = json.loads((out / f"{spec.name}.certificates.json").read_text())
+            rc = cli.main(["certify", "--trace", str(out / f"{spec.name}.csv")])
+            doc = json.loads(capsys.readouterr().out)
+            assert rc == cli.EXIT_OK
+            assert check_verdicts(doc) == check_verdicts(bundle)
+            assert doc["guaranteed"] == bundle["guaranteed"] == (spec.beta == "auto")
+            assert doc["rate"]["regime"] == bundle["rate"]["regime"]
+        bundle = json.loads((out / "DEAL-A.certificates.json").read_text())
+        assert {"displacement", "min_grad_bound", "complexity",
+                "per_step_ratio"} <= check_verdicts(bundle).keys()
+
+    def test_a_flag_that_contradicts_the_sidecar_exits_1(self, tmp_path, capsys):
+        specs = [bench.SolverSpec(name="DEAL-A", solver="deal-a"),
+                 bench.SolverSpec(name="DEAL-A1", solver="deal-a", beta=0.5)]
+        out = bench.run_experiment(small_config(tmp_path, solvers=specs))
+        trace = str(out / "DEAL-A.csv")
+        sidecar = json.loads((out / "DEAL-A.json").read_text())
+        # the flags a sidecar agrees with are accepted
+        assert cli.main(["certify"] + certify_args(out, "DEAL-A")) == cli.EXIT_OK
+        capsys.readouterr()
+        for flag, value in (("--fstar", 0.0), ("--rho", sidecar["rho"] / 2),
+                            ("--theta", 2.0), ("--c", sidecar["extras"]["c"] * 2),
+                            ("--eps", 1e-8),
+                            ("--tau", sidecar["tau"] * 2)):
+            args = ["certify", "--trace", trace, flag, repr(value)]
+            if flag in ("--rho", "--theta"):
+                other = "--theta" if flag == "--rho" else "--rho"
+                args += [other, repr(sidecar[other[2:]])]
+            assert cli.main(args) == cli.EXIT_USAGE, flag
+            captured = capsys.readouterr()
+            assert captured.out == "" and "contradicts the sidecar" in captured.err
+        # a heuristic run certifies no rho and theta
+        heuristic = json.loads((out / "DEAL-A1.json").read_text())
+        assert cli.main(["certify", "--trace", str(out / "DEAL-A1.csv"),
+                         "--rho", repr(heuristic["rho"]),
+                         "--theta", repr(heuristic["theta"])]) == cli.EXIT_USAGE
+        assert "heuristic" in capsys.readouterr().err
+        # analyze takes its constants from its flags
+        assert cli.main(["analyze", "--trace", trace, "--fstar", "0.0"]) == cli.EXIT_OK
+        assert not json.loads(capsys.readouterr().out)["guaranteed"]
+
     def test_analyze_exits_2_on_a_violation(self, tmp_path, capsys):
         trace = tmp_path / "bad.csv"
         trace.write_text(BAD_TRACE)
@@ -741,6 +820,38 @@ class TestRunDirectoryInputs:
         (out / "series.csv").unlink()
         assert bench.emit_plot_data(out) == out / "series.csv"
         assert (out / "series.csv").read_bytes() == written
+
+    def test_sec51_writes_the_bytes_of_csv_writer(self, sec51_run):
+        out, traces = sec51_run
+        assert len(traces) == 8
+        for name, trace in traces.items():
+            rows = io.StringIO(newline="")
+            writer = csv.writer(rows)
+            writer.writerow(TRACE_COLUMNS)
+            for rec in trace.records:
+                writer.writerow([rec.k, _fmt(rec.f), _fmt(rec.grad_norm),
+                                 _fmt(rec.step), rec.inner_count,
+                                 _fmt(rec.displacement)])
+            assert (out / f"{name}.csv").read_bytes() == rows.getvalue().encode(), name
+        # series.csv: one row per record, every field formatted on its own
+        lines = ["variant,k,f_gap,grad_norm\n"]
+        for name in sorted(traces, key=lambda name: name + ".csv"):
+            f, g = traces[name].f_values(), traces[name].grad_norms()
+            fstar = json.loads((out / f"{name}.json").read_text())["fstar"]
+            lines += [f"{name},{rec.k},{gap!r},{gn!r}\n" for rec, gap, gn in zip(
+                traces[name].records, (f - fstar).tolist(), g.tolist())]
+        assert (out / "series.csv").read_text() == "".join(lines)
+
+    def test_series_formats_each_row_that_changes(self, tmp_path):
+        # rows that repeat one column and change the other, -0.0 after 0.0
+        # (equal, other bits), and repeated NaN and inf
+        f = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.0, -0.0, np.nan, np.nan, 2.0])
+        g = np.array([2.0, 2.0, 3.0, 3.0, 3.0, 1.0, 1.0, np.inf, np.inf, np.inf])
+        k = np.arange(len(f), dtype=np.int64)
+        bench.emit_plot_data(tmp_path, {"V": ("V", 0.25, k, f, g)})
+        rows = "".join(f"V,{i},{gap!r},{gn!r}\n" for i, gap, gn in zip(
+            k.tolist(), (f - 0.25).tolist(), g.tolist()))
+        assert (tmp_path / "series.csv").read_text() == "variant,k,f_gap,grad_norm\n" + rows
 
     @pytest.mark.parametrize("section", ["problem", "run", "output"])
     def test_non_object_section_is_reported(self, section):

@@ -1,10 +1,13 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
-from dealopt.core import (REEVALUATE_BLOCK, DataError, HolderInfo,
-                          IterateRecord, IterateTrace, KLInfo, UsageError,
+from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, DataError,
+                          HolderInfo, IterateRecord, IterateTrace, KLInfo,
+                          UsageError, _fmt,
                           as_vector, certify_descent,
                           certify_displacement, config_digest,
                           min_grad_bound_check, reevaluate_trace)
@@ -154,6 +157,39 @@ def test_trace_csv_roundtrip(tmp_path):
     # byte-identical rewrite
     back.to_csv(tmp_path / "t2.csv")
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+
+def csv_writer_bytes(trace):
+    """The bytes ``csv.writer`` gives for a trace's rows."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(TRACE_COLUMNS)
+    for rec in trace.records:
+        writer.writerow([rec.k, _fmt(rec.f), _fmt(rec.grad_norm), _fmt(rec.step),
+                         rec.inner_count, _fmt(rec.displacement)])
+    return out.getvalue().encode()
+
+
+def test_trace_csv_writes_the_bytes_of_csv_writer(tmp_path):
+    # -0.0, inf and NaN fields, records that share their field objects (as a
+    # replayed fixed point's do), and equal values held by distinct objects
+    shared = IterateRecord(k=3, f=-0.0, grad_norm=math.inf, step=2.0 ** -60,
+                           inner_count=60, displacement=0.0)
+    records = [IterateRecord(k=0, f=1e300, grad_norm=5e-324, step=-0.0,
+                             inner_count=1000, displacement=-math.inf),
+               IterateRecord(k=1, f=float("nan"), grad_norm=0.1 + 0.2, step=math.nan),
+               IterateRecord(k=2, f=np.float64(-1.5), grad_norm=np.float64(2.0),
+                             step=0.5, inner_count=3, displacement=np.float64(-0.0)),
+               shared]
+    records += [IterateRecord(k=k, f=shared.f, grad_norm=shared.grad_norm,
+                              step=shared.step, inner_count=shared.inner_count,
+                              displacement=shared.displacement) for k in range(4, 9)]
+    records += [IterateRecord(k=9, f=-0.0, grad_norm=math.inf, step=2.0 ** -60,
+                              inner_count=60, displacement=0.0),
+                IterateRecord(k=10, f=-1.0, grad_norm=1.0, displacement=math.nan)]
+    trace = IterateTrace(records=records)
+    trace.to_csv(tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == csv_writer_bytes(trace)
 
 
 def test_trace_csv_header_required(tmp_path):

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
 
-from dealopt import solvers
+from dealopt import bench, solvers
 from dealopt.core import (CapabilityError, HolderInfo, IterateRecord,
                           SmoothObjective, UsageError, as_vector,
                           certify_descent, certify_displacement,
@@ -414,3 +415,110 @@ def test_a_nonfinite_gradient_after_a_step_is_not_recorded():
     assert trace.extras["diagnostic"].endswith(f"k={len(trace)}")
     assert np.all(np.isfinite(trace.f_values()))
     assert np.all(np.isfinite(trace.grad_norms()))
+
+
+def deala_runs(problem, specs, run, **oracles):
+    """The deal-a traces of ``specs`` on ``problem``, configured as
+    ``bench.run_variant`` configures them, uncertified.  ``oracles`` replace
+    the objective's own; ``line_values=None`` drops the line oracle."""
+    objective = dataclasses.replace(problem.as_smooth(), **oracles)
+    family = types.SimpleNamespace(as_smooth=lambda: objective,
+                                   value_grad=problem.value_grad,
+                                   value_grad_rows=problem.value_grad_rows)
+    x0 = np.random.default_rng(run.x0_seed).uniform(-5.0, 5.0, size=problem.n)
+    return [bench._run_deal(family, spec, run, x0)[0] for spec in specs]
+
+
+def assert_same_traces(screened, unscreened):
+    for tr, ref in zip(screened, unscreened, strict=True):
+        assert tr.extras == ref.extras
+        assert len(tr) == len(ref)
+        for a, b in zip(tr.records, ref.records):
+            assert (a.k, a.inner_count) == (b.k, b.inner_count)
+            for name in ("f", "grad_norm", "step", "displacement"):
+                assert same_bits(getattr(a, name), getattr(b, name))
+            assert a.x.tobytes() == b.x.tobytes()
+
+
+@pytest.fixture(scope="module")
+def sec51_deala():
+    """sec51 seed 0's four deal-a variants: screened (counting exact values
+    and measuring every screened trial against the exact value), and
+    without the line oracle."""
+    cfg = bench.preset("sec51", 0)
+    problem = bench.build_problem(cfg.problem)
+    specs = [spec for spec in cfg.solvers if spec.solver == "deal-a"]
+    calls = {}
+    ratios = []
+
+    def line_values(x, d, steps):
+        values, margins = problem.line_values(x, d, steps)
+        exact = np.array([problem.value(x + t * d) for t in steps])
+        finite = np.isfinite(values) & np.isfinite(exact)
+        ratios.extend((np.abs(values - exact) / margins)[finite].tolist())
+        return values, margins
+
+    screened = []
+    for spec in specs:
+        calls[spec.name] = 0
+
+        def value(x, name=spec.name):
+            calls[name] += 1
+            return problem.value(x)
+        screened += deala_runs(problem, [spec], cfg.run, line_values=line_values,
+                               value=value)
+    return {"screened": screened, "calls": calls, "ratios": np.array(ratios),
+            "unscreened": deala_runs(problem, specs, cfg.run, line_values=None),
+            "plain": deala_runs(problem, specs, cfg.run)}
+
+
+class TestScreenedBacktracks:
+    def test_sec51_is_bit_equal_to_the_loop_without_a_line_oracle(self, sec51_deala):
+        assert_same_traces(sec51_deala["screened"], sec51_deala["unscreened"])
+        assert_same_traces(sec51_deala["plain"], sec51_deala["unscreened"])
+        assert [tr.extras["termination"] for tr in sec51_deala["plain"]] == [
+            "max_iter", "backtrack_limit", "backtrack_limit", "backtrack_limit"]
+
+    def test_sec51_deala1_makes_at_most_300_exact_values(self, sec51_deala):
+        # 1,745 when every backtrack is evaluated
+        assert sec51_deala["calls"]["DEAL-A1"] <= 300
+        assert sum(sec51_deala["calls"].values()) < 1000
+
+    def test_the_screen_error_is_a_tenth_of_the_margin_on_sec51(self, sec51_deala):
+        ratios = sec51_deala["ratios"]
+        assert len(ratios) > 10000
+        assert ratios.max() <= 0.1
+
+    @pytest.mark.parametrize("p, floor_stops", [(1.2, True), (1.5, True), (2.0, False)])
+    def test_leastp_runs_are_bit_equal_to_the_loop_without_a_line_oracle(self, p,
+                                                                         floor_stops):
+        problem = generate_problem(3, "leastp", 60, 12, p=p, consistent=True)
+        specs = [bench.SolverSpec(name=f"{sigma}-{beta}", solver="deal-a",
+                                  sigma=sigma, beta=beta)
+                 for sigma in (1e-4, 0.5) for beta in ("auto", 0.5, 0.0)]
+        run = bench.RunSpec(eps=1e-30, max_iter=400, x0_seed=3)
+        screened = deala_runs(problem, specs, run)
+        assert_same_traces(screened, deala_runs(problem, specs, run, line_values=None))
+        # below p = 2 some runs stop at the floating-point floor, where every
+        # trial lies near the threshold and the screen resolves none
+        endings = {tr.extras["termination"] for tr in screened}
+        assert ("backtrack_limit" in endings) == floor_stops
+
+    def test_an_objective_without_a_line_oracle_evaluates_every_backtrack(self):
+        problem = generate_problem(3, "leastp", 60, 12, p=1.5, consistent=True)
+        calls = [0]
+
+        def value(x):
+            calls[0] += 1
+            return problem.value(x)
+        spec = bench.SolverSpec(solver="deal-a", beta=0.0)
+        run = bench.RunSpec(eps=1e-30, max_iter=400, x0_seed=3)
+        trace, = deala_runs(problem, [spec], run, line_values=None, value=value)
+        assert trace.extras["termination"] == "backtrack_limit"
+        # x0, one per backtrack and the first trial of every step, and the
+        # 61 trials of the step that found none
+        steps = trace.records[:-1]
+        assert calls[0] == 1 + sum(rec.inner_count + 1 for rec in steps) + 61
+        calls[0] = 0
+        deala_runs(problem, [spec], run, value=value)
+        assert calls[0] < 1 + len(steps) * 4
