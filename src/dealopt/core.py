@@ -82,8 +82,9 @@ class SmoothObjective:
     same ``x`` always gives the same result, bit for bit.  The solvers rely
     on that to replay an exact fixed point instead of re-evaluating it.
     ``value_grad(x) -> (value, gradient)``, when given, is a fused oracle
-    that must equal ``(value(x), grad(x))`` bit for bit; without it, callers
-    that want both compose ``value`` and ``grad``.  ``constant_hessian``
+    that must equal ``(value(x), grad(x))`` bit for bit; callers that want
+    both go through ``value_and_grad``, which composes ``value`` and ``grad``
+    without it.  ``constant_hessian``
     declares that ``hess_apply`` does not depend on ``x`` (the part is
     quadratic); the boosted proximal-gradient search then screens its trials
     in closed form, and still confirms every step it takes exactly.
@@ -109,6 +110,12 @@ class SmoothObjective:
     def __post_init__(self):
         if self.dim < 1:
             raise UsageError("dimension must be >= 1")
+
+    def value_and_grad(self, x):
+        """(value(x), grad(x)) in one call of ``value_grad`` when given."""
+        if self.value_grad is not None:
+            return self.value_grad(x)
+        return self.value(x), self.grad(x)
 
 
 @dataclass

@@ -264,7 +264,8 @@ class EnvelopeEval:
     def grad_norm(self) -> float:
         if self.gradient is None:
             return math.nan
-        return float(np.linalg.norm(self.gradient))
+        # sqrt(g . g) is np.linalg.norm(g) for a vector, bit for bit
+        return math.sqrt(self.gradient @ self.gradient)
 
     def __iter__(self):
         """Unpacks as (value, gradient), the shape of a problem's ``value_grad``."""
@@ -353,7 +354,8 @@ def _penalty(d, gamma, p):
 
 def forward_backward_map(problem: CompositeObjective, x, gamma: float) -> np.ndarray:
     """Gradient step on the smooth part followed by the order-2 prox of the rest."""
-    return _forward_backward(problem, x, gamma)[1]
+    _check_gamma(problem, gamma)
+    return _forward_backward(problem, x, problem.smooth.grad(x), gamma)
 
 
 def fbe_value_grad(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval:
@@ -385,20 +387,20 @@ def fbe_value(problem: CompositeObjective, x, gamma: float) -> EnvelopeValue:
 
 
 def _fbe(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval:
-    """Forward-backward point T and envelope value at x, without the gradient."""
-    gf, T = _forward_backward(problem, x, gamma)
+    """Forward-backward point T and envelope value at x, without the gradient:
+    one call of the smooth part, its fused ``value_grad`` when it has one."""
+    _check_gamma(problem, gamma)
+    f, gf = problem.smooth.value_and_grad(x)
+    T = _forward_backward(problem, x, gf, gamma)
     d = T - x
-    value = float(problem.smooth.value(x) + gf @ d + (d @ d) / (2.0 * gamma)
-                  + problem.nonsmooth.value(T))
+    value = float(f + gf @ d + (d @ d) / (2.0 * gamma) + problem.nonsmooth.value(T))
     return EnvelopeEval(x=x, prox_point=T, value=value, gradient=None)
 
 
-def _forward_backward(problem: CompositeObjective, x, gamma: float):
-    """grad f(x) and the forward-backward point T."""
-    _check_gamma(problem, gamma)
-    gf = problem.smooth.grad(x)
+def _forward_backward(problem: CompositeObjective, x, gf, gamma: float) -> np.ndarray:
+    """The forward-backward point T from x and grad f(x)."""
     T = problem.nonsmooth.prox(x - gamma * gf, gamma, 2.0)
-    return gf, np.atleast_1d(np.asarray(T, dtype=float))
+    return np.atleast_1d(np.asarray(T, dtype=float))
 
 
 def _check_gamma(problem: CompositeObjective, gamma: float) -> float:

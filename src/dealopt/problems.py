@@ -183,7 +183,21 @@ class LeastPProblem:
 
 
 class LassoProblem:
-    """phi(x) = 0.5 ||A x - b||^2 + lam ||x||_1."""
+    """phi(x) = 0.5 ||A x - b||^2 + lam ||x||_1.
+
+    The smooth part's oracles go through the normal-equation quantities
+    G = A^T A, c = A^T b and ||b||^2 / 2, formed once at construction (the
+    "covariance updates" of Friedman, Hastie & Tibshirani, J. Stat. Softw.
+    33 (2010), section 2.2): the gradient is G x - c, the Hessian-apply G v
+    and the value x.G x / 2 - c.x + ||b||^2 / 2, so each costs O(n^2)
+    instead of one or two m x n products (generated instances have m >= n,
+    so G is never larger than A).  The value's rounding scales with
+    ||b||^2 / 2 + |c.x| + x.G x / 2, not with f: near a consistent optimum
+    its three terms cancel to f, and it carries a few eps of ||b||^2 in
+    absolute terms.  ``fbe_rows``, which certificates use, keeps the
+    residual form, so a certificate re-derives every envelope in arithmetic
+    other than the solver's.
+    """
 
     kind = "lasso"
     solvers = ("bpga",)
@@ -206,17 +220,24 @@ class LassoProblem:
         self.seed = seed
         self.opnorm = oracles.spectral_constants(A).opnorm
         self.L = self.opnorm ** 2
+        self.G = A.T @ A
+        self.c = A.T @ self.b
+        self._half_bb = 0.5 * (self.b @ self.b)
 
     def smooth_value(self, x):
-        r = self.A @ x - self.b
-        return float(0.5 * (r @ r))
+        return self.smooth_value_grad(x)[0]
 
     def smooth_grad(self, x):
-        return self.A.T @ (self.A @ x - self.b)
+        return self.G @ x - self.c
+
+    def smooth_value_grad(self, x):
+        """(smooth_value(x), smooth_grad(x)) from one product G x."""
+        Gx = self.G @ x
+        return float(0.5 * (x @ Gx) - self.c @ x + self._half_bb), Gx - self.c
 
     def hess_apply(self, x, v):
-        # constant Hessian A^T A; x accepted for interface uniformity
-        return self.A.T @ (self.A @ v)
+        # constant Hessian G; x accepted for interface uniformity
+        return self.G @ v
 
     def value(self, x):
         return self.smooth_value(x) + self.lam * float(np.abs(x).sum())
@@ -226,9 +247,10 @@ class LassoProblem:
 
         Four products per block: R = X A^T - b, the smooth gradients R A,
         and the two of the Hessian term (X - T) A^T A of the gradient, where
-        T is the row-wise soft threshold of X - gamma R A.  Equals
-        ``envelopes.fbe_value_grad`` row by row up to rounding (the products
-        are summed in another order).
+        T is the row-wise soft threshold of X - gamma R A.  This is the
+        residual form, not the Gram form of the per-point oracles, so it
+        equals ``envelopes.fbe_value_grad`` row by row up to rounding alone
+        and re-derives each envelope independently of the solver.
         """
         R = X @ self.A.T - self.b
         G = R @ self.A
@@ -254,6 +276,7 @@ class LassoProblem:
             dim=self.n,
             value=self.smooth_value,
             grad=self.smooth_grad,
+            value_grad=self.smooth_value_grad,
             hess_apply=self.hess_apply,
             holder=HolderInfo(nu=1.0, L=self.L),
             name=f"lasso-smooth(m={self.m}, n={self.n})",

@@ -166,7 +166,7 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
     """
     fused = backtracks = None
     if armijo is None:
-        fused = objective.value_grad or (lambda y: (objective.value(y), objective.grad(y)))
+        fused = objective.value_and_grad
     else:
         backtracks = [(p, armijo.eta ** p * armijo.alpha_bar)
                       for p in range(1, armijo.max_backtracks + 1)]

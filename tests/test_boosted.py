@@ -345,6 +345,75 @@ def test_fbe_rows_matches_the_per_point_envelope(case):
         assert np.linalg.norm(gradient - ev.gradient) <= 16.0 * eps * scale
 
 
+def counted(smooth, calls):
+    """``smooth`` with each of its oracles counting its calls in ``calls``."""
+    def count(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return None if fn is None else wrapper
+    return dataclasses.replace(smooth, **{name: count(name, getattr(smooth, name))
+                                          for name in ("value", "grad", "value_grad",
+                                                       "hess_apply")})
+
+
+class TestOneSmoothCallPerPoint:
+    """An envelope point prices lasso's smooth part once, through its fused
+    value and gradient; the certificate's batch path keeps the residual form."""
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "composed"])
+    def test_each_envelope_point_makes_one_smooth_call(self, fused):
+        problem = generate_problem(2, "lasso", 50, 5)
+        calls = Counter()
+        smooth = counted(problem.as_smooth(), calls)
+        if not fused:
+            smooth = dataclasses.replace(smooth, value_grad=None)
+        comp = CompositeObjective(smooth, envelopes.L1Norm(problem.lam))
+        gamma = 0.95 / problem.L
+        one = {"value_grad": 1} if fused else {"value": 1, "grad": 1}
+        for x in np.random.default_rng(4).uniform(-5.0, 5.0, (20, 5)):
+            calls.clear()
+            value = fbe_value(comp, x, gamma)
+            assert calls == one
+            # fused or composed, the envelope is the same, bit for bit
+            assert value == fbe_value(problem.as_composite(), x, gamma)
+            calls.clear()
+            fbe_value_grad(comp, x, gamma)
+            assert calls == {**one, "hess_apply": 1}
+            calls.clear()
+            forward_backward_map(comp, x, gamma)
+            assert calls == {"grad": 1}
+
+    def test_the_screen_makes_one_value_grad_and_one_hess_apply(self):
+        problem = bench.build_problem(bench.preset("sec53", 0).problem)
+        calls = Counter()
+        comp = CompositeObjective(counted(problem.as_smooth(), calls),
+                                  envelopes.L1Norm(problem.lam))
+        rng = np.random.default_rng(5)
+        trials = [(m, 0.5 ** m) for m in range(1, 51)]
+        for _ in range(10):
+            calls.clear()
+            offered = list(boosted._screened_trials(
+                comp, 0.95 / problem.L, rng.uniform(-5.0, 5.0, 10),
+                rng.standard_normal(10), math.inf, trials))
+            assert offered == trials
+            assert calls == {"value_grad": 1, "hess_apply": 1}
+
+    def test_fbe_rows_uses_no_gram_oracle(self):
+        problem = bench.build_problem(bench.preset("sec53", 0).problem)
+        gamma = 0.95 / problem.L
+        X = np.random.default_rng(6).uniform(-5.0, 5.0, (50, problem.n))
+        values, G = problem.fbe_rows(X, gamma)
+
+        def refuse(*args):
+            raise AssertionError("a Gram oracle was called")
+        for name in ("smooth_value", "smooth_grad", "smooth_value_grad", "hess_apply"):
+            setattr(problem, name, refuse)
+        problem.G = problem.c = problem._half_bb = None
+        rows = problem.fbe_rows(X, gamma)
+        assert np.array_equal(rows[0], values) and np.array_equal(rows[1], G)
+
+
 HOME_ROWS_POINTS = np.vstack([
     np.random.default_rng(2).uniform(-5.0, 5.0, (300, 6)),
     [0.0, 1e-12, -1e-12, 5e-324, 50.0, -100.0],
@@ -625,8 +694,8 @@ class TestCarriedEvaluation:
     def test_the_full_evaluation_runs_at_k0_and_after_each_prox_step(self, monkeypatch):
         calls = count_envelope_calls(monkeypatch)
         trials, taken = Counter(), Counter()
-        # sec53 seed 0 takes no proximal point; seed 5's BPGA-BB1 takes one
-        for seed in (0, 5):
+        # sec53 seed 0 takes no proximal point; seed 1's BPGA takes one
+        for seed in (0, 1):
             config = bench.preset("sec53", seed)
             problem = bench.build_problem(config.problem)
             for spec in config.solvers:
@@ -635,9 +704,9 @@ class TestCarriedEvaluation:
                 assert calls["fbe_value_grad"] == 1 + prox_steps(trace), spec.name
                 trials[seed] += calls["fbe_value"]
                 taken[seed] += prox_steps(trace)
-        assert taken[0] == 0 and taken[5] == 1
-        # the trials themselves are unchanged
-        assert trials[0] == 286
+        assert taken[0] == 0 and taken[1] == 1
+        # the exact trials of seed 0's five variants
+        assert trials[0] == 323
         calls.clear()
         trace = run_bpga(generate_problem(3, "lasso", 60, 6).as_composite(), np.ones(6),
                          BoostedConfig(max_linesearch=0))
@@ -649,6 +718,24 @@ class TestCarriedEvaluation:
         phi = PowerAbsProblem(s=4.0, n=5).as_prox_capable()
         trace = run_bhippa(phi, np.linspace(-1.5, 2.0, 5), BoostedConfig(p=4.0, max_linesearch=0))
         assert calls == {"home_value_grad": len(trace)} and len(trace) > 2
+
+
+@pytest.mark.parametrize("solver", ["bpga", "bhippa"])
+def test_stored_iterates_do_not_share_the_callers_x0(solver):
+    # only x0 is copied: every later iterate is the loop's own array
+    if solver == "bpga":
+        x0 = np.ones(6)
+        trace = run_bpga(generate_problem(3, "lasso", 60, 6).as_composite(), x0,
+                         BoostedConfig(store_iterates=True))
+    else:
+        x0 = np.linspace(-1.5, 2.0, 5)
+        trace = run_bhippa(PowerAbsProblem(s=4.0, n=5).as_prox_capable(), x0,
+                           BoostedConfig(p=4.0, store_iterates=True))
+    assert trace.extras["termination"] == "tolerance" and len(trace) > 2
+    stored = [rec.x.copy() for rec in trace.records]
+    x0 += 1.0
+    assert all(np.array_equal(rec.x, x) for rec, x in zip(trace.records, stored))
+    assert len({id(rec.x) for rec in trace.records}) == len(trace)
 
 
 def test_bpga_nonfinite_start_stops_without_a_record():

@@ -151,6 +151,47 @@ class TestLasso:
         assert prob3.smooth_value([1.0, 1.0]) == pytest.approx(2.5)
         assert prob3.smooth_grad([1.0, 1.0]) == pytest.approx([1.0, 4.0])
 
+    def test_fused_smooth_value_grad_is_value_and_grad_bit_for_bit(self):
+        prob = build_problem(preset("sec53", 0).problem)
+        assert prob.as_smooth().value_grad == prob.smooth_value_grad
+        X = np.vstack([uniform_rows(prob.n, count=200), np.zeros(prob.n),
+                       reference_optimum(prob).xstar])
+        for x in X:
+            value, grad = prob.smooth_value_grad(x)
+            assert value == prob.smooth_value(x)
+            assert np.array_equal(grad, prob.smooth_grad(x))
+
+    @pytest.mark.parametrize("make", [
+        *(lambda s=s: build_problem(preset("sec53", s).problem) for s in range(3)),
+        lambda: generate_problem(3, "lasso", 40, 40, consistent=True),
+    ], ids=["sec53-0", "sec53-1", "sec53-2", "40x40-consistent"])
+    def test_gram_oracles_match_the_residual_form(self, make):
+        # Both forms sum products of the entries of A, x and b, so each
+        # differs from the exact value by rounding that scales with those
+        # products taken in absolute value: for the value with S = ||u||^2/2,
+        # u = |A||x| + |b|, and per coordinate |A|^T u for the gradient and
+        # |A|^T |A| |v| for the Hessian-apply.  The worst case is about
+        # (m + n) eps times these scales (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 2nd ed., section 3.1); the rounding met grows
+        # like its square root, and sqrt(m + n) eps is the bound here
+        # (measured: at most 4.7 eps on sec53, 0.6 eps on 40x40).  Near a
+        # consistent optimum the Gram value cancels, so the bound is on S,
+        # not on f.
+        eps = np.finfo(float).eps
+        prob = make()
+        A, b = prob.A, prob.b
+        tol = np.sqrt(prob.m + prob.n) * eps
+        X = np.vstack([uniform_rows(prob.n, count=100), np.zeros(prob.n),
+                       reference_optimum(prob).xstar])
+        V = np.random.default_rng(1).standard_normal(X.shape)
+        for x, v in zip(X, V):
+            r = A @ x - b
+            u = np.abs(A) @ np.abs(x) + np.abs(b)
+            assert abs(prob.smooth_value(x) - 0.5 * (r @ r)) <= tol * 0.5 * (u @ u)
+            assert np.all(np.abs(prob.smooth_grad(x) - A.T @ r) <= tol * (np.abs(A).T @ u))
+            assert np.all(np.abs(prob.hess_apply(x, v) - A.T @ (A @ v))
+                          <= tol * (np.abs(A).T @ (np.abs(A) @ np.abs(v))))
+
     def test_hess_apply_and_L(self):
         prob = generate_problem(3, "lasso", 40, 6, lam=0.1)
         v = np.arange(6.0)
