@@ -193,11 +193,7 @@ def _run_deal(problem, spec, run, x0):
     cfg = DealConfig(eps=run.eps, max_iter=run.max_iter, rule=rule, armijo=armijo,
                      store_iterates=run.store_iterates)
     runner = run_dealc if spec.solver == "deal-c" else run_deala
-    trace = runner(objective, x0, cfg)
-    # the boosted loop records this itself; _descend does not, because its
-    # fixed-point replay skips the rule, so the count covers evaluated steps
-    trace.extras["direction_fallbacks"] = rule.fallback_count
-    return trace, {"evaluate": problem.value_grad, "rows": problem.value_grad_rows}
+    return runner(objective, x0, cfg), {"evaluate": problem.value_grad, "rows": problem.value_grad_rows}
 
 
 def _run_bpga(problem, spec, run, x0):

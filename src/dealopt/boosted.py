@@ -11,26 +11,29 @@ sequence directly:
 Order selection p = 1/(1 - vartheta) matches theta to 1/vartheta, the regime
 in which the envelope values contract linearly.
 
-Both run one loop, ``_boost``; they differ only in the envelope, the
-candidate point built from a trial step, and the schedule of trial steps.
-The loop evaluates the envelope once per accepted point: the evaluation that
-accepted a trial is completed with its gradient for the next step.
+Both are DEAL on their envelope: they run the loop of the smooth solvers,
+:func:`~dealopt.solvers.deal_loop`, on the envelope, with the proximal point
+as the point a step falls back to when no trial passes the threshold
+value - rho ||grad||^theta.  They differ only in the envelope, the candidate
+point built from a trial step, and the trials.  The envelope is evaluated
+once per accepted point: the evaluation that accepted a trial is completed
+with its gradient for the next step.  The envelope functions are looked up
+in this module at each call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import (CompositeObjective, IterateRecord, IterateTrace, UsageError,
-                   as_vector)
-from .directions import DirectionRule, generalize
+from .core import CompositeObjective, IterateTrace, UsageError, as_vector
+from .directions import DirectionRule
 from .envelopes import (L1Norm, _check_gamma, fbe_complete, fbe_value,
                         fbe_value_grad, home_complete, home_value,
                         home_value_grad, prox_l1)
+from .solvers import deal_loop
 
 
 @dataclass
@@ -109,15 +112,17 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig) -> IterateT
                 "direction": rule.kind, "beta": rule.beta, "fallbacks": 0},
     )
     trials = [(m, config.alpha_bar ** m) for m in range(1, config.max_linesearch + 1)]
-    schedule = None
+    screen = None
     if problem.smooth.constant_hessian and isinstance(problem.nonsmooth, L1Norm):
-        def schedule(T, d, threshold):
+        def screen(T, d, threshold):
             return _screened_trials(problem, gamma, T, d, threshold, trials)
-    return _boost(as_vector(x0, problem.smooth.dim, "x0"), config, rule, trace,
-                  lambda x: fbe_value_grad(problem, x, gamma),
-                  lambda x: fbe_value(problem, x, gamma),
-                  lambda ev: fbe_complete(problem, ev, gamma),
-                  lambda x, T, alpha, d: T + alpha * d, trials, schedule=schedule)
+    return deal_loop(
+        as_vector(x0, problem.smooth.dim, "x0"), config, rule, trace, trials,
+        evaluate=lambda x: _point(fbe_value_grad(problem, x, gamma)),
+        candidate=lambda x, T, alpha, d: T + alpha * d,
+        value=lambda z: fbe_value(problem, z, gamma),
+        complete=lambda z, trial: _point(fbe_complete(problem, trial.evaluation, gamma)),
+        schedule=_schedule(trace, trials, screen), envelope=True)
 
 
 # The screened envelope value of a trial differs from its exact fbe_value by
@@ -207,95 +212,27 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
                 "fallbacks": 0},
     )
     trials = [(m, config.eta ** m) for m in range(config.max_linesearch)]
-    return _boost(as_vector(x0, name="x0"), config, rule, trace,
-                  lambda x: home_value_grad(phi, x, gamma, p),
-                  lambda x: home_value(phi, x, gamma, p),
-                  lambda ev: home_complete(ev, gamma, p),
-                  lambda x, y, kappa, d: (1.0 - kappa) * y + kappa * (x + d), trials,
-                  x_tol=config.eps * gamma ** q)
+    return deal_loop(
+        as_vector(x0, name="x0"), config, rule, trace, trials,
+        evaluate=lambda x: _point(home_value_grad(phi, x, gamma, p)),
+        candidate=lambda x, y, kappa, d: (1.0 - kappa) * y + kappa * (x + d),
+        value=lambda z: home_value(phi, z, gamma, p),
+        complete=lambda z, trial: _point(home_complete(trial.evaluation, gamma, p)),
+        schedule=_schedule(trace, trials), envelope=True, x_tol=config.eps * gamma ** q)
 
 
-# an overflowing trial fails the decrease test; numpy need not warn
-@np.errstate(over="ignore", invalid="ignore")
-def _boost(x, config: BoostedConfig, rule: DirectionRule, trace: IterateTrace,
-           evaluate, value, complete, candidate, trials,
-           x_tol: Optional[float] = None, schedule=None):
-    """The iteration loop of both boosted solvers, filling ``trace``.
+def _point(ev):
+    """(value, gradient, proximal point) of an envelope evaluation, the shape
+    of ``deal_loop``'s points; a multi-valued one has no gradient."""
+    return ev.value, ev.gradient, ev.prox_point
 
-    ``evaluate(x)`` gives the envelope value, gradient and proximal point y
-    at x, and ``value(x)`` the envelope value alone, as an ``EnvelopeValue``
-    that keeps its evaluation.  Each step tries ``candidate(x, y, t, d)`` for
-    every (m, t) in ``trials`` in order and takes the first one whose
-    envelope value is at most value - rho ||grad||^theta; otherwise it takes
-    y.  The accepted trial's evaluation is carried to the next step, where
-    ``complete(ev)`` adds its gradient alone, so the envelope is evaluated
-    once per accepted point: ``evaluate`` runs only at k=0 and after a step
-    that took y.  Both paths run the same operations on the same array, so
-    the trace does not depend on which one ran.  ``schedule(y, d,
-    threshold)``, when given, yields the trials to try in place of all of
-    them.  With no trials the direction rule is never consulted.  ``x_tol``
-    stops the run once ||x - y|| falls to it.  A point whose envelope value
-    or gradient norm is not finite ends the run ``nonfinite`` before it is
-    recorded.  The extras count the steps that took y (``fallbacks``) and
-    the direction rule's own fallbacks (``direction_fallbacks``).
-    """
-    accepted = None
-    for k in range(config.max_iter + 1):
-        ev = evaluate(x) if accepted is None else complete(accepted.evaluation)
-        if ev.multi_valued:
-            trace.extras["termination"] = "multivalued"
-            trace.extras["diagnostic"] = (
-                f"multi-valued proximal point at k={k}; envelope gradient undefined")
-            break
-        gn = ev.grad_norm
-        if not (math.isfinite(ev.value) and math.isfinite(gn)):
-            trace.extras["termination"] = "nonfinite"
-            trace.extras["diagnostic"] = f"non-finite envelope value or gradient at k={k}"
-            break
-        y = ev.prox_point
-        # the loop never writes into x, and every later x is a candidate or
-        # a proximal point, an array of its own, so only x0 is copied
-        stored = None
-        if config.store_iterates:
-            stored = x.copy() if k == 0 else x
-        rec = IterateRecord(k=k, f=ev.value, grad_norm=gn, x=stored)
-        trace.records.append(rec)
-        if gn <= config.eps:
-            trace.extras["termination"] = "tolerance"
-            break
-        if x_tol is not None:
-            # sqrt(v . v) is np.linalg.norm(v) for a vector, bit for bit
-            residual = x - y
-            if math.sqrt(residual @ residual) <= x_tol:
-                # proximal residual below the scaled tolerance; for orders below
-                # 2 this can trigger while the envelope gradient is still above eps
-                trace.extras["termination"] = "displacement"
-                break
-        if k == config.max_iter:
-            trace.extras["termination"] = "max_iter"
-            break
-        x_next = accepted = None
-        if trials:
-            d_bar = rule.base_direction(x, ev.gradient, gn)
-            rule.push(x, ev.gradient)
-            d = generalize(d_bar, ev.gradient, rule.beta, gn)
-            threshold = ev.value - trace.rho * gn ** trace.theta
-            for m, t in (trials if schedule is None else schedule(y, d, threshold)):
-                cand = candidate(x, y, t, d)
-                trial = value(cand)
-                if trial <= threshold:
-                    x_next, accepted = cand, trial
-                    rec.step = t
-                    rec.inner_count = m
-                    break
-            else:
-                trace.extras["fallbacks"] += 1
-        if x_next is None:
-            x_next = y
-            rec.step = 0.0
-            rec.inner_count = config.max_linesearch
-        dx = x_next - x
-        rec.displacement = math.sqrt(dx @ dx)
-        x = x_next
-    trace.extras["direction_fallbacks"] = rule.fallback_count
-    return trace
+
+def _schedule(trace: IterateTrace, trials, screen=None):
+    """The schedule hook of a boosted solver: its trials, or those that
+    ``screen(T, d, threshold)`` offers, each against the step's threshold
+    value - rho ||grad||^theta."""
+    def schedule(x, f, g, gn, y, d):
+        threshold = f - trace.rho * gn ** trace.theta
+        offered = trials if screen is None else screen(y, d, threshold)
+        return ((m, t, threshold) for m, t in offered)
+    return schedule

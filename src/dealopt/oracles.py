@@ -1,14 +1,14 @@
 """Spectral constants, and independent brute-force oracles kept separate from
-the closed-form implementations they validate: finite differences, scalar and
-small-grid minimization, and power/inverse spectral iteration, the
-cross-check of the outward-rounded SVD in ``spectral_constants``.
+the closed-form implementations they validate: finite differences, scalar
+minimization, and power/inverse spectral iteration, the cross-check of the
+outward-rounded SVD in ``spectral_constants``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -226,22 +226,3 @@ def _cho_solve(Lc, b):
     y = np.linalg.solve(Lc, b)
     return np.linalg.solve(Lc.T, y)
 
-
-def grid_minimize_nd(f: Callable[[np.ndarray], float], bounds: Sequence,
-                     points_per_axis: int = 21, levels: int = 8):
-    """Coarse-to-fine grid minimization for n <= 3 (oracle-scale only)."""
-    bounds = [tuple(map(float, b)) for b in bounds]
-    n = len(bounds)
-    if n > 3:
-        raise UsageError("grid oracle is limited to n <= 3")
-    best_x, best_v = None, math.inf
-    for _ in range(levels):
-        axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in bounds]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = np.array([f(p) for p in pts])
-        i = int(np.argmin(vals))
-        best_x, best_v = pts[i], float(vals[i])
-        spans = [(hi - lo) / (points_per_axis - 1) for lo, hi in bounds]
-        bounds = [(best_x[j] - spans[j], best_x[j] + spans[j]) for j in range(n)]
-    return best_x, best_v

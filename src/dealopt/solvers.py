@@ -16,12 +16,16 @@ the displacement constant c = c2 alpha (constant step) or c2 alpha_bar
 the trace is marked heuristic and rate/bound certificates are skipped
 downstream.
 
-Both run one loop, ``_descend``: the constant step is the case with no Armijo
-test, a single trial at alpha that is always taken.  When the first Armijo
-trial fails and the objective has a line oracle (``line_values``, which
-least-p supplies), the remaining backtracks are screened at once and only
-those the screen cannot rule out are evaluated, in order; the step taken is
-the one the per-trial loop takes.
+All four solvers run one loop, :func:`deal_loop`, DEAL on a function given
+by hooks: its evaluation, the candidate point of a trial step, the trial's
+value and its completion with a gradient, and the schedule of trials, each
+with the bound its value must meet.  Here the function is the objective
+itself (``_descend``), and the constant step is the case with no Armijo
+test, a single trial at alpha that is always taken; the boosted solvers run
+it on an envelope.  When the first Armijo trial fails and the objective has
+a line oracle (``line_values``, which least-p supplies), the remaining
+backtracks are screened at once and only those the screen cannot rule out
+are evaluated, in order; the step taken is the one the per-trial loop takes.
 """
 
 from __future__ import annotations
@@ -147,43 +151,103 @@ def run_deala(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrac
     return _descend(objective, x0, config, rule, trace, ap.alpha_bar, ap)
 
 
-# an overflowing trial ends the run with a diagnostic; numpy need not warn
-@np.errstate(over="ignore", invalid="ignore")
 def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: DirectionRule,
              trace: IterateTrace, alpha: float,
              armijo: Optional[ArmijoParams] = None) -> IterateTrace:
-    """The iteration loop of both step rules, filling ``trace``.
+    """Both step rules as hooks of :func:`deal_loop`, DEAL on the objective
+    itself.
 
     Every step first tries ``alpha``.  Without ``armijo`` that trial is
     always taken, so its value and gradient come from one fused oracle call;
     with it, the step shrinks to eta^p alpha_bar until the Armijo test passes
     or p exceeds max_backtracks, and the gradient is taken at the accepted
     point.  The backtracks that :func:`_screened_backtracks` rules out are
-    not evaluated.  A point whose value or gradient norm is not finite ends
-    the run ``nonfinite`` before it is recorded.  Once two consecutive steps leave
-    ``x`` bitwise unchanged, the rest of the run is replayed (see
-    :func:`_replay_fixed_point`).
+    not evaluated.
     """
-    fused = backtracks = None
-    if armijo is None:
-        fused = objective.value_and_grad
-    else:
-        backtracks = [(p, armijo.eta ** p * armijo.alpha_bar)
-                      for p in range(1, armijo.max_backtracks + 1)]
     x = as_vector(x0, objective.dim, "x0")
-    f, g = fused(x) if fused else (objective.value(x), None)
+
+    def candidate(x, y, t, d):
+        return x + t * d
+
+    if armijo is None:
+        gradient = None
+
+        def value(z):
+            # the one trial is always taken: keep its gradient for complete
+            nonlocal gradient
+            f, gradient = objective.value_and_grad(z)
+            return f
+        return deal_loop(x, config, rule, trace, [(0, alpha)],
+                         evaluate=lambda x: (*objective.value_and_grad(x), None),
+                         candidate=candidate, value=value,
+                         complete=lambda z, f: (f, gradient, None),
+                         schedule=lambda *step: ((0, alpha, None),))
+    backtracks = [(p, armijo.eta ** p * armijo.alpha_bar)
+                  for p in range(1, armijo.max_backtracks + 1)]
+
+    def schedule(x, f, g, gn, y, d):
+        slope = float(g @ d)
+        yield 0, alpha, f + armijo.sigma * alpha * slope
+        for p, step in _screened_backtracks(objective, armijo, backtracks, x, d, f, slope):
+            yield p, step, f + armijo.sigma * step * slope
+    return deal_loop(x, config, rule, trace, [(0, alpha)] + backtracks,
+                     evaluate=lambda x: (objective.value(x), objective.grad(x), None),
+                     candidate=candidate, value=objective.value,
+                     complete=lambda z, f: (f, objective.grad(z), None),
+                     schedule=schedule)
+
+
+# an overflowing trial ends the run or fails its test; numpy need not warn
+@np.errstate(over="ignore", invalid="ignore")
+def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
+              evaluate, candidate, value, complete, schedule, envelope: bool = False,
+              x_tol: Optional[float] = None) -> IterateTrace:
+    """The iteration loop of all four solvers, DEAL on a function phi given
+    by hooks, filling ``trace``.
+
+    ``evaluate(x)`` gives (phi(x), grad phi(x), y), where y is the auxiliary
+    point: the proximal point of an envelope, None for the objective itself.
+    Each step takes a direction d from ``rule`` and, for each (m, t, bound)
+    that ``schedule(x, phi(x), grad, ||grad||, y, d)`` yields, tries
+    ``z = candidate(x, y, t, d)``; the first trial whose value ``value(z)``
+    is at most its bound (any value when the bound is None) is taken.
+    ``complete(z, value)`` then gives the next step's (phi, grad, y), bit for
+    bit what ``evaluate(z)`` would, so phi is evaluated once per accepted
+    point: ``evaluate`` runs only at k=0 and after a step that took y.
+    ``trials`` are the step's (m, t); with none the direction rule is never
+    consulted.  A point whose value or gradient norm is not finite ends the
+    run ``nonfinite`` before it is recorded.
+
+    On an ``envelope`` a gradient of None (a multi-valued proximal point)
+    ends the run ``multivalued``, the rule's raw direction is taken, a step
+    that no trial passes takes y (counted in ``fallbacks``, recorded with
+    step 0 and inner count ``len(trials)``), and ``x_tol`` stops the run
+    once ||x - y|| falls to it.  On the objective itself the direction
+    satisfies the sufficient-descent pair, a step that no trial passes ends
+    the run ``backtrack_limit``, a taken trial whose value is not finite
+    ends it ``nonfinite``, and once two consecutive steps leave ``x``
+    bitwise unchanged the rest of the run is replayed (see
+    :func:`_replay_fixed_point`).  The extras count the direction rule's own
+    fallbacks (``direction_fallbacks``).
+    """
+    what = "envelope value" if envelope else "objective"
+    trial = None
     unmoved = 0
     for k in range(config.max_iter + 1):
-        if g is None:
-            g = objective.grad(x)
-        # sqrt(g . g) is np.linalg.norm(g) for a vector, bit for bit
+        f, g, y = evaluate(x) if trial is None else complete(x, trial)
+        if envelope and g is None:
+            trace.extras["termination"] = "multivalued"
+            trace.extras["diagnostic"] = (
+                f"multi-valued proximal point at k={k}; envelope gradient undefined")
+            break
+        # sqrt(v . v) is np.linalg.norm(v) for a vector, bit for bit
         gn = math.sqrt(g @ g)
         if not (math.isfinite(f) and math.isfinite(gn)):
             trace.extras["termination"] = "nonfinite"
-            trace.extras["diagnostic"] = f"non-finite objective or gradient at k={k}"
+            trace.extras["diagnostic"] = f"non-finite {what} or gradient at k={k}"
             break
-        # the loop never writes into x, and every later x is an array of its
-        # own, so only x0, which may be the caller's, is copied
+        # the loop never writes into x, and every later x is a trial or a
+        # proximal point, an array of its own, so only x0 is copied
         stored = None
         if config.store_iterates:
             stored = x.copy() if k == 0 else x
@@ -192,47 +256,56 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
         if gn <= config.eps:
             trace.extras["termination"] = "tolerance"
             break
+        if x_tol is not None:
+            residual = x - y
+            if math.sqrt(residual @ residual) <= x_tol:
+                # proximal residual below the scaled tolerance; for orders below
+                # 2 this can trigger while the envelope gradient is still above eps
+                trace.extras["termination"] = "displacement"
+                break
         if k == config.max_iter:
             trace.extras["termination"] = "max_iter"
             break
-        d_bar, _ = rule.sufficient_base_direction(x, g, gn)
-        rule.push(x, g)
-        d = generalize(d_bar, g, rule.beta, gn)
-        p = 0
-        step = alpha
-        x_next = x + step * d
-        if fused:
-            f_next, g_next = fused(x_next)
-        else:
-            f_next, g_next = objective.value(x_next), None
-            slope = float(g @ d)
-            if not f_next <= f + armijo.sigma * step * slope:
-                for p, step in _screened_backtracks(objective, armijo, backtracks,
-                                                    x, d, f, slope):
-                    x_next = x + step * d
-                    f_next = objective.value(x_next)
-                    if f_next <= f + armijo.sigma * step * slope:
-                        break
-                else:
+        x_next = trial = None
+        if trials:
+            if envelope:
+                d_bar = rule.base_direction(x, g, gn)
+            else:
+                d_bar, _ = rule.sufficient_base_direction(x, g, gn)
+            rule.push(x, g)
+            d = generalize(d_bar, g, rule.beta, gn)
+            for m, t, bound in schedule(x, f, g, gn, y, d):
+                z = candidate(x, y, t, d)
+                v = value(z)
+                if bound is None or v <= bound:
+                    x_next, trial = z, v
+                    break
+            else:
+                if not envelope:
                     trace.extras["termination"] = "backtrack_limit"
                     trace.extras["diagnostic"] = (
-                        f"no Armijo step within {armijo.max_backtracks} backtracks at "
+                        f"no Armijo step within {len(trials) - 1} backtracks at "
                         f"k={k}; declared Hölder constant is likely too small")
-                    return trace
-        if not math.isfinite(f_next):
+                    break
+                trace.extras["fallbacks"] += 1
+        if x_next is None:
+            x_next, m, t = y, len(trials), 0.0
+        elif not (envelope or math.isfinite(trial)):
             trace.extras["termination"] = "nonfinite"
             trace.extras["diagnostic"] = f"non-finite objective at k={k + 1}"
             break
-        rec.step = step
-        rec.inner_count = p
+        rec.step = t
+        rec.inner_count = m
         dx = x_next - x
         rec.displacement = math.sqrt(dx @ dx)
-        # bytes, not displacement == 0: the norm can underflow and -0.0 == 0.0
-        unmoved = unmoved + 1 if x_next.tobytes() == x.tobytes() else 0
-        if unmoved == 2:
-            _replay_fixed_point(trace, rec, config.max_iter)
-            break
-        x, f, g = x_next, f_next, g_next
+        if not envelope:
+            # bytes, not displacement == 0: the norm can underflow and -0.0 == 0.0
+            unmoved = unmoved + 1 if x_next.tobytes() == x.tobytes() else 0
+            if unmoved == 2:
+                _replay_fixed_point(trace, rec, config.max_iter)
+                break
+        x = x_next
+    trace.extras["direction_fallbacks"] = rule.fallback_count
     return trace
 
 

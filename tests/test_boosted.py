@@ -13,9 +13,9 @@ from dealopt.core import (REEVALUATE_BLOCK, CompositeObjective, DataError,
                           HolderInfo, SmoothObjective, UsageError,
                           certify_descent, reevaluate_trace)
 from dealopt.directions import DirectionRule
-from dealopt.envelopes import (SeparableProx, fbe_value, fbe_value_grad,
-                               forward_backward_map, home_value,
-                               home_value_grad)
+from dealopt.envelopes import (AbsPower, SeparableProx, fbe_value,
+                               fbe_value_grad, forward_backward_map,
+                               home_value, home_value_grad)
 from dealopt.problems import PowerAbsProblem, generate_problem, reference_optimum
 
 
@@ -108,10 +108,13 @@ class TestBPGA:
             monkeypatch.setattr(DirectionRule, name, unused)
         _, comp, gamma, sigma = lasso_setup()
         cfg = BoostedConfig(gamma=gamma, sigma=sigma, max_linesearch=0)
-        tr = run_bpga(comp, np.ones(6) * 2.0, cfg)
-        assert tr.extras["termination"] == "tolerance"
-        assert len(tr) > 2
-        assert tr.extras["fallbacks"] == 0
+        bpga = run_bpga(comp, np.ones(6) * 2.0, cfg)
+        bhippa = run_bhippa(AbsPower(4.0), np.linspace(-1.5, 2.0, 5),
+                            BoostedConfig(p=4.0, max_linesearch=0))
+        for tr in (bpga, bhippa):
+            assert tr.extras["termination"] == "tolerance"
+            assert len(tr) > 2
+            assert tr.extras["fallbacks"] == 0
 
     def test_unset_gamma_and_sigma_take_the_solver_defaults(self):
         prob, comp, gamma, _ = lasso_setup()

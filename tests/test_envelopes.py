@@ -8,7 +8,7 @@ from dealopt.envelopes import (PROX_ORACLE_REL_TOL, AbsPower, L1Norm, ProxResult
                                forward_backward_map, home_value,
                                home_value_grad, prox_home_separable, prox_l1,
                                prox_oracle_check)
-from dealopt.oracles import finite_diff_gradient, grid_minimize_nd, scalar_minimize
+from dealopt.oracles import finite_diff_gradient, scalar_minimize
 from dealopt.problems import LassoProblem, PowerAbsProblem, generate_problem
 
 
@@ -251,13 +251,10 @@ class TestHomeEnvelope:
 
     def test_separable_p2_agrees_with_euclidean_grid(self):
         # for p = 2 the per-coordinate construction equals the true
-        # 2-D Euclidean proximal point; cross-check on the grid oracle
-        g = SeparableProx(abs)
+        # 2-D Euclidean proximal point, the closed-form soft threshold
         x = np.array([1.7, -0.4])
         res = prox_home_separable(abs, x, gamma=0.6, p=2.0)
-        obj = lambda y: float(np.abs(y).sum() + ((x - y) @ (x - y)) / (2 * 0.6))
-        y_grid, _ = grid_minimize_nd(obj, [(-3, 3), (-3, 3)])
-        assert res.point == pytest.approx(y_grid, abs=1e-3)
+        assert res.point == pytest.approx(prox_l1(x, 0.6), abs=1e-9)
 
 
 def _scalar_lasso(lam=1.0, b=0.0):

@@ -3,8 +3,7 @@ import pytest
 
 from dealopt.core import DataError
 from dealopt.envelopes import prox_l1
-from dealopt.oracles import (finite_diff_gradient, grid_minimize_nd,
-                             iterative_spectral_constants,
+from dealopt.oracles import (finite_diff_gradient, iterative_spectral_constants,
                              scalar_minimize, spectral_constants)
 from dealopt.problems import LassoProblem, LeastPProblem, generate_problem
 
@@ -127,10 +126,3 @@ def test_spectral_large_gaussian_sane():
     sv = np.linalg.svd(A, compute_uv=False)
     assert abs(spec.opnorm - sv[0]) < 1e-7 * sv[0]
     assert abs(spec.sigma_min - sv[-1]) < 1e-6 * sv[0]
-
-
-def test_grid_minimize_nd():
-    f = lambda v: float((v[0] - 0.5) ** 2 + 2.0 * (v[1] + 1.0) ** 2)
-    x, val = grid_minimize_nd(f, [(-3, 3), (-3, 3)])
-    assert np.allclose(x, [0.5, -1.0], atol=1e-4)
-    assert val < 1e-7

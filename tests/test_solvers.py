@@ -298,6 +298,28 @@ def consistent_leastp(seed):
     return prob, np.random.default_rng(seed).uniform(-5, 5, 8)
 
 
+@pytest.mark.parametrize("runner", (run_dealc, run_deala))
+def test_direct_runs_record_the_direction_fallbacks(runner):
+    prob, x0 = consistent_leastp(1)
+    rule = DirectionRule("bb1", beta=0.5)
+    tr = runner(prob.as_smooth(), x0, DealConfig(max_iter=50, rule=rule))
+    assert tr.extras["termination"] == "max_iter"
+    assert tr.extras["direction_fallbacks"] == rule.fallback_count > 0
+
+
+def test_backtrack_limit_records_the_direction_fallbacks():
+    # the quartic of test_backtrack_limit_diagnostic: the run ends at k=0,
+    # where BB1 has no history and falls back to the gradient
+    obj = SmoothObjective(dim=1, value=lambda x: float(x[0] ** 4),
+                          grad=lambda x: 4.0 * np.asarray(x, dtype=float) ** 3,
+                          holder=HolderInfo(nu=1.0, L=1.0))
+    rule = DirectionRule("bb1")
+    tr = run_deala(obj, np.array([50.0]),
+                   DealConfig(rule=rule, armijo=ArmijoParams(max_backtracks=2)))
+    assert tr.extras["termination"] == "backtrack_limit"
+    assert tr.extras["direction_fallbacks"] == rule.fallback_count == 1
+
+
 class TestFixedPointReplay:
     @pytest.mark.parametrize("kind", KINDS)
     def test_bitwise_equal_to_the_loop_without_replay(self, monkeypatch, kind):
@@ -313,6 +335,8 @@ class TestFixedPointReplay:
                     tr = runner(obj, x0, config())
                     ref = run_without_replay(monkeypatch, runner, obj, x0, config())
                     replayed += tr.extras.pop("fixed_point_at", None) is not None
+                    # the replay skips the rule, so its count covers evaluated steps
+                    tr.extras.pop("direction_fallbacks")
                     assert tr.extras == ref.extras
                     assert len(tr) == len(ref)
                     for a, b in zip(tr.records, ref.records):
@@ -338,6 +362,7 @@ class TestFixedPointReplay:
         tr = run_deala(obj, np.array([1.0]), config())
         ref = run_without_replay(monkeypatch, run_deala, obj, np.array([1.0]), config())
         assert tr.extras.pop("fixed_point_at") == 3
+        tr.extras.pop("direction_fallbacks")
         assert tr.records[2].inner_count == tr.records[1].inner_count + 1
         assert tr.extras == ref.extras
         assert [dataclasses.astuple(r)[:5] for r in tr.records] == [
