@@ -6,7 +6,8 @@ grad_norm columns, so the generic descent certificate applies to the envelope
 sequence directly:
 
   boosted proximal gradient:  rho = sigma / (1 + gamma L)^2,   theta = 2
-  boosted proximal point:     rho = sigma gamma^(1/(p-1)) / p, theta = p/(p-1)
+  boosted proximal point:     rho = sigma gamma^(1/(p-1)) n^min(0, 1 - p/(2(p-1))) / p,
+                              theta = p/(p-1)
 
 Order selection p = 1/(1 - vartheta) matches theta to 1/vartheta, the regime
 in which the envelope values contract linearly.
@@ -187,8 +188,9 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
     Each step computes y = order-p prox of x^k, then accepts the largest
     kappa in {eta^m : m = 0..max_linesearch-1} such that
     x^{k+1} = (1-kappa) y + kappa (x^k + d^k) decreases the envelope by at
-    least sigma gamma^(1/(p-1))/p times ||envelope grad||^(p/(p-1)); the prox
-    point itself is the fallback (it satisfies the test since sigma < 1).
+    least rho = sigma gamma^(1/(p-1)) n^min(0, 1 - p/(2(p-1))) / p times
+    ||envelope grad||^(p/(p-1)), n the dimension; the prox point itself is
+    the fallback (it satisfies the test since sigma < 1).
     ``max_linesearch=0`` skips the search entirely, reproducing the plain
     proximal-point update.  A multi-valued prox on the trajectory aborts with
     a diagnostic: the envelope is not differentiable there.  Unset ``gamma``
@@ -202,8 +204,12 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
         raise UsageError(f"sigma must lie in (0, {sigma_cap:g}) for order {p}")
     rule = config.rule if config.rule is not None else DirectionRule("gradient")
     rule.reset()
+    x = as_vector(x0, name="x0")
     q = 1.0 / (p - 1.0)
-    rho = sigma * gamma ** q / p
+    # the fallback decreases the envelope by ||x - y||_p^p / (p gamma), and
+    # ||grad|| = ||x - y||_r^(p-1) / gamma with r = 2(p-1); for p < 2, r < p
+    # and only ||.||_p^p >= n^(1 - p/r) ||.||_r^p holds
+    rho = sigma * gamma ** q * x.size ** min(0.0, 1.0 - p / (2.0 * (p - 1.0))) / p
     theta = p / (p - 1.0)
     trace = IterateTrace(
         solver_id="bhippa", rho=rho, theta=theta, guaranteed=True,
@@ -213,7 +219,7 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
     )
     trials = [(m, config.eta ** m) for m in range(config.max_linesearch)]
     return deal_loop(
-        as_vector(x0, name="x0"), config, rule, trace, trials,
+        x, config, rule, trace, trials,
         evaluate=lambda x: _point(home_value_grad(phi, x, gamma, p)),
         candidate=lambda x, y, kappa, d: (1.0 - kappa) * y + kappa * (x + d),
         value=lambda z: home_value(phi, z, gamma, p),

@@ -5,17 +5,18 @@ For a separable nonsmooth term the order-p envelope is built per coordinate
 (each coordinate minimizes g(u) + |x_i - u|^p / (p gamma)), which coincides
 with the Euclidean definition for p = 2 or in one dimension.  Minimizers come
 from the term's own prox: ``L1Norm`` has a closed form for every order, and
-``AbsPower`` (|t|^s, s > 1) solves the monotone optimality condition for all
-coordinates at once by safeguarded Newton.  An arbitrary scalar term
-(``SeparableProx``) goes through ``prox_home_separable``, a bracketed grid +
-golden-section oracle that surfaces near-ties between basins through a
-``multi_valued`` flag instead of assuming them away; ``prox_oracle_check``
-uses the same oracle to cross-check a fast prox.  ``fbe_value``,
-``fbe_value_grad`` and ``forward_backward_map`` take a validated 1-D float
-array, as the problem oracles do.  ``fbe_value`` and ``home_value`` return an
-``EnvelopeValue``, a float that keeps its evaluation; ``fbe_complete`` and
-``home_complete`` add the gradient to it, and the ``*_value_grad`` functions
-are the evaluation plus that completion.
+``AbsPower`` (|t|^s, s > 1) has one at the matched order p = s and otherwise
+solves the monotone optimality condition for all coordinates at once by
+safeguarded Newton.  An arbitrary scalar term (``SeparableProx``) goes
+through ``prox_home_separable``, a bracketed grid + golden-section oracle,
+run for all coordinates at once, that surfaces near-ties between basins
+through a ``multi_valued`` flag instead of assuming them away;
+``prox_oracle_check`` uses the same oracle to cross-check a fast prox.
+``fbe_value``, ``fbe_value_grad`` and ``forward_backward_map`` take a
+validated 1-D float array, as the problem oracles do.  ``fbe_value`` and
+``home_value`` return an ``EnvelopeValue``, a float that keeps its
+evaluation; ``fbe_complete`` and ``home_complete`` add the gradient to it,
+and the ``*_value_grad`` functions are the evaluation plus that completion.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ class AbsPower:
     convex, so its minimizer is the unique root of the increasing function
     F(u) = s sign(u)|u|^(s-1) + sign(u - x)|u - x|^(p-1) / gamma, which lies
     between 0 and x.  ``_abs_power_root`` finds it for every coordinate at
-    once, so the prox acts elementwise on an array of any shape.
+    once, so the prox acts elementwise on an array of any shape.  At the
+    matched order p = s the root has a closed form, ``_abs_power_matched``.
     """
 
     def __init__(self, s: float):
@@ -98,10 +100,34 @@ class AbsPower:
         if not (p > 1.0 and gamma > 0.0):
             raise UsageError("need p > 1 and gamma > 0")
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.sign(x) * _abs_power_root(np.abs(x).ravel(), self.s, gamma, p).reshape(x.shape)
+        a = np.abs(x).ravel()
+        if p == self.s:
+            root = _abs_power_matched(a, self.s, gamma)
+        else:
+            root = _abs_power_root(a, self.s, gamma, p)
+        return np.sign(x) * root.reshape(x.shape)
 
     def prox_detailed(self, x, gamma, p: float = 2.0) -> ProxResult:
         return ProxResult(self.prox(x, gamma, p), False)
+
+
+def _abs_power_matched(a, s, gamma):
+    """Root v in [0, a] of s v^(s-1) - (a - v)^(s-1) / gamma, per entry of a >= 0.
+
+    At p = s the condition reads ((a - v) / v)^(s-1) = s gamma, so
+    v = a / (1 + (s gamma)^(1/(s-1))).  As in ``_abs_power_root``, entries
+    of a below the smallest normal float give 0 and non-finite ones nan, and
+    a root at which s v^(s-1) overflows raises.
+    """
+    live = np.isfinite(a) & (a >= np.finfo(float).tiny)
+    root = np.where(live, a / (1.0 + (s * gamma) ** (1.0 / (s - 1.0))),
+                    np.where(np.isfinite(a), 0.0, math.nan))
+    with np.errstate(over="ignore"):
+        overflow = ~np.isfinite(s * root[live] ** (s - 1.0))
+    if overflow.any():
+        raise NumericalError(f"order-{s} prox of |t|^{s} overflows at |x| = "
+                             f"{a[live][overflow].max():g}")
+    return root
 
 
 _ROOT_MAX_ITER = 200
@@ -189,22 +215,42 @@ def prox_home_separable(g_scalar, x, gamma: float, p: float) -> ProxResult:
     pre-scan plus golden-section refinement over an adaptively expanded
     bracket.  When two basins tie within 1e-8 in objective the smaller-|u|
     minimizer is returned and the result is flagged multi-valued.
+    ``g_scalar`` takes one float at a time.
     """
+    return _prox_separable(_scalar_objective(g_scalar, gamma, p), x, gamma, p)
+
+
+def _scalar_objective(g_scalar, gamma, p):
+    """The prox objectives of a scalar g in the form ``_prox_separable``
+    takes, computed entry by entry."""
+    def h(x, U):
+        X = np.broadcast_to(x[:, None], U.shape)
+        return np.array([g_scalar(u) + abs(xi - u) ** p / (p * gamma)
+                         for xi, u in zip(X.ravel().tolist(), U.ravel().tolist())],
+                        dtype=float).reshape(U.shape)
+    return h
+
+
+def _prox_separable(h, x, gamma: float, p: float) -> ProxResult:
+    """``prox_home_separable`` given the prox objectives ``h(x, U)``: for a
+    (n, k) array U, coordinate i's objective at each entry of row i.  Every
+    coordinate's bracket and minimization run at once, as the rows of one
+    ``oracles.scalar_minimize`` call."""
     if not (p > 1.0 and gamma > 0.0):
         raise UsageError("need p > 1 and gamma > 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    multi = False
-    for i, xi in enumerate(x):
-        h = lambda u: g_scalar(u) + abs(xi - u) ** p / (p * gamma)
-        lo, hi = _expand_bracket(h, xi)
-        res = oracles.scalar_minimize(h, (lo, hi))
-        if res.multi_valued:
-            multi = True
-            out[i] = min((u for u, _ in res.candidates), key=abs)
-        else:
-            out[i] = res.argmin
-    return ProxResult(point=out, multi_valued=multi)
+
+    def rows(U):
+        return h(x, U)
+
+    res = oracles.scalar_minimize(rows, _expand_brackets(rows, x))
+    point = res.argmin
+    multi = res.multi_valued
+    if multi.any():
+        # of tied minimizers, the first of smallest |u|
+        nearest = np.argmin(np.where(res.candidates, np.abs(res.points), np.inf), axis=1)
+        point[multi] = res.points[multi, nearest[multi]]
+    return ProxResult(point=point, multi_valued=bool(multi.any()))
 
 
 PROX_ORACLE_REL_TOL = 1e-12
@@ -218,18 +264,20 @@ def prox_oracle_check(g, x, gamma: float, p: float) -> dict:
     PROX_ORACLE_REL_TOL * max(1, |oracle objective|).  Objectives, not
     points, are compared: the oracle cannot locate a flat minimum (|t|^4
     near 0) to better than about 1e-6, while its objective is exact to
-    rounding there.  ``max_point_diff`` is reported for information.
+    rounding there.  ``max_point_diff`` is reported for information.  The
+    scalar of ``AbsPower`` and ``L1Norm`` acts on arrays, so their objectives
+    are evaluated array by array; any other term's entry by entry.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     fast = np.atleast_1d(g.prox_detailed(x, gamma, p).point)
-    ref = prox_home_separable(g.scalar, x, gamma, p).point
-
-    def objective(u):
-        return (np.array([g.scalar(t) for t in u], dtype=float)
-                + np.abs(x - u) ** p / (p * gamma))
-
-    h_ref = objective(ref)
-    excess = (objective(fast) - h_ref) / np.maximum(1.0, np.abs(h_ref))
+    if isinstance(g, (AbsPower, L1Norm)):
+        def h(x, U):
+            return g.scalar(U) + np.abs(x[:, None] - U) ** p / (p * gamma)
+    else:
+        h = _scalar_objective(g.scalar, gamma, p)
+    ref = _prox_separable(h, x, gamma, p).point
+    h_ref = h(x, ref[:, None])[:, 0]
+    excess = (h(x, fast[:, None])[:, 0] - h_ref) / np.maximum(1.0, np.abs(h_ref))
     worst = float(excess.max())
     return {"passed": bool(worst <= PROX_ORACLE_REL_TOL), "worst_excess": worst,
             "max_point_diff": float(np.abs(fast - ref).max())}
@@ -239,15 +287,22 @@ def prox_oracle_check(g, x, gamma: float, p: float) -> dict:
 _BRACKET_LIMIT = 1e6
 
 
-def _expand_bracket(h, center):
-    r = 1.0 + 2.0 * abs(center)
-    while r <= _BRACKET_LIMIT:
-        lo, hi = center - r, center + r
+def _expand_brackets(h, centers):
+    """Per coordinate c, the first [c - r, c + r] with r = (1 + 2|c|) 4^k at
+    whose edges ``h`` (the rows form of ``_prox_separable``) rises, so that
+    the minimizer is inside; as (lo, hi) arrays."""
+    c = centers[:, None]
+    r = 1.0 + 2.0 * np.abs(c)
+    pending = np.ones(c.shape, dtype=bool)
+    while True:
+        if (r[pending] > _BRACKET_LIMIT).any():
+            raise DataError("objective keeps decreasing out to +/-1e6; unbounded below?")
         inner = 0.5 * r
-        if h(lo) >= h(center - inner) and h(hi) >= h(center + inner):
-            return lo, hi  # rising at both edges: minimizer is inside
-        r *= 4.0
-    raise DataError("objective keeps decreasing out to +/-1e6; unbounded below?")
+        lo, mid_lo, hi, mid_hi = np.hsplit(h(np.hstack([c - r, c - inner, c + r, c + inner])), 4)
+        pending &= ~((lo >= mid_lo) & (hi >= mid_hi))
+        if not pending.any():
+            return (c - r)[:, 0], (c + r)[:, 0]
+        r = np.where(pending, 4.0 * r, r)
 
 
 @dataclass

@@ -66,89 +66,156 @@ class ScalarMinResult:
         return len(self.candidates) > 1
 
 
-def scalar_minimize(g: Callable[[float], float], bracket) -> ScalarMinResult:
+@dataclass
+class RowsMinResult:
+    """One minimization per row.  ``points`` and ``values`` hold each row's
+    refined basins, best first (nan and inf where a row has fewer than
+    ``_MULTI_START``), and ``candidates`` marks the near-optimal ones that
+    ``ScalarMinResult.candidates`` would list."""
+
+    argmin: np.ndarray
+    minval: np.ndarray
+    points: np.ndarray
+    values: np.ndarray
+    candidates: np.ndarray
+
+    @property
+    def multi_valued(self) -> np.ndarray:
+        return self.candidates.sum(axis=1) > 1
+
+
+def scalar_minimize(g: Callable, bracket):
     """Grid pre-scan plus golden-section refinement of a 1-D function.
 
     Refines the best ``_MULTI_START`` grid basins; basins whose refined
     value ties the global best within ``_TIE_TOL`` are reported as candidates
     so callers can detect multi-valued minimizers.
+
+    With a bracket of two floats, ``g`` takes one float and the result is a
+    ``ScalarMinResult``.  With a bracket of two 1-D arrays (lo, hi) it
+    minimizes one function per row i over [lo[i], hi[i]], all rows at once:
+    ``g(T)`` takes a (rows, k) array and returns the value of row i's
+    function at each entry of row i, and the result is a ``RowsMinResult``.
+    The float form is the one-row case of the array form.
     """
-    lo, hi = float(min(bracket)), float(max(bracket))
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise UsageError(f"invalid bracket {bracket}")
-    ts = np.linspace(lo, hi, _GRID_POINTS)
-    vals = np.array([g(t) for t in ts], dtype=float)
+    if np.ndim(bracket[0]) == 0:
+        lo, hi = float(min(bracket)), float(max(bracket))
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise UsageError(f"invalid bracket {bracket}")
+        res = _minimize_rows(lambda T: np.array([g(t) for t in T.ravel().tolist()],
+                                                dtype=float).reshape(T.shape),
+                             np.array([lo]), np.array([hi]))
+        candidates = [(u, v) for u, v, c in zip(res.points[0].tolist(), res.values[0].tolist(),
+                                                res.candidates[0].tolist()) if c]
+        return ScalarMinResult(argmin=float(res.argmin[0]), minval=float(res.minval[0]),
+                               candidates=candidates)
+    lo, hi = (np.asarray(end, dtype=float) for end in bracket)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(hi > lo)):
+        raise UsageError("invalid brackets")
+    return _minimize_rows(g, lo, hi)
+
+
+def _minimize_rows(g, lo, hi) -> RowsMinResult:
+    """The oracle, every row at once: the ``_GRID_POINTS`` grid and its local
+    minima (ties kept), golden section over the cells of the best
+    ``_MULTI_START``, a parabolic polish, and the tie rule.  Each row takes
+    the steps of a one-row run at the same points; ``g`` is evaluated on
+    whole (rows, k) arrays, and the entries of a row that has finished
+    refining, or has fewer basins, are evaluated but not used."""
+    ts = np.linspace(lo, hi, _GRID_POINTS, axis=1)
+    vals = g(ts)
     if not np.all(np.isfinite(vals)):
         raise DataError("non-finite values on scalar grid")
-    if vals[0] < vals[1] and vals[-1] < vals[-2]:
+    if np.any((vals[:, 0] < vals[:, 1]) & (vals[:, -1] < vals[:, -2])):
         raise DataError("function decreases at both bracket ends; unbounded below?")
-    # local grid minima (ties kept), best few refined independently
-    basins = [i for i in range(len(ts))
-              if (i == 0 or vals[i] <= vals[i - 1]) and (i == len(ts) - 1 or vals[i] <= vals[i + 1])]
-    basins.sort(key=lambda i: vals[i])
-    refined = []
-    for i in basins[:_MULTI_START]:
-        a = ts[max(i - 1, 0)]
-        b = ts[min(i + 1, len(ts) - 1)]
-        u, v = _golden_section(g, a, b, _GOLDEN_TOL)
-        u, v = _parabolic_polish(g, u, v, lo, hi)
-        if vals[i] < v:
-            # refinement assumes the cell is unimodal; a discontinuous g can
-            # defeat it, in which case the scanned grid point stands
-            u, v = ts[i], vals[i]
-        refined.append((u, v))
-    best_u, best_v = min(refined, key=lambda uv: uv[1])
-    tie = _TIE_TOL * max(1.0, abs(best_v))
-    candidates = []
-    for u, v in sorted(refined, key=lambda uv: uv[1]):
-        if v - best_v <= tie and all(abs(u - c) > 1e-6 * (1.0 + abs(u)) for c, _ in candidates):
-            candidates.append((u, v))
-    return ScalarMinResult(argmin=best_u, minval=best_v, candidates=candidates)
+    # local grid minima (ties kept), best few refined independently; the
+    # stable sort keeps equal values in grid order
+    basin = np.ones(ts.shape, dtype=bool)
+    basin[:, 1:] &= vals[:, 1:] <= vals[:, :-1]
+    basin[:, :-1] &= vals[:, :-1] <= vals[:, 1:]
+    best = np.argsort(np.where(basin, vals, np.inf), axis=1, kind="stable")[:, :_MULTI_START]
+    valid = np.take_along_axis(basin, best, axis=1)
+    # a row's grid minimum is always a basin: it stands in for absent ones
+    i = np.where(valid, best, best[:, :1])
+    a = np.take_along_axis(ts, np.maximum(i - 1, 0), axis=1)
+    b = np.take_along_axis(ts, np.minimum(i + 1, _GRID_POINTS - 1), axis=1)
+    u, v = _golden_section(g, a, b, _GOLDEN_TOL)
+    u, v = _parabolic_polish(g, u, v, lo[:, None], hi[:, None])
+    # refinement assumes the cell is unimodal; a discontinuous g can defeat
+    # it, in which case the scanned grid point stands
+    grid_u = np.take_along_axis(ts, i, axis=1)
+    grid_v = np.take_along_axis(vals, i, axis=1)
+    scanned = grid_v < v
+    points = np.where(valid, np.where(scanned, grid_u, u), math.nan)
+    values = np.where(valid, np.where(scanned, grid_v, v), math.inf)
+    order = np.argsort(values, axis=1, kind="stable")
+    points = np.take_along_axis(points, order, axis=1)
+    values = np.take_along_axis(values, order, axis=1)
+    tie = _TIE_TOL * np.maximum(1.0, np.abs(values[:, :1]))
+    candidates = ~np.isnan(points) & (values - values[:, :1] <= tie)
+    for j in range(1, _MULTI_START):
+        # a basin within 1e-6 of an earlier candidate is the same minimizer
+        for k in range(j):
+            candidates[:, j] &= ~candidates[:, k] | (
+                np.abs(points[:, j] - points[:, k]) > 1e-6 * (1.0 + np.abs(points[:, j])))
+    return RowsMinResult(argmin=points[:, 0].copy(), minval=values[:, 0].copy(),
+                         points=points, values=values, candidates=candidates)
 
 
 def _golden_section(g, a, b, tol):
-    tol_abs = tol * (1.0 + abs(a) + abs(b))
-    h = b - a
-    c = b - _GOLDEN * h
-    d = a + _GOLDEN * h
+    """Golden section on every cell [a, b] (arrays of one shape) until each
+    is ``tol`` of its size wide; one evaluation of g per round."""
+    tol_abs = tol * (1.0 + np.abs(a) + np.abs(b))
+    w = b - a
+    c = b - _GOLDEN * w
+    d = a + _GOLDEN * w
     gc, gd = g(c), g(d)
-    while h > tol_abs:
-        if gc < gd:
-            b, d, gd = d, c, gc
-            h = b - a
-            c = b - _GOLDEN * h
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            h = b - a
-            d = a + _GOLDEN * h
-            gd = g(d)
-    u = c if gc < gd else d
-    return u, g(u)
+    live = w > tol_abs
+    while live.any():
+        # left: the minimum is in [a, d], whose new d is c; else in [c, b],
+        # whose new c is d.  A finished cell computes the step and drops it.
+        left = gc < gd
+        a_next = np.where(left, a, c)
+        b_next = np.where(left, d, b)
+        w_next = b_next - a_next
+        probe = np.where(left, b_next - _GOLDEN * w_next, a_next + _GOLDEN * w_next)
+        g_probe = g(probe)
+        c, d = (np.where(live, np.where(left, probe, d), c),
+                np.where(live, np.where(left, c, probe), d))
+        gc, gd = (np.where(live, np.where(left, g_probe, gd), gc),
+                  np.where(live, np.where(left, gc, g_probe), gd))
+        a = np.where(live, a_next, a)
+        b = np.where(live, b_next, b)
+        live &= w_next > tol_abs
+    left = gc < gd
+    return np.where(left, c, d), np.where(left, gc, gd)
 
 
+# a non-finite probe only rejects the step; numpy need not warn
+@np.errstate(invalid="ignore", over="ignore")
 def _parabolic_polish(g, u, gu, lo, hi):
-    """Sharpen a golden-section argmin past the value-comparison noise floor.
+    """Sharpen golden-section argmins past the value-comparison noise floor.
 
     Golden section alone cannot resolve a smooth argmin below roughly
     sqrt(machine eps); two guarded parabolic-vertex steps recover ~1e-9.
     A kinked minimum rejects the polish (the vertex strictly worsens g).
+    An entry whose probes would leave its bracket skips the step, and g is
+    evaluated at the entry itself in their place.
     """
-    scale = 1.0 + abs(u)
-    for delta in (1e-4 * scale, 1e-6 * scale):
+    scale = 1.0 + np.abs(u)
+    for factor in (1e-4, 1e-6):
+        delta = factor * scale
         um, up = u - delta, u + delta
-        if um < lo or up > hi:
-            continue
-        gm, gp = g(um), g(up)
+        inside = (um >= lo) & (up <= hi)
+        gm, gp = g(np.where(inside, um, u)), g(np.where(inside, up, u))
         denom = gm - 2.0 * gu + gp
-        if not (math.isfinite(denom) and denom > 0.0):
-            continue
-        step = 0.5 * delta * (gm - gp) / denom
-        step = max(min(step, delta), -delta)
-        cand = u + step
-        gc = g(cand)
-        if gc <= gu + 1e-12 * (1.0 + abs(gu)):
-            u, gu = cand, gc
+        curved = inside & np.isfinite(denom) & (denom > 0.0)
+        step = 0.5 * delta * (gm - gp) / np.where(curved, denom, 1.0)
+        cand = np.where(curved, u + np.clip(step, -delta, delta), u)
+        g_cand = g(cand)
+        better = curved & (g_cand <= gu + 1e-12 * (1.0 + np.abs(gu)))
+        u = np.where(better, cand, u)
+        gu = np.where(better, g_cand, gu)
     return u, gu
 
 

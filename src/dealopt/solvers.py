@@ -228,11 +228,12 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
     ends it ``nonfinite``, and once two consecutive steps leave ``x``
     bitwise unchanged the rest of the run is replayed (see
     :func:`_replay_fixed_point`).  The extras count the direction rule's own
-    fallbacks (``direction_fallbacks``).
+    fallbacks (``direction_fallbacks``), a replayed step's as it would be.
     """
     what = "envelope value" if envelope else "objective"
     trial = None
     unmoved = 0
+    fell_back = False
     for k in range(config.max_iter + 1):
         f, g, y = evaluate(x) if trial is None else complete(x, trial)
         if envelope and g is None:
@@ -271,7 +272,9 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
             if envelope:
                 d_bar = rule.base_direction(x, g, gn)
             else:
+                fallbacks = rule.fallback_count
                 d_bar, _ = rule.sufficient_base_direction(x, g, gn)
+                fell_back = rule.fallback_count > fallbacks
             rule.push(x, g)
             d = generalize(d_bar, g, rule.beta, gn)
             for m, t, bound in schedule(x, f, g, gn, y, d):
@@ -303,6 +306,9 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
             unmoved = unmoved + 1 if x_next.tobytes() == x.tobytes() else 0
             if unmoved == 2:
                 _replay_fixed_point(trace, rec, config.max_iter)
+                if fell_back:
+                    # each replayed step repeats this one, its fallback too
+                    rule.fallback_count += config.max_iter - 1 - rec.k
                 break
         x = x_next
     trace.extras["direction_fallbacks"] = rule.fallback_count

@@ -563,10 +563,34 @@ class TestOrderMatching:
         assert 1.0 <= rep2.decay_hat <= 3.0
 
 
-def _bhippa_experiment(n, seed=0):
-    problem = bench.build_problem(bench.ProblemSpec(kind="powerabs", n=n, s=4.0, seed=seed))
+def _bhippa_experiment(n, seed=0, s=4.0):
+    problem = bench.build_problem(bench.ProblemSpec(kind="powerabs", n=n, s=s, seed=seed))
     spec = bench.SolverSpec(name="BHIPPA", solver="bhippa", order="auto")
     return problem, spec, bench.RunSpec(x0_seed=seed)
+
+
+class TestBHiPPARhoBelowOrderTwo:
+    # the fallback decreases the separable envelope by ||d||_p^p / (p gamma)
+    # and ||grad|| = ||d||_r^(p-1) / gamma with r = 2(p-1); below order 2,
+    # r < p and ||d||_p^p >= n^(1 - p/r) ||d||_r^p is all that holds
+    def test_rho_carries_the_dimension_factor_below_order_two(self):
+        for n in (1, 4, 100):
+            tr = run_bhippa(AbsPower(1.5), np.ones(n),
+                            BoostedConfig(gamma=2.0, sigma=0.2, p=1.5, max_iter=1))
+            assert tr.rho == pytest.approx(0.2 * 2.0 ** 2 * n ** -0.5 / 1.5, rel=1e-15)
+        for p in (2.0, 4.0):
+            tr = run_bhippa(AbsPower(4.0), np.ones(100),
+                            BoostedConfig(gamma=2.0, sigma=0.1, p=p, max_iter=1))
+            assert tr.rho == 0.1 * 2.0 ** (1.0 / (p - 1.0)) / p
+
+    @pytest.mark.parametrize("n, s", [(100, 1.5), (10, 1.5), (100, 1.25), (100, 1.8)])
+    def test_auto_order_certifies_descent(self, n, s):
+        # with the dimension-free rho every seed failed descent at (100, 1.5)
+        for seed in (7, 8):
+            result = bench.run_variant(*_bhippa_experiment(n, seed, s))
+            certs = result.certificates
+            assert certs["descent"]["passed"] and certs["min_grad_bound"]["passed"]
+            assert result.ok and certs["termination"] == "displacement"
 
 
 class TestBHiPPAScale:

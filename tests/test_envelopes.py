@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dealopt import envelopes
+from dealopt.boosted import choose_order
 from dealopt.core import (CapabilityError, CompositeObjective, HolderInfo,
                           NumericalError, SmoothObjective, UsageError)
 from dealopt.envelopes import (PROX_ORACLE_REL_TOL, AbsPower, L1Norm, ProxResult,
@@ -8,6 +10,7 @@ from dealopt.envelopes import (PROX_ORACLE_REL_TOL, AbsPower, L1Norm, ProxResult
                                forward_backward_map, home_value,
                                home_value_grad, prox_home_separable, prox_l1,
                                prox_oracle_check)
+from dealopt.envelopes import _abs_power_matched, _abs_power_root
 from dealopt.oracles import finite_diff_gradient, scalar_minimize
 from dealopt.problems import LassoProblem, PowerAbsProblem, generate_problem
 
@@ -120,8 +123,14 @@ class TestAbsPowerProx:
         assert not g.prox_detailed(np.array([1.0]), 1.0, 4.0).multi_valued
 
     def test_overflowing_residual_raises(self):
+        # p = s takes the closed form; test_overflowing_newton_residual_raises
+        # is the same input through Newton
         with pytest.raises(NumericalError):
             AbsPower(4.0).prox(np.array([1.0, 1e200]), 1.0, 4.0)
+
+    def test_overflowing_newton_residual_raises(self):
+        with pytest.raises(NumericalError):
+            AbsPower(4.0).prox(np.array([1.0, 1e200]), 1.0, 3.0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(UsageError):
@@ -144,6 +153,71 @@ class TestAbsPowerProx:
     def test_powerabs_problem_uses_it(self):
         phi = PowerAbsProblem(s=4.0, n=3).as_prox_capable()
         assert isinstance(phi, AbsPower) and phi.s == 4.0
+
+
+class TestMatchedOrder:
+    @pytest.mark.parametrize("s", (1.5, 2.0, 4.0, 8.0))
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_closed_form_agrees_with_newton(self, s, gamma):
+        a = np.abs(_coordinates())
+        closed = _abs_power_matched(a, s, gamma)
+        newton = _abs_power_root(a, s, gamma, s)
+        assert np.all(np.abs(closed - newton) <= 4.0 * np.finfo(float).eps * newton)
+
+    def test_closed_form_keeps_the_newton_contract(self):
+        # 0 below the smallest normal float, nan for non-finite entries
+        a = np.array([0.0, 1e-320, np.nan, np.inf, 2.0])
+        closed = _abs_power_matched(a, 4.0, 1.0)
+        assert np.array_equal(closed, _abs_power_root(a, 4.0, 1.0, 4.0), equal_nan=True)
+        assert closed[0] == closed[1] == 0.0 and np.isnan(closed[2:4]).all()
+
+    @pytest.mark.parametrize("s", (1.5, 4.0, 8.0))
+    def test_closed_form_passes_the_oracle_at_n1000(self, s):
+        x = np.random.default_rng(2).uniform(-5.0, 5.0, 1000)
+        report = prox_oracle_check(AbsPower(s), x, 1.0, s)
+        assert report["passed"], report
+
+    @pytest.mark.parametrize("s", (3.0, 4.0, 6.0, 8.0))
+    def test_auto_order_takes_the_closed_form_only_at_p_equal_s(self, monkeypatch, s):
+        # choose_order(1 - 1/s) rounds to s exactly for s = 4 and 8, but to 2
+        # ulps above s for s = 3 and 6: those runs keep Newton, and pass
+        p = choose_order(1.0 - 1.0 / s)
+        matched = s in (4.0, 8.0)
+        if not matched:
+            assert p == np.nextafter(np.nextafter(s, np.inf), np.inf)
+        calls = []
+        newton = envelopes._abs_power_root
+        monkeypatch.setattr(envelopes, "_abs_power_root",
+                            lambda *args: calls.append(args) or newton(*args))
+        x = _coordinates()
+        AbsPower(s).prox(x, 1.0, p)
+        assert (p == s) == matched and bool(calls) != matched
+        assert prox_oracle_check(AbsPower(s), x, 1.0, p)["passed"]
+
+
+def reference_bracket(h, center):
+    """The bracket expansion one coordinate at a time, as a loop."""
+    r = 1.0 + 2.0 * abs(center)
+    while not (h(center - r) >= h(center - 0.5 * r) and h(center + r) >= h(center + 0.5 * r)):
+        r *= 4.0
+    return center - r, center + r
+
+
+class TestBatchedSeparableProx:
+    @pytest.mark.parametrize("p", (2.0, 4.0))
+    def test_vector_call_is_the_per_coordinate_loop(self, p):
+        g = lambda t: (t * t - 1.0) ** 2
+        x = _coordinates()
+        res = prox_home_separable(g, x, gamma=20.0, p=p)
+        singles = [prox_home_separable(g, np.array([xi]), 20.0, p) for xi in x]
+        assert res.point.tolist() == [one.point[0] for one in singles]
+        # the double well at 0 ties its two minimizers
+        assert singles[0].multi_valued and res.multi_valued
+        for xi, one in zip(x.tolist(), singles):
+            h = lambda u: g(u) + abs(xi - u) ** p / (p * 20.0)
+            loop = scalar_minimize(h, reference_bracket(h, xi))
+            assert one.multi_valued == loop.multi_valued
+            assert one.point[0] == min((u for u, _ in loop.candidates), key=abs)
 
 
 class TestProxOracleCheck:

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from dealopt.core import DataError
+from dealopt.core import DataError, UsageError
 from dealopt.envelopes import prox_l1
 from dealopt.oracles import (finite_diff_gradient, iterative_spectral_constants,
                              scalar_minimize, spectral_constants)
@@ -73,6 +75,90 @@ def test_scalar_minimize_detects_double_well():
 def test_scalar_minimize_unbounded_raises():
     with pytest.raises(DataError):
         scalar_minimize(lambda t: -abs(t), (-1.0, 1.0))
+
+
+# exactly rounded operations only, so that a row and a float agree bit for bit
+ROW_FUNCTIONS = [lambda t: (t - 3.0) * (t - 3.0), lambda t: (t * t - 1.0) * (t * t - 1.0),
+                 lambda t: t * t * t * t - 3.0 * t * t + t, lambda t: abs(t + 0.5)]
+
+
+def test_scalar_minimize_rows_are_the_one_row_calls():
+    # one function per row, all at once: every row's result is the float
+    # form's, bit for bit, although the rows refine for different lengths
+    lo, hi = np.array([-10.0, -3.0, -5.0, -1.0]), np.array([10.0, 3.0, 4.0, 2.0])
+
+    def rows(T):
+        return np.stack([f(T[i]) for i, f in enumerate(ROW_FUNCTIONS)])
+    res = scalar_minimize(rows, (lo, hi))
+    for i, f in enumerate(ROW_FUNCTIONS):
+        one = scalar_minimize(lambda t: float(f(t)), (lo[i], hi[i]))
+        assert (res.argmin[i], res.minval[i]) == (one.argmin, one.minval)
+        kept = res.candidates[i]
+        assert list(zip(res.points[i][kept], res.values[i][kept])) == one.candidates
+    assert res.multi_valued.tolist() == [False, True, False, False]
+
+
+def reference_scalar_minimize(g, lo, hi):
+    """The oracle one basin and one evaluation at a time, as a loop: the
+    reference of the batched implementation, whose arithmetic is the same."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    ts = np.linspace(lo, hi, 201)
+    vals = [g(t) for t in ts.tolist()]
+    basins = [i for i in range(201)
+              if (i == 0 or vals[i] <= vals[i - 1]) and (i == 200 or vals[i] <= vals[i + 1])]
+    basins.sort(key=lambda i: vals[i])
+    refined = []
+    for i in basins[:5]:
+        a, b = ts[max(i - 1, 0)], ts[min(i + 1, 200)]
+        tol = 1e-10 * (1.0 + abs(a) + abs(b))
+        c, d = b - golden * (b - a), a + golden * (b - a)
+        gc, gd = g(c), g(d)
+        while b - a > tol:
+            if gc < gd:
+                b, d, gd = d, c, gc
+                c = b - golden * (b - a)
+                gc = g(c)
+            else:
+                a, c, gc = c, d, gd
+                d = a + golden * (b - a)
+                gd = g(d)
+        u, v = (c, gc) if gc < gd else (d, gd)
+        scale = 1.0 + abs(u)
+        for delta in (1e-4 * scale, 1e-6 * scale):
+            if u - delta < lo or u + delta > hi:
+                continue
+            gm, gp = g(u - delta), g(u + delta)
+            denom = gm - 2.0 * v + gp
+            if not (math.isfinite(denom) and denom > 0.0):
+                continue
+            cand = u + max(min(0.5 * delta * (gm - gp) / denom, delta), -delta)
+            g_cand = g(cand)
+            if g_cand <= v + 1e-12 * (1.0 + abs(v)):
+                u, v = cand, g_cand
+        refined.append((ts[i], vals[i]) if vals[i] < v else (u, v))
+    best = min(v for _, v in refined)
+    candidates = []
+    for u, v in sorted(refined, key=lambda uv: uv[1]):
+        if (v - best <= 1e-8 * max(1.0, abs(best))
+                and all(abs(u - c) > 1e-6 * (1.0 + abs(u)) for c, _ in candidates)):
+            candidates.append((float(u), float(v)))
+    return candidates
+
+
+@pytest.mark.parametrize("bracket", [(-10.0, 10.0), (-3.0, 3.0), (-1.0, 2.5)])
+@pytest.mark.parametrize("f", ROW_FUNCTIONS + [lambda t: 0.0 if abs(t) <= 1e-3 else 1e9])
+def test_scalar_minimize_is_the_reference_loop(f, bracket):
+    res = scalar_minimize(f, bracket)
+    candidates = reference_scalar_minimize(f, *bracket)
+    assert res.candidates == candidates
+    assert (res.argmin, res.minval) == candidates[0]
+
+
+def test_scalar_minimize_rows_reject_bad_brackets():
+    with pytest.raises(UsageError):
+        scalar_minimize(lambda T: T * T, (np.array([0.0, 1.0]), np.array([1.0, 1.0])))
+    with pytest.raises(DataError):
+        scalar_minimize(lambda T: -np.abs(T), (np.array([-1.0, 0.0]), np.array([1.0, 2.0])))
 
 
 def test_spectral_identity_and_diagonal():

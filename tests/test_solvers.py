@@ -237,7 +237,8 @@ def test_traces_monotone_and_terminal_gradient():
 
 
 def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None):
-    """The descent loop evaluated at every step: no fused oracle, no replay."""
+    """The descent loop evaluated at every step: no fused oracle, no replay.
+    Like the solvers, it records the rule's fallbacks in the extras."""
     x = as_vector(x0, objective.dim, "x0")
     f = objective.value(x)
     for k in range(config.max_iter + 1):
@@ -268,6 +269,7 @@ def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None):
                     trace.extras["diagnostic"] = (
                         f"no Armijo step within {armijo.max_backtracks} backtracks at "
                         f"k={k}; declared Hölder constant is likely too small")
+                    trace.extras["direction_fallbacks"] = rule.fallback_count
                     return trace
                 step = armijo.eta ** p * armijo.alpha_bar
                 x_next = x + step * d
@@ -280,6 +282,7 @@ def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None):
         rec.inner_count = p
         rec.displacement = float(np.linalg.norm(x_next - x))
         x, f = x_next, f_next
+    trace.extras["direction_fallbacks"] = rule.fallback_count
     return trace
 
 
@@ -320,6 +323,17 @@ def test_backtrack_limit_records_the_direction_fallbacks():
     assert tr.extras["direction_fallbacks"] == rule.fallback_count == 1
 
 
+def test_the_replay_counts_the_fallbacks_of_the_replayed_steps():
+    # BB1 falls back on every step here; at a bitwise fixed point it keeps
+    # falling back, so all 3000 steps count, as the run without replay counts
+    prob, x0 = consistent_leastp(1)
+    objective = prob.as_smooth()
+    rule = DirectionRule("bb1", beta=beta_for_holder(objective.holder.nu))
+    tr = run_dealc(objective, x0, DealConfig(eps=1e-30, max_iter=3000, rule=rule))
+    assert 0 < tr.extras["fixed_point_at"] < 3000
+    assert tr.extras["direction_fallbacks"] == rule.fallback_count == 3000
+
+
 class TestFixedPointReplay:
     @pytest.mark.parametrize("kind", KINDS)
     def test_bitwise_equal_to_the_loop_without_replay(self, monkeypatch, kind):
@@ -335,8 +349,6 @@ class TestFixedPointReplay:
                     tr = runner(obj, x0, config())
                     ref = run_without_replay(monkeypatch, runner, obj, x0, config())
                     replayed += tr.extras.pop("fixed_point_at", None) is not None
-                    # the replay skips the rule, so its count covers evaluated steps
-                    tr.extras.pop("direction_fallbacks")
                     assert tr.extras == ref.extras
                     assert len(tr) == len(ref)
                     for a, b in zip(tr.records, ref.records):
@@ -362,7 +374,6 @@ class TestFixedPointReplay:
         tr = run_deala(obj, np.array([1.0]), config())
         ref = run_without_replay(monkeypatch, run_deala, obj, np.array([1.0]), config())
         assert tr.extras.pop("fixed_point_at") == 3
-        tr.extras.pop("direction_fallbacks")
         assert tr.records[2].inner_count == tr.records[1].inner_count + 1
         assert tr.extras == ref.extras
         assert [dataclasses.astuple(r)[:5] for r in tr.records] == [
