@@ -80,12 +80,7 @@ class ExperimentConfig:
     output: OutputSpec = field(default_factory=OutputSpec)
 
     def as_dict(self) -> dict:
-        return {
-            "problem": dataclasses.asdict(self.problem),
-            "solvers": [dataclasses.asdict(s) for s in self.solvers],
-            "run": dataclasses.asdict(self.run),
-            "output": dataclasses.asdict(self.output),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

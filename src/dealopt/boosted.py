@@ -13,13 +13,14 @@ Order selection p = 1/(1 - vartheta) matches theta to 1/vartheta, the regime
 in which the envelope values contract linearly.
 
 Both are DEAL on their envelope: they run the loop of the smooth solvers,
-:func:`~dealopt.solvers.deal_loop`, on the envelope, with the proximal point
-as the point a step falls back to when no trial passes the threshold
-value - rho ||grad||^theta.  They differ only in the envelope, the candidate
-point built from a trial step, and the trials.  The envelope is evaluated
-once per accepted point: the evaluation that accepted a trial is completed
-with its gradient for the next step.  The envelope functions are looked up
-in this module at each call.
+:func:`~dealopt.solvers.deal_loop`, whose points are here envelope
+evaluations (``EnvelopeEval``, unpacking as value, gradient and proximal
+point), so the proximal point is the point a step falls back to when no
+trial passes the threshold value - rho ||grad||^theta.  They differ only in
+the envelope, the candidate point built from a trial step, and the trials.
+The envelope is evaluated once per accepted point: the trial's evaluation
+that passed is completed in place with its gradient for the next step.  The
+envelope functions are looked up in this module at each call.
 """
 
 from __future__ import annotations
@@ -119,11 +120,11 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig) -> IterateT
             return _screened_trials(problem, gamma, T, d, threshold, trials)
     return deal_loop(
         as_vector(x0, problem.smooth.dim, "x0"), config, rule, trace, trials,
-        evaluate=lambda x: _point(fbe_value_grad(problem, x, gamma)),
+        evaluate=lambda x: fbe_value_grad(problem, x, gamma),
         candidate=lambda x, T, alpha, d: T + alpha * d,
         value=lambda z: fbe_value(problem, z, gamma),
-        complete=lambda z, trial: _point(fbe_complete(problem, trial.evaluation, gamma)),
-        schedule=_schedule(trace, trials, screen), envelope=True)
+        complete=lambda z, trial: fbe_complete(problem, trial, gamma),
+        schedule=_schedule(trace, trials, screen))
 
 
 # The screened envelope value of a trial differs from its exact fbe_value by
@@ -220,17 +221,11 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
     trials = [(m, config.eta ** m) for m in range(config.max_linesearch)]
     return deal_loop(
         x, config, rule, trace, trials,
-        evaluate=lambda x: _point(home_value_grad(phi, x, gamma, p)),
+        evaluate=lambda x: home_value_grad(phi, x, gamma, p),
         candidate=lambda x, y, kappa, d: (1.0 - kappa) * y + kappa * (x + d),
         value=lambda z: home_value(phi, z, gamma, p),
-        complete=lambda z, trial: _point(home_complete(trial.evaluation, gamma, p)),
-        schedule=_schedule(trace, trials), envelope=True, x_tol=config.eps * gamma ** q)
-
-
-def _point(ev):
-    """(value, gradient, proximal point) of an envelope evaluation, the shape
-    of ``deal_loop``'s points; a multi-valued one has no gradient."""
-    return ev.value, ev.gradient, ev.prox_point
+        complete=lambda z, trial: home_complete(trial, gamma, p),
+        schedule=_schedule(trace, trials), x_tol=config.eps * gamma ** q)
 
 
 def _schedule(trace: IterateTrace, trials, screen=None):

@@ -20,12 +20,14 @@ All four solvers run one loop, :func:`deal_loop`, DEAL on a function given
 by hooks: its evaluation, the candidate point of a trial step, the trial's
 value and its completion with a gradient, and the schedule of trials, each
 with the bound its value must meet.  Here the function is the objective
-itself (``_descend``), and the constant step is the case with no Armijo
-test, a single trial at alpha that is always taken; the boosted solvers run
-it on an envelope.  When the first Armijo trial fails and the objective has
-a line oracle (``line_values``, which least-p supplies), the remaining
-backtracks are screened at once and only those the screen cannot rule out
-are evaluated, in order; the step taken is the one the per-trial loop takes.
+itself (``_descend``), whose points have no fallback point, and the
+constant step is the case with no Armijo test, a single trial at alpha that
+is always taken; the boosted solvers run it on an envelope, whose points
+fall back to their proximal point.  When the first Armijo trial fails and
+the objective has a line oracle (``line_values``, which least-p supplies),
+the remaining backtracks are screened at once and only those the screen
+cannot rule out are evaluated, in order; the step taken is the one the
+per-trial loop takes.
 """
 
 from __future__ import annotations
@@ -200,47 +202,48 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
 # an overflowing trial ends the run or fails its test; numpy need not warn
 @np.errstate(over="ignore", invalid="ignore")
 def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
-              evaluate, candidate, value, complete, schedule, envelope: bool = False,
+              evaluate, candidate, value, complete, schedule,
               x_tol: Optional[float] = None) -> IterateTrace:
     """The iteration loop of all four solvers, DEAL on a function phi given
     by hooks, filling ``trace``.
 
-    ``evaluate(x)`` gives (phi(x), grad phi(x), y), where y is the auxiliary
-    point: the proximal point of an envelope, None for the objective itself.
+    ``evaluate(x)`` gives the point (phi(x), grad phi(x), y), where y is the
+    fallback point: None for the objective itself, the proximal point for an
+    envelope, whose ``EnvelopeEval`` unpacks so.
     Each step takes a direction d from ``rule`` and, for each (m, t, bound)
     that ``schedule(x, phi(x), grad, ||grad||, y, d)`` yields, tries
     ``z = candidate(x, y, t, d)``; the first trial whose value ``value(z)``
     is at most its bound (any value when the bound is None) is taken.
-    ``complete(z, value)`` then gives the next step's (phi, grad, y), bit for
-    bit what ``evaluate(z)`` would, so phi is evaluated once per accepted
-    point: ``evaluate`` runs only at k=0 and after a step that took y.
-    ``trials`` are the step's (m, t); with none the direction rule is never
-    consulted.  A point whose value or gradient norm is not finite ends the
-    run ``nonfinite`` before it is recorded.
+    ``complete(z, value)`` then gives the next step's point, bit for bit what
+    ``evaluate(z)`` would, so phi is evaluated once per accepted point:
+    ``evaluate`` runs only at k=0 and after a step that took y.  ``trials``
+    are the step's (m, t); with none the direction rule is never consulted.
 
-    On an ``envelope`` a gradient of None (a multi-valued proximal point)
-    ends the run ``multivalued``, the rule's raw direction is taken, a step
-    that no trial passes takes y (counted in ``fallbacks``, recorded with
-    step 0 and inner count ``len(trials)``), and ``x_tol`` stops the run
-    once ||x - y|| falls to it.  On the objective itself the direction
-    satisfies the sufficient-descent pair, a step that no trial passes ends
-    the run ``backtrack_limit``, a taken trial whose value is not finite
-    ends it ``nonfinite``, and once two consecutive steps leave ``x``
-    bitwise unchanged the rest of the run is replayed (see
-    :func:`_replay_fixed_point`).  The extras count the direction rule's own
-    fallbacks (``direction_fallbacks``), a replayed step's as it would be.
+    A gradient of None (a multi-valued proximal point) ends the run
+    ``multivalued``, and a point whose value or gradient norm is not finite
+    ends it ``nonfinite``, both before the point is recorded; so does a
+    taken trial whose value is not finite.  With a fallback point the
+    rule's raw direction is taken, a step that no trial passes takes y
+    (counted in ``fallbacks``, recorded with step 0 and inner count
+    ``len(trials)``), and ``x_tol`` stops the run once ||x - y|| falls to
+    it.  Without one the direction satisfies the sufficient-descent pair
+    and a step that no trial passes ends the run ``backtrack_limit``.  Once
+    two consecutive steps leave ``x`` bitwise unchanged the rest of the run
+    is replayed (see :func:`_replay_fixed_point`).  The extras count the
+    direction rule's own fallbacks (``direction_fallbacks``), a replayed
+    step's as it would be.
     """
-    what = "envelope value" if envelope else "objective"
     trial = None
     unmoved = 0
     fell_back = False
     for k in range(config.max_iter + 1):
         f, g, y = evaluate(x) if trial is None else complete(x, trial)
-        if envelope and g is None:
+        if g is None:
             trace.extras["termination"] = "multivalued"
             trace.extras["diagnostic"] = (
                 f"multi-valued proximal point at k={k}; envelope gradient undefined")
             break
+        what = "objective" if y is None else "envelope value"
         # sqrt(v . v) is np.linalg.norm(v) for a vector, bit for bit
         gn = math.sqrt(g @ g)
         if not (math.isfinite(f) and math.isfinite(gn)):
@@ -269,12 +272,12 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
             break
         x_next = trial = None
         if trials:
-            if envelope:
-                d_bar = rule.base_direction(x, g, gn)
-            else:
-                fallbacks = rule.fallback_count
+            fallbacks = rule.fallback_count
+            if y is None:
                 d_bar, _ = rule.sufficient_base_direction(x, g, gn)
-                fell_back = rule.fallback_count > fallbacks
+            else:
+                d_bar = rule.base_direction(x, g, gn)
+            fell_back = rule.fallback_count > fallbacks
             rule.push(x, g)
             d = generalize(d_bar, g, rule.beta, gn)
             for m, t, bound in schedule(x, f, g, gn, y, d):
@@ -284,7 +287,7 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
                     x_next, trial = z, v
                     break
             else:
-                if not envelope:
+                if y is None:
                     trace.extras["termination"] = "backtrack_limit"
                     trace.extras["diagnostic"] = (
                         f"no Armijo step within {len(trials) - 1} backtracks at "
@@ -293,23 +296,24 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
                 trace.extras["fallbacks"] += 1
         if x_next is None:
             x_next, m, t = y, len(trials), 0.0
-        elif not (envelope or math.isfinite(trial)):
+        elif not math.isfinite(trial):
             trace.extras["termination"] = "nonfinite"
-            trace.extras["diagnostic"] = f"non-finite objective at k={k + 1}"
+            trace.extras["diagnostic"] = f"non-finite {what} at k={k + 1}"
             break
         rec.step = t
         rec.inner_count = m
         dx = x_next - x
         rec.displacement = math.sqrt(dx @ dx)
-        if not envelope:
-            # bytes, not displacement == 0: the norm can underflow and -0.0 == 0.0
-            unmoved = unmoved + 1 if x_next.tobytes() == x.tobytes() else 0
-            if unmoved == 2:
-                _replay_fixed_point(trace, rec, config.max_iter)
-                if fell_back:
-                    # each replayed step repeats this one, its fallback too
-                    rule.fallback_count += config.max_iter - 1 - rec.k
-                break
+        # an unmoved step has displacement 0.0, which a moved one can also
+        # reach by underflow; bytes tell them apart, and -0.0 from 0.0
+        moved = rec.displacement != 0.0 or x_next.tobytes() != x.tobytes()
+        unmoved = 0 if moved else unmoved + 1
+        if unmoved == 2:
+            _replay_fixed_point(trace, rec, config.max_iter)
+            if fell_back:
+                # each replayed step repeats this one, its fallback too
+                rule.fallback_count += config.max_iter - 1 - rec.k
+            break
         x = x_next
     trace.extras["direction_fallbacks"] = rule.fallback_count
     return trace

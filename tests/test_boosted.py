@@ -485,6 +485,8 @@ class TestBHiPPA:
         cfg = BoostedConfig(gamma=20.0, sigma=1e-3, p=2.0, max_iter=10)
         tr = run_bhippa(phi, np.array([0.0]), cfg)
         assert tr.extras["termination"] == "multivalued"
+        assert tr.extras["diagnostic"] == (
+            "multi-valued proximal point at k=0; envelope gradient undefined")
         assert len(tr) == 0
 
     def test_multivalued_at_start_certifies_empty_trace(self):
@@ -771,7 +773,28 @@ def test_bpga_nonfinite_start_stops_without_a_record():
     trace = run_bpga(problem.as_composite(), np.full(5, 1e170),
                      BoostedConfig(max_iter=20))
     assert trace.extras["termination"] == "nonfinite"
-    assert "k=0" in trace.extras["diagnostic"]
+    assert trace.extras["diagnostic"] == "non-finite envelope value or gradient at k=0"
     assert len(trace) == 0
     bundle = bench.certify_run(trace, {"fstar": 0.0})
     assert bundle["termination"] == "nonfinite" and bench.bundle_ok(bundle)
+
+
+class Sinkhole:
+    """t^2/2 per coordinate, whose value is -inf below t = 0.3."""
+
+    def value(self, y):
+        return -math.inf if y[0] < 0.3 else 0.5 * float(y @ y)
+
+    def prox(self, x, gamma, p=2.0):
+        return np.asarray(x, dtype=float) / (1.0 + gamma)
+
+
+def test_bhippa_stops_on_a_taken_trial_whose_envelope_value_is_not_finite():
+    # from 1 the first trial lands at 0.5, whose proximal point 0.25 is in the
+    # sink: its value -inf passes the threshold, as on the objective itself
+    # the run stops there, and the step to it is not recorded
+    trace = run_bhippa(Sinkhole(), [1.0], BoostedConfig(gamma=1.0))
+    assert trace.extras["termination"] == "nonfinite"
+    assert trace.extras["diagnostic"] == "non-finite envelope value at k=1"
+    assert len(trace) == 1 and trace.records[0].f == 0.25
+    assert math.isnan(trace.records[0].step)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,11 @@ from dealopt import envelopes
 from dealopt.boosted import choose_order
 from dealopt.core import (CapabilityError, CompositeObjective, HolderInfo,
                           NumericalError, SmoothObjective, UsageError)
-from dealopt.envelopes import (PROX_ORACLE_REL_TOL, AbsPower, L1Norm, ProxResult,
-                               SeparableProx, fbe_value, fbe_value_grad,
-                               forward_backward_map, home_value,
-                               home_value_grad, prox_home_separable, prox_l1,
-                               prox_oracle_check)
+from dealopt.envelopes import (PROX_ORACLE_REL_TOL, AbsPower, EnvelopeEval, L1Norm,
+                               ProxResult, SeparableProx, fbe_complete, fbe_value,
+                               fbe_value_grad, forward_backward_map, home_complete,
+                               home_value, home_value_grad, prox_home_separable,
+                               prox_l1, prox_oracle_check)
 from dealopt.envelopes import _abs_power_matched, _abs_power_root
 from dealopt.oracles import finite_diff_gradient, scalar_minimize
 from dealopt.problems import LassoProblem, PowerAbsProblem, generate_problem
@@ -436,3 +438,60 @@ class TestFBE:
             err = np.abs(fd[keep] - ev.gradient[keep])
             assert np.all(err <= 1e-4 * (1.0 + np.abs(ev.gradient[keep])))
         assert checked > 40
+
+
+def _envelope_case(name):
+    """(value, complete, value_grad, x, multi_valued) of one envelope."""
+    if name == "lasso-fbe":
+        prob = generate_problem(2, "lasso", 30, 4, lam=0.2)
+        comp, gamma = prob.as_composite(), 0.9 / prob.L
+        return (lambda x: fbe_value(comp, x, gamma),
+                lambda ev: fbe_complete(comp, ev, gamma),
+                lambda x: fbe_value_grad(comp, x, gamma),
+                np.array([1.5, -0.3, 0.0, 2.0]), False)
+    if name == "double-well":
+        g, gamma, p, x = SeparableProx(lambda t: (t * t - 1.0) ** 2), 20.0, 2.0, np.array([0.0])
+    else:
+        g, gamma, p, x = AbsPower(4.0), 0.8, float(name[-1]), np.array([1.5, -0.3, 0.0, 2.0])
+    return (lambda x: home_value(g, x, gamma, p),
+            lambda ev: home_complete(ev, gamma, p),
+            lambda x: home_value_grad(g, x, gamma, p), x, name == "double-well")
+
+
+def _bits(a):
+    return None if a is None else np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", ["lasso-fbe", "abspower4-p4", "abspower4-p2", "double-well"])
+def test_envelope_eval_contract(name):
+    # a value is the float it carries, completes in place, and unpacks as the
+    # (value, gradient, prox_point) that deal_loop takes
+    value, complete, value_grad, x, multi = _envelope_case(name)
+    ev = value(x)
+    assert isinstance(ev, EnvelopeEval) and isinstance(ev, float)
+    assert type(ev.value) is float and ev == ev.value
+    assert ev.gradient is None and ev.multi_valued is multi
+    assert complete(ev) is ev
+    full = value_grad(x)
+    assert _bits(ev.value) == _bits(full.value)
+    assert _bits(ev.prox_point) == _bits(full.prox_point)
+    assert _bits(ev.gradient) == _bits(full.gradient)
+    assert (ev.gradient is None) is multi
+    assert _bits(ev.grad_norm) == _bits(full.grad_norm)
+    f, gradient, prox_point = ev
+    assert type(f) is float and _bits(f) == _bits(ev.value)
+    assert gradient is ev.gradient and prox_point is ev.prox_point
+
+
+def test_envelope_eval_keyword_construction():
+    ev = EnvelopeEval(x=np.array([1.0, 2.0]), prox_point=np.array([0.5, 1.0]),
+                      value=3.0, gradient=np.array([3.0, 4.0]))
+    assert ev == 3.0 and ev.value == 3.0 and ev.grad_norm == 5.0
+    assert ev.multi_valued is False
+    assert type(ev + 1.0) is float and ev + 1.0 == 4.0
+    copied = copy.deepcopy(ev)
+    assert type(copied) is EnvelopeEval and copied == ev and copied.x is not ev.x
+    assert np.array_equal(copied.gradient, ev.gradient) and copied.multi_valued is False
+    bare = EnvelopeEval(x=np.zeros(1), prox_point=np.ones(1), value=-1.0, gradient=None,
+                        multi_valued=True)
+    assert bare < ev and bare.multi_valued and np.isnan(bare.grad_norm)

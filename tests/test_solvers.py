@@ -194,6 +194,9 @@ class TestDealA:
         cfg = DealConfig(armijo=ArmijoParams(max_backtracks=2))
         tr = run_deala(obj, np.array([50.0]), cfg)
         assert tr.extras["termination"] == "backtrack_limit"
+        assert tr.extras["diagnostic"] == (
+            "no Armijo step within 2 backtracks at k=0; "
+            "declared Hölder constant is likely too small")
 
     def test_first_trial_at_constant_step_reproduces_dealc(self):
         # f = x'Hx/2 with exact L = max eig H: the constant step 1/L always
@@ -436,7 +439,7 @@ def test_a_nonfinite_start_stops_without_a_record(runner):
         warnings.simplefilter("error")
         trace = runner(problem.as_smooth(), np.full(5, 1e170), DealConfig())
     assert trace.extras["termination"] == "nonfinite"
-    assert "k=0" in trace.extras["diagnostic"]
+    assert trace.extras["diagnostic"] == "non-finite objective or gradient at k=0"
     assert len(trace) == 0
 
 
