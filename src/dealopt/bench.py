@@ -323,43 +323,51 @@ def run_experiment(config: ExperimentConfig) -> Path:
     series = {}
     for spec in config.solvers:
         for rep in range(config.run.repetitions):
-            result = run_variant(problem, spec, config.run, rep)
             stem = spec.name if config.run.repetitions == 1 else f"{spec.name}_rep{rep}"
-            result.trace.to_csv(out / f"{stem}.csv")
-            sidecar = {
-                "variant": spec.name, "rep": rep,
-                "solver_id": result.trace.solver_id,
-                "seed": result.trace.seed,
-                "config_digest": result.trace.config_digest,
-                "rho": result.trace.rho, "theta": result.trace.theta,
-                "guaranteed": result.trace.guaranteed,
-                "fstar": result.fstar, "tau": result.tau,
-                "extras": {k: v for k, v in result.trace.extras.items()},
-                "problem": problem.descriptor(),
-            }
-            (out / f"{stem}.json").write_text(
-                json.dumps(sidecar, indent=2, default=_json_default))
-            (out / f"{stem}.certificates.json").write_text(
-                json.dumps(result.certificates, indent=2, default=_json_default))
-            records = result.trace.records
-            iterations = max(len(records) - 1, 0)
-            iters_to_tol = (iterations
-                            if result.trace.extras.get("termination") == "tolerance"
-                            else None)
-            summary["variants"].append({
-                "variant": spec.name, "rep": rep, "ok": result.ok,
-                "iterations": iterations,
-                "iterations_to_tolerance": iters_to_tol,
-                "termination": result.trace.extras.get("termination"),
-                "final_grad_norm": records[-1].grad_norm if records else None,
-            })
-            summary["ok"] = summary["ok"] and result.ok
-            summary["terminations"][result.trace.extras.get("termination")] += 1
-            series[stem] = _series(spec.name, result.fstar, result.trace)
+            # the finished run is bound only inside _persist_variant, so its
+            # trace is released before the next variant runs
+            series[stem] = _persist_variant(
+                out, stem, problem, rep, run_variant(problem, spec, config.run, rep),
+                summary)
     (out / "summary.json").write_text(json.dumps(summary, indent=2,
                                                  default=_json_default))
     emit_plot_data(out, series)
     return out
+
+
+def _persist_variant(out: Path, stem: str, problem, rep: int, result: RunResult,
+                     summary: dict):
+    """Write one finished run's trace CSV, sidecar and certificates, add its
+    row to ``summary``, and return its ``_series`` columns."""
+    trace = result.trace
+    trace.to_csv(out / f"{stem}.csv")
+    sidecar = {
+        "variant": result.name, "rep": rep,
+        "solver_id": trace.solver_id,
+        "seed": trace.seed,
+        "config_digest": trace.config_digest,
+        "rho": trace.rho, "theta": trace.theta,
+        "guaranteed": trace.guaranteed,
+        "fstar": result.fstar, "tau": result.tau,
+        "extras": dict(trace.extras),
+        "problem": problem.descriptor(),
+    }
+    (out / f"{stem}.json").write_text(
+        json.dumps(sidecar, indent=2, default=_json_default))
+    (out / f"{stem}.certificates.json").write_text(
+        json.dumps(result.certificates, indent=2, default=_json_default))
+    iterations = max(len(trace.records) - 1, 0)
+    termination = trace.extras.get("termination")
+    summary["variants"].append({
+        "variant": result.name, "rep": rep, "ok": result.ok,
+        "iterations": iterations,
+        "iterations_to_tolerance": iterations if termination == "tolerance" else None,
+        "termination": termination,
+        "final_grad_norm": trace.records[-1].grad_norm if trace.records else None,
+    })
+    summary["ok"] = summary["ok"] and result.ok
+    summary["terminations"][termination] += 1
+    return _series(result.name, result.fstar, trace)
 
 
 def emit_plot_data(run_dir, series=None) -> Path:

@@ -133,7 +133,7 @@ class CompositeObjective:
         return self.smooth.value(x) + self.nonsmooth.value(x)
 
 
-@dataclass
+@dataclass(slots=True)
 class IterateRecord:
     """One solver iteration: objective value, gradient norm, step bookkeeping.
 
@@ -429,7 +429,8 @@ def reevaluate_trace(trace: IterateTrace,
         if i + 1 == len(records):
             disp = math.nan
         elif fresh[i + 1]:
-            disp = float(np.linalg.norm(records[i + 1].x - rec.x))
+            d = records[i + 1].x - rec.x
+            disp = math.sqrt(d @ d)
         else:
             disp = 0.0
         out.append(IterateRecord(

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -25,21 +26,34 @@ def small_config(tmp_path, solvers=None, **problem_kw):
     )
 
 
-@pytest.fixture(scope="module")
-def sec51_run(tmp_path_factory):
-    """sec51 seed 0's run directory, and the trace of each variant."""
-    traces = {}
-    run_variant = bench.run_variant
+def run_keeping_traces(config):
+    """Run an experiment; return its run directory, the solver's trace of
+    each variant, and the trace its certificates re-evaluated."""
+    traces, checked, reevaluated = {}, {}, []
+    run_variant, reevaluate_trace = bench.run_variant, bench.reevaluate_trace
 
     def kept(problem, spec, run, rep=0):
         result = run_variant(problem, spec, run, rep)
         traces[spec.name] = result.trace
+        checked[spec.name] = reevaluated.pop()
         return result
+
+    def kept_reevaluation(*args):
+        reevaluated.append(reevaluate_trace(*args))
+        return reevaluated[-1]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(bench, "run_variant", kept)
-        out = bench.run_experiment(bench.preset(
-            "sec51", 0, out_dir=str(tmp_path_factory.mktemp("sec51"))))
-    return out, traces
+        m.setattr(bench, "reevaluate_trace", kept_reevaluation)
+        out = bench.run_experiment(config)
+    return out, traces, checked
+
+
+@pytest.fixture(scope="module")
+def sec51_run(tmp_path_factory):
+    """sec51 seed 0's run directory, the solver's trace of each variant, and
+    the trace its certificates re-evaluated."""
+    return run_keeping_traces(bench.preset(
+        "sec51", 0, out_dir=str(tmp_path_factory.mktemp("sec51"))))
 
 
 def bhippa_config(n, seed):
@@ -115,6 +129,38 @@ class TestRunExperiment:
         out2 = bench.run_experiment(small_config(tmp_path / "b"))
         for name in ("DEAL-C.csv", "DEAL-A.csv", "series.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_a_finished_variant_is_released_before_the_next_runs(self, tmp_path,
+                                                                  monkeypatch):
+        """No earlier variant's stored iterates are alive when a variant starts,
+        counted without a garbage collection: reference counting frees them."""
+        last_iterates, alive = [], []
+        run_variant = bench.run_variant
+
+        def watched(problem, spec, run, rep=0):
+            alive.append(sum(ref() is not None for ref in last_iterates))
+            result = run_variant(problem, spec, run, rep)
+            last_iterates.append(weakref.ref(result.trace.records[-1].x))
+            return result
+        monkeypatch.setattr(bench, "run_variant", watched)
+        cfg = small_config(tmp_path, m=40, n=8)
+        cfg.run = bench.RunSpec(x0_seed=3, repetitions=2, max_iter=200)
+        bench.run_experiment(cfg)
+        assert alive == [0, 0, 0, 0]
+
+    def test_reevaluated_displacements_are_the_solvers_bit_for_bit(self, sec51_run,
+                                                                   tmp_path):
+        _, sec51, sec51_checked = sec51_run
+        _, sec53, sec53_checked = run_keeping_traces(
+            bench.preset("sec53", 0, out_dir=str(tmp_path)))
+        assert len(sec53) == 5
+        pairs = {name: (sec51[name], sec51_checked[name])
+                 for name in ("DEAL-C", "DEAL-A", "DEAL-A1")}
+        pairs.update((name, (sec53[name], sec53_checked[name])) for name in sec53)
+        for name, traces in pairs.items():
+            logged, rebuilt = (np.array([rec.displacement for rec in trace.records])
+                               for trace in traces)
+            assert len(logged) > 1 and logged.tobytes() == rebuilt.tobytes(), name
 
     def test_heuristic_variant_skips_guarantees(self, tmp_path):
         cfg = small_config(tmp_path, solvers=[
@@ -668,7 +714,7 @@ class TestTraceVerbs:
 
     def test_certify_gives_the_bundles_of_sec51_from_the_trace_alone(self, sec51_run,
                                                                      capsys):
-        out, _ = sec51_run
+        out, _, _ = sec51_run
         for variant in json.loads((out / "summary.json").read_text())["variants"]:
             stem = variant["variant"]
             bundle = json.loads((out / f"{stem}.certificates.json").read_text())
@@ -822,7 +868,7 @@ class TestRunDirectoryInputs:
         assert (out / "series.csv").read_bytes() == written
 
     def test_sec51_writes_the_bytes_of_csv_writer(self, sec51_run):
-        out, traces = sec51_run
+        out, traces, _ = sec51_run
         assert len(traces) == 8
         for name, trace in traces.items():
             rows = io.StringIO(newline="")
