@@ -20,7 +20,10 @@ trial passes the threshold value - rho ||grad||^theta.  They differ only in
 the envelope, the candidate point built from a trial step, and the trials.
 The envelope is evaluated once per accepted point: the trial's evaluation
 that passed is completed in place with its gradient for the next step.  The
-envelope functions are looked up in this module at each call.
+envelope functions are looked up in this module at each call.  The trials
+are offered through :func:`~dealopt.solvers.screened`, with the composite's
+envelope line oracle (``CompositeObjective.line_values``, lasso's
+``fbe_line``) when it has one.
 """
 
 from __future__ import annotations
@@ -28,14 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import CompositeObjective, IterateTrace, UsageError, as_vector
 from .directions import DirectionRule
-from .envelopes import (L1Norm, _check_gamma, fbe_complete, fbe_value,
-                        fbe_value_grad, home_complete, home_value,
-                        home_value_grad, prox_l1)
-from .solvers import deal_loop
+from .envelopes import (_check_gamma, fbe_complete, fbe_value, fbe_value_grad,
+                        home_complete, home_value, home_value_grad)
+from .solvers import deal_loop, screened
 
 
 @dataclass
@@ -90,10 +90,10 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig) -> IterateT
     search entirely, reproducing the plain forward-backward update.  Unset
     ``gamma`` defaults to 0.95/L and unset ``sigma`` to 0.9 of its cap.
 
-    On an l1-regularised smooth part that declares a constant Hessian
-    (lasso), the trials after the first are screened in closed form (see
-    ``_screened_trials``); only those near the threshold are evaluated
-    exactly, and the step taken is the same.
+    When the composite has an envelope line oracle (``line_values``, which
+    lasso supplies in closed form), the trials after the first are screened
+    at once; only those near the threshold are evaluated exactly, and the
+    step taken is the same.
     """
     holder = problem.smooth.holder
     gamma = config.gamma
@@ -114,73 +114,15 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig) -> IterateT
                 "direction": rule.kind, "beta": rule.beta, "fallbacks": 0},
     )
     trials = [(m, config.alpha_bar ** m) for m in range(1, config.max_linesearch + 1)]
-    screen = None
-    if problem.smooth.constant_hessian and isinstance(problem.nonsmooth, L1Norm):
-        def screen(T, d, threshold):
-            return _screened_trials(problem, gamma, T, d, threshold, trials)
+    line = None if problem.line_values is None else (
+        lambda T, d, steps: problem.line_values(T, d, steps, gamma))
     return deal_loop(
         as_vector(x0, problem.smooth.dim, "x0"), config, rule, trace, trials,
         evaluate=lambda x: fbe_value_grad(problem, x, gamma),
         candidate=lambda x, T, alpha, d: T + alpha * d,
         value=lambda z: fbe_value(problem, z, gamma),
         complete=lambda z, trial: fbe_complete(problem, trial, gamma),
-        schedule=_schedule(trace, trials, screen))
-
-
-# The screened envelope value of a trial differs from its exact fbe_value by
-# rounding alone: each is a sum of the same six terms (the three of the
-# quadratic expansion of f, <grad f, D>, ||D||^2/(2 gamma) and g(T)), each
-# computed to a few eps of its own magnitude.  The probe: on sec53 seeds
-# 0-79, every trial after the first of every bpga step, whether or not the
-# first trial passed (652,092 trials), is screened as below and evaluated by
-# fbe_value, and |screened - exact| is divided by eps times the margin's sum
-# of magnitudes.  The worst ratio was 1.96 (99th percentile 0.99), so 64
-# leaves 32x headroom; the 1,189 trials whose screened and exact values lay
-# on opposite sides of the threshold all lay inside the margin.  A larger
-# error costs no safety, because every step taken is confirmed exactly; it
-# could only skip a trial that the exact test passes.
-SCREEN_MARGIN = 64.0
-
-
-def _screened_trials(problem: CompositeObjective, gamma: float, T, d, threshold,
-                     trials):
-    """The trials of a step worth an exact envelope evaluation, in order.
-
-    Trial 1 comes first and unscreened: the BB and L-BFGS directions are
-    taken there on about 90 % of steps.  Only when it fails are the others
-    screened.  For a quadratic f with Hessian H, along z = T + alpha d
-        f(z) = f(T) + alpha <grad f(T), d> + alpha^2 <d, H d> / 2,
-        grad f(z) = grad f(T) + alpha H d,
-    so the envelope of every remaining trial comes from one (trials x n)
-    array and a row-wise soft threshold.  A trial is skipped when its
-    screened value exceeds the threshold by more than SCREEN_MARGIN eps
-    times the magnitude of its terms; the rest are yielded for the exact
-    test.
-    """
-    yield trials[0]
-    rest = trials[1:]
-    if not rest:
-        return
-    smooth = problem.smooth
-    (f_T, g_T), Hd = smooth.value_and_grad(T), smooth.hess_apply(T, d)
-    g_d, d_Hd = float(g_T @ d), float(d @ Hd)
-    alpha = np.array([t for _, t in rest])
-    Z = T + alpha[:, None] * d
-    G = g_T + alpha[:, None] * Hd
-    lam = problem.nonsmooth.weight
-    TZ = prox_l1(Z - gamma * G, gamma * lam)
-    D = TZ - Z
-    slope = alpha * g_d
-    curve = 0.5 * alpha ** 2 * d_Hd
-    inner = np.einsum("ij,ij->i", G, D)
-    square = np.einsum("ij,ij->i", D, D) / (2.0 * gamma)
-    l1 = lam * np.abs(TZ).sum(axis=1)
-    screened = f_T + slope + curve + inner + square + l1
-    margin = SCREEN_MARGIN * np.finfo(float).eps * (
-        abs(f_T) + np.abs(slope) + np.abs(curve) + np.abs(inner) + square + l1)
-    # NaN compares False, so a non-finite screened value is never skipped
-    far = screened > threshold + margin
-    yield from (trial for trial, skip in zip(rest, far) if not skip)
+        schedule=_schedule(trace, trials, line))
 
 
 def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
@@ -228,12 +170,12 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
         schedule=_schedule(trace, trials), x_tol=config.eps * gamma ** q)
 
 
-def _schedule(trace: IterateTrace, trials, screen=None):
-    """The schedule hook of a boosted solver: its trials, or those that
-    ``screen(T, d, threshold)`` offers, each against the step's threshold
+def _schedule(trace: IterateTrace, trials, line=None):
+    """The schedule hook of a boosted solver: its trials, screened by
+    ``line(y, d, steps)`` when given, each against the step's threshold
     value - rho ||grad||^theta."""
     def schedule(x, f, g, gn, y, d):
         threshold = f - trace.rho * gn ** trace.theta
-        offered = trials if screen is None else screen(y, d, threshold)
-        return ((m, t, threshold) for m, t in offered)
+        return screened(trials, lambda t: threshold,
+                        None if line is None else lambda steps: line(y, d, steps))
     return schedule

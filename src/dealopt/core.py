@@ -84,15 +84,12 @@ class SmoothObjective:
     ``value_grad(x) -> (value, gradient)``, when given, is a fused oracle
     that must equal ``(value(x), grad(x))`` bit for bit; callers that want
     both go through ``value_and_grad``, which composes ``value`` and ``grad``
-    without it.  ``constant_hessian``
-    declares that ``hess_apply`` does not depend on ``x`` (the part is
-    quadratic); the boosted proximal-gradient search then screens its trials
-    in closed form, and still confirms every step it takes exactly.
-    ``line_values(x, d, steps) -> (values, margins)``, when given, screens
-    the Armijo trials ``x + t d`` for every ``t`` in ``steps`` at once: each
-    ``values[i]`` lies within ``margins[i]`` of ``value(x + steps[i] d)`` as
-    ``value`` computes it, so a trial whose screened value exceeds the test
-    by more than its margin fails the exact test too.
+    without it.  ``line_values(x, d, steps) -> (values, margins)``, when
+    given, screens the Armijo trials ``x + t d`` for every ``t`` in
+    ``steps`` at once: each ``values[i]`` lies within ``margins[i]`` of
+    ``value(x + steps[i] d)`` as ``value`` computes it, so a trial whose
+    screened value exceeds the test by more than its margin fails the exact
+    test too (see ``solvers.screened``).
     """
 
     dim: int
@@ -104,7 +101,6 @@ class SmoothObjective:
     kl: Optional[KLInfo] = None
     fstar: Optional[float] = None
     name: str = "objective"
-    constant_hessian: bool = False
     line_values: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]] = None
 
     def __post_init__(self):
@@ -123,11 +119,16 @@ class CompositeObjective:
     """Smooth part plus a prox-capable nonsmooth part.
 
     ``nonsmooth`` must expose ``value(x)`` and ``prox(x, gamma, p)``.
+    ``line_values(T, d, steps, gamma) -> (values, margins)``, when given,
+    is ``SmoothObjective.line_values`` for the forward-backward envelope as
+    ``envelopes.fbe_value`` computes it, along ``T + t d``; ``bpga`` screens
+    its trials with it.
     """
 
     smooth: SmoothObjective
     nonsmooth: object
     name: str = "composite"
+    line_values: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, float], tuple]] = None
 
     def value(self, x):
         return self.smooth.value(x) + self.nonsmooth.value(x)

@@ -23,9 +23,9 @@ with the bound its value must meet.  Here the function is the objective
 itself (``_descend``), whose points have no fallback point, and the
 constant step is the case with no Armijo test, a single trial at alpha that
 is always taken; the boosted solvers run it on an envelope, whose points
-fall back to their proximal point.  When the first Armijo trial fails and
-the objective has a line oracle (``line_values``, which least-p supplies),
-the remaining backtracks are screened at once and only those the screen
+fall back to their proximal point.  When the first trial fails and the
+family has a line oracle (least-p's on f, lasso's on its envelope), the
+remaining trials are screened at once by :func:`screened` and only those it
 cannot rule out are evaluated, in order; the step taken is the one the
 per-trial loop takes.
 """
@@ -163,8 +163,8 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
     always taken, so its value and gradient come from one fused oracle call;
     with it, the step shrinks to eta^p alpha_bar until the Armijo test passes
     or p exceeds max_backtracks, and the gradient is taken at the accepted
-    point.  The backtracks that :func:`_screened_backtracks` rules out are
-    not evaluated.
+    point.  The backtracks that :func:`screened` rules out with the
+    objective's ``line_values`` are not evaluated.
     """
     x = as_vector(x0, objective.dim, "x0")
 
@@ -184,15 +184,21 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
                          candidate=candidate, value=value,
                          complete=lambda z, f: (f, gradient, None),
                          schedule=lambda *step: ((0, alpha, None),))
-    backtracks = [(p, armijo.eta ** p * armijo.alpha_bar)
-                  for p in range(1, armijo.max_backtracks + 1)]
+    trials = [(0, alpha)] + [(p, armijo.eta ** p * armijo.alpha_bar)
+                             for p in range(1, armijo.max_backtracks + 1)]
 
     def schedule(x, f, g, gn, y, d):
         slope = float(g @ d)
-        yield 0, alpha, f + armijo.sigma * alpha * slope
-        for p, step in _screened_backtracks(objective, armijo, backtracks, x, d, f, slope):
-            yield p, step, f + armijo.sigma * step * slope
-    return deal_loop(x, config, rule, trace, [(0, alpha)] + backtracks,
+        line = None
+        if objective.line_values is not None:
+            def line(steps):
+                values, margins = objective.line_values(x, d, steps)
+                # a trial point that is x, bit for bit, has value f exactly
+                unmoved = ((x + steps[:, None] * d).view(np.int64)
+                           == x.view(np.int64)).all(axis=1)
+                return np.where(unmoved, f, values), np.where(unmoved, 0.0, margins)
+        return screened(trials, lambda t: f + armijo.sigma * t * slope, line)
+    return deal_loop(x, config, rule, trace, trials,
                      evaluate=lambda x: (objective.value(x), objective.grad(x), None),
                      candidate=candidate, value=objective.value,
                      complete=lambda z, f: (f, objective.grad(z), None),
@@ -319,29 +325,27 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
     return trace
 
 
-def _screened_backtracks(objective: SmoothObjective, armijo: ArmijoParams,
-                         backtracks, x, d, f: float, slope: float):
-    """The backtracks (p, eta^p alpha_bar) worth an exact value, in order.
+def screened(trials, bound, line=None):
+    """The step's trials (m, t) worth an exact value, in order, each yielded
+    as (m, t, bound(t)).
 
-    Without a line oracle that is all of them.  With one, every backtrack is
-    screened at once, and two kinds are skipped, because their exact value
-    fails the Armijo test too: those whose screened value exceeds the
-    threshold by more than its margin, and those whose trial point is x
-    itself, bit for bit, whose value is f (the oracle is deterministic) and
-    whose threshold lies below f.  So the first backtrack that passes is
-    still the first one tried that passes.
+    The first trial is offered unscreened.  Only when it fails, and a line
+    oracle ``line(steps) -> (values, margins)`` is given, are the others
+    screened at once: each ``values[i]`` lies within ``margins[i]`` of the
+    exact value at ``steps[i]``, so a trial whose screened value exceeds its
+    bound by more than its margin fails the exact test too, and is skipped.
+    So the first trial offered that passes is the first trial that passes.
     """
-    if objective.line_values is None:
-        return backtracks
-    steps = np.array([step for _, step in backtracks])
-    values, margins = objective.line_values(x, d, steps)
-    thresholds = f + armijo.sigma * steps * slope
-    # NaN compares False, so a non-finite screened value is never skipped
-    skip = values > thresholds + margins
-    # the trial points as the loop forms them; bytes, because -0.0 == 0.0
-    unmoved = ((x + steps[:, None] * d).view(np.int64) == x.view(np.int64)).all(axis=1)
-    skip |= unmoved & ~(f <= thresholds)
-    return [trial for trial, skipped in zip(backtracks, skip.tolist()) if not skipped]
+    (m, t), rest = trials[0], trials[1:]
+    yield m, t, bound(t)
+    if rest and line is not None:
+        steps = np.array([t for _, t in rest])
+        values, margins = line(steps)
+        # NaN compares False, so a non-finite screened value is never skipped
+        far = (values > bound(steps) + margins).tolist()
+        rest = [trial for trial, skip in zip(rest, far) if not skip]
+    for m, t in rest:
+        yield m, t, bound(t)
 
 
 def _replay_fixed_point(trace: IterateTrace, last: IterateRecord, max_iter: int):

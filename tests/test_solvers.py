@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dealopt import bench, solvers
+from dealopt.boosted import BoostedConfig, run_bpga
 from dealopt.core import (CapabilityError, HolderInfo, IterateRecord,
                           SmoothObjective, UsageError, as_vector,
                           certify_descent, certify_displacement,
@@ -561,3 +562,59 @@ class TestScreenedBacktracks:
         calls[0] = 0
         deala_runs(problem, [spec], run, value=value)
         assert calls[0] < 1 + len(steps) * 4
+
+
+TRIALS = [(m, 0.5 ** m) for m in range(1, 6)]
+
+
+def refuse(*args):
+    raise AssertionError("the line oracle was called")
+
+
+class TestScreened:
+    """``solvers.screened``, the one trial screen of deal-a and bpga."""
+
+    def test_the_first_trial_comes_before_the_line_oracle_runs(self):
+        calls = []
+
+        def line(steps):
+            calls.append(steps.tolist())
+            return np.zeros(len(steps)), np.zeros(len(steps))
+        offered = solvers.screened(TRIALS, lambda t: 1.0, line)
+        assert next(offered) == (1, 0.5, 1.0)
+        assert calls == []
+        assert list(offered) == [(m, t, 1.0) for m, t in TRIALS[1:]]
+        assert calls == [[t for _, t in TRIALS[1:]]]
+
+    def test_without_a_line_oracle_every_trial_is_offered(self):
+        def bound(t):
+            return -1.0 - t
+        assert list(solvers.screened(TRIALS, bound)) == [(m, t, bound(t)) for m, t in TRIALS]
+
+    def test_a_nan_screened_value_is_never_skipped(self):
+        # trials 2 and 4 lie far above their bound; 3 and 5 screen NaN
+        def line(steps):
+            return (np.array([9.0, np.nan, 9.0, np.nan]),
+                    np.array([1.0, 0.0, 1.0, np.nan]))
+        assert [m for m, _, _ in solvers.screened(TRIALS, lambda t: 1.0, line)] == [1, 3, 5]
+
+    def test_the_kept_trials_keep_their_order_and_their_own_bounds(self):
+        # the bound depends on t, as deal-a's Armijo threshold f + sigma t slope does;
+        # a value within its margin of the bound is kept
+        def bound(t):
+            return 1.0 - t
+
+        def line(steps):
+            return bound(steps) + np.array([0.5, 2.0, 0.1, 3.0]), np.array([1.0, 1.0, 0.2, 1.0])
+        assert list(solvers.screened(TRIALS, bound, line)) == [
+            (m, t, bound(t)) for m, t in TRIALS if m in (1, 2, 4)]
+
+    def test_a_single_trial_never_runs_the_line_oracle(self):
+        assert list(solvers.screened(TRIALS[:1], lambda t: 0.0, refuse)) == [(1, 0.5, 0.0)]
+        # bpga with max_linesearch=1 tries one trial per step, and falls back
+        # to the forward-backward point when it fails
+        problem = generate_problem(3, "lasso", 60, 6)
+        comp = dataclasses.replace(problem.as_composite(), line_values=refuse)
+        trace = run_bpga(comp, np.ones(6) * 2.0, BoostedConfig(max_linesearch=1))
+        assert trace.extras["termination"] == "tolerance"
+        assert trace.extras["fallbacks"] > 0
