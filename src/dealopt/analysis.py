@@ -140,13 +140,6 @@ def fit_linear_rate(trace: IterateTrace, fstar: float, *,
     return report
 
 
-def fit_sublinear(trace: IterateTrace, fstar: float):
-    """Power-law fit of the tail: returns (mu_hat, decay_hat) for mu * k^(-decay)."""
-    ks, gaps = _tail(trace, fstar)
-    power = _power_fit(ks, np.log(gaps))
-    return (None, None) if power is None else power[:2]
-
-
 @dataclass
 class KLEstimate:
     vartheta_hat: float
@@ -296,49 +289,39 @@ class KLSamplingReport:
     violations: int
     fraction: float
     tightest_tau: float
-    worst_point: Optional[np.ndarray] = None
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
 
-    def as_dict(self) -> dict:
-        return {"n_samples": self.n_samples, "violations": self.violations,
-                "fraction": self.fraction, "tightest_tau": self.tightest_tau,
-                "passed": self.passed}
 
-
-def kl_sampling_certificate(objective: SmoothObjective, sampler, vartheta: float,
-                            tau: float, n_samples: int,
+def kl_sampling_certificate(objective: SmoothObjective, fstar: float, sampler,
+                            vartheta: float, tau: float, n_samples: int,
                             rel_slack: float = 1e-8) -> KLSamplingReport:
     """Sample-based check of (f(x) - f*)^vartheta <= tau ||grad f(x)||.
 
-    Counts points violating the inequality beyond a relative slack and reports
-    the empirically tightest tau (the largest ratio observed).
+    ``fstar`` is the optimal value, which the objective does not carry (a
+    problem's ``reference()`` gives it).  Counts points violating the
+    inequality beyond a relative slack and reports the empirically tightest
+    tau (the largest ratio observed).
     """
-    if objective.fstar is None:
-        raise UsageError("objective must carry a known optimal value")
+    if fstar is None or not math.isfinite(fstar):
+        raise UsageError(f"fstar must be finite, got {fstar!r}")
     if not 0.0 < vartheta < 1.0 or tau <= 0.0:
         raise UsageError("need vartheta in (0, 1) and tau > 0")
     pts = np.asarray(sampler(n_samples), dtype=float)
     violations = 0
     tightest = 0.0
-    worst_pt = None
-    worst_excess = -math.inf
     for x in pts:
-        gap = objective.value(x) - objective.fstar
+        gap = objective.value(x) - fstar
         if gap <= 0.0:
             continue
         lhs = gap ** vartheta
         gn = float(np.linalg.norm(objective.grad(x)))
         needed = lhs / gn if gn > 0.0 else math.inf
         tightest = max(tightest, needed)
-        excess = lhs - tau * gn
-        if excess > rel_slack * max(1.0, lhs):
+        if lhs - tau * gn > rel_slack * max(1.0, lhs):
             violations += 1
-            if excess > worst_excess:
-                worst_excess, worst_pt = excess, x
     return KLSamplingReport(
         n_samples=len(pts), violations=violations,
-        fraction=violations / max(len(pts), 1),
-        tightest_tau=tightest, worst_point=worst_pt)
+        fraction=violations / max(len(pts), 1), tightest_tau=tightest)

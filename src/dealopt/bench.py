@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Literal, Optional, Union
 
 import numpy as np
 
@@ -45,7 +46,7 @@ class ProblemSpec:
 class SolverSpec:
     name: str = "DEAL-C"
     solver: str = "deal-c"
-    beta: object = "auto"           # "auto" or a real > -1
+    beta: Union[float, Literal['auto']] = "auto"    # or a real > -1
     direction: str = "gradient"
     c1: float = 1.0
     c2: float = 1.0
@@ -53,7 +54,8 @@ class SolverSpec:
     eta: float = 0.5
     alpha_bar: Optional[float] = None
     gamma: Optional[float] = None
-    order: object = "auto"          # proximal-point order, "auto" matches the exponent
+    # proximal-point order, "auto" matches the exponent
+    order: Union[float, Literal['auto']] = "auto"
     max_linesearch: int = 50
     memory: int = 10
 
@@ -95,7 +97,9 @@ class ExperimentConfig:
 
 def validate_config(doc: dict) -> list:
     """Schema check for a config document; returns offending-key messages.
-    Each solver, or its default, must be one the problem's family accepts."""
+    Each value must have its field's annotated type (a bool is not a
+    number), there must be at least one repetition, and each solver, or its
+    default, must be one the problem's family accepts."""
     errors = []
     if not isinstance(doc, dict):
         return ["config must be a JSON object"]
@@ -108,8 +112,11 @@ def validate_config(doc: dict) -> list:
         if not isinstance(sub, dict):
             errors.append(f"{key} must be an object")
             continue
-        fields = {f.name for f in dataclasses.fields(klass)}
-        errors.extend(f"{key}.{k} is not a recognized key" for k in sub if k not in fields)
+        errors.extend(_field_errors(key, klass, sub))
+    run = doc.get("run", {})
+    repetitions = run.get("repetitions", 1) if isinstance(run, dict) else 1
+    if _number(repetitions) and repetitions < 1:
+        errors.append(f"run.repetitions must be at least 1, got {repetitions}")
     problem = doc.get("problem", {})
     kind = problem.get("kind", ProblemSpec.kind) if isinstance(problem, dict) else None
     family = problems.FAMILIES.get(kind) if isinstance(kind, str) else None
@@ -119,17 +126,46 @@ def validate_config(doc: dict) -> list:
     if not isinstance(solvers, list):
         errors.append("solvers must be a list")
     else:
-        fields = {f.name for f in dataclasses.fields(SolverSpec)}
         for i, sub in enumerate(solvers):
             if not isinstance(sub, dict):
                 errors.append(f"solvers[{i}] must be an object")
                 continue
-            errors.extend(f"solvers[{i}].{k} is not a recognized key"
-                          for k in sub if k not in fields)
+            errors.extend(_field_errors(f"solvers[{i}]", SolverSpec, sub))
             accepted = DEAL_SOLVERS if family is None else family.solvers
             if sub.get("solver", SolverSpec.solver) not in accepted:
                 errors.append(f"solvers[{i}].solver must be one of {accepted} "
                               f"for problem.kind {kind!r}")
+    return errors
+
+
+def _number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# per field annotation, as the string that annotations are kept as: the test
+# a config value must pass and what it asks for.  As in JSON, a bool is not a
+# number.
+_FIELD_TYPES = {
+    "float": (_number, "a number"),
+    "int": (lambda v: _number(v) and isinstance(v, numbers.Integral), "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "Optional[float]": (lambda v: v is None or _number(v), "a number or null"),
+    "Union[float, Literal['auto']]": (lambda v: _number(v) or isinstance(v, str) and v == "auto",
+                                      "a number or 'auto'"),
+}
+
+
+def _field_errors(key: str, klass, sub: dict) -> list:
+    """Messages for the keys of ``sub`` that ``klass`` lacks and for the
+    values that fail their field's test in ``_FIELD_TYPES``."""
+    types = {f.name: _FIELD_TYPES[f.type] for f in dataclasses.fields(klass)}
+    errors = []
+    for k, value in sub.items():
+        if k not in types:
+            errors.append(f"{key}.{k} is not a recognized key")
+        elif not types[k][0](value):
+            errors.append(f"{key}.{k} must be {types[k][1]}, got {value!r}")
     return errors
 
 

@@ -139,9 +139,17 @@ def _dispatch(args) -> int:
 _DIRECTION_ALIASES = {"grad": "gradient", "bb1": "bb1", "bb2": "bb2", "lbfgs": "lbfgs"}
 
 
+def _auto_or_float(text: str):
+    """A real, or the text itself ("auto" or one that ``validate_config``
+    then rejects, naming its key)."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _cmd_run(args) -> int:
-    beta = args.beta if args.beta == "auto" else float(args.beta)
-    order = args.order if args.order == "auto" else float(args.order)
+    beta, order = _auto_or_float(args.beta), _auto_or_float(args.order)
     config = bench.ExperimentConfig(
         problem=bench.ProblemSpec(kind=args.problem, m=args.m, n=args.n, p=args.p,
                                   lam=args.lam, s=args.s, seed=args.seed,
@@ -170,8 +178,9 @@ def _cmd_sweep(args) -> int:
             raise UsageError("invalid experiment config: config must be a JSON object")
         merged = config.as_dict()
         for key, value in doc.items():
-            if isinstance(value, dict):
-                merged.setdefault(key, {}).update(value)
+            # a dict merges into a dict; anything else replaces the preset's
+            if isinstance(value, dict) and isinstance(merged.get(key), dict):
+                merged[key].update(value)
             else:
                 merged[key] = value
         config = bench.ExperimentConfig.from_dict(merged)
@@ -270,7 +279,8 @@ def _cmd_oracle(args) -> int:
         prob = problems.generate_problem(args.seed, args.problem, args.m, args.n,
                                          p=args.p, lam=args.lam)
         x = as_vector(json.loads(Path(args.at).read_text()), prob.n, "--at")
-        smooth = prob.as_smooth()
+        # powerabs, a bhippa family, has no smooth objective: phi's own oracles
+        smooth = prob.as_smooth() if hasattr(prob, "as_smooth") else prob
         fd = oracles.finite_diff_gradient(smooth.value, x)
         print(json.dumps({"finite_diff": fd.tolist(),
                           "closed_form": np.asarray(smooth.grad(x)).tolist()}, indent=2))

@@ -76,7 +76,10 @@ class KLInfo:
 
 @dataclass
 class SmoothObjective:
-    """Value/gradient oracle with optional Hessian-apply and metadata.
+    """Value/gradient oracle with an optional Hessian-apply and the Hölder
+    pair of its gradient: only what the solvers read.  The optimal value
+    and the dominance constant tau are not carried here; they come from the
+    problem's ``reference()``.
 
     Oracles must be re-entrant: no hidden mutable state across calls, so the
     same ``x`` always gives the same result, bit for bit.  The solvers rely
@@ -98,9 +101,6 @@ class SmoothObjective:
     value_grad: Optional[Callable[[np.ndarray], tuple]] = None
     hess_apply: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     holder: Optional[HolderInfo] = None
-    kl: Optional[KLInfo] = None
-    fstar: Optional[float] = None
-    name: str = "objective"
     line_values: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]] = None
 
     def __post_init__(self):
@@ -116,7 +116,8 @@ class SmoothObjective:
 
 @dataclass
 class CompositeObjective:
-    """Smooth part plus a prox-capable nonsmooth part.
+    """Smooth part plus a prox-capable nonsmooth part, with no optimal
+    value or dominance constant of its own (see ``SmoothObjective``).
 
     ``nonsmooth`` must expose ``value(x)`` and ``prox(x, gamma, p)``.
     ``line_values(T, d, steps, gamma) -> (values, margins)``, when given,
@@ -127,7 +128,6 @@ class CompositeObjective:
 
     smooth: SmoothObjective
     nonsmooth: object
-    name: str = "composite"
     line_values: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, float], tuple]] = None
 
     def value(self, x):

@@ -153,16 +153,17 @@ class DirectionRule:
         return self._lbfgs_direction(grad)
 
     def sufficient_base_direction(self, x, grad, grad_norm: Optional[float] = None):
-        """Direction guaranteed to satisfy the (c1, c2) pair; returns (d_bar, fell_back).
+        """Direction guaranteed to satisfy the (c1, c2) pair; a fallback to
+        the negative gradient adds one to ``fallback_count``.
         ``grad_norm`` is ||grad|| when the caller has it."""
         d_bar = self.base_direction(x, grad, grad_norm)
         if self.kind == "gradient":
-            return d_bar, False
+            return d_bar
         check = validate_sufficient_descent(d_bar, grad, self.c1, self.c2)
         if check.passed:
-            return d_bar, False
+            return d_bar
         self.fallback_count += 1
-        return -np.asarray(grad, dtype=float), True
+        return -np.asarray(grad, dtype=float)
 
     def _bb_scaling(self, x, grad):
         if self._prev_x is None:

@@ -71,9 +71,6 @@ class L1Norm:
             raise UsageError("need p > 1 and gamma > 0")
         return prox_l1(x, (gamma * self.weight) ** (1.0 / (p - 1.0)))
 
-    def prox_detailed(self, x, gamma, p: float = 2.0) -> ProxResult:
-        return ProxResult(self.prox(x, gamma, p), False)
-
 
 class AbsPower:
     """sum_i |x_i|^s with s > 1, with a vectorised order-p prox.
@@ -107,9 +104,6 @@ class AbsPower:
         else:
             root = _abs_power_root(a, self.s, gamma, p)
         return np.sign(x) * root.reshape(x.shape)
-
-    def prox_detailed(self, x, gamma, p: float = 2.0) -> ProxResult:
-        return ProxResult(self.prox(x, gamma, p), False)
 
 
 def _abs_power_matched(a, s, gamma):
@@ -194,9 +188,8 @@ def _abs_power_root(a, s, gamma, p):
 class SeparableProx:
     """Prox-capable wrapper around a scalar component oracle g(t)."""
 
-    def __init__(self, scalar_fn: Callable[[float], float], name: str = "separable"):
+    def __init__(self, scalar_fn: Callable[[float], float]):
         self.scalar = scalar_fn
-        self.name = name
 
     def value(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -270,7 +263,7 @@ def prox_oracle_check(g, x, gamma: float, p: float) -> dict:
     are evaluated array by array; any other term's entry by entry.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    fast = np.atleast_1d(g.prox_detailed(x, gamma, p).point)
+    fast = np.atleast_1d(g.prox(x, gamma, p))
     if isinstance(g, (AbsPower, L1Norm)):
         def h(x, U):
             return g.scalar(U) + np.abs(x[:, None] - U) ** p / (p * gamma)
@@ -389,17 +382,13 @@ def home_value(g, x, gamma: float, p: float = 2.0) -> EnvelopeEval:
 def _home(g, x, gamma, p) -> EnvelopeEval:
     """Order-p proximal point and envelope value at x, without the gradient."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    res = _prox_detailed(g, x, gamma, p)
+    # a closed-form prox is single-valued; only SeparableProx's can tie
+    res = (g.prox_detailed(x, gamma, p) if hasattr(g, "prox_detailed")
+           else ProxResult(np.asarray(g.prox(x, gamma, p), dtype=float), False))
     y = np.atleast_1d(res.point)
     value = float(g.value(y) + _penalty(x - y, gamma, p))
     return EnvelopeEval(x=x, prox_point=y, value=value, gradient=None,
                         multi_valued=res.multi_valued)
-
-
-def _prox_detailed(g, x, gamma, p) -> ProxResult:
-    if hasattr(g, "prox_detailed"):
-        return g.prox_detailed(x, gamma, p)
-    return ProxResult(np.atleast_1d(np.asarray(g.prox(x, gamma, p), dtype=float)), False)
 
 
 def _penalty(d, gamma, p):

@@ -169,7 +169,7 @@ class LeastPProblem:
         return nu, L, vartheta, tau
 
     def as_smooth(self) -> SmoothObjective:
-        nu, L, vartheta, tau = self.constants()
+        nu, L, _, _ = self.constants()
         return SmoothObjective(
             dim=self.n,
             value=self.value,
@@ -177,9 +177,6 @@ class LeastPProblem:
             value_grad=self.value_grad,
             line_values=self.line_values,
             holder=HolderInfo(nu=nu, L=L),
-            kl=KLInfo(vartheta=vartheta, tau=tau),
-            fstar=self.fstar,
-            name=f"leastp(p={self.p}, m={self.m}, n={self.n})",
         )
 
     def descriptor(self) -> dict:
@@ -324,14 +321,12 @@ class LassoProblem:
             value_grad=self.smooth_value_grad,
             hess_apply=self.hess_apply,
             holder=HolderInfo(nu=1.0, L=self.L),
-            name=f"lasso-smooth(m={self.m}, n={self.n})",
         )
 
     def as_composite(self) -> CompositeObjective:
         return CompositeObjective(
             smooth=self.as_smooth(),
             nonsmooth=envelopes.L1Norm(self.lam),
-            name=f"lasso(m={self.m}, n={self.n}, lam={self.lam})",
             line_values=self.fbe_line,
         )
 
@@ -376,15 +371,6 @@ class PowerAbsProblem:
 
     def as_prox_capable(self):
         return envelopes.AbsPower(self.s)
-
-    def as_smooth(self) -> SmoothObjective:
-        if self.s < 2.0:
-            raise UsageError("gradient is unbounded near kinks for s < 2")
-        return SmoothObjective(
-            dim=self.n, value=self.value, grad=self.grad,
-            kl=self.kl_info(), fstar=0.0,
-            name=f"powerabs(s={self.s}, n={self.n})",
-        )
 
     def descriptor(self) -> dict:
         kl = self.kl_info()
@@ -449,17 +435,11 @@ class QuadraticProblem:
         QX = X @ self.Q
         return 0.5 * np.einsum("ij,ij->i", X, QX) + X @ self.c, QX + self.c
 
-    def hess_apply(self, x, v):
-        return self.Q @ v
-
     def as_smooth(self) -> SmoothObjective:
-        kl = KLInfo(vartheta=0.5, tau=self.tau) if self.tau is not None else None
         return SmoothObjective(
             dim=self.n, value=self.value, grad=self.grad,
-            value_grad=self.value_grad, hess_apply=self.hess_apply,
+            value_grad=self.value_grad,
             holder=HolderInfo(nu=1.0, L=self.L) if self.L > 0 else None,
-            kl=kl, fstar=self.fstar,
-            name=f"quadratic(n={self.n})",
         )
 
     def descriptor(self) -> dict:

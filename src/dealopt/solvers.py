@@ -280,7 +280,7 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
         if trials:
             fallbacks = rule.fallback_count
             if y is None:
-                d_bar, _ = rule.sufficient_base_direction(x, g, gn)
+                d_bar = rule.sufficient_base_direction(x, g, gn)
             else:
                 d_bar = rule.base_direction(x, g, gn)
             fell_back = rule.fallback_count > fallbacks

@@ -320,7 +320,8 @@ def test_criterion_08_holder_and_dominance():
         if worst > 1e-10:
             failures.append(f"p={p}: smoothness constant violated by {worst:.2e}")
         rep = analysis.kl_sampling_certificate(
-            prob.as_smooth(), analysis.box_sampler(12, seed=seed), vt, tau, 10 ** 4)
+            prob.as_smooth(), prob.reference().fstar,
+            analysis.box_sampler(12, seed=seed), vt, tau, 10 ** 4)
         if not rep.passed:
             failures.append(f"p={p}: {rep.violations} dominance violations "
                             f"(tightest tau {rep.tightest_tau:.4f} vs {tau:.4f})")

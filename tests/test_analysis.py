@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from dealopt.analysis import (box_sampler, complexity_K, estimate_kl_exponent,
-                              fit_linear_rate, fit_sublinear,
-                              kl_sampling_certificate, per_step_ratio_check,
-                              verify_complexity)
+                              fit_linear_rate, kl_sampling_certificate,
+                              per_step_ratio_check, verify_complexity)
 from dealopt.core import IterateRecord, IterateTrace, UsageError
 from dealopt.problems import QuadraticProblem, generate_problem
 from dealopt.solvers import DealConfig, run_dealc
@@ -83,13 +82,14 @@ class TestSublinearFit:
         tr = IterateTrace(records=[
             IterateRecord(k=int(k), f=3.0 * float(k) ** -2, grad_norm=1.0)
             for k in ks], rho=0.5, theta=2.0)
-        mu, decay = fit_sublinear(tr, fstar=0.0)
+        rep = fit_linear_rate(tr, fstar=0.0)
+        mu, decay = rep.mu_hat, rep.decay_hat
         assert mu == pytest.approx(3.0, abs=1e-6)
         assert decay == pytest.approx(2.0, abs=1e-9)
 
     def test_degenerate_returns_none(self):
-        mu, decay = fit_sublinear(synthetic_trace([1.0]), fstar=0.0)
-        assert mu is None and decay is None
+        rep = fit_linear_rate(synthetic_trace([1.0]), fstar=0.0)
+        assert rep.mu_hat is None and rep.decay_hat is None
 
 
 class TestKLExponent:
@@ -192,32 +192,40 @@ class TestPerStepRatio:
 
 class TestKLSampling:
     def test_quadratic_exact_equality(self):
-        obj = QuadraticProblem(np.eye(1)).as_smooth()
-        rep = kl_sampling_certificate(obj, box_sampler(1, seed=0), 0.5,
+        prob = QuadraticProblem(np.eye(1))
+        rep = kl_sampling_certificate(prob.as_smooth(), prob.reference().fstar,
+                                      box_sampler(1, seed=0), 0.5,
                                       1.0 / math.sqrt(2.0), 500)
         assert rep.passed
         assert rep.tightest_tau == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
-    def test_halved_tau_fails(self):
+    @pytest.mark.parametrize("fstar", [None, math.nan, math.inf, -math.inf])
+    def test_an_unknown_or_nonfinite_fstar_is_refused(self, fstar):
         obj = QuadraticProblem(np.eye(1)).as_smooth()
-        rep = kl_sampling_certificate(obj, box_sampler(1, seed=0), 0.5,
+        with pytest.raises(UsageError, match="fstar must be finite"):
+            kl_sampling_certificate(obj, fstar, box_sampler(1, seed=0), 0.5, 1.0, 10)
+
+    def test_halved_tau_fails(self):
+        prob = QuadraticProblem(np.eye(1))
+        rep = kl_sampling_certificate(prob.as_smooth(), prob.reference().fstar,
+                                      box_sampler(1, seed=0), 0.5,
                                       0.5 / math.sqrt(2.0), 500)
         assert not rep.passed
         assert rep.fraction > 0.9
 
     def test_consistent_leastp_zero_violations(self):
         prob = generate_problem(41, "leastp", 40, 8, p=1.5, consistent=True)
-        obj = prob.as_smooth()
-        rep = kl_sampling_certificate(obj, box_sampler(8, seed=2),
-                                      obj.kl.vartheta, obj.kl.tau, 1000)
+        _, _, vartheta, tau = prob.constants()
+        rep = kl_sampling_certificate(prob.as_smooth(), prob.reference().fstar,
+                                      box_sampler(8, seed=2), vartheta, tau, 1000)
         assert rep.passed
-        assert rep.tightest_tau <= obj.kl.tau
+        assert rep.tightest_tau <= tau
 
     def test_inconsistent_leastp_reports_empirical_tau(self):
         # the closed-form tau is only guaranteed for residuals in the range of
         # A; inconsistent data reports the empirical value without asserting it
         prob = generate_problem(43, "leastp", 40, 8, p=1.5, consistent=False)
-        obj = prob.as_smooth()
-        rep = kl_sampling_certificate(obj, box_sampler(8, seed=3),
-                                      obj.kl.vartheta, obj.kl.tau, 1000)
+        _, _, vartheta, tau = prob.constants()
+        rep = kl_sampling_certificate(prob.as_smooth(), prob.reference().fstar,
+                                      box_sampler(8, seed=3), vartheta, tau, 1000)
         assert math.isfinite(rep.tightest_tau) and rep.tightest_tau > 0.0

@@ -105,6 +105,21 @@ class TestConfigValidation:
         with pytest.raises(UsageError):
             bench.ExperimentConfig.from_dict({"mystery": {}})
 
+    def test_values_are_checked_against_their_field_annotation(self):
+        # an int is a number, None fills an Optional field, "auto" a beta or order
+        assert bench.validate_config({
+            "problem": {"p": 2, "consistent": False}, "run": {"eps": 1},
+            "solvers": [{"beta": "auto", "order": 3, "sigma": None, "gamma": 0.5}]}) == []
+        assert bench.validate_config({
+            "problem": {"seed": True, "lam": False}, "run": {"store_iterates": 1},
+            "solvers": [{"beta": "Auto", "sigma": "0.1", "name": 1}]}) == [
+            "problem.seed must be an integer, got True",
+            "problem.lam must be a number, got False",
+            "run.store_iterates must be true or false, got 1",
+            "solvers[0].beta must be a number or 'auto', got 'Auto'",
+            "solvers[0].sigma must be a number or null, got '0.1'",
+            "solvers[0].name must be a string, got 1"]
+
 
 class TestRunExperiment:
     def test_files_and_certificates(self, tmp_path):
@@ -604,6 +619,17 @@ class TestCLI:
         cf = np.array(doc["closed_form"])
         assert np.linalg.norm(fd - cf) <= 1e-5 * max(1.0, np.linalg.norm(cf))
 
+    @pytest.mark.parametrize("kind", ["lasso", "quadratic", "powerabs"])
+    def test_oracle_fd_grad_of_every_family(self, tmp_path, capsys, kind):
+        # powerabs has no smooth objective: its own value and gradient are compared
+        point = tmp_path / "x.json"
+        point.write_text(json.dumps([0.5, -1.0, 2.0, 0.25, -0.75]))
+        assert cli.main(["oracle", "fd-grad", "--problem", kind, "--m", "20",
+                         "--n", "5", "--at", str(point)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        fd, cf = np.array(doc["finite_diff"]), np.array(doc["closed_form"])
+        assert np.linalg.norm(fd - cf) <= 1e-5 * max(1.0, np.linalg.norm(cf))
+
     def test_run_bhippa_with_order_flag(self, tmp_path, capsys):
         out = tmp_path / "hp"
         rc = cli.main(["run", "--problem", "powerabs", "--s", "4.0", "--n", "1",
@@ -922,6 +948,56 @@ class TestRunDirectoryInputs:
         assert rc == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "runs").exists()
+
+    @staticmethod
+    def assert_refused(tmp_path, capsys, argv, message):
+        """``deal ARGV --out RUNS`` exits 1 with the one error line
+        ``message`` and writes no run directory."""
+        rc = cli.main(argv + ["--out", str(tmp_path / "runs")])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert captured.err == f"error: invalid experiment config: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "runs").exists()
+
+    @staticmethod
+    def sweep_with(tmp_path, doc):
+        override = tmp_path / "f.json"
+        override.write_text(json.dumps(doc))
+        return ["sweep", "--preset", "sec53", "--config", str(override)]
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"run": {"eps": "x"}}, "run.eps must be a number, got 'x'"),
+        ({"run": {"x0_seed": 1.5}}, "run.x0_seed must be an integer, got 1.5"),
+        ({"problem": {"m": "10"}}, "problem.m must be an integer, got '10'"),
+        ({"solvers": [{"solver": "bpga", "beta": "abc"}]},
+         "solvers[0].beta must be a number or 'auto', got 'abc'")])
+    def test_a_sweep_config_value_of_the_wrong_type_exits_1(self, tmp_path, capsys,
+                                                            doc, message):
+        self.assert_refused(tmp_path, capsys, self.sweep_with(tmp_path, doc), message)
+
+    @pytest.mark.parametrize("flag", ["beta", "order"])
+    def test_a_run_flag_that_is_neither_a_number_nor_auto_exits_1(self, tmp_path,
+                                                                  capsys, flag):
+        self.assert_refused(
+            tmp_path, capsys, ["run", "--problem", "leastp", "--m", "40", "--n", "8",
+                               f"--{flag}", "abc"],
+            f"solvers[0].{flag} must be a number or 'auto', got 'abc'")
+
+    def test_fewer_than_one_repetition_exits_1(self, tmp_path, capsys):
+        self.assert_refused(tmp_path, capsys, ["run", "--problem", "leastp", "--m", "40",
+                                               "--n", "8", "--repetitions", "0"],
+                            "run.repetitions must be at least 1, got 0")
+        self.assert_refused(tmp_path, capsys,
+                            self.sweep_with(tmp_path, {"run": {"repetitions": -1}}),
+                            "run.repetitions must be at least 1, got -1")
+
+    @pytest.mark.parametrize("solvers", [{}, {"solver": "bpga"}, "bpga"])
+    def test_a_sweep_config_whose_solvers_is_no_list_exits_1(self, tmp_path, capsys,
+                                                             solvers):
+        self.assert_refused(tmp_path, capsys,
+                            self.sweep_with(tmp_path, {"solvers": solvers}),
+                            "solvers must be a list")
 
     @pytest.mark.parametrize("argv", [
         ["certify", "--trace", "missing.csv", "--rho", "0.5", "--theta", "2.0"],

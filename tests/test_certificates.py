@@ -151,7 +151,7 @@ def test_reevaluated_leastp_trace_matches_the_reference_loops(runner):
     assert "fixed_point_at" in trace.extras
     checked = reevaluate_trace(trace, problem.value, problem.grad, problem.value_grad_rows)
     fstar = problems.reference_optimum(problem).fstar
-    q_theory = 1.0 - trace.rho / objective.kl.tau ** trace.theta
+    q_theory = 1.0 - trace.rho / problem.reference().tau ** trace.theta
     pairs = all_four(checked, trace.rho, trace.theta, trace.extras["c"], fstar, q_theory)
     assert len(pairs) == 4
     for report, reference in pairs:

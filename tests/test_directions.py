@@ -144,8 +144,8 @@ def test_sufficient_fallback_enforced():
     rule = DirectionRule("bb1", c1=1.0, c2=1.0)
     rule.push(np.zeros(1), np.array([1.0]))
     # BB scaling 2 violates c2 = 1 -> falls back to -grad
-    d, fell_back = rule.sufficient_base_direction(np.array([2.0]), np.array([2.0]))
-    assert fell_back
+    d = rule.sufficient_base_direction(np.array([2.0]), np.array([2.0]))
+    assert rule.fallback_count == 1
     assert d == pytest.approx([-2.0])
 
 

@@ -8,7 +8,7 @@ from dealopt.boosted import choose_order
 from dealopt.core import (CapabilityError, CompositeObjective, HolderInfo,
                           NumericalError, SmoothObjective, UsageError)
 from dealopt.envelopes import (PROX_ORACLE_REL_TOL, AbsPower, EnvelopeEval, L1Norm,
-                               ProxResult, SeparableProx, fbe_complete, fbe_value,
+                               SeparableProx, fbe_complete, fbe_value,
                                fbe_value_grad, forward_backward_map, home_complete,
                                home_value, home_value_grad, prox_home_separable,
                                prox_l1, prox_oracle_check)
@@ -122,7 +122,7 @@ class TestAbsPowerProx:
         assert g.value(np.array([1.0, -2.0])) == pytest.approx(9.0)
         y = g.prox(np.array([0.0, 1e-320, np.nan, np.inf]), 1.0, 2.0)
         assert y[0] == 0.0 and y[1] == 0.0 and np.isnan(y[2]) and np.isnan(y[3])
-        assert not g.prox_detailed(np.array([1.0]), 1.0, 4.0).multi_valued
+        assert not home_value(g, np.array([1.0]), 1.0, 4.0).multi_valued
 
     def test_overflowing_residual_raises(self):
         # p = s takes the closed form; test_overflowing_newton_residual_raises
@@ -232,8 +232,8 @@ class TestProxOracleCheck:
 
     def test_fails_on_a_wrong_prox(self):
         class Shrunk(AbsPower):
-            def prox_detailed(self, x, gamma, p=2.0):
-                return ProxResult(0.999 * super().prox(x, gamma, p), False)
+            def prox(self, x, gamma, p=2.0):
+                return 0.999 * super().prox(x, gamma, p)
 
         rep = prox_oracle_check(Shrunk(4.0), np.array([-2.0, 0.5, 3.0]), 1.0, 4.0)
         assert not rep["passed"]

@@ -251,9 +251,7 @@ class TestPowerAbs:
 class TestQuadratic:
     def test_closed_form_and_pl_constant(self):
         prob = QuadraticProblem(np.eye(1))
-        obj = prob.as_smooth()
-        assert obj.kl.vartheta == 0.5
-        assert obj.kl.tau == pytest.approx(1.0 / np.sqrt(2.0))
+        assert prob.reference().tau == pytest.approx(1.0 / np.sqrt(2.0))
         assert prob.fstar == 0.0
         prob2 = QuadraticProblem(np.diag([1.0, 4.0]), np.array([1.0, 0.0]))
         assert prob2.xstar == pytest.approx([-1.0, 0.0])

@@ -24,7 +24,6 @@ def quadratic_objective(L=1.0):
         value=lambda x: 0.5 * float(x @ x),
         grad=lambda x: np.asarray(x, dtype=float),
         holder=HolderInfo(nu=1.0, L=L),
-        fstar=0.0,
     )
 
 
@@ -257,7 +256,7 @@ def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None):
         if k == config.max_iter:
             trace.extras["termination"] = "max_iter"
             break
-        d_bar, _ = rule.sufficient_base_direction(x, g)
+        d_bar = rule.sufficient_base_direction(x, g)
         rule.push(x, g)
         d = generalize(d_bar, g, rule.beta)
         p = 0
