@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
@@ -20,11 +21,12 @@ from typing import Literal, Optional, Union
 import numpy as np
 
 from . import analysis, envelopes, problems
-from .boosted import BoostedConfig, choose_order, run_bhippa, run_bpga
+from .boosted import (BoostedConfig, bhippa_constants, bpga_constants, choose_order,
+                      run_bhippa, run_bpga)
 from .core import (IterateTrace, UsageError, certify_descent,
                    certify_displacement, config_digest, min_grad_bound_check,
                    reevaluate_trace)
-from .directions import DirectionRule, beta_for_holder
+from .directions import DirectionRule, beta_for_holder, check_rule
 from .solvers import ArmijoParams, DealConfig, run_deala, run_dealc
 
 HEURISTIC_BETAS = (0.5, 0.0, -0.2)
@@ -98,8 +100,9 @@ class ExperimentConfig:
 def validate_config(doc: dict) -> list:
     """Schema check for a config document; returns offending-key messages.
     Each value must have its field's annotated type (a bool is not a
-    number), there must be at least one repetition, and each solver, or its
-    default, must be one the problem's family accepts."""
+    number) and, if a number, be finite; there must be at least one
+    repetition, and each solver, or its default, must be one the problem's
+    family accepts."""
     errors = []
     if not isinstance(doc, dict):
         return ["config must be a JSON object"]
@@ -158,7 +161,8 @@ _FIELD_TYPES = {
 
 def _field_errors(key: str, klass, sub: dict) -> list:
     """Messages for the keys of ``sub`` that ``klass`` lacks and for the
-    values that fail their field's test in ``_FIELD_TYPES``."""
+    values that fail their field's test in ``_FIELD_TYPES``.  No field takes
+    a NaN or an infinity."""
     types = {f.name: _FIELD_TYPES[f.type] for f in dataclasses.fields(klass)}
     errors = []
     for k, value in sub.items():
@@ -166,6 +170,8 @@ def _field_errors(key: str, klass, sub: dict) -> list:
             errors.append(f"{key}.{k} is not a recognized key")
         elif not types[k][0](value):
             errors.append(f"{key}.{k} must be {types[k][1]}, got {value!r}")
+        elif _number(value) and not math.isfinite(value):
+            errors.append(f"{key}.{k} must be finite, got {value!r}")
     return errors
 
 
@@ -193,17 +199,14 @@ class RunResult:
 
 def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunResult:
     """Run one solver variant on a built problem and certify its trace."""
-    if spec.solver not in problem.solvers:
-        raise UsageError(f"solver must be one of {problem.solvers} for the {problem.kind} "
-                         f"family, got {spec.solver!r}")
-    dim = problem.n
+    solve = _configure_variant(problem, spec, run)
     rng = np.random.default_rng(run.x0_seed + rep)
-    x0 = rng.uniform(-5.0, 5.0, size=dim)
+    x0 = rng.uniform(-5.0, 5.0, size=problem.n)
     digest = config_digest({"solver": dataclasses.asdict(spec),
                             "run": dataclasses.asdict(run),
                             "problem": problem.descriptor(), "rep": rep})
 
-    trace, ctx = _RUNNERS[spec.solver](problem, spec, run, x0)
+    trace, ctx = solve(x0)
     trace.seed, trace.config_digest = run.x0_seed + rep, digest
     ref = problems.reference_optimum(problem)
     if ref.converged:
@@ -214,55 +217,80 @@ def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunRes
                      tau=ctx.get("tau") if trace.guaranteed else None)
 
 
-def _run_deal(problem, spec, run, x0):
+def _configure_variant(problem, spec: SolverSpec, run: RunSpec):
+    """One variant's solver, configured on a built problem: ``solve(x0) ->
+    (trace, certificate context)``.
+
+    Every range check of the variant's values runs here, where its solver
+    configuration and constants are built and its direction rule's
+    arguments checked, so ``run_experiment`` configures each variant before
+    it writes anything.  Each ``solve`` call builds its own direction rule.
+    """
+    if spec.solver not in problem.solvers:
+        raise UsageError(f"solver must be one of {problem.solvers} for the {problem.kind} "
+                         f"family, got {spec.solver!r}")
+    return _RUNNERS[spec.solver](problem, spec, run)
+
+
+def _run_deal(problem, spec, run):
     objective = problem.as_smooth()
     beta = beta_for_holder(objective.holder.nu) if spec.beta == "auto" else float(spec.beta)
-    rule = DirectionRule(spec.direction, beta=beta, c1=spec.c1, c2=spec.c2,
-                         memory=spec.memory)
+    rule = _rule_args(spec, beta, c1=spec.c1, c2=spec.c2)
     armijo = ArmijoParams(eta=spec.eta,
                           **_given(sigma=spec.sigma, alpha_bar=spec.alpha_bar))
-    cfg = DealConfig(eps=run.eps, max_iter=run.max_iter, rule=rule, armijo=armijo,
+    cfg = DealConfig(eps=run.eps, max_iter=run.max_iter, armijo=armijo,
                      store_iterates=run.store_iterates)
     runner = run_dealc if spec.solver == "deal-c" else run_deala
-    return runner(objective, x0, cfg), {"evaluate": problem.value_grad, "rows": problem.value_grad_rows}
+    return lambda x0: (runner(objective, x0, _with_rule(cfg, rule)),
+                       {"evaluate": problem.value_grad, "rows": problem.value_grad_rows})
 
 
-def _run_bpga(problem, spec, run, x0):
+def _run_bpga(problem, spec, run):
     composite = problem.as_composite()
-    beta = 0.0 if spec.beta == "auto" else float(spec.beta)
-    rule = DirectionRule(spec.direction, beta=beta, memory=spec.memory)
+    rule = _rule_args(spec, 0.0 if spec.beta == "auto" else float(spec.beta))
     cfg = BoostedConfig(gamma=spec.gamma, sigma=spec.sigma,
-                        max_linesearch=spec.max_linesearch, rule=rule,
+                        max_linesearch=spec.max_linesearch,
                         eps=run.eps, max_iter=run.max_iter,
                         store_iterates=run.store_iterates,
                         **_given(alpha_bar=spec.alpha_bar))
-    trace = run_bpga(composite, x0, cfg)
-    gamma = trace.extras["gamma"]
-    return trace, {"evaluate": lambda x: envelopes.fbe_value_grad(composite, x, gamma),
-                   "rows": lambda X: problem.fbe_rows(X, gamma)}
+    gamma = bpga_constants(composite, cfg)[0]
+    return lambda x0: (run_bpga(composite, x0, _with_rule(cfg, rule)), {
+        "evaluate": lambda x: envelopes.fbe_value_grad(composite, x, gamma),
+        "rows": lambda X: problem.fbe_rows(X, gamma)})
 
 
-def _run_bhippa(problem, spec, run, x0):
+def _run_bhippa(problem, spec, run):
     phi = problem.as_prox_capable()
     kl = problem.kl_info()
     order = choose_order(kl.vartheta) if spec.order == "auto" else float(spec.order)
-    rule = DirectionRule(spec.direction, beta=0.0 if spec.beta == "auto" else float(spec.beta),
-                         memory=spec.memory)
+    rule = _rule_args(spec, 0.0 if spec.beta == "auto" else float(spec.beta))
     cfg = BoostedConfig(gamma=spec.gamma, sigma=spec.sigma, eta=spec.eta, p=order,
-                        max_linesearch=spec.max_linesearch, rule=rule,
+                        max_linesearch=spec.max_linesearch,
                         eps=run.eps, max_iter=run.max_iter,
                         store_iterates=run.store_iterates)
-    trace = run_bhippa(phi, x0, cfg)
-    gamma = trace.extras["gamma"]
-    return trace, {
+    gamma = bhippa_constants(cfg)[0]
+    return lambda x0: (run_bhippa(phi, x0, _with_rule(cfg, rule)), {
         "evaluate": lambda x: envelopes.home_value_grad(phi, x, gamma, order),
         "rows": lambda X: envelopes.home_rows(phi, X, gamma, order),
         "prox_oracle": lambda x: envelopes.prox_oracle_check(phi, x, gamma, order),
-    }
+    })
 
 
-# each runner returns the trace, with the direction rule's fallback count in
-# its extras, and its certificate context (evaluate, rows, ...)
+def _rule_args(spec: SolverSpec, beta: float, **constants) -> dict:
+    """The arguments of the variant's direction rule, once checked."""
+    args = dict(kind=spec.direction, beta=beta, memory=spec.memory, **constants)
+    check_rule(**args)
+    return args
+
+
+def _with_rule(cfg, rule: dict):
+    """``cfg`` with a direction rule of its own, built from ``rule``."""
+    return dataclasses.replace(cfg, rule=DirectionRule(**rule))
+
+
+# each runner configures a variant and returns its solve(x0): the trace, with
+# the direction rule's fallback count in its extras, and its certificate
+# context (evaluate, rows, ...)
 _RUNNERS = {"deal-c": _run_deal, "deal-a": _run_deal, "bpga": _run_bpga,
             "bhippa": _run_bhippa}
 DEAL_SOLVERS = tuple(_RUNNERS)
@@ -346,12 +374,16 @@ def run_experiment(config: ExperimentConfig) -> Path:
     """Execute every (variant, repetition), persist traces and certificates.
 
     Deterministic for fixed seeds.  Returns the run directory; the summary
-    records whether any guaranteed certificate failed.
+    records whether any guaranteed certificate failed.  The config's types,
+    the problem and every variant's ranges are checked before the run
+    directory is created, so a config that fails a check leaves nothing.
     """
     _check_config(config.as_dict())
+    problem = build_problem(config.problem)
+    for spec in config.solvers:
+        _configure_variant(problem, spec, config.run)
     out = Path(config.output.directory)
     out.mkdir(parents=True, exist_ok=True)
-    problem = build_problem(config.problem)
     (out / "problem.json").write_text(json.dumps(problem.descriptor(), indent=2,
                                                  default=_json_default))
     (out / "config.json").write_text(json.dumps(config.as_dict(), indent=2))

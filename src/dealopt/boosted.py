@@ -95,15 +95,7 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig) -> IterateT
     at once; only those near the threshold are evaluated exactly, and the
     step taken is the same.
     """
-    holder = problem.smooth.holder
-    gamma = config.gamma
-    if gamma is None and holder is not None:  # no holder: _check_gamma rejects it
-        gamma = 0.95 / holder.L
-    L = _check_gamma(problem, gamma)
-    sigma_cap = gamma * (1.0 - gamma * L) / 2.0
-    sigma = config.sigma if config.sigma is not None else 0.9 * sigma_cap
-    if not sigma < sigma_cap:
-        raise UsageError(f"sigma must lie in (0, {sigma_cap:g})")
+    gamma, L, sigma = bpga_constants(problem, config)
     rule = config.rule if config.rule is not None else DirectionRule("gradient")
     rule.reset()
     rho = sigma / (1.0 + gamma * L) ** 2
@@ -140,11 +132,7 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
     defaults to 1 and unset ``sigma`` to 0.5 of its cap.
     """
     p = config.p
-    gamma = config.gamma if config.gamma is not None else 1.0
-    sigma_cap = min(1.0, 1.0 / (p * gamma))
-    sigma = config.sigma if config.sigma is not None else 0.5 * sigma_cap
-    if not sigma < sigma_cap:
-        raise UsageError(f"sigma must lie in (0, {sigma_cap:g}) for order {p}")
+    gamma, sigma = bhippa_constants(config)
     rule = config.rule if config.rule is not None else DirectionRule("gradient")
     rule.reset()
     x = as_vector(x0, name="x0")
@@ -168,6 +156,33 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
         value=lambda z: home_value(phi, z, gamma, p),
         complete=lambda z, trial: home_complete(trial, gamma, p),
         schedule=_schedule(trace, trials), x_tol=config.eps * gamma ** q)
+
+
+def bpga_constants(problem: CompositeObjective, config: BoostedConfig):
+    """``(gamma, L, sigma)`` of a BPGA run, once gamma is checked in (0, 1/L)
+    and sigma below its cap gamma (1 - gamma L) / 2."""
+    holder = problem.smooth.holder
+    gamma = config.gamma
+    if gamma is None and holder is not None:  # no holder: _check_gamma rejects it
+        gamma = 0.95 / holder.L
+    L = _check_gamma(problem, gamma)
+    sigma_cap = gamma * (1.0 - gamma * L) / 2.0
+    sigma = config.sigma if config.sigma is not None else 0.9 * sigma_cap
+    if not sigma < sigma_cap:
+        raise UsageError(f"sigma must lie in (0, {sigma_cap:g})")
+    return gamma, L, sigma
+
+
+def bhippa_constants(config: BoostedConfig):
+    """``(gamma, sigma)`` of a BHiPPA run, once sigma is checked below its
+    cap min(1, 1/(p gamma))."""
+    p = config.p
+    gamma = config.gamma if config.gamma is not None else 1.0
+    sigma_cap = min(1.0, 1.0 / (p * gamma))
+    sigma = config.sigma if config.sigma is not None else 0.5 * sigma_cap
+    if not sigma < sigma_cap:
+        raise UsageError(f"sigma must lie in (0, {sigma_cap:g}) for order {p}")
+    return gamma, sigma
 
 
 def _schedule(trace: IterateTrace, trials, line=None):

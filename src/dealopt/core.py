@@ -384,9 +384,10 @@ def min_grad_bound_check(trace: IterateTrace, rho: float, theta: float,
 
 
 # distinct iterates per batch call: a block of residuals of a 1000-row
-# least-p problem is 512 x 1000 doubles, 4 MB, and the iterates of a whole
-# trace are never stacked at once
-REEVALUATE_BLOCK = 512
+# least-p problem is 128 x 1000 doubles, 1 MB, the one (rows x m) array its
+# batch oracle keeps alive; the iterates of a whole trace are never stacked
+# at once
+REEVALUATE_BLOCK = 128
 
 
 def reevaluate_trace(trace: IterateTrace,

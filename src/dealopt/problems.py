@@ -124,12 +124,17 @@ class LeastPProblem:
 
         Equals ``value_grad`` row by row up to rounding (the products are
         summed in another order); a zero-residual row gives exactly 0 and a
-        zero gradient, as ``value_grad`` does.
+        zero gradient, as ``value_grad`` does.  The residuals are formed and
+        the gradients scaled in place, and the residuals are dropped once the
+        gradients are taken, so one (rows x m) array is alive at a time.
         """
-        R = X @ self.A.T - self.b
+        R = X @ self.A.T
+        R -= self.b
         nr = np.sqrt(np.einsum("ij,ij->i", R, R))
+        G = R @ self.A
+        del R
         zero = nr == 0.0
-        G = (np.where(zero, 1.0, nr) ** (self.p - 2.0))[:, None] * (R @ self.A)
+        G *= (np.where(zero, 1.0, nr) ** (self.p - 2.0))[:, None]
         G[zero] = 0.0
         return nr ** self.p / self.p, G
 
@@ -263,16 +268,20 @@ class LassoProblem:
         T is the row-wise soft threshold of X - gamma R A.  This is the
         residual form, not the Gram form of the per-point oracles, so it
         equals ``envelopes.fbe_value_grad`` row by row up to rounding alone
-        and re-derives each envelope independently of the solver.
+        and re-derives each envelope independently of the solver.  The
+        residuals and the envelope gradients are formed in place.
         """
-        R = X @ self.A.T - self.b
+        R = X @ self.A.T
+        R -= self.b
         G = R @ self.A
         T = envelopes.prox_l1(X - gamma * G, gamma * self.lam)
         D = T - X
         values = (0.5 * np.einsum("ij,ij->i", R, R) + np.einsum("ij,ij->i", G, D)
                   + np.einsum("ij,ij->i", D, D) / (2.0 * gamma)
                   + self.lam * np.abs(T).sum(axis=1))
-        return values, (D @ self.A.T) @ self.A - D / gamma
+        H = (D @ self.A.T) @ self.A
+        H -= D / gamma
+        return values, H
 
     def fbe_line(self, T, d, steps, gamma):
         """Screened envelope values of the trials ``T + t d``, ``t`` in

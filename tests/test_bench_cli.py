@@ -992,6 +992,61 @@ class TestRunDirectoryInputs:
                             self.sweep_with(tmp_path, {"run": {"repetitions": -1}}),
                             "run.repetitions must be at least 1, got -1")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("beta", "nan", "solvers[0].beta must be finite, got nan"),
+        ("beta", "-inf", "solvers[0].beta must be finite, got -inf"),
+        ("order", "inf", "solvers[0].order must be finite, got inf"),
+        ("eps", "inf", "run.eps must be finite, got inf"),
+        ("sigma", "nan", "solvers[0].sigma must be finite, got nan"),
+        ("p", "nan", "problem.p must be finite, got nan")])
+    def test_a_run_flag_that_is_not_finite_exits_1(self, tmp_path, capsys, flag, value,
+                                                   message):
+        self.assert_refused(
+            tmp_path, capsys, ["run", "--problem", "leastp", "--m", "40", "--n", "8",
+                               f"--{flag}={value}"], message)
+
+    def test_a_sweep_config_value_that_is_not_finite_exits_1(self, tmp_path, capsys):
+        # JSON as Python writes and reads it spells NaN and the infinities
+        self.assert_refused(
+            tmp_path, capsys,
+            self.sweep_with(tmp_path, {"run": {"eps": float("inf")},
+                                       "solvers": [{"solver": "bpga", "gamma": float("nan")}]}),
+            "run.eps must be finite, got inf; solvers[0].gamma must be finite, got nan")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--problem", "leastp", "--m", "40", "--n", "8", "--eps", "-1"], "eps must be positive"),
+        (["--problem", "leastp", "--m", "40", "--n", "8", "--beta", "-3"],
+         "beta must exceed -1, got -3.0"),
+        (["--problem", "leastp", "--m", "40", "--n", "8", "--solver", "deal-a", "--eta", "2"],
+         "eta must lie in (0, 1), got 2.0"),
+        (["--problem", "leastp", "--m", "5", "--n", "8"],
+         "need m >= n >= 1 for data-driven families"),
+        (["--problem", "lasso", "--m", "30", "--n", "4", "--solver", "bpga", "--gamma", "100"],
+         "gamma must lie in (0, 1/L)"),
+        (["--problem", "lasso", "--m", "30", "--n", "4", "--solver", "bpga", "--sigma", "1"],
+         "sigma must lie in (0, "),
+        (["--problem", "powerabs", "--n", "10", "--solver", "bhippa", "--sigma", "5"],
+         "sigma must lie in (0, 0.25) for order 4.0"),
+        (["--problem", "powerabs", "--n", "10", "--solver", "bhippa", "--order", "0.5"],
+         "order p must exceed 1")])
+    def test_an_out_of_range_value_exits_1_before_anything_is_written(
+            self, tmp_path, capsys, argv, message):
+        # the problem is built and every variant configured before the run
+        # directory is created
+        rc = cli.main(["run"] + argv + ["--out", str(tmp_path / "runs")])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "runs").exists()
+
+    def test_a_later_variant_out_of_range_leaves_nothing(self, tmp_path):
+        config = small_config(tmp_path)
+        config.solvers.append(bench.SolverSpec(name="BAD", solver="deal-a", sigma=2.0))
+        with pytest.raises(UsageError, match="sigma must lie in"):
+            bench.run_experiment(config)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("solvers", [{}, {"solver": "bpga"}, "bpga"])
     def test_a_sweep_config_whose_solvers_is_no_list_exits_1(self, tmp_path, capsys,
                                                              solvers):

@@ -665,7 +665,8 @@ class TestBHiPPAScale:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(envelopes, name, counted)
         problem, spec, run = _bhippa_experiment(5)
-        # matched order: 36 records; order 2 to max_iter: three blocks
+        # matched order: 36 records; order 2 to max_iter: 1,201 distinct
+        # iterates, as many blocks as it takes to hold them
         for order, extra in (("auto", {}), (2.0, dict(eps=1e-12, max_iter=1200))):
             calls.clear()
             rows.clear()
@@ -677,7 +678,7 @@ class TestBHiPPAScale:
             # the solver calls boosted's own names; these are re-evaluation only
             assert calls == {"home_rows": -(-distinct // REEVALUATE_BLOCK)}
             assert sum(rows) == distinct
-        assert len(rows) == 3
+        assert len(rows) == -(-1201 // REEVALUATE_BLOCK)
 
 
 def same_bits(a, b):

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, DataError,
                           as_vector, certify_descent,
                           certify_displacement, config_digest,
                           min_grad_bound_check, reevaluate_trace)
+from dealopt.problems import generate_problem
 
 
 def make_trace(fs, gs, steps=None, disps=None, xs=None, rho=0.5, theta=2.0):
@@ -245,8 +247,11 @@ def replayed_trace(distinct, tail, n=3):
     return IterateTrace(records=records, rho=0.5, theta=2.0), X
 
 
+# one short of, at and one past REEVALUATE_BLOCK, and several blocks whose
+# last is short, full and one point long (511, 512 and 513 at a block of 128)
 @pytest.mark.parametrize("distinct, tail", [
-    (1, 0), (1, 5), (300, 400), (511, 300), (512, 300), (513, 300), (1100, 0)])
+    (1, 0), (1, 5), (REEVALUATE_BLOCK - 1, 300), (REEVALUATE_BLOCK, 300),
+    (REEVALUATE_BLOCK + 1, 300), (300, 400), (511, 300), (512, 300), (513, 300), (1100, 0)])
 @pytest.mark.parametrize("batched", [False, True])
 def test_reevaluate_trace_evaluates_each_distinct_iterate_once(distinct, tail,
                                                                batched):
@@ -278,6 +283,26 @@ def test_reevaluate_trace_evaluates_each_distinct_iterate_once(distinct, tail,
         else:
             assert out.displacement == float(np.linalg.norm(X[i + 1] - x))
     assert fixed.extras["reevaluated"]
+
+
+def test_reevaluate_trace_working_set_is_bounded_by_its_block():
+    # least-p 1000 x 200 with 1,100 distinct iterates: above the trace it
+    # returns, re-evaluation holds at most two (REEVALUATE_BLOCK x m) arrays
+    # of doubles at once, whatever the trace's length
+    problem = generate_problem(0, "leastp", 1000, 200, p=1.5, consistent=True)
+    tr, _ = replayed_trace(1100, 0, n=problem.n)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        checked = reevaluate_trace(tr, problem.value, problem.grad, problem.value_grad_rows)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(checked) == 1100
+    assert peak - kept <= 2 * REEVALUATE_BLOCK * problem.m * 8
 
 
 def test_config_digest_stable():

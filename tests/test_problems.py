@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from dealopt.bench import build_problem, preset
-from dealopt.core import DataError, UsageError
+from dealopt.core import REEVALUATE_BLOCK, DataError, UsageError
+from dealopt.envelopes import prox_l1
 from dealopt.oracles import finite_diff_gradient, iterative_spectral_constants
 from dealopt.problems import (LassoProblem, LeastPProblem, PowerAbsProblem,
                               QuadraticProblem, generate_problem,
@@ -297,6 +300,58 @@ class TestQuadratic:
         prob = generate_problem(0, "quadratic", 12, 5)
         ref = reference_optimum(prob)
         assert np.linalg.norm(prob.grad(ref.xstar)) <= 1e-9
+
+
+def _with_zero_residual_row(problem, X, row):
+    """A copy of ``problem`` whose ``b`` is the row ``row`` of the block
+    product ``X A^T``, so that row's residual is exactly zero."""
+    zeroed = copy.copy(problem)
+    zeroed.b = (X @ problem.A.T)[row].copy()
+    return zeroed
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("zero_row", [False, True])
+def test_leastp_rows_equal_the_whole_block_expressions_bit_for_bit(zero_row):
+    # the in-place residual, the dropped residual and the in-place scaling
+    # give every bit the whole-block expressions give
+    problem = build_problem(preset("sec51", 0).problem)
+    X = uniform_rows(problem.n, count=REEVALUATE_BLOCK)
+    if zero_row:
+        problem = _with_zero_residual_row(problem, X, 5)
+    A, b, p = problem.A, problem.b, problem.p
+    R = X @ A.T - b
+    nr = np.sqrt(np.einsum("ij,ij->i", R, R))
+    zero = nr == 0.0
+    G = (np.where(zero, 1.0, nr) ** (p - 2.0))[:, None] * (R @ A)
+    G[zero] = 0.0
+    assert zero.sum() == zero_row
+    f_rows, G_rows = problem.value_grad_rows(X)
+    assert _same_bits(f_rows, nr ** p / p) and _same_bits(G_rows, G)
+
+
+@pytest.mark.parametrize("zero_row", [False, True])
+def test_lasso_fbe_rows_equal_the_whole_block_expressions_bit_for_bit(zero_row):
+    problem = build_problem(preset("sec53", 0).problem)
+    X = uniform_rows(problem.n, count=REEVALUATE_BLOCK)
+    if zero_row:
+        problem = _with_zero_residual_row(problem, X, 5)
+    A, b, lam, gamma = problem.A, problem.b, problem.lam, 0.95 / problem.L
+    R = X @ A.T - b
+    G = R @ A
+    T = prox_l1(X - gamma * G, gamma * lam)
+    D = T - X
+    values = (0.5 * np.einsum("ij,ij->i", R, R) + np.einsum("ij,ij->i", G, D)
+              + np.einsum("ij,ij->i", D, D) / (2.0 * gamma)
+              + lam * np.abs(T).sum(axis=1))
+    assert np.count_nonzero(~R.any(axis=1)) == zero_row
+    f_rows, G_rows = problem.fbe_rows(X, gamma)
+    assert _same_bits(f_rows, values)
+    assert _same_bits(G_rows, (D @ A.T) @ A - D / gamma)
 
 
 def test_generate_problem_rejects_unknown():

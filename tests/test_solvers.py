@@ -465,7 +465,7 @@ def deala_runs(problem, specs, run, **oracles):
                                    value_grad=problem.value_grad,
                                    value_grad_rows=problem.value_grad_rows)
     x0 = np.random.default_rng(run.x0_seed).uniform(-5.0, 5.0, size=problem.n)
-    return [bench._run_deal(family, spec, run, x0)[0] for spec in specs]
+    return [bench._run_deal(family, spec, run)(x0)[0] for spec in specs]
 
 
 def assert_same_traces(screened, unscreened):
