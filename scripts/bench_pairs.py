@@ -1,17 +1,18 @@
 """Alternating benchmark pairs of two commits, summarised as a BENCH file.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload sec51 --pairs 10 \
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload sec51 \
         --out BENCH_2026-10-19.json
 
 Each commit is exported with ``git archive`` into its own directory under
-``--work``.  Pair i runs ``perfbench/run.py --workload W --seed S --seconds T
---trace 0`` once in each checkout, the parent first in even pairs and the
-change first in odd ones, so that neither side always runs on a warmer
-machine.  Each run's end-to-end metrics are read from the JSON object on the
-last line of its standard output.  The BENCH file holds, per workload and
-side, every run's metrics and each metric's median, quartiles and sample
-count, plus the number of pairs in which the change was better; see the
-README's "Benchmark files" section for the fields.
+``--work``.  Each of ``PAIRS`` pairs runs ``perfbench/run.py --workload W
+--seed 0 --seconds 15 --trace 0`` once in each checkout, the parent first in
+even pairs and the change first in odd ones, so that neither side always runs
+on a warmer machine.  Each run's end-to-end metrics and failed-operation count
+are read from the JSON object on the last line of its standard output.  The
+BENCH file holds, per workload and side, every run's metrics, each metric's
+median, quartiles and sample count and the failed operations over all runs,
+plus the number of pairs in which the change was better; see the README's
+"Benchmark files" section for the fields.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the protocol of a claim: ten alternating pairs of 15-second runs at seed 0
+PAIRS, SEED, SECONDS = 10, 0, 15
 
 
 def export(rev: str, work: Path) -> tuple:
@@ -41,14 +44,14 @@ def export(rev: str, work: Path) -> tuple:
     return commit, target
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str) -> dict:
     """One perfbench run in ``checkout``: its last output line, parsed."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"],
                           cwd=checkout, check=True, capture_output=True, text=True)
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     env = json.loads((checkout / ".perfbench_out" / "results"
-                      / f"{workload}-seed{seed}-trace0.json").read_text())["environment"]
+                      / f"{workload}-seed{SEED}-trace0.json").read_text())["environment"]
     return {"correct": last["correct"], "failed": last["failed"],
             "metrics": {k: v["value"] for k, v in last["metrics"].items()},
             "environment": env}
@@ -64,9 +67,6 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--work", default=None, help="directory for the two checkouts")
     parser.add_argument("--out", required=True, help="BENCH file to write")
     args = parser.parse_args(argv)
@@ -78,18 +78,19 @@ def main(argv=None) -> int:
               json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     doc = {"date": datetime.date.today().isoformat(),
            "commits": {side: commit for side, (commit, _) in sides.items()},
-           "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                      f"--seconds {args.seconds:g} --trace 0",
+           "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
+                      f"--seconds {SECONDS} --trace 0",
            "host": {"machine": platform.machine(), "platform": platform.platform()},
            "workloads": {}}
     for workload in args.workload:
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(sides[side][1], workload, args.seed, args.seconds))
+                runs[side].append(run_once(sides[side][1], workload))
                 print(f"{workload} pair {i} {side}: {runs[side][-1]['metrics']}", flush=True)
         entry = {side: {"correct": all(r["correct"] for r in rs),
+                        "failed": sum(r["failed"] for r in rs),
                         "environment": rs[0]["environment"],
                         "metrics": {name: summary([r["metrics"][name] for r in rs])
                                     for name in better},

@@ -26,7 +26,7 @@ from .boosted import (BoostedConfig, bhippa_constants, bpga_constants, choose_or
 from .core import (IterateTrace, UsageError, certify_descent,
                    certify_displacement, config_digest, min_grad_bound_check,
                    reevaluate_trace)
-from .directions import DirectionRule, beta_for_holder, check_rule
+from .directions import DirectionRule, beta_for_holder
 from .solvers import ArmijoParams, DealConfig, run_deala, run_dealc
 
 HEURISTIC_BETAS = (0.5, 0.0, -0.2)
@@ -100,7 +100,7 @@ class ExperimentConfig:
 def validate_config(doc: dict) -> list:
     """Schema check for a config document; returns offending-key messages.
     Each value must have its field's annotated type (a bool is not a
-    number) and, if a number, be finite; there must be at least one
+    number) and, if a float, be finite; there must be at least one
     repetition, and each solver, or its default, must be one the problem's
     family accepts."""
     errors = []
@@ -170,7 +170,7 @@ def _field_errors(key: str, klass, sub: dict) -> list:
             errors.append(f"{key}.{k} is not a recognized key")
         elif not types[k][0](value):
             errors.append(f"{key}.{k} must be {types[k][1]}, got {value!r}")
-        elif _number(value) and not math.isfinite(value):
+        elif isinstance(value, float) and not math.isfinite(value):
             errors.append(f"{key}.{k} must be finite, got {value!r}")
     return errors
 
@@ -221,10 +221,9 @@ def _configure_variant(problem, spec: SolverSpec, run: RunSpec):
     """One variant's solver, configured on a built problem: ``solve(x0) ->
     (trace, certificate context)``.
 
-    Every range check of the variant's values runs here, where its solver
-    configuration and constants are built and its direction rule's
-    arguments checked, so ``run_experiment`` configures each variant before
-    it writes anything.  Each ``solve`` call builds its own direction rule.
+    Every range check of the variant's values runs here, where its direction
+    rule, solver configuration and constants are built, so
+    ``run_experiment`` configures each variant before it writes anything.
     """
     if spec.solver not in problem.solvers:
         raise UsageError(f"solver must be one of {problem.solvers} for the {problem.kind} "
@@ -235,26 +234,28 @@ def _configure_variant(problem, spec: SolverSpec, run: RunSpec):
 def _run_deal(problem, spec, run):
     objective = problem.as_smooth()
     beta = beta_for_holder(objective.holder.nu) if spec.beta == "auto" else float(spec.beta)
-    rule = _rule_args(spec, beta, c1=spec.c1, c2=spec.c2)
+    rule = DirectionRule(spec.direction, beta=beta, c1=spec.c1, c2=spec.c2,
+                         memory=spec.memory)
     armijo = ArmijoParams(eta=spec.eta,
                           **_given(sigma=spec.sigma, alpha_bar=spec.alpha_bar))
-    cfg = DealConfig(eps=run.eps, max_iter=run.max_iter, armijo=armijo,
+    cfg = DealConfig(eps=run.eps, max_iter=run.max_iter, rule=rule, armijo=armijo,
                      store_iterates=run.store_iterates)
     runner = run_dealc if spec.solver == "deal-c" else run_deala
-    return lambda x0: (runner(objective, x0, _with_rule(cfg, rule)),
+    return lambda x0: (runner(objective, x0, cfg),
                        {"evaluate": problem.value_grad, "rows": problem.value_grad_rows})
 
 
 def _run_bpga(problem, spec, run):
     composite = problem.as_composite()
-    rule = _rule_args(spec, 0.0 if spec.beta == "auto" else float(spec.beta))
+    beta = 0.0 if spec.beta == "auto" else float(spec.beta)
+    rule = DirectionRule(spec.direction, beta=beta, memory=spec.memory)
     cfg = BoostedConfig(gamma=spec.gamma, sigma=spec.sigma,
-                        max_linesearch=spec.max_linesearch,
+                        max_linesearch=spec.max_linesearch, rule=rule,
                         eps=run.eps, max_iter=run.max_iter,
                         store_iterates=run.store_iterates,
                         **_given(alpha_bar=spec.alpha_bar))
     gamma = bpga_constants(composite, cfg)[0]
-    return lambda x0: (run_bpga(composite, x0, _with_rule(cfg, rule)), {
+    return lambda x0: (run_bpga(composite, x0, cfg), {
         "evaluate": lambda x: envelopes.fbe_value_grad(composite, x, gamma),
         "rows": lambda X: problem.fbe_rows(X, gamma)})
 
@@ -263,29 +264,18 @@ def _run_bhippa(problem, spec, run):
     phi = problem.as_prox_capable()
     kl = problem.kl_info()
     order = choose_order(kl.vartheta) if spec.order == "auto" else float(spec.order)
-    rule = _rule_args(spec, 0.0 if spec.beta == "auto" else float(spec.beta))
+    rule = DirectionRule(spec.direction, beta=0.0 if spec.beta == "auto" else float(spec.beta),
+                         memory=spec.memory)
     cfg = BoostedConfig(gamma=spec.gamma, sigma=spec.sigma, eta=spec.eta, p=order,
-                        max_linesearch=spec.max_linesearch,
+                        max_linesearch=spec.max_linesearch, rule=rule,
                         eps=run.eps, max_iter=run.max_iter,
                         store_iterates=run.store_iterates)
     gamma = bhippa_constants(cfg)[0]
-    return lambda x0: (run_bhippa(phi, x0, _with_rule(cfg, rule)), {
+    return lambda x0: (run_bhippa(phi, x0, cfg), {
         "evaluate": lambda x: envelopes.home_value_grad(phi, x, gamma, order),
         "rows": lambda X: envelopes.home_rows(phi, X, gamma, order),
         "prox_oracle": lambda x: envelopes.prox_oracle_check(phi, x, gamma, order),
     })
-
-
-def _rule_args(spec: SolverSpec, beta: float, **constants) -> dict:
-    """The arguments of the variant's direction rule, once checked."""
-    args = dict(kind=spec.direction, beta=beta, memory=spec.memory, **constants)
-    check_rule(**args)
-    return args
-
-
-def _with_rule(cfg, rule: dict):
-    """``cfg`` with a direction rule of its own, built from ``rule``."""
-    return dataclasses.replace(cfg, rule=DirectionRule(**rule))
 
 
 # each runner configures a variant and returns its solve(x0): the trace, with

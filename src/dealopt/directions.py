@@ -64,7 +64,7 @@ def generalize(d_bar, grad, beta: float, grad_norm: Optional[float] = None) -> n
     <grad, d> matches the sign of <grad, d_bar> for every admissible beta.
     ``grad_norm``, when the caller has it, is ||grad|| and is not recomputed.
     """
-    if beta <= -1.0:
+    if not beta > -1.0:
         raise UsageError(f"beta must exceed -1, got {beta}")
     d_bar = np.asarray(d_bar, dtype=float)
     if beta == 0.0:
@@ -78,29 +78,6 @@ def generalize(d_bar, grad, beta: float, grad_norm: Optional[float] = None) -> n
     return gn ** beta * d_bar
 
 
-def check_rule(kind: str = "gradient", beta: float = 0.0, c1: float = 1.0,
-               c2: float = 1.0, memory: int = 10, alpha_min: float = 1e-8,
-               alpha_max: float = 1e8) -> str:
-    """The arguments of a :class:`DirectionRule`, with its defaults, checked
-    without building one; returns the kind, lower-cased."""
-    kind = kind.lower()
-    if kind not in KINDS:
-        raise UsageError(f"unknown direction kind {kind!r}; expected one of {KINDS}")
-    if not beta > -1.0:
-        raise UsageError(f"beta must exceed -1, got {beta}")
-    if not (c1 > 0.0 and c2 > 0.0):
-        raise UsageError("c1 and c2 must be positive")
-    if c1 > 1.0 or c2 < 1.0:
-        # the negative-gradient fallback attains c1 = c2 = 1 exactly, so
-        # enforceable constants must bracket it
-        raise UsageError("need c1 <= 1 <= c2 so the gradient fallback satisfies them")
-    if not 0.0 < alpha_min < alpha_max:
-        raise UsageError("need 0 < alpha_min < alpha_max")
-    if memory < 1:
-        raise UsageError("memory must be >= 1")
-    return kind
-
-
 class DirectionRule:
     """Stateful direction producer; one instance per solver run.
 
@@ -112,7 +89,22 @@ class DirectionRule:
     def __init__(self, kind: str = "gradient", beta: float = 0.0,
                  c1: float = 1.0, c2: float = 1.0, memory: int = 10,
                  alpha_min: float = 1e-8, alpha_max: float = 1e8):
-        self.kind = check_rule(kind, beta, c1, c2, memory, alpha_min, alpha_max)
+        kind = kind.lower()
+        if kind not in KINDS:
+            raise UsageError(f"unknown direction kind {kind!r}; expected one of {KINDS}")
+        if not beta > -1.0:
+            raise UsageError(f"beta must exceed -1, got {beta}")
+        if not (c1 > 0.0 and c2 > 0.0):
+            raise UsageError("c1 and c2 must be positive")
+        if c1 > 1.0 or c2 < 1.0:
+            # the negative-gradient fallback attains c1 = c2 = 1 exactly, so
+            # enforceable constants must bracket it
+            raise UsageError("need c1 <= 1 <= c2 so the gradient fallback satisfies them")
+        if not 0.0 < alpha_min < alpha_max:
+            raise UsageError("need 0 < alpha_min < alpha_max")
+        if memory < 1:
+            raise UsageError("memory must be >= 1")
+        self.kind = kind
         self.beta = float(beta)
         self.c1 = float(c1)
         self.c2 = float(c2)

@@ -1005,6 +1005,16 @@ class TestRunDirectoryInputs:
             tmp_path, capsys, ["run", "--problem", "leastp", "--m", "40", "--n", "8",
                                f"--{flag}={value}"], message)
 
+    def test_an_integer_too_large_for_a_float_is_a_valid_seed(self, tmp_path, capsys):
+        # only floats are tested for finiteness: an int of 400 digits has no
+        # float, and the seeds take any integer
+        huge = "9" * 400
+        rc = cli.main(["run", "--problem", "leastp", "--m", "40", "--n", "8", "--seed", huge,
+                       "--x0-seed", huge, "--out", str(tmp_path / "runs")])
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "runs" / "config.json").read_text())["run"]["x0_seed"] \
+            == int(huge)
+
     def test_a_sweep_config_value_that_is_not_finite_exits_1(self, tmp_path, capsys):
         # JSON as Python writes and reads it spells NaN and the infinities
         self.assert_refused(
@@ -1069,7 +1079,9 @@ class TestDirectionFallbacks:
     @pytest.mark.parametrize("solver, kind", [("deal-c", "leastp"), ("deal-a", "leastp"),
                                               ("bpga", "lasso"), ("bhippa", "powerabs")])
     def test_sidecar_records_the_rules_fallbacks(self, tmp_path, monkeypatch, solver, kind):
-        # BB1 has no previous pair at k=0, so its rule falls back at least once
+        # BB1 has no previous pair at k=0, so its rule falls back at least once.
+        # run_experiment builds each variant's rule once to check its range
+        # before it writes anything, and again for the run
         rules, real = [], bench.DirectionRule
 
         def recorded(*args, **kwargs):
@@ -1078,7 +1090,8 @@ class TestDirectionFallbacks:
         monkeypatch.setattr(bench, "DirectionRule", recorded)
         out = bench.run_experiment(small_config(tmp_path, solvers=[
             bench.SolverSpec(name="BB1", solver=solver, direction="bb1")], kind=kind))
-        [rule] = rules
+        checked, rule = rules
+        assert checked.fallback_count == 0
         extras = json.loads((out / "BB1.json").read_text())["extras"]
         assert extras["direction_fallbacks"] == rule.fallback_count > 0
         # the boosted solvers keep their line-search count beside it

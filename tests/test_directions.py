@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dealopt.core import UsageError
-from dealopt.directions import (DirectionRule, beta_for_holder, check_rule, generalize,
+from dealopt.directions import (DirectionRule, beta_for_holder, generalize,
                                 validate_sufficient_descent)
 
 
@@ -108,6 +108,8 @@ def test_generalize_examples_and_errors():
     assert generalize(d_bar, g, beta=0.0) == pytest.approx(d_bar)
     with pytest.raises(UsageError):
         generalize(d_bar, g, beta=-1.0)
+    with pytest.raises(UsageError, match="beta must exceed -1, got nan"):
+        generalize(d_bar, g, beta=float("nan"))
     with pytest.raises(UsageError):
         generalize(d_bar, np.zeros(2), beta=-0.5)
 
@@ -154,6 +156,8 @@ def test_rule_constructor_validation():
         DirectionRule("nope")
     with pytest.raises(UsageError):
         DirectionRule("gradient", beta=-1.0)
+    with pytest.raises(UsageError, match="beta must exceed -1, got nan"):
+        DirectionRule("gradient", beta=float("nan"))  # compares false with -1
     with pytest.raises(UsageError):
         DirectionRule("gradient", c1=2.0)  # fallback could not satisfy
     with pytest.raises(UsageError):
@@ -161,22 +165,6 @@ def test_rule_constructor_validation():
     with pytest.raises(UsageError):
         rule = DirectionRule("gradient")
         rule.base_direction(np.zeros(2), np.zeros(2))
-
-
-@pytest.mark.parametrize("args", [
-    dict(kind="nope"), dict(beta=-1.0), dict(beta=float("nan")), dict(c1=2.0),
-    dict(c2=0.5), dict(memory=0), dict(alpha_min=1.0, alpha_max=1.0)])
-def test_check_rule_refuses_what_the_constructor_refuses(args):
-    # a NaN beta compares false with -1 and so passed the old `beta <= -1` test
-    with pytest.raises(UsageError) as checked:
-        check_rule(**args)
-    with pytest.raises(UsageError) as built:
-        DirectionRule(**args)
-    assert str(checked.value) == str(built.value)
-
-
-def test_check_rule_returns_the_lower_cased_kind():
-    assert check_rule("BB1", beta=0.5) == DirectionRule("BB1", beta=0.5).kind == "bb1"
 
 
 def test_push_keeps_history_only_for_rules_that_read_it():
