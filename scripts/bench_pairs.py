@@ -12,7 +12,9 @@ are read from the JSON object on the last line of its standard output.  The
 BENCH file holds, per workload and side, every run's metrics, each metric's
 median, quartiles and sample count and the failed operations over all runs,
 plus the number of pairs in which the change was better; see the README's
-"Benchmark files" section for the fields.
+"Benchmark files" section for the fields.  An ``--out`` that exists is
+refused (exit 1) before anything runs or is written: a second file of one
+date takes a suffix, as the README says.
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ def main(argv=None) -> int:
     parser.add_argument("--work", default=None, help="directory for the two checkouts")
     parser.add_argument("--out", required=True, help="BENCH file to write")
     args = parser.parse_args(argv)
+    if Path(args.out).exists():
+        print(f"{args.out} exists; a second BENCH file of one date is named "
+              f"BENCH_<date>_2.json, and so on", file=sys.stderr)
+        return 1
 
     work = Path(args.work or tempfile.mkdtemp(prefix="bench-pairs-"))
     sides = dict(zip(("parent", "change"), (export(args.parent, work / "parent"),

@@ -10,8 +10,9 @@ iteration-count bounds.
 
 from .core import (CapabilityError, CertificateReport, CompositeObjective,
                    DataError, HolderInfo, IterateRecord, IterateTrace, KLInfo,
-                   NumericalError, SmoothObjective, UsageError, certify_descent,
-                   certify_displacement, min_grad_bound_check, reevaluate_trace)
+                   NumericalError, Reevaluation, SmoothObjective, UsageError,
+                   certify_descent, certify_displacement, min_grad_bound_check,
+                   reevaluate_trace)
 from .directions import DirectionRule, beta_for_holder, generalize, validate_sufficient_descent
 from .solvers import ArmijoParams, DealConfig, armijo_bound, dealc_step_size, run_deala, run_dealc
 from .boosted import BoostedConfig, choose_order, run_bhippa, run_bpga

@@ -201,15 +201,17 @@ class ComplexityReport:
 
 
 def verify_complexity(trace: IterateTrace, fstar: float, rho: float, theta: float,
-                      tau: float, eps: float, *, xstar=None,
+                      tau: float, eps: float, *, distances=None,
                       c: Optional[float] = None) -> ComplexityReport:
     """Compare measured iteration counts against their closed-form bounds.
 
     Three criteria: the first iteration with gap <= eps versus K(gap0, 1);
-    the first with gradient norm <= eps versus K(gap0/rho, theta); and, when a
-    reference minimizer, stored iterates, and the displacement constant c are
-    available, the first with ||x^k - x*|| <= eps versus
-    K(s gap0/rho, theta/(theta-1)) with s = (c/(1-q^((theta-1)/theta)))^(theta/(theta-1)).
+    the first with gradient norm <= eps versus K(gap0/rho, theta); and, when
+    the distance ||x^k - x*|| of every record to a reference minimizer
+    (``distances``, as ``core.Reevaluation`` measures them) and the
+    displacement constant c are available, the first with ||x^k - x*|| <= eps
+    versus K(s gap0/rho, theta/(theta-1)) with
+    s = (c/(1-q^((theta-1)/theta)))^(theta/(theta-1)).
     """
     if min(rho, tau, eps) <= 0.0 or theta <= 1.0:
         raise UsageError("need rho, tau, eps > 0 and theta > 1")
@@ -237,17 +239,11 @@ def verify_complexity(trace: IterateTrace, fstar: float, rho: float, theta: floa
 
     criterion("gap", f - fstar <= eps, complexity_K(gap0, 1.0, eps, q))
     criterion("grad", g <= eps, complexity_K(gap0 / rho, theta, eps, q))
-    records = trace.records
-    if xstar is not None and c is not None and all(r.x is not None for r in records):
-        xstar = np.asarray(xstar, dtype=float)
-        dist = np.empty(len(records))
-        for i, rec in enumerate(records):
-            if i and rec.x is records[i - 1].x:
-                dist[i] = dist[i - 1]  # a replayed fixed point
-            else:
-                d = rec.x - xstar
-                # pairwise-summed, as np.linalg.norm(X, axis=1) rounds a row
-                dist[i] = np.sqrt(np.add.reduce(d * d))
+    if distances is not None and c is not None:
+        distances = np.asarray(distances, dtype=float)
+        if distances.shape != f.shape:
+            raise UsageError(f"need one distance per record, got {distances.shape[0]} "
+                             f"for {len(f)} records")
         y_x = theta / (theta - 1.0)
         r = 1.0 - q ** ((theta - 1.0) / theta)
         try:
@@ -256,7 +252,7 @@ def verify_complexity(trace: IterateTrace, fstar: float, rho: float, theta: floa
             # s gap0 / rho is beyond the float range: the same bound from its log
             log_x = y_x * (math.log(c) - math.log(r)) + math.log(gap0) - math.log(rho)
             b_x = _complexity_K_log(log_x, y_x, eps, q)
-        criterion("iterate", dist <= eps, b_x)
+        criterion("iterate", distances <= eps, b_x)
     return report
 
 

@@ -23,9 +23,11 @@ import numpy as np
 from . import analysis, envelopes, problems
 from .boosted import (BoostedConfig, bhippa_constants, bpga_constants, choose_order,
                       run_bhippa, run_bpga)
-from .core import (IterateTrace, UsageError, certify_descent,
+# reevaluate_trace is not called here since runs re-evaluate while they
+# proceed; it stays in this namespace, where perfbench's tracer wraps it
+from .core import (IterateTrace, Reevaluation, UsageError, certify_descent,
                    certify_displacement, config_digest, min_grad_bound_check,
-                   reevaluate_trace)
+                   reevaluate_trace)  # noqa: F401
 from .directions import DirectionRule, beta_for_holder
 from .solvers import ArmijoParams, DealConfig, run_deala, run_dealc
 
@@ -68,6 +70,8 @@ class RunSpec:
     max_iter: int = 10000
     x0_seed: int = 0
     repetitions: int = 1
+    # re-evaluate every iterate while the run proceeds (the name is kept
+    # from when iterates were stored for it)
     store_iterates: bool = True
 
 
@@ -198,19 +202,29 @@ class RunResult:
 
 
 def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunResult:
-    """Run one solver variant on a built problem and certify its trace."""
-    solve = _configure_variant(problem, spec, run)
+    """Run one solver variant on a built problem and certify its trace.
+
+    With ``run.store_iterates`` each iterate is re-evaluated while the run
+    proceeds, by a ``Reevaluation`` in the certificate context: the
+    reference optimum is taken first, so that the distance of each iterate
+    to it is known, and no iterate outlives its re-evaluation block.
+    """
+    solve, ctx = _configure_variant(problem, spec, run)
     rng = np.random.default_rng(run.x0_seed + rep)
     x0 = rng.uniform(-5.0, 5.0, size=problem.n)
     digest = config_digest({"solver": dataclasses.asdict(spec),
                             "run": dataclasses.asdict(run),
                             "problem": problem.descriptor(), "rep": rep})
 
-    trace, ctx = solve(x0)
-    trace.seed, trace.config_digest = run.x0_seed + rep, digest
     ref = problems.reference_optimum(problem)
     if ref.converged:
         ctx.update(fstar=ref.fstar, xstar=ref.xstar, tau=ref.tau)
+    observe = None
+    if run.store_iterates:
+        ctx["reevaluation"] = _reevaluation(ctx)
+        observe = ctx["reevaluation"].add
+    trace = solve(x0, observe)
+    trace.seed, trace.config_digest = run.x0_seed + rep, digest
     certificates = certify_run(trace, ctx)
     return RunResult(name=spec.name, trace=trace, certificates=certificates,
                      ok=bundle_ok(certificates), fstar=ctx.get("fstar"),
@@ -218,8 +232,10 @@ def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunRes
 
 
 def _configure_variant(problem, spec: SolverSpec, run: RunSpec):
-    """One variant's solver, configured on a built problem: ``solve(x0) ->
-    (trace, certificate context)``.
+    """One variant's solver, configured on a built problem, and its
+    certificate context: ``(solve, ctx)``, where ``solve(x0, observe)``
+    runs it, handing each recorded iterate to ``observe`` unless that is
+    None, and ``ctx`` holds the run's oracles (``evaluate``, ``rows``...).
 
     Every range check of the variant's values runs here, where its direction
     rule, solver configuration and constants are built, so
@@ -238,11 +254,10 @@ def _run_deal(problem, spec, run):
                          memory=spec.memory)
     armijo = ArmijoParams(eta=spec.eta,
                           **_given(sigma=spec.sigma, alpha_bar=spec.alpha_bar))
-    cfg = DealConfig(eps=run.eps, max_iter=run.max_iter, rule=rule, armijo=armijo,
-                     store_iterates=run.store_iterates)
+    cfg = DealConfig(eps=run.eps, max_iter=run.max_iter, rule=rule, armijo=armijo)
     runner = run_dealc if spec.solver == "deal-c" else run_deala
-    return lambda x0: (runner(objective, x0, cfg),
-                       {"evaluate": problem.value_grad, "rows": problem.value_grad_rows})
+    return (lambda x0, observe: runner(objective, x0, cfg, observe),
+            {"evaluate": problem.value_grad, "rows": problem.value_grad_rows})
 
 
 def _run_bpga(problem, spec, run):
@@ -252,10 +267,9 @@ def _run_bpga(problem, spec, run):
     cfg = BoostedConfig(gamma=spec.gamma, sigma=spec.sigma,
                         max_linesearch=spec.max_linesearch, rule=rule,
                         eps=run.eps, max_iter=run.max_iter,
-                        store_iterates=run.store_iterates,
                         **_given(alpha_bar=spec.alpha_bar))
     gamma = bpga_constants(composite, cfg)[0]
-    return lambda x0: (run_bpga(composite, x0, cfg), {
+    return (lambda x0, observe: run_bpga(composite, x0, cfg, observe), {
         "evaluate": lambda x: envelopes.fbe_value_grad(composite, x, gamma),
         "rows": lambda X: problem.fbe_rows(X, gamma)})
 
@@ -268,19 +282,18 @@ def _run_bhippa(problem, spec, run):
                          memory=spec.memory)
     cfg = BoostedConfig(gamma=spec.gamma, sigma=spec.sigma, eta=spec.eta, p=order,
                         max_linesearch=spec.max_linesearch, rule=rule,
-                        eps=run.eps, max_iter=run.max_iter,
-                        store_iterates=run.store_iterates)
+                        eps=run.eps, max_iter=run.max_iter)
     gamma = bhippa_constants(cfg)[0]
-    return lambda x0: (run_bhippa(phi, x0, cfg), {
+    return (lambda x0, observe: run_bhippa(phi, x0, cfg, observe), {
         "evaluate": lambda x: envelopes.home_value_grad(phi, x, gamma, order),
         "rows": lambda X: envelopes.home_rows(phi, X, gamma, order),
         "prox_oracle": lambda x: envelopes.prox_oracle_check(phi, x, gamma, order),
     })
 
 
-# each runner configures a variant and returns its solve(x0): the trace, with
-# the direction rule's fallback count in its extras, and its certificate
-# context (evaluate, rows, ...)
+# each runner configures a variant and returns its solve(x0, observe), which
+# gives the trace, with the direction rule's fallback count in its extras,
+# and its certificate context (evaluate, rows, ...)
 _RUNNERS = {"deal-c": _run_deal, "deal-a": _run_deal, "bpga": _run_bpga,
             "bhippa": _run_bhippa}
 DEAL_SOLVERS = tuple(_RUNNERS)
@@ -294,12 +307,15 @@ def _given(**fields) -> dict:
 def certify_run(trace: IterateTrace, ctx: dict) -> dict:
     """Certificate bundle for one finished run.
 
-    Re-evaluates the stored iterates, if any, through the run's own oracles:
-    in blocks through the batch oracle ``ctx["rows"](X) -> (values,
-    gradients)`` that every runner supplies, else (the tests' reference)
-    through ``ctx["evaluate"](x) -> (value, gradient)``.  It then cross-checks
-    the run's prox at the final iterate against the grid oracle when the run
-    supplies that check (``prox_oracle``).  Applies every
+    Re-evaluates the run's iterates through its own oracles: those that
+    ``ctx["reevaluation"]``, a ``core.Reevaluation``, took while the run
+    proceeded, else the trace's stored iterates, if any, through a new one.
+    Either way they go in blocks through the batch oracle ``ctx["rows"](X)
+    -> (values, gradients)`` that every runner supplies, else (the tests'
+    reference) through ``ctx["evaluate"](x) -> (value, gradient)``, and
+    their distances to ``ctx["xstar"]`` feed the iterate criterion.  It then
+    cross-checks the run's prox at the final iterate against the grid oracle
+    when the run supplies that check (``prox_oracle``).  Applies every
     certificate whose constants are available: the solver's own (rho, theta,
     eps and the displacement constant c) from the trace, and the reference
     optimum (fstar, xstar) and dominance constant tau from ``ctx``.
@@ -313,16 +329,17 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
     if not trace.records:
         bundle["diagnostic"] = trace.extras.get("diagnostic")
         return bundle
-    checked = trace
-    if all(rec.x is not None for rec in trace.records):
-        evaluate = ctx["evaluate"]
-        # rows goes positionally: wrappers of reevaluate_trace bind
-        # (trace, value, grad) and pass the rest through
-        checked = reevaluate_trace(trace, lambda x: tuple(evaluate(x))[0],
-                                   lambda x: tuple(evaluate(x))[1], ctx.get("rows"))
+    reevaluation = ctx.get("reevaluation")
+    if reevaluation is None and all(rec.x is not None for rec in trace.records):
+        reevaluation = _reevaluation(ctx)
+        for rec in trace.records:
+            reevaluation.add(rec.x)
+    checked, distances = trace, None
+    if reevaluation is not None:
+        checked, distances = reevaluation.result(trace)
         bundle["reevaluated"] = True
         if "prox_oracle" in ctx:
-            bundle["prox_oracle"] = ctx["prox_oracle"](trace.records[-1].x)
+            bundle["prox_oracle"] = ctx["prox_oracle"](reevaluation.last)
     c = trace.extras.get("c")
     if trace.guaranteed:
         bundle["descent"] = certify_descent(checked, trace.rho, trace.theta).as_dict()
@@ -342,12 +359,20 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
         if tau is not None:
             comp = analysis.verify_complexity(
                 checked, fstar, trace.rho, trace.theta, tau, trace.extras["eps"],
-                xstar=ctx.get("xstar"), c=c)
+                distances=distances, c=c)
             bundle["complexity"] = comp.as_dict()
             if rate.q_theory is not None:
                 bundle["per_step_ratio"] = analysis.per_step_ratio_check(
                     checked, fstar, rate.q_theory).as_dict()
     return bundle
+
+
+def _reevaluation(ctx: dict) -> Reevaluation:
+    """A ``Reevaluation`` through the run's oracles in ``ctx``, measuring
+    distances to ``ctx["xstar"]`` when it is known."""
+    evaluate = ctx["evaluate"]
+    return Reevaluation(lambda x: tuple(evaluate(x))[0], lambda x: tuple(evaluate(x))[1],
+                        ctx.get("rows"), ctx.get("xstar"))
 
 
 def bundle_ok(bundle: dict) -> bool:

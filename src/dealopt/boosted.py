@@ -28,6 +28,7 @@ envelope line oracle (``CompositeObjective.line_values``, lasso's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,8 +65,8 @@ class BoostedConfig:
             raise UsageError("max_linesearch must be >= 0")
         if not self.p > 1.0:
             raise UsageError("order p must exceed 1")
-        if not self.eps > 0.0 or self.max_iter < 1:
-            raise UsageError("need eps > 0 and max_iter >= 1")
+        if not 0.0 < self.eps < math.inf or self.max_iter < 1:
+            raise UsageError("need a finite eps > 0 and max_iter >= 1")
 
 
 def choose_order(vartheta: float) -> float:
@@ -77,7 +78,8 @@ def choose_order(vartheta: float) -> float:
     return p
 
 
-def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig) -> IterateTrace:
+def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig,
+             observe=None) -> IterateTrace:
     """Boosted proximal-gradient iteration on the forward-backward envelope.
 
     Each step computes the forward-backward point T(x^k), picks a direction
@@ -93,7 +95,8 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig) -> IterateT
     When the composite has an envelope line oracle (``line_values``, which
     lasso supplies in closed form), the trials after the first are screened
     at once; only those near the threshold are evaluated exactly, and the
-    step taken is the same.
+    step taken is the same.  ``observe``, when given, is called with each
+    recorded iterate (see :func:`~dealopt.solvers.deal_loop`).
     """
     gamma, L, sigma = bpga_constants(problem, config)
     rule = config.rule if config.rule is not None else DirectionRule("gradient")
@@ -114,10 +117,10 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig) -> IterateT
         candidate=lambda x, T, alpha, d: T + alpha * d,
         value=lambda z: fbe_value(problem, z, gamma),
         complete=lambda z, trial: fbe_complete(problem, trial, gamma),
-        schedule=_schedule(trace, trials, line))
+        schedule=_schedule(trace, trials, line), observe=observe)
 
 
-def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
+def run_bhippa(phi, x0, config: BoostedConfig, observe=None) -> IterateTrace:
     """Boosted order-p proximal-point iteration on the Moreau envelope of phi.
 
     Each step computes y = order-p prox of x^k, then accepts the largest
@@ -129,7 +132,8 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
     ``max_linesearch=0`` skips the search entirely, reproducing the plain
     proximal-point update.  A multi-valued prox on the trajectory aborts with
     a diagnostic: the envelope is not differentiable there.  Unset ``gamma``
-    defaults to 1 and unset ``sigma`` to 0.5 of its cap.
+    defaults to 1 and unset ``sigma`` to 0.5 of its cap.  ``observe`` is as
+    for :func:`run_bpga`.
     """
     p = config.p
     gamma, sigma = bhippa_constants(config)
@@ -155,7 +159,8 @@ def run_bhippa(phi, x0, config: BoostedConfig) -> IterateTrace:
         candidate=lambda x, y, kappa, d: (1.0 - kappa) * y + kappa * (x + d),
         value=lambda z: home_value(phi, z, gamma, p),
         complete=lambda z, trial: home_complete(trial, gamma, p),
-        schedule=_schedule(trace, trials), x_tol=config.eps * gamma ** q)
+        schedule=_schedule(trace, trials), x_tol=config.eps * gamma ** q,
+        observe=observe)
 
 
 def bpga_constants(problem: CompositeObjective, config: BoostedConfig):

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -385,9 +386,105 @@ def min_grad_bound_check(trace: IterateTrace, rho: float, theta: float,
 
 # distinct iterates per batch call: a block of residuals of a 1000-row
 # least-p problem is 128 x 1000 doubles, 1 MB, the one (rows x m) array its
-# batch oracle keeps alive; the iterates of a whole trace are never stacked
-# at once
+# batch oracle keeps alive; at most one block of iterates is held at once
 REEVALUATE_BLOCK = 128
+
+
+class Reevaluation:
+    """Re-evaluates a run's iterates in blocks, as the run records them.
+
+    Hand ``add`` each recorded iterate in order, one call per record, as
+    ``solvers.deal_loop`` does through its ``observe`` hook.  An iterate that
+    is the same array as its predecessor (a replayed fixed point) is not
+    evaluated again: its record takes its predecessor's values and that
+    record's displacement becomes 0.  Distinct iterates are evaluated in
+    blocks of ``REEVALUATE_BLOCK``, each as soon as it is full: with a batch
+    oracle ``rows(X) -> (values, gradients)`` over the rows of ``X`` a block
+    is one call; without it, each point goes through ``grad`` and then
+    ``value``.  Only the per-point results are kept (value, gradient norm,
+    displacement to the next point and, given ``xstar``, the distance to it),
+    with the pending block and the last iterate (``last``).
+    """
+
+    def __init__(self, value: Callable[[np.ndarray], float],
+                 grad: Callable[[np.ndarray], np.ndarray],
+                 rows: Optional[Callable[[np.ndarray], tuple]] = None,
+                 xstar=None):
+        self._value, self._grad, self._rows = value, grad, rows
+        self._xstar = None if xstar is None else np.asarray(xstar, dtype=float)
+        self._block = []
+        # per distinct point: value, gradient norm, displacement to the next
+        # point, distance to xstar and the number of records it fills
+        self._f, self._gnorm = array("d"), array("d")
+        self._disp, self._dist = array("d"), array("d")
+        self._repeats = array("q")
+        self.last: Optional[np.ndarray] = None
+
+    def add(self, x: np.ndarray) -> None:
+        """Take the iterate of the next record."""
+        if x is self.last:
+            self._repeats[-1] += 1
+            return
+        if self.last is not None:
+            d = x - self.last
+            self._disp.append(math.sqrt(d @ d))
+        if self._xstar is not None:
+            d = x - self._xstar
+            # pairwise-summed, as np.linalg.norm(X, axis=1) rounds a row
+            self._dist.append(np.sqrt(np.add.reduce(d * d)))
+        self._repeats.append(1)
+        self._block.append(x)
+        self.last = x
+        if len(self._block) == REEVALUATE_BLOCK:
+            self._flush()
+
+    def _flush(self):
+        block, self._block = self._block, []
+        if self._rows is not None:
+            values, G = self._rows(np.stack(block))
+            self._f.extend(np.asarray(values, dtype=float).tolist())
+            self._gnorm.extend(np.linalg.norm(G, axis=1).tolist())
+        else:
+            for x in block:
+                self._gnorm.append(np.linalg.norm(self._grad(x)))
+                self._f.append(self._value(x))
+
+    def result(self, trace: IterateTrace) -> tuple:
+        """``(checked, distances)`` for ``trace``, whose records' iterates
+        were added: the trace with every f, grad_norm and displacement
+        re-evaluated, and each record's distance to ``xstar`` as an array
+        (None without ``xstar``).  The last pending block is evaluated here.
+        """
+        if self._block:
+            self._flush()
+        records = trace.records
+        repeats = np.frombuffer(self._repeats, dtype=np.int64)
+        if int(repeats.sum()) != len(records):
+            raise DataError(f"{int(repeats.sum())} iterates were re-evaluated for a "
+                            f"trace of {len(records)} records")
+        f = np.repeat(np.frombuffer(self._f), repeats).tolist()
+        gnorm = np.repeat(np.frombuffer(self._gnorm), repeats).tolist()
+        disp = np.zeros(len(records))
+        ends = np.cumsum(repeats) - 1
+        disp[ends[:-1]] = np.frombuffer(self._disp)
+        disp[ends[-1:]] = math.nan      # the final record, if any, took no step
+        out = [IterateRecord(k=rec.k, f=fi, grad_norm=gi, step=rec.step,
+                             inner_count=rec.inner_count, displacement=di, x=rec.x)
+               for rec, fi, gi, di in zip(records, f, gnorm, disp.tolist())]
+        checked = IterateTrace(
+            records=out,
+            seed=trace.seed,
+            config_digest=trace.config_digest,
+            solver_id=trace.solver_id,
+            rho=trace.rho,
+            theta=trace.theta,
+            guaranteed=trace.guaranteed,
+            extras=dict(trace.extras, reevaluated=True),
+        )
+        distances = None
+        if self._xstar is not None:
+            distances = np.repeat(np.frombuffer(self._dist), repeats)
+        return checked, distances
 
 
 def reevaluate_trace(trace: IterateTrace,
@@ -399,61 +496,17 @@ def reevaluate_trace(trace: IterateTrace,
 
     Certificates should not have to trust solver-logged numbers; when the run
     stored its iterates this recomputes every logged quantity through the
-    supplied oracles (for envelope solvers, pass the envelope value/gradient).
-    The iterates are taken in blocks of at most ``REEVALUATE_BLOCK`` distinct
-    points.  With a batch oracle ``rows(X) -> (values, gradients)`` over the
-    rows of ``X``, each block is one call; without it, each point goes
-    through ``grad`` and then ``value``.  A record whose stored iterate is
-    the same array as its predecessor's (a replayed fixed point) is not
-    evaluated again: it takes its predecessor's values and displacement 0.
+    supplied oracles (for envelope solvers, pass the envelope value/gradient),
+    by handing the stored iterates to a :class:`Reevaluation`, as a run that
+    re-evaluates while it proceeds hands it its own.
     """
     records = trace.records
     if any(rec.x is None for rec in records):
         raise DataError("trace does not store iterates; rerun with storage enabled")
-    fresh = [i == 0 or rec.x is not records[i - 1].x for i, rec in enumerate(records)]
-    points = [rec.x for rec, new in zip(records, fresh) if new]
-    f = np.empty(len(points))
-    gnorm = np.empty(len(points))
-    for lo in range(0, len(points), REEVALUATE_BLOCK):
-        block = points[lo:lo + REEVALUATE_BLOCK]
-        hi = lo + len(block)
-        if rows is not None:
-            f[lo:hi], G = rows(np.stack(block))
-            gnorm[lo:hi] = np.linalg.norm(G, axis=1)
-        else:
-            for j, x in enumerate(block, start=lo):
-                gnorm[j] = np.linalg.norm(grad(x))
-                f[j] = value(x)
-    out = []
-    j = -1
-    for i, rec in enumerate(records):
-        j += fresh[i]
-        if i + 1 == len(records):
-            disp = math.nan
-        elif fresh[i + 1]:
-            d = records[i + 1].x - rec.x
-            disp = math.sqrt(d @ d)
-        else:
-            disp = 0.0
-        out.append(IterateRecord(
-            k=rec.k,
-            f=float(f[j]),
-            grad_norm=float(gnorm[j]),
-            step=rec.step,
-            inner_count=rec.inner_count,
-            displacement=disp,
-            x=rec.x,
-        ))
-    return IterateTrace(
-        records=out,
-        seed=trace.seed,
-        config_digest=trace.config_digest,
-        solver_id=trace.solver_id,
-        rho=trace.rho,
-        theta=trace.theta,
-        guaranteed=trace.guaranteed,
-        extras=dict(trace.extras, reevaluated=True),
-    )
+    reevaluation = Reevaluation(value, grad, rows)
+    for rec in records:
+        reevaluation.add(rec.x)
+    return reevaluation.result(trace)[0]
 
 
 def _finite_series(trace: IterateTrace):

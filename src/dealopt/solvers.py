@@ -70,8 +70,8 @@ class DealConfig:
     store_iterates: bool = False
 
     def __post_init__(self):
-        if not self.eps > 0.0:
-            raise UsageError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise UsageError(f"eps must be positive and finite, got {self.eps}")
         if self.max_iter < 1:
             raise UsageError("max_iter must be >= 1")
 
@@ -107,13 +107,15 @@ def armijo_bound(nu: float, sigma: float, eta: float, c1: float, c2: float,
     return c_bar, p_bar, alpha_tilde
 
 
-def run_dealc(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrace:
+def run_dealc(objective: SmoothObjective, x0, config: DealConfig,
+              observe=None) -> IterateTrace:
     """Constant-step generalized descent.
 
     Terminates when ||grad f(x^k)|| <= eps (checked before stepping) or at
     max_iter.  A non-finite value or gradient norm, at x0 or at a trial,
     ends the run ``nonfinite`` with a diagnostic in the trace extras instead
-    of raising, and is not recorded.
+    of raising, and is not recorded.  ``observe``, when given, is called
+    with each recorded iterate (see :func:`deal_loop`).
     """
     rule, nu, L, guaranteed = _prepare(objective, config, "deal-c")
     alpha = dealc_step_size(rule.c1, rule.c2, nu, L)
@@ -125,16 +127,18 @@ def run_dealc(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrac
                 "c1": rule.c1, "c2": rule.c2,
                 "beta": rule.beta, "eps": config.eps, "direction": rule.kind},
     )
-    return _descend(objective, x0, config, rule, trace, alpha)
+    return _descend(objective, x0, config, rule, trace, alpha, observe=observe)
 
 
-def run_deala(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrace:
+def run_deala(objective: SmoothObjective, x0, config: DealConfig,
+              observe=None) -> IterateTrace:
     """Backtracking generalized descent.
 
     Inner loop: starting from alpha_bar, shrink by eta until
     f(x + alpha d) <= f(x) + sigma alpha <grad f(x), d>; the accepted
     backtrack count p_k is logged per iteration.  Exceeding max_backtracks
     aborts with a diagnostic (possible only when the declared L is wrong).
+    ``observe`` is as for :func:`run_dealc`.
     """
     rule, nu, L, guaranteed = _prepare(objective, config, "deal-a")
     ap = config.armijo
@@ -150,12 +154,12 @@ def run_deala(objective: SmoothObjective, x0, config: DealConfig) -> IterateTrac
                 "c_bar": c_bar, "p_bar": p_bar, "alpha_tilde": alpha_tilde,
                 "eps": config.eps, "direction": rule.kind},
     )
-    return _descend(objective, x0, config, rule, trace, ap.alpha_bar, ap)
+    return _descend(objective, x0, config, rule, trace, ap.alpha_bar, ap, observe)
 
 
 def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: DirectionRule,
              trace: IterateTrace, alpha: float,
-             armijo: Optional[ArmijoParams] = None) -> IterateTrace:
+             armijo: Optional[ArmijoParams] = None, observe=None) -> IterateTrace:
     """Both step rules as hooks of :func:`deal_loop`, DEAL on the objective
     itself.
 
@@ -183,7 +187,7 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
                          evaluate=lambda x: (*objective.value_and_grad(x), None),
                          candidate=candidate, value=value,
                          complete=lambda z, f: (f, gradient, None),
-                         schedule=lambda *step: ((0, alpha, None),))
+                         schedule=lambda *step: ((0, alpha, None),), observe=observe)
     trials = [(0, alpha)] + [(p, armijo.eta ** p * armijo.alpha_bar)
                              for p in range(1, armijo.max_backtracks + 1)]
 
@@ -202,14 +206,14 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
                      evaluate=lambda x: (objective.value(x), objective.grad(x), None),
                      candidate=candidate, value=objective.value,
                      complete=lambda z, f: (f, objective.grad(z), None),
-                     schedule=schedule)
+                     schedule=schedule, observe=observe)
 
 
 # an overflowing trial ends the run or fails its test; numpy need not warn
 @np.errstate(over="ignore", invalid="ignore")
 def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
               evaluate, candidate, value, complete, schedule,
-              x_tol: Optional[float] = None) -> IterateTrace:
+              x_tol: Optional[float] = None, observe=None) -> IterateTrace:
     """The iteration loop of all four solvers, DEAL on a function phi given
     by hooks, filling ``trace``.
 
@@ -238,6 +242,11 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
     is replayed (see :func:`_replay_fixed_point`).  The extras count the
     direction rule's own fallbacks (``direction_fallbacks``), a replayed
     step's as it would be.
+
+    ``observe(x)``, when given, is called with each record's iterate as the
+    record is made, a replayed record's being the same array as its
+    predecessor's; ``core.Reevaluation.add`` re-evaluates them so while the
+    run proceeds.  The loop never writes into an iterate it has recorded.
     """
     trial = None
     unmoved = 0
@@ -263,6 +272,8 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
             stored = x.copy() if k == 0 else x
         rec = IterateRecord(k=k, f=f, grad_norm=gn, x=stored)
         trace.records.append(rec)
+        if observe is not None:
+            observe(x)
         if gn <= config.eps:
             trace.extras["termination"] = "tolerance"
             break
@@ -315,7 +326,7 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
         moved = rec.displacement != 0.0 or x_next.tobytes() != x.tobytes()
         unmoved = 0 if moved else unmoved + 1
         if unmoved == 2:
-            _replay_fixed_point(trace, rec, config.max_iter)
+            _replay_fixed_point(trace, rec, x, config.max_iter, observe)
             if fell_back:
                 # each replayed step repeats this one, its fallback too
                 rule.fallback_count += config.max_iter - 1 - rec.k
@@ -348,26 +359,32 @@ def screened(trials, bound, line=None):
         yield m, t, bound(t)
 
 
-def _replay_fixed_point(trace: IterateTrace, last: IterateRecord, max_iter: int):
-    """Append records last.k + 1 .. max_iter, each a repeat of ``last``.
+def _replay_fixed_point(trace: IterateTrace, last: IterateRecord, x: np.ndarray,
+                        max_iter: int, observe=None):
+    """Append records last.k + 1 .. max_iter, each a repeat of ``last``,
+    whose iterate is ``x``.
 
     Called after two consecutive steps left x bitwise unchanged.  The oracles
     are deterministic, and ``DirectionRule.push`` of a repeated (x, g) adds no
     pair and keeps its previous point, so every later step would evaluate the
     same points, take the same step and stay put again: the run would end at
     ``max_iter`` with these records.  The replayed records share one
-    read-only stored iterate, and ``fixed_point_at`` names the first of them.
+    read-only iterate ``x``, stored if ``last`` stores it and handed to
+    ``observe`` for each, and ``fixed_point_at`` names the first of them.
     """
-    x = last.x
-    if x is not None:
-        x.flags.writeable = False
+    x.flags.writeable = False
+    stored = last.x
     trace.extras["fixed_point_at"] = last.k + 1
     for k in range(last.k + 1, max_iter):
         trace.records.append(IterateRecord(
             k=k, f=last.f, grad_norm=last.grad_norm, step=last.step,
-            inner_count=last.inner_count, displacement=0.0, x=x))
+            inner_count=last.inner_count, displacement=0.0, x=stored))
+        if observe is not None:
+            observe(x)
     trace.records.append(IterateRecord(k=max_iter, f=last.f,
-                                       grad_norm=last.grad_norm, x=x))
+                                       grad_norm=last.grad_norm, x=stored))
+    if observe is not None:
+        observe(x)
     trace.extras["termination"] = "max_iter"
 
 

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
 pass/fail line.  Shared solver runs are produced once per session by the
-fixtures below; every certificate re-checks the runs from stored iterates
-through the run's own oracles.
+fixtures below; every certificate re-checks the runs from their iterates,
+stored or handed to a re-evaluation as they are recorded, through the run's
+own oracles.
 """
 
 import json
@@ -12,7 +13,7 @@ import pytest
 
 from dealopt import analysis, bench, envelopes, oracles
 from dealopt.boosted import BoostedConfig, choose_order, run_bhippa, run_bpga
-from dealopt.core import (certify_descent, certify_displacement,
+from dealopt.core import (Reevaluation, certify_descent, certify_displacement,
                           min_grad_bound_check, reevaluate_trace)
 from dealopt.directions import DirectionRule
 from dealopt.problems import (LassoProblem, PowerAbsProblem, generate_problem,
@@ -36,13 +37,16 @@ def _report(criterion, passed, message):
 
 @pytest.fixture(scope="module")
 def dealc_runs():
+    """(problem, objective, re-evaluated trace, distances to x*) of each
+    constant-step run, re-evaluated while it proceeds."""
     out = []
     for seed, p, m, n in LEASTP_INSTANCES:
         prob = generate_problem(100 + seed, "leastp", m, n, p=p, consistent=True)
         obj = prob.as_smooth()
         x0 = np.random.default_rng(200 + seed).uniform(-5.0, 5.0, n)
-        tr = run_dealc(obj, x0, DealConfig(eps=EPS, store_iterates=True))
-        out.append((prob, obj, reevaluate_trace(tr, obj.value, obj.grad)))
+        reevaluation = Reevaluation(obj.value, obj.grad, xstar=prob.x_ls)
+        tr = run_dealc(obj, x0, DealConfig(eps=EPS), reevaluation.add)
+        out.append((prob, obj, *reevaluation.result(tr)))
     return out
 
 
@@ -96,7 +100,7 @@ def bhippa_runs():
 def test_criterion_01_descent_certificates(dealc_runs, deala_runs, bpga_runs,
                                            bhippa_runs):
     families = {
-        "DEAL-C": [tr for _, _, tr in dealc_runs],
+        "DEAL-C": [tr for _, _, tr, _ in dealc_runs],
         "DEAL-A": [tr for _, _, _, tr in deala_runs],
         "BPGA": [tr for _, _, _, tr in bpga_runs],
         "BHiPPA": [tr for _, _, tr in bhippa_runs],
@@ -133,7 +137,7 @@ def test_criterion_02_armijo_bound(deala_runs):
 
 def test_criterion_03_linear_rate_bound(dealc_runs):
     failures = []
-    for i, (prob, obj, tr) in enumerate(dealc_runs):
+    for i, (prob, obj, tr, _) in enumerate(dealc_runs):
         _, _, vt, tau = prob.constants()
         q_theory = 1.0 - tr.rho / tau ** tr.theta
         if not 0.0 < q_theory < 1.0:
@@ -152,11 +156,11 @@ def test_criterion_03_linear_rate_bound(dealc_runs):
 
 def test_criterion_04_complexity_bounds(dealc_runs):
     failures = []
-    for i, (prob, obj, tr) in enumerate(dealc_runs):
+    for i, (prob, obj, tr, distances) in enumerate(dealc_runs):
         _, _, _, tau = prob.constants()
         c = tr.extras["alpha"] * 1.0  # c2 = 1
         rep = analysis.verify_complexity(tr, 0.0, tr.rho, tr.theta, tau, EPS,
-                                         xstar=prob.x_ls, c=c)
+                                         distances=distances, c=c)
         if rep.skipped:
             failures.append(f"run {i}: skipped ({rep.reason})")
             continue
@@ -176,7 +180,7 @@ def test_criterion_05_min_grad_bound(dealc_runs, deala_runs, bpga_runs,
                                      bhippa_runs):
     failures = []
     runs = []
-    for prob, obj, tr in dealc_runs:
+    for prob, obj, tr, _ in dealc_runs:
         runs.append((tr, 0.0))
     for prob, obj, raw, tr in deala_runs:
         runs.append((tr, 0.0))

@@ -7,7 +7,7 @@ import pytest
 from dealopt.analysis import (box_sampler, complexity_K, estimate_kl_exponent,
                               fit_linear_rate, kl_sampling_certificate,
                               per_step_ratio_check, verify_complexity)
-from dealopt.core import IterateRecord, IterateTrace, UsageError
+from dealopt.core import IterateRecord, IterateTrace, Reevaluation, UsageError
 from dealopt.problems import QuadraticProblem, generate_problem
 from dealopt.solvers import DealConfig, run_dealc
 
@@ -115,11 +115,10 @@ class TestVerifyComplexity:
     def test_exact_geometric_bounds(self):
         gaps = [0.5 ** k for k in range(40)]
         grads = [math.sqrt((gaps[k] - gaps[k + 1]) / 0.5) for k in range(39)] + [0.0]
-        xs = [[math.sqrt(g)] for g in gaps]
-        tr = synthetic_trace(gaps, grads=grads, xs=xs)
+        tr = synthetic_trace(gaps, grads=grads)
         # q = 1 - rho/tau^theta = 0.5 with rho = 0.5, tau = 1, theta = 2
         rep = verify_complexity(tr, fstar=0.0, rho=0.5, theta=2.0, tau=1.0,
-                                eps=1e-3, xstar=[0.0], c=1.0)
+                                eps=1e-3, distances=np.sqrt(gaps), c=1.0)
         assert not rep.skipped
         assert rep.q_theory == pytest.approx(0.5)
         by_name = {c.criterion: c for c in rep.checks}
@@ -140,18 +139,20 @@ class TestVerifyComplexity:
     def test_end_to_end_leastp(self):
         prob = generate_problem(29, "leastp", 60, 12, p=2.0, consistent=True)
         obj = prob.as_smooth()
+        reevaluation = Reevaluation(obj.value, obj.grad, xstar=prob.x_ls)
         tr = run_dealc(obj, np.random.default_rng(4).uniform(-5, 5, 12),
-                       DealConfig(store_iterates=True))
+                       DealConfig(), reevaluation.add)
         nu, L, vt, tau = prob.constants()
         c = tr.extras["alpha"]  # c2 = 1
-        rep = verify_complexity(tr, fstar=0.0, rho=tr.rho, theta=tr.theta,
-                                tau=tau, eps=1e-6, xstar=prob.x_ls, c=c)
+        rep = verify_complexity(tr, fstar=0.0, rho=tr.rho, theta=tr.theta, tau=tau,
+                                eps=1e-6, distances=reevaluation.result(tr)[1], c=c)
         assert not rep.skipped
         assert rep.passed
         assert len(rep.checks) == 3
 
     def test_iterate_distances_stack_no_iterates(self):
-        # 10,001 records x 200 coordinates: stacking them would take 16 MB
+        # 10,001 records x 200 coordinates: stacking them would take 16 MB;
+        # a re-evaluation measures each distinct iterate's distance alone
         rng = np.random.default_rng(0)
         distinct = [rng.standard_normal(200) for _ in range(1000)]
         xs = distinct + [distinct[-1]] * 9001   # a replayed fixed-point tail
@@ -160,8 +161,12 @@ class TestVerifyComplexity:
         assert tr.records[-1].x is tr.records[999].x
         tracemalloc.start()
         try:
-            rep = verify_complexity(tr, fstar=0.0, rho=0.5, theta=2.0, tau=1.0,
-                                    eps=1e-6, xstar=np.zeros(200), c=1.0)
+            reevaluation = Reevaluation(lambda x: 0.5 * float(x @ x), lambda x: x,
+                                        xstar=np.zeros(200))
+            for rec in tr.records:
+                reevaluation.add(rec.x)
+            rep = verify_complexity(tr, fstar=0.0, rho=0.5, theta=2.0, tau=1.0, eps=1e-6,
+                                    distances=reevaluation.result(tr)[1], c=1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

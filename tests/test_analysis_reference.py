@@ -13,7 +13,7 @@ import pytest
 from dealopt import analysis
 from dealopt.analysis import (BoundCheck, ComplexityReport, KLEstimate, RateReport,
                               _complexity_K_log, complexity_K, gap_floor)
-from dealopt.core import IterateRecord, IterateTrace, UsageError
+from dealopt.core import IterateRecord, IterateTrace, Reevaluation, UsageError
 
 
 def ref_tail(trace_or_gaps, fstar, tail_fraction):
@@ -218,11 +218,22 @@ def assert_same_outputs(trace, fstar):
         assert same(new.__dict__, ref.__dict__)
     for rho, theta, tau, eps in ((0.5, 2.0, 1.0, 1e-3), (0.1, 1.5, 0.4, 1e-9),
                                  (2.0, 2.0, 1.0, 0.1)):
-        kwargs = dict(xstar=np.zeros(3), c=2.0)
         assert same(analysis.verify_complexity(trace, fstar, rho, theta, tau, eps,
-                                               **kwargs).as_dict(),
+                                               distances=distances(trace, np.zeros(3)),
+                                               c=2.0).as_dict(),
                     ref_verify_complexity(trace, fstar, rho, theta, tau, eps,
-                                          **kwargs).as_dict())
+                                          xstar=np.zeros(3), c=2.0).as_dict())
+
+
+def distances(trace, xstar):
+    """Each record's distance to ``xstar`` as a run's re-evaluation measures
+    it, or None when the trace stores no iterates."""
+    if any(rec.x is None for rec in trace.records):
+        return None
+    reevaluation = Reevaluation(lambda x: 0.5 * float(x @ x), lambda x: x, xstar=xstar)
+    for rec in trace.records:
+        reevaluation.add(rec.x)
+    return reevaluation.result(trace)[1]
 
 
 @pytest.mark.parametrize("seed", range(40))

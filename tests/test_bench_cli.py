@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import warnings
@@ -30,7 +31,7 @@ def run_keeping_traces(config):
     """Run an experiment; return its run directory, the solver's trace of
     each variant, and the trace its certificates re-evaluated."""
     traces, checked, reevaluated = {}, {}, []
-    run_variant, reevaluate_trace = bench.run_variant, bench.reevaluate_trace
+    run_variant, certify_run = bench.run_variant, bench.certify_run
 
     def kept(problem, spec, run, rep=0):
         result = run_variant(problem, spec, run, rep)
@@ -38,12 +39,12 @@ def run_keeping_traces(config):
         checked[spec.name] = reevaluated.pop()
         return result
 
-    def kept_reevaluation(*args):
-        reevaluated.append(reevaluate_trace(*args))
-        return reevaluated[-1]
+    def kept_reevaluation(trace, ctx):
+        reevaluated.append(ctx["reevaluation"].result(trace)[0])
+        return certify_run(trace, ctx)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(bench, "run_variant", kept)
-        m.setattr(bench, "reevaluate_trace", kept_reevaluation)
+        m.setattr(bench, "certify_run", kept_reevaluation)
         out = bench.run_experiment(config)
     return out, traces, checked
 
@@ -147,17 +148,23 @@ class TestRunExperiment:
 
     def test_a_finished_variant_is_released_before_the_next_runs(self, tmp_path,
                                                                   monkeypatch):
-        """No earlier variant's stored iterates are alive when a variant starts,
-        counted without a garbage collection: reference counting frees them."""
-        last_iterates, alive = [], []
-        run_variant = bench.run_variant
+        """No earlier variant's trace or last iterate is alive when a variant
+        starts, counted without a garbage collection: reference counting
+        frees them."""
+        finished, alive = [], []
+        run_variant, certify_run = bench.run_variant, bench.certify_run
 
         def watched(problem, spec, run, rep=0):
-            alive.append(sum(ref() is not None for ref in last_iterates))
+            alive.append(sum(ref() is not None for ref in finished))
             result = run_variant(problem, spec, run, rep)
-            last_iterates.append(weakref.ref(result.trace.records[-1].x))
+            finished.append(weakref.ref(result.trace))
             return result
+
+        def certified(trace, ctx):
+            finished.append(weakref.ref(ctx["reevaluation"].last))
+            return certify_run(trace, ctx)
         monkeypatch.setattr(bench, "run_variant", watched)
+        monkeypatch.setattr(bench, "certify_run", certified)
         cfg = small_config(tmp_path, m=40, n=8)
         cfg.run = bench.RunSpec(x0_seed=3, repetitions=2, max_iter=200)
         bench.run_experiment(cfg)
@@ -285,41 +292,37 @@ class TestRunExperiment:
         assert len(summary["variants"]) == 5 and summary["ok"]
         assert len(solves) == 1
 
-    def test_leastp_reevaluation_makes_one_fused_call_per_record(self, monkeypatch):
-        # each distinct stored iterate is re-evaluated once, through one fused
-        # batch call per block of REEVALUATE_BLOCK distinct iterates
+    def test_leastp_reevaluation_makes_one_fused_call_per_record(self, monkeypatch,
+                                                                  run_storing):
+        # each distinct iterate is re-evaluated once, through one fused batch
+        # call per block of REEVALUATE_BLOCK distinct iterates: the run makes
+        # those calls and every per-point call of a run that re-evaluates
+        # nothing, no more
         problem = bench.build_problem(bench.ProblemSpec(kind="leastp", m=40, n=8, seed=1))
         calls = Counter()
         rows = []
-        reevaluating = [False]
         for name in ("value", "grad", "value_grad", "value_grad_rows"):
             def counted(x, _real=getattr(problem, name), _name=name):
-                if reevaluating[0]:
-                    calls[_name] += 1
-                    if _name == "value_grad_rows":
-                        rows.append(len(x))
+                calls[_name] += 1
+                if _name == "value_grad_rows":
+                    rows.append(len(x))
                 return _real(x)
             monkeypatch.setattr(problem, name, counted)
-        real_reevaluate = bench.reevaluate_trace
-
-        def reevaluate(*args):
-            reevaluating[0] = True
-            try:
-                return real_reevaluate(*args)
-            finally:
-                reevaluating[0] = False
-        monkeypatch.setattr(bench, "reevaluate_trace", reevaluate)
+        run = bench.RunSpec(max_iter=1500, x0_seed=3, eps=1e-30)
         for solver in ("deal-c", "deal-a"):
+            spec = bench.SolverSpec(solver=solver)
+            calls.clear()
+            bench.run_variant(problem, spec, dataclasses.replace(run, store_iterates=False))
+            unchecked = Counter(calls)
             calls.clear()
             rows.clear()
-            result = bench.run_variant(problem, bench.SolverSpec(solver=solver),
-                                       bench.RunSpec(max_iter=1500, x0_seed=3,
-                                                     eps=1e-30))
+            result, stored, _ = run_storing(problem, spec, run)
             assert result.certificates["reevaluated"]
-            records = result.trace.records
+            records = stored.records
             distinct = 1 + sum(b.x is not a.x for a, b in zip(records, records[1:]))
             assert distinct < len(records)      # a replayed fixed-point tail
-            assert calls == {"value_grad_rows": -(-distinct // REEVALUATE_BLOCK)}
+            assert calls - unchecked == {"value_grad_rows": -(-distinct // REEVALUATE_BLOCK)}
+            assert unchecked - calls == {}
             assert calls["value_grad_rows"] > 1
             assert sum(rows) == distinct
 
@@ -330,22 +333,15 @@ class TestRunExperiment:
         pytest.param("leastp", dict(eps=1e9), id="one-record"),
         pytest.param("quadratic", dict(max_iter=1500, eps=1e-30), id="quadratic"),
     ])
-    def test_batch_reevaluation_keeps_every_verdict(self, monkeypatch, solver,
+    def test_batch_reevaluation_keeps_every_verdict(self, run_storing, solver,
                                                     kind, run):
         problem = bench.build_problem(bench.ProblemSpec(kind=kind, m=40, n=8, seed=1))
-        real_certify = bench.certify_run
-        seen = []
-
-        def certify(trace, ctx):
-            seen.append((trace, ctx))
-            return real_certify(trace, ctx)
-        monkeypatch.setattr(bench, "certify_run", certify)
-        bench.run_variant(problem, bench.SolverSpec(solver=solver),
-                          bench.RunSpec(x0_seed=3, **run))
-        (trace, ctx), = seen
+        result, stored, ctx = run_storing(problem, bench.SolverSpec(solver=solver),
+                                          bench.RunSpec(x0_seed=3, **run))
         assert "rows" in ctx
-        batched = real_certify(trace, ctx)
-        per_point = real_certify(trace, {k: v for k, v in ctx.items() if k != "rows"})
+        batched = result.certificates
+        per_point = bench.certify_run(stored, {k: v for k, v in ctx.items()
+                                               if k not in ("rows", "reevaluation")})
         assert batched["reevaluated"] and "descent" in batched
         assert verdicts(batched) == verdicts(per_point)
 
@@ -353,22 +349,14 @@ class TestRunExperiment:
         *(pytest.param(bench.preset("sec53", seed), id=str(seed)) for seed in range(5)),
         *(pytest.param(bhippa_config(100, seed), id=f"bhippa-n100-{seed}") for seed in (7, 8)),
     ])
-    def test_bpga_batch_reevaluation_keeps_every_verdict(self, monkeypatch, config):
+    def test_bpga_batch_reevaluation_keeps_every_verdict(self, run_storing, config):
         problem = bench.build_problem(config.problem)
-        real_certify = bench.certify_run
-        seen = []
-
-        def certify(trace, ctx):
-            seen.append((trace, ctx))
-            return real_certify(trace, ctx)
-        monkeypatch.setattr(bench, "certify_run", certify)
         for spec in config.solvers:
-            bench.run_variant(problem, spec, config.run)
-        assert len(seen) == len(config.solvers)
-        for trace, ctx in seen:
+            result, stored, ctx = run_storing(problem, spec, config.run)
             assert "rows" in ctx
-            batched = real_certify(trace, ctx)
-            per_point = real_certify(trace, {k: v for k, v in ctx.items() if k != "rows"})
+            batched = result.certificates
+            per_point = bench.certify_run(stored, {k: v for k, v in ctx.items()
+                                                   if k not in ("rows", "reevaluation")})
             assert batched["reevaluated"] and "descent" in batched
             assert verdicts(batched) == verdicts(per_point)
 
@@ -412,6 +400,71 @@ class TestRunExperiment:
             assert bundle["displacement"]["n_checked"] > 0
             for key in ("passed", "n_checked"):
                 assert doc["displacement"][key] == bundle["displacement"][key]
+
+
+
+def record_bits(trace):
+    """Each record's k, inner count and the bytes of its float fields."""
+    return [(rec.k, rec.inner_count, np.array([rec.f, rec.grad_norm, rec.step,
+                                               rec.displacement]).tobytes())
+            for rec in trace.records]
+
+
+# each family with each of its solvers; bhippa at order 2, below its matched
+# order, so that it runs past a block before its tolerance
+LIVE_CASES = [("leastp", "deal-c", {}), ("leastp", "deal-a", {}),
+              ("quadratic", "deal-c", {}), ("quadratic", "deal-a", {}),
+              ("lasso", "bpga", {}), ("powerabs", "bhippa", {"order": 2.0})]
+
+
+class TestLiveReevaluation:
+    """A run re-evaluated while it proceeds is certified, byte for byte, as
+    the same run whose iterates are stored and re-evaluated afterwards."""
+
+    def assert_live_is_stored(self, run_storing, kind, solver, spec_kw, run):
+        problem = bench.build_problem(bench.ProblemSpec(kind=kind, m=40, n=8, seed=1))
+        result, stored, ctx = run_storing(
+            problem, bench.SolverSpec(solver=solver, **spec_kw), run)
+        live = ctx["reevaluation"]
+        later = bench.certify_run(stored, {k: v for k, v in ctx.items()
+                                           if k != "reevaluation"})
+        assert result.certificates["reevaluated"]
+        assert (json.dumps(result.certificates, indent=2, default=bench._json_default)
+                == json.dumps(later, indent=2, default=bench._json_default))
+        evaluate = ctx["evaluate"]
+        checked = bench.reevaluate_trace(stored, lambda x: tuple(evaluate(x))[0],
+                                         lambda x: tuple(evaluate(x))[1], ctx["rows"])
+        assert record_bits(live.result(result.trace)[0]) == record_bits(checked)
+        assert live.last is stored.records[-1].x
+        records = stored.records
+        return result, 1 + sum(b.x is not a.x for a, b in zip(records, records[1:]))
+
+    @pytest.mark.parametrize("kind, solver, spec_kw", LIVE_CASES)
+    @pytest.mark.parametrize("distinct", [REEVALUATE_BLOCK - 1, REEVALUATE_BLOCK,
+                                          REEVALUATE_BLOCK + 1])
+    def test_one_short_of_at_and_one_past_a_block(self, run_storing, kind, solver,
+                                                  spec_kw, distinct):
+        result, seen = self.assert_live_is_stored(
+            run_storing, kind, solver, spec_kw,
+            bench.RunSpec(x0_seed=3, eps=1e-30, max_iter=distinct - 1))
+        assert seen == len(result.trace) == distinct
+        if kind in ("leastp", "quadratic"):
+            assert [c["criterion"] for c in result.certificates["complexity"]["checks"]
+                    ] == ["gap", "grad", "iterate"]
+
+    @pytest.mark.parametrize("solver", ["deal-c", "deal-a"])
+    def test_a_replayed_fixed_point(self, run_storing, solver):
+        result, seen = self.assert_live_is_stored(
+            run_storing, "leastp", solver, {},
+            bench.RunSpec(x0_seed=3, eps=1e-30, max_iter=1500))
+        assert seen == result.trace.extras["fixed_point_at"] < len(result.trace)
+
+    @pytest.mark.parametrize("kind, solver, spec_kw", LIVE_CASES)
+    def test_an_infinite_eps_is_refused(self, kind, solver, spec_kw):
+        problem = bench.build_problem(bench.ProblemSpec(kind=kind, m=40, n=8, seed=1))
+        with pytest.raises(UsageError, match="eps"):
+            bench.run_variant(problem, bench.SolverSpec(solver=solver, **spec_kw),
+                              bench.RunSpec(eps=float("inf")))
 
 
 class TestFamilies:

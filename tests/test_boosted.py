@@ -180,8 +180,8 @@ def sec53_runs(seed, monkeypatch):
     pairs = []
     real = bench.run_bpga
 
-    def both(composite, x0, cfg):
-        screened = real(composite, x0, cfg)
+    def both(composite, x0, cfg, observe=None):
+        screened = real(composite, x0, cfg, observe)
         pairs.append((screened, real(undeclared(composite), x0, cfg)))
         return screened
     monkeypatch.setattr(bench, "run_bpga", both)
@@ -546,9 +546,9 @@ class TestBHiPPA:
         # the powerabs family has a unique prox, so the double-well run that
         # stops before its first record stands in for the solver
         real = bench.run_bhippa
-        monkeypatch.setattr(bench, "run_bhippa", lambda phi, x0, cfg: real(
+        monkeypatch.setattr(bench, "run_bhippa", lambda phi, x0, cfg, observe: real(
             SeparableProx(lambda t: (t * t - 1.0) ** 2), [0.0],
-            BoostedConfig(gamma=20.0, sigma=0.01, store_iterates=True)))
+            BoostedConfig(gamma=20.0, sigma=0.01), observe))
         out = bench.run_experiment(bench.ExperimentConfig(
             problem=bench.ProblemSpec(kind="powerabs", n=1),
             solvers=[bench.SolverSpec(name="BHIPPA", solver="bhippa")],
@@ -649,8 +649,8 @@ class TestBHiPPAScale:
         assert all(certs[k]["passed"] for k in checks)
         assert certs["prox_oracle"]["worst_excess"] <= 1e-12
 
-    def test_reevaluation_computes_each_envelope_once(self, monkeypatch):
-        # each distinct stored iterate is re-evaluated once, through one batch
+    def test_reevaluation_computes_each_envelope_once(self, monkeypatch, run_storing):
+        # each distinct iterate is re-evaluated once, through one batch
         # call per block of REEVALUATE_BLOCK distinct iterates, and never
         # through the per-point envelope
         calls = Counter()
@@ -670,10 +670,10 @@ class TestBHiPPAScale:
         for order, extra in (("auto", {}), (2.0, dict(eps=1e-12, max_iter=1200))):
             calls.clear()
             rows.clear()
-            result = bench.run_variant(problem, dataclasses.replace(spec, order=order),
-                                       dataclasses.replace(run, **extra))
+            result, stored, _ = run_storing(problem, dataclasses.replace(spec, order=order),
+                                            dataclasses.replace(run, **extra))
             assert result.certificates["reevaluated"]
-            records = result.trace.records
+            records = stored.records
             distinct = 1 + sum(b.x is not a.x for a, b in zip(records, records[1:]))
             # the solver calls boosted's own names; these are re-evaluation only
             assert calls == {"home_rows": -(-distinct // REEVALUATE_BLOCK)}
@@ -730,12 +730,12 @@ class TestCarriedEvaluation:
     gradient and becomes the next step's, in place of a second evaluation."""
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_sec53_records_are_fresh_evaluations(self, seed):
+    def test_sec53_records_are_fresh_evaluations(self, run_storing, seed):
         config = bench.preset("sec53", seed)
         problem = bench.build_problem(config.problem)
         comp = problem.as_composite()
         for spec in config.solvers:
-            trace = bench.run_variant(problem, spec, config.run).trace
+            trace = run_storing(problem, spec, config.run)[1]
             gamma = trace.extras["gamma"]
             assert_records_are_fresh_evaluations(
                 trace, lambda x: fbe_value_grad(comp, x, gamma))
@@ -750,9 +750,9 @@ class TestCarriedEvaluation:
         assert_records_are_fresh_evaluations(trace, lambda x: fbe_value_grad(comp, x, gamma))
 
     @pytest.mark.parametrize("seed", [7, 8])
-    def test_powerabs_records_are_fresh_evaluations(self, seed):
+    def test_powerabs_records_are_fresh_evaluations(self, run_storing, seed):
         problem, spec, run = _bhippa_experiment(100, seed)
-        trace = bench.run_variant(problem, spec, run).trace
+        trace = run_storing(problem, spec, run)[1]
         phi, extras = problem.as_prox_capable(), trace.extras
         assert_records_are_fresh_evaluations(
             trace, lambda x: home_value_grad(phi, x, extras["gamma"], extras["p"]))

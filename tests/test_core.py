@@ -12,6 +12,7 @@ from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, DataError,
                           as_vector, certify_descent,
                           certify_displacement, config_digest,
                           min_grad_bound_check, reevaluate_trace)
+from dealopt import bench
 from dealopt.problems import generate_problem
 
 
@@ -303,6 +304,45 @@ def test_reevaluate_trace_working_set_is_bounded_by_its_block():
             tracemalloc.stop()
     assert len(checked) == 1100
     assert peak - kept <= 2 * REEVALUATE_BLOCK * problem.m * 8
+
+
+
+def traced(call):
+    """``(result, kept, peak)``: what ``call()`` returns, and the bytes it
+    left allocated and allocated at most, both above where it started."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, kept - before, peak - before
+
+
+@pytest.mark.parametrize("max_iter", [1000, 4000])
+def test_run_variant_working_set_is_bounded_by_its_block(max_iter):
+    # a least-p 1000 x 200 run of max_iter distinct iterates (DEAL-C2 descends
+    # slowly and never stops early), re-evaluated while it proceeds: above
+    # what the same run keeps when it re-evaluates nothing, it allocates at
+    # most that again (the re-evaluated copy of its records) and four
+    # (REEVALUATE_BLOCK x max(m, n)) arrays of doubles, whatever max_iter is;
+    # storing the iterates would take max_iter x n doubles
+    problem = generate_problem(0, "leastp", 1000, 200, p=1.5, consistent=True)
+    spec = bench.SolverSpec(solver="deal-c", beta=0.0)
+    # the problem's reference optimum and cached products, as every variant
+    # but the first finds them
+    bench.run_variant(problem, spec, bench.RunSpec(max_iter=2))
+    _, unchecked, _ = traced(lambda: bench.run_variant(
+        problem, spec, bench.RunSpec(max_iter=max_iter, store_iterates=False)))
+    result, _, peak = traced(lambda: bench.run_variant(
+        problem, spec, bench.RunSpec(max_iter=max_iter)))
+    assert result.certificates["reevaluated"] and len(result.trace) == max_iter + 1
+    assert peak <= 2 * unchecked + 4 * REEVALUATE_BLOCK * max(problem.m, problem.n) * 8
 
 
 def test_config_digest_stable():

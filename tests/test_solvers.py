@@ -239,9 +239,11 @@ def test_traces_monotone_and_terminal_gradient():
                 assert tr.records[-1].grad_norm <= 1e-6
 
 
-def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None):
+def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None,
+                      observe=None):
     """The descent loop evaluated at every step: no fused oracle, no replay.
-    Like the solvers, it records the rule's fallbacks in the extras."""
+    Like the solvers, it records the rule's fallbacks in the extras and hands
+    each recorded iterate to ``observe``."""
     x = as_vector(x0, objective.dim, "x0")
     f = objective.value(x)
     for k in range(config.max_iter + 1):
@@ -250,6 +252,8 @@ def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None):
         rec = IterateRecord(k=k, f=f, grad_norm=gn,
                             x=x.copy() if config.store_iterates else None)
         trace.records.append(rec)
+        if observe is not None:
+            observe(x)
         if gn <= config.eps:
             trace.extras["termination"] = "tolerance"
             break
@@ -458,14 +462,21 @@ def test_a_nonfinite_gradient_after_a_step_is_not_recorded():
 
 def deala_runs(problem, specs, run, **oracles):
     """The deal-a traces of ``specs`` on ``problem``, configured as
-    ``bench.run_variant`` configures them, uncertified.  ``oracles`` replace
-    the objective's own; ``line_values=None`` drops the line oracle."""
+    ``bench.run_variant`` configures them, uncertified, each record storing
+    the iterate the run handed to its hook.  ``oracles`` replace the
+    objective's own; ``line_values=None`` drops the line oracle."""
     objective = dataclasses.replace(problem.as_smooth(), **oracles)
     family = types.SimpleNamespace(as_smooth=lambda: objective,
                                    value_grad=problem.value_grad,
                                    value_grad_rows=problem.value_grad_rows)
     x0 = np.random.default_rng(run.x0_seed).uniform(-5.0, 5.0, size=problem.n)
-    return [bench._run_deal(family, spec, run)(x0)[0] for spec in specs]
+    traces = []
+    for spec in specs:
+        iterates = []
+        traces.append(bench._run_deal(family, spec, run)[0](x0, iterates.append))
+        for rec, x in zip(traces[-1].records, iterates, strict=True):
+            rec.x = x
+    return traces
 
 
 def assert_same_traces(screened, unscreened):
