@@ -70,8 +70,8 @@ class RunSpec:
     max_iter: int = 10000
     x0_seed: int = 0
     repetitions: int = 1
-    # re-evaluate every iterate while the run proceeds (the name is kept
-    # from when iterates were stored for it)
+    # re-evaluate every iterate while the run proceeds; the name, from the
+    # stored iterates this once took, is kept so that config.json is unchanged
     store_iterates: bool = True
 
 

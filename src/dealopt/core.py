@@ -428,10 +428,6 @@ class Reevaluation:
         if self.last is not None:
             d = x - self.last
             self._disp.append(math.sqrt(d @ d))
-        if self._xstar is not None:
-            d = x - self._xstar
-            # pairwise-summed, as np.linalg.norm(X, axis=1) rounds a row
-            self._dist.append(np.sqrt(np.add.reduce(d * d)))
         self._repeats.append(1)
         self._block.append(x)
         self.last = x
@@ -440,8 +436,13 @@ class Reevaluation:
 
     def _flush(self):
         block, self._block = self._block, []
+        X = np.stack(block)
+        if self._xstar is not None:
+            D = X - self._xstar
+            # each row pairwise-summed, as np.add.reduce sums one point's alone
+            self._dist.extend(np.sqrt(np.add.reduce(D * D, axis=1)).tolist())
         if self._rows is not None:
-            values, G = self._rows(np.stack(block))
+            values, G = self._rows(X)
             self._f.extend(np.asarray(values, dtype=float).tolist())
             self._gnorm.extend(np.linalg.norm(G, axis=1).tolist())
         else:

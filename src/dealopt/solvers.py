@@ -245,8 +245,9 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
 
     ``observe(x)``, when given, is called with each record's iterate as the
     record is made, a replayed record's being the same array as its
-    predecessor's; ``core.Reevaluation.add`` re-evaluates them so while the
-    run proceeds.  The loop never writes into an iterate it has recorded.
+    predecessor's; ``core.Reevaluation.add`` is such a hook, re-evaluating
+    the iterates while the run proceeds.  The loop never writes into an
+    iterate it has recorded.
     """
     trial = None
     unmoved = 0
@@ -360,7 +361,7 @@ def screened(trials, bound, line=None):
 
 
 def _replay_fixed_point(trace: IterateTrace, last: IterateRecord, x: np.ndarray,
-                        max_iter: int, observe=None):
+                        max_iter: int, observe):
     """Append records last.k + 1 .. max_iter, each a repeat of ``last``,
     whose iterate is ``x``.
 

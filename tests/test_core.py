@@ -8,7 +8,7 @@ import pytest
 
 from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, DataError,
                           HolderInfo, IterateRecord, IterateTrace, KLInfo,
-                          UsageError, _fmt,
+                          Reevaluation, UsageError, _fmt,
                           as_vector, certify_descent,
                           certify_displacement, config_digest,
                           min_grad_bound_check, reevaluate_trace)
@@ -285,6 +285,31 @@ def test_reevaluate_trace_evaluates_each_distinct_iterate_once(distinct, tail,
             assert out.displacement == float(np.linalg.norm(X[i + 1] - x))
     assert fixed.extras["reevaluated"]
 
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 200, 1025])
+def test_reevaluation_measures_each_distance_as_its_point_alone(n):
+    # the distances to xstar are taken a block at a time, bit for bit those
+    # of each point reduced alone; a replayed record repeats its point's
+    tr, _ = replayed_trace(REEVALUATE_BLOCK + 5, 3, n=n)
+    xstar = np.random.default_rng(n).standard_normal(n)
+    oracle = CountingHalfSquare()
+    reevaluation = Reevaluation(oracle.value, oracle.grad, oracle.rows, xstar)
+    for rec in tr.records:
+        reevaluation.add(rec.x)
+    distances = reevaluation.result(tr)[1]
+    alone = [np.sqrt(np.add.reduce((rec.x - xstar) * (rec.x - xstar))) for rec in tr.records]
+    assert distances.tobytes() == np.array(alone).tobytes()
+
+
+def test_reevaluation_refuses_a_trace_of_other_records():
+    tr, _ = replayed_trace(5, 2)
+    oracle = CountingHalfSquare()
+    reevaluation = Reevaluation(oracle.value, oracle.grad, oracle.rows)
+    for rec in tr.records[:-1]:
+        reevaluation.add(rec.x)
+    with pytest.raises(DataError, match="6 iterates were re-evaluated for a trace of 7"):
+        reevaluation.result(tr)
 
 def test_reevaluate_trace_working_set_is_bounded_by_its_block():
     # least-p 1000 x 200 with 1,100 distinct iterates: above the trace it
