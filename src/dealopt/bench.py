@@ -205,9 +205,12 @@ def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunRes
     """Run one solver variant on a built problem and certify its trace.
 
     With ``run.store_iterates`` each iterate is re-evaluated while the run
-    proceeds, by a ``Reevaluation`` in the certificate context: the
-    reference optimum is taken first, so that the distance of each iterate
-    to it is known, and no iterate outlives its re-evaluation block.
+    proceeds, by a ``Reevaluation`` in the certificate context that the
+    solver's ``observe`` hook feeds, through the run's batch oracle
+    ``ctx["rows"]``: the reference optimum is taken first, so that the
+    distance of each iterate to it is known, and no iterate outlives its
+    re-evaluation block.  Without it the run is certified from the values
+    its solver logged.
     """
     solve, ctx = _configure_variant(problem, spec, run)
     rng = np.random.default_rng(run.x0_seed + rep)
@@ -221,8 +224,11 @@ def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunRes
         ctx.update(fstar=ref.fstar, xstar=ref.xstar, tau=ref.tau)
     observe = None
     if run.store_iterates:
-        ctx["reevaluation"] = _reevaluation(ctx)
-        observe = ctx["reevaluation"].add
+        evaluate = ctx["evaluate"]
+        reevaluation = ctx["reevaluation"] = Reevaluation(
+            lambda x: tuple(evaluate(x))[0], lambda x: tuple(evaluate(x))[1],
+            ctx.get("rows"), ctx.get("xstar"))
+        observe = reevaluation.add
     trace = solve(x0, observe)
     trace.seed, trace.config_digest = run.x0_seed + rep, digest
     certificates = certify_run(trace, ctx)
@@ -307,15 +313,13 @@ def _given(**fields) -> dict:
 def certify_run(trace: IterateTrace, ctx: dict) -> dict:
     """Certificate bundle for one finished run.
 
-    Re-evaluates the run's iterates through its own oracles: those that
-    ``ctx["reevaluation"]``, a ``core.Reevaluation``, took while the run
-    proceeded, else the trace's stored iterates, if any, through a new one.
-    Either way they go in blocks through the batch oracle ``ctx["rows"](X)
-    -> (values, gradients)`` that every runner supplies, else (the tests'
-    reference) through ``ctx["evaluate"](x) -> (value, gradient)``, and
-    their distances to ``ctx["xstar"]`` feed the iterate criterion.  It then
-    cross-checks the run's prox at the final iterate against the grid oracle
-    when the run supplies that check (``prox_oracle``).  Applies every
+    Takes the run's re-evaluated records from ``ctx["reevaluation"]``, the
+    ``core.Reevaluation`` that took its iterates while it proceeded, and
+    their distances to the reference optimum for the iterate criterion;
+    without one, nothing is re-evaluated and the checks read the values the
+    solver logged.  It then cross-checks the run's prox at the final
+    iterate against the grid oracle when the run supplies that check
+    (``prox_oracle``).  Applies every
     certificate whose constants are available: the solver's own (rho, theta,
     eps and the displacement constant c) from the trace, and the reference
     optimum (fstar, xstar) and dominance constant tau from ``ctx``.
@@ -330,10 +334,6 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
         bundle["diagnostic"] = trace.extras.get("diagnostic")
         return bundle
     reevaluation = ctx.get("reevaluation")
-    if reevaluation is None and all(rec.x is not None for rec in trace.records):
-        reevaluation = _reevaluation(ctx)
-        for rec in trace.records:
-            reevaluation.add(rec.x)
     checked, distances = trace, None
     if reevaluation is not None:
         checked, distances = reevaluation.result(trace)
@@ -365,14 +365,6 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
                 bundle["per_step_ratio"] = analysis.per_step_ratio_check(
                     checked, fstar, rate.q_theory).as_dict()
     return bundle
-
-
-def _reevaluation(ctx: dict) -> Reevaluation:
-    """A ``Reevaluation`` through the run's oracles in ``ctx``, measuring
-    distances to ``ctx["xstar"]`` when it is known."""
-    evaluate = ctx["evaluate"]
-    return Reevaluation(lambda x: tuple(evaluate(x))[0], lambda x: tuple(evaluate(x))[1],
-                        ctx.get("rows"), ctx.get("xstar"))
 
 
 def bundle_ok(bundle: dict) -> bool:

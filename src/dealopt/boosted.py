@@ -50,7 +50,6 @@ class BoostedConfig:
     rule: Optional[DirectionRule] = None
     eps: float = 1e-6
     max_iter: int = 10000
-    store_iterates: bool = False
 
     def __post_init__(self):
         if self.gamma is not None and not self.gamma > 0.0:

@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-iter", type=int, default=10000)
     run.add_argument("--x0-seed", type=int, default=0)
     run.add_argument("--repetitions", type=int, default=1)
-    run.add_argument("--no-store-iterates", dest="store", action="store_false")
+    run.add_argument("--no-store-iterates", dest="store", action="store_false",
+                     help="certify from the solver's logged values; skip re-evaluation")
     run.add_argument("--out", default="runs/single")
 
     sweep = sub.add_parser("sweep", help="run a named preset study")
@@ -194,7 +195,7 @@ def _cmd_certify(args) -> int:
     """The certificate bundle a run writes, for a persisted trace.
 
     rho and theta make the trace guaranteed; without them it gets the rate
-    fit alone.  Its iterates are not stored, so nothing is re-evaluated.
+    fit alone.  A trace CSV holds no iterates, so nothing is re-evaluated.
     ``certify`` takes every constant of the run from the sidecar
     ``STEM.json`` that a run writes next to ``STEM.csv``: rho and theta (of
     a guaranteed run only), c, fstar, tau and eps.  A flag may supply a

@@ -141,7 +141,8 @@ class IterateRecord:
 
     ``displacement`` is the norm of the step leaving this iterate; it is
     filled when the next iterate is produced and stays NaN on the final
-    record.  ``x`` is stored only when the run enables iterate storage.
+    record.  The iterate itself is not kept: a solver hands it to its
+    ``observe`` hook as the record is made.
     """
 
     k: int
@@ -150,7 +151,6 @@ class IterateRecord:
     step: float = math.nan
     inner_count: int = 0
     displacement: float = math.nan
-    x: Optional[np.ndarray] = None
 
 
 TRACE_COLUMNS = ("k", "f", "grad_norm", "step", "inner_count", "displacement")
@@ -209,11 +209,6 @@ class IterateTrace:
 
     def displacements(self) -> np.ndarray:
         return np.array([r.displacement for r in self.records], dtype=float)
-
-    def iterates(self) -> Optional[np.ndarray]:
-        if any(r.x is None for r in self.records):
-            return None
-        return np.stack([r.x for r in self.records])
 
     def to_csv(self, path):
         """Write the exact column layout k,f,grad_norm,step,inner_count,displacement.
@@ -470,7 +465,7 @@ class Reevaluation:
         disp[ends[:-1]] = np.frombuffer(self._disp)
         disp[ends[-1:]] = math.nan      # the final record, if any, took no step
         out = [IterateRecord(k=rec.k, f=fi, grad_norm=gi, step=rec.step,
-                             inner_count=rec.inner_count, displacement=di, x=rec.x)
+                             inner_count=rec.inner_count, displacement=di)
                for rec, fi, gi, di in zip(records, f, gnorm, disp.tolist())]
         checked = IterateTrace(
             records=out,
@@ -488,25 +483,25 @@ class Reevaluation:
         return checked, distances
 
 
-def reevaluate_trace(trace: IterateTrace,
+def reevaluate_trace(trace: IterateTrace, iterates,
                      value: Callable[[np.ndarray], float],
                      grad: Callable[[np.ndarray], np.ndarray],
                      rows: Optional[Callable[[np.ndarray], tuple]] = None,
                      ) -> IterateTrace:
-    """Rebuild f/grad_norm/displacement from stored iterates.
+    """``trace`` with f/grad_norm/displacement rebuilt from its iterates.
 
-    Certificates should not have to trust solver-logged numbers; when the run
-    stored its iterates this recomputes every logged quantity through the
-    supplied oracles (for envelope solvers, pass the envelope value/gradient),
-    by handing the stored iterates to a :class:`Reevaluation`, as a run that
-    re-evaluates while it proceeds hands it its own.
+    Certificates should not have to trust solver-logged numbers; this
+    recomputes every logged quantity through the supplied oracles (for
+    envelope solvers, pass the envelope value/gradient).  ``iterates`` are
+    the arrays a solver's ``observe`` hook was handed, one per record
+    (``xs = []; trace = run_deala(obj, x0, cfg, xs.append)``); they go
+    through one :class:`Reevaluation`, as a run that re-evaluates while it
+    proceeds hands it its own.  Any other number of iterates is a
+    ``DataError``.
     """
-    records = trace.records
-    if any(rec.x is None for rec in records):
-        raise DataError("trace does not store iterates; rerun with storage enabled")
     reevaluation = Reevaluation(value, grad, rows)
-    for rec in records:
-        reevaluation.add(rec.x)
+    for x in iterates:
+        reevaluation.add(x)
     return reevaluation.result(trace)[0]
 
 

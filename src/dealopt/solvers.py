@@ -67,7 +67,6 @@ class DealConfig:
     max_iter: int = 10000
     rule: Optional[DirectionRule] = None
     armijo: ArmijoParams = field(default_factory=ArmijoParams)
-    store_iterates: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.eps < math.inf:
@@ -91,19 +90,22 @@ def armijo_bound(nu: float, sigma: float, eta: float, c1: float, c2: float,
     """Worst-case backtracking count and step-size floor for the Armijo loop.
 
     Returns (c_bar, p_bar, alpha_tilde) with
-      c_bar = ((1+nu)(1-sigma) c1 / (L alpha_bar^nu c2^(1/nu)))^(1/nu),
+      c_bar = ((1+nu)(1-sigma) c1 / (L alpha_bar^nu c2^(1+nu)))^(1/nu),
       p_bar = 1 + log(c_bar)/log(eta),
-      alpha_tilde = eta^p_bar * alpha_bar.
-    p_bar may be negative when c_bar > 1; then every first trial is accepted.
+      alpha_tilde = min(alpha_bar, eta^p_bar * alpha_bar).
+    The Hölder bound ||d||^(1+nu) <= c2^(1+nu) ||grad||^((1+beta)(1+nu))
+    gives the c2 exponent, as in :func:`dealc_step_size`.  p_bar may be
+    negative when c_bar > 1/eta; then every first trial is accepted, and
+    alpha_tilde is alpha_bar, the largest step the search tries.
     """
     if min(nu, sigma, eta, c1, c2, L, alpha_bar) <= 0.0:
         raise UsageError("all inputs must be positive")
     if nu > 1.0 or sigma >= 1.0 or eta >= 1.0:
         raise UsageError("need nu in (0,1], sigma in (0,1), eta in (0,1)")
     c_bar = ((1.0 + nu) * (1.0 - sigma) * c1
-             / (L * alpha_bar ** nu * c2 ** (1.0 / nu))) ** (1.0 / nu)
+             / (L * alpha_bar ** nu * c2 ** (1.0 + nu))) ** (1.0 / nu)
     p_bar = 1.0 + math.log(c_bar) / math.log(eta)
-    alpha_tilde = eta ** p_bar * alpha_bar
+    alpha_tilde = min(alpha_bar, eta ** p_bar * alpha_bar)
     return c_bar, p_bar, alpha_tilde
 
 
@@ -245,9 +247,11 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
 
     ``observe(x)``, when given, is called with each record's iterate as the
     record is made, a replayed record's being the same array as its
-    predecessor's; ``core.Reevaluation.add`` is such a hook, re-evaluating
+    predecessor's; it is the only way to a run's iterates, which the records
+    do not keep.  ``core.Reevaluation.add`` is such a hook, re-evaluating
     the iterates while the run proceeds.  The loop never writes into an
-    iterate it has recorded.
+    iterate it has handed over: the one at k=0 is ``x`` itself, and every
+    later one is a trial or a proximal point, an array of its own.
     """
     trial = None
     unmoved = 0
@@ -266,12 +270,7 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
             trace.extras["termination"] = "nonfinite"
             trace.extras["diagnostic"] = f"non-finite {what} or gradient at k={k}"
             break
-        # the loop never writes into x, and every later x is a trial or a
-        # proximal point, an array of its own, so only x0 is copied
-        stored = None
-        if config.store_iterates:
-            stored = x.copy() if k == 0 else x
-        rec = IterateRecord(k=k, f=f, grad_norm=gn, x=stored)
+        rec = IterateRecord(k=k, f=f, grad_norm=gn)
         trace.records.append(rec)
         if observe is not None:
             observe(x)
@@ -370,20 +369,19 @@ def _replay_fixed_point(trace: IterateTrace, last: IterateRecord, x: np.ndarray,
     pair and keeps its previous point, so every later step would evaluate the
     same points, take the same step and stay put again: the run would end at
     ``max_iter`` with these records.  The replayed records share one
-    read-only iterate ``x``, stored if ``last`` stores it and handed to
-    ``observe`` for each, and ``fixed_point_at`` names the first of them.
+    iterate ``x``, made read-only and handed to ``observe`` for each, and
+    ``fixed_point_at`` names the first of them.
     """
     x.flags.writeable = False
-    stored = last.x
     trace.extras["fixed_point_at"] = last.k + 1
     for k in range(last.k + 1, max_iter):
         trace.records.append(IterateRecord(
             k=k, f=last.f, grad_norm=last.grad_norm, step=last.step,
-            inner_count=last.inner_count, displacement=0.0, x=stored))
+            inner_count=last.inner_count, displacement=0.0))
         if observe is not None:
             observe(x)
     trace.records.append(IterateRecord(k=max_iter, f=last.f,
-                                       grad_norm=last.grad_norm, x=stored))
+                                       grad_norm=last.grad_norm))
     if observe is not None:
         observe(x)
     trace.extras["termination"] = "max_iter"

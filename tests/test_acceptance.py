@@ -1,8 +1,8 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
 pass/fail line.  Shared solver runs are produced once per session by the
 fixtures below; every certificate re-checks the runs from their iterates,
-stored or handed to a re-evaluation as they are recorded, through the run's
-own oracles.
+as the runs hand them to their ``observe`` hook, through the run's own
+oracles.
 """
 
 import json
@@ -57,8 +57,9 @@ def deala_runs():
         prob = generate_problem(100 + seed, "leastp", m, n, p=p, consistent=True)
         obj = prob.as_smooth()
         x0 = np.random.default_rng(200 + seed).uniform(-5.0, 5.0, n)
-        tr = run_deala(obj, x0, DealConfig(eps=EPS, store_iterates=True))
-        out.append((prob, obj, tr, reevaluate_trace(tr, obj.value, obj.grad)))
+        xs = []
+        tr = run_deala(obj, x0, DealConfig(eps=EPS), xs.append)
+        out.append((prob, obj, tr, reevaluate_trace(tr, xs, obj.value, obj.grad)))
     return out
 
 
@@ -71,12 +72,12 @@ def bpga_runs():
         gamma = 0.95 / prob.L
         sigma = 0.9 * gamma * (1.0 - gamma * prob.L) / 2.0
         x0 = np.random.default_rng(400 + seed).uniform(-5.0, 5.0, 10)
-        cfg = BoostedConfig(gamma=gamma, sigma=sigma, eps=EPS,
-                            store_iterates=True)
-        tr = run_bpga(comp, x0, cfg)
+        cfg = BoostedConfig(gamma=gamma, sigma=sigma, eps=EPS)
+        xs = []
+        tr = run_bpga(comp, x0, cfg, xs.append)
         value = lambda x, c=comp, g=gamma: envelopes.fbe_value(c, x, g)
         grad = lambda x, c=comp, g=gamma: envelopes.fbe_value_grad(c, x, g).gradient
-        out.append((prob, comp, gamma, reevaluate_trace(tr, value, grad)))
+        out.append((prob, comp, gamma, reevaluate_trace(tr, xs, value, grad)))
     return out
 
 
@@ -88,12 +89,12 @@ def bhippa_runs():
     for seed in range(10):
         phi = pa.as_prox_capable()
         x0 = np.random.default_rng(500 + seed).uniform(-5.0, 5.0, 1)
-        cfg = BoostedConfig(gamma=1.0, sigma=0.1, p=order, eps=EPS,
-                            store_iterates=True)
-        tr = run_bhippa(phi, x0, cfg)
+        cfg = BoostedConfig(gamma=1.0, sigma=0.1, p=order, eps=EPS)
+        xs = []
+        tr = run_bhippa(phi, x0, cfg, xs.append)
         value = lambda x, f=phi, p_=order: envelopes.home_value(f, x, 1.0, p_)
         grad = lambda x, f=phi, p_=order: envelopes.home_value_grad(f, x, 1.0, p_).gradient
-        out.append((pa, phi, reevaluate_trace(tr, value, grad)))
+        out.append((pa, phi, reevaluate_trace(tr, xs, value, grad)))
     return out
 
 

@@ -12,13 +12,11 @@ from dealopt.problems import QuadraticProblem, generate_problem
 from dealopt.solvers import DealConfig, run_dealc
 
 
-def synthetic_trace(gaps, grads=None, rho=0.5, theta=2.0, xs=None, fstar=0.0):
+def synthetic_trace(gaps, grads=None, rho=0.5, theta=2.0, fstar=0.0):
     records = []
     for k, gap in enumerate(gaps):
         g = grads[k] if grads is not None else math.sqrt(max(gap, 0.0))
-        records.append(IterateRecord(
-            k=k, f=fstar + gap, grad_norm=g,
-            x=None if xs is None else np.asarray(xs[k], dtype=float)))
+        records.append(IterateRecord(k=k, f=fstar + gap, grad_norm=g))
     return IterateTrace(records=records, rho=rho, theta=theta)
 
 
@@ -157,14 +155,14 @@ class TestVerifyComplexity:
         distinct = [rng.standard_normal(200) for _ in range(1000)]
         xs = distinct + [distinct[-1]] * 9001   # a replayed fixed-point tail
         gaps = 0.5 ** np.minimum(np.arange(len(xs)), 999)
-        tr = synthetic_trace(gaps, xs=xs)
-        assert tr.records[-1].x is tr.records[999].x
+        tr = synthetic_trace(gaps)
+        assert xs[-1] is xs[999]
         tracemalloc.start()
         try:
             reevaluation = Reevaluation(lambda x: 0.5 * float(x @ x), lambda x: x,
                                         xstar=np.zeros(200))
-            for rec in tr.records:
-                reevaluation.add(rec.x)
+            for x in xs:
+                reevaluation.add(x)
             rep = verify_complexity(tr, fstar=0.0, rho=0.5, theta=2.0, tau=1.0, eps=1e-6,
                                     distances=reevaluation.result(tr)[1], c=1.0)
             _, peak = tracemalloc.get_traced_memory()

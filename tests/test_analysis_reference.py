@@ -104,7 +104,8 @@ def ref_estimate_kl_exponent(trace_or_gaps, fstar, grad_norms=None,
     return KLEstimate(vartheta_hat=float(slope), residual=residual, n=len(gaps))
 
 
-def ref_verify_complexity(trace, fstar, rho, theta, tau, eps, *, xstar=None, c=None):
+def ref_verify_complexity(trace, fstar, rho, theta, tau, eps, *, xstar=None, c=None,
+                          xs=None):
     if min(rho, tau, eps) <= 0.0 or theta <= 1.0:
         raise UsageError("need rho, tau, eps > 0 and theta > 1")
     q = 1.0 - rho / tau ** theta
@@ -139,15 +140,14 @@ def ref_verify_complexity(trace, fstar, rho, theta, tau, eps, *, xstar=None, c=N
         None if m_grad is None else m_grad <= b_grad,
         "" if m_grad is not None else "criterion not reached within the trace"))
 
-    records = trace.records
-    if xstar is not None and c is not None and all(r.x is not None for r in records):
+    if xstar is not None and c is not None and xs is not None:
         xstar = np.asarray(xstar, dtype=float)
-        dist = np.empty(len(records))
-        for i, rec in enumerate(records):
-            if i and rec.x is records[i - 1].x:
+        dist = np.empty(len(xs))
+        for i, x in enumerate(xs):
+            if i and x is xs[i - 1]:
                 dist[i] = dist[i - 1]
             else:
-                d = rec.x - xstar
+                d = x - xstar
                 dist[i] = np.sqrt(np.add.reduce(d * d))
         m_x = first_k(dist <= eps)
         y_x = theta / (theta - 1.0)
@@ -164,17 +164,17 @@ def ref_verify_complexity(trace, fstar, rho, theta, tau, eps, *, xstar=None, c=N
     return report
 
 
-def make_trace(gaps, grads, fstar, ks=None, xs=None):
+def make_trace(gaps, grads, fstar, ks=None):
     ks = range(len(gaps)) if ks is None else ks
     return IterateTrace(records=[
-        IterateRecord(k=int(k), f=fstar + float(gap), grad_norm=float(g),
-                      x=None if xs is None else xs[i])
-        for i, (k, gap, g) in enumerate(zip(ks, gaps, grads))], rho=0.5, theta=2.0)
+        IterateRecord(k=int(k), f=fstar + float(gap), grad_norm=float(g))
+        for k, gap, g in zip(ks, gaps, grads)], rho=0.5, theta=2.0)
 
 
 def random_trace(seed):
-    """Decaying or noisy gaps, some at or below the floor, gaps in k, and a
-    replayed tail of shared iterates when the trace stores them."""
+    """``(trace, fstar, xs)``: decaying or noisy gaps, some at or below the
+    floor, gaps in k, and, when ``xs`` is not None, the trace's iterates with
+    a replayed tail of shared ones."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 60))
     fstar = float(rng.choice([0.0, -1.5, 3e4]))
@@ -191,7 +191,7 @@ def random_trace(seed):
         xs = [rng.normal(size=3) for _ in range(n)]
         for i in range(int(rng.integers(1, n + 1)), n):
             xs[i] = xs[i - 1]
-    return make_trace(gaps, grads, fstar, ks, xs), fstar
+    return make_trace(gaps, grads, fstar, ks), fstar, xs
 
 
 def same(a, b):
@@ -205,7 +205,7 @@ def same(a, b):
     return type(a) is type(b) and a == b
 
 
-def assert_same_outputs(trace, fstar):
+def assert_same_outputs(trace, fstar, xs=None):
     for kwargs in ({}, dict(rho=0.5, theta=2.0, tau=1.0), dict(rho=0.1, theta=1.5, tau=0.4)):
         assert same(analysis.fit_linear_rate(trace, fstar, **kwargs).as_dict(),
                     ref_fit_linear_rate(trace, fstar, **kwargs).as_dict())
@@ -219,20 +219,20 @@ def assert_same_outputs(trace, fstar):
     for rho, theta, tau, eps in ((0.5, 2.0, 1.0, 1e-3), (0.1, 1.5, 0.4, 1e-9),
                                  (2.0, 2.0, 1.0, 0.1)):
         assert same(analysis.verify_complexity(trace, fstar, rho, theta, tau, eps,
-                                               distances=distances(trace, np.zeros(3)),
+                                               distances=distances(trace, xs, np.zeros(3)),
                                                c=2.0).as_dict(),
                     ref_verify_complexity(trace, fstar, rho, theta, tau, eps,
-                                          xstar=np.zeros(3), c=2.0).as_dict())
+                                          xstar=np.zeros(3), c=2.0, xs=xs).as_dict())
 
 
-def distances(trace, xstar):
-    """Each record's distance to ``xstar`` as a run's re-evaluation measures
-    it, or None when the trace stores no iterates."""
-    if any(rec.x is None for rec in trace.records):
+def distances(trace, xs, xstar):
+    """The distance of each record's iterate in ``xs`` to ``xstar`` as a
+    run's re-evaluation measures it, or None without iterates."""
+    if xs is None:
         return None
     reevaluation = Reevaluation(lambda x: 0.5 * float(x @ x), lambda x: x, xstar=xstar)
-    for rec in trace.records:
-        reevaluation.add(rec.x)
+    for x in xs:
+        reevaluation.add(x)
     return reevaluation.result(trace)[1]
 
 
@@ -243,7 +243,7 @@ def test_random_traces(seed):
 
 @pytest.mark.parametrize("fstar", [0.0, -2.0])
 def test_single_record(fstar):
-    assert_same_outputs(make_trace([0.7], [0.3], fstar, xs=[np.ones(3)]), fstar)
+    assert_same_outputs(make_trace([0.7], [0.3], fstar), fstar, [np.ones(3)])
 
 
 def test_replayed_tail():
@@ -251,14 +251,14 @@ def test_replayed_tail():
     distinct = [rng.normal(size=3) * 0.5 ** k for k in range(30)]
     xs = distinct + [distinct[-1]] * 70
     gaps = 0.5 ** np.minimum(np.arange(100), 29)
-    trace = make_trace(gaps, np.sqrt(gaps), 0.0, xs=xs)
-    assert trace.records[-1].x is trace.records[29].x
-    assert_same_outputs(trace, 0.0)
+    trace = make_trace(gaps, np.sqrt(gaps), 0.0)
+    assert xs[-1] is xs[29]
+    assert_same_outputs(trace, 0.0, xs)
 
 
 @pytest.mark.parametrize("fstar", [0.0, 1e6])
 def test_no_gap_above_the_floor(fstar):
     gaps = np.full(12, 0.5 * gap_floor(fstar))
-    trace = make_trace(gaps, np.full(12, 1e-9), fstar, xs=[np.zeros(3)] * 12)
+    trace = make_trace(gaps, np.full(12, 1e-9), fstar)
     assert analysis.fit_linear_rate(trace, fstar).n_tail == 0
-    assert_same_outputs(trace, fstar)
+    assert_same_outputs(trace, fstar, [np.zeros(3)] * 12)

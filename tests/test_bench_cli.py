@@ -316,11 +316,10 @@ class TestRunExperiment:
             unchecked = Counter(calls)
             calls.clear()
             rows.clear()
-            result, stored, _ = run_storing(problem, spec, run)
+            result, xs, _ = run_storing(problem, spec, run)
             assert result.certificates["reevaluated"]
-            records = stored.records
-            distinct = 1 + sum(b.x is not a.x for a, b in zip(records, records[1:]))
-            assert distinct < len(records)      # a replayed fixed-point tail
+            distinct = 1 + sum(b is not a for a, b in zip(xs, xs[1:]))
+            assert distinct < len(xs)      # a replayed fixed-point tail
             assert calls - unchecked == {"value_grad_rows": -(-distinct // REEVALUATE_BLOCK)}
             assert unchecked - calls == {}
             assert calls["value_grad_rows"] > 1
@@ -333,15 +332,14 @@ class TestRunExperiment:
         pytest.param("leastp", dict(eps=1e9), id="one-record"),
         pytest.param("quadratic", dict(max_iter=1500, eps=1e-30), id="quadratic"),
     ])
-    def test_batch_reevaluation_keeps_every_verdict(self, run_storing, solver,
-                                                    kind, run):
+    def test_batch_reevaluation_keeps_every_verdict(self, run_storing, certify_observed,
+                                                    solver, kind, run):
         problem = bench.build_problem(bench.ProblemSpec(kind=kind, m=40, n=8, seed=1))
-        result, stored, ctx = run_storing(problem, bench.SolverSpec(solver=solver),
-                                          bench.RunSpec(x0_seed=3, **run))
+        result, xs, ctx = run_storing(problem, bench.SolverSpec(solver=solver),
+                                      bench.RunSpec(x0_seed=3, **run))
         assert "rows" in ctx
         batched = result.certificates
-        per_point = bench.certify_run(stored, {k: v for k, v in ctx.items()
-                                               if k not in ("rows", "reevaluation")})
+        per_point = certify_observed(result.trace, xs, ctx, rows=False)
         assert batched["reevaluated"] and "descent" in batched
         assert verdicts(batched) == verdicts(per_point)
 
@@ -349,14 +347,14 @@ class TestRunExperiment:
         *(pytest.param(bench.preset("sec53", seed), id=str(seed)) for seed in range(5)),
         *(pytest.param(bhippa_config(100, seed), id=f"bhippa-n100-{seed}") for seed in (7, 8)),
     ])
-    def test_bpga_batch_reevaluation_keeps_every_verdict(self, run_storing, config):
+    def test_bpga_batch_reevaluation_keeps_every_verdict(self, run_storing,
+                                                         certify_observed, config):
         problem = bench.build_problem(config.problem)
         for spec in config.solvers:
-            result, stored, ctx = run_storing(problem, spec, config.run)
+            result, xs, ctx = run_storing(problem, spec, config.run)
             assert "rows" in ctx
             batched = result.certificates
-            per_point = bench.certify_run(stored, {k: v for k, v in ctx.items()
-                                                   if k not in ("rows", "reevaluation")})
+            per_point = certify_observed(result.trace, xs, ctx, rows=False)
             assert batched["reevaluated"] and "descent" in batched
             assert verdicts(batched) == verdicts(per_point)
 
@@ -419,33 +417,35 @@ LIVE_CASES = [("leastp", "deal-c", {}), ("leastp", "deal-a", {}),
 
 class TestLiveReevaluation:
     """A run re-evaluated while it proceeds is certified, byte for byte, as
-    the same run whose iterates are stored and re-evaluated afterwards."""
+    the same run whose observed iterates are re-evaluated afterwards."""
 
-    def assert_live_is_stored(self, run_storing, kind, solver, spec_kw, run):
-        problem = bench.build_problem(bench.ProblemSpec(kind=kind, m=40, n=8, seed=1))
-        result, stored, ctx = run_storing(
-            problem, bench.SolverSpec(solver=solver, **spec_kw), run)
-        live = ctx["reevaluation"]
-        later = bench.certify_run(stored, {k: v for k, v in ctx.items()
-                                           if k != "reevaluation"})
-        assert result.certificates["reevaluated"]
-        assert (json.dumps(result.certificates, indent=2, default=bench._json_default)
-                == json.dumps(later, indent=2, default=bench._json_default))
-        evaluate = ctx["evaluate"]
-        checked = bench.reevaluate_trace(stored, lambda x: tuple(evaluate(x))[0],
-                                         lambda x: tuple(evaluate(x))[1], ctx["rows"])
-        assert record_bits(live.result(result.trace)[0]) == record_bits(checked)
-        assert live.last is stored.records[-1].x
-        records = stored.records
-        return result, 1 + sum(b.x is not a.x for a, b in zip(records, records[1:]))
+    @pytest.fixture
+    def assert_live_is_observed(self, run_storing, certify_observed):
+        def check(kind, solver, spec_kw, run):
+            problem = bench.build_problem(bench.ProblemSpec(kind=kind, m=40, n=8, seed=1))
+            result, xs, ctx = run_storing(
+                problem, bench.SolverSpec(solver=solver, **spec_kw), run)
+            live = ctx["reevaluation"]
+            later = certify_observed(result.trace, xs, ctx)
+            assert result.certificates["reevaluated"]
+            assert (json.dumps(result.certificates, indent=2, default=bench._json_default)
+                    == json.dumps(later, indent=2, default=bench._json_default))
+            evaluate = ctx["evaluate"]
+            checked = bench.reevaluate_trace(result.trace, xs,
+                                             lambda x: tuple(evaluate(x))[0],
+                                             lambda x: tuple(evaluate(x))[1], ctx["rows"])
+            assert record_bits(live.result(result.trace)[0]) == record_bits(checked)
+            assert live.last is xs[-1]
+            return result, 1 + sum(b is not a for a, b in zip(xs, xs[1:]))
+        return check
 
     @pytest.mark.parametrize("kind, solver, spec_kw", LIVE_CASES)
     @pytest.mark.parametrize("distinct", [REEVALUATE_BLOCK - 1, REEVALUATE_BLOCK,
                                           REEVALUATE_BLOCK + 1])
-    def test_one_short_of_at_and_one_past_a_block(self, run_storing, kind, solver,
-                                                  spec_kw, distinct):
-        result, seen = self.assert_live_is_stored(
-            run_storing, kind, solver, spec_kw,
+    def test_one_short_of_at_and_one_past_a_block(self, assert_live_is_observed, kind,
+                                                  solver, spec_kw, distinct):
+        result, seen = assert_live_is_observed(
+            kind, solver, spec_kw,
             bench.RunSpec(x0_seed=3, eps=1e-30, max_iter=distinct - 1))
         assert seen == len(result.trace) == distinct
         if kind in ("leastp", "quadratic"):
@@ -453,9 +453,9 @@ class TestLiveReevaluation:
                     ] == ["gap", "grad", "iterate"]
 
     @pytest.mark.parametrize("solver", ["deal-c", "deal-a"])
-    def test_a_replayed_fixed_point(self, run_storing, solver):
-        result, seen = self.assert_live_is_stored(
-            run_storing, "leastp", solver, {},
+    def test_a_replayed_fixed_point(self, assert_live_is_observed, solver):
+        result, seen = assert_live_is_observed(
+            "leastp", solver, {},
             bench.RunSpec(x0_seed=3, eps=1e-30, max_iter=1500))
         assert seen == result.trace.extras["fixed_point_at"] < len(result.trace)
 

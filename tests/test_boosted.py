@@ -50,12 +50,12 @@ class TestBPGA:
         # max_linesearch = 0 takes the plain forward-backward point each
         # iteration; the acceptance inequality still holds at every step
         prob, comp, gamma, sigma = lasso_setup()
-        cfg = BoostedConfig(gamma=gamma, sigma=sigma, max_linesearch=0,
-                            store_iterates=True)
-        tr = run_bpga(comp, np.ones(6) * 2.0, cfg)
+        cfg = BoostedConfig(gamma=gamma, sigma=sigma, max_linesearch=0)
+        X = []
+        tr = run_bpga(comp, np.ones(6) * 2.0, cfg, X.append)
         assert tr.extras["termination"] == "tolerance"
         assert certify_descent(tr, tr.rho, tr.theta).passed
-        X = tr.iterates()
+        assert len(X) == len(tr)
         for i in range(len(X) - 1):
             T = forward_backward_map(comp, X[i], gamma)
             assert np.allclose(X[i + 1], T)
@@ -71,8 +71,7 @@ class TestBPGA:
         ev = fbe_value_grad(comp, np.array([3.0]), 0.25)
         rho = 0.05 / (1.25) ** 2
         threshold = ev.value - rho * ev.grad_norm ** 2
-        cfg = BoostedConfig(gamma=0.25, sigma=0.05, store_iterates=True,
-                            max_iter=200)
+        cfg = BoostedConfig(gamma=0.25, sigma=0.05, max_iter=200)
         tr = run_bpga(comp, np.array([3.0]), cfg)
         # the acceptance threshold at k=0 is honored by the recorded value
         assert tr.records[0].f == pytest.approx(ev.value)
@@ -82,12 +81,12 @@ class TestBPGA:
     @pytest.mark.parametrize("direction", ["gradient", "bb1", "bb2", "lbfgs"])
     def test_directions_all_certify(self, direction):
         prob, comp, gamma, sigma = lasso_setup(seed=8)
-        cfg = BoostedConfig(gamma=gamma, sigma=sigma, store_iterates=True,
-                            rule=DirectionRule(direction))
-        tr = run_bpga(comp, np.random.default_rng(0).uniform(-5, 5, 6), cfg)
+        cfg = BoostedConfig(gamma=gamma, sigma=sigma, rule=DirectionRule(direction))
+        xs = []
+        tr = run_bpga(comp, np.random.default_rng(0).uniform(-5, 5, 6), cfg, xs.append)
         assert tr.extras["termination"] == "tolerance"
         checked = reevaluate_trace(
-            tr,
+            tr, xs,
             lambda x: fbe_value(comp, x, gamma),
             lambda x: fbe_value_grad(comp, x, gamma).gradient)
         assert certify_descent(checked, tr.rho, tr.theta).passed
@@ -145,8 +144,8 @@ def undeclared(composite):
 
 def record_bits(trace):
     """Every field of every record, bit for bit (NaN included)."""
-    return [(r.k, r.inner_count, np.array([r.f, r.grad_norm, r.step, r.displacement]).tobytes(),
-             None if r.x is None else r.x.tobytes()) for r in trace.records]
+    return [(r.k, r.inner_count, np.array([r.f, r.grad_norm, r.step, r.displacement]).tobytes())
+            for r in trace.records]
 
 
 def count_exact_trials(monkeypatch):
@@ -163,14 +162,15 @@ def count_exact_trials(monkeypatch):
     return log
 
 
-def assert_accepted_steps_pass_exactly(trace, log):
-    """Every step taken at a trial was evaluated exactly at its threshold."""
+def assert_accepted_steps_pass_exactly(trace, iterates, log):
+    """Every step taken at a trial was evaluated exactly at its threshold;
+    ``iterates`` are those the run handed to ``observe``."""
     exact = dict(log)
     taken = 0
-    for rec, nxt in zip(trace.records, trace.records[1:]):
+    for rec, x_next in zip(trace.records, iterates[1:]):
         if rec.step > 0.0:
             threshold = rec.f - trace.rho * rec.grad_norm ** trace.theta
-            assert exact[nxt.x.tobytes()] <= threshold, rec.k
+            assert exact[x_next.tobytes()] <= threshold, rec.k
             taken += 1
     return taken
 
@@ -228,13 +228,16 @@ class TestBPGAScreen:
         x0 = np.random.default_rng(1).uniform(-5.0, 5.0, shape[1])
 
         def run(composite):
-            return run_bpga(composite, x0, BoostedConfig(
+            xs = []
+            trace = run_bpga(composite, x0, BoostedConfig(
                 max_linesearch=max_linesearch, alpha_bar=alpha_bar,
-                rule=DirectionRule(direction, beta=0.5 if direction == "gradient" else 0.0),
-                store_iterates=True))
-        screened, loop = run(comp), run(undeclared(comp))
+                rule=DirectionRule(direction, beta=0.5 if direction == "gradient" else 0.0)),
+                xs.append)
+            return trace, [x.tobytes() for x in xs]
+        (screened, screened_xs), (loop, loop_xs) = run(comp), run(undeclared(comp))
         assert len(screened) > 2
         assert record_bits(screened) == record_bits(loop)
+        assert screened_xs == loop_xs
         assert screened.extras == loop.extras
 
     def test_every_step_taken_passes_the_exact_test(self, monkeypatch):
@@ -245,11 +248,11 @@ class TestBPGAScreen:
         for direction in ("gradient", "bb1", "bb2", "lbfgs"):
             for alpha_bar in (0.5, 0.9):
                 log = count_exact_trials(monkeypatch)
+                xs = []
                 trace = run_bpga(comp, x0, BoostedConfig(
-                    alpha_bar=alpha_bar, rule=DirectionRule(direction),
-                    store_iterates=True))
+                    alpha_bar=alpha_bar, rule=DirectionRule(direction)), xs.append)
                 assert trace.extras["termination"] == "tolerance"
-                taken += assert_accepted_steps_pass_exactly(trace, log)
+                taken += assert_accepted_steps_pass_exactly(trace, xs, log)
                 monkeypatch.undo()
         assert taken > 100
 
@@ -325,11 +328,12 @@ class TestBPGAScreen:
         x0 = np.random.default_rng(3).uniform(-5.0, 5.0, 6)
         for direction in ("gradient", "bb1", "lbfgs"):
             log = count_exact_trials(monkeypatch)
+            xs = []
             trace = run_bpga(comp, x0, BoostedConfig(
-                alpha_bar=0.9, rule=DirectionRule(direction), store_iterates=True))
+                alpha_bar=0.9, rule=DirectionRule(direction)), xs.append)
             assert trace.extras["termination"] == "tolerance"
-            assert assert_accepted_steps_pass_exactly(trace, log) > 10
-            checked = reevaluate_trace(trace, lambda x: fbe_value(comp, x, gamma),
+            assert assert_accepted_steps_pass_exactly(trace, xs, log) > 10
+            checked = reevaluate_trace(trace, xs, lambda x: fbe_value(comp, x, gamma),
                                        lambda x: fbe_value_grad(comp, x, gamma).gradient)
             assert certify_descent(checked, trace.rho, trace.theta).passed
         assert any(offered_and_failed)
@@ -493,9 +497,11 @@ class TestBHiPPA:
     def test_pure_prox_on_quadratic_halves_iterates(self):
         phi = SeparableProx(lambda t: 0.5 * t * t)
         cfg = BoostedConfig(gamma=1.0, sigma=0.4, p=2.0, max_linesearch=0,
-                            store_iterates=True, eps=1e-5, max_iter=60)
-        tr = run_bhippa(phi, np.array([2.0]), cfg)
-        X = tr.iterates().ravel()
+                            eps=1e-5, max_iter=60)
+        xs = []
+        tr = run_bhippa(phi, np.array([2.0]), cfg, xs.append)
+        X = np.stack(xs).ravel()
+        assert len(X) == len(tr)
         assert np.allclose(X, 2.0 * 0.5 ** np.arange(len(X)), atol=1e-7)
         # plain proximal-point decrease: envelope x^2/4 drops to x^2/16 <= x^2/8
         assert certify_descent(tr, rho=0.5, theta=2.0).passed
@@ -504,14 +510,15 @@ class TestBHiPPA:
         pa = PowerAbsProblem(s=4.0, n=1)
         p = choose_order(pa.kl_info().vartheta)
         assert p == pytest.approx(4.0)
-        cfg = BoostedConfig(gamma=1.0, sigma=0.1, p=p, store_iterates=True)
-        tr = run_bhippa(pa.as_prox_capable(), np.array([2.0]), cfg)
+        cfg = BoostedConfig(gamma=1.0, sigma=0.1, p=p)
+        xs = []
+        tr = run_bhippa(pa.as_prox_capable(), np.array([2.0]), cfg, xs.append)
         assert tr.extras["termination"] == "tolerance"
         assert tr.theta == pytest.approx(4.0 / 3.0)
         assert tr.rho == pytest.approx(0.1 / 4.0)
         phi = pa.as_prox_capable()
         checked = reevaluate_trace(
-            tr,
+            tr, xs,
             lambda x: home_value(phi, x, 1.0, p),
             lambda x: home_value_grad(phi, x, 1.0, p).gradient)
         assert certify_descent(checked, tr.rho, tr.theta).passed
@@ -534,7 +541,7 @@ class TestBHiPPA:
 
     def test_multivalued_at_start_certifies_empty_trace(self):
         phi = SeparableProx(lambda t: (t * t - 1.0) ** 2)
-        cfg = BoostedConfig(gamma=20.0, sigma=0.01, store_iterates=True)
+        cfg = BoostedConfig(gamma=20.0, sigma=0.01)
         tr = run_bhippa(phi, [0.0], cfg)
         assert len(tr) == 0
         bundle = bench.certify_run(tr, {})
@@ -670,11 +677,10 @@ class TestBHiPPAScale:
         for order, extra in (("auto", {}), (2.0, dict(eps=1e-12, max_iter=1200))):
             calls.clear()
             rows.clear()
-            result, stored, _ = run_storing(problem, dataclasses.replace(spec, order=order),
-                                            dataclasses.replace(run, **extra))
+            result, xs, _ = run_storing(problem, dataclasses.replace(spec, order=order),
+                                        dataclasses.replace(run, **extra))
             assert result.certificates["reevaluated"]
-            records = stored.records
-            distinct = 1 + sum(b.x is not a.x for a, b in zip(records, records[1:]))
+            distinct = 1 + sum(b is not a for a, b in zip(xs, xs[1:]))
             # the solver calls boosted's own names; these are re-evaluation only
             assert calls == {"home_rows": -(-distinct // REEVALUATE_BLOCK)}
             assert sum(rows) == distinct
@@ -685,13 +691,14 @@ def same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-def assert_records_are_fresh_evaluations(trace, evaluate):
+def assert_records_are_fresh_evaluations(trace, iterates, evaluate):
     """Every record's value and gradient norm are, bit for bit, those of a
-    fresh ``evaluate`` at its stored iterate, although the loop completed
-    the accepted trial's evaluation in place of most of them."""
-    assert len(trace) > 2
-    for rec in trace.records:
-        ev = evaluate(rec.x)
+    fresh ``evaluate`` at its iterate, as the run handed it to ``observe``,
+    although the loop completed the accepted trial's evaluation in place of
+    most of them."""
+    assert len(trace) > 2 and len(iterates) == len(trace)
+    for rec, x in zip(trace.records, iterates):
+        ev = evaluate(x)
         assert same_bits(rec.f, ev.value) and same_bits(rec.grad_norm, ev.grad_norm), rec.k
 
 
@@ -735,34 +742,38 @@ class TestCarriedEvaluation:
         problem = bench.build_problem(config.problem)
         comp = problem.as_composite()
         for spec in config.solvers:
-            trace = run_storing(problem, spec, config.run)[1]
-            gamma = trace.extras["gamma"]
+            result, xs, _ = run_storing(problem, spec, config.run)
+            gamma = result.trace.extras["gamma"]
             assert_records_are_fresh_evaluations(
-                trace, lambda x: fbe_value_grad(comp, x, gamma))
+                result.trace, xs, lambda x: fbe_value_grad(comp, x, gamma))
 
     @pytest.mark.parametrize("direction", ["gradient", "bb1", "lbfgs"])
     def test_logcosh_records_are_fresh_evaluations(self, direction):
         comp = logcosh_lasso()
+        xs = []
         trace = run_bpga(comp, np.random.default_rng(3).uniform(-5.0, 5.0, 6), BoostedConfig(
-            alpha_bar=0.9, rule=DirectionRule(direction), store_iterates=True))
+            alpha_bar=0.9, rule=DirectionRule(direction)), xs.append)
         assert trace.extras["termination"] == "tolerance"
         gamma = trace.extras["gamma"]
-        assert_records_are_fresh_evaluations(trace, lambda x: fbe_value_grad(comp, x, gamma))
+        assert_records_are_fresh_evaluations(trace, xs,
+                                             lambda x: fbe_value_grad(comp, x, gamma))
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_powerabs_records_are_fresh_evaluations(self, run_storing, seed):
         problem, spec, run = _bhippa_experiment(100, seed)
-        trace = run_storing(problem, spec, run)[1]
-        phi, extras = problem.as_prox_capable(), trace.extras
+        result, xs, _ = run_storing(problem, spec, run)
+        phi, extras = problem.as_prox_capable(), result.trace.extras
         assert_records_are_fresh_evaluations(
-            trace, lambda x: home_value_grad(phi, x, extras["gamma"], extras["p"]))
+            result.trace, xs, lambda x: home_value_grad(phi, x, extras["gamma"], extras["p"]))
 
     def test_separable_records_are_fresh_evaluations(self):
         phi = SeparableProx(lambda t: abs(t) ** 3 + 0.5 * t * t)
-        trace = run_bhippa(phi, np.array([1.5, -0.7]), BoostedConfig(
-            p=3.0, eps=1e-5, store_iterates=True))
+        xs = []
+        trace = run_bhippa(phi, np.array([1.5, -0.7]), BoostedConfig(p=3.0, eps=1e-5),
+                           xs.append)
         assert trace.extras["termination"] == "tolerance"
-        assert_records_are_fresh_evaluations(trace, lambda x: home_value_grad(phi, x, 1.0, 3.0))
+        assert_records_are_fresh_evaluations(trace, xs,
+                                             lambda x: home_value_grad(phi, x, 1.0, 3.0))
 
     def test_the_full_evaluation_runs_at_k0_and_after_each_prox_step(self, monkeypatch):
         calls = count_envelope_calls(monkeypatch)
@@ -794,21 +805,26 @@ class TestCarriedEvaluation:
 
 
 @pytest.mark.parametrize("solver", ["bpga", "bhippa"])
-def test_stored_iterates_do_not_share_the_callers_x0(solver):
-    # only x0 is copied: every later iterate is the loop's own array
+def test_observed_iterates_are_x0_then_arrays_of_their_own(solver):
+    # a float x0 is observed as itself; every later iterate is the loop's own
+    # array, and the loop writes into none of them
+    xs, copies = [], []
+
+    def observe(x):
+        xs.append(x)
+        copies.append(x.copy())
     if solver == "bpga":
         x0 = np.ones(6)
         trace = run_bpga(generate_problem(3, "lasso", 60, 6).as_composite(), x0,
-                         BoostedConfig(store_iterates=True))
+                         BoostedConfig(), observe)
     else:
         x0 = np.linspace(-1.5, 2.0, 5)
         trace = run_bhippa(PowerAbsProblem(s=4.0, n=5).as_prox_capable(), x0,
-                           BoostedConfig(p=4.0, store_iterates=True))
+                           BoostedConfig(p=4.0), observe)
     assert trace.extras["termination"] == "tolerance" and len(trace) > 2
-    stored = [rec.x.copy() for rec in trace.records]
-    x0 += 1.0
-    assert all(np.array_equal(rec.x, x) for rec, x in zip(trace.records, stored))
-    assert len({id(rec.x) for rec in trace.records}) == len(trace)
+    assert xs[0] is x0
+    assert all(np.array_equal(x, copy) for x, copy in zip(xs, copies, strict=True))
+    assert len({id(x) for x in xs}) == len(trace)
 
 
 def test_bpga_nonfinite_start_stops_without_a_record():

@@ -147,9 +147,11 @@ def test_reevaluated_leastp_trace_matches_the_reference_loops(runner):
     problem = problems.generate_problem(0, "leastp", 200, 40, p=1.5, consistent=True)
     objective = problem.as_smooth()
     x0 = np.random.default_rng(0).uniform(-5.0, 5.0, 40)
-    trace = runner(objective, x0, DealConfig(eps=1e-30, max_iter=1500, store_iterates=True))
+    xs = []
+    trace = runner(objective, x0, DealConfig(eps=1e-30, max_iter=1500), xs.append)
     assert "fixed_point_at" in trace.extras
-    checked = reevaluate_trace(trace, problem.value, problem.grad, problem.value_grad_rows)
+    checked = reevaluate_trace(trace, xs, problem.value, problem.grad,
+                               problem.value_grad_rows)
     fstar = problems.reference_optimum(problem).fstar
     q_theory = 1.0 - trace.rho / problem.reference().tau ** trace.theta
     pairs = all_four(checked, trace.rho, trace.theta, trace.extras["c"], fstar, q_theory)

@@ -16,14 +16,13 @@ from dealopt import bench
 from dealopt.problems import generate_problem
 
 
-def make_trace(fs, gs, steps=None, disps=None, xs=None, rho=0.5, theta=2.0):
+def make_trace(fs, gs, steps=None, disps=None, rho=0.5, theta=2.0):
     records = []
     for k, (f, g) in enumerate(zip(fs, gs)):
         records.append(IterateRecord(
             k=k, f=f, grad_norm=g,
             step=steps[k] if steps else math.nan,
             displacement=disps[k] if disps else math.nan,
-            x=None if xs is None else np.asarray(xs[k], dtype=float),
         ))
     return IterateTrace(records=records, rho=rho, theta=theta)
 
@@ -203,17 +202,25 @@ def test_trace_csv_header_required(tmp_path):
 
 
 def test_reevaluate_trace_overrides_logged_values():
-    xs = [[2.0], [1.0], [0.5]]
+    xs = [np.array([2.0]), np.array([1.0]), np.array([0.5])]
     # logged values are deliberately wrong
-    tr = make_trace([9.0, 9.0, 9.0], [9.0, 9.0, 9.0], xs=xs)
+    tr = make_trace([9.0, 9.0, 9.0], [9.0, 9.0, 9.0])
     value = lambda x: 0.5 * float(x @ x)
     grad = lambda x: np.asarray(x, dtype=float)
-    fixed = reevaluate_trace(tr, value, grad)
+    fixed = reevaluate_trace(tr, xs, value, grad)
     assert fixed.f_values() == pytest.approx([2.0, 0.5, 0.125])
     assert fixed.grad_norms() == pytest.approx([2.0, 1.0, 0.5])
     assert fixed.displacements()[:-1] == pytest.approx([1.0, 0.5])
-    with pytest.raises(DataError):
-        reevaluate_trace(make_trace([1.0], [1.0]), value, grad)
+
+
+@pytest.mark.parametrize("given", [0, 2, 4])
+def test_reevaluate_trace_refuses_another_number_of_iterates(given):
+    xs = [np.array([2.0]), np.array([1.0]), np.array([0.5]), np.array([0.25])]
+    tr = make_trace([9.0, 9.0, 9.0], [9.0, 9.0, 9.0])
+    with pytest.raises(DataError, match=f"{given} iterates were re-evaluated for a "
+                                        "trace of 3 records"):
+        reevaluate_trace(tr, xs[:given], lambda x: 0.5 * float(x @ x),
+                         lambda x: np.asarray(x, dtype=float))
 
 
 class CountingHalfSquare:
@@ -238,14 +245,16 @@ class CountingHalfSquare:
 
 
 def replayed_trace(distinct, tail, n=3):
-    """``distinct`` stored iterates, the last one repeated as one shared
-    array by ``tail`` replayed records, as a fixed-point replay stores it."""
+    """``(trace, xs, X)``: a trace of ``distinct`` iterates, the rows of
+    ``X``, then ``tail`` replayed records, and the iterates ``xs`` a run
+    hands to ``observe`` for it, the last one repeated as one shared array,
+    as a fixed-point replay hands it."""
     X = np.random.default_rng(distinct).uniform(-5.0, 5.0, (distinct, n))
     xs = [row.copy() for row in X]
     xs += [xs[-1]] * tail
-    records = [IterateRecord(k=k, f=9.0, grad_norm=9.0, step=0.5, inner_count=k % 3,
-                             x=x) for k, x in enumerate(xs)]
-    return IterateTrace(records=records, rho=0.5, theta=2.0), X
+    records = [IterateRecord(k=k, f=9.0, grad_norm=9.0, step=0.5, inner_count=k % 3)
+               for k in range(len(xs))]
+    return IterateTrace(records=records, rho=0.5, theta=2.0), xs, X
 
 
 # one short of, at and one past REEVALUATE_BLOCK, and several blocks whose
@@ -256,11 +265,10 @@ def replayed_trace(distinct, tail, n=3):
 @pytest.mark.parametrize("batched", [False, True])
 def test_reevaluate_trace_evaluates_each_distinct_iterate_once(distinct, tail,
                                                                batched):
-    tr, X = replayed_trace(distinct, tail)
+    tr, xs, X = replayed_trace(distinct, tail)
     oracle = CountingHalfSquare()
-    fixed = reevaluate_trace(tr, oracle.value, oracle.grad,
+    fixed = reevaluate_trace(tr, xs, oracle.value, oracle.grad,
                              oracle.rows if batched else None)
-    stored = [rec.x for rec in tr.records[:distinct]]
     if batched:
         assert oracle.points == []
         full, rest = divmod(distinct, REEVALUATE_BLOCK)
@@ -269,11 +277,10 @@ def test_reevaluate_trace_evaluates_each_distinct_iterate_once(distinct, tail,
     else:
         assert oracle.blocks == []
         assert [name for name, _ in oracle.points] == ["grad", "value"] * distinct
-        assert all(x is stored[i // 2] for i, (_, x) in enumerate(oracle.points))
+        assert all(x is xs[i // 2] for i, (_, x) in enumerate(oracle.points))
     last = len(tr) - 1
     for i, (rec, out) in enumerate(zip(tr.records, fixed.records)):
         x = X[min(i, distinct - 1)]
-        assert out.x is rec.x
         assert (out.k, out.step, out.inner_count) == (rec.k, rec.step, rec.inner_count)
         assert out.f == pytest.approx(0.5 * float(x @ x), rel=1e-15)
         assert out.grad_norm == pytest.approx(float(np.linalg.norm(x)), rel=1e-15)
@@ -291,23 +298,23 @@ def test_reevaluate_trace_evaluates_each_distinct_iterate_once(distinct, tail,
 def test_reevaluation_measures_each_distance_as_its_point_alone(n):
     # the distances to xstar are taken a block at a time, bit for bit those
     # of each point reduced alone; a replayed record repeats its point's
-    tr, _ = replayed_trace(REEVALUATE_BLOCK + 5, 3, n=n)
+    tr, xs, _ = replayed_trace(REEVALUATE_BLOCK + 5, 3, n=n)
     xstar = np.random.default_rng(n).standard_normal(n)
     oracle = CountingHalfSquare()
     reevaluation = Reevaluation(oracle.value, oracle.grad, oracle.rows, xstar)
-    for rec in tr.records:
-        reevaluation.add(rec.x)
+    for x in xs:
+        reevaluation.add(x)
     distances = reevaluation.result(tr)[1]
-    alone = [np.sqrt(np.add.reduce((rec.x - xstar) * (rec.x - xstar))) for rec in tr.records]
+    alone = [np.sqrt(np.add.reduce((x - xstar) * (x - xstar))) for x in xs]
     assert distances.tobytes() == np.array(alone).tobytes()
 
 
 def test_reevaluation_refuses_a_trace_of_other_records():
-    tr, _ = replayed_trace(5, 2)
+    tr, xs, _ = replayed_trace(5, 2)
     oracle = CountingHalfSquare()
     reevaluation = Reevaluation(oracle.value, oracle.grad, oracle.rows)
-    for rec in tr.records[:-1]:
-        reevaluation.add(rec.x)
+    for x in xs[:-1]:
+        reevaluation.add(x)
     with pytest.raises(DataError, match="6 iterates were re-evaluated for a trace of 7"):
         reevaluation.result(tr)
 
@@ -316,13 +323,14 @@ def test_reevaluate_trace_working_set_is_bounded_by_its_block():
     # returns, re-evaluation holds at most two (REEVALUATE_BLOCK x m) arrays
     # of doubles at once, whatever the trace's length
     problem = generate_problem(0, "leastp", 1000, 200, p=1.5, consistent=True)
-    tr, _ = replayed_trace(1100, 0, n=problem.n)
+    tr, xs, _ = replayed_trace(1100, 0, n=problem.n)
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        checked = reevaluate_trace(tr, problem.value, problem.grad, problem.value_grad_rows)
+        checked = reevaluate_trace(tr, xs, problem.value, problem.grad,
+                                   problem.value_grad_rows)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         if not tracing:

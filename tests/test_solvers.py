@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from dealopt import bench, solvers
-from dealopt.boosted import BoostedConfig, run_bpga
-from dealopt.core import (CapabilityError, HolderInfo, IterateRecord,
-                          SmoothObjective, UsageError, as_vector,
+from dealopt.boosted import BoostedConfig, run_bhippa, run_bpga
+from dealopt.core import (CapabilityError, CompositeObjective, HolderInfo,
+                          IterateRecord, SmoothObjective, UsageError, as_vector,
                           certify_descent, certify_displacement,
                           reevaluate_trace)
 from dealopt.directions import KINDS, DirectionRule, beta_for_holder, generalize
-from dealopt.problems import generate_problem
+from dealopt.envelopes import SeparableProx
+from dealopt.problems import PowerAbsProblem, generate_problem
 from dealopt.solvers import (ArmijoParams, DealConfig, armijo_bound,
                              dealc_step_size, run_deala, run_dealc)
 
@@ -45,8 +46,7 @@ class TestStepSize:
 
 class TestDealC:
     def test_one_step_exact_quadratic(self):
-        tr = run_dealc(quadratic_objective(), np.array([5.0]),
-                       DealConfig(store_iterates=True))
+        tr = run_dealc(quadratic_objective(), np.array([5.0]), DealConfig())
         assert len(tr) == 2
         assert tr.records[-1].f == 0.0
         assert tr.extras["termination"] == "tolerance"
@@ -65,10 +65,11 @@ class TestDealC:
     def test_leastp_certificates_from_reevaluated_iterates(self):
         prob = generate_problem(21, "leastp", 60, 12, p=1.5, consistent=True)
         obj = prob.as_smooth()
-        cfg = DealConfig(store_iterates=True)
-        tr = run_dealc(obj, np.random.default_rng(0).uniform(-5, 5, 12), cfg)
+        xs = []
+        tr = run_dealc(obj, np.random.default_rng(0).uniform(-5, 5, 12), DealConfig(),
+                       xs.append)
         assert tr.extras["termination"] == "tolerance"
-        checked = reevaluate_trace(tr, obj.value, obj.grad)
+        checked = reevaluate_trace(tr, xs, obj.value, obj.grad)
         assert certify_descent(checked, tr.rho, tr.theta).passed
         c = 1.0 * tr.extras["alpha"]  # c2 * alpha
         assert certify_displacement(checked, c, tr.theta).passed
@@ -141,6 +142,47 @@ class TestArmijoBound:
         with pytest.raises(UsageError):
             armijo_bound(1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0)
 
+    def test_the_floor_holds_for_a_direction_attaining_c1_and_c2(self):
+        # f = 5||x||^2 (nu = 1, L = 10) along d = -c1 g + w, w orthogonal to g
+        # and ||d|| = c2 ||g||: Armijo accepts alpha <= (1-sigma) c1 / (5 c2^2)
+        # = 1.125e-4, so 2^-14 at p = 14, against alpha_tilde 5.6e-5 and
+        # p_bar 14.1 from the c2^(1+nu) of the Hölder bound (2.2e-4 and 12.1
+        # with c2^(1/nu))
+        obj = SmoothObjective(dim=2, value=lambda x: 5.0 * float(x @ x),
+                              grad=lambda x: 10.0 * np.asarray(x, dtype=float),
+                              holder=HolderInfo(nu=1.0, L=10.0))
+        c1, c2 = 0.9, 4.0
+        rule = DirectionRule("gradient", beta=0.0, c1=c1, c2=c2)
+        w = math.sqrt(c2 ** 2 - c1 ** 2)
+        rule.sufficient_base_direction = (
+            lambda x, g, gn=None: -c1 * g + w * np.array([-g[1], g[0]]))
+        tr = run_deala(obj, np.array([3.0, -4.0]), DealConfig(
+            max_iter=50, rule=rule, armijo=ArmijoParams(sigma=0.99, eta=0.5)))
+        assert tr.guaranteed and tr.extras["termination"] == "max_iter"
+        steps, inner = tr.steps()[:-1], tr.inner_counts()[:-1]
+        assert np.all(inner == 14)
+        assert np.all(steps >= tr.extras["alpha_tilde"])
+        assert np.all(inner <= tr.extras["p_bar"])
+        assert certify_descent(tr, tr.rho, tr.theta).passed
+
+    def test_the_floor_is_capped_at_alpha_bar(self):
+        # a flat objective: c_bar = 10 > 1/eta makes p_bar negative, and
+        # eta^p_bar alpha_bar = 5 exceeds every step the search tries
+        obj = SmoothObjective(dim=2, value=lambda x: 0.05 * float(x @ x),
+                              grad=lambda x: 0.1 * np.asarray(x, dtype=float),
+                              holder=HolderInfo(nu=1.0, L=0.1))
+        tr = run_deala(obj, np.array([3.0, -4.0]),
+                       DealConfig(max_iter=50, armijo=ArmijoParams(sigma=0.5)))
+        assert tr.extras["p_bar"] < 0.0
+        assert tr.extras["alpha_tilde"] == tr.extras["alpha_bar"] == 1.0
+        assert tr.rho == 0.5
+        assert np.all(tr.steps()[:-1] >= tr.extras["alpha_tilde"])
+        assert certify_descent(tr, tr.rho, tr.theta).passed
+
+    def test_an_uncapped_floor_keeps_its_value(self):
+        c_bar, p_bar, a_tilde = armijo_bound(0.5, 1e-4, 0.5, 1.0, 1.0, 7.0, 1.0)
+        assert p_bar > 0.0 and a_tilde == 0.5 ** p_bar * 1.0
+
 
 class TestDealA:
     def test_quadratic_accepts_first_trial(self):
@@ -155,8 +197,9 @@ class TestDealA:
     def test_leastp_inner_counts_below_bound(self):
         prob = generate_problem(31, "leastp", 60, 12, p=1.5, consistent=True)
         obj = prob.as_smooth()
-        cfg = DealConfig(store_iterates=True)
-        tr = run_deala(obj, np.random.default_rng(1).uniform(-5, 5, 12), cfg)
+        cfg = DealConfig()
+        xs = []
+        tr = run_deala(obj, np.random.default_rng(1).uniform(-5, 5, 12), cfg, xs.append)
         assert tr.extras["termination"] == "tolerance"
         p_bar = tr.extras["p_bar"]
         a_tilde = tr.extras["alpha_tilde"]
@@ -164,7 +207,7 @@ class TestDealA:
         inner = tr.inner_counts()[:-1]
         assert np.all(inner <= p_bar)
         assert np.all(steps >= a_tilde * (1 - 1e-12))
-        checked = reevaluate_trace(tr, obj.value, obj.grad)
+        checked = reevaluate_trace(tr, xs, obj.value, obj.grad)
         assert certify_descent(checked, tr.rho, tr.theta).passed
         assert certify_displacement(checked, 1.0 * cfg.armijo.alpha_bar, tr.theta).passed
 
@@ -249,8 +292,7 @@ def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None,
     for k in range(config.max_iter + 1):
         g = objective.grad(x)
         gn = float(np.linalg.norm(g))
-        rec = IterateRecord(k=k, f=f, grad_norm=gn,
-                            x=x.copy() if config.store_iterates else None)
+        rec = IterateRecord(k=k, f=f, grad_norm=gn)
         trace.records.append(rec)
         if observe is not None:
             observe(x)
@@ -293,10 +335,10 @@ def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None,
     return trace
 
 
-def run_without_replay(monkeypatch, runner, objective, x0, config):
+def run_without_replay(monkeypatch, runner, objective, x0, config, observe=None):
     with monkeypatch.context() as m:
         m.setattr(solvers, "_descend", reference_descend)
-        return runner(objective, x0, config)
+        return runner(objective, x0, config, observe)
 
 
 def same_bits(a, b):
@@ -351,18 +393,20 @@ class TestFixedPointReplay:
             for runner in (run_dealc, run_deala):
                 for beta in (beta_for_holder(obj.holder.nu), 0.5, 0.0):
                     def config():
-                        return DealConfig(eps=1e-30, max_iter=3000, store_iterates=True,
+                        return DealConfig(eps=1e-30, max_iter=3000,
                                           rule=DirectionRule(kind, beta=beta))
-                    tr = runner(obj, x0, config())
-                    ref = run_without_replay(monkeypatch, runner, obj, x0, config())
+                    xs, ref_xs = [], []
+                    tr = runner(obj, x0, config(), xs.append)
+                    ref = run_without_replay(monkeypatch, runner, obj, x0, config(),
+                                             ref_xs.append)
                     replayed += tr.extras.pop("fixed_point_at", None) is not None
                     assert tr.extras == ref.extras
-                    assert len(tr) == len(ref)
-                    for a, b in zip(tr.records, ref.records):
+                    assert len(tr) == len(ref) == len(xs) == len(ref_xs)
+                    for a, b, x, ref_x in zip(tr.records, ref.records, xs, ref_xs):
                         assert (a.k, a.inner_count) == (b.k, b.inner_count)
                         for name in ("f", "grad_norm", "step", "displacement"):
                             assert same_bits(getattr(a, name), getattr(b, name))
-                        assert a.x.tobytes() == b.x.tobytes()
+                        assert x.tobytes() == ref_x.tobytes()
         assert replayed
 
     def test_replay_waits_for_a_second_unmoved_step(self, monkeypatch):
@@ -376,7 +420,7 @@ class TestFixedPointReplay:
                               holder=HolderInfo(nu=1.0, L=1.0))
 
         def config():
-            return DealConfig(max_iter=20, store_iterates=True,
+            return DealConfig(max_iter=20,
                               rule=DirectionRule("bb1", beta=0.0, c1=0.25, c2=4.0))
         tr = run_deala(obj, np.array([1.0]), config())
         ref = run_without_replay(monkeypatch, run_deala, obj, np.array([1.0]), config())
@@ -405,12 +449,14 @@ class TestFixedPointReplay:
 
     def test_replayed_records_share_one_read_only_iterate(self):
         prob, x0 = consistent_leastp(1)
-        tr = run_deala(prob.as_smooth(), x0,
-                       DealConfig(eps=1e-30, max_iter=3000, store_iterates=True))
+        xs = []
+        tr = run_deala(prob.as_smooth(), x0, DealConfig(eps=1e-30, max_iter=3000),
+                       xs.append)
         first = tr.extras["fixed_point_at"]
         assert isinstance(first, int) and 0 < first < 3000
-        shared = tr.records[first].x
-        assert all(rec.x is shared for rec in tr.records[first:])
+        assert len(xs) == len(tr)
+        shared = xs[first]
+        assert all(x is shared for x in xs[first:])
         assert all(rec.displacement == 0.0 for rec in tr.records[first:-1])
         with pytest.raises(ValueError):
             shared[0] = 0.0
@@ -461,33 +507,34 @@ def test_a_nonfinite_gradient_after_a_step_is_not_recorded():
 
 
 def deala_runs(problem, specs, run, **oracles):
-    """The deal-a traces of ``specs`` on ``problem``, configured as
-    ``bench.run_variant`` configures them, uncertified, each record storing
-    the iterate the run handed to its hook.  ``oracles`` replace the
-    objective's own; ``line_values=None`` drops the line oracle."""
+    """``(trace, iterates)`` of each deal-a variant of ``specs`` on
+    ``problem``, configured as ``bench.run_variant`` configures it,
+    uncertified, with the iterates the run handed to its hook.  ``oracles``
+    replace the objective's own; ``line_values=None`` drops the line
+    oracle."""
     objective = dataclasses.replace(problem.as_smooth(), **oracles)
     family = types.SimpleNamespace(as_smooth=lambda: objective,
                                    value_grad=problem.value_grad,
                                    value_grad_rows=problem.value_grad_rows)
     x0 = np.random.default_rng(run.x0_seed).uniform(-5.0, 5.0, size=problem.n)
-    traces = []
+    runs = []
     for spec in specs:
         iterates = []
-        traces.append(bench._run_deal(family, spec, run)[0](x0, iterates.append))
-        for rec, x in zip(traces[-1].records, iterates, strict=True):
-            rec.x = x
-    return traces
+        trace = bench._run_deal(family, spec, run)[0](x0, iterates.append)
+        assert len(iterates) == len(trace)
+        runs.append((trace, iterates))
+    return runs
 
 
 def assert_same_traces(screened, unscreened):
-    for tr, ref in zip(screened, unscreened, strict=True):
+    for (tr, xs), (ref, ref_xs) in zip(screened, unscreened, strict=True):
         assert tr.extras == ref.extras
         assert len(tr) == len(ref)
-        for a, b in zip(tr.records, ref.records):
+        for a, b, x, ref_x in zip(tr.records, ref.records, xs, ref_xs):
             assert (a.k, a.inner_count) == (b.k, b.inner_count)
             for name in ("f", "grad_norm", "step", "displacement"):
                 assert same_bits(getattr(a, name), getattr(b, name))
-            assert a.x.tobytes() == b.x.tobytes()
+            assert x.tobytes() == ref_x.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -526,7 +573,7 @@ class TestScreenedBacktracks:
     def test_sec51_is_bit_equal_to_the_loop_without_a_line_oracle(self, sec51_deala):
         assert_same_traces(sec51_deala["screened"], sec51_deala["unscreened"])
         assert_same_traces(sec51_deala["plain"], sec51_deala["unscreened"])
-        assert [tr.extras["termination"] for tr in sec51_deala["plain"]] == [
+        assert [tr.extras["termination"] for tr, _ in sec51_deala["plain"]] == [
             "max_iter", "backtrack_limit", "backtrack_limit", "backtrack_limit"]
 
     def test_sec51_deala1_makes_at_most_300_exact_values(self, sec51_deala):
@@ -551,7 +598,7 @@ class TestScreenedBacktracks:
         assert_same_traces(screened, deala_runs(problem, specs, run, line_values=None))
         # below p = 2 some runs stop at the floating-point floor, where every
         # trial lies near the threshold and the screen resolves none
-        endings = {tr.extras["termination"] for tr in screened}
+        endings = {tr.extras["termination"] for tr, _ in screened}
         assert ("backtrack_limit" in endings) == floor_stops
 
     def test_an_objective_without_a_line_oracle_evaluates_every_backtrack(self):
@@ -563,7 +610,7 @@ class TestScreenedBacktracks:
             return problem.value(x)
         spec = bench.SolverSpec(solver="deal-a", beta=0.0)
         run = bench.RunSpec(eps=1e-30, max_iter=400, x0_seed=3)
-        trace, = deala_runs(problem, [spec], run, line_values=None, value=value)
+        (trace, _), = deala_runs(problem, [spec], run, line_values=None, value=value)
         assert trace.extras["termination"] == "backtrack_limit"
         # x0, one per backtrack and the first trial of every step, and the
         # 61 trials of the step that found none
@@ -628,3 +675,145 @@ class TestScreened:
         trace = run_bpga(comp, np.ones(6) * 2.0, BoostedConfig(max_linesearch=1))
         assert trace.extras["termination"] == "tolerance"
         assert trace.extras["fallbacks"] > 0
+
+
+class Tilt:
+    """c t per coordinate, whose order-2 proximal point x - gamma c is exact."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def value(self, y):
+        return self.c * float(np.sum(y))
+
+    def prox(self, x, gamma, p=2.0):
+        return np.asarray(x, dtype=float) - gamma * self.c
+
+
+class Sink:
+    """t^2/2 per coordinate, whose value is -inf below t = 0.3."""
+
+    def value(self, y):
+        return -math.inf if y[0] < 0.3 else 0.5 * float(y @ y)
+
+    def prox(self, x, gamma, p=2.0):
+        return np.asarray(x, dtype=float) / (1.0 + gamma)
+
+
+def composite(nonsmooth):
+    """0.5 ||x||^2 in 1-D, with L = 1, plus ``nonsmooth``."""
+    smooth = SmoothObjective(dim=1, value=lambda x: 0.5 * float(x @ x),
+                             grad=lambda x: np.asarray(x, dtype=float),
+                             hess_apply=lambda x, v: v, holder=HolderInfo(nu=1.0, L=1.0))
+    return CompositeObjective(smooth, nonsmooth)
+
+
+def stalled_bpga():
+    # zero smooth part, a tilt of one ulp of x0 per gamma and a Hessian-apply
+    # of 4 v: the envelope gradient is -(x - T)/gamma, so the first trial
+    # T + 0.5 (x - T)/0.5 is x, bit for bit, and the decrease it must show is
+    # below the rounding of the envelope value
+    smooth = SmoothObjective(dim=1, value=lambda x: 0.0, grad=lambda x: np.zeros_like(x),
+                             hess_apply=lambda x, v: 4.0 * v,
+                             holder=HolderInfo(nu=1.0, L=1.0))
+    return (run_bpga, CompositeObjective(smooth, Tilt(2.0 ** -25)), np.array([1e8]),
+            BoostedConfig(gamma=0.5, eps=1e-12, max_iter=20))
+
+
+def stalled_bhippa():
+    # the proximal point lies one ulp below x0 = 1e8, the gradient step
+    # -2^-28 rounds away, and the decrease it must show is below the
+    # rounding of the envelope value: the first trial is x, bit for bit
+    return (run_bhippa, Tilt(2.0 ** -28), np.array([1e8]),
+            BoostedConfig(gamma=4.0, eps=1e-12, max_iter=20))
+
+
+def leastp_case(runner, **config):
+    prob, x0 = consistent_leastp(1)
+    return runner, prob.as_smooth(), x0, DealConfig(**config)
+
+
+# an objective whose gradient is infinite below 1.5: from 2, the first step
+# of either step rule lands at 0
+INFINITE_BELOW = SmoothObjective(dim=1, value=lambda x: 0.5 * float(x @ x),
+                                 grad=lambda x: np.where(x < 1.5, np.inf, x),
+                                 holder=HolderInfo(nu=1.0, L=1.0))
+
+SOLVERS = ("deal-c", "deal-a", "bpga", "bhippa")
+RUNNERS = {"deal-c": run_dealc, "deal-a": run_deala}
+CASES = {
+    "tolerance": {
+        **{name: lambda name=name: leastp_case(RUNNERS[name]) for name in RUNNERS},
+        "bpga": lambda: (run_bpga, generate_problem(3, "lasso", 60, 6).as_composite(),
+                         np.ones(6), BoostedConfig()),
+        "bhippa": lambda: (run_bhippa, PowerAbsProblem(s=4.0, n=5).as_prox_capable(),
+                           np.linspace(-1.5, 2.0, 5), BoostedConfig(p=4.0)),
+    },
+    "fixed point": {
+        **{name: lambda name=name: leastp_case(RUNNERS[name], eps=1e-30, max_iter=3000)
+           for name in RUNNERS},
+        "bpga": stalled_bpga,
+        "bhippa": stalled_bhippa,
+    },
+    "nonfinite after a step": {
+        **{name: lambda name=name: (RUNNERS[name], INFINITE_BELOW, np.array([2.0]),
+                                    DealConfig(max_iter=10)) for name in RUNNERS},
+        "bpga": lambda: (run_bpga, composite(Sink()), np.array([1.0]),
+                         BoostedConfig(gamma=0.5)),
+        "bhippa": lambda: (run_bhippa, Sink(), np.array([1.0]), BoostedConfig(gamma=1.0)),
+    },
+    "no record": {
+        **{name: lambda name=name: (RUNNERS[name],
+                                    generate_problem(0, "leastp", 50, 5, p=1.5).as_smooth(),
+                                    np.full(5, 1e170), DealConfig()) for name in RUNNERS},
+        "bpga": lambda: (run_bpga, generate_problem(0, "lasso", 50, 5).as_composite(),
+                         np.full(5, 1e170), BoostedConfig(max_iter=20)),
+        "bhippa": lambda: (run_bhippa, SeparableProx(lambda t: (t * t - 1.0) ** 2),
+                           np.array([0.0]), BoostedConfig(gamma=20.0, sigma=0.01)),
+    },
+}
+
+
+def observed(case, solver):
+    """``(trace, iterates)`` of the case's run of ``solver``, with the
+    arrays its ``observe`` hook was handed, in order."""
+    runner, objective, x0, config = CASES[case][solver]()
+    xs = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        return runner(objective, x0, config, xs.append), xs
+
+
+class TestObserve:
+    """``observe``, the only way to a run's iterates: one call per record,
+    with the record's iterate, and a replayed record's is its
+    predecessor's array."""
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_a_run_to_its_tolerance_hands_one_array_per_record(self, solver):
+        tr, xs = observed("tolerance", solver)
+        assert tr.extras["termination"] == "tolerance" and "fixed_point_at" not in tr.extras
+        assert len(xs) == len(tr) > 2
+        assert len({id(x) for x in xs}) == len(xs)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_replayed_records_hand_their_predecessors_array(self, solver):
+        tr, xs = observed("fixed point", solver)
+        first = tr.extras["fixed_point_at"]
+        assert tr.extras["termination"] == "max_iter"
+        assert len(xs) == len(tr) == tr.records[-1].k + 1 > first > 0
+        assert len({id(x) for x in xs[:first]}) == first
+        assert all(x is xs[first - 1] for x in xs[first:])
+        assert not xs[first].flags.writeable
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_a_nonfinite_stop_after_a_step_hands_the_recorded_iterates(self, solver):
+        tr, xs = observed("nonfinite after a step", solver)
+        assert tr.extras["termination"] == "nonfinite"
+        assert tr.extras["diagnostic"].endswith(" at k=1")
+        assert len(xs) == len(tr) == 1
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_a_stop_before_the_first_record_calls_it_never(self, solver):
+        tr, xs = observed("no record", solver)
+        assert tr.extras["termination"] in ("nonfinite", "multivalued")
+        assert len(tr) == 0 and xs == []
