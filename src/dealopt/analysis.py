@@ -71,7 +71,7 @@ class RateReport:
 
 def _tail(trace: IterateTrace, fstar: float):
     """(ks, gaps) for the trailing ``TAIL_FRACTION`` of numerically alive gaps."""
-    ks = np.array([r.k for r in trace.records], dtype=float)
+    ks = trace.ks().astype(float)
     gaps = trace.f_values() - fstar
     alive = gaps > gap_floor(fstar)
     ks, gaps = ks[alive], gaps[alive]
@@ -109,6 +109,10 @@ def fit_linear_rate(trace: IterateTrace, fstar: float, *,
     report also carries ``estimate_kl_exponent``'s vartheta_hat.
     """
     report = RateReport()
+    # first, so that its working set and the tail's are not held at once
+    kl_est = estimate_kl_exponent(trace, fstar)
+    if kl_est is not None:
+        report.vartheta_hat = kl_est.vartheta_hat
     if rho is not None and theta is not None and tau is not None:
         q_theory = 1.0 - rho / tau ** theta
         if 0.0 < q_theory < 1.0:
@@ -134,9 +138,6 @@ def fit_linear_rate(trace: IterateTrace, fstar: float, *,
             report.regime = "linear"
         else:
             report.regime = "sublinear"
-    kl_est = estimate_kl_exponent(trace, fstar)
-    if kl_est is not None:
-        report.vartheta_hat = kl_est.vartheta_hat
     return report
 
 
@@ -157,13 +158,14 @@ def estimate_kl_exponent(trace: IterateTrace, fstar: float) -> Optional[KLEstima
     gaps = trace.f_values() - fstar
     gns = trace.grad_norms()
     keep = (gaps > gap_floor(fstar)) & (gns > 0.0)
-    gaps, gns = gaps[keep], gns[keep]
-    if len(gaps) < 2 or np.ptp(np.log(gaps)) < 1e-12:
+    log_gaps, log_gns = np.log(gaps[keep]), np.log(gns[keep])
+    del gaps, gns, keep
+    if len(log_gaps) < 2 or np.ptp(log_gaps) < 1e-12:
         return None
-    slope, intercept = np.polyfit(np.log(gaps), np.log(gns), 1)
-    fitted = slope * np.log(gaps) + intercept
-    residual = float(np.mean((fitted - np.log(gns)) ** 2))
-    return KLEstimate(vartheta_hat=float(slope), residual=residual, n=len(gaps))
+    slope, intercept = np.polyfit(log_gaps, log_gns, 1)
+    fitted = slope * log_gaps + intercept
+    residual = float(np.mean((fitted - log_gns) ** 2))
+    return KLEstimate(vartheta_hat=float(slope), residual=residual, n=len(log_gaps))
 
 
 @dataclass
@@ -222,7 +224,7 @@ def verify_complexity(trace: IterateTrace, fstar: float, rho: float, theta: floa
                                        "bounds are vacuous")
     f = trace.f_values()
     g = trace.grad_norms()
-    ks = np.array([r.k for r in trace.records])
+    ks = trace.ks()
     gap0 = f[0] - fstar
     report = ComplexityReport(q_theory=q, eps=eps)
     if gap0 <= 0.0:

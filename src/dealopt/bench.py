@@ -27,7 +27,7 @@ from .boosted import (BoostedConfig, bhippa_constants, bpga_constants, choose_or
 # proceed; it stays in this namespace, where perfbench's tracer wraps it
 from .core import (IterateTrace, Reevaluation, UsageError, certify_descent,
                    certify_displacement, config_digest, min_grad_bound_check,
-                   reevaluate_trace)  # noqa: F401
+                   reevaluate_trace, write_rows)  # noqa: F401
 from .directions import DirectionRule, beta_for_holder
 from .solvers import ArmijoParams, DealConfig, run_deala, run_dealc
 
@@ -330,7 +330,7 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
     """
     bundle = {"guaranteed": trace.guaranteed, "solver": trace.solver_id,
               "termination": trace.extras.get("termination", "unknown")}
-    if not trace.records:
+    if not len(trace):
         bundle["diagnostic"] = trace.extras.get("diagnostic")
         return bundle
     reevaluation = ctx.get("reevaluation")
@@ -431,14 +431,14 @@ def _persist_variant(out: Path, stem: str, problem, rep: int, result: RunResult,
         json.dumps(sidecar, indent=2, default=_json_default))
     (out / f"{stem}.certificates.json").write_text(
         json.dumps(result.certificates, indent=2, default=_json_default))
-    iterations = max(len(trace.records) - 1, 0)
+    iterations = max(len(trace) - 1, 0)
     termination = trace.extras.get("termination")
     summary["variants"].append({
         "variant": result.name, "rep": rep, "ok": result.ok,
         "iterations": iterations,
         "iterations_to_tolerance": iterations if termination == "tolerance" else None,
         "termination": termination,
-        "final_grad_norm": trace.records[-1].grad_norm if trace.records else None,
+        "final_grad_norm": trace.grad_norm[-1] if len(trace) else None,
     })
     summary["ok"] = summary["ok"] and result.ok
     summary["terminations"][termination] += 1
@@ -452,7 +452,9 @@ def emit_plot_data(run_dir, series=None) -> Path:
     ``run_experiment`` keeps them in memory.  Without it, the traces are read
     back: those the directory's ``summary.json`` lists, so CSVs left by an
     earlier run into the same directory are not mixed in.  Either way the
-    traces go in file-name order.
+    traces go in file-name order, each written by ``core.write_rows``
+    ``core.WRITE_CHUNK`` rows at a time, so no list of a variant's rows is
+    built.
     """
     run_dir = Path(run_dir)
     if series is None:
@@ -472,24 +474,17 @@ def emit_plot_data(run_dir, series=None) -> Path:
         fh.write("variant,k,f_gap,grad_norm\n")
         for stem in sorted(series, key=lambda stem: stem + ".csv"):
             variant, fstar, k, f, grad_norm = series[stem]
+            f = np.asarray(f)
             gap = f - (fstar if fstar is not None else float(f.min()))
-            # a row whose bits repeat the previous row's (a replayed fixed
-            # point) reuses its formatting
-            bits = np.stack([gap, grad_norm]).view(np.int64)
-            fresh = np.ones(len(k), dtype=bool)
-            fresh[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
-            tails = [f"{a!r},{b!r}\n" for a, b in zip(gap[fresh].tolist(),
-                                                       grad_norm[fresh].tolist())]
-            fh.writelines(f"{variant},{i},{tails[j]}" for i, j in zip(
-                k.tolist(), (np.cumsum(fresh) - 1).tolist()))
+            write_rows(fh, f"{variant},", k, [gap, grad_norm], lambda a, b: f"{a!r},{b!r}\n")
     return target
 
 
 def _series(variant, fstar, trace: IterateTrace):
     """The columns series.csv needs of one trace: (variant, fstar, k, f,
-    grad_norm), the last three as arrays, so no record or iterate is kept."""
-    k = np.array([rec.k for rec in trace.records], dtype=np.int64)
-    return variant, fstar, k, trace.f_values(), trace.grad_norms()
+    grad_norm), the last three the trace's own columns, so no record or
+    iterate is kept, nor a copy."""
+    return variant, fstar, trace.k, trace.f, trace.grad_norm
 
 
 def _json_default(obj):

@@ -139,10 +139,13 @@ class CompositeObjective:
 class IterateRecord:
     """One solver iteration: objective value, gradient norm, step bookkeeping.
 
-    ``displacement`` is the norm of the step leaving this iterate; it is
-    filled when the next iterate is produced and stays NaN on the final
-    record.  The iterate itself is not kept: a solver hands it to its
-    ``observe`` hook as the record is made.
+    ``displacement`` is the norm of the step leaving this iterate; it stays
+    NaN on the final record, as ``step`` does.  A trace does not hold
+    records: it holds one column per field, and ``IterateTrace.records``
+    builds these from them on demand, detached from the trace, so setting a
+    field of one changes no trace.  The iterate
+    itself is not kept either: a solver hands it to its ``observe`` hook as
+    the record is made.
     """
 
     k: int
@@ -154,20 +157,79 @@ class IterateRecord:
 
 
 TRACE_COLUMNS = ("k", "f", "grad_norm", "step", "inner_count", "displacement")
+# array typecode of each column: 8-byte integers and doubles
+_TYPECODES = {"k": "q", "f": "d", "grad_norm": "d", "step": "d", "inner_count": "q",
+              "displacement": "d"}
+# rows formatted and written at a time: the formatted strings of at most one
+# chunk are held at once, whatever the trace's length
+WRITE_CHUNK = 4096
 
 
-@dataclass
+def column(name: str, values=()) -> array:
+    """A new column ``name`` of ``TRACE_COLUMNS`` holding ``values``; a
+    numpy array's bytes are taken whole."""
+    out = array(_TYPECODES[name])
+    if isinstance(values, np.ndarray):
+        out.frombytes(np.ascontiguousarray(values, dtype=out.typecode).view(np.uint8))
+    else:
+        out.extend(values)
+    return out
+
+
 class IterateTrace:
-    """Ordered iteration log plus the constants certified for the run."""
+    """Ordered iteration log plus the constants certified for the run.
 
-    records: list[IterateRecord] = field(default_factory=list)
-    seed: Optional[int] = None
-    config_digest: str = ""
-    solver_id: str = ""
-    rho: float = math.nan
-    theta: float = math.nan
-    guaranteed: bool = True
-    extras: dict = field(default_factory=dict)
+    The log is six columns, the attributes named in ``TRACE_COLUMNS``, each
+    a growable ``array.array`` of 8-byte integers (``k``, ``inner_count``)
+    or doubles, with one entry per record: 48 bytes a record and no Python
+    object.  ``append`` adds a record; a solver then fills the step fields
+    of the last one (``trace.step[-1] = t``), which stay ``(nan, 0, nan)``
+    on a record that takes no step.  ``records`` is a read-only tuple of
+    ``IterateRecord`` built from the columns on each access, and
+    ``IterateTrace(records=...)`` builds the columns from records.  Take no
+    numpy view of a column that may still grow: an ``array.array`` with an
+    exported buffer refuses to resize; the accessors (``f_values()``...)
+    return copies.
+    """
+
+    def __init__(self, records=(), seed: Optional[int] = None, config_digest: str = "",
+                 solver_id: str = "", rho: float = math.nan, theta: float = math.nan,
+                 guaranteed: bool = True, extras: Optional[dict] = None, *,
+                 columns: Optional[dict] = None):
+        if columns is None:
+            fields = list(zip(*((r.k, r.f, r.grad_norm, r.step, r.inner_count,
+                                 r.displacement) for r in records))) or [()] * 6
+            columns = {name: column(name, values)
+                       for name, values in zip(TRACE_COLUMNS, fields)}
+        elif records:
+            raise UsageError("give a trace's records or its columns, not both")
+        if {len(columns[name]) for name in TRACE_COLUMNS} != {len(columns["k"])}:
+            raise UsageError("trace columns must have one entry per record")
+        for name in TRACE_COLUMNS:
+            setattr(self, name, columns[name])
+        self.seed, self.config_digest, self.solver_id = seed, config_digest, solver_id
+        self.rho, self.theta, self.guaranteed = rho, theta, guaranteed
+        self.extras = {} if extras is None else extras
+
+    def __repr__(self):
+        return (f"IterateTrace(<{len(self)} records>, solver_id={self.solver_id!r}, "
+                f"rho={self.rho!r}, theta={self.theta!r}, guaranteed={self.guaranteed!r})")
+
+    def append(self, k: int, f: float, grad_norm: float, step: float = math.nan,
+               inner_count: int = 0, displacement: float = math.nan) -> None:
+        """Add one record at the end of every column."""
+        self.k.append(k)
+        self.f.append(f)
+        self.grad_norm.append(grad_norm)
+        self.step.append(step)
+        self.inner_count.append(inner_count)
+        self.displacement.append(displacement)
+
+    @property
+    def records(self) -> tuple:
+        """The records, built from the columns: a read-only snapshot."""
+        return tuple(map(IterateRecord, *(getattr(self, name).tolist()
+                                          for name in TRACE_COLUMNS)))
 
     def validate(self):
         if not (self.rho > 0.0):
@@ -178,66 +240,64 @@ class IterateTrace:
 
     def validate_records(self):
         """Check the records alone, whatever the constants: strictly
-        increasing k, finite f, nonnegative grad_norm and inner_count."""
-        last = -1
-        for rec in self.records:
-            if rec.k <= last:
-                raise DataError("iteration indices must be strictly increasing")
-            last = rec.k
-            if not math.isfinite(rec.f):
-                raise DataError(f"non-finite objective value at k={rec.k}")
-            if not rec.grad_norm >= 0.0:
-                raise DataError(f"negative gradient norm at k={rec.k}")
-            if rec.inner_count < 0:
-                raise DataError(f"negative inner count at k={rec.k}")
+        increasing k, finite f, nonnegative grad_norm and inner_count.  The
+        first record that fails a check names the error, its checks taken in
+        that order."""
+        k = self.ks()
+        checks = (
+            (np.diff(k, prepend=-1) <= 0, "iteration indices must be strictly increasing"),
+            (~np.isfinite(self.f_values()), "non-finite objective value at k={}"),
+            (~(self.grad_norms() >= 0.0), "negative gradient norm at k={}"),
+            (self.inner_counts() < 0, "negative inner count at k={}"),
+        )
+        failing = [(int(np.argmax(bad)), i) for i, (bad, _) in enumerate(checks) if bad.any()]
+        if failing:
+            index, check = min(failing)
+            raise DataError(checks[check][1].format(k[index]))
         return self
 
     def __len__(self):
-        return len(self.records)
+        return len(self.k)
+
+    def ks(self) -> np.ndarray:
+        return np.array(self.k, dtype=np.int64)
 
     def f_values(self) -> np.ndarray:
-        return np.array([r.f for r in self.records], dtype=float)
+        return np.array(self.f, dtype=float)
 
     def grad_norms(self) -> np.ndarray:
-        return np.array([r.grad_norm for r in self.records], dtype=float)
+        return np.array(self.grad_norm, dtype=float)
 
     def steps(self) -> np.ndarray:
-        return np.array([r.step for r in self.records], dtype=float)
+        return np.array(self.step, dtype=float)
 
     def inner_counts(self) -> np.ndarray:
-        return np.array([r.inner_count for r in self.records], dtype=int)
+        return np.array(self.inner_count, dtype=int)
 
     def displacements(self) -> np.ndarray:
-        return np.array([r.displacement for r in self.records], dtype=float)
+        return np.array(self.displacement, dtype=float)
 
     def to_csv(self, path):
         """Write the exact column layout k,f,grad_norm,step,inner_count,displacement.
 
         The bytes are those of ``csv.writer`` (comma-separated, CRLF line
-        ends; no field needs quoting).  A record whose fields are the very
-        objects of its predecessor's, as a replayed fixed point's are, reuses
-        their formatting.
+        ends; no field needs quoting), written ``WRITE_CHUNK`` rows at a
+        time by ``write_rows``.
         """
-        def rows():
-            prev = tail = None
-            for rec in self.records:
-                if not (prev is not None and rec.f is prev.f
-                        and rec.grad_norm is prev.grad_norm and rec.step is prev.step
-                        and rec.inner_count is prev.inner_count
-                        and rec.displacement is prev.displacement):
-                    tail = (f"{_fmt(rec.f)},{_fmt(rec.grad_norm)},{_fmt(rec.step)},"
-                            f"{rec.inner_count},{_fmt(rec.displacement)}\r\n")
-                prev = rec
-                yield f"{rec.k},{tail}"
+        def tail(f, grad_norm, step, inner_count, displacement):
+            return (f"{_fmt(f)},{_fmt(grad_norm)},{_fmt(step)},{inner_count},"
+                    f"{_fmt(displacement)}\r\n")
         with open(path, "w", newline="") as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-            fh.writelines(rows())
+            write_rows(fh, "", self.k, [getattr(self, name) for name in TRACE_COLUMNS[1:]],
+                       tail)
 
     @classmethod
     def from_csv(cls, path, **meta) -> "IterateTrace":
         """Read a trace written by ``to_csv``; its records are validated here,
         so a malformed file raises ``DataError`` before anything reads it."""
-        records = []
+        columns = {name: column(name) for name in TRACE_COLUMNS}
+        parse = [int, _parse, _parse, _parse, int, _parse]
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -245,13 +305,45 @@ class IterateTrace:
                 raise DataError(f"trace CSV must start with header {','.join(TRACE_COLUMNS)}")
             for row in reader:
                 try:
-                    k, f, gn, step, inner, disp = row
-                    records.append(IterateRecord(
-                        k=int(k), f=_parse(f), grad_norm=_parse(gn), step=_parse(step),
-                        inner_count=int(inner), displacement=_parse(disp)))
-                except ValueError:
+                    if len(row) != len(TRACE_COLUMNS):
+                        raise ValueError
+                    values = [read(text) for read, text in zip(parse, row)]
+                    for name, value in zip(TRACE_COLUMNS, values):
+                        columns[name].append(value)
+                except (ValueError, OverflowError):
                     raise DataError(f"malformed trace row: {row!r}") from None
-        return cls(records=records, **meta).validate_records()
+        return cls(columns=columns, **meta).validate_records()
+
+
+def write_rows(fh, prefix: str, ks, columns, tail) -> None:
+    """Write one line ``{prefix}{k},{tail}`` per entry ``k`` of ``ks``,
+    ``WRITE_CHUNK`` rows at a time, so that the formatted rows of one chunk
+    at most are held at once.
+
+    ``columns`` are equal-length sequences of 8-byte numbers (``array.array``
+    columns or numpy arrays, none of them growing); ``tail(*fields)`` formats
+    one row's fields, line end included.  A row whose fields repeat the
+    previous row's bit for bit, as a replayed fixed point's do, reuses its
+    tail: so ``0.0`` and ``-0.0`` differ, and a NaN matches a NaN of the
+    same bits.
+    """
+    last = None
+    for start in range(0, len(ks), WRITE_CHUNK):
+        stop = min(start + WRITE_CHUNK, len(ks))
+        lo = max(start - 1, 0)
+        # each slice is a copy or a view of a column that does not grow
+        parts = [np.asarray(col[lo:stop]) for col in columns]
+        bits = np.stack([part.view(np.int64) for part in parts])
+        fresh = np.ones(stop - lo, dtype=bool)
+        fresh[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+        fresh = fresh[start - lo:]
+        values = [part[start - lo:][fresh].tolist() for part in parts]
+        # tails[0] is the last tail of the previous chunk, which the leading
+        # repeats of this chunk reuse
+        tails = [last] + [tail(*row) for row in zip(*values)]
+        last = tails[-1]
+        fh.writelines(f"{prefix}{k},{tails[j]}" for k, j in zip(
+            ks[start:stop].tolist(), np.cumsum(fresh).tolist()))
 
 
 def _fmt(v: float) -> str:
@@ -450,25 +542,36 @@ class Reevaluation:
         were added: the trace with every f, grad_norm and displacement
         re-evaluated, and each record's distance to ``xstar`` as an array
         (None without ``xstar``).  The last pending block is evaluated here.
+
+        ``checked``'s ``f`` and ``grad_norm`` columns are the re-evaluated
+        values, expanded to one per record only where a replayed record
+        repeats its predecessor's iterate (else they are this re-evaluation's
+        own arrays), and its ``displacement`` column is new; its ``k``,
+        ``step`` and ``inner_count`` are ``trace``'s own columns.  Shared
+        columns are not copied and no record is built, so take the result
+        once the last iterate is added.
         """
         if self._block:
             self._flush()
-        records = trace.records
         repeats = np.frombuffer(self._repeats, dtype=np.int64)
-        if int(repeats.sum()) != len(records):
+        if int(repeats.sum()) != len(trace):
             raise DataError(f"{int(repeats.sum())} iterates were re-evaluated for a "
-                            f"trace of {len(records)} records")
-        f = np.repeat(np.frombuffer(self._f), repeats).tolist()
-        gnorm = np.repeat(np.frombuffer(self._gnorm), repeats).tolist()
-        disp = np.zeros(len(records))
+                            f"trace of {len(trace)} records")
+        disp = np.zeros(len(trace))
         ends = np.cumsum(repeats) - 1
         disp[ends[:-1]] = np.frombuffer(self._disp)
         disp[ends[-1:]] = math.nan      # the final record, if any, took no step
-        out = [IterateRecord(k=rec.k, f=fi, grad_norm=gi, step=rec.step,
-                             inner_count=rec.inner_count, displacement=di)
-               for rec, fi, gi, di in zip(records, f, gnorm, disp.tolist())]
+        if len(self._f) == len(trace):
+            # no record repeats its predecessor's iterate: a value per point
+            # is a value per record
+            f, gnorm = self._f, self._gnorm
+        else:
+            f = column("f", np.repeat(np.frombuffer(self._f), repeats))
+            gnorm = column("grad_norm", np.repeat(np.frombuffer(self._gnorm), repeats))
         checked = IterateTrace(
-            records=out,
+            columns={"k": trace.k, "f": f, "grad_norm": gnorm, "step": trace.step,
+                     "inner_count": trace.inner_count,
+                     "displacement": column("displacement", disp)},
             seed=trace.seed,
             config_digest=trace.config_digest,
             solver_id=trace.solver_id,

@@ -38,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (CapabilityError, IterateRecord, IterateTrace, SmoothObjective,
-                   UsageError, as_vector)
+from .core import (CapabilityError, IterateTrace, SmoothObjective, UsageError,
+                   as_vector, column)
 from .directions import DirectionRule, beta_for_holder, generalize
 
 
@@ -231,6 +231,12 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
     ``evaluate`` runs only at k=0 and after a step that took y.  ``trials``
     are the step's (m, t); with none the direction rule is never consulted.
 
+    Each record goes into ``trace``'s columns, no record object being made:
+    ``trace.append(k, phi(x), ||grad||)`` as the point is recorded, whose
+    step fields stay (nan, 0, nan) on the record that ends the run, and
+    its step, inner count m and displacement ||x_next - x|| set in place
+    once its step completes.
+
     A gradient of None (a multi-valued proximal point) ends the run
     ``multivalued``, and a point whose value or gradient norm is not finite
     ends it ``nonfinite``, both before the point is recorded; so does a
@@ -270,8 +276,7 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
             trace.extras["termination"] = "nonfinite"
             trace.extras["diagnostic"] = f"non-finite {what} or gradient at k={k}"
             break
-        rec = IterateRecord(k=k, f=f, grad_norm=gn)
-        trace.records.append(rec)
+        trace.append(k, f, gn)
         if observe is not None:
             observe(x)
         if gn <= config.eps:
@@ -317,19 +322,19 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
             trace.extras["termination"] = "nonfinite"
             trace.extras["diagnostic"] = f"non-finite {what} at k={k + 1}"
             break
-        rec.step = t
-        rec.inner_count = m
         dx = x_next - x
-        rec.displacement = math.sqrt(dx @ dx)
+        displacement = math.sqrt(dx @ dx)
+        trace.step[-1], trace.inner_count[-1] = t, m
+        trace.displacement[-1] = displacement
         # an unmoved step has displacement 0.0, which a moved one can also
         # reach by underflow; bytes tell them apart, and -0.0 from 0.0
-        moved = rec.displacement != 0.0 or x_next.tobytes() != x.tobytes()
+        moved = displacement != 0.0 or x_next.tobytes() != x.tobytes()
         unmoved = 0 if moved else unmoved + 1
         if unmoved == 2:
-            _replay_fixed_point(trace, rec, x, config.max_iter, observe)
+            _replay_fixed_point(trace, x, config.max_iter, observe)
             if fell_back:
                 # each replayed step repeats this one, its fallback too
-                rule.fallback_count += config.max_iter - 1 - rec.k
+                rule.fallback_count += config.max_iter - 1 - k
             break
         x = x_next
     trace.extras["direction_fallbacks"] = rule.fallback_count
@@ -359,31 +364,37 @@ def screened(trials, bound, line=None):
         yield m, t, bound(t)
 
 
-def _replay_fixed_point(trace: IterateTrace, last: IterateRecord, x: np.ndarray,
-                        max_iter: int, observe):
-    """Append records last.k + 1 .. max_iter, each a repeat of ``last``,
-    whose iterate is ``x``.
+def _replay_fixed_point(trace: IterateTrace, x: np.ndarray, max_iter: int, observe):
+    """Extend ``trace`` by records k + 1 .. max_iter, each a repeat of its
+    last record k, whose iterate is ``x``.
 
     Called after two consecutive steps left x bitwise unchanged.  The oracles
     are deterministic, and ``DirectionRule.push`` of a repeated (x, g) adds no
     pair and keeps its previous point, so every later step would evaluate the
     same points, take the same step and stay put again: the run would end at
-    ``max_iter`` with these records.  The replayed records share one
-    iterate ``x``, made read-only and handed to ``observe`` for each, and
-    ``fixed_point_at`` names the first of them.
+    ``max_iter`` with these records.  Each column is extended in one call:
+    the replayed records repeat the last one's f, grad_norm, step and inner
+    count with displacement 0, and the final one takes no step.  They share
+    one iterate ``x``, made read-only and handed to ``observe`` for each,
+    and ``fixed_point_at`` names the first of them.
     """
     x.flags.writeable = False
-    trace.extras["fixed_point_at"] = last.k + 1
-    for k in range(last.k + 1, max_iter):
-        trace.records.append(IterateRecord(
-            k=k, f=last.f, grad_norm=last.grad_norm, step=last.step,
-            inner_count=last.inner_count, displacement=0.0))
-        if observe is not None:
-            observe(x)
-    trace.records.append(IterateRecord(k=max_iter, f=last.f,
-                                       grad_norm=last.grad_norm))
+    last = trace.k[-1]
+    steps = max_iter - 1 - last         # replayed records that take a step
+    trace.extras["fixed_point_at"] = last + 1
+    def repeat(name, value, count):
+        return column(name, (value,)) * count
+    trace.k.extend(column("k", range(last + 1, max_iter + 1)))
+    trace.f.extend(repeat("f", trace.f[-1], steps + 1))
+    trace.grad_norm.extend(repeat("grad_norm", trace.grad_norm[-1], steps + 1))
+    trace.step.extend(repeat("step", trace.step[-1], steps) + repeat("step", math.nan, 1))
+    trace.inner_count.extend(repeat("inner_count", trace.inner_count[-1], steps)
+                             + repeat("inner_count", 0, 1))
+    trace.displacement.extend(repeat("displacement", 0.0, steps)
+                              + repeat("displacement", math.nan, 1))
     if observe is not None:
-        observe(x)
+        for _ in range(steps + 1):
+            observe(x)
     trace.extras["termination"] = "max_iter"
 
 

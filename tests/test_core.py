@@ -49,7 +49,7 @@ def test_trace_validate():
     with pytest.raises(UsageError):
         bad.validate()
     dup = make_trace([1.0, 0.5], [1.0, 0.5])
-    dup.records[1].k = 0
+    dup.k[1] = 0
     with pytest.raises(DataError):
         dup.validate()
 
@@ -147,7 +147,7 @@ def test_trace_csv_roundtrip(tmp_path):
     tr = make_trace([1.0, 0.5, 0.25], [1.0, 0.7, 1e-7],
                     steps=[0.1, 0.1, math.nan],
                     disps=[0.05, 0.025, math.nan])
-    tr.records[1].inner_count = 3
+    tr.inner_count[1] = 3
     path = tmp_path / "t.csv"
     tr.to_csv(path)
     header = path.read_text().splitlines()[0]
