@@ -143,9 +143,8 @@ class IterateRecord:
     NaN on the final record, as ``step`` does.  A trace does not hold
     records: it holds one column per field, and ``IterateTrace.records``
     builds these from them on demand, detached from the trace, so setting a
-    field of one changes no trace.  The iterate
-    itself is not kept either: a solver hands it to its ``observe`` hook as
-    the record is made.
+    field of one changes no trace.  The iterate itself is not kept either:
+    a solver hands it to its ``observe`` hook as the record is made.
     """
 
     k: int
@@ -160,9 +159,11 @@ TRACE_COLUMNS = ("k", "f", "grad_norm", "step", "inner_count", "displacement")
 # array typecode of each column: 8-byte integers and doubles
 _TYPECODES = {"k": "q", "f": "d", "grad_norm": "d", "step": "d", "inner_count": "q",
               "displacement": "d"}
-# rows formatted and written at a time: the formatted strings of at most one
-# chunk are held at once, whatever the trace's length
-WRITE_CHUNK = 4096
+# rows formatted and written at a time: the Python floats and strings of at
+# most one chunk are held at once, whatever the trace's length.  They are
+# small objects, whose memory the interpreter keeps for reuse once freed: at
+# 4096 rows a chunk, sec51's peak resident set was 1.5 MB higher
+WRITE_CHUNK = 256
 
 
 def column(name: str, values=()) -> array:

@@ -13,11 +13,9 @@ import pytest
 
 from dealopt import analysis, bench, envelopes, oracles
 from dealopt.boosted import BoostedConfig, choose_order, run_bhippa, run_bpga
-from dealopt.core import (Reevaluation, certify_descent, certify_displacement,
-                          min_grad_bound_check, reevaluate_trace)
-from dealopt.directions import DirectionRule
-from dealopt.problems import (LassoProblem, PowerAbsProblem, generate_problem,
-                              reference_optimum)
+from dealopt.core import (Reevaluation, certify_descent, min_grad_bound_check,
+                          reevaluate_trace)
+from dealopt.problems import PowerAbsProblem, generate_problem, reference_optimum
 from dealopt.solvers import DealConfig, run_deala, run_dealc
 
 REL_TOL = 1e-10

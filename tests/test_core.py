@@ -12,7 +12,7 @@ from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, DataError,
                           as_vector, certify_descent,
                           certify_displacement, config_digest,
                           min_grad_bound_check, reevaluate_trace)
-from dealopt import bench
+from dealopt import bench, core
 from dealopt.problems import generate_problem
 
 
@@ -192,6 +192,48 @@ def test_trace_csv_writes_the_bytes_of_csv_writer(tmp_path):
     trace = IterateTrace(records=records)
     trace.to_csv(tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_bytes() == csv_writer_bytes(trace)
+
+
+def reference_rows(trace, fstar):
+    """Both files of one trace, row by row through ``csv.writer`` and
+    ``repr``: its trace CSV, and its series.csv rows as variant ``V``."""
+    blank = lambda v: "" if math.isnan(v) else repr(v)
+    trace_csv, series_csv = io.StringIO(newline=""), io.StringIO(newline="")
+    rows, series = csv.writer(trace_csv), csv.writer(series_csv, lineterminator="\n")
+    rows.writerow(TRACE_COLUMNS)
+    for k, f, g, step, inner, disp in zip(*(getattr(trace, name).tolist()
+                                             for name in TRACE_COLUMNS)):
+        rows.writerow([k, blank(f), blank(g), blank(step), inner, blank(disp)])
+        series.writerow(["V", k, repr(f - fstar), repr(g)])
+    return trace_csv.getvalue().encode(), series_csv.getvalue().encode()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, None])
+def test_both_writers_write_the_rows_of_the_reference_loop(tmp_path, monkeypatch, chunk):
+    # a replayed stretch that straddles a chunk boundary, rows that differ
+    # only in 0.0 against -0.0, NaN step fields and NaNs of either sign
+    if chunk is not None:
+        monkeypatch.setattr(core, "WRITE_CHUNK", chunk)
+    boundary = core.WRITE_CHUNK
+    trace = IterateTrace()
+    trace.append(0, 2.0, 1.0, 0.5, 1, 0.25)
+    trace.append(1, 0.0, 0.5, 0.5, 1, 0.0)
+    trace.append(2, -0.0, 0.5, 0.5, 1, 0.0)
+    trace.append(3, -0.0, -0.0, 0.5, 1, 0.0)
+    trace.append(4, -0.0, -0.0, 0.5, 1, -0.0)
+    trace.append(5, math.nan, 0.25, math.nan, 2, math.nan)
+    trace.append(6, -math.nan, 0.25, -math.nan, 2, math.nan)
+    while len(trace) < boundary - 2:
+        trace.append(len(trace), 1.0 / (len(trace) + 1), 0.125, 0.5, 0, 0.125)
+    for _ in range(5):          # one repeated row across the first chunk boundary
+        trace.append(len(trace), 0.0625, 0.0625, 0.25, 3, 0.0)
+    trace.append(len(trace), 0.0625, 0.0625, math.nan, 0, math.nan)
+    assert len(trace) > boundary + 2
+    expected_trace, expected_series = reference_rows(trace, 0.0)
+    trace.to_csv(tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == expected_trace
+    bench.emit_plot_data(tmp_path, {"V": bench._series("V", 0.0, trace)})
+    assert (tmp_path / "series.csv").read_bytes() == b"variant,k,f_gap,grad_norm\n" + expected_series
 
 
 def test_trace_csv_header_required(tmp_path):
@@ -376,6 +418,25 @@ def test_run_variant_working_set_is_bounded_by_its_block(max_iter):
         problem, spec, bench.RunSpec(max_iter=max_iter)))
     assert result.certificates["reevaluated"] and len(result.trace) == max_iter + 1
     assert peak <= 2 * unchecked + 4 * REEVALUATE_BLOCK * max(problem.m, problem.n) * 8
+
+
+def test_a_run_holds_its_records_as_columns():
+    # least-p 40 x 8 deal-c at beta -0.2 runs to max_iter with no fixed point:
+    # 20,001 records and no iterate kept.  Its trace is six 8-byte columns, 48
+    # bytes a record; kept as one IterateRecord object per record, the same
+    # run held 193 bytes a record and peaked at 509
+    problem = bench.build_problem(bench.ProblemSpec(kind="leastp", m=40, n=8))
+    spec = bench.SolverSpec(solver="deal-c", beta=-0.2)
+    # the problem's reference optimum and cached products, as every variant
+    # but the first finds them
+    bench.run_variant(problem, spec, bench.RunSpec(max_iter=2))
+    result, kept, peak = traced(lambda: bench.run_variant(
+        problem, spec, bench.RunSpec(eps=1e-300, max_iter=20000)))
+    trace = result.trace
+    assert trace.extras["termination"] == "max_iter" and "fixed_point_at" not in trace.extras
+    assert len(trace) == 20001
+    assert peak <= 200 * len(trace)
+    assert kept <= 80 * len(trace)
 
 
 def test_config_digest_stable():
