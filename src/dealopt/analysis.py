@@ -159,6 +159,8 @@ def estimate_kl_exponent(trace: IterateTrace, fstar: float) -> Optional[KLEstima
     gns = trace.grad_norms()
     keep = (gaps > gap_floor(fstar)) & (gns > 0.0)
     log_gaps, log_gns = np.log(gaps[keep]), np.log(gns[keep])
+    # the fit below is the largest working set of a run's certificates: hold
+    # only its inputs through it
     del gaps, gns, keep
     if len(log_gaps) < 2 or np.ptp(log_gaps) < 1e-12:
         return None

@@ -202,8 +202,6 @@ class IterateTrace:
                                  r.displacement) for r in records))) or [()] * 6
             columns = {name: column(name, values)
                        for name, values in zip(TRACE_COLUMNS, fields)}
-        elif records:
-            raise UsageError("give a trace's records or its columns, not both")
         if {len(columns[name]) for name in TRACE_COLUMNS} != {len(columns["k"])}:
             raise UsageError("trace columns must have one entry per record")
         for name in TRACE_COLUMNS:
