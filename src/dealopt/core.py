@@ -198,14 +198,13 @@ class IterateTrace:
                  guaranteed: bool = True, extras: Optional[dict] = None, *,
                  columns: Optional[dict] = None):
         if columns is None:
-            fields = list(zip(*((r.k, r.f, r.grad_norm, r.step, r.inner_count,
-                                 r.displacement) for r in records))) or [()] * 6
-            columns = {name: column(name, values)
-                       for name, values in zip(TRACE_COLUMNS, fields)}
-        if {len(columns[name]) for name in TRACE_COLUMNS} != {len(columns["k"])}:
+            columns = {name: column(name) for name in TRACE_COLUMNS}
+        if len({len(columns[name]) for name in TRACE_COLUMNS}) != 1:
             raise UsageError("trace columns must have one entry per record")
         for name in TRACE_COLUMNS:
             setattr(self, name, columns[name])
+        for r in records:
+            self.append(r.k, r.f, r.grad_norm, r.step, r.inner_count, r.displacement)
         self.seed, self.config_digest, self.solver_id = seed, config_digest, solver_id
         self.rho, self.theta, self.guaranteed = rho, theta, guaranteed
         self.extras = {} if extras is None else extras
@@ -295,8 +294,7 @@ class IterateTrace:
     def from_csv(cls, path, **meta) -> "IterateTrace":
         """Read a trace written by ``to_csv``; its records are validated here,
         so a malformed file raises ``DataError`` before anything reads it."""
-        columns = {name: column(name) for name in TRACE_COLUMNS}
-        parse = [int, _parse, _parse, _parse, int, _parse]
+        trace = cls(**meta)
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -304,14 +302,12 @@ class IterateTrace:
                 raise DataError(f"trace CSV must start with header {','.join(TRACE_COLUMNS)}")
             for row in reader:
                 try:
-                    if len(row) != len(TRACE_COLUMNS):
-                        raise ValueError
-                    values = [read(text) for read, text in zip(parse, row)]
-                    for name, value in zip(TRACE_COLUMNS, values):
-                        columns[name].append(value)
+                    k, f, gn, step, inner, disp = row
+                    trace.append(int(k), _parse(f), _parse(gn), _parse(step), int(inner),
+                                 _parse(disp))
                 except (ValueError, OverflowError):
                     raise DataError(f"malformed trace row: {row!r}") from None
-        return cls(columns=columns, **meta).validate_records()
+        return trace.validate_records()
 
 
 def write_rows(fh, prefix: str, ks, columns, tail) -> None:
