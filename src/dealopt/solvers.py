@@ -38,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (CapabilityError, IterateTrace, SmoothObjective, UsageError,
-                   as_vector, column)
+from .core import (TRACE_COLUMNS, CapabilityError, IterateTrace, SmoothObjective,
+                   UsageError, as_vector, column)
 from .directions import DirectionRule, beta_for_holder, generalize
 
 
@@ -374,26 +374,21 @@ def _replay_fixed_point(trace: IterateTrace, x: np.ndarray, max_iter: int, obser
     same points, take the same step and stay put again: the run would end at
     ``max_iter`` with these records.  Each column is extended in one call:
     the replayed records repeat the last one's f, grad_norm, step and inner
-    count with displacement 0, and the final one takes no step.  They share
-    one iterate ``x``, made read-only and handed to ``observe`` for each,
-    and ``fixed_point_at`` names the first of them.
+    count with displacement 0, and the final one, appended alone, takes no
+    step.  They share one iterate ``x``, made read-only and handed to
+    ``observe`` once for each after the columns are extended, and
+    ``fixed_point_at`` names the first of them.
     """
     x.flags.writeable = False
-    last = trace.k[-1]
-    steps = max_iter - 1 - last         # replayed records that take a step
-    trace.extras["fixed_point_at"] = last + 1
-    def repeat(name, value, count):
-        return column(name, (value,)) * count
-    trace.k.extend(column("k", range(last + 1, max_iter + 1)))
-    trace.f.extend(repeat("f", trace.f[-1], steps + 1))
-    trace.grad_norm.extend(repeat("grad_norm", trace.grad_norm[-1], steps + 1))
-    trace.step.extend(repeat("step", trace.step[-1], steps) + repeat("step", math.nan, 1))
-    trace.inner_count.extend(repeat("inner_count", trace.inner_count[-1], steps)
-                             + repeat("inner_count", 0, 1))
-    trace.displacement.extend(repeat("displacement", 0.0, steps)
-                              + repeat("displacement", math.nan, 1))
+    k, f, grad_norm, step, inner_count = (getattr(trace, name)[-1]
+                                          for name in TRACE_COLUMNS[:5])
+    trace.extras["fixed_point_at"] = k + 1
+    trace.k.extend(column("k", range(k + 1, max_iter)))
+    for name, value in zip(TRACE_COLUMNS[1:], (f, grad_norm, step, inner_count, 0.0)):
+        getattr(trace, name).extend(column(name, (value,)) * (max_iter - 1 - k))
+    trace.append(max_iter, f, grad_norm)
     if observe is not None:
-        for _ in range(steps + 1):
+        for _ in range(max_iter - k):
             observe(x)
     trace.extras["termination"] = "max_iter"
 

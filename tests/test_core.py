@@ -225,7 +225,7 @@ def test_both_writers_write_the_rows_of_the_reference_loop(tmp_path, monkeypatch
     trace.append(6, -math.nan, 0.25, -math.nan, 2, math.nan)
     while len(trace) < boundary - 2:
         trace.append(len(trace), 1.0 / (len(trace) + 1), 0.125, 0.5, 0, 0.125)
-    for _ in range(5):          # one repeated row across the first chunk boundary
+    for _ in range(5):          # one row repeated across a chunk boundary
         trace.append(len(trace), 0.0625, 0.0625, 0.25, 3, 0.0)
     trace.append(len(trace), 0.0625, 0.0625, math.nan, 0, math.nan)
     assert len(trace) > boundary + 2
@@ -233,7 +233,8 @@ def test_both_writers_write_the_rows_of_the_reference_loop(tmp_path, monkeypatch
     trace.to_csv(tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_bytes() == expected_trace
     bench.emit_plot_data(tmp_path, {"V": bench._series("V", 0.0, trace)})
-    assert (tmp_path / "series.csv").read_bytes() == b"variant,k,f_gap,grad_norm\n" + expected_series
+    assert (tmp_path / "series.csv").read_bytes() == (b"variant,k,f_gap,grad_norm\n"
+                                                      + expected_series)
 
 
 def test_trace_csv_header_required(tmp_path):
