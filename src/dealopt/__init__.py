@@ -9,7 +9,7 @@ iteration-count bounds.
 """
 
 from .core import (CapabilityError, CertificateReport, CompositeObjective,
-                   DataError, HolderInfo, IterateRecord, IterateTrace, KLInfo,
+                   DataError, HolderInfo, IterateTrace, KLInfo,
                    NumericalError, Reevaluation, SmoothObjective, UsageError,
                    certify_descent, certify_displacement, min_grad_bound_check,
                    reevaluate_trace)

@@ -29,7 +29,7 @@ from .core import (IterateTrace, Reevaluation, UsageError, certify_descent,
                    certify_displacement, config_digest, min_grad_bound_check,
                    reevaluate_trace, write_rows)  # noqa: F401
 from .directions import DirectionRule, beta_for_holder
-from .solvers import ArmijoParams, DealConfig, run_deala, run_dealc
+from .solvers import ArmijoParams, DealConfig, is_guaranteed, run_deala, run_dealc
 
 HEURISTIC_BETAS = (0.5, 0.0, -0.2)
 
@@ -208,9 +208,9 @@ def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunRes
     proceeds, by a ``Reevaluation`` in the certificate context that the
     solver's ``observe`` hook feeds, through the run's batch oracle
     ``ctx["rows"]``: the reference optimum is taken first, so that the
-    distance of each iterate to it is known, and no iterate outlives its
-    re-evaluation block.  Without it the run is certified from the values
-    its solver logged.
+    distance of each iterate to it is known where a certificate reads it,
+    and no iterate outlives its re-evaluation block.  Without it the run is
+    certified from the values its solver logged.
     """
     solve, ctx = _configure_variant(problem, spec, run)
     rng = np.random.default_rng(run.x0_seed + rep)
@@ -221,7 +221,12 @@ def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunRes
 
     ref = problems.reference_optimum(problem)
     if ref.converged:
-        ctx.update(fstar=ref.fstar, xstar=ref.xstar, tau=ref.tau)
+        ctx.update(fstar=ref.fstar, tau=ref.tau)
+        # the distances to xstar feed the iterate criterion alone, which
+        # certify_run checks on a guaranteed run with a tau (a boosted run
+        # is guaranteed, but no composite reference carries a tau)
+        if ref.tau is not None and ctx.get("guaranteed", True):
+            ctx["xstar"] = ref.xstar
     observe = None
     if run.store_iterates:
         evaluate = ctx["evaluate"]
@@ -241,7 +246,8 @@ def _configure_variant(problem, spec: SolverSpec, run: RunSpec):
     """One variant's solver, configured on a built problem, and its
     certificate context: ``(solve, ctx)``, where ``solve(x0, observe)``
     runs it, handing each recorded iterate to ``observe`` unless that is
-    None, and ``ctx`` holds the run's oracles (``evaluate``, ``rows``...).
+    None, and ``ctx`` holds the run's oracles (``evaluate``, ``rows``...)
+    and, for a DEAL run, whether it is ``guaranteed``.
 
     Every range check of the variant's values runs here, where its direction
     rule, solver configuration and constants are built, so
@@ -263,7 +269,8 @@ def _run_deal(problem, spec, run):
     cfg = DealConfig(eps=run.eps, max_iter=run.max_iter, rule=rule, armijo=armijo)
     runner = run_dealc if spec.solver == "deal-c" else run_deala
     return (lambda x0, observe: runner(objective, x0, cfg, observe),
-            {"evaluate": problem.value_grad, "rows": problem.value_grad_rows})
+            {"evaluate": problem.value_grad, "rows": problem.value_grad_rows,
+             "guaranteed": is_guaranteed(rule, objective.holder.nu)})
 
 
 def _run_bpga(problem, spec, run):
@@ -315,9 +322,9 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
 
     Takes the run's re-evaluated records from ``ctx["reevaluation"]``, the
     ``core.Reevaluation`` that took its iterates while it proceeded, and
-    their distances to the reference optimum for the iterate criterion;
-    without one, nothing is re-evaluated and the checks read the values the
-    solver logged.  It then cross-checks the run's prox at the final
+    their distances to the reference optimum, if it measured them, for the
+    iterate criterion; without one, nothing is re-evaluated and the checks
+    read the values the solver logged.  It then cross-checks the run's prox at the final
     iterate against the grid oracle when the run supplies that check
     (``prox_oracle``).  Applies every
     certificate whose constants are available: the solver's own (rho, theta,

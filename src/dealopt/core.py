@@ -135,26 +135,6 @@ class CompositeObjective:
         return self.smooth.value(x) + self.nonsmooth.value(x)
 
 
-@dataclass(slots=True)
-class IterateRecord:
-    """One solver iteration: objective value, gradient norm, step bookkeeping.
-
-    ``displacement`` is the norm of the step leaving this iterate; it stays
-    NaN on the final record, as ``step`` does.  A trace does not hold
-    records: it holds one column per field, and ``IterateTrace.records``
-    builds these from them on demand, detached from the trace, so setting a
-    field of one changes no trace.  The iterate itself is not kept either:
-    a solver hands it to its ``observe`` hook as the record is made.
-    """
-
-    k: int
-    f: float
-    grad_norm: float
-    step: float = math.nan
-    inner_count: int = 0
-    displacement: float = math.nan
-
-
 TRACE_COLUMNS = ("k", "f", "grad_norm", "step", "inner_count", "displacement")
 # array typecode of each column: 8-byte integers and doubles
 _TYPECODES = {"k": "q", "f": "d", "grad_norm": "d", "step": "d", "inner_count": "q",
@@ -183,17 +163,18 @@ class IterateTrace:
     The log is six columns, the attributes named in ``TRACE_COLUMNS``, each
     a growable ``array.array`` of 8-byte integers (``k``, ``inner_count``)
     or doubles, with one entry per record: 48 bytes a record and no Python
-    object.  ``append`` adds a record; a solver then fills the step fields
-    of the last one (``trace.step[-1] = t``), which stay ``(nan, 0, nan)``
-    on a record that takes no step.  ``records`` is a read-only tuple of
-    ``IterateRecord`` built from the columns on each access, and
-    ``IterateTrace(records=...)`` builds the columns from records.  Take no
-    numpy view of a column that may still grow: an ``array.array`` with an
-    exported buffer refuses to resize; the accessors (``f_values()``...)
-    return copies.
+    object.  A record's ``displacement`` is the norm of the step leaving it,
+    NaN on the final record, as its ``step`` is; the iterate itself is not
+    kept: a solver hands it to its ``observe`` hook as the record is made.
+    ``append`` adds a record; a solver then fills the step fields of the
+    last one (``trace.step[-1] = t``), which stay ``(nan, 0, nan)`` on a
+    record that takes no step.  ``columns=`` builds a trace on given
+    columns, which it takes without copying.  Take no numpy view of a
+    column that may still grow: an ``array.array`` with an exported buffer
+    refuses to resize; the accessors (``f_values()``...) return copies.
     """
 
-    def __init__(self, records=(), seed: Optional[int] = None, config_digest: str = "",
+    def __init__(self, seed: Optional[int] = None, config_digest: str = "",
                  solver_id: str = "", rho: float = math.nan, theta: float = math.nan,
                  guaranteed: bool = True, extras: Optional[dict] = None, *,
                  columns: Optional[dict] = None):
@@ -203,8 +184,6 @@ class IterateTrace:
             raise UsageError("trace columns must have one entry per record")
         for name in TRACE_COLUMNS:
             setattr(self, name, columns[name])
-        for r in records:
-            self.append(r.k, r.f, r.grad_norm, r.step, r.inner_count, r.displacement)
         self.seed, self.config_digest, self.solver_id = seed, config_digest, solver_id
         self.rho, self.theta, self.guaranteed = rho, theta, guaranteed
         self.extras = {} if extras is None else extras
@@ -223,24 +202,10 @@ class IterateTrace:
         self.inner_count.append(inner_count)
         self.displacement.append(displacement)
 
-    @property
-    def records(self) -> tuple:
-        """The records, built from the columns: a read-only snapshot."""
-        return tuple(map(IterateRecord, *(getattr(self, name).tolist()
-                                          for name in TRACE_COLUMNS)))
-
     def validate(self):
-        if not (self.rho > 0.0):
-            raise UsageError(f"trace rho must be positive, got {self.rho}")
-        if not (self.theta > 1.0):
-            raise UsageError(f"trace theta must exceed 1, got {self.theta}")
-        return self.validate_records()
-
-    def validate_records(self):
-        """Check the records alone, whatever the constants: strictly
-        increasing k, finite f, nonnegative grad_norm and inner_count.  The
-        first record that fails a check names the error, its checks taken in
-        that order."""
+        """Check the columns: strictly increasing k, finite f, nonnegative
+        grad_norm and inner_count.  The first record that fails a check
+        names the error, its checks taken in that order."""
         k = self.ks()
         checks = (
             (np.diff(k, prepend=-1) <= 0, "iteration indices must be strictly increasing"),
@@ -307,7 +272,7 @@ class IterateTrace:
                                  _parse(disp))
                 except (ValueError, OverflowError):
                     raise DataError(f"malformed trace row: {row!r}") from None
-        return trace.validate_records()
+        return trace.validate()
 
 
 def write_rows(fh, prefix: str, ks, columns, tail) -> None:
@@ -534,8 +499,9 @@ class Reevaluation:
 
     def result(self, trace: IterateTrace) -> tuple:
         """``(checked, distances)`` for ``trace``, whose records' iterates
-        were added: the trace with every f, grad_norm and displacement
-        re-evaluated, and each record's distance to ``xstar`` as an array
+        were added: a trace of the columns alone, with every f, grad_norm
+        and displacement re-evaluated and none of ``trace``'s constants or
+        extras, and each record's distance to ``xstar`` as an array
         (None without ``xstar``).  The last pending block is evaluated here.
 
         ``checked``'s ``f`` and ``grad_norm`` columns are the re-evaluated
@@ -563,18 +529,9 @@ class Reevaluation:
         else:
             f = column("f", np.repeat(np.frombuffer(self._f), repeats))
             gnorm = column("grad_norm", np.repeat(np.frombuffer(self._gnorm), repeats))
-        checked = IterateTrace(
-            columns={"k": trace.k, "f": f, "grad_norm": gnorm, "step": trace.step,
-                     "inner_count": trace.inner_count,
-                     "displacement": column("displacement", disp)},
-            seed=trace.seed,
-            config_digest=trace.config_digest,
-            solver_id=trace.solver_id,
-            rho=trace.rho,
-            theta=trace.theta,
-            guaranteed=trace.guaranteed,
-            extras=dict(trace.extras, reevaluated=True),
-        )
+        checked = IterateTrace(columns={
+            "k": trace.k, "f": f, "grad_norm": gnorm, "step": trace.step,
+            "inner_count": trace.inner_count, "displacement": column("displacement", disp)})
         distances = None
         if self._xstar is not None:
             distances = np.repeat(np.frombuffer(self._dist), repeats)
@@ -586,7 +543,8 @@ def reevaluate_trace(trace: IterateTrace, iterates,
                      grad: Callable[[np.ndarray], np.ndarray],
                      rows: Optional[Callable[[np.ndarray], tuple]] = None,
                      ) -> IterateTrace:
-    """``trace`` with f/grad_norm/displacement rebuilt from its iterates.
+    """``trace``'s columns with f/grad_norm/displacement rebuilt from its
+    iterates, as ``Reevaluation.result`` gives them.
 
     Certificates should not have to trust solver-logged numbers; this
     recomputes every logged quantity through the supplied oracles (for

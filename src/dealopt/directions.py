@@ -21,6 +21,8 @@ import numpy as np
 from .core import UsageError
 
 KINDS = ("gradient", "bb1", "bb2", "lbfgs")
+# the interval a Barzilai-Borwein scaling is clamped into
+ALPHA_MIN, ALPHA_MAX = 1e-8, 1e8
 
 
 def beta_for_holder(nu: float) -> float:
@@ -81,14 +83,13 @@ def generalize(d_bar, grad, beta: float, grad_norm: Optional[float] = None) -> n
 class DirectionRule:
     """Stateful direction producer; one instance per solver run.
 
-    Barzilai-Borwein scalings are clamped into [alpha_min, alpha_max] and fall
+    Barzilai-Borwein scalings are clamped into [ALPHA_MIN, ALPHA_MAX] and fall
     back to the plain negative gradient when curvature <s, y> is nonpositive.
     History (previous point/gradient pairs) is fed by :meth:`push`.
     """
 
     def __init__(self, kind: str = "gradient", beta: float = 0.0,
-                 c1: float = 1.0, c2: float = 1.0, memory: int = 10,
-                 alpha_min: float = 1e-8, alpha_max: float = 1e8):
+                 c1: float = 1.0, c2: float = 1.0, memory: int = 10):
         kind = kind.lower()
         if kind not in KINDS:
             raise UsageError(f"unknown direction kind {kind!r}; expected one of {KINDS}")
@@ -100,8 +101,6 @@ class DirectionRule:
             # the negative-gradient fallback attains c1 = c2 = 1 exactly, so
             # enforceable constants must bracket it
             raise UsageError("need c1 <= 1 <= c2 so the gradient fallback satisfies them")
-        if not 0.0 < alpha_min < alpha_max:
-            raise UsageError("need 0 < alpha_min < alpha_max")
         if memory < 1:
             raise UsageError("memory must be >= 1")
         self.kind = kind
@@ -109,8 +108,6 @@ class DirectionRule:
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.memory = int(memory)
-        self.alpha_min = float(alpha_min)
-        self.alpha_max = float(alpha_max)
         self.reset()
 
     def reset(self):
@@ -180,7 +177,7 @@ class DirectionRule:
             if yy == 0.0:
                 return None
             t = sy / yy
-        return min(max(t, self.alpha_min), self.alpha_max)
+        return min(max(t, ALPHA_MIN), ALPHA_MAX)
 
     def _lbfgs_direction(self, grad):
         q = np.asarray(grad, dtype=float).copy()

@@ -400,5 +400,10 @@ def _prepare(objective: SmoothObjective, config: DealConfig, solver: str):
     rule = config.rule if config.rule is not None else DirectionRule("gradient",
                                                                      beta=beta_for_holder(nu))
     rule.reset()
-    guaranteed = abs(rule.beta - beta_for_holder(nu)) <= 1e-12
-    return rule, nu, L, guaranteed
+    return rule, nu, L, is_guaranteed(rule, nu)
+
+
+def is_guaranteed(rule: DirectionRule, nu: float) -> bool:
+    """Whether a DEAL run with ``rule`` on a nu-Hölder gradient carries the
+    paper's guarantee: its rescaling exponent is the one matched to nu."""
+    return abs(rule.beta - beta_for_holder(nu)) <= 1e-12

@@ -35,8 +35,8 @@ def _report(criterion, passed, message):
 
 @pytest.fixture(scope="module")
 def dealc_runs():
-    """(problem, objective, re-evaluated trace, distances to x*) of each
-    constant-step run, re-evaluated while it proceeds."""
+    """(problem, objective, solver trace, re-evaluated trace, distances to
+    x*) of each constant-step run, re-evaluated while it proceeds."""
     out = []
     for seed, p, m, n in LEASTP_INSTANCES:
         prob = generate_problem(100 + seed, "leastp", m, n, p=p, consistent=True)
@@ -44,7 +44,7 @@ def dealc_runs():
         x0 = np.random.default_rng(200 + seed).uniform(-5.0, 5.0, n)
         reevaluation = Reevaluation(obj.value, obj.grad, xstar=prob.x_ls)
         tr = run_dealc(obj, x0, DealConfig(eps=EPS), reevaluation.add)
-        out.append((prob, obj, *reevaluation.result(tr)))
+        out.append((prob, obj, tr, *reevaluation.result(tr)))
     return out
 
 
@@ -75,7 +75,7 @@ def bpga_runs():
         tr = run_bpga(comp, x0, cfg, xs.append)
         value = lambda x, c=comp, g=gamma: envelopes.fbe_value(c, x, g)
         grad = lambda x, c=comp, g=gamma: envelopes.fbe_value_grad(c, x, g).gradient
-        out.append((prob, comp, gamma, reevaluate_trace(tr, xs, value, grad)))
+        out.append((prob, comp, gamma, tr, reevaluate_trace(tr, xs, value, grad)))
     return out
 
 
@@ -92,24 +92,24 @@ def bhippa_runs():
         tr = run_bhippa(phi, x0, cfg, xs.append)
         value = lambda x, f=phi, p_=order: envelopes.home_value(f, x, 1.0, p_)
         grad = lambda x, f=phi, p_=order: envelopes.home_value_grad(f, x, 1.0, p_).gradient
-        out.append((pa, phi, reevaluate_trace(tr, xs, value, grad)))
+        out.append((pa, phi, tr, reevaluate_trace(tr, xs, value, grad)))
     return out
 
 
 def test_criterion_01_descent_certificates(dealc_runs, deala_runs, bpga_runs,
                                            bhippa_runs):
     families = {
-        "DEAL-C": [tr for _, _, tr, _ in dealc_runs],
-        "DEAL-A": [tr for _, _, _, tr in deala_runs],
-        "BPGA": [tr for _, _, _, tr in bpga_runs],
-        "BHiPPA": [tr for _, _, tr in bhippa_runs],
+        "DEAL-C": [(raw, tr) for _, _, raw, tr, _ in dealc_runs],
+        "DEAL-A": [(raw, tr) for _, _, raw, tr in deala_runs],
+        "BPGA": [(raw, tr) for _, _, _, raw, tr in bpga_runs],
+        "BHiPPA": [(raw, tr) for _, _, raw, tr in bhippa_runs],
     }
     failures = []
     total = 0
     for name, traces in families.items():
         assert len(traces) == 10
-        for i, tr in enumerate(traces):
-            rep = certify_descent(tr, tr.rho, tr.theta, rel_tol=REL_TOL)
+        for i, (raw, tr) in enumerate(traces):
+            rep = certify_descent(tr, raw.rho, raw.theta, rel_tol=REL_TOL)
             total += rep.n_checked
             if not rep.passed:
                 failures.append(f"{name}[{i}] worst={rep.worst_violation:.2e}")
@@ -136,9 +136,9 @@ def test_criterion_02_armijo_bound(deala_runs):
 
 def test_criterion_03_linear_rate_bound(dealc_runs):
     failures = []
-    for i, (prob, obj, tr, _) in enumerate(dealc_runs):
+    for i, (prob, obj, raw, tr, _) in enumerate(dealc_runs):
         _, _, vt, tau = prob.constants()
-        q_theory = 1.0 - tr.rho / tau ** tr.theta
+        q_theory = 1.0 - raw.rho / tau ** raw.theta
         if not 0.0 < q_theory < 1.0:
             failures.append(f"run {i}: vacuous q_theory {q_theory:.4f}")
             continue
@@ -155,10 +155,10 @@ def test_criterion_03_linear_rate_bound(dealc_runs):
 
 def test_criterion_04_complexity_bounds(dealc_runs):
     failures = []
-    for i, (prob, obj, tr, distances) in enumerate(dealc_runs):
+    for i, (prob, obj, raw, tr, distances) in enumerate(dealc_runs):
         _, _, _, tau = prob.constants()
-        c = tr.extras["alpha"] * 1.0  # c2 = 1
-        rep = analysis.verify_complexity(tr, 0.0, tr.rho, tr.theta, tau, EPS,
+        c = raw.extras["alpha"] * 1.0  # c2 = 1
+        rep = analysis.verify_complexity(tr, 0.0, raw.rho, raw.theta, tau, EPS,
                                          distances=distances, c=c)
         if rep.skipped:
             failures.append(f"run {i}: skipped ({rep.reason})")
@@ -179,17 +179,17 @@ def test_criterion_05_min_grad_bound(dealc_runs, deala_runs, bpga_runs,
                                      bhippa_runs):
     failures = []
     runs = []
-    for prob, obj, tr, _ in dealc_runs:
-        runs.append((tr, 0.0))
+    for prob, obj, raw, tr, _ in dealc_runs:
+        runs.append((raw, tr, 0.0))
     for prob, obj, raw, tr in deala_runs:
-        runs.append((tr, 0.0))
-    for prob, comp, gamma, tr in bpga_runs:
+        runs.append((raw, tr, 0.0))
+    for prob, comp, gamma, raw, tr in bpga_runs:
         ref = reference_optimum(prob)
-        runs.append((tr, ref.fstar))
-    for pa, phi, tr in bhippa_runs:
-        runs.append((tr, 0.0))
-    for i, (tr, fstar) in enumerate(runs):
-        rep = min_grad_bound_check(tr, tr.rho, tr.theta, fstar)
+        runs.append((raw, tr, ref.fstar))
+    for pa, phi, raw, tr in bhippa_runs:
+        runs.append((raw, tr, 0.0))
+    for i, (raw, tr, fstar) in enumerate(runs):
+        rep = min_grad_bound_check(tr, raw.rho, raw.theta, fstar)
         if not rep.passed:
             failures.append(f"trace {i}: worst {rep.worst_violation:.3e} at N={rep.worst_index}")
     _report(5, not failures,

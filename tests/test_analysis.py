@@ -7,17 +7,16 @@ import pytest
 from dealopt.analysis import (box_sampler, complexity_K, estimate_kl_exponent,
                               fit_linear_rate, kl_sampling_certificate,
                               per_step_ratio_check, verify_complexity)
-from dealopt.core import IterateRecord, IterateTrace, Reevaluation, UsageError
+from dealopt.core import IterateTrace, Reevaluation, UsageError
 from dealopt.problems import QuadraticProblem, generate_problem
 from dealopt.solvers import DealConfig, run_dealc
 
 
 def synthetic_trace(gaps, grads=None, rho=0.5, theta=2.0, fstar=0.0):
-    records = []
+    tr = IterateTrace(rho=rho, theta=theta)
     for k, gap in enumerate(gaps):
-        g = grads[k] if grads is not None else math.sqrt(max(gap, 0.0))
-        records.append(IterateRecord(k=k, f=fstar + gap, grad_norm=g))
-    return IterateTrace(records=records, rho=rho, theta=theta)
+        tr.append(k, fstar + gap, grads[k] if grads is not None else math.sqrt(max(gap, 0.0)))
+    return tr
 
 
 class TestComplexityK:
@@ -56,9 +55,9 @@ class TestLinearFit:
 
     def test_power_law_classified_sublinear(self):
         ks = np.arange(10, 101)
-        tr = IterateTrace(records=[
-            IterateRecord(k=int(k), f=float(k) ** -2, grad_norm=1.0) for k in ks],
-            rho=0.5, theta=2.0)
+        tr = IterateTrace(rho=0.5, theta=2.0)
+        for k in ks:
+            tr.append(int(k), float(k) ** -2, 1.0)
         rep = fit_linear_rate(tr, fstar=0.0)
         assert rep.regime == "sublinear"
         assert rep.q_hat_max < 1.0
@@ -77,9 +76,9 @@ class TestLinearFit:
 class TestSublinearFit:
     def test_exact_power_law(self):
         ks = np.arange(1, 200)
-        tr = IterateTrace(records=[
-            IterateRecord(k=int(k), f=3.0 * float(k) ** -2, grad_norm=1.0)
-            for k in ks], rho=0.5, theta=2.0)
+        tr = IterateTrace(rho=0.5, theta=2.0)
+        for k in ks:
+            tr.append(int(k), 3.0 * float(k) ** -2, 1.0)
         rep = fit_linear_rate(tr, fstar=0.0)
         mu, decay = rep.mu_hat, rep.decay_hat
         assert mu == pytest.approx(3.0, abs=1e-6)

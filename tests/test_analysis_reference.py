@@ -13,12 +13,12 @@ import pytest
 from dealopt import analysis
 from dealopt.analysis import (BoundCheck, ComplexityReport, KLEstimate, RateReport,
                               _complexity_K_log, complexity_K, gap_floor)
-from dealopt.core import IterateRecord, IterateTrace, Reevaluation, UsageError
+from dealopt.core import IterateTrace, Reevaluation, UsageError
 
 
 def ref_tail(trace_or_gaps, fstar, tail_fraction):
     if isinstance(trace_or_gaps, IterateTrace):
-        ks = np.array([r.k for r in trace_or_gaps.records], dtype=float)
+        ks = np.array(trace_or_gaps.k, dtype=float)
         gaps = trace_or_gaps.f_values() - fstar
     else:
         gaps = np.asarray(trace_or_gaps, dtype=float) - fstar
@@ -115,7 +115,7 @@ def ref_verify_complexity(trace, fstar, rho, theta, tau, eps, *, xstar=None, c=N
                                        "bounds are vacuous")
     f = trace.f_values()
     g = trace.grad_norms()
-    ks = np.array([r.k for r in trace.records])
+    ks = np.array(trace.k)
     gap0 = f[0] - fstar
     report = ComplexityReport(q_theory=q, eps=eps)
     if gap0 <= 0.0:
@@ -166,9 +166,10 @@ def ref_verify_complexity(trace, fstar, rho, theta, tau, eps, *, xstar=None, c=N
 
 def make_trace(gaps, grads, fstar, ks=None):
     ks = range(len(gaps)) if ks is None else ks
-    return IterateTrace(records=[
-        IterateRecord(k=int(k), f=fstar + float(gap), grad_norm=float(g))
-        for k, gap, g in zip(ks, gaps, grads)], rho=0.5, theta=2.0)
+    trace = IterateTrace(rho=0.5, theta=2.0)
+    for k, gap, g in zip(ks, gaps, grads):
+        trace.append(int(k), fstar + float(gap), float(g))
+    return trace
 
 
 def random_trace(seed):

@@ -180,8 +180,7 @@ class TestRunExperiment:
                  for name in ("DEAL-C", "DEAL-A", "DEAL-A1")}
         pairs.update((name, (sec53[name], sec53_checked[name])) for name in sec53)
         for name, traces in pairs.items():
-            logged, rebuilt = (np.array([rec.displacement for rec in trace.records])
-                               for trace in traces)
+            logged, rebuilt = (np.array(trace.displacement) for trace in traces)
             assert len(logged) > 1 and logged.tobytes() == rebuilt.tobytes(), name
 
     def test_heuristic_variant_skips_guarantees(self, tmp_path):
@@ -403,9 +402,10 @@ class TestRunExperiment:
 
 def record_bits(trace):
     """Each record's k, inner count and the bytes of its float fields."""
-    return [(rec.k, rec.inner_count, np.array([rec.f, rec.grad_norm, rec.step,
-                                               rec.displacement]).tobytes())
-            for rec in trace.records]
+    return [(k, inner, np.array([f, g, step, disp]).tobytes())
+            for k, f, g, step, inner, disp in zip(trace.k, trace.f, trace.grad_norm,
+                                                  trace.step, trace.inner_count,
+                                                  trace.displacement)]
 
 
 # each family with each of its solvers; bhippa at order 2, below its matched
@@ -458,6 +458,25 @@ class TestLiveReevaluation:
             "leastp", solver, {},
             bench.RunSpec(x0_seed=3, eps=1e-30, max_iter=1500))
         assert seen == result.trace.extras["fixed_point_at"] < len(result.trace)
+
+    @pytest.mark.parametrize("kind, solver, beta, measured", [
+        ("lasso", "bpga", "auto", False), ("leastp", "deal-c", 0.5, False),
+        ("leastp", "deal-a", "auto", True)])
+    def test_distances_are_measured_only_for_the_iterate_criterion(
+            self, run_storing, kind, solver, beta, measured):
+        # the iterate criterion alone reads the distances to xstar, and only a
+        # guaranteed run with a tau checks it: lasso's reference has no tau
+        # and beta 0.5 makes a least-p run heuristic
+        problem = bench.build_problem(bench.ProblemSpec(kind=kind, m=40, n=8, seed=1))
+        result, _, ctx = run_storing(problem, bench.SolverSpec(solver=solver, beta=beta),
+                                     bench.RunSpec(x0_seed=3))
+        distances = ctx["reevaluation"].result(result.trace)[1]
+        assert (distances is not None) == measured
+        assert result.trace.guaranteed == (beta == "auto")
+        if measured:
+            assert len(distances) == len(result.trace)
+            assert "iterate" in [c["criterion"]
+                                 for c in result.certificates["complexity"]["checks"]]
 
     @pytest.mark.parametrize("kind, solver, spec_kw", LIVE_CASES)
     def test_an_infinite_eps_is_refused(self, kind, solver, spec_kw):
@@ -953,18 +972,18 @@ class TestRunDirectoryInputs:
             rows = io.StringIO(newline="")
             writer = csv.writer(rows)
             writer.writerow(TRACE_COLUMNS)
-            for rec in trace.records:
-                writer.writerow([rec.k, _fmt(rec.f), _fmt(rec.grad_norm),
-                                 _fmt(rec.step), rec.inner_count,
-                                 _fmt(rec.displacement)])
+            for k, f, g, step, inner, disp in zip(trace.k, trace.f, trace.grad_norm,
+                                                  trace.step, trace.inner_count,
+                                                  trace.displacement):
+                writer.writerow([k, _fmt(f), _fmt(g), _fmt(step), inner, _fmt(disp)])
             assert (out / f"{name}.csv").read_bytes() == rows.getvalue().encode(), name
         # series.csv: one row per record, every field formatted on its own
         lines = ["variant,k,f_gap,grad_norm\n"]
         for name in sorted(traces, key=lambda name: name + ".csv"):
             f, g = traces[name].f_values(), traces[name].grad_norms()
             fstar = json.loads((out / f"{name}.json").read_text())["fstar"]
-            lines += [f"{name},{rec.k},{gap!r},{gn!r}\n" for rec, gap, gn in zip(
-                traces[name].records, (f - fstar).tolist(), g.tolist())]
+            lines += [f"{name},{k},{gap!r},{gn!r}\n" for k, gap, gn in zip(
+                traces[name].k, (f - fstar).tolist(), g.tolist())]
         assert (out / "series.csv").read_text() == "".join(lines)
 
     def test_series_formats_each_row_that_changes(self, tmp_path):

@@ -80,8 +80,8 @@ class TestBPGA:
         cfg = BoostedConfig(gamma=0.25, sigma=0.05, max_iter=200)
         tr = run_bpga(comp, np.array([3.0]), cfg)
         # the acceptance threshold at k=0 is honored by the recorded value
-        assert tr.records[0].f == pytest.approx(ev.value)
-        assert tr.records[1].f <= threshold + 1e-12
+        assert tr.f[0] == pytest.approx(ev.value)
+        assert tr.f[1] <= threshold + 1e-12
         assert certify_descent(tr, tr.rho, tr.theta).passed
 
     @pytest.mark.parametrize("direction", ["gradient", "bb1", "bb2", "lbfgs"])
@@ -150,8 +150,10 @@ def undeclared(composite):
 
 def record_bits(trace):
     """Every field of every record, bit for bit (NaN included)."""
-    return [(r.k, r.inner_count, np.array([r.f, r.grad_norm, r.step, r.displacement]).tobytes())
-            for r in trace.records]
+    return [(k, inner, np.array([f, g, step, disp]).tobytes())
+            for k, f, g, step, inner, disp in zip(trace.k, trace.f, trace.grad_norm,
+                                                  trace.step, trace.inner_count,
+                                                  trace.displacement)]
 
 
 def count_exact_trials(monkeypatch):
@@ -173,10 +175,11 @@ def assert_accepted_steps_pass_exactly(trace, iterates, log):
     ``iterates`` are those the run handed to ``observe``."""
     exact = dict(log)
     taken = 0
-    for rec, x_next in zip(trace.records, iterates[1:]):
-        if rec.step > 0.0:
-            threshold = rec.f - trace.rho * rec.grad_norm ** trace.theta
-            assert exact[x_next.tobytes()] <= threshold, rec.k
+    for k, f, g, step, x_next in zip(trace.k, trace.f, trace.grad_norm, trace.step,
+                                     iterates[1:]):
+        if step > 0.0:
+            threshold = f - trace.rho * g ** trace.theta
+            assert exact[x_next.tobytes()] <= threshold, k
             taken += 1
     return taken
 
@@ -703,9 +706,9 @@ def assert_records_are_fresh_evaluations(trace, iterates, evaluate):
     although the loop completed the accepted trial's evaluation in place of
     most of them."""
     assert len(trace) > 2 and len(iterates) == len(trace)
-    for rec, x in zip(trace.records, iterates):
+    for k, f, g, x in zip(trace.k, trace.f, trace.grad_norm, iterates):
         ev = evaluate(x)
-        assert same_bits(rec.f, ev.value) and same_bits(rec.grad_norm, ev.grad_norm), rec.k
+        assert same_bits(f, ev.value) and same_bits(g, ev.grad_norm), k
 
 
 def logcosh_lasso():
@@ -735,7 +738,7 @@ def count_envelope_calls(monkeypatch):
 
 
 def prox_steps(trace):
-    return sum(rec.step == 0.0 for rec in trace.records)
+    return sum(step == 0.0 for step in trace.step)
 
 
 class TestCarriedEvaluation:
@@ -862,5 +865,5 @@ def test_bhippa_stops_on_a_taken_trial_whose_envelope_value_is_not_finite():
     trace = run_bhippa(Sinkhole(), [1.0], BoostedConfig(gamma=1.0))
     assert trace.extras["termination"] == "nonfinite"
     assert trace.extras["diagnostic"] == "non-finite envelope value at k=1"
-    assert len(trace) == 1 and trace.records[0].f == 0.25
-    assert math.isnan(trace.records[0].step)
+    assert len(trace) == 1 and trace.f[0] == 0.25
+    assert math.isnan(trace.step[0])

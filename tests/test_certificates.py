@@ -12,7 +12,7 @@ import pytest
 
 from dealopt import problems
 from dealopt.analysis import gap_floor, per_step_ratio_check
-from dealopt.core import (IterateRecord, IterateTrace, certify_descent,
+from dealopt.core import (IterateTrace, certify_descent,
                           certify_displacement, min_grad_bound_check,
                           reevaluate_trace)
 from dealopt.solvers import DealConfig, run_deala, run_dealc
@@ -115,15 +115,15 @@ def random_trace(rng, n, tail):
     disp = rng.integers(0, 6, n) / 8.0
     disp[rng.random(n) < 0.1] = math.nan
     disp[-1] = math.nan
-    records = [IterateRecord(k=k, f=float(f[k]), grad_norm=float(g[k]),
-                             displacement=float(disp[k])) for k in range(n)]
+    trace = IterateTrace(rho=0.5, theta=2.0)
+    for k in range(n):
+        trace.append(k, float(f[k]), float(g[k]), displacement=float(disp[k]))
     if tail:
-        last = records[-1]
-        last.displacement = 0.0
-        records += [IterateRecord(k=n + j, f=last.f, grad_norm=last.grad_norm,
-                                  displacement=0.0 if j < tail - 1 else math.nan)
-                    for j in range(tail)]
-    return IterateTrace(records=records, rho=0.5, theta=2.0)
+        trace.displacement[-1] = 0.0
+        for j in range(tail):
+            trace.append(n + j, trace.f[n - 1], trace.grad_norm[n - 1],
+                         displacement=0.0 if j < tail - 1 else math.nan)
+    return trace
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -161,8 +161,8 @@ def test_reevaluated_leastp_trace_matches_the_reference_loops(runner):
 
 
 def test_nan_ratio_fails_the_per_step_check():
-    trace = IterateTrace(records=[IterateRecord(k=k, f=f, grad_norm=1.0)
-                                  for k, f in enumerate([1.0, math.nan, 0.25])],
-                         rho=0.5, theta=2.0)
+    trace = IterateTrace(rho=0.5, theta=2.0)
+    for k, f in enumerate([1.0, math.nan, 0.25]):
+        trace.append(k, f, 1.0)
     report = per_step_ratio_check(trace, 0.0, 0.5)
     assert not report.passed and report.n_checked == 2

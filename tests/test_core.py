@@ -7,24 +7,21 @@ import numpy as np
 import pytest
 
 from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, DataError,
-                          HolderInfo, IterateRecord, IterateTrace, KLInfo,
+                          HolderInfo, IterateTrace, KLInfo,
                           Reevaluation, UsageError, _fmt,
-                          as_vector, certify_descent,
+                          as_vector, certify_descent, column,
                           certify_displacement, config_digest,
                           min_grad_bound_check, reevaluate_trace)
 from dealopt import bench, core
 from dealopt.problems import generate_problem
 
 
-def make_trace(fs, gs, steps=None, disps=None, rho=0.5, theta=2.0):
-    records = []
+def make_trace(fs, gs, steps=None, disps=None):
+    tr = IterateTrace(rho=0.5, theta=2.0)
     for k, (f, g) in enumerate(zip(fs, gs)):
-        records.append(IterateRecord(
-            k=k, f=f, grad_norm=g,
-            step=steps[k] if steps else math.nan,
-            displacement=disps[k] if disps else math.nan,
-        ))
-    return IterateTrace(records=records, rho=rho, theta=theta)
+        tr.append(k, f, g, steps[k] if steps else math.nan, 0,
+                  disps[k] if disps else math.nan)
+    return tr
 
 
 def test_metadata_validation():
@@ -44,10 +41,7 @@ def test_metadata_validation():
 
 def test_trace_validate():
     tr = make_trace([1.0, 0.5], [1.0, 0.5])
-    tr.validate()
-    bad = make_trace([1.0, 0.5], [1.0, 0.5], rho=0.0)
-    with pytest.raises(UsageError):
-        bad.validate()
+    assert tr.validate() is tr
     dup = make_trace([1.0, 0.5], [1.0, 0.5])
     dup.k[1] = 0
     with pytest.raises(DataError):
@@ -74,7 +68,7 @@ def test_certify_descent_counts_vacuous_pairs():
     # required decrease rho g^2 is 1, 2^-40 (at the slack: vacuous), 2^-38
     # and 2^-42 (below it: vacuous)
     tr = make_trace([0.75, -0.5, -0.5, -0.75, -0.75],
-                    [1.0, 2.0 ** -20, 2.0 ** -19, 2.0 ** -21, 0.0], rho=1.0)
+                    [1.0, 2.0 ** -20, 2.0 ** -19, 2.0 ** -21, 0.0])
     rep = certify_descent(tr, rho=1.0, theta=2.0, rel_tol=2.0 ** -40)
     assert rep.passed and rep.n_checked == 4 and rep.n_vacuous == 2
     doc = rep.as_dict()
@@ -85,7 +79,7 @@ def test_certify_descent_counts_vacuous_pairs():
 
 def test_vacuous_pair_still_fails_when_f_rises_past_its_slack():
     # required 2^-42 is below the slack 2^-40, but f rises by 2^-38 > slack - required
-    tr = make_trace([0.5, 0.5 + 2.0 ** -38], [2.0 ** -21, 0.0], rho=1.0)
+    tr = make_trace([0.5, 0.5 + 2.0 ** -38], [2.0 ** -21, 0.0])
     rep = certify_descent(tr, rho=1.0, theta=2.0, rel_tol=2.0 ** -40)
     assert rep.n_vacuous == 1 and not rep.passed
     assert rep.worst_violation == 2.0 ** -38 + 2.0 ** -42
@@ -93,7 +87,7 @@ def test_vacuous_pair_still_fails_when_f_rises_past_its_slack():
 
 def test_certify_descent_errors():
     with pytest.raises(UsageError):
-        certify_descent(IterateTrace(records=[], rho=0.5, theta=2.0), 0.5, 2.0)
+        certify_descent(IterateTrace(rho=0.5, theta=2.0), 0.5, 2.0)
     tr = make_trace([1.0, float("inf")], [1.0, 0.0])
     with pytest.raises(DataError):
         certify_descent(tr, 0.5, 2.0)
@@ -154,8 +148,8 @@ def test_trace_csv_roundtrip(tmp_path):
     assert header == "k,f,grad_norm,step,inner_count,displacement"
     back = IterateTrace.from_csv(path, rho=0.5, theta=2.0)
     assert back.f_values().tolist() == [1.0, 0.5, 0.25]
-    assert back.records[1].inner_count == 3
-    assert math.isnan(back.records[2].displacement)
+    assert back.inner_count[1] == 3
+    assert math.isnan(back.displacement[2])
     # byte-identical rewrite
     back.to_csv(tmp_path / "t2.csv")
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
@@ -166,30 +160,25 @@ def csv_writer_bytes(trace):
     out = io.StringIO(newline="")
     writer = csv.writer(out)
     writer.writerow(TRACE_COLUMNS)
-    for rec in trace.records:
-        writer.writerow([rec.k, _fmt(rec.f), _fmt(rec.grad_norm), _fmt(rec.step),
-                         rec.inner_count, _fmt(rec.displacement)])
+    for k, f, g, step, inner, disp in zip(trace.k, trace.f, trace.grad_norm, trace.step,
+                                          trace.inner_count, trace.displacement):
+        writer.writerow([k, _fmt(f), _fmt(g), _fmt(step), inner, _fmt(disp)])
     return out.getvalue().encode()
 
 
 def test_trace_csv_writes_the_bytes_of_csv_writer(tmp_path):
-    # -0.0, inf and NaN fields, records that share their field objects (as a
-    # replayed fixed point's do), and equal values held by distinct objects
-    shared = IterateRecord(k=3, f=-0.0, grad_norm=math.inf, step=2.0 ** -60,
-                           inner_count=60, displacement=0.0)
-    records = [IterateRecord(k=0, f=1e300, grad_norm=5e-324, step=-0.0,
-                             inner_count=1000, displacement=-math.inf),
-               IterateRecord(k=1, f=float("nan"), grad_norm=0.1 + 0.2, step=math.nan),
-               IterateRecord(k=2, f=np.float64(-1.5), grad_norm=np.float64(2.0),
-                             step=0.5, inner_count=3, displacement=np.float64(-0.0)),
-               shared]
-    records += [IterateRecord(k=k, f=shared.f, grad_norm=shared.grad_norm,
-                              step=shared.step, inner_count=shared.inner_count,
-                              displacement=shared.displacement) for k in range(4, 9)]
-    records += [IterateRecord(k=9, f=-0.0, grad_norm=math.inf, step=2.0 ** -60,
-                              inner_count=60, displacement=0.0),
-                IterateRecord(k=10, f=-1.0, grad_norm=1.0, displacement=math.nan)]
-    trace = IterateTrace(records=records)
+    # -0.0, inf and NaN fields, numpy scalars, records appended from the
+    # same field objects (as a replayed fixed point's are), and equal values
+    # appended from distinct objects
+    trace = IterateTrace()
+    trace.append(0, 1e300, 5e-324, -0.0, 1000, -math.inf)
+    trace.append(1, float("nan"), 0.1 + 0.2, math.nan)
+    trace.append(2, np.float64(-1.5), np.float64(2.0), 0.5, 3, np.float64(-0.0))
+    shared = (-0.0, math.inf, 2.0 ** -60, 60, 0.0)
+    for k in range(3, 9):
+        trace.append(k, *shared)
+    trace.append(9, -0.0, math.inf, 2.0 ** -60, 60, 0.0)
+    trace.append(10, -1.0, 1.0, displacement=math.nan)
     trace.to_csv(tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_bytes() == csv_writer_bytes(trace)
 
@@ -235,6 +224,15 @@ def test_both_writers_write_the_rows_of_the_reference_loop(tmp_path, monkeypatch
     bench.emit_plot_data(tmp_path, {"V": bench._series("V", 0.0, trace)})
     assert (tmp_path / "series.csv").read_bytes() == (b"variant,k,f_gap,grad_norm\n"
                                                       + expected_series)
+
+
+def test_trace_columns_must_have_one_entry_per_record():
+    columns = {name: column(name, [0, 1]) for name in TRACE_COLUMNS}
+    columns["step"] = column("step", [0.5])
+    with pytest.raises(UsageError, match="trace columns must have one entry per record"):
+        IterateTrace(columns=columns)
+    columns["step"].append(0.25)
+    assert IterateTrace(columns=columns).step is columns["step"]
 
 
 def test_trace_csv_header_required(tmp_path):
@@ -295,9 +293,10 @@ def replayed_trace(distinct, tail, n=3):
     X = np.random.default_rng(distinct).uniform(-5.0, 5.0, (distinct, n))
     xs = [row.copy() for row in X]
     xs += [xs[-1]] * tail
-    records = [IterateRecord(k=k, f=9.0, grad_norm=9.0, step=0.5, inner_count=k % 3)
-               for k in range(len(xs))]
-    return IterateTrace(records=records, rho=0.5, theta=2.0), xs, X
+    trace = IterateTrace(rho=0.5, theta=2.0)
+    for k in range(len(xs)):
+        trace.append(k, 9.0, 9.0, 0.5, k % 3)
+    return trace, xs, X
 
 
 # one short of, at and one past REEVALUATE_BLOCK, and several blocks whose
@@ -322,18 +321,21 @@ def test_reevaluate_trace_evaluates_each_distinct_iterate_once(distinct, tail,
         assert [name for name, _ in oracle.points] == ["grad", "value"] * distinct
         assert all(x is xs[i // 2] for i, (_, x) in enumerate(oracle.points))
     last = len(tr) - 1
-    for i, (rec, out) in enumerate(zip(tr.records, fixed.records)):
+    assert len(fixed) == len(tr)
+    for i, (f, g, disp) in enumerate(zip(fixed.f, fixed.grad_norm, fixed.displacement)):
         x = X[min(i, distinct - 1)]
-        assert (out.k, out.step, out.inner_count) == (rec.k, rec.step, rec.inner_count)
-        assert out.f == pytest.approx(0.5 * float(x @ x), rel=1e-15)
-        assert out.grad_norm == pytest.approx(float(np.linalg.norm(x)), rel=1e-15)
+        assert ((fixed.k[i], fixed.step[i], fixed.inner_count[i])
+                == (tr.k[i], tr.step[i], tr.inner_count[i]))
+        assert f == pytest.approx(0.5 * float(x @ x), rel=1e-15)
+        assert g == pytest.approx(float(np.linalg.norm(x)), rel=1e-15)
         if i == last:
-            assert math.isnan(out.displacement)
+            assert math.isnan(disp)
         elif i >= distinct - 1:
-            assert out.displacement == 0.0
+            assert disp == 0.0
         else:
-            assert out.displacement == float(np.linalg.norm(X[i + 1] - x))
-    assert fixed.extras["reevaluated"]
+            assert disp == float(np.linalg.norm(X[i + 1] - x))
+    # the columns the re-evaluation leaves as logged are the solver's own
+    assert fixed.k is tr.k and fixed.step is tr.step and fixed.inner_count is tr.inner_count
 
 
 
@@ -424,8 +426,8 @@ def test_run_variant_working_set_is_bounded_by_its_block(max_iter):
 def test_a_run_holds_its_records_as_columns():
     # least-p 40 x 8 deal-c at beta -0.2 runs to max_iter with no fixed point:
     # 20,001 records and no iterate kept.  Its trace is six 8-byte columns, 48
-    # bytes a record; kept as one IterateRecord object per record, the same
-    # run held 193 bytes a record and peaked at 509
+    # bytes a record; kept as one Python object per record, as traces were
+    # before the columns, the same run held 193 bytes a record and peaked at 509
     problem = bench.build_problem(bench.ProblemSpec(kind="leastp", m=40, n=8))
     spec = bench.SolverSpec(solver="deal-c", beta=-0.2)
     # the problem's reference optimum and cached products, as every variant

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dealopt.core import UsageError
-from dealopt.directions import (DirectionRule, beta_for_holder, generalize,
+from dealopt.directions import (ALPHA_MAX, DirectionRule, beta_for_holder, generalize,
                                 validate_sufficient_descent)
 
 
@@ -47,11 +47,12 @@ def test_bb_negative_curvature_falls_back():
 
 
 def test_bb_scaling_clamped():
-    rule = DirectionRule("bb1", alpha_min=1e-2, alpha_max=1.0)
+    rule = DirectionRule("bb1")
     rule.push(np.zeros(1), np.array([1.0]))
-    # s = 10, y = 1e-3 -> raw scaling 1e5, clamped to 1
-    d = rule.base_direction(np.array([10.0]), np.array([1.0 + 1e-3]))
-    assert d == pytest.approx(-(1.0 + 1e-3) * 1.0)
+    # s = 1e4, y = 1e-5 -> raw scaling 1e9, clamped to ALPHA_MAX = 1e8
+    d = rule.base_direction(np.array([1e4]), np.array([1.0 + 1e-5]))
+    assert ALPHA_MAX == 1e8
+    assert d == pytest.approx(-(1.0 + 1e-5) * ALPHA_MAX)
 
 
 def test_no_history_uses_gradient():

@@ -48,7 +48,7 @@ class TestDealC:
     def test_one_step_exact_quadratic(self):
         tr = run_dealc(quadratic_objective(), np.array([5.0]), DealConfig())
         assert len(tr) == 2
-        assert tr.records[-1].f == 0.0
+        assert tr.f[-1] == 0.0
         assert tr.extras["termination"] == "tolerance"
         assert certify_descent(tr, rho=0.5, theta=2.0).passed
         assert tr.rho == pytest.approx(0.5) and tr.theta == 2.0
@@ -191,8 +191,8 @@ class TestDealA:
         cfg = DealConfig(armijo=ArmijoParams(sigma=0.5, eta=0.5, alpha_bar=1.0))
         tr = run_deala(quadratic_objective(), np.array([1.0]), cfg)
         assert len(tr) == 2
-        assert tr.records[0].inner_count == 0
-        assert tr.records[-1].f == 0.0
+        assert tr.inner_count[0] == 0
+        assert tr.f[-1] == 0.0
 
     def test_leastp_inner_counts_below_bound(self):
         prob = generate_problem(31, "leastp", 60, 12, p=1.5, consistent=True)
@@ -278,7 +278,7 @@ def test_traces_monotone_and_terminal_gradient():
             f = tr.f_values()
             assert np.all(np.diff(f) <= 1e-12)
             if tr.extras["termination"] == "tolerance":
-                assert tr.records[-1].grad_norm <= 1e-6
+                assert tr.grad_norm[-1] <= 1e-6
 
 
 def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None,
@@ -336,10 +336,6 @@ def run_without_replay(monkeypatch, runner, objective, x0, config, observe=None)
     with monkeypatch.context() as m:
         m.setattr(solvers, "_descend", reference_descend)
         return runner(objective, x0, config, observe)
-
-
-def same_bits(a, b):
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def column_bits(trace, *names):
@@ -405,11 +401,8 @@ class TestFixedPointReplay:
                     replayed += tr.extras.pop("fixed_point_at", None) is not None
                     assert tr.extras == ref.extras
                     assert len(tr) == len(ref) == len(xs) == len(ref_xs)
-                    for a, b, x, ref_x in zip(tr.records, ref.records, xs, ref_xs):
-                        assert (a.k, a.inner_count) == (b.k, b.inner_count)
-                        for name in ("f", "grad_norm", "step", "displacement"):
-                            assert same_bits(getattr(a, name), getattr(b, name))
-                        assert x.tobytes() == ref_x.tobytes()
+                    assert column_bits(tr) == column_bits(ref)
+                    assert [x.tobytes() for x in xs] == [x.tobytes() for x in ref_xs]
         assert replayed
 
     def test_replay_waits_for_a_second_unmoved_step(self, monkeypatch):
@@ -428,7 +421,7 @@ class TestFixedPointReplay:
         tr = run_deala(obj, np.array([1.0]), config())
         ref = run_without_replay(monkeypatch, run_deala, obj, np.array([1.0]), config())
         assert tr.extras.pop("fixed_point_at") == 3
-        assert tr.records[2].inner_count == tr.records[1].inner_count + 1
+        assert tr.inner_count[2] == tr.inner_count[1] + 1
         assert tr.extras == ref.extras
         assert column_bits(tr, *TRACE_COLUMNS[:5]) == column_bits(ref, *TRACE_COLUMNS[:5])
 
@@ -459,7 +452,7 @@ class TestFixedPointReplay:
         assert len(xs) == len(tr)
         shared = xs[first]
         assert all(x is shared for x in xs[first:])
-        assert all(rec.displacement == 0.0 for rec in tr.records[first:-1])
+        assert all(disp == 0.0 for disp in tr.displacement[first:-1])
         with pytest.raises(ValueError):
             shared[0] = 0.0
 
@@ -531,11 +524,8 @@ def assert_same_traces(screened, unscreened):
     for (tr, xs), (ref, ref_xs) in zip(screened, unscreened, strict=True):
         assert tr.extras == ref.extras
         assert len(tr) == len(ref)
-        for a, b, x, ref_x in zip(tr.records, ref.records, xs, ref_xs):
-            assert (a.k, a.inner_count) == (b.k, b.inner_count)
-            for name in ("f", "grad_norm", "step", "displacement"):
-                assert same_bits(getattr(a, name), getattr(b, name))
-            assert x.tobytes() == ref_x.tobytes()
+        assert column_bits(tr) == column_bits(ref)
+        assert [x.tobytes() for x in xs] == [x.tobytes() for x in ref_xs]
 
 
 @pytest.fixture(scope="module")
@@ -615,8 +605,8 @@ class TestScreenedBacktracks:
         assert trace.extras["termination"] == "backtrack_limit"
         # x0, one per backtrack and the first trial of every step, and the
         # 61 trials of the step that found none
-        steps = trace.records[:-1]
-        assert calls[0] == 1 + sum(rec.inner_count + 1 for rec in steps) + 61
+        steps = trace.inner_count[:-1]
+        assert calls[0] == 1 + sum(inner + 1 for inner in steps) + 61
         calls[0] = 0
         deala_runs(problem, [spec], run, value=value)
         assert calls[0] < 1 + len(steps) * 4
@@ -801,7 +791,7 @@ class TestObserve:
         tr, xs = observed("fixed point", solver)
         first = tr.extras["fixed_point_at"]
         assert tr.extras["termination"] == "max_iter"
-        assert len(xs) == len(tr) == tr.records[-1].k + 1 > first > 0
+        assert len(xs) == len(tr) == tr.k[-1] + 1 > first > 0
         assert len({id(x) for x in xs[:first]}) == first
         assert all(x is xs[first - 1] for x in xs[first:])
         assert not xs[first].flags.writeable
