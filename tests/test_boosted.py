@@ -148,14 +148,6 @@ def undeclared(composite):
     return dataclasses.replace(composite, line_values=None)
 
 
-def record_bits(trace):
-    """Every field of every record, bit for bit (NaN included)."""
-    return [(k, inner, np.array([f, g, step, disp]).tobytes())
-            for k, f, g, step, inner, disp in zip(trace.k, trace.f, trace.grad_norm,
-                                                  trace.step, trace.inner_count,
-                                                  trace.displacement)]
-
-
 def count_exact_trials(monkeypatch):
     """Log of the exact envelope evaluations the solver makes: the bytes of
     each trial point and its value."""
@@ -217,7 +209,7 @@ class TestBPGAScreen:
         assert len(pairs) == 5
         for screened, loop in pairs:
             assert len(screened) > 2
-            assert record_bits(screened) == record_bits(loop)
+            assert column_bits(screened) == column_bits(loop)
             assert screened.extras == loop.extras
 
     # near a consistent optimum the exact envelope's Gram-form f cancels,
@@ -245,7 +237,7 @@ class TestBPGAScreen:
             return trace, [x.tobytes() for x in xs]
         (screened, screened_xs), (loop, loop_xs) = run(comp), run(undeclared(comp))
         assert len(screened) > 2
-        assert record_bits(screened) == record_bits(loop)
+        assert column_bits(screened) == column_bits(loop)
         assert screened_xs == loop_xs
         assert screened.extras == loop.extras
 

@@ -17,7 +17,7 @@ from dealopt.problems import generate_problem
 
 
 def make_trace(fs, gs, steps=None, disps=None):
-    tr = IterateTrace(rho=0.5, theta=2.0)
+    tr = IterateTrace()
     for k, (f, g) in enumerate(zip(fs, gs)):
         tr.append(k, f, g, steps[k] if steps else math.nan, 0,
                   disps[k] if disps else math.nan)
@@ -293,7 +293,7 @@ def replayed_trace(distinct, tail, n=3):
     X = np.random.default_rng(distinct).uniform(-5.0, 5.0, (distinct, n))
     xs = [row.copy() for row in X]
     xs += [xs[-1]] * tail
-    trace = IterateTrace(rho=0.5, theta=2.0)
+    trace = IterateTrace()
     for k in range(len(xs)):
         trace.append(k, 9.0, 9.0, 0.5, k % 3)
     return trace, xs, X
