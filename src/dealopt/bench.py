@@ -229,10 +229,8 @@ def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunRes
             ctx["xstar"] = ref.xstar
     observe = None
     if run.store_iterates:
-        evaluate = ctx["evaluate"]
         reevaluation = ctx["reevaluation"] = Reevaluation(
-            lambda x: tuple(evaluate(x))[0], lambda x: tuple(evaluate(x))[1],
-            ctx.get("rows"), ctx.get("xstar"))
+            ctx["evaluate"], ctx.get("rows"), ctx.get("xstar"))
         observe = reevaluation.add
     trace = solve(x0, observe)
     trace.seed, trace.config_digest = run.x0_seed + rep, digest

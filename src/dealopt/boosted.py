@@ -18,12 +18,12 @@ evaluations (``EnvelopeEval``, unpacking as value, gradient and proximal
 point), so the proximal point is the point a step falls back to when no
 trial passes the threshold value - rho ||grad||^theta.  They differ only in
 the envelope, the candidate point built from a trial step, and the trials.
-The envelope is evaluated once per accepted point: the trial's evaluation
-that passed is completed in place with its gradient for the next step.  The
-envelope functions are looked up in this module at each call.  The trials
-are offered through :func:`~dealopt.solvers.screened`, with the composite's
-envelope line oracle (``CompositeObjective.line_values``, lasso's
-``fbe_line``) when it has one.
+The envelope is valued once per point, by ``fbe_value`` or ``home_value``,
+and the value of the point taken is completed in place with its gradient
+for the next step.  The envelope functions are looked up in this module at
+each call.  The trials are offered through :func:`~dealopt.solvers.screened`,
+with the composite's envelope line oracle (``CompositeObjective.line_values``,
+lasso's ``fbe_line``) when it has one.
 """
 
 from __future__ import annotations
@@ -32,10 +32,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import CompositeObjective, IterateTrace, UsageError, as_vector
+from .core import (CapabilityError, CompositeObjective, IterateTrace, UsageError,
+                   as_vector)
 from .directions import DirectionRule
+# the solvers call no *_value_grad; the names stay in this namespace, where
+# perfbench's tracer wraps them
 from .envelopes import (_check_gamma, fbe_complete, fbe_value, fbe_value_grad,
-                        home_complete, home_value, home_value_grad)
+                        home_complete, home_value, home_value_grad)  # noqa: F401
 from .solvers import deal_loop, screened
 
 
@@ -112,7 +115,6 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig,
         lambda T, d, steps: problem.line_values(T, d, steps, gamma))
     return deal_loop(
         as_vector(x0, problem.smooth.dim, "x0"), config, rule, trace, trials,
-        evaluate=lambda x: fbe_value_grad(problem, x, gamma),
         candidate=lambda x, T, alpha, d: T + alpha * d,
         value=lambda z: fbe_value(problem, z, gamma),
         complete=lambda z, trial: fbe_complete(problem, trial, gamma),
@@ -154,7 +156,6 @@ def run_bhippa(phi, x0, config: BoostedConfig, observe=None) -> IterateTrace:
     trials = [(m, config.eta ** m) for m in range(config.max_linesearch)]
     return deal_loop(
         x, config, rule, trace, trials,
-        evaluate=lambda x: home_value_grad(phi, x, gamma, p),
         candidate=lambda x, y, kappa, d: (1.0 - kappa) * y + kappa * (x + d),
         value=lambda z: home_value(phi, z, gamma, p),
         complete=lambda z, trial: home_complete(trial, gamma, p),
@@ -163,8 +164,11 @@ def run_bhippa(phi, x0, config: BoostedConfig, observe=None) -> IterateTrace:
 
 
 def bpga_constants(problem: CompositeObjective, config: BoostedConfig):
-    """``(gamma, L, sigma)`` of a BPGA run, once gamma is checked in (0, 1/L)
-    and sigma below its cap gamma (1 - gamma L) / 2."""
+    """``(gamma, L, sigma)`` of a BPGA run, once gamma is checked in (0, 1/L),
+    sigma below its cap gamma (1 - gamma L) / 2 and the smooth part for the
+    Hessian-apply oracle that the envelope gradient needs."""
+    if problem.smooth.hess_apply is None:
+        raise CapabilityError("forward-backward envelope gradient needs a Hessian-apply oracle")
     holder = problem.smooth.holder
     gamma = config.gamma
     if gamma is None and holder is not None:  # no holder: _check_gamma rejects it

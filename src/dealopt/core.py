@@ -447,17 +447,18 @@ class Reevaluation:
     record's displacement becomes 0.  Distinct iterates are evaluated in
     blocks of ``REEVALUATE_BLOCK``, each as soon as it is full: with a batch
     oracle ``rows(X) -> (values, gradients)`` over the rows of ``X`` a block
-    is one call; without it, each point goes through ``grad`` and then
-    ``value``.  Only the per-point results are kept (value, gradient norm,
-    displacement to the next point and, given ``xstar``, the distance to it),
-    with the pending block and the last iterate (``last``).
+    is one call; without it, each point is one call of ``evaluate``, whose
+    result unpacks with the value and the gradient first (a ``value_grad``
+    pair, or an ``EnvelopeEval``).  Only the per-point results are kept
+    (value, gradient norm, displacement to the next point and, given
+    ``xstar``, the distance to it), with the pending block and the last
+    iterate (``last``).
     """
 
-    def __init__(self, value: Callable[[np.ndarray], float],
-                 grad: Callable[[np.ndarray], np.ndarray],
+    def __init__(self, evaluate: Callable[[np.ndarray], tuple],
                  rows: Optional[Callable[[np.ndarray], tuple]] = None,
                  xstar=None):
-        self._value, self._grad, self._rows = value, grad, rows
+        self._evaluate, self._rows = evaluate, rows
         self._xstar = None if xstar is None else np.asarray(xstar, dtype=float)
         self._block = []
         # per distinct point: value, gradient norm, displacement to the next
@@ -494,8 +495,9 @@ class Reevaluation:
             self._gnorm.extend(np.linalg.norm(G, axis=1).tolist())
         else:
             for x in block:
-                self._gnorm.append(np.linalg.norm(self._grad(x)))
-                self._f.append(self._value(x))
+                f, g, *_ = self._evaluate(x)
+                self._gnorm.append(np.linalg.norm(g))
+                self._f.append(f)
 
     def result(self, trace: IterateTrace) -> tuple:
         """``(checked, distances)`` for ``trace``, whose records' iterates
@@ -547,15 +549,19 @@ def reevaluate_trace(trace: IterateTrace, iterates,
     iterates, as ``Reevaluation.result`` gives them.
 
     Certificates should not have to trust solver-logged numbers; this
-    recomputes every logged quantity through the supplied oracles (for
-    envelope solvers, pass the envelope value/gradient).  ``iterates`` are
-    the arrays a solver's ``observe`` hook was handed, one per record
+    recomputes every logged quantity through the supplied oracles, ``grad``
+    and then ``value`` at each point when no ``rows`` is given (for envelope
+    solvers, pass the envelope value/gradient).  ``iterates`` are the arrays
+    a solver's ``observe`` hook was handed, one per record
     (``xs = []; trace = run_deala(obj, x0, cfg, xs.append)``); they go
     through one :class:`Reevaluation`, as a run that re-evaluates while it
     proceeds hands it its own.  Any other number of iterates is a
     ``DataError``.
     """
-    reevaluation = Reevaluation(value, grad, rows)
+    def evaluate(x):
+        g = grad(x)
+        return value(x), g
+    reevaluation = Reevaluation(evaluate, rows)
     for x in iterates:
         reevaluation.add(x)
     return reevaluation.result(trace)[0]

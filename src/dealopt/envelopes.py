@@ -15,9 +15,10 @@ through a ``multi_valued`` flag instead of assuming them away;
 ``fbe_value``, ``fbe_value_grad`` and ``forward_backward_map`` take a
 validated 1-D float array, as the problem oracles do.  An evaluation is an
 ``EnvelopeEval``, the envelope value as a float that keeps its point and
-proximal point: ``fbe_value`` and ``home_value`` return it without the
-gradient, ``fbe_complete`` and ``home_complete`` add the gradient in place,
-and the ``*_value_grad`` functions are the evaluation plus that completion.
+proximal point: ``fbe_value`` and ``home_value`` are the one evaluation of
+a point and return it without the gradient, ``fbe_complete`` and
+``home_complete`` add the gradient in place, and the ``*_value_grad``
+functions are the value plus that completion.
 """
 
 from __future__ import annotations
@@ -334,14 +335,15 @@ class EnvelopeEval(float):
 
 
 def home_value_grad(g, x, gamma: float, p: float = 2.0) -> EnvelopeEval:
-    """Order-p Moreau envelope value and gradient of a prox-capable g.
+    """Order-p Moreau envelope value and gradient of a prox-capable g:
+    ``home_value`` completed by ``home_complete``.
 
     The gradient is |x - y|^(p-2) (x - y) / gamma applied per coordinate for
     the separable construction (the Euclidean formula when p = 2).  At a
     coordinate flagged multi-valued the envelope is not differentiable; the
     value is still returned but the gradient is refused (None).
     """
-    return home_complete(_home(g, x, gamma, p), gamma, p)
+    return home_complete(home_value(g, x, gamma, p), gamma, p)
 
 
 def home_complete(ev: EnvelopeEval, gamma: float, p: float = 2.0) -> EnvelopeEval:
@@ -371,16 +373,9 @@ def _home_gradient(d, gamma, p):
 
 
 def home_value(g, x, gamma: float, p: float = 2.0) -> EnvelopeEval:
-    """Envelope value only (cheaper inner-loop check: no gradient needed).
-    ``home_complete(value, gamma, p)`` is then ``home_value_grad(g, x,
-    gamma, p)`` without a second prox solve."""
-    return _home(g, x, gamma, p)
-
-
-# the *_value_grad functions call these, not the public names that
-# perfbench's tracer wraps, so that a wrapped *_value counts outside calls alone
-def _home(g, x, gamma, p) -> EnvelopeEval:
-    """Order-p proximal point and envelope value at x, without the gradient."""
+    """Order-p proximal point and envelope value at x, without the gradient:
+    one prox solve.  ``home_complete(value, gamma, p)`` then adds the
+    gradient without a second one."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     # a closed-form prox is single-valued; only SeparableProx's can tie
     res = (g.prox_detailed(x, gamma, p) if hasattr(g, "prox_detailed")
@@ -405,7 +400,8 @@ def forward_backward_map(problem: CompositeObjective, x, gamma: float) -> np.nda
 
 
 def fbe_value_grad(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval:
-    """Forward-backward envelope value and gradient.
+    """Forward-backward envelope value and gradient: ``fbe_value`` completed
+    by ``fbe_complete``.
 
     value  = f(x) + <grad f(x), T - x> + ||T - x||^2 / (2 gamma) + g(T)
     grad   = (I - gamma H(x)) (x - T) / gamma        (one Hessian-apply)
@@ -414,7 +410,7 @@ def fbe_value_grad(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval
     """
     if problem.smooth.hess_apply is None:
         raise CapabilityError("forward-backward envelope gradient needs a Hessian-apply oracle")
-    return fbe_complete(problem, _fbe(problem, x, gamma), gamma)
+    return fbe_complete(problem, fbe_value(problem, x, gamma), gamma)
 
 
 def fbe_complete(problem: CompositeObjective, ev: EnvelopeEval, gamma: float) -> EnvelopeEval:
@@ -425,15 +421,10 @@ def fbe_complete(problem: CompositeObjective, ev: EnvelopeEval, gamma: float) ->
 
 
 def fbe_value(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval:
-    """Forward-backward envelope value only.  ``fbe_complete(problem, value,
-    gamma)`` is then ``fbe_value_grad(problem, x, gamma)`` without a second
-    forward-backward step."""
-    return _fbe(problem, x, gamma)
-
-
-def _fbe(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval:
     """Forward-backward point T and envelope value at x, without the gradient:
-    one call of the smooth part, its fused ``value_grad`` when it has one."""
+    one call of the smooth part, its fused ``value_grad`` when it has one.
+    ``fbe_complete(problem, value, gamma)`` then adds the gradient without a
+    second forward-backward step."""
     _check_gamma(problem, gamma)
     f, gf = problem.smooth.value_and_grad(x)
     T = _forward_backward(problem, x, gf, gamma)

@@ -17,9 +17,9 @@ the trace is marked heuristic and rate/bound certificates are skipped
 downstream.
 
 All four solvers run one loop, :func:`deal_loop`, DEAL on a function given
-by hooks: its evaluation, the candidate point of a trial step, the trial's
-value and its completion with a gradient, and the schedule of trials, each
-with the bound its value must meet.  Here the function is the objective
+by hooks: the candidate point of a trial step, a point's value and its
+completion with a gradient, and the schedule of trials, each with the bound
+its value must meet.  Here the function is the objective
 itself (``_descend``), whose points have no fallback point, and the
 constant step is the case with no Armijo test, a single trial at alpha that
 is always taken; the boosted solvers run it on an envelope, whose points
@@ -166,10 +166,10 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
     itself.
 
     Every step first tries ``alpha``.  Without ``armijo`` that trial is
-    always taken, so its value and gradient come from one fused oracle call;
-    with it, the step shrinks to eta^p alpha_bar until the Armijo test passes
-    or p exceeds max_backtracks, and the gradient is taken at the accepted
-    point.  The backtracks that :func:`screened` rules out with the
+    always taken, so each point's value and gradient, x0's too, come from
+    one fused oracle call; with it, the step shrinks to eta^p alpha_bar until
+    the Armijo test passes or p exceeds max_backtracks, and the gradient is
+    taken at the accepted point.  The backtracks that :func:`screened` rules out with the
     objective's ``line_values`` are not evaluated.
     """
     x = as_vector(x0, objective.dim, "x0")
@@ -181,12 +181,11 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
         gradient = None
 
         def value(z):
-            # the one trial is always taken: keep its gradient for complete
+            # every value is completed: keep its gradient for complete
             nonlocal gradient
             f, gradient = objective.value_and_grad(z)
             return f
         return deal_loop(x, config, rule, trace, [(0, alpha)],
-                         evaluate=lambda x: (*objective.value_and_grad(x), None),
                          candidate=candidate, value=value,
                          complete=lambda z, f: (f, gradient, None),
                          schedule=lambda *step: ((0, alpha, None),), observe=observe)
@@ -205,7 +204,6 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
                 return np.where(unmoved, f, values), np.where(unmoved, 0.0, margins)
         return screened(trials, lambda t: f + armijo.sigma * t * slope, line)
     return deal_loop(x, config, rule, trace, trials,
-                     evaluate=lambda x: (objective.value(x), objective.grad(x), None),
                      candidate=candidate, value=objective.value,
                      complete=lambda z, f: (f, objective.grad(z), None),
                      schedule=schedule, observe=observe)
@@ -214,22 +212,21 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
 # an overflowing trial ends the run or fails its test; numpy need not warn
 @np.errstate(over="ignore", invalid="ignore")
 def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
-              evaluate, candidate, value, complete, schedule,
+              candidate, value, complete, schedule,
               x_tol: Optional[float] = None, observe=None) -> IterateTrace:
     """The iteration loop of all four solvers, DEAL on a function phi given
     by hooks, filling ``trace``.
 
-    ``evaluate(x)`` gives the point (phi(x), grad phi(x), y), where y is the
-    fallback point: None for the objective itself, the proximal point for an
-    envelope, whose ``EnvelopeEval`` unpacks so.
+    Each point x is ``complete(x, value(x))``: (phi(x), grad phi(x), y),
+    where y is the fallback point, None for the objective itself and the
+    proximal point for an envelope, whose ``EnvelopeEval`` unpacks so.
     Each step takes a direction d from ``rule`` and, for each (m, t, bound)
     that ``schedule(x, phi(x), grad, ||grad||, y, d)`` yields, tries
     ``z = candidate(x, y, t, d)``; the first trial whose value ``value(z)``
-    is at most its bound (any value when the bound is None) is taken.
-    ``complete(z, value)`` then gives the next step's point, bit for bit what
-    ``evaluate(z)`` would, so phi is evaluated once per accepted point:
-    ``evaluate`` runs only at k=0 and after a step that took y.  ``trials``
-    are the step's (m, t); with none the direction rule is never consulted.
+    is at most its bound (any value when the bound is None) is taken, and
+    ``complete`` makes that value the next step's point, so phi is valued
+    once per point.  ``trials`` are the step's (m, t); with none the
+    direction rule is never consulted.
 
     Each record goes into ``trace``'s columns, no record object being made:
     ``trace.append(k, phi(x), ||grad||)`` as the point is recorded, whose
@@ -263,7 +260,7 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
     unmoved = 0
     fell_back = False
     for k in range(config.max_iter + 1):
-        f, g, y = evaluate(x) if trial is None else complete(x, trial)
+        f, g, y = complete(x, value(x) if trial is None else trial)
         if g is None:
             trace.extras["termination"] = "multivalued"
             trace.extras["diagnostic"] = (

@@ -46,10 +46,8 @@ def certify_observed():
     ``ctx``: by the batch oracle ``ctx["rows"]`` or, without ``rows``, point
     by point through ``ctx["evaluate"]``."""
     def certify(trace, iterates, ctx, rows=True):
-        evaluate = ctx["evaluate"]
-        reevaluation = Reevaluation(
-            lambda x: tuple(evaluate(x))[0], lambda x: tuple(evaluate(x))[1],
-            ctx["rows"] if rows else None, ctx.get("xstar"))
+        reevaluation = Reevaluation(ctx["evaluate"], ctx["rows"] if rows else None,
+                                    ctx.get("xstar"))
         for x in iterates:
             reevaluation.add(x)
         return bench.certify_run(trace, dict(ctx, reevaluation=reevaluation))

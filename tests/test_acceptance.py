@@ -42,7 +42,7 @@ def dealc_runs():
         prob = generate_problem(100 + seed, "leastp", m, n, p=p, consistent=True)
         obj = prob.as_smooth()
         x0 = np.random.default_rng(200 + seed).uniform(-5.0, 5.0, n)
-        reevaluation = Reevaluation(obj.value, obj.grad, xstar=prob.x_ls)
+        reevaluation = Reevaluation(obj.value_and_grad, xstar=prob.x_ls)
         tr = run_dealc(obj, x0, DealConfig(eps=EPS), reevaluation.add)
         out.append((prob, obj, tr, *reevaluation.result(tr)))
     return out

@@ -136,7 +136,7 @@ class TestVerifyComplexity:
     def test_end_to_end_leastp(self):
         prob = generate_problem(29, "leastp", 60, 12, p=2.0, consistent=True)
         obj = prob.as_smooth()
-        reevaluation = Reevaluation(obj.value, obj.grad, xstar=prob.x_ls)
+        reevaluation = Reevaluation(obj.value_and_grad, xstar=prob.x_ls)
         tr = run_dealc(obj, np.random.default_rng(4).uniform(-5, 5, 12),
                        DealConfig(), reevaluation.add)
         nu, L, vt, tau = prob.constants()
@@ -158,7 +158,7 @@ class TestVerifyComplexity:
         assert xs[-1] is xs[999]
         tracemalloc.start()
         try:
-            reevaluation = Reevaluation(lambda x: 0.5 * float(x @ x), lambda x: x,
+            reevaluation = Reevaluation(lambda x: (0.5 * float(x @ x), x),
                                         xstar=np.zeros(200))
             for x in xs:
                 reevaluation.add(x)

@@ -231,7 +231,7 @@ def distances(trace, xs, xstar):
     run's re-evaluation measures it, or None without iterates."""
     if xs is None:
         return None
-    reevaluation = Reevaluation(lambda x: 0.5 * float(x @ x), lambda x: x, xstar=xstar)
+    reevaluation = Reevaluation(lambda x: (0.5 * float(x @ x), x), xstar=xstar)
     for x in xs:
         reevaluation.add(x)
     return reevaluation.result(trace)[1]

@@ -9,9 +9,9 @@ import pytest
 from dealopt import bench, boosted, envelopes
 from dealopt.analysis import fit_linear_rate
 from dealopt.boosted import BoostedConfig, choose_order, run_bhippa, run_bpga
-from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, CompositeObjective,
-                          DataError, HolderInfo, SmoothObjective, UsageError,
-                          certify_descent, reevaluate_trace)
+from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, CapabilityError,
+                          CompositeObjective, DataError, HolderInfo, SmoothObjective,
+                          UsageError, certify_descent, reevaluate_trace)
 from dealopt.directions import DirectionRule
 from dealopt.envelopes import (AbsPower, SeparableProx, fbe_value,
                                fbe_value_grad, forward_backward_map,
@@ -141,6 +141,22 @@ class TestBPGA:
         with pytest.raises(UsageError):
             run_bpga(comp, np.zeros(6), BoostedConfig(gamma=gamma, sigma=0.9))
 
+    def test_a_smooth_part_without_hess_apply_is_refused_before_any_record(self):
+        # the envelope gradient needs the Hessian-apply oracle: the run is
+        # refused with gamma's checks, before the smooth part is called
+        calls = []
+
+        def value(x):
+            calls.append(x)
+            return 0.5 * float(x @ x)
+        smooth = SmoothObjective(dim=1, value=value, grad=lambda x: np.asarray(x, dtype=float),
+                                 holder=HolderInfo(nu=1.0, L=1.0))
+        comp = CompositeObjective(smooth=smooth, nonsmooth=envelopes.L1Norm(1.0))
+        xs = []
+        with pytest.raises(CapabilityError, match="Hessian-apply"):
+            run_bpga(comp, np.array([1.0]), BoostedConfig(), xs.append)
+        assert xs == [] and calls == []
+
 
 def undeclared(composite):
     """The same composite without its envelope line oracle: its search
@@ -148,9 +164,10 @@ def undeclared(composite):
     return dataclasses.replace(composite, line_values=None)
 
 
-def count_exact_trials(monkeypatch):
-    """Log of the exact envelope evaluations the solver makes: the bytes of
-    each trial point and its value."""
+def log_envelope_values(monkeypatch):
+    """Log of the envelope values the solver takes: the bytes of each point
+    valued exactly (x0, each exact trial and each proximal point taken) and
+    its value."""
     log = []
     real = boosted.fbe_value
 
@@ -248,7 +265,7 @@ class TestBPGAScreen:
         taken = 0
         for direction in ("gradient", "bb1", "bb2", "lbfgs"):
             for alpha_bar in (0.5, 0.9):
-                log = count_exact_trials(monkeypatch)
+                log = log_envelope_values(monkeypatch)
                 xs = []
                 trace = run_bpga(comp, x0, BoostedConfig(
                     alpha_bar=alpha_bar, rule=DirectionRule(direction)), xs.append)
@@ -264,7 +281,7 @@ class TestBPGAScreen:
         calls = {}
         for name, comp in (("screened", problem.as_composite()),
                            ("per-trial", undeclared(problem.as_composite()))):
-            log = count_exact_trials(monkeypatch)
+            log = log_envelope_values(monkeypatch)
             for spec in config.solvers:
                 beta = float(spec.beta) if spec.beta != "auto" else 0.0
                 run_bpga(comp, x0, BoostedConfig(
@@ -328,7 +345,7 @@ class TestBPGAScreen:
         monkeypatch.setattr(boosted, "screened", screen)
         x0 = np.random.default_rng(3).uniform(-5.0, 5.0, 6)
         for direction in ("gradient", "bb1", "lbfgs"):
-            log = count_exact_trials(monkeypatch)
+            log = log_envelope_values(monkeypatch)
             xs = []
             trace = run_bpga(comp, x0, BoostedConfig(
                 alpha_bar=0.9, rule=DirectionRule(direction)), xs.append)
@@ -719,7 +736,7 @@ def logcosh_lasso():
 
 
 def count_envelope_calls(monkeypatch):
-    """Calls of the four envelope names the boosted loop goes through."""
+    """Calls of the four envelope names in ``boosted``'s namespace."""
     calls = Counter()
     for name in ("fbe_value", "fbe_value_grad", "home_value", "home_value_grad"):
         def counted(*args, _real=getattr(boosted, name), _name=name):
@@ -776,33 +793,49 @@ class TestCarriedEvaluation:
         assert_records_are_fresh_evaluations(trace, xs,
                                              lambda x: home_value_grad(phi, x, 1.0, 3.0))
 
-    def test_the_full_evaluation_runs_at_k0_and_after_each_prox_step(self, monkeypatch):
+    def test_each_point_is_valued_once_and_no_full_evaluation_runs(self, monkeypatch):
+        # the loop values x0, each exact trial and each proximal point it
+        # takes through *_value, and completes the point taken: it makes no
+        # *_value_grad call
         calls = count_envelope_calls(monkeypatch)
-        trials, taken = Counter(), Counter()
+        valued = []
+        counted = boosted.fbe_value
+
+        def logged(*args):
+            valued.append(counted(*args))
+            return valued[-1]
+        monkeypatch.setattr(boosted, "fbe_value", logged)
+        totals, trials, taken = Counter(), Counter(), Counter()
         # sec53 seed 0 takes no proximal point; seed 1's BPGA takes one
         for seed in (0, 1):
             config = bench.preset("sec53", seed)
             problem = bench.build_problem(config.problem)
             for spec in config.solvers:
                 calls.clear()
+                valued.clear()
                 trace = bench.run_variant(problem, spec, config.run).trace
-                assert calls["fbe_value_grad"] == 1 + prox_steps(trace), spec.name
-                trials[seed] += calls["fbe_value"]
-                taken[seed] += prox_steps(trace)
+                assert set(calls) == {"fbe_value"}, spec.name
+                # a proximal point taken is the one an earlier value computed
+                prox = {id(ev.prox_point) for ev in valued}
+                fallbacks = sum(id(ev.x) in prox for ev in valued[1:])
+                assert fallbacks == prox_steps(trace), spec.name
+                totals[seed] += calls["fbe_value"]
+                trials[seed] += calls["fbe_value"] - 1 - fallbacks
+                taken[seed] += fallbacks
         assert taken[0] == 0 and taken[1] == 1
-        # the exact trials of seed 0's five variants
-        assert trials[0] == 332
+        # seed 0's five variants make 332 exact trials and value five x0s
+        assert trials[0] == 332 and totals == {0: 337, 1: 365}
         calls.clear()
         trace = run_bpga(generate_problem(3, "lasso", 60, 6).as_composite(), np.ones(6),
                          BoostedConfig(max_linesearch=0))
-        assert calls == {"fbe_value_grad": len(trace)}
+        assert calls == {"fbe_value": len(trace)} and len(trace) > 2
         calls.clear()
         trace = bench.run_variant(*_bhippa_experiment(100, 7)).trace
-        assert calls["home_value_grad"] == 1 and calls["home_value"] > len(trace) > 2
+        assert set(calls) == {"home_value"} and calls["home_value"] > len(trace) > 2
         calls.clear()
         phi = PowerAbsProblem(s=4.0, n=5).as_prox_capable()
         trace = run_bhippa(phi, np.linspace(-1.5, 2.0, 5), BoostedConfig(p=4.0, max_linesearch=0))
-        assert calls == {"home_value_grad": len(trace)} and len(trace) > 2
+        assert calls == {"home_value": len(trace)} and len(trace) > 2
 
 
 @pytest.mark.parametrize("solver", ["bpga", "bhippa"])

@@ -280,6 +280,10 @@ class CountingHalfSquare:
         self.points.append(("grad", x))
         return x.copy()
 
+    def evaluate(self, x):
+        self.points.append(("evaluate", x))
+        return 0.5 * float(x @ x), x.copy()
+
     def rows(self, X):
         self.blocks.append(X.copy())
         return 0.5 * np.einsum("ij,ij->i", X, X), X.copy()
@@ -346,7 +350,7 @@ def test_reevaluation_measures_each_distance_as_its_point_alone(n):
     tr, xs, _ = replayed_trace(REEVALUATE_BLOCK + 5, 3, n=n)
     xstar = np.random.default_rng(n).standard_normal(n)
     oracle = CountingHalfSquare()
-    reevaluation = Reevaluation(oracle.value, oracle.grad, oracle.rows, xstar)
+    reevaluation = Reevaluation(oracle.evaluate, oracle.rows, xstar)
     for x in xs:
         reevaluation.add(x)
     distances = reevaluation.result(tr)[1]
@@ -354,10 +358,29 @@ def test_reevaluation_measures_each_distance_as_its_point_alone(n):
     assert distances.tobytes() == np.array(alone).tobytes()
 
 
+@pytest.mark.parametrize("distinct, tail", [(1, 0), (1, 5), (REEVALUATE_BLOCK + 1, 300)])
+def test_reevaluation_evaluates_each_distinct_iterate_in_one_call(distinct, tail):
+    # without a batch oracle each distinct iterate is one call of the
+    # per-point oracle, and a replayed fixed point, however many records it
+    # fills, is one iterate
+    tr, xs, X = replayed_trace(distinct, tail)
+    oracle = CountingHalfSquare()
+    reevaluation = Reevaluation(oracle.evaluate)
+    for x in xs:
+        reevaluation.add(x)
+    checked = reevaluation.result(tr)[0]
+    assert [name for name, _ in oracle.points] == ["evaluate"] * distinct
+    assert all(x is xs[i] for i, (_, x) in enumerate(oracle.points))
+    assert oracle.blocks == []
+    expected = reevaluate_trace(tr, xs, lambda x: 0.5 * float(x @ x), lambda x: x.copy())
+    for name in ("f", "grad_norm", "displacement"):
+        assert getattr(checked, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
 def test_reevaluation_refuses_a_trace_of_other_records():
     tr, xs, _ = replayed_trace(5, 2)
     oracle = CountingHalfSquare()
-    reevaluation = Reevaluation(oracle.value, oracle.grad, oracle.rows)
+    reevaluation = Reevaluation(oracle.evaluate, oracle.rows)
     for x in xs[:-1]:
         reevaluation.add(x)
     with pytest.raises(DataError, match="6 iterates were re-evaluated for a trace of 7"):
