@@ -19,11 +19,11 @@ downstream.
 All four solvers run one loop, :func:`deal_loop`, DEAL on a function given
 by hooks: the candidate point of a trial step, a point's value and its
 completion with a gradient, and the schedule of trials, each with the bound
-its value must meet.  Here the function is the objective
-itself (``_descend``), whose points have no fallback point, and the
-constant step is the case with no Armijo test, a single trial at alpha that
-is always taken; the boosted solvers run it on an envelope, whose points
-fall back to their proximal point.  When the first trial fails and the
+its value must meet.  Here the function is the objective itself
+(``_descend``), whose points have no fallback point, and the constant step
+is the case with no Armijo test, a single trial at alpha that is always
+taken; the boosted solvers run it on an envelope, whose points fall back to
+their proximal point.  When the first trial fails and the
 family has a line oracle (least-p's on f, lasso's on its envelope), the
 remaining trials are screened at once by :func:`screened` and only those it
 cannot rule out are evaluated, in order; the step taken is the one the
@@ -169,8 +169,8 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
     always taken, so each point's value and gradient, x0's too, come from
     one fused oracle call; with it, the step shrinks to eta^p alpha_bar until
     the Armijo test passes or p exceeds max_backtracks, and the gradient is
-    taken at the accepted point.  The backtracks that :func:`screened` rules out with the
-    objective's ``line_values`` are not evaluated.
+    taken at the accepted point.  The backtracks that :func:`screened` rules
+    out with the objective's ``line_values`` are not evaluated.
     """
     x = as_vector(x0, objective.dim, "x0")
 
