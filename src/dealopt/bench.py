@@ -26,8 +26,8 @@ from .boosted import (BoostedConfig, bhippa_constants, bpga_constants, choose_or
 # reevaluate_trace is not called here since runs re-evaluate while they
 # proceed; it stays in this namespace, where perfbench's tracer wraps it
 from .core import (IterateTrace, Reevaluation, UsageError, certify_descent,
-                   certify_displacement, config_digest, min_grad_bound_check,
-                   reevaluate_trace, write_rows)  # noqa: F401
+                   certify_displacement, config_digest, is_integer,
+                   min_grad_bound_check, reevaluate_trace, write_rows)  # noqa: F401
 from .directions import DirectionRule, beta_for_holder
 from .solvers import ArmijoParams, DealConfig, is_guaranteed, run_deala, run_dealc
 
@@ -105,8 +105,9 @@ def validate_config(doc: dict) -> list:
     """Schema check for a config document; returns offending-key messages.
     Each value must have its field's annotated type (a bool is not a
     number) and, if a float, be finite; there must be at least one
-    repetition, and each solver, or its default, must be one the problem's
-    family accepts."""
+    repetition and one solver, and each solver, or its default, must be one
+    the problem's family accepts and be named by a plain file name that
+    gives no file of the run directory or of another variant."""
     errors = []
     if not isinstance(doc, dict):
         return ["config must be a JSON object"]
@@ -132,7 +133,11 @@ def validate_config(doc: dict) -> list:
     solvers = doc.get("solvers", [{}])
     if not isinstance(solvers, list):
         errors.append("solvers must be a list")
+    elif not solvers:
+        errors.append("solvers must list at least one solver")
     else:
+        repeated = is_integer(repetitions) and repetitions > 1
+        taken = {"problem.json", "config.json", "summary.json", "series.csv"}
         for i, sub in enumerate(solvers):
             if not isinstance(sub, dict):
                 errors.append(f"solvers[{i}] must be an object")
@@ -142,7 +147,25 @@ def validate_config(doc: dict) -> list:
             if sub.get("solver", SolverSpec.solver) not in accepted:
                 errors.append(f"solvers[{i}].solver must be one of {accepted} "
                               f"for problem.kind {kind!r}")
+            name = sub.get("name", SolverSpec.name)
+            if not isinstance(name, str):
+                continue
+            # stems of a repeated run end in _rep<r>: they meet at repetition 0 or never
+            files = [_stem(name, 0, repeated) + suffix
+                     for suffix in (".csv", ".json", ".certificates.json")]
+            if name in ("", ".", "..") or Path(name).name != name or "\0" in name:
+                errors.append(f"solvers[{i}].name must be a plain file name, got {name!r}")
+            elif not taken.isdisjoint(files):
+                shared = next(file for file in files if file in taken)
+                errors.append(f"solvers[{i}].name {name!r} would overwrite {shared}, a file "
+                              "of the run directory or of an earlier solver")
+            taken.update(files)
     return errors
+
+
+def _stem(name: str, rep: int, repeated: bool) -> str:
+    """A variant's file stem: its name, or ``name_rep{rep}`` in a repeated run."""
+    return f"{name}_rep{rep}" if repeated else name
 
 
 def _number(value) -> bool:
@@ -154,7 +177,7 @@ def _number(value) -> bool:
 # number.
 _FIELD_TYPES = {
     "float": (_number, "a number"),
-    "int": (lambda v: _number(v) and isinstance(v, numbers.Integral), "an integer"),
+    "int": (is_integer, "an integer"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "Optional[float]": (lambda v: v is None or _number(v), "a number or null"),
@@ -403,7 +426,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     series = {}
     for spec in config.solvers:
         for rep in range(config.run.repetitions):
-            stem = spec.name if config.run.repetitions == 1 else f"{spec.name}_rep{rep}"
+            stem = _stem(spec.name, rep, config.run.repetitions > 1)
             # the finished run is bound only inside _persist_variant, so its
             # trace is released before the next variant runs
             series[stem] = _persist_variant(
@@ -418,7 +441,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
 def _persist_variant(out: Path, stem: str, problem, rep: int, result: RunResult,
                      summary: dict):
     """Write one finished run's trace CSV, sidecar and certificates, add its
-    row to ``summary``, and return its ``_series`` columns."""
+    row to ``summary``, and return its series for ``emit_plot_data``."""
     trace = result.trace
     trace.to_csv(out / f"{stem}.csv")
     sidecar = {
@@ -447,34 +470,19 @@ def _persist_variant(out: Path, stem: str, problem, rep: int, result: RunResult,
     })
     summary["ok"] = summary["ok"] and result.ok
     summary["terminations"][termination] += 1
-    return _series(result.name, result.fstar, trace)
+    return result.name, result.fstar, trace.k, trace.f, trace.grad_norm
 
 
-def emit_plot_data(run_dir, series=None) -> Path:
-    """Condense a run directory into series.csv: variant,k,f_gap,grad_norm.
+def emit_plot_data(run_dir, series) -> Path:
+    """Write a run directory's series.csv: variant,k,f_gap,grad_norm.
 
-    ``series`` maps each trace's stem to its ``_series`` columns, as
-    ``run_experiment`` keeps them in memory.  Without it, the traces are read
-    back: those the directory's ``summary.json`` lists, so CSVs left by an
-    earlier run into the same directory are not mixed in.  Either way the
-    traces go in file-name order, each written by ``core.write_rows``
-    ``core.WRITE_CHUNK`` rows at a time, so no list of a variant's rows is
-    built.
+    ``series`` maps each trace's stem to its series ``(variant, fstar, k, f,
+    grad_norm)``, the last three the trace's own columns, as
+    ``run_experiment`` keeps them in memory.  The traces go in file-name
+    order, each written by ``core.write_rows`` ``core.WRITE_CHUNK`` rows at
+    a time, so no list of a variant's rows is built.
     """
-    run_dir = Path(run_dir)
-    if series is None:
-        summary = run_dir / "summary.json"
-        if not summary.exists():
-            raise UsageError(f"no summary.json found in {run_dir}")
-        variants = json.loads(summary.read_text())["variants"]
-        repeated = {v["variant"] for v in variants if v["rep"] > 0}
-        series = {}
-        for stem in {f"{v['variant']}_rep{v['rep']}" if v["variant"] in repeated
-                     else v["variant"] for v in variants}:
-            meta = json.loads((run_dir / f"{stem}.json").read_text())
-            series[stem] = _series(meta["variant"], meta["fstar"],
-                                   IterateTrace.from_csv(run_dir / f"{stem}.csv"))
-    target = run_dir / "series.csv"
+    target = Path(run_dir) / "series.csv"
     with open(target, "w") as fh:
         fh.write("variant,k,f_gap,grad_norm\n")
         for stem in sorted(series, key=lambda stem: stem + ".csv"):
@@ -483,13 +491,6 @@ def emit_plot_data(run_dir, series=None) -> Path:
             gap = f - (fstar if fstar is not None else float(f.min()))
             write_rows(fh, f"{variant},", k, [gap, grad_norm], lambda a, b: f"{a!r},{b!r}\n")
     return target
-
-
-def _series(variant, fstar, trace: IterateTrace):
-    """The columns series.csv needs of one trace: (variant, fstar, k, f,
-    grad_norm), the last three the trace's own columns, so no record or
-    iterate is kept, nor a copy."""
-    return variant, fstar, trace.k, trace.f, trace.grad_norm
 
 
 def _json_default(obj):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (CapabilityError, CompositeObjective, IterateTrace, UsageError,
-                   as_vector)
+                   as_vector, check_count)
 from .directions import DirectionRule
 # the solvers call no *_value_grad; the names stay in this namespace, where
 # perfbench's tracer wraps them
@@ -63,12 +63,12 @@ class BoostedConfig:
             raise UsageError("eta must lie in (0, 1)")
         if not 0.0 < self.alpha_bar < 1.0:
             raise UsageError("alpha_bar must lie in (0, 1)")
-        if self.max_linesearch < 0:
-            raise UsageError("max_linesearch must be >= 0")
+        check_count("max_linesearch", self.max_linesearch, 0)
         if not self.p > 1.0:
             raise UsageError("order p must exceed 1")
-        if not 0.0 < self.eps < math.inf or self.max_iter < 1:
-            raise UsageError("need a finite eps > 0 and max_iter >= 1")
+        if not 0.0 < self.eps < math.inf:
+            raise UsageError("need a finite eps > 0")
+        check_count("max_iter", self.max_iter, 1)
 
 
 def choose_order(vartheta: float) -> float:

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -45,6 +46,19 @@ def as_vector(x, dim: Optional[int] = None, name: str = "x") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{name} contains non-finite entries")
     return arr
+
+
+def is_integer(value) -> bool:
+    """An integer, numpy's included; as in JSON, a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer or is below ``least``."""
+    if not is_integer(value):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise UsageError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import UsageError
+from .core import UsageError, check_count
 
 KINDS = ("gradient", "bb1", "bb2", "lbfgs")
 # the interval a Barzilai-Borwein scaling is clamped into
@@ -101,8 +101,7 @@ class DirectionRule:
             # the negative-gradient fallback attains c1 = c2 = 1 exactly, so
             # enforceable constants must bracket it
             raise UsageError("need c1 <= 1 <= c2 so the gradient fallback satisfies them")
-        if memory < 1:
-            raise UsageError("memory must be >= 1")
+        check_count("memory", memory, 1)
         self.kind = kind
         self.beta = float(beta)
         self.c1 = float(c1)

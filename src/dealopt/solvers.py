@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (TRACE_COLUMNS, CapabilityError, IterateTrace, SmoothObjective,
-                   UsageError, as_vector, column)
+                   UsageError, as_vector, check_count, column)
 from .directions import DirectionRule, beta_for_holder, generalize
 
 
@@ -57,8 +57,7 @@ class ArmijoParams:
             raise UsageError(f"eta must lie in (0, 1), got {self.eta}")
         if not self.alpha_bar > 0.0:
             raise UsageError(f"alpha_bar must be positive, got {self.alpha_bar}")
-        if self.max_backtracks < 1:
-            raise UsageError("max_backtracks must be >= 1")
+        check_count("max_backtracks", self.max_backtracks, 1)
 
 
 @dataclass
@@ -71,8 +70,7 @@ class DealConfig:
     def __post_init__(self):
         if not 0.0 < self.eps < math.inf:
             raise UsageError(f"eps must be positive and finite, got {self.eps}")
-        if self.max_iter < 1:
-            raise UsageError("max_iter must be >= 1")
+        check_count("max_iter", self.max_iter, 1)
 
 
 def dealc_step_size(c1: float, c2: float, nu: float, L: float) -> float:

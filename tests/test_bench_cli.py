@@ -204,11 +204,6 @@ class TestRunExperiment:
                     if l.split(",")[0] == variant]
             assert all(g1 <= g0 + 1e-18 for g0, g1 in zip(gaps, gaps[1:]))
 
-    def test_emit_plot_data_requires_traces(self, tmp_path):
-        (tmp_path / "empty").mkdir()
-        with pytest.raises(UsageError):
-            bench.emit_plot_data(tmp_path / "empty")
-
     def test_repetitions_get_distinct_files(self, tmp_path):
         cfg = small_config(tmp_path, solvers=[
             bench.SolverSpec(name="DEAL-A", solver="deal-a")])
@@ -943,8 +938,8 @@ class TestRunDirectoryInputs:
 
     def test_emit_plot_data_rewrites_the_series_of_the_run(self, tmp_path, monkeypatch):
         # run_experiment writes series.csv from the traces it holds, without
-        # reading one back; emit_plot_data on the finished directory reads
-        # them and writes the same bytes
+        # reading one back; emit_plot_data, handed the series of the traces
+        # the run directory holds, writes the same bytes
         cfg = small_config(tmp_path, solvers=[
             bench.SolverSpec(name="B", solver="deal-c"),
             bench.SolverSpec(name="A-B", solver="deal-a"),
@@ -960,7 +955,14 @@ class TestRunDirectoryInputs:
         written = (out / "series.csv").read_bytes()
         assert len(written.splitlines()) > 100
         (out / "series.csv").unlink()
-        assert bench.emit_plot_data(out) == out / "series.csv"
+        series = {}
+        for path in out.glob("*_rep?.csv"):
+            trace = bench.IterateTrace.from_csv(path)
+            meta = json.loads(path.with_suffix(".json").read_text())
+            series[path.stem] = (meta["variant"], meta["fstar"], trace.k, trace.f,
+                                 trace.grad_norm)
+        assert len(series) == 6
+        assert bench.emit_plot_data(out, series) == out / "series.csv"
         assert (out / "series.csv").read_bytes() == written
 
     def test_sec51_writes_the_bytes_of_csv_writer(self, sec51_run):
@@ -1022,13 +1024,13 @@ class TestRunDirectoryInputs:
     @staticmethod
     def assert_refused(tmp_path, capsys, argv, message):
         """``deal ARGV --out RUNS`` exits 1 with the one error line
-        ``message`` and writes no run directory."""
+        ``message`` and writes no run directory, nor a file beside it."""
         rc = cli.main(argv + ["--out", str(tmp_path / "runs")])
         captured = capsys.readouterr()
         assert rc == cli.EXIT_USAGE
         assert captured.err == f"error: invalid experiment config: {message}\n"
         assert captured.out == ""
-        assert not (tmp_path / "runs").exists()
+        assert {path.name for path in tmp_path.iterdir()} <= {"f.json"}
 
     @staticmethod
     def sweep_with(tmp_path, doc):
@@ -1133,6 +1135,36 @@ class TestRunDirectoryInputs:
         self.assert_refused(tmp_path, capsys,
                             self.sweep_with(tmp_path, {"solvers": solvers}),
                             "solvers must be a list")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"solvers": []}, "solvers must list at least one solver"),
+        ({"solvers": [{"name": "V", "solver": "bpga"}, {"name": "V", "solver": "bpga"}]},
+         "solvers[1].name 'V' would overwrite V.csv, a file of the run directory or of "
+         "an earlier solver"),
+        ({"solvers": [{"name": "V", "solver": "bpga"}, {"name": "V", "solver": "bpga"}],
+          "run": {"repetitions": 2}},
+         "solvers[1].name 'V' would overwrite V_rep0.csv, a file of the run directory or "
+         "of an earlier solver"),
+        ({"solvers": [{"name": "V", "solver": "bpga"},
+                      {"name": "V.certificates", "solver": "bpga"}]},
+         "solvers[1].name 'V.certificates' would overwrite V.certificates.json, a file of "
+         "the run directory or of an earlier solver"),
+        ({"solvers": [{"name": "summary", "solver": "bpga"}]},
+         "solvers[0].name 'summary' would overwrite summary.json, a file of the run "
+         "directory or of an earlier solver"),
+        *(({"solvers": [{"name": name, "solver": "bpga"}]},
+           f"solvers[0].name must be a plain file name, got {name!r}")
+          for name in ("x/y", "../escaped", "../../escaped", "", ".", "..", "a\0b"))])
+    def test_solvers_that_share_a_file_or_lack_a_plain_name_exit_1(self, tmp_path, capsys,
+                                                                    doc, message):
+        self.assert_refused(tmp_path, capsys, self.sweep_with(tmp_path, doc), message)
+
+    @pytest.mark.parametrize("name", ["x/y", "../escaped"])
+    def test_run_experiment_refuses_a_name_before_writing(self, tmp_path, name):
+        config = small_config(tmp_path, solvers=[bench.SolverSpec(name=name)])
+        with pytest.raises(UsageError, match="solvers.0..name must be a plain file name"):
+            bench.run_experiment(config)
+        assert [path.name for path in tmp_path.iterdir()] == []
 
     @pytest.mark.parametrize("argv", [
         ["certify", "--trace", "missing.csv", "--rho", "0.5", "--theta", "2.0"],

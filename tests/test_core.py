@@ -221,7 +221,7 @@ def test_both_writers_write_the_rows_of_the_reference_loop(tmp_path, monkeypatch
     expected_trace, expected_series = reference_rows(trace, 0.0)
     trace.to_csv(tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_bytes() == expected_trace
-    bench.emit_plot_data(tmp_path, {"V": bench._series("V", 0.0, trace)})
+    bench.emit_plot_data(tmp_path, {"V": ("V", 0.0, trace.k, trace.f, trace.grad_norm)})
     assert (tmp_path / "series.csv").read_bytes() == (b"variant,k,f_gap,grad_norm\n"
                                                       + expected_series)
 

@@ -267,6 +267,24 @@ class TestDealA:
             DealConfig(eps=0.0)
 
 
+@pytest.mark.parametrize("field, make", [
+    ("max_iter", lambda v: DealConfig(max_iter=v)),
+    ("max_backtracks", lambda v: ArmijoParams(max_backtracks=v)),
+    ("max_iter", lambda v: BoostedConfig(max_iter=v)),
+    ("max_linesearch", lambda v: BoostedConfig(max_linesearch=v)),
+    ("memory", lambda v: DirectionRule("lbfgs", memory=v))],
+    ids=["DealConfig.max_iter", "ArmijoParams.max_backtracks", "BoostedConfig.max_iter",
+         "BoostedConfig.max_linesearch", "DirectionRule.memory"])
+def test_a_count_must_be_an_integer(field, make):
+    # as in a config file, a bool is no integer; numpy's integers are
+    for value in (2.5, 2.0, True, "3", None, np.float64(3.0)):
+        with pytest.raises(UsageError, match=f"^{field} must be an integer, got "):
+            make(value)
+    with pytest.raises(UsageError, match=f"^{field} must be >= "):
+        make(-1)
+    make(3)
+    make(np.int64(3))
+
 def test_traces_monotone_and_terminal_gradient():
     # descent runs produce non-increasing f and a final gradient within eps
     for seed, p in ((1, 1.5), (2, 2.0)):
