@@ -285,6 +285,7 @@ def test_a_count_must_be_an_integer(field, make):
     make(3)
     make(np.int64(3))
 
+
 def test_traces_monotone_and_terminal_gradient():
     # descent runs produce non-increasing f and a final gradient within eps
     for seed, p in ((1, 1.5), (2, 2.0)):
