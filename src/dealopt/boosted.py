@@ -86,13 +86,18 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig,
 
     Each step computes the forward-backward point T(x^k), picks a direction
     d^k from the rule (fed with envelope gradients), and accepts the largest
-    alpha in {alpha_bar^m : m = 1..max_linesearch} such that
-    x^{k+1} = T(x^k) + alpha d^k decreases the envelope by at least
-    sigma/(1+gamma L)^2 times the squared envelope gradient norm.  If no trial
-    passes, the plain forward-backward point is taken (it always satisfies the
-    test given sigma < gamma(1 - gamma L)/2).  ``max_linesearch=0`` skips the
-    search entirely, reproducing the plain forward-backward update.  Unset
-    ``gamma`` defaults to 0.95/L and unset ``sigma`` to 0.9 of its cap.
+    t in {gamma alpha_bar^m : m = 1..max_linesearch} such that
+    x^{k+1} = T(x^k) + t d^k decreases the envelope by at least
+    sigma/(1+gamma L)^2 times the squared envelope gradient norm.  The
+    factor gamma is for the ``gradient`` kind only: the envelope gradient is
+    about 1/gamma times the forward-backward residual x - T, so that t d^k
+    has the residual's unit and the iterates do not depend on the data's;
+    BB and L-BFGS directions carry their own scale and take
+    t = alpha_bar^m.  If no trial passes, the plain forward-backward point is
+    taken (it always satisfies the test given sigma < gamma(1 - gamma L)/2).
+    ``max_linesearch=0`` skips the search entirely, reproducing the plain
+    forward-backward update.  Unset ``gamma`` defaults to 0.95/L and unset
+    ``sigma`` to 0.9 of its cap.
 
     When the composite has an envelope line oracle (``line_values``, which
     lasso supplies in closed form), the trials after the first are screened
@@ -110,12 +115,14 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig,
                 "alpha_bar": config.alpha_bar, "eps": config.eps,
                 "direction": rule.kind, "beta": rule.beta, "fallbacks": 0},
     )
-    trials = [(m, config.alpha_bar ** m) for m in range(1, config.max_linesearch + 1)]
+    unit = gamma if rule.kind == "gradient" else 1.0
+    trials = [(m, unit * config.alpha_bar ** m)
+              for m in range(1, config.max_linesearch + 1)]
     line = None if problem.line_values is None else (
         lambda T, d, steps: problem.line_values(T, d, steps, gamma))
     return deal_loop(
         as_vector(x0, problem.smooth.dim, "x0"), config, rule, trace, trials,
-        candidate=lambda x, T, alpha, d: T + alpha * d,
+        candidate=lambda x, T, t, d: T + t * d,
         value=lambda z: fbe_value(problem, z, gamma),
         complete=lambda z, trial: fbe_complete(problem, trial, gamma),
         schedule=_schedule(trace, trials, line), observe=observe)

@@ -16,7 +16,8 @@ from dealopt.directions import DirectionRule
 from dealopt.envelopes import (AbsPower, SeparableProx, fbe_value,
                                fbe_value_grad, forward_backward_map,
                                home_value, home_value_grad)
-from dealopt.problems import PowerAbsProblem, generate_problem, reference_optimum
+from dealopt.problems import (LassoProblem, PowerAbsProblem, generate_problem,
+                              reference_optimum)
 from dealopt.solvers import screened
 
 
@@ -69,7 +70,6 @@ class TestBPGA:
     def test_hand_example_first_candidate(self):
         # scalar l1 regression, identity design, gamma 0.25, L = 1
         prob, comp, _, _ = None, None, None, None
-        from dealopt.problems import LassoProblem
         lp = LassoProblem(np.array([[1.0]]), np.array([0.0]), lam=1.0)
         comp = lp.as_composite()
         T = forward_backward_map(comp, np.array([3.0]), 0.25)
@@ -156,6 +156,41 @@ class TestBPGA:
         with pytest.raises(CapabilityError, match="Hessian-apply"):
             run_bpga(comp, np.array([1.0]), BoostedConfig(), xs.append)
         assert xs == [] and calls == []
+
+
+class TestGradientTrialScale:
+    """The gradient direction's trials are gamma alpha_bar^m: the envelope
+    gradient is about 1/gamma times the forward-backward residual, so the
+    step t d has the residual's unit."""
+
+    def test_the_steps_do_not_depend_on_the_units_of_the_data(self):
+        # the lasso (c A, c b, c^2 lam) is the lasso times c^2: gamma scales
+        # by 1/c^2, the envelope gradient by c^2 and eps goes with it
+        problem = generate_problem(0, "lasso", 60, 20, consistent=True)
+        x0 = np.random.default_rng(0).uniform(-5.0, 5.0, problem.n)
+        steps = {}
+        for c in (0.1, 1.0, 10.0):
+            comp = LassoProblem(c * problem.A, c * problem.b, c * c * problem.lam).as_composite()
+            trace = run_bpga(comp, x0, BoostedConfig(
+                eps=1e-6 * c * c, rule=DirectionRule("gradient", beta=0.0)))
+            assert trace.extras["termination"] == "tolerance"
+            steps[c] = len(trace) - 1
+        # measured: 216 each; 193, 52 and 53 with the trials alpha_bar^m
+        assert steps[0.1] == steps[1.0] == steps[10.0], steps
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bpga_takes_no_more_steps_than_forward_backward_on_sec53(self, seed):
+        config = bench.preset("sec53", seed)
+        problem = bench.build_problem(config.problem)
+        spec, = (spec for spec in config.solvers if spec.name == "BPGA")
+        steps = {}
+        for name, variant in (("BPGA", spec),
+                              ("PG", bench.SolverSpec(name="PG", solver="bpga",
+                                                      max_linesearch=0))):
+            trace = bench.run_variant(problem, variant, config.run).trace
+            assert trace.extras["termination"] == "tolerance"
+            steps[name] = len(trace) - 1
+        assert steps["BPGA"] <= steps["PG"], steps
 
 
 def undeclared(composite):
@@ -275,6 +310,9 @@ class TestBPGAScreen:
         assert taken > 100
 
     def test_screen_halves_the_exact_evaluations_on_sec53(self, monkeypatch):
+        # at the preset's alpha_bar 0.5 the first trial of most steps passes,
+        # and the screen saves 31 of 136 exact values; at alpha_bar 0.9 more
+        # trials fail first (measured: 335 screened against 1,068 per trial)
         config = bench.preset("sec53", 0)
         problem = bench.build_problem(config.problem)
         x0 = np.random.default_rng(config.run.x0_seed).uniform(-5.0, 5.0, problem.n)
@@ -285,7 +323,7 @@ class TestBPGAScreen:
             for spec in config.solvers:
                 beta = float(spec.beta) if spec.beta != "auto" else 0.0
                 run_bpga(comp, x0, BoostedConfig(
-                    rule=DirectionRule(spec.direction, beta=beta)))
+                    alpha_bar=0.9, rule=DirectionRule(spec.direction, beta=beta)))
             calls[name] = len(log)
             monkeypatch.undo()
         assert 0 < 2 * calls["screened"] <= calls["per-trial"], calls
@@ -294,30 +332,34 @@ class TestBPGAScreen:
     def test_the_screen_error_is_a_tenth_of_the_margin(self, case):
         # every screened trial measured against its exact envelope value
         if case == "sec53":
-            config = bench.preset("sec53", 0)
-            problem = bench.build_problem(config.problem)
-            rules = [DirectionRule(spec.direction, beta=0.0 if spec.beta == "auto"
-                                   else float(spec.beta)) for spec in config.solvers]
-            x0_seed = config.run.x0_seed
+            runs = []
+            for seed in range(10):
+                config = bench.preset("sec53", seed)
+                runs.append((bench.build_problem(config.problem),
+                             [DirectionRule(spec.direction, beta=0.0 if spec.beta == "auto"
+                                            else float(spec.beta)) for spec in config.solvers],
+                             config.run.x0_seed))
         else:
-            problem = generate_problem(0, "lasso", 40, 40, consistent=True)
-            rules = [DirectionRule(direction) for direction in ("gradient", "bb1", "lbfgs")]
-            x0_seed = 0
-        comp = problem.as_composite()
+            runs = [(generate_problem(0, "lasso", 40, 40, consistent=True),
+                     [DirectionRule(direction) for direction in ("gradient", "bb1", "lbfgs")],
+                     0)]
         ratios = []
+        for problem, rules, x0_seed in runs:
+            comp = problem.as_composite()
 
-        def line_values(T, d, steps, gamma):
-            values, margins = problem.fbe_line(T, d, steps, gamma)
-            exact = np.array([fbe_value(comp, T + t * d, gamma) for t in steps])
-            finite = np.isfinite(values) & np.isfinite(exact)
-            ratios.extend((np.abs(values - exact) / margins)[finite].tolist())
-            return values, margins
-        x0 = np.random.default_rng(x0_seed).uniform(-5.0, 5.0, problem.n)
-        for rule in rules:
-            trace = run_bpga(dataclasses.replace(comp, line_values=line_values), x0,
-                             BoostedConfig(rule=rule))
-            assert trace.extras["termination"] == "tolerance"
-        # measured: 5,782 trials, worst 0.014 (sec53); 152,537, worst 0.031 (40x40)
+            def line_values(T, d, steps, gamma, problem=problem, comp=comp):
+                values, margins = problem.fbe_line(T, d, steps, gamma)
+                exact = np.array([fbe_value(comp, T + t * d, gamma) for t in steps])
+                finite = np.isfinite(values) & np.isfinite(exact)
+                ratios.extend((np.abs(values - exact) / margins)[finite].tolist())
+                return values, margins
+            x0 = np.random.default_rng(x0_seed).uniform(-5.0, 5.0, problem.n)
+            for rule in rules:
+                trace = run_bpga(dataclasses.replace(comp, line_values=line_values), x0,
+                                 BoostedConfig(rule=rule))
+                assert trace.extras["termination"] == "tolerance"
+        # measured: 5,880 trials over seeds 0-9, worst 0.014 (sec53);
+        # 152,537, worst 0.031 (40x40)
         assert len(ratios) > 5000
         assert max(ratios) <= 0.1
 
@@ -343,12 +385,15 @@ class TestBPGAScreen:
                     offered_and_failed.append(excess > 1e-9 * abs(threshold))
                 yield m, t, threshold
         monkeypatch.setattr(boosted, "screened", screen)
-        x0 = np.random.default_rng(3).uniform(-5.0, 5.0, 6)
-        for direction in ("gradient", "bb1", "lbfgs"):
+        # the gradient direction with beta 0.5 is the only one offered a
+        # failing trial from this x0 (3 of its 26 screened offers)
+        x0 = np.random.default_rng(0).uniform(-5.0, 5.0, 6)
+        for direction, beta in (("gradient", 0.0), ("gradient", 0.5), ("bb1", 0.0),
+                                ("lbfgs", 0.0)):
             log = log_envelope_values(monkeypatch)
             xs = []
             trace = run_bpga(comp, x0, BoostedConfig(
-                alpha_bar=0.9, rule=DirectionRule(direction)), xs.append)
+                alpha_bar=0.9, rule=DirectionRule(direction, beta=beta)), xs.append)
             assert trace.extras["termination"] == "tolerance"
             assert assert_accepted_steps_pass_exactly(trace, xs, log) > 10
             checked = reevaluate_trace(trace, xs, lambda x: fbe_value(comp, x, gamma),
@@ -806,8 +851,8 @@ class TestCarriedEvaluation:
             return valued[-1]
         monkeypatch.setattr(boosted, "fbe_value", logged)
         totals, trials, taken = Counter(), Counter(), Counter()
-        # sec53 seed 0 takes no proximal point; seed 1's BPGA takes one
-        for seed in (0, 1):
+        # sec53 seed 0 takes no proximal point; seed 6's BPGA-1 takes one
+        for seed in (0, 6):
             config = bench.preset("sec53", seed)
             problem = bench.build_problem(config.problem)
             for spec in config.solvers:
@@ -822,9 +867,9 @@ class TestCarriedEvaluation:
                 totals[seed] += calls["fbe_value"]
                 trials[seed] += calls["fbe_value"] - 1 - fallbacks
                 taken[seed] += fallbacks
-        assert taken[0] == 0 and taken[1] == 1
-        # seed 0's five variants make 332 exact trials and value five x0s
-        assert trials[0] == 332 and totals == {0: 337, 1: 365}
+        assert taken[0] == 0 and taken[6] == 1
+        # seed 0's five variants make 100 exact trials and value five x0s
+        assert trials[0] == 100 and totals == {0: 105, 6: 151}
         calls.clear()
         trace = run_bpga(generate_problem(3, "lasso", 60, 6).as_composite(), np.ones(6),
                          BoostedConfig(max_linesearch=0))
