@@ -122,7 +122,7 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig,
         lambda T, d, steps: problem.line_values(T, d, steps, gamma))
     return deal_loop(
         as_vector(x0, problem.smooth.dim, "x0"), config, rule, trace, trials,
-        candidate=lambda x, T, t, d: T + t * d,
+        candidate=lambda x, T, alpha, d: T + alpha * d,
         value=lambda z: fbe_value(problem, z, gamma),
         complete=lambda z, trial: fbe_complete(problem, trial, gamma),
         schedule=_schedule(trace, trials, line), observe=observe)

@@ -347,7 +347,7 @@ class TestBPGAScreen:
         for problem, rules, x0_seed in runs:
             comp = problem.as_composite()
 
-            def line_values(T, d, steps, gamma, problem=problem, comp=comp):
+            def line_values(T, d, steps, gamma):
                 values, margins = problem.fbe_line(T, d, steps, gamma)
                 exact = np.array([fbe_value(comp, T + t * d, gamma) for t in steps])
                 finite = np.isfinite(values) & np.isfinite(exact)
