@@ -10,8 +10,8 @@ generated lasso instances for seeds 0..seeds-1, each from the x0 of its
 own seed.  Each run goes through ``bench.run_variant``, certificates
 included; the envelope calls counted are the solver's own, through
 ``boosted``'s names.  Prints one markdown table: per variant the summed and
-median steps, exact ``fbe_value`` calls and ``fbe_line`` screens, and the
-runs that ended ``tolerance``.  It imports ``dealopt`` from the checkout's
+median steps and exact ``fbe_value`` calls, and the runs that ended
+``tolerance``.  It imports ``dealopt`` from the checkout's
 ``src/`` unless ``PYTHONPATH`` names another.
 """
 
@@ -25,7 +25,7 @@ from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
-from dealopt import bench, boosted, problems  # noqa: E402
+from dealopt import bench, boosted  # noqa: E402
 
 PG = bench.SolverSpec(name="PG", solver="bpga", max_linesearch=0)
 BPGA = bench.SolverSpec(name="BPGA", solver="bpga", direction="gradient", beta=0.0)
@@ -49,31 +49,27 @@ def experiments(kind: str, seeds: int):
 
 
 def measure(kind: str, seeds: int) -> dict:
-    """Per (group, variant name), each run's steps, ``fbe_value`` calls,
-    ``fbe_line`` calls and whether it ended ``tolerance``."""
-    calls = defaultdict(int)
-    value, line = boosted.fbe_value, problems.LassoProblem.fbe_line
+    """Per (group, variant name), each run's steps, ``fbe_value`` calls and
+    whether it ended ``tolerance``."""
+    calls = [0]
+    value = boosted.fbe_value
 
-    def count(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-        return counted
-    boosted.fbe_value = count("values", value)
-    problems.LassoProblem.fbe_line = count("screens", line)
+    def counted(*args):
+        calls[0] += 1
+        return value(*args)
+    boosted.fbe_value = counted
     rows = defaultdict(lambda: defaultdict(list))
     try:
         for group, problem, specs, run in experiments(kind, seeds):
             for spec in specs:
-                calls.clear()
+                calls[0] = 0
                 trace = bench.run_variant(problem, spec, run).trace
                 row = rows[group, spec.name]
                 row["steps"].append(len(trace) - 1)
-                row["values"].append(calls["values"])
-                row["screens"].append(calls["screens"])
+                row["values"].append(calls[0])
                 row["tolerance"].append(trace.extras["termination"] == "tolerance")
     finally:
-        boosted.fbe_value, problems.LassoProblem.fbe_line = value, line
+        boosted.fbe_value = value
     return rows
 
 
@@ -83,12 +79,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=40)
     args = parser.parse_args(argv)
     rows = measure(args.kind, args.seeds)
-    print("| instance | variant | steps | median | fbe_value | median | fbe_line | tolerance |")
-    print("|---|---|---:|---:|---:|---:|---:|---:|")
+    print("| instance | variant | steps | median | fbe_value | median | tolerance |")
+    print("|---|---|---:|---:|---:|---:|---:|")
     for (group, name), row in rows.items():
         print(f"| {group} | `{name}` | {sum(row['steps']):,} | {statistics.median(row['steps']):g}"
               f" | {sum(row['values']):,} | {statistics.median(row['values']):g}"
-              f" | {sum(row['screens']):,} | {sum(row['tolerance'])}/{len(row['steps'])} |")
+              f" | {sum(row['tolerance'])}/{len(row['steps'])} |")
     return 0
 
 

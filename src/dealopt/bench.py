@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -107,7 +108,8 @@ def validate_config(doc: dict) -> list:
     number) and, if a float, be finite; there must be at least one
     repetition and one solver, and each solver, or its default, must be one
     the problem's family accepts and be named by a plain file name that
-    gives no file of the run directory or of another variant."""
+    gives no file of the run directory or of another variant, nor one
+    longer than the file system of ``output.directory`` allows."""
     errors = []
     if not isinstance(doc, dict):
         return ["config must be a JSON object"]
@@ -138,6 +140,10 @@ def validate_config(doc: dict) -> list:
     else:
         repeated = is_integer(repetitions) and repetitions > 1
         taken = {"problem.json", "config.json", "summary.json", "series.csv"}
+        output = doc.get("output", {})
+        directory = (output.get("directory", OutputSpec.directory)
+                     if isinstance(output, dict) else None)
+        name_max = _name_max(directory) if isinstance(directory, str) else None
         for i, sub in enumerate(solvers):
             if not isinstance(sub, dict):
                 errors.append(f"solvers[{i}] must be an object")
@@ -153,14 +159,33 @@ def validate_config(doc: dict) -> list:
             # stems of a repeated run end in _rep<r>: they meet at repetition 0 or never
             files = [_stem(name, 0, repeated) + suffix
                      for suffix in (".csv", ".json", ".certificates.json")]
-            if name in ("", ".", "..") or Path(name).name != name or "\0" in name:
+            try:
+                # the longest file of a variant: its last repetition's certificates
+                longest = len(os.fsencode(_stem(name, repetitions - 1 if repeated else 0,
+                                                repeated) + ".certificates.json"))
+            except UnicodeEncodeError:
+                longest = None
+            if (longest is None or name in ("", ".", "..") or Path(name).name != name
+                    or "\0" in name):
                 errors.append(f"solvers[{i}].name must be a plain file name, got {name!r}")
+            elif name_max is not None and longest > name_max:
+                errors.append(f"solvers[{i}].name gives a file name of {longest} bytes; the "
+                              f"file system of output.directory allows {name_max}")
             elif not taken.isdisjoint(files):
                 shared = next(file for file in files if file in taken)
                 errors.append(f"solvers[{i}].name {name!r} would overwrite {shared}, a file "
                               "of the run directory or of an earlier solver")
             taken.update(files)
     return errors
+
+
+def _name_max(directory: str) -> int:
+    """The longest file name, in bytes, that the file system holding
+    ``directory``, or its nearest existing ancestor, allows."""
+    path = os.path.abspath(directory)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    return os.pathconf(path, "PC_NAME_MAX")
 
 
 def _stem(name: str, rep: int, repeated: bool) -> str:

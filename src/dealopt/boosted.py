@@ -21,9 +21,8 @@ the envelope, the candidate point built from a trial step, and the trials.
 The envelope is valued once per point, by ``fbe_value`` or ``home_value``,
 and the value of the point taken is completed in place with its gradient
 for the next step.  The envelope functions are looked up in this module at
-each call.  The trials are offered through :func:`~dealopt.solvers.screened`,
-with the composite's envelope line oracle (``CompositeObjective.line_values``,
-lasso's ``fbe_line``) when it has one.
+each call.  The trials are offered through :func:`~dealopt.solvers.screened`
+with no line oracle, so each one is valued exactly, in order.
 """
 
 from __future__ import annotations
@@ -97,13 +96,8 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig,
     taken (it always satisfies the test given sigma < gamma(1 - gamma L)/2).
     ``max_linesearch=0`` skips the search entirely, reproducing the plain
     forward-backward update.  Unset ``gamma`` defaults to 0.95/L and unset
-    ``sigma`` to 0.9 of its cap.
-
-    When the composite has an envelope line oracle (``line_values``, which
-    lasso supplies in closed form), the trials after the first are screened
-    at once; only those near the threshold are evaluated exactly, and the
-    step taken is the same.  ``observe``, when given, is called with each
-    recorded iterate (see :func:`~dealopt.solvers.deal_loop`).
+    ``sigma`` to 0.9 of its cap.  ``observe``, when given, is called with
+    each recorded iterate (see :func:`~dealopt.solvers.deal_loop`).
     """
     gamma, L, sigma = bpga_constants(problem, config)
     rule = config.rule if config.rule is not None else DirectionRule("gradient")
@@ -118,14 +112,12 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig,
     unit = gamma if rule.kind == "gradient" else 1.0
     trials = [(m, unit * config.alpha_bar ** m)
               for m in range(1, config.max_linesearch + 1)]
-    line = None if problem.line_values is None else (
-        lambda T, d, steps: problem.line_values(T, d, steps, gamma))
     return deal_loop(
         as_vector(x0, problem.smooth.dim, "x0"), config, rule, trace, trials,
         candidate=lambda x, T, alpha, d: T + alpha * d,
         value=lambda z: fbe_value(problem, z, gamma),
         complete=lambda z, trial: fbe_complete(problem, trial, gamma),
-        schedule=_schedule(trace, trials, line), observe=observe)
+        schedule=_schedule(trace, trials), observe=observe)
 
 
 def run_bhippa(phi, x0, config: BoostedConfig, observe=None) -> IterateTrace:
@@ -200,12 +192,10 @@ def bhippa_constants(config: BoostedConfig):
     return gamma, sigma
 
 
-def _schedule(trace: IterateTrace, trials, line=None):
-    """The schedule hook of a boosted solver: its trials, screened by
-    ``line(y, d, steps)`` when given, each against the step's threshold
-    value - rho ||grad||^theta."""
+def _schedule(trace: IterateTrace, trials):
+    """The schedule hook of a boosted solver: its trials, each against the
+    step's threshold value - rho ||grad||^theta."""
     def schedule(x, f, g, gn, y, d):
         threshold = f - trace.rho * gn ** trace.theta
-        return screened(trials, lambda t: threshold,
-                        None if line is None else lambda steps: line(y, d, steps))
+        return screened(trials, lambda t: threshold)
     return schedule

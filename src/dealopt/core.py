@@ -135,15 +135,10 @@ class CompositeObjective:
     value or dominance constant of its own (see ``SmoothObjective``).
 
     ``nonsmooth`` must expose ``value(x)`` and ``prox(x, gamma, p)``.
-    ``line_values(T, d, steps, gamma) -> (values, margins)``, when given,
-    is ``SmoothObjective.line_values`` for the forward-backward envelope as
-    ``envelopes.fbe_value`` computes it, along ``T + t d``; ``bpga`` screens
-    its trials with it.
     """
 
     smooth: SmoothObjective
     nonsmooth: object
-    line_values: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, float], tuple]] = None
 
     def value(self, x):
         return self.smooth.value(x) + self.nonsmooth.value(x)

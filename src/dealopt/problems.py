@@ -43,22 +43,6 @@ from .core import (CompositeObjective, DataError, HolderInfo, KLInfo,
 LINE_RESIDUAL_MARGIN = 0.5      # delta_r = LINE_RESIDUAL_MARGIN eps S
 LINE_VALUE_MARGIN = 64.0        # relative rounding of a value, in eps
 
-# Lasso's envelope line oracle (``LassoProblem.fbe_line``) and the exact
-# ``envelopes.fbe_value`` sum the same six terms (the three of the quadratic
-# expansion of f, <grad f, D>, ||D||^2/(2 gamma) and g(T)), each to a few eps
-# of its own magnitude.  But the exact value forms f(z) in Gram form,
-# z.G z / 2 - c.z + ||b||^2 / 2, whose three terms cancel near a consistent
-# optimum, so the margin's sum of magnitudes holds them too.  The probe:
-# every trial after the first of every bpga step, whether or not the first
-# passed, is screened and evaluated by fbe_value, and |screened - exact| is
-# divided by eps times the margin's sum.  The worst ratio was 1.15 on sec53
-# seeds 0-79 (652,092 trials) and 2.53 on consistent 40x40 lasso, seeds 0-4,
-# gradient, bb1 and lbfgs directions (1,296,050 trials; 2,777 without the
-# Gram-form terms), so 64 leaves 25x headroom, and no trial that passes the
-# exact test lay outside the margin.  A larger error costs no safety, because
-# every step taken passes the exact test; it could only skip such a trial.
-SCREEN_MARGIN = 64.0
-
 
 class LeastPProblem:
     """f(x) = (1/p) ||A x - b||^p with p in (1, 2] and full-column-rank A.
@@ -283,35 +267,6 @@ class LassoProblem:
         H -= D / gamma
         return values, H
 
-    def fbe_line(self, T, d, steps, gamma):
-        """Screened envelope values of the trials ``T + t d``, ``t`` in
-        ``steps``, and their margins, from one smooth-part call and one
-        Hessian-apply: along z = T + t d, f(z) = f(T) + t <grad f(T), d>
-        + t^2 <d, G d> / 2 and grad f(z) = grad f(T) + t G d, so one
-        (trials x n) array and a row-wise soft threshold hold every trial.
-        They differ from ``envelopes.fbe_value`` by rounding alone; the
-        margin bounds the difference (see SCREEN_MARGIN).
-        """
-        f_T, g_T = self.smooth_value_grad(T)
-        Hd = self.hess_apply(T, d)
-        g_d, d_Hd = float(g_T @ d), float(d @ Hd)
-        Z = T + steps[:, None] * d
-        G = g_T + steps[:, None] * Hd
-        TZ = envelopes.prox_l1(Z - gamma * G, gamma * self.lam)
-        D = TZ - Z
-        slope = steps * g_d
-        curve = 0.5 * steps ** 2 * d_Hd
-        inner = np.einsum("ij,ij->i", G, D)
-        square = np.einsum("ij,ij->i", D, D) / (2.0 * gamma)
-        l1 = self.lam * np.abs(TZ).sum(axis=1)
-        # the exact value forms f(z) as z.G z / 2 - c.z + ||b||^2 / 2, with
-        # G z = grad f(z) + c, and rounds at the scale of these three terms
-        gram = (self._half_bb + np.abs(Z @ self.c)
-                + 0.5 * np.abs(np.einsum("ij,ij->i", Z, G + self.c)))
-        margins = SCREEN_MARGIN * np.finfo(float).eps * (
-            abs(f_T) + np.abs(slope) + np.abs(curve) + np.abs(inner) + square + l1 + gram)
-        return f_T + slope + curve + inner + square + l1, margins
-
     @functools.cached_property
     def _reference(self) -> "ReferenceOptimum":
         # solved on first use, not at construction: building a problem stays
@@ -336,7 +291,6 @@ class LassoProblem:
         return CompositeObjective(
             smooth=self.as_smooth(),
             nonsmooth=envelopes.L1Norm(self.lam),
-            line_values=self.fbe_line,
         )
 
     def descriptor(self) -> dict:

@@ -24,10 +24,9 @@ its value must meet.  Here the function is the objective itself
 is the case with no Armijo test, a single trial at alpha that is always
 taken; the boosted solvers run it on an envelope, whose points fall back to
 their proximal point.  When the first trial fails and the
-family has a line oracle (least-p's on f, lasso's on its envelope), the
-remaining trials are screened at once by :func:`screened` and only those it
-cannot rule out are evaluated, in order; the step taken is the one the
-per-trial loop takes.
+objective has a line oracle (least-p's on f), the remaining trials are
+screened at once by :func:`screened` and only those it cannot rule out are
+evaluated, in order; the step taken is the one the per-trial loop takes.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import warnings
 import weakref
 from collections import Counter
@@ -1154,10 +1155,46 @@ class TestRunDirectoryInputs:
          "directory or of an earlier solver"),
         *(({"solvers": [{"name": name, "solver": "bpga"}]},
            f"solvers[0].name must be a plain file name, got {name!r}")
-          for name in ("x/y", "../escaped", "../../escaped", "", ".", "..", "a\0b"))])
+          for name in ("x/y", "../escaped", "../../escaped", "", ".", "..", "a\0b",
+                       "\ud800"))])
     def test_solvers_that_share_a_file_or_lack_a_plain_name_exit_1(self, tmp_path, capsys,
                                                                     doc, message):
         self.assert_refused(tmp_path, capsys, self.sweep_with(tmp_path, doc), message)
+
+    def test_a_solver_name_longer_than_the_file_system_allows_exits_1(self, tmp_path,
+                                                                       capsys):
+        # A * 300 gives A * 300 + ".certificates.json", 318 bytes
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        assert limit < 318
+        self.assert_refused(
+            tmp_path, capsys,
+            self.sweep_with(tmp_path, {"solvers": [{"name": "A" * 300, "solver": "bpga"}]}),
+            f"solvers[0].name gives a file name of 318 bytes; the file system of "
+            f"output.directory allows {limit}")
+
+    @pytest.mark.parametrize("repetitions, suffix", [(1, ""), (2, "_rep1"), (11, "_rep10")])
+    def test_the_longest_file_name_the_file_system_allows_is_accepted(self, tmp_path,
+                                                                      repetitions, suffix):
+        # the limit is the nearest existing ancestor's; the last repetition's
+        # certificates are a variant's longest file name
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        longest = limit - len(suffix + ".certificates.json")
+
+        def errors(name):
+            return bench.validate_config({
+                "problem": {"kind": "lasso"}, "run": {"repetitions": repetitions},
+                "solvers": [{"name": name, "solver": "bpga"}],
+                "output": {"directory": str(tmp_path / "not" / "made")}})
+        assert errors("é" * (longest // 2) + "A" * (longest % 2)) == []
+        assert errors("é" * (longest // 2) + "A" * (longest % 2 + 1)) == [
+            f"solvers[0].name gives a file name of {limit + 1} bytes; the file system of "
+            f"output.directory allows {limit}"]
+
+    def test_run_experiment_refuses_a_long_name_before_writing(self, tmp_path):
+        config = small_config(tmp_path, solvers=[bench.SolverSpec(name="A" * 300)])
+        with pytest.raises(UsageError, match="solvers.0..name gives a file name of 318 bytes"):
+            bench.run_experiment(config)
+        assert [path.name for path in tmp_path.iterdir()] == []
 
     @pytest.mark.parametrize("name", ["x/y", "../escaped"])
     def test_run_experiment_refuses_a_name_before_writing(self, tmp_path, name):

@@ -18,7 +18,6 @@ from dealopt.envelopes import (AbsPower, SeparableProx, fbe_value,
                                home_value, home_value_grad)
 from dealopt.problems import (LassoProblem, PowerAbsProblem, generate_problem,
                               reference_optimum)
-from dealopt.solvers import screened
 
 
 class TestChooseOrder:
@@ -193,12 +192,6 @@ class TestGradientTrialScale:
         assert steps["BPGA"] <= steps["PG"], steps
 
 
-def undeclared(composite):
-    """The same composite without its envelope line oracle: its search
-    evaluates every trial exactly."""
-    return dataclasses.replace(composite, line_values=None)
-
-
 def log_envelope_values(monkeypatch):
     """Log of the envelope values the solver takes: the bytes of each point
     valued exactly (x0, each exact trial and each proximal point taken) and
@@ -228,44 +221,30 @@ def assert_accepted_steps_pass_exactly(trace, iterates, log):
     return taken
 
 
-def sec53_runs(seed, monkeypatch):
-    """(screened, per-trial) trace pairs of the five sec53 variants on one seed."""
-    pairs = []
-    real = bench.run_bpga
-
-    def both(composite, x0, cfg, observe=None):
-        screened = real(composite, x0, cfg, observe)
-        pairs.append((screened, real(undeclared(composite), x0, cfg)))
-        return screened
-    monkeypatch.setattr(bench, "run_bpga", both)
-    config = bench.preset("sec53", seed)
-    problem = bench.build_problem(config.problem)
-    for spec in config.solvers:
-        bench.run_variant(problem, spec, config.run)
-    monkeypatch.undo()
-    return pairs
+def assert_every_trial_up_to_the_one_taken_is_valued(trace, iterates, log):
+    """The run valued x0, the trials m = 1..m_taken of each step (all of them
+    when the step falls back) and each proximal point taken, each once, and
+    every step taken passes the exact test."""
+    assert len(log) == 1 + sum(trace.inner_count) + prox_steps(trace)
+    assert_accepted_steps_pass_exactly(trace, iterates, log)
 
 
-class TestBPGAScreen:
-    """The closed-form screen of the trial schedule on lasso: the same trace
-    as the per-trial loop, with fewer exact evaluations."""
-
-    def test_lasso_declares_its_envelope_line_oracle(self):
-        problem = generate_problem(0, "lasso", 30, 4)
-        assert problem.as_composite().line_values == problem.fbe_line
-        assert undeclared(problem.as_composite()).line_values is None
+class TestBPGATrials:
+    """``bpga`` values each trial it offers exactly, in order, and takes a
+    trial only when its exact envelope value passes the threshold."""
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_sec53_traces_equal_the_per_trial_loop(self, monkeypatch, seed):
-        pairs = sec53_runs(seed, monkeypatch)
-        assert len(pairs) == 5
-        for screened, loop in pairs:
-            assert len(screened) > 2
-            assert column_bits(screened) == column_bits(loop)
-            assert screened.extras == loop.extras
+    def test_sec53_values_every_trial_up_to_the_one_taken(self, monkeypatch, run_storing,
+                                                          seed):
+        config = bench.preset("sec53", seed)
+        problem = bench.build_problem(config.problem)
+        for spec in config.solvers:
+            log = log_envelope_values(monkeypatch)
+            result, xs, _ = run_storing(problem, spec, config.run)
+            assert len(result.trace) > 2
+            assert_every_trial_up_to_the_one_taken_is_valued(result.trace, xs, log)
+            monkeypatch.undo()
 
-    # near a consistent optimum the exact envelope's Gram-form f cancels,
-    # and rounds at the scale of ||b||^2 / 2, not of f
     @pytest.mark.parametrize("shape, lam, seed, consistent", [
         pytest.param((50, 5), 0.1, 2, False, id="50x5"),
         pytest.param((30, 4), 0.2, 2, False, id="30x4-lam0.2"),
@@ -274,24 +253,20 @@ class TestBPGAScreen:
     @pytest.mark.parametrize("max_linesearch", [0, 1, 2, 50])
     @pytest.mark.parametrize("alpha_bar", [0.5, 0.9])
     @pytest.mark.parametrize("direction", ["gradient", "bb1", "bb2", "lbfgs"])
-    def test_small_lassos_equal_the_per_trial_loop(self, shape, lam, seed, consistent,
-                                                   max_linesearch, alpha_bar, direction):
+    def test_small_lassos_value_every_trial_up_to_the_one_taken(
+            self, monkeypatch, shape, lam, seed, consistent, max_linesearch, alpha_bar,
+            direction):
         comp = generate_problem(seed, "lasso", *shape, lam=lam,
                                 consistent=consistent).as_composite()
         x0 = np.random.default_rng(1).uniform(-5.0, 5.0, shape[1])
-
-        def run(composite):
-            xs = []
-            trace = run_bpga(composite, x0, BoostedConfig(
-                max_linesearch=max_linesearch, alpha_bar=alpha_bar,
-                rule=DirectionRule(direction, beta=0.5 if direction == "gradient" else 0.0)),
-                xs.append)
-            return trace, [x.tobytes() for x in xs]
-        (screened, screened_xs), (loop, loop_xs) = run(comp), run(undeclared(comp))
-        assert len(screened) > 2
-        assert column_bits(screened) == column_bits(loop)
-        assert screened_xs == loop_xs
-        assert screened.extras == loop.extras
+        log = log_envelope_values(monkeypatch)
+        xs = []
+        trace = run_bpga(comp, x0, BoostedConfig(
+            max_linesearch=max_linesearch, alpha_bar=alpha_bar,
+            rule=DirectionRule(direction, beta=0.5 if direction == "gradient" else 0.0)),
+            xs.append)
+        assert len(trace) > 2
+        assert_every_trial_up_to_the_one_taken_is_valued(trace, xs, log)
 
     def test_every_step_taken_passes_the_exact_test(self, monkeypatch):
         problem = bench.build_problem(bench.preset("sec53", 0).problem)
@@ -309,116 +284,21 @@ class TestBPGAScreen:
                 monkeypatch.undo()
         assert taken > 100
 
-    def test_screen_halves_the_exact_evaluations_on_sec53(self, monkeypatch):
-        # at the preset's alpha_bar 0.5 the first trial of most steps passes,
-        # and the screen saves 31 of 136 exact values; at alpha_bar 0.9 more
-        # trials fail first (measured: 335 screened against 1,068 per trial)
-        config = bench.preset("sec53", 0)
-        problem = bench.build_problem(config.problem)
-        x0 = np.random.default_rng(config.run.x0_seed).uniform(-5.0, 5.0, problem.n)
-        calls = {}
-        for name, comp in (("screened", problem.as_composite()),
-                           ("per-trial", undeclared(problem.as_composite()))):
-            log = log_envelope_values(monkeypatch)
-            for spec in config.solvers:
-                beta = float(spec.beta) if spec.beta != "auto" else 0.0
-                run_bpga(comp, x0, BoostedConfig(
-                    alpha_bar=0.9, rule=DirectionRule(spec.direction, beta=beta)))
-            calls[name] = len(log)
-            monkeypatch.undo()
-        assert 0 < 2 * calls["screened"] <= calls["per-trial"], calls
-
-    @pytest.mark.parametrize("case", ["sec53", "40x40-consistent"])
-    def test_the_screen_error_is_a_tenth_of_the_margin(self, case):
-        # every screened trial measured against its exact envelope value
-        if case == "sec53":
-            runs = []
-            for seed in range(10):
-                config = bench.preset("sec53", seed)
-                runs.append((bench.build_problem(config.problem),
-                             [DirectionRule(spec.direction, beta=0.0 if spec.beta == "auto"
-                                            else float(spec.beta)) for spec in config.solvers],
-                             config.run.x0_seed))
-        else:
-            runs = [(generate_problem(0, "lasso", 40, 40, consistent=True),
-                     [DirectionRule(direction) for direction in ("gradient", "bb1", "lbfgs")],
-                     0)]
-        ratios = []
-        for problem, rules, x0_seed in runs:
-            comp = problem.as_composite()
-
-            def line_values(T, d, steps, gamma):
-                values, margins = problem.fbe_line(T, d, steps, gamma)
-                exact = np.array([fbe_value(comp, T + t * d, gamma) for t in steps])
-                finite = np.isfinite(values) & np.isfinite(exact)
-                ratios.extend((np.abs(values - exact) / margins)[finite].tolist())
-                return values, margins
-            x0 = np.random.default_rng(x0_seed).uniform(-5.0, 5.0, problem.n)
-            for rule in rules:
-                trace = run_bpga(dataclasses.replace(comp, line_values=line_values), x0,
-                                 BoostedConfig(rule=rule))
-                assert trace.extras["termination"] == "tolerance"
-        # measured: 5,880 trials over seeds 0-9, worst 0.014 (sec53);
-        # 152,537, worst 0.031 (40x40)
-        assert len(ratios) > 5000
-        assert max(ratios) <= 0.1
-
-    def test_a_wrong_line_oracle_takes_only_steps_that_pass_exactly(self, monkeypatch):
-        # lasso's line oracle leaves out the log cosh term of this composite:
-        # it offers trials that fail the exact test; none of them is taken
+    def test_every_trial_is_offered_without_a_line_oracle(self, monkeypatch):
         lines = []
-
-        def line_values(T, d, steps, gamma):
-            lines.append((T, d))
-            return wrong(T, d, steps, gamma)
-        comp = logcosh_lasso()
-        wrong, comp.line_values = comp.line_values, line_values
-        gamma = 0.95 / comp.smooth.holder.L
-        offered_and_failed = []
         real_screen = boosted.screened
 
         def screen(trials, bound, line=None):
-            for m, t, threshold in real_screen(trials, bound, line):
-                if m > trials[0][0]:
-                    T, d = lines[-1]
-                    excess = envelopes.fbe_value(comp, T + t * d, gamma) - threshold
-                    offered_and_failed.append(excess > 1e-9 * abs(threshold))
-                yield m, t, threshold
-        monkeypatch.setattr(boosted, "screened", screen)
-        # the gradient direction with beta 0.5 is the only one offered a
-        # failing trial from this x0 (3 of its 26 screened offers)
-        x0 = np.random.default_rng(0).uniform(-5.0, 5.0, 6)
-        for direction, beta in (("gradient", 0.0), ("gradient", 0.5), ("bb1", 0.0),
-                                ("lbfgs", 0.0)):
-            log = log_envelope_values(monkeypatch)
-            xs = []
-            trace = run_bpga(comp, x0, BoostedConfig(
-                alpha_bar=0.9, rule=DirectionRule(direction, beta=beta)), xs.append)
-            assert trace.extras["termination"] == "tolerance"
-            assert assert_accepted_steps_pass_exactly(trace, xs, log) > 10
-            checked = reevaluate_trace(trace, xs, lambda x: fbe_value(comp, x, gamma),
-                                       lambda x: fbe_value_grad(comp, x, gamma).gradient)
-            assert certify_descent(checked, trace.rho, trace.theta).passed
-        assert any(offered_and_failed)
-
-    def test_composites_without_the_declaration_run_every_trial(self, monkeypatch):
-        prob = generate_problem(3, "lasso", 60, 6)
-        screens = []
-        real_screen = boosted.screened
-
-        def screen(trials, bound, line=None):
-            if line is not None:
-                screens.append(1)
+            lines.append(line)
             return real_screen(trials, bound, line)
         monkeypatch.setattr(boosted, "screened", screen)
         x0 = np.ones(6)
-        run_bpga(undeclared(prob.as_composite()), x0, BoostedConfig())
+        prob = generate_problem(3, "lasso", 60, 6)
+        run_bpga(prob.as_composite(), x0, BoostedConfig())
         smooth = prob.as_smooth()
         run_bpga(CompositeObjective(smooth, SeparableProx(lambda t: 0.1 * abs(t))), x0,
                  BoostedConfig(max_iter=3))
-        assert screens == []
-        run_bpga(prob.as_composite(), x0, BoostedConfig(max_iter=3))
-        assert screens
+        assert lines and lines == [None] * len(lines)
 
 
 FBE_ROWS_CASES = {
@@ -492,25 +372,6 @@ class TestOneSmoothCallPerPoint:
             calls.clear()
             forward_backward_map(comp, x, gamma)
             assert calls == {"grad": 1}
-
-    def test_the_screen_makes_one_value_grad_and_one_hess_apply(self):
-        problem = bench.build_problem(bench.preset("sec53", 0).problem)
-        calls = Counter()
-        for name in ("smooth_value", "smooth_grad", "smooth_value_grad", "hess_apply"):
-            def count(*args, _real=getattr(problem, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-            setattr(problem, name, count)
-        gamma = 0.95 / problem.L
-        rng = np.random.default_rng(5)
-        trials = [(m, 0.5 ** m) for m in range(1, 51)]
-        for _ in range(10):
-            T, d = rng.uniform(-5.0, 5.0, 10), rng.standard_normal(10)
-            calls.clear()
-            offered = list(screened(trials, lambda t: math.inf,
-                                    lambda steps: problem.fbe_line(T, d, steps, gamma)))
-            assert offered == [(m, t, math.inf) for m, t in trials]
-            assert calls == {"smooth_value_grad": 1, "hess_apply": 1}
 
     def test_fbe_rows_uses_no_gram_oracle(self):
         problem = bench.build_problem(bench.preset("sec53", 0).problem)
@@ -766,9 +627,7 @@ def assert_records_are_fresh_evaluations(trace, iterates, evaluate):
 
 
 def logcosh_lasso():
-    """f = 0.5 ||A x - b||^2 + 4 sum log cosh(x_i) with the l1 term, given
-    lasso's envelope line oracle, which is wrong for it, as in
-    TestBPGAScreen."""
+    """f = 0.5 ||A x - b||^2 + 4 sum log cosh(x_i) with the l1 term."""
     lasso = generate_problem(4, "lasso", 60, 6)
     A = lasso.A
     smooth = SmoothObjective(
@@ -777,7 +636,7 @@ def logcosh_lasso():
         grad=lambda x: lasso.smooth_grad(x) + 4.0 * np.tanh(x),
         hess_apply=lambda x, v: A.T @ (A @ v) + 4.0 * v / np.cosh(x) ** 2,
         holder=HolderInfo(nu=1.0, L=lasso.L + 4.0))
-    return CompositeObjective(smooth, envelopes.L1Norm(lasso.lam), line_values=lasso.fbe_line)
+    return CompositeObjective(smooth, envelopes.L1Norm(lasso.lam))
 
 
 def count_envelope_calls(monkeypatch):
@@ -868,8 +727,8 @@ class TestCarriedEvaluation:
                 trials[seed] += calls["fbe_value"] - 1 - fallbacks
                 taken[seed] += fallbacks
         assert taken[0] == 0 and taken[6] == 1
-        # seed 0's five variants make 100 exact trials and value five x0s
-        assert trials[0] == 100 and totals == {0: 105, 6: 151}
+        # seed 0's five variants make 131 exact trials and value five x0s
+        assert trials[0] == 131 and totals == {0: 136, 6: 177}
         calls.clear()
         trace = run_bpga(generate_problem(3, "lasso", 60, 6).as_composite(), np.ones(6),
                          BoostedConfig(max_linesearch=0))
