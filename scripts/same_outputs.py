@@ -2,7 +2,7 @@
 
     python3 scripts/same_outputs.py PARENT CHANGE --out DIR
 
-Each commit is exported with ``git archive`` into ``DIR/<side>/tree``.  One
+Each commit is exported with ``git archive`` into ``DIR/<side>/<commit>``.  One
 Python process per tree, importing ``dealopt`` from that tree's ``src/``,
 writes every run of ``RUNS`` through ``dealopt.cli.main`` into
 ``DIR/<side>/runs``: ``deal sweep`` of ``sec51`` at seeds 0, 2 and 13, of
@@ -22,7 +22,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from bench_pairs import export  # noqa: E402
+
 SIDES = ("parent", "change")
 RUNS = ([(f"{preset}-seed{seed}", ["sweep", "--preset", preset, "--seed", str(seed)])
          for preset, seeds in (("sec51", (0, 2, 13)), ("sec52", (0,)), ("sec53", range(40)))
@@ -31,17 +34,6 @@ RUNS = ([(f"{preset}-seed{seed}", ["sweep", "--preset", preset, "--seed", str(se
                                    "--seed", str(seed), "--x0-seed", str(seed),
                                    "--solver", "bhippa"])
            for seed in range(7, 47)])
-
-
-def export(rev: str, target: Path) -> str:
-    """The full commit id of ``rev``, whose files are written to ``target``."""
-    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
-                            check=True, capture_output=True, text=True).stdout.strip()
-    target.mkdir(parents=True)
-    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
-                             check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
-    return commit
 
 
 def write_runs(runs_dir: Path, src: Path) -> None:
@@ -88,9 +80,9 @@ def main(argv=None) -> int:
         print(f"{out} exists; give a directory that does not", file=sys.stderr)
         return 1
     for side, rev in zip(SIDES, (args.parent, args.change)):
-        commit = export(rev, out / side / "tree")
+        commit, tree = export(rev, out / side)
         print(f"{side}: {commit}", flush=True)
-        write_tree(out / side / "tree", out / side / "runs")
+        write_tree(tree, out / side / "runs")
     same = True
     for label, _ in RUNS:
         equal, different, missing = compare(*(out / side / "runs" / label for side in SIDES))

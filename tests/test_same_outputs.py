@@ -19,10 +19,9 @@ def stubbed(monkeypatch):
     ``edits`` maps (side, label) to files to write over or delete (None)."""
     exports, writes, edits = [], [], {}
 
-    def export(rev, target):
+    def export(rev, work):
         exports.append(rev)
-        target.mkdir(parents=True)
-        return f"{rev}-commit"
+        return f"{rev}-commit", work / rev
 
     def write_tree(tree, runs_dir):
         side = tree.parent.name
