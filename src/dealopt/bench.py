@@ -14,6 +14,8 @@ import json
 import math
 import numbers
 import os
+import shutil
+import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -109,7 +111,9 @@ def validate_config(doc: dict) -> list:
     repetition and one solver, and each solver, or its default, must be one
     the problem's family accepts and be named by a plain file name that
     gives no file of the run directory or of another variant, nor one
-    longer than the file system of ``output.directory`` allows."""
+    longer than the file system of ``output.directory`` allows.  An
+    existing ``output.directory`` must be empty or a previous run
+    directory, which the run replaces."""
     errors = []
     if not isinstance(doc, dict):
         return ["config must be a JSON object"]
@@ -132,6 +136,12 @@ def validate_config(doc: dict) -> list:
     family = problems.FAMILIES.get(kind) if isinstance(kind, str) else None
     if family is None and isinstance(problem, dict):
         errors.append(f"problem.kind {kind!r} is not supported")
+    output = doc.get("output", {})
+    directory = (output.get("directory", OutputSpec.directory)
+                 if isinstance(output, dict) else None)
+    if isinstance(directory, str) and not _replaceable(directory):
+        errors.append(f"output.directory {directory!r} is neither empty nor a run directory "
+                      "(one that holds summary.json)")
     solvers = doc.get("solvers", [{}])
     if not isinstance(solvers, list):
         errors.append("solvers must be a list")
@@ -140,9 +150,6 @@ def validate_config(doc: dict) -> list:
     else:
         repeated = is_integer(repetitions) and repetitions > 1
         taken = {"problem.json", "config.json", "summary.json", "series.csv"}
-        output = doc.get("output", {})
-        directory = (output.get("directory", OutputSpec.directory)
-                     if isinstance(output, dict) else None)
         name_max = _name_max(directory) if isinstance(directory, str) else None
         for i, sub in enumerate(solvers):
             if not isinstance(sub, dict):
@@ -177,6 +184,15 @@ def validate_config(doc: dict) -> list:
                               "of the run directory or of an earlier solver")
             taken.update(files)
     return errors
+
+
+def _replaceable(directory: str) -> bool:
+    """Whether a run may take the place of ``directory``: nothing is there,
+    or an empty directory, or a previous run directory, which holds
+    ``summary.json``."""
+    path = Path(directory)
+    return not path.exists() or (path.is_dir() and (
+        (path / "summary.json").is_file() or not any(path.iterdir())))
 
 
 def _name_max(directory: str) -> int:
@@ -435,31 +451,54 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     Deterministic for fixed seeds.  Returns the run directory; the summary
     records whether any guaranteed certificate failed.  The config's types,
-    the problem and every variant's ranges are checked before the run
-    directory is created, so a config that fails a check leaves nothing.
+    the problem and every variant's ranges are checked before anything is
+    written.  The run is written into a fresh sibling of the run directory,
+    which takes its place, replacing a previous run directory there, only
+    once ``summary.json`` and ``series.csv`` are written: a run that fails
+    or is interrupted leaves the run directory as it was.
     """
     _check_config(config.as_dict())
     problem = build_problem(config.problem)
     for spec in config.solvers:
         _configure_variant(problem, spec, config.run)
     out = Path(config.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "problem.json").write_text(json.dumps(problem.descriptor(), indent=2,
-                                                 default=_json_default))
-    (out / "config.json").write_text(json.dumps(config.as_dict(), indent=2))
-    summary = {"variants": [], "ok": True, "terminations": Counter()}
-    series = {}
-    for spec in config.solvers:
-        for rep in range(config.run.repetitions):
-            stem = _stem(spec.name, rep, config.run.repetitions > 1)
-            # the finished run is bound only inside _persist_variant, so its
-            # trace is released before the next variant runs
-            series[stem] = _persist_variant(
-                out, stem, problem, rep, run_variant(problem, spec, config.run, rep),
-                summary)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2,
-                                                 default=_json_default))
-    emit_plot_data(out, series)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+    try:
+        # a directory made inside the staging one, unlike mkdtemp's own,
+        # gets the permissions of any new directory
+        run_dir = staging / "run"
+        run_dir.mkdir()
+        (run_dir / "problem.json").write_text(json.dumps(problem.descriptor(), indent=2,
+                                                         default=_json_default))
+        (run_dir / "config.json").write_text(json.dumps(config.as_dict(), indent=2))
+        summary = {"variants": [], "ok": True, "terminations": Counter()}
+        series = {}
+        for spec in config.solvers:
+            for rep in range(config.run.repetitions):
+                stem = _stem(spec.name, rep, config.run.repetitions > 1)
+                # the finished run is bound only inside _persist_variant, so its
+                # trace is released before the next variant runs
+                series[stem] = _persist_variant(
+                    run_dir, stem, problem, rep,
+                    run_variant(problem, spec, config.run, rep), summary)
+        (run_dir / "summary.json").write_text(json.dumps(summary, indent=2,
+                                                         default=_json_default))
+        emit_plot_data(run_dir, series)
+        previous = staging / "previous"
+        if not _replaceable(out):   # filled while the run went on
+            raise UsageError(f"{out} is now neither empty nor a run directory; the run "
+                             "is discarded")
+        if out.exists():
+            os.replace(out, previous)
+        try:
+            os.replace(run_dir, out)
+        except BaseException:
+            if previous.exists():
+                os.replace(previous, out)
+            raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return out
 
 
@@ -504,8 +543,8 @@ def emit_plot_data(run_dir, series) -> Path:
     ``series`` maps each trace's stem to its series ``(variant, fstar, k, f,
     grad_norm)``, the last three the trace's own columns, as
     ``run_experiment`` keeps them in memory.  The traces go in file-name
-    order, each written by ``core.write_rows`` ``core.WRITE_CHUNK`` rows at
-    a time, so no list of a variant's rows is built.
+    order, each written by ``core.write_rows`` a line at a time, so no list
+    of a variant's rows is built.
     """
     target = Path(run_dir) / "series.csv"
     with open(target, "w") as fh:

@@ -148,11 +148,6 @@ TRACE_COLUMNS = ("k", "f", "grad_norm", "step", "inner_count", "displacement")
 # array typecode of each column: 8-byte integers and doubles
 _TYPECODES = {"k": "q", "f": "d", "grad_norm": "d", "step": "d", "inner_count": "q",
               "displacement": "d"}
-# rows formatted and written at a time: the Python floats and strings of at
-# most one chunk are held at once, whatever the trace's length.  They are
-# small objects, whose memory the interpreter keeps for reuse once freed: at
-# 4096 rows a chunk, sec51's peak resident set was 1.5 MB higher
-WRITE_CHUNK = 256
 
 
 def column(name: str, values=()) -> array:
@@ -180,7 +175,8 @@ class IterateTrace:
     record that takes no step.  ``columns=`` builds a trace on given
     columns, which it takes without copying.  Take no numpy view of a
     column that may still grow: an ``array.array`` with an exported buffer
-    refuses to resize; the accessors (``f_values()``...) return copies.
+    refuses to resize; the accessors (``f_values()``...) return copies, and
+    ``to_csv`` releases the memoryviews it reads the columns through.
     """
 
     def __init__(self, seed: Optional[int] = None, config_digest: str = "",
@@ -253,8 +249,8 @@ class IterateTrace:
         """Write the exact column layout k,f,grad_norm,step,inner_count,displacement.
 
         The bytes are those of ``csv.writer`` (comma-separated, CRLF line
-        ends; no field needs quoting), written ``WRITE_CHUNK`` rows at a
-        time by ``write_rows``.
+        ends; no field needs quoting), written a line at a time by
+        ``write_rows``.
         """
         def tail(f, grad_norm, step, inner_count, displacement):
             return (f"{_fmt(f)},{_fmt(grad_norm)},{_fmt(step)},{inner_count},"
@@ -285,38 +281,33 @@ class IterateTrace:
 
 
 def write_rows(fh, prefix: str, ks, columns, tail) -> None:
-    """Write one line ``{prefix}{k},{tail}`` per entry ``k`` of ``ks``,
-    ``WRITE_CHUNK`` rows at a time, so that the formatted rows of one chunk
-    at most are held at once.
+    """Write one line ``{prefix}{k},{tail}`` per entry ``k`` of ``ks``, each
+    as it is formed.
 
-    ``columns`` are equal-length sequences of 8-byte numbers (``array.array``
-    columns or numpy arrays, none of them growing); ``tail(*fields)`` formats
-    one row's fields, line end included.  A row whose fields repeat the
-    previous row's bit for bit, as a replayed fixed point's do, reuses its
-    tail: so ``0.0`` and ``-0.0`` differ, and a NaN matches a NaN of the
-    same bits.
+    ``columns`` are equal-length buffers of 8-byte numbers (``array.array``
+    columns or contiguous numpy arrays, none of them growing), read through
+    memoryviews, so that ``tail(*fields)`` gets one row's fields as Python
+    numbers and formats them, line end included.  A row whose fields repeat
+    the previous row's bit for bit, as a replayed fixed point's do, reuses
+    its tail: so ``0.0`` and ``-0.0`` differ, and a NaN matches a NaN of the
+    same bits.  The views are released on return, so the columns can grow
+    again.
     """
-    last = None
-    for start in range(0, len(ks), WRITE_CHUNK):
-        stop = min(start + WRITE_CHUNK, len(ks))
-        lo = max(start - 1, 0)
-        # each slice is a copy or a view of a column that does not grow
-        parts = [np.asarray(col[lo:stop]) for col in columns]
-        bits = np.stack([part.view(np.int64) for part in parts])
-        fresh = np.ones(stop - lo, dtype=bool)
-        fresh[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
-        fresh = fresh[start - lo:]
-        values = [part[start - lo:][fresh].tolist() for part in parts]
-        # tails[0] is the last tail of the previous chunk, which the leading
-        # repeats of this chunk reuse
-        tails = [last] + [tail(*row) for row in zip(*values)]
-        last = tails[-1]
-        fh.writelines(f"{prefix}{k},{tails[j]}" for k, j in zip(
-            ks[start:stop].tolist(), np.cumsum(fresh).tolist()))
+    fields = [memoryview(col) for col in columns]
+    words = [field.cast("B").cast("Q") for field in fields]
+    try:
+        last = text = None
+        for k, row, key in zip(ks, zip(*fields), zip(*words)):
+            if key != last:
+                last, text = key, tail(*row)
+            fh.write(f"{prefix}{k},{text}")
+    finally:
+        for view in words + fields:
+            view.release()
 
 
 def _fmt(v: float) -> str:
-    return "" if (v is None or math.isnan(v)) else repr(float(v))
+    return "" if math.isnan(v) else repr(v)
 
 
 def _parse(s: str) -> float:

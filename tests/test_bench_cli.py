@@ -6,6 +6,7 @@ import os
 import warnings
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -921,10 +922,86 @@ class TestRunDirectoryInputs:
             assert cli.main(["run", "--m", "40", "--n", "8", "--solver", solver,
                              "--max-iter", "20", "--out", str(out)]) == cli.EXIT_OK
         capsys.readouterr()
-        assert (out / "DEAL-C.csv").exists()
+        # the second run replaced the first one's directory whole
+        assert not list(out.glob("DEAL-C.*"))
+        assert [path.name for path in tmp_path.iterdir()] == ["D"]
         lines = (out / "series.csv").read_text().splitlines()
         assert {line.split(",")[0] for line in lines[1:]} == {"DEAL-A"}
         assert len(lines) == len((out / "DEAL-A.csv").read_text().splitlines())
+
+    @staticmethod
+    def files(directory):
+        """Every file under ``directory`` and its bytes, or None if absent."""
+        if not directory.exists():
+            return None
+        return {path.relative_to(directory): path.read_bytes()
+                for path in directory.rglob("*") if path.is_file()}
+
+    @pytest.mark.parametrize("previous", [False, True])
+    @pytest.mark.parametrize("raised", [RuntimeError, KeyboardInterrupt])
+    def test_a_failed_run_leaves_the_directory_as_it_was(self, tmp_path, monkeypatch,
+                                                         previous, raised):
+        # an exception while the second variant is persisted, or an interrupt
+        # while it runs: the run directory is absent or the previous run's,
+        # byte for byte, and no staging directory is left beside it
+        cfg = small_config(tmp_path)
+        cfg.run.max_iter = 20
+        out = tmp_path / "out"
+        if previous:
+            cfg.solvers[0].name = "OLD"
+            bench.run_experiment(cfg)
+            cfg.solvers[0].name = "DEAL-C"
+        before = self.files(out)
+        target = "_persist_variant" if raised is RuntimeError else "run_variant"
+        original, calls = getattr(bench, target), []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise raised("mid-sweep")
+            return original(*args, **kwargs)
+        monkeypatch.setattr(bench, target, failing)
+        with pytest.raises(raised):
+            bench.run_experiment(cfg)
+        assert len(calls) == 2
+        assert self.files(out) == before
+        assert [path.name for path in tmp_path.iterdir()] == (["out"] if previous else [])
+
+    def test_a_directory_that_is_no_run_directory_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "notes"
+        out.mkdir()
+        (out / "todo.txt").write_text("keep me\n")
+        assert cli.main(["run", "--m", "40", "--n", "8", "--max-iter", "20",
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid experiment config: output.directory")
+        assert len(err.splitlines()) == 1 and "summary.json" in err
+        assert self.files(out) == {Path("todo.txt"): b"keep me\n"}
+        assert [path.name for path in tmp_path.iterdir()] == ["notes"]
+
+    def test_a_directory_filled_during_the_run_is_kept(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path)
+        cfg.run.max_iter = 20
+        out = tmp_path / "out"
+        original = bench._persist_variant
+
+        def persist(*args, **kwargs):
+            out.mkdir(exist_ok=True)
+            (out / "todo.txt").write_text("keep me\n")
+            return original(*args, **kwargs)
+        monkeypatch.setattr(bench, "_persist_variant", persist)
+        with pytest.raises(UsageError, match="neither empty nor a run directory"):
+            bench.run_experiment(cfg)
+        assert self.files(out) == {Path("todo.txt"): b"keep me\n"}
+        assert [path.name for path in tmp_path.iterdir()] == ["out"]
+
+    def test_an_empty_directory_takes_the_run(self, tmp_path):
+        cfg = small_config(tmp_path)
+        cfg.run.max_iter = 20
+        (tmp_path / "out").mkdir()
+        out = bench.run_experiment(cfg)
+        assert (out / "summary.json").is_file()
+        assert [path.name for path in tmp_path.iterdir()] == ["out"]
 
     def test_series_of_repetitions_in_file_name_order(self, tmp_path):
         cfg = small_config(tmp_path, solvers=[
