@@ -113,7 +113,7 @@ def validate_config(doc: dict) -> list:
     gives no file of the run directory or of another variant, nor one
     longer than the file system of ``output.directory`` allows.  An
     existing ``output.directory`` must be empty or a previous run
-    directory, which the run replaces."""
+    directory, which the run replaces, and hold no working directory."""
     errors = []
     if not isinstance(doc, dict):
         return ["config must be a JSON object"]
@@ -139,9 +139,9 @@ def validate_config(doc: dict) -> list:
     output = doc.get("output", {})
     directory = (output.get("directory", OutputSpec.directory)
                  if isinstance(output, dict) else None)
-    if isinstance(directory, str) and not _replaceable(directory):
-        errors.append(f"output.directory {directory!r} is neither empty nor a run directory "
-                      "(one that holds summary.json)")
+    refusal = _output_error(directory) if isinstance(directory, str) else None
+    if refusal:
+        errors.append(f"output.directory {directory!r} {refusal}")
     solvers = doc.get("solvers", [{}])
     if not isinstance(solvers, list):
         errors.append("solvers must be a list")
@@ -186,13 +186,18 @@ def validate_config(doc: dict) -> list:
     return errors
 
 
-def _replaceable(directory: str) -> bool:
-    """Whether a run may take the place of ``directory``: nothing is there,
-    or an empty directory, or a previous run directory, which holds
-    ``summary.json``."""
-    path = Path(directory)
-    return not path.exists() or (path.is_dir() and (
-        (path / "summary.json").is_file() or not any(path.iterdir())))
+def _output_error(directory) -> Optional[str]:
+    """Why a run may not take the place of ``directory``, or None.  The run
+    replaces the directory whole, so it may not hold the working directory,
+    and an existing one must be empty or a previous run directory, which
+    holds ``summary.json``."""
+    path, cwd = Path(os.path.abspath(directory)), Path.cwd()
+    if path == cwd or path in cwd.parents:
+        return "holds the working directory, which a run cannot replace"
+    if path.exists() and not (path.is_dir() and (
+            (path / "summary.json").is_file() or not any(path.iterdir()))):
+        return "is neither empty nor a run directory (one that holds summary.json)"
+    return None
 
 
 def _name_max(directory: str) -> int:
@@ -486,9 +491,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
                                                          default=_json_default))
         emit_plot_data(run_dir, series)
         previous = staging / "previous"
-        if not _replaceable(out):   # filled while the run went on
-            raise UsageError(f"{out} is now neither empty nor a run directory; the run "
-                             "is discarded")
+        refusal = _output_error(out)
+        if refusal:   # filled while the run went on
+            raise UsageError(f"{out} now {refusal}; the run is discarded")
         if out.exists():
             os.replace(out, previous)
         try:

@@ -979,6 +979,21 @@ class TestRunDirectoryInputs:
         assert self.files(out) == {Path("todo.txt"): b"keep me\n"}
         assert [path.name for path in tmp_path.iterdir()] == ["notes"]
 
+    @pytest.mark.parametrize("given", [".", "..", "../work"])
+    def test_a_directory_that_holds_the_working_directory_is_refused(
+            self, tmp_path, monkeypatch, capsys, given):
+        # a run replaces its directory whole, which would delete the working
+        # directory of the process, even an empty one
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        assert cli.main(["run", "--m", "40", "--n", "8", "--max-iter", "20",
+                         "--out", given]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == (f"error: invalid experiment config: output.directory {given!r} holds "
+                       "the working directory, which a run cannot replace\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["work"]
+        assert not any((tmp_path / "work").iterdir())
+
     def test_a_directory_filled_during_the_run_is_kept(self, tmp_path, monkeypatch):
         cfg = small_config(tmp_path)
         cfg.run.max_iter = 20

@@ -12,7 +12,7 @@ from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, DataError,
                           as_vector, certify_descent, column,
                           certify_displacement, config_digest,
                           min_grad_bound_check, reevaluate_trace)
-from dealopt import bench, core
+from dealopt import bench
 from dealopt.problems import generate_problem
 
 
