@@ -23,6 +23,6 @@ from .envelopes import (AbsPower, EnvelopeEval, L1Norm, SeparableProx, fbe_value
 from .problems import (LassoProblem, LeastPProblem, PowerAbsProblem,
                        QuadraticProblem, generate_problem, reference_optimum)
 from .analysis import (RateReport, complexity_K, estimate_kl_exponent,
-                       fit_linear_rate, kl_sampling_certificate, verify_complexity)
+                       fit_linear_rate, verify_complexity)
 
 __version__ = "0.1.0"

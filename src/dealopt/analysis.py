@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .core import (CertificateReport, IterateTrace, SmoothObjective, UsageError,
-                   _verdict)
+from .core import CertificateReport, IterateTrace, UsageError, _verdict
 
 GAP_FLOOR_FACTOR = 1e3 * float(np.finfo(float).eps)
 # the rate fits read the trailing half of the alive gaps
@@ -275,53 +274,3 @@ def per_step_ratio_check(trace: IterateTrace, fstar: float, q_theory: float,
     return _verdict("per_step_ratio", gaps[alive + 1] / gaps[alive],
                     q_theory * (1.0 + rel_tol), alive,
                     {"q_theory": q_theory, "rel_tol": rel_tol}, None)
-
-
-def box_sampler(dim: int, seed: int, low: float = -5.0, high: float = 5.0) -> Callable:
-    """Seeded uniform sampler on [low, high]^dim; returns points(n) -> (n, dim)."""
-    rng = np.random.default_rng(seed)
-    return lambda n: rng.uniform(low, high, size=(n, dim))
-
-
-@dataclass
-class KLSamplingReport:
-    n_samples: int
-    violations: int
-    fraction: float
-    tightest_tau: float
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-def kl_sampling_certificate(objective: SmoothObjective, fstar: float, sampler,
-                            vartheta: float, tau: float, n_samples: int,
-                            rel_slack: float = 1e-8) -> KLSamplingReport:
-    """Sample-based check of (f(x) - f*)^vartheta <= tau ||grad f(x)||.
-
-    ``fstar`` is the optimal value, which the objective does not carry (a
-    problem's ``reference()`` gives it).  Counts points violating the
-    inequality beyond a relative slack and reports the empirically tightest
-    tau (the largest ratio observed).
-    """
-    if fstar is None or not math.isfinite(fstar):
-        raise UsageError(f"fstar must be finite, got {fstar!r}")
-    if not 0.0 < vartheta < 1.0 or tau <= 0.0:
-        raise UsageError("need vartheta in (0, 1) and tau > 0")
-    pts = np.asarray(sampler(n_samples), dtype=float)
-    violations = 0
-    tightest = 0.0
-    for x in pts:
-        gap = objective.value(x) - fstar
-        if gap <= 0.0:
-            continue
-        lhs = gap ** vartheta
-        gn = float(np.linalg.norm(objective.grad(x)))
-        needed = lhs / gn if gn > 0.0 else math.inf
-        tightest = max(tightest, needed)
-        if lhs - tau * gn > rel_slack * max(1.0, lhs):
-            violations += 1
-    return KLSamplingReport(
-        n_samples=len(pts), violations=violations,
-        fraction=violations / max(len(pts), 1), tightest_tau=tightest)

@@ -21,8 +21,7 @@ the envelope, the candidate point built from a trial step, and the trials.
 The envelope is valued once per point, by ``fbe_value`` or ``home_value``,
 and the value of the point taken is completed in place with its gradient
 for the next step.  The envelope functions are looked up in this module at
-each call.  The trials are offered through :func:`~dealopt.solvers.screened`
-with no line oracle, so each one is valued exactly, in order.
+each call.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .directions import DirectionRule
 # perfbench's tracer wraps them
 from .envelopes import (_check_gamma, fbe_complete, fbe_value, fbe_value_grad,
                         home_complete, home_value, home_value_grad)  # noqa: F401
-from .solvers import deal_loop, screened
+from .solvers import deal_loop
 
 
 @dataclass
@@ -195,7 +194,7 @@ def bhippa_constants(config: BoostedConfig):
 def _schedule(trace: IterateTrace, trials):
     """The schedule hook of a boosted solver: its trials, each against the
     step's threshold value - rho ||grad||^theta."""
-    def schedule(x, f, g, gn, y, d):
+    def schedule(x, f, g, gn, d):
         threshold = f - trace.rho * gn ** trace.theta
-        return screened(trials, lambda t: threshold)
+        return ((m, t, threshold) for m, t in trials)
     return schedule

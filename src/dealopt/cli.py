@@ -32,30 +32,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     run = sub.add_parser("run", help="run one solver variant on a generated problem")
-    run.add_argument("--problem", choices=tuple(problems.FAMILIES), default=bench.ProblemSpec.kind)
-    run.add_argument("--m", type=int, default=1000)
-    run.add_argument("--n", type=int, default=200)
-    run.add_argument("--p", type=float, default=1.5, help="least-p exponent")
-    run.add_argument("--lam", type=float, default=0.1, help="l1 weight")
-    run.add_argument("--s", type=float, default=4.0, help="separable power exponent")
-    run.add_argument("--seed", type=int, default=0)
+    # each default is read from its field in the specs a run is built from
+    problem_spec, solver_spec, run_spec = bench.ProblemSpec, bench.SolverSpec, bench.RunSpec
+    run.add_argument("--problem", choices=tuple(problems.FAMILIES), default=problem_spec.kind)
+    run.add_argument("--m", type=int, default=problem_spec.m)
+    run.add_argument("--n", type=int, default=problem_spec.n)
+    run.add_argument("--p", type=float, default=problem_spec.p, help="least-p exponent")
+    run.add_argument("--lam", type=float, default=problem_spec.lam, help="l1 weight")
+    run.add_argument("--s", type=float, default=problem_spec.s, help="separable power exponent")
+    run.add_argument("--seed", type=int, default=problem_spec.seed)
     run.add_argument("--inconsistent", dest="consistent", action="store_false",
                      help="draw b at random instead of planting b = A x_true")
-    run.add_argument("--solver", choices=bench.DEAL_SOLVERS, default="deal-c")
-    run.add_argument("--beta", default="auto",
+    run.add_argument("--solver", choices=bench.DEAL_SOLVERS, default=solver_spec.solver)
+    run.add_argument("--beta", default=solver_spec.beta,
                      help="'auto' = (1-nu)/nu, or a real > -1")
     run.add_argument("--direction", choices=("grad", "bb1", "bb2", "lbfgs"),
                      default="grad")
-    run.add_argument("--sigma", type=float, default=None)
-    run.add_argument("--eta", type=float, default=0.5)
-    run.add_argument("--alpha-bar", type=float, default=None)
-    run.add_argument("--gamma", type=float, default=None)
-    run.add_argument("--order", default="auto",
+    run.add_argument("--sigma", type=float, default=solver_spec.sigma)
+    run.add_argument("--eta", type=float, default=solver_spec.eta)
+    run.add_argument("--alpha-bar", type=float, default=solver_spec.alpha_bar)
+    run.add_argument("--gamma", type=float, default=solver_spec.gamma)
+    run.add_argument("--order", default=solver_spec.order,
                      help="'auto' matches the dominance exponent, or a real > 1")
-    run.add_argument("--eps", type=float, default=1e-6)
-    run.add_argument("--max-iter", type=int, default=10000)
-    run.add_argument("--x0-seed", type=int, default=0)
-    run.add_argument("--repetitions", type=int, default=1)
+    run.add_argument("--eps", type=float, default=run_spec.eps)
+    run.add_argument("--max-iter", type=int, default=run_spec.max_iter)
+    run.add_argument("--x0-seed", type=int, default=run_spec.x0_seed)
+    run.add_argument("--repetitions", type=int, default=run_spec.repetitions)
     run.add_argument("--no-store-iterates", dest="store", action="store_false",
                      help="certify from the solver's logged values; skip re-evaluation")
     run.add_argument("--out", default="runs/single")

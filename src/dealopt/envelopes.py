@@ -13,7 +13,10 @@ run for all coordinates at once, that surfaces near-ties between basins
 through a ``multi_valued`` flag instead of assuming them away;
 ``prox_oracle_check`` uses the same oracle to cross-check a fast prox.
 ``fbe_value``, ``fbe_value_grad`` and ``forward_backward_map`` take a
-validated 1-D float array, as the problem oracles do.  An evaluation is an
+validated 1-D float array, as the problem oracles do.  ``fbe_value``, called
+once per trial, also takes gamma as checked in (0, 1/L): ``fbe_value_grad``
+and ``forward_backward_map`` check it themselves, and a BPGA run checks it
+once (``boosted.bpga_constants``).  An evaluation is an
 ``EnvelopeEval``, the envelope value as a float that keeps its point and
 proximal point: ``fbe_value`` and ``home_value`` are the one evaluation of
 a point and return it without the gradient, ``fbe_complete`` and
@@ -410,6 +413,7 @@ def fbe_value_grad(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval
     """
     if problem.smooth.hess_apply is None:
         raise CapabilityError("forward-backward envelope gradient needs a Hessian-apply oracle")
+    _check_gamma(problem, gamma)
     return fbe_complete(problem, fbe_value(problem, x, gamma), gamma)
 
 
@@ -424,8 +428,7 @@ def fbe_value(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval:
     """Forward-backward point T and envelope value at x, without the gradient:
     one call of the smooth part, its fused ``value_grad`` when it has one.
     ``fbe_complete(problem, value, gamma)`` then adds the gradient without a
-    second forward-backward step."""
-    _check_gamma(problem, gamma)
+    second forward-backward step.  gamma is taken as checked in (0, 1/L)."""
     f, gf = problem.smooth.value_and_grad(x)
     T = _forward_backward(problem, x, gf, gamma)
     d = T - x

@@ -189,7 +189,7 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
     trials = [(0, alpha)] + [(p, armijo.eta ** p * armijo.alpha_bar)
                              for p in range(1, armijo.max_backtracks + 1)]
 
-    def schedule(x, f, g, gn, y, d):
+    def schedule(x, f, g, gn, d):
         slope = float(g @ d)
         line = None
         if objective.line_values is not None:
@@ -218,7 +218,7 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
     where y is the fallback point, None for the objective itself and the
     proximal point for an envelope, whose ``EnvelopeEval`` unpacks so.
     Each step takes a direction d from ``rule`` and, for each (m, t, bound)
-    that ``schedule(x, phi(x), grad, ||grad||, y, d)`` yields, tries
+    that ``schedule(x, phi(x), grad, ||grad||, d)`` yields, tries
     ``z = candidate(x, y, t, d)``; the first trial whose value ``value(z)``
     is at most its bound (any value when the bound is None) is taken, and
     ``complete`` makes that value the next step's point, so phi is valued
@@ -296,7 +296,7 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
             fell_back = rule.fallback_count > fallbacks
             rule.push(x, g)
             d = generalize(d_bar, g, rule.beta, gn)
-            for m, t, bound in schedule(x, f, g, gn, y, d):
+            for m, t, bound in schedule(x, f, g, gn, d):
                 z = candidate(x, y, t, d)
                 v = value(z)
                 if bound is None or v <= bound:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dealopt import bench
@@ -52,3 +53,25 @@ def certify_observed():
             reevaluation.add(x)
         return bench.certify_run(trace, dict(ctx, reevaluation=reevaluation))
     return certify
+
+
+@pytest.fixture
+def dominance():
+    """``check(problem, vartheta, tau, n, seed) -> (violations, worst)``: the
+    gradient-dominance inequality (f - f*)^vartheta <= tau ||grad f|| at
+    ``n`` points drawn uniformly from [-5, 5]^dim by ``seed``, valued in one
+    call of the problem's batch oracle ``value_grad_rows``, f* its
+    reference optimum.  A point violates it when the excess exceeds 1e-8
+    max(1, (f - f*)^vartheta); ``worst`` is the largest ratio
+    (f - f*)^vartheta / ||grad f|| over the points above f*, the tightest
+    tau the sample shows."""
+    def check(problem, vartheta, tau, n, seed):
+        X = np.random.default_rng(seed).uniform(-5.0, 5.0, (n, problem.n))
+        f, G = problem.value_grad_rows(X)
+        gap = f - problem.reference().fstar
+        lhs = np.maximum(gap, 0.0) ** vartheta
+        gn = np.sqrt(np.einsum("ij,ij->i", G, G))
+        violations = int(np.count_nonzero(lhs - tau * gn > 1e-8 * np.maximum(1.0, lhs)))
+        above = gap > 0.0
+        return violations, float(np.max(lhs[above] / gn[above]))
+    return check

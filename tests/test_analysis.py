@@ -4,8 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dealopt.analysis import (box_sampler, complexity_K, estimate_kl_exponent,
-                              fit_linear_rate, kl_sampling_certificate,
+from dealopt.analysis import (complexity_K, estimate_kl_exponent, fit_linear_rate,
                               per_step_ratio_check, verify_complexity)
 from dealopt.core import IterateTrace, Reevaluation, UsageError
 from dealopt.problems import QuadraticProblem, generate_problem
@@ -193,41 +192,19 @@ class TestPerStepRatio:
 
 
 class TestKLSampling:
-    def test_quadratic_exact_equality(self):
-        prob = QuadraticProblem(np.eye(1))
-        rep = kl_sampling_certificate(prob.as_smooth(), prob.reference().fstar,
-                                      box_sampler(1, seed=0), 0.5,
-                                      1.0 / math.sqrt(2.0), 500)
-        assert rep.passed
-        assert rep.tightest_tau == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+    """Each family's gradient-dominance constant tau, checked through its
+    batch oracle on box samples (the ``dominance`` fixture)."""
 
-    @pytest.mark.parametrize("fstar", [None, math.nan, math.inf, -math.inf])
-    def test_an_unknown_or_nonfinite_fstar_is_refused(self, fstar):
-        obj = QuadraticProblem(np.eye(1)).as_smooth()
-        with pytest.raises(UsageError, match="fstar must be finite"):
-            kl_sampling_certificate(obj, fstar, box_sampler(1, seed=0), 0.5, 1.0, 10)
+    def test_quadratic_exact_equality(self, dominance):
+        # f = x^2 / 2: (f - f*)^(1/2) = |x| / sqrt(2) and ||grad f|| = |x|
+        violations, worst = dominance(QuadraticProblem(np.eye(1)), 0.5,
+                                      1.0 / math.sqrt(2.0), 500, seed=0)
+        assert violations == 0
+        assert worst == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
-    def test_halved_tau_fails(self):
-        prob = QuadraticProblem(np.eye(1))
-        rep = kl_sampling_certificate(prob.as_smooth(), prob.reference().fstar,
-                                      box_sampler(1, seed=0), 0.5,
-                                      0.5 / math.sqrt(2.0), 500)
-        assert not rep.passed
-        assert rep.fraction > 0.9
-
-    def test_consistent_leastp_zero_violations(self):
+    def test_consistent_leastp_zero_violations(self, dominance):
         prob = generate_problem(41, "leastp", 40, 8, p=1.5, consistent=True)
         _, _, vartheta, tau = prob.constants()
-        rep = kl_sampling_certificate(prob.as_smooth(), prob.reference().fstar,
-                                      box_sampler(8, seed=2), vartheta, tau, 1000)
-        assert rep.passed
-        assert rep.tightest_tau <= tau
-
-    def test_inconsistent_leastp_reports_empirical_tau(self):
-        # the closed-form tau is only guaranteed for residuals in the range of
-        # A; inconsistent data reports the empirical value without asserting it
-        prob = generate_problem(43, "leastp", 40, 8, p=1.5, consistent=False)
-        _, _, vartheta, tau = prob.constants()
-        rep = kl_sampling_certificate(prob.as_smooth(), prob.reference().fstar,
-                                      box_sampler(8, seed=3), vartheta, tau, 1000)
-        assert math.isfinite(rep.tightest_tau) and rep.tightest_tau > 0.0
+        violations, worst = dominance(prob, vartheta, tau, 1000, seed=2)
+        assert violations == 0
+        assert worst <= tau

@@ -606,6 +606,23 @@ class TestCLI:
             assert json.loads((out / "problem.json").read_text())["consistent"] is consistent
         capsys.readouterr()
 
+    def test_run_with_no_flags_builds_the_default_specs(self, tmp_path, monkeypatch,
+                                                        capsys):
+        built = []
+
+        def run_experiment(config):
+            built.append(config)
+            (tmp_path / "summary.json").write_text(json.dumps({"ok": True}))
+            return tmp_path
+        monkeypatch.setattr(bench, "run_experiment", run_experiment)
+        assert cli.main(["run"]) == cli.EXIT_OK
+        capsys.readouterr()
+        config, = built
+        assert config.problem == bench.ProblemSpec()
+        assert config.run == bench.RunSpec()
+        # the variant is named after its solver
+        assert config.solvers == [bench.SolverSpec(name=config.solvers[0].name)]
+
     def test_run_with_no_complexity_verdict_exits_ok(self, tmp_path, capsys):
         # 50 iterations reach none of the three criteria: no verdict, no failure
         out = tmp_path / "short"

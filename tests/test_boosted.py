@@ -140,6 +140,14 @@ class TestBPGA:
         with pytest.raises(UsageError):
             run_bpga(comp, np.zeros(6), BoostedConfig(gamma=gamma, sigma=0.9))
 
+    def test_gamma_at_one_over_L_is_refused_before_any_envelope_value(self, monkeypatch):
+        # the run checks gamma once; fbe_value, called per trial, does not
+        prob, comp, _, _ = lasso_setup()
+        log = log_envelope_values(monkeypatch)
+        with pytest.raises(UsageError, match=r"gamma must lie in \(0, 1/L\)"):
+            run_bpga(comp, np.zeros(6), BoostedConfig(gamma=1.0 / prob.L))
+        assert log == []
+
     def test_a_smooth_part_without_hess_apply_is_refused_before_any_record(self):
         # the envelope gradient needs the Hessian-apply oracle: the run is
         # refused with gamma's checks, before the smooth part is called
@@ -283,22 +291,6 @@ class TestBPGATrials:
                 taken += assert_accepted_steps_pass_exactly(trace, xs, log)
                 monkeypatch.undo()
         assert taken > 100
-
-    def test_every_trial_is_offered_without_a_line_oracle(self, monkeypatch):
-        lines = []
-        real_screen = boosted.screened
-
-        def screen(trials, bound, line=None):
-            lines.append(line)
-            return real_screen(trials, bound, line)
-        monkeypatch.setattr(boosted, "screened", screen)
-        x0 = np.ones(6)
-        prob = generate_problem(3, "lasso", 60, 6)
-        run_bpga(prob.as_composite(), x0, BoostedConfig())
-        smooth = prob.as_smooth()
-        run_bpga(CompositeObjective(smooth, SeparableProx(lambda t: 0.1 * abs(t))), x0,
-                 BoostedConfig(max_iter=3))
-        assert lines and lines == [None] * len(lines)
 
 
 FBE_ROWS_CASES = {

@@ -404,6 +404,12 @@ class TestFBE:
         with pytest.raises(CapabilityError):
             fbe_value_grad(comp, np.array([1.0]), gamma=0.5)
 
+    def test_gamma_at_one_over_L_is_refused(self):
+        # fbe_value takes gamma as checked; fbe_value_grad checks it itself
+        comp = _scalar_lasso()
+        with pytest.raises(UsageError, match=r"gamma must lie in \(0, 1/L\)"):
+            fbe_value_grad(comp, np.array([1.0]), gamma=1.0)
+
     def test_sandwich_and_gradient_bound_sampled(self):
         prob = generate_problem(9, "lasso", 40, 5, lam=0.3)
         comp = prob.as_composite()
