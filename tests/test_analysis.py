@@ -202,9 +202,34 @@ class TestKLSampling:
         assert violations == 0
         assert worst == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
+    def test_halved_tau_fails(self, dominance):
+        # the Q = I constant is tight: half of it fails at almost every point
+        violations, _ = dominance(QuadraticProblem(np.eye(1)), 0.5,
+                                  0.5 / math.sqrt(2.0), 500, seed=0)
+        assert violations / 500 > 0.9
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_positive_definite_quadratic_zero_violations(self, dominance, seed):
+        # tau = 1 / sqrt(2 lam_min), as the reference optimum carries it
+        prob = QuadraticProblem.generate(seed, 6, 6)
+        tau = prob.reference().tau
+        assert tau == pytest.approx(1.0 / math.sqrt(2.0 * prob.lam_min))
+        violations, worst = dominance(prob, 0.5, tau, 1000, seed=seed)
+        assert violations == 0
+        assert worst <= tau
+
     def test_consistent_leastp_zero_violations(self, dominance):
         prob = generate_problem(41, "leastp", 40, 8, p=1.5, consistent=True)
         _, _, vartheta, tau = prob.constants()
         violations, worst = dominance(prob, vartheta, tau, 1000, seed=2)
         assert violations == 0
         assert worst <= tau
+
+    def test_inconsistent_leastp_reports_empirical_tau(self, dominance):
+        # the closed-form tau is only guaranteed for residuals in the range of
+        # A; inconsistent data reports the empirical value without asserting it
+        prob = generate_problem(43, "leastp", 40, 8, p=1.5, consistent=False)
+        assert prob.reference().tau is None
+        _, _, vartheta, tau = prob.constants()
+        _, worst = dominance(prob, vartheta, tau, 1000, seed=3)
+        assert math.isfinite(worst) and worst > 0.0

@@ -292,6 +292,31 @@ class TestBPGATrials:
                 monkeypatch.undo()
         assert taken > 100
 
+    def test_every_trial_is_offered_without_a_line_oracle(self, monkeypatch):
+        # nothing screens the trials: each step offers all of them, in order,
+        # against the step's threshold f - rho ||grad||^theta
+        steps = []
+        real_schedule = boosted._schedule
+
+        def schedule(trace, trials):
+            step = real_schedule(trace, trials)
+
+            def offered(x, f, g, gn, d):
+                offers = list(step(x, f, g, gn, d))
+                steps.append((offers, trials, f - trace.rho * gn ** trace.theta))
+                return iter(offers)
+            return offered
+        monkeypatch.setattr(boosted, "_schedule", schedule)
+        x0 = np.ones(6)
+        prob = generate_problem(3, "lasso", 60, 6)
+        run_bpga(prob.as_composite(), x0, BoostedConfig())
+        smooth = prob.as_smooth()
+        run_bpga(CompositeObjective(smooth, SeparableProx(lambda t: 0.1 * abs(t))), x0,
+                 BoostedConfig(max_iter=3))
+        assert steps
+        for offers, trials, threshold in steps:
+            assert offers == [(m, t, threshold) for m, t in trials]
+
 
 FBE_ROWS_CASES = {
     "sec53": lambda: bench.build_problem(bench.preset("sec53", 0).problem),
