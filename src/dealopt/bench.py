@@ -73,9 +73,6 @@ class RunSpec:
     max_iter: int = 10000
     x0_seed: int = 0
     repetitions: int = 1
-    # re-evaluate every iterate while the run proceeds; the name, from the
-    # stored iterates this once took, is kept so that config.json is unchanged
-    store_iterates: bool = True
 
 
 @dataclass
@@ -273,13 +270,12 @@ class RunResult:
 def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunResult:
     """Run one solver variant on a built problem and certify its trace.
 
-    With ``run.store_iterates`` each iterate is re-evaluated while the run
-    proceeds, by a ``Reevaluation`` in the certificate context that the
-    solver's ``observe`` hook feeds, through the run's batch oracle
-    ``ctx["rows"]``: the reference optimum is taken first, so that the
-    distance of each iterate to it is known where a certificate reads it,
-    and no iterate outlives its re-evaluation block.  Without it the run is
-    certified from the values its solver logged.
+    Each iterate is re-evaluated while the run proceeds, by a
+    ``Reevaluation`` in the certificate context that the solver's
+    ``observe`` hook feeds, through the run's batch oracle ``ctx["rows"]``:
+    the reference optimum is taken first, so that the distance of each
+    iterate to it is known where a certificate reads it, and no iterate
+    outlives its re-evaluation block.
     """
     solve, ctx = _configure_variant(problem, spec, run)
     rng = np.random.default_rng(run.x0_seed + rep)
@@ -296,12 +292,8 @@ def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunRes
         # is guaranteed, but no composite reference carries a tau)
         if ref.tau is not None and ctx.get("guaranteed", True):
             ctx["xstar"] = ref.xstar
-    observe = None
-    if run.store_iterates:
-        reevaluation = ctx["reevaluation"] = Reevaluation(
-            ctx["evaluate"], ctx.get("rows"), ctx.get("xstar"))
-        observe = reevaluation.add
-    trace = solve(x0, observe)
+    reevaluation = ctx["reevaluation"] = Reevaluation(ctx["rows"], ctx.get("xstar"))
+    trace = solve(x0, reevaluation.add)
     trace.seed, trace.config_digest = run.x0_seed + rep, digest
     certificates = certify_run(trace, ctx)
     return RunResult(name=spec.name, trace=trace, certificates=certificates,
@@ -313,8 +305,9 @@ def _configure_variant(problem, spec: SolverSpec, run: RunSpec):
     """One variant's solver, configured on a built problem, and its
     certificate context: ``(solve, ctx)``, where ``solve(x0, observe)``
     runs it, handing each recorded iterate to ``observe`` unless that is
-    None, and ``ctx`` holds the run's oracles (``evaluate``, ``rows``...)
-    and, for a DEAL run, whether it is ``guaranteed``.
+    None, and ``ctx`` holds the run's batch oracle ``rows`` (with, for a
+    bhippa run, its ``prox_oracle`` check) and, for a DEAL run, whether it
+    is ``guaranteed``.
 
     Every range check of the variant's values runs here, where its direction
     rule, solver configuration and constants are built, so
@@ -336,7 +329,7 @@ def _run_deal(problem, spec, run):
     cfg = DealConfig(eps=run.eps, max_iter=run.max_iter, rule=rule, armijo=armijo)
     runner = run_dealc if spec.solver == "deal-c" else run_deala
     return (lambda x0, observe: runner(objective, x0, cfg, observe),
-            {"evaluate": problem.value_grad, "rows": problem.value_grad_rows,
+            {"rows": problem.value_grad_rows,
              "guaranteed": is_guaranteed(rule, objective.holder.nu)})
 
 
@@ -349,9 +342,8 @@ def _run_bpga(problem, spec, run):
                         eps=run.eps, max_iter=run.max_iter,
                         **_given(alpha_bar=spec.alpha_bar))
     gamma = bpga_constants(composite, cfg)[0]
-    return (lambda x0, observe: run_bpga(composite, x0, cfg, observe), {
-        "evaluate": lambda x: envelopes.fbe_value_grad(composite, x, gamma),
-        "rows": lambda X: problem.fbe_rows(X, gamma)})
+    return (lambda x0, observe: run_bpga(composite, x0, cfg, observe),
+            {"rows": lambda X: problem.fbe_rows(X, gamma)})
 
 
 def _run_bhippa(problem, spec, run):
@@ -365,7 +357,6 @@ def _run_bhippa(problem, spec, run):
                         eps=run.eps, max_iter=run.max_iter)
     gamma = bhippa_constants(cfg)[0]
     return (lambda x0, observe: run_bhippa(phi, x0, cfg, observe), {
-        "evaluate": lambda x: envelopes.home_value_grad(phi, x, gamma, order),
         "rows": lambda X: envelopes.home_rows(phi, X, gamma, order),
         "prox_oracle": lambda x: envelopes.prox_oracle_check(phi, x, gamma, order),
     })
@@ -373,7 +364,7 @@ def _run_bhippa(problem, spec, run):
 
 # each runner configures a variant and returns its solve(x0, observe), which
 # gives the trace, with the direction rule's fallback count in its extras,
-# and its certificate context (evaluate, rows, ...)
+# and its certificate context (rows, ...)
 _RUNNERS = {"deal-c": _run_deal, "deal-a": _run_deal, "bpga": _run_bpga,
             "bhippa": _run_bhippa}
 DEAL_SOLVERS = tuple(_RUNNERS)
@@ -390,9 +381,10 @@ def certify_run(trace: IterateTrace, ctx: dict) -> dict:
     Takes the run's re-evaluated records from ``ctx["reevaluation"]``, the
     ``core.Reevaluation`` that took its iterates while it proceeded, and
     their distances to the reference optimum, if it measured them, for the
-    iterate criterion; without one, nothing is re-evaluated and the checks
-    read the values the solver logged.  It then cross-checks the run's prox at the final
-    iterate against the grid oracle when the run supplies that check
+    iterate criterion; without one, as ``deal certify`` calls it on a
+    logged trace, nothing is re-evaluated and the checks read the values the
+    solver logged.  It then cross-checks the run's prox at the final iterate
+    against the grid oracle when the run supplies that check
     (``prox_oracle``).  Applies every
     certificate whose constants are available: the solver's own (rho, theta,
     eps and the displacement constant c) from the trace, and the reference

@@ -58,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-iter", type=int, default=run_spec.max_iter)
     run.add_argument("--x0-seed", type=int, default=run_spec.x0_seed)
     run.add_argument("--repetitions", type=int, default=run_spec.repetitions)
-    run.add_argument("--no-store-iterates", dest="store", action="store_false",
-                     help="certify from the solver's logged values; skip re-evaluation")
     run.add_argument("--out", default="runs/single")
 
     sweep = sub.add_parser("sweep", help="run a named preset study")
@@ -163,8 +161,7 @@ def _cmd_run(args) -> int:
             eta=args.eta, alpha_bar=args.alpha_bar, gamma=args.gamma,
             order=order)],
         run=bench.RunSpec(eps=args.eps, max_iter=args.max_iter,
-                          x0_seed=args.x0_seed, repetitions=args.repetitions,
-                          store_iterates=args.store),
+                          x0_seed=args.x0_seed, repetitions=args.repetitions),
         output=bench.OutputSpec(directory=args.out),
     )
     out = bench.run_experiment(config)

@@ -445,20 +445,15 @@ class Reevaluation:
     is the same array as its predecessor (a replayed fixed point) is not
     evaluated again: its record takes its predecessor's values and that
     record's displacement becomes 0.  Distinct iterates are evaluated in
-    blocks of ``REEVALUATE_BLOCK``, each as soon as it is full: with a batch
-    oracle ``rows(X) -> (values, gradients)`` over the rows of ``X`` a block
-    is one call; without it, each point is one call of ``evaluate``, whose
-    result unpacks with the value and the gradient first (a ``value_grad``
-    pair, or an ``EnvelopeEval``).  Only the per-point results are kept
-    (value, gradient norm, displacement to the next point and, given
-    ``xstar``, the distance to it), with the pending block and the last
-    iterate (``last``).
+    blocks of ``REEVALUATE_BLOCK``, each as soon as it is full, by one call
+    of the batch oracle ``rows(X) -> (values, gradients)`` over the rows of
+    ``X``.  Only the per-point results are kept (value, gradient norm,
+    displacement to the next point and, given ``xstar``, the distance to
+    it), with the pending block and the last iterate (``last``).
     """
 
-    def __init__(self, evaluate: Callable[[np.ndarray], tuple],
-                 rows: Optional[Callable[[np.ndarray], tuple]] = None,
-                 xstar=None):
-        self._evaluate, self._rows = evaluate, rows
+    def __init__(self, rows: Callable[[np.ndarray], tuple], xstar=None):
+        self._rows = rows
         self._xstar = None if xstar is None else np.asarray(xstar, dtype=float)
         self._block = []
         # per distinct point: value, gradient norm, displacement to the next
@@ -483,21 +478,15 @@ class Reevaluation:
             self._flush()
 
     def _flush(self):
-        block, self._block = self._block, []
-        X = np.stack(block)
+        X = np.stack(self._block)
+        self._block = []
         if self._xstar is not None:
             D = X - self._xstar
             # each row pairwise-summed, as np.add.reduce sums one point's alone
             self._dist.extend(np.sqrt(np.add.reduce(D * D, axis=1)).tolist())
-        if self._rows is not None:
-            values, G = self._rows(X)
-            self._f.extend(np.asarray(values, dtype=float).tolist())
-            self._gnorm.extend(np.linalg.norm(G, axis=1).tolist())
-        else:
-            for x in block:
-                f, g, *_ = self._evaluate(x)
-                self._gnorm.append(np.linalg.norm(g))
-                self._f.append(f)
+        values, G = self._rows(X)
+        self._f.extend(np.asarray(values, dtype=float).tolist())
+        self._gnorm.extend(np.linalg.norm(G, axis=1).tolist())
 
     def result(self, trace: IterateTrace) -> tuple:
         """``(checked, distances)`` for ``trace``, whose records' iterates
@@ -541,27 +530,20 @@ class Reevaluation:
 
 
 def reevaluate_trace(trace: IterateTrace, iterates,
-                     value: Callable[[np.ndarray], float],
-                     grad: Callable[[np.ndarray], np.ndarray],
-                     rows: Optional[Callable[[np.ndarray], tuple]] = None,
-                     ) -> IterateTrace:
+                     rows: Callable[[np.ndarray], tuple]) -> IterateTrace:
     """``trace``'s columns with f/grad_norm/displacement rebuilt from its
     iterates, as ``Reevaluation.result`` gives them.
 
     Certificates should not have to trust solver-logged numbers; this
-    recomputes every logged quantity through the supplied oracles, ``grad``
-    and then ``value`` at each point when no ``rows`` is given (for envelope
-    solvers, pass the envelope value/gradient).  ``iterates`` are the arrays
-    a solver's ``observe`` hook was handed, one per record
-    (``xs = []; trace = run_deala(obj, x0, cfg, xs.append)``); they go
-    through one :class:`Reevaluation`, as a run that re-evaluates while it
-    proceeds hands it its own.  Any other number of iterates is a
+    recomputes every logged quantity through the batch oracle ``rows``
+    (for envelope solvers, the envelope's: ``fbe_rows`` or ``home_rows``).
+    ``iterates`` are the arrays a solver's ``observe`` hook was handed, one
+    per record (``xs = []; trace = run_deala(obj, x0, cfg, xs.append)``);
+    they go through one :class:`Reevaluation`, as a run that re-evaluates
+    while it proceeds hands it its own.  Any other number of iterates is a
     ``DataError``.
     """
-    def evaluate(x):
-        g = grad(x)
-        return value(x), g
-    reevaluation = Reevaluation(evaluate, rows)
+    reevaluation = Reevaluation(rows)
     for x in iterates:
         reevaluation.add(x)
     return reevaluation.result(trace)[0]

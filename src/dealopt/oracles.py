@@ -56,22 +56,11 @@ def finite_diff_gradient(value: Callable[[np.ndarray], float], x,
 
 
 @dataclass
-class ScalarMinResult:
-    argmin: float
-    minval: float
-    candidates: list  # (argmin, value) per near-optimal basin
-
-    @property
-    def multi_valued(self) -> bool:
-        return len(self.candidates) > 1
-
-
-@dataclass
 class RowsMinResult:
     """One minimization per row.  ``points`` and ``values`` hold each row's
     refined basins, best first (nan and inf where a row has fewer than
-    ``_MULTI_START``), and ``candidates`` marks the near-optimal ones that
-    ``ScalarMinResult.candidates`` would list."""
+    ``_MULTI_START``), and ``candidates`` marks the near-optimal ones: those
+    whose value ties the row's best within ``_TIE_TOL``, one per basin."""
 
     argmin: np.ndarray
     minval: np.ndarray
@@ -84,44 +73,24 @@ class RowsMinResult:
         return self.candidates.sum(axis=1) > 1
 
 
-def scalar_minimize(g: Callable, bracket):
-    """Grid pre-scan plus golden-section refinement of a 1-D function.
+def scalar_minimize(g: Callable, bracket) -> RowsMinResult:
+    """Grid pre-scan plus golden-section refinement of 1-D functions, one
+    per row i over [lo[i], hi[i]] for a bracket of two 1-D arrays (lo, hi),
+    all rows at once.
 
-    Refines the best ``_MULTI_START`` grid basins; basins whose refined
-    value ties the global best within ``_TIE_TOL`` are reported as candidates
-    so callers can detect multi-valued minimizers.
-
-    With a bracket of two floats, ``g`` takes one float and the result is a
-    ``ScalarMinResult``.  With a bracket of two 1-D arrays (lo, hi) it
-    minimizes one function per row i over [lo[i], hi[i]], all rows at once:
     ``g(T)`` takes a (rows, k) array and returns the value of row i's
-    function at each entry of row i, and the result is a ``RowsMinResult``.
-    The float form is the one-row case of the array form.
+    function at each entry of row i.  Each row scans the ``_GRID_POINTS``
+    grid for its local minima (ties kept), refines the best ``_MULTI_START``
+    by golden section over their cells and a parabolic polish, and reports
+    the basins whose refined value ties its best within ``_TIE_TOL`` as
+    candidates, so callers can detect multi-valued minimizers.  Each row
+    takes the steps of a one-row run at the same points; the entries of a
+    row that has finished refining, or has fewer basins, are evaluated but
+    not used.
     """
-    if np.ndim(bracket[0]) == 0:
-        lo, hi = float(min(bracket)), float(max(bracket))
-        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-            raise UsageError(f"invalid bracket {bracket}")
-        res = _minimize_rows(lambda T: np.array([g(t) for t in T.ravel().tolist()],
-                                                dtype=float).reshape(T.shape),
-                             np.array([lo]), np.array([hi]))
-        candidates = [(u, v) for u, v, c in zip(res.points[0].tolist(), res.values[0].tolist(),
-                                                res.candidates[0].tolist()) if c]
-        return ScalarMinResult(argmin=float(res.argmin[0]), minval=float(res.minval[0]),
-                               candidates=candidates)
     lo, hi = (np.asarray(end, dtype=float) for end in bracket)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(hi > lo)):
         raise UsageError("invalid brackets")
-    return _minimize_rows(g, lo, hi)
-
-
-def _minimize_rows(g, lo, hi) -> RowsMinResult:
-    """The oracle, every row at once: the ``_GRID_POINTS`` grid and its local
-    minima (ties kept), golden section over the cells of the best
-    ``_MULTI_START``, a parabolic polish, and the tie rule.  Each row takes
-    the steps of a one-row run at the same points; ``g`` is evaluated on
-    whole (rows, k) arrays, and the entries of a row that has finished
-    refining, or has fewer basins, are evaluated but not used."""
     ts = np.linspace(lo, hi, _GRID_POINTS, axis=1)
     vals = g(ts)
     if not np.all(np.isfinite(vals)):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dealopt import bench
+from dealopt import bench, envelopes
 from dealopt.core import Reevaluation
 
 
@@ -10,7 +10,7 @@ def run_storing():
     """``run(problem, spec, run, rep=0) -> (result, iterates, ctx)``: the
     result of ``bench.run_variant``, the list of iterates its solver handed
     to ``observe``, one per record, and the certificate context the run was
-    certified with (``run.store_iterates`` must hold)."""
+    certified with."""
     def run(problem, spec, run, rep=0):
         seen = {}
         configure, certify = bench._configure_variant, bench.certify_run
@@ -41,18 +41,44 @@ def run_storing():
 
 @pytest.fixture
 def certify_observed():
-    """``certify(trace, iterates, ctx, rows=True)``: ``bench.certify_run``
+    """``certify(trace, iterates, ctx, rows=None)``: ``bench.certify_run``
     of a finished run after the fact.  Its observed ``iterates`` go through
-    a new ``Reevaluation`` on the oracles of its certificate context
-    ``ctx``: by the batch oracle ``ctx["rows"]`` or, without ``rows``, point
-    by point through ``ctx["evaluate"]``."""
-    def certify(trace, iterates, ctx, rows=True):
-        reevaluation = Reevaluation(ctx["evaluate"], ctx["rows"] if rows else None,
-                                    ctx.get("xstar"))
+    a new ``Reevaluation`` by the batch oracle ``rows``, or by the run's own,
+    ``ctx["rows"]``, when that is None."""
+    def certify(trace, iterates, ctx, rows=None):
+        reevaluation = Reevaluation(ctx["rows"] if rows is None else rows, ctx.get("xstar"))
         for x in iterates:
             reevaluation.add(x)
         return bench.certify_run(trace, dict(ctx, reevaluation=reevaluation))
     return certify
+
+
+# per solver, the per-point oracle of a run of ``problem`` from its trace's
+# extras: the objective's fused value and gradient, or the envelope at the
+# run's gamma (and, for bhippa, its order p)
+PER_POINT = {
+    "deal-c": lambda problem, extras: problem.value_grad,
+    "deal-a": lambda problem, extras: problem.value_grad,
+    "bpga": lambda problem, extras: lambda x, composite=problem.as_composite(): (
+        envelopes.fbe_value_grad(composite, x, extras["gamma"])),
+    "bhippa": lambda problem, extras: lambda x, phi=problem.as_prox_capable(): (
+        envelopes.home_value_grad(phi, x, extras["gamma"], extras["p"])),
+}
+
+
+@pytest.fixture
+def per_point():
+    """``rows(problem, trace)``: the per-point oracle of the run of
+    ``problem`` that gave ``trace``, from ``PER_POINT``, as a rows oracle
+    that evaluates each row alone, one call a point."""
+    def rows(problem, trace):
+        evaluate = PER_POINT[trace.solver_id](problem, trace.extras)
+
+        def each(X):
+            values, gradients = zip(*(tuple(evaluate(x))[:2] for x in X))
+            return np.array(values), np.stack(gradients)
+        return each
+    return rows
 
 
 @pytest.fixture

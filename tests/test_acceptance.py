@@ -42,7 +42,7 @@ def dealc_runs():
         prob = generate_problem(100 + seed, "leastp", m, n, p=p, consistent=True)
         obj = prob.as_smooth()
         x0 = np.random.default_rng(200 + seed).uniform(-5.0, 5.0, n)
-        reevaluation = Reevaluation(obj.value_and_grad, xstar=prob.x_ls)
+        reevaluation = Reevaluation(prob.value_grad_rows, xstar=prob.x_ls)
         tr = run_dealc(obj, x0, DealConfig(eps=EPS), reevaluation.add)
         out.append((prob, obj, tr, *reevaluation.result(tr)))
     return out
@@ -57,7 +57,7 @@ def deala_runs():
         x0 = np.random.default_rng(200 + seed).uniform(-5.0, 5.0, n)
         xs = []
         tr = run_deala(obj, x0, DealConfig(eps=EPS), xs.append)
-        out.append((prob, obj, tr, reevaluate_trace(tr, xs, obj.value, obj.grad)))
+        out.append((prob, obj, tr, reevaluate_trace(tr, xs, prob.value_grad_rows)))
     return out
 
 
@@ -73,9 +73,8 @@ def bpga_runs():
         cfg = BoostedConfig(gamma=gamma, sigma=sigma, eps=EPS)
         xs = []
         tr = run_bpga(comp, x0, cfg, xs.append)
-        value = lambda x, c=comp, g=gamma: envelopes.fbe_value(c, x, g)
-        grad = lambda x, c=comp, g=gamma: envelopes.fbe_value_grad(c, x, g).gradient
-        out.append((prob, comp, gamma, tr, reevaluate_trace(tr, xs, value, grad)))
+        checked = reevaluate_trace(tr, xs, lambda X: prob.fbe_rows(X, gamma))
+        out.append((prob, comp, gamma, tr, checked))
     return out
 
 
@@ -90,9 +89,8 @@ def bhippa_runs():
         cfg = BoostedConfig(gamma=1.0, sigma=0.1, p=order, eps=EPS)
         xs = []
         tr = run_bhippa(phi, x0, cfg, xs.append)
-        value = lambda x, f=phi, p_=order: envelopes.home_value(f, x, 1.0, p_)
-        grad = lambda x, f=phi, p_=order: envelopes.home_value_grad(f, x, 1.0, p_).gradient
-        out.append((pa, phi, tr, reevaluate_trace(tr, xs, value, grad)))
+        checked = reevaluate_trace(tr, xs, lambda X: envelopes.home_rows(phi, X, 1.0, order))
+        out.append((pa, phi, tr, checked))
     return out
 
 
@@ -265,9 +263,9 @@ def test_criterion_07_prox_oracle_equivalence():
         x = float(rng.uniform(-6, 6))
         w = float(rng.uniform(0.05, 2.0))
         closed = envelopes.prox_l1(np.array([x]), w)[0]
-        res = oracles.scalar_minimize(lambda t: w * abs(t) + 0.5 * (x - t) ** 2,
-                                      (x - 12.0, x + 12.0))
-        worst_l1 = max(worst_l1, abs(closed - res.argmin))
+        res = oracles.scalar_minimize(lambda T: w * np.abs(T) + 0.5 * (x - T) ** 2,
+                                      (np.array([x - 12.0]), np.array([x + 12.0])))
+        worst_l1 = max(worst_l1, abs(closed - res.argmin[0]))
         home = envelopes.prox_home_separable(lambda t: w * abs(t),
                                              np.array([x]), 1.0, 2.0)
         worst_home = max(worst_home, abs(closed - home.point[0]))

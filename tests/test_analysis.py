@@ -135,7 +135,7 @@ class TestVerifyComplexity:
     def test_end_to_end_leastp(self):
         prob = generate_problem(29, "leastp", 60, 12, p=2.0, consistent=True)
         obj = prob.as_smooth()
-        reevaluation = Reevaluation(obj.value_and_grad, xstar=prob.x_ls)
+        reevaluation = Reevaluation(prob.value_grad_rows, xstar=prob.x_ls)
         tr = run_dealc(obj, np.random.default_rng(4).uniform(-5, 5, 12),
                        DealConfig(), reevaluation.add)
         nu, L, vt, tau = prob.constants()
@@ -157,8 +157,8 @@ class TestVerifyComplexity:
         assert xs[-1] is xs[999]
         tracemalloc.start()
         try:
-            reevaluation = Reevaluation(lambda x: (0.5 * float(x @ x), x),
-                                        xstar=np.zeros(200))
+            reevaluation = Reevaluation(
+                lambda X: (0.5 * np.einsum("ij,ij->i", X, X), X), xstar=np.zeros(200))
             for x in xs:
                 reevaluation.add(x)
             rep = verify_complexity(tr, fstar=0.0, rho=0.5, theta=2.0, tau=1.0, eps=1e-6,

@@ -231,7 +231,8 @@ def distances(trace, xs, xstar):
     run's re-evaluation measures it, or None without iterates."""
     if xs is None:
         return None
-    reevaluation = Reevaluation(lambda x: (0.5 * float(x @ x), x), xstar=xstar)
+    reevaluation = Reevaluation(lambda X: (0.5 * np.einsum("ij,ij->i", X, X), X),
+                                xstar=xstar)
     for x in xs:
         reevaluation.add(x)
     return reevaluation.result(trace)[1]

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from dealopt import bench, cli, problems
-from dealopt.core import REEVALUATE_BLOCK, TRACE_COLUMNS, UsageError, _fmt
+from dealopt.core import REEVALUATE_BLOCK, TRACE_COLUMNS, Reevaluation, UsageError, _fmt
 
 
 def small_config(tmp_path, solvers=None, **problem_kw):
@@ -114,14 +113,29 @@ class TestConfigValidation:
             "problem": {"p": 2, "consistent": False}, "run": {"eps": 1},
             "solvers": [{"beta": "auto", "order": 3, "sigma": None, "gamma": 0.5}]}) == []
         assert bench.validate_config({
-            "problem": {"seed": True, "lam": False}, "run": {"store_iterates": 1},
+            "problem": {"seed": True, "lam": False, "consistent": 1},
             "solvers": [{"beta": "Auto", "sigma": "0.1", "name": 1}]}) == [
             "problem.seed must be an integer, got True",
             "problem.lam must be a number, got False",
-            "run.store_iterates must be true or false, got 1",
+            "problem.consistent must be true or false, got 1",
             "solvers[0].beta must be a number or 'auto', got 'Auto'",
             "solvers[0].sigma must be a number or null, got '0.1'",
             "solvers[0].name must be a string, got 1"]
+
+    def test_the_removed_store_iterates_is_refused(self, tmp_path, capsys):
+        # every run re-evaluates its iterates: a config or flag that would
+        # turn that off is refused, not ignored, and writes nothing
+        override = tmp_path / "f.json"
+        override.write_text(json.dumps({"run": {"store_iterates": True}}))
+        assert cli.main(["sweep", "--preset", "sec53", "--config", str(override),
+                         "--out", str(tmp_path / "runs")]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == ("error: invalid experiment config: "
+                                           "run.store_iterates is not a recognized key\n")
+        assert cli.main(["run", "--problem", "leastp", "--m", "40", "--n", "8",
+                         "--no-store-iterates", "--out", str(tmp_path / "runs")]
+                        ) == cli.EXIT_USAGE
+        assert "--no-store-iterates" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestRunExperiment:
@@ -292,8 +306,7 @@ class TestRunExperiment:
                                                                   run_storing):
         # each distinct iterate is re-evaluated once, through one fused batch
         # call per block of REEVALUATE_BLOCK distinct iterates: the run makes
-        # those calls and every per-point call of a run that re-evaluates
-        # nothing, no more
+        # those calls and every per-point call of its solve alone, no more
         problem = bench.build_problem(bench.ProblemSpec(kind="leastp", m=40, n=8, seed=1))
         calls = Counter()
         rows = []
@@ -305,10 +318,12 @@ class TestRunExperiment:
                 return _real(x)
             monkeypatch.setattr(problem, name, counted)
         run = bench.RunSpec(max_iter=1500, x0_seed=3, eps=1e-30)
+        # the start run_variant draws for repetition 0
+        x0 = np.random.default_rng(run.x0_seed).uniform(-5.0, 5.0, size=problem.n)
         for solver in ("deal-c", "deal-a"):
             spec = bench.SolverSpec(solver=solver)
             calls.clear()
-            bench.run_variant(problem, spec, dataclasses.replace(run, store_iterates=False))
+            bench._configure_variant(problem, spec, run)[0](x0, None)
             unchecked = Counter(calls)
             calls.clear()
             rows.clear()
@@ -329,30 +344,30 @@ class TestRunExperiment:
         pytest.param("quadratic", dict(max_iter=1500, eps=1e-30), id="quadratic"),
     ])
     def test_batch_reevaluation_keeps_every_verdict(self, run_storing, certify_observed,
-                                                    solver, kind, run):
+                                                    per_point, solver, kind, run):
         problem = bench.build_problem(bench.ProblemSpec(kind=kind, m=40, n=8, seed=1))
         result, xs, ctx = run_storing(problem, bench.SolverSpec(solver=solver),
                                       bench.RunSpec(x0_seed=3, **run))
-        assert "rows" in ctx
         batched = result.certificates
-        per_point = certify_observed(result.trace, xs, ctx, rows=False)
+        pointwise = certify_observed(result.trace, xs, ctx, per_point(problem, result.trace))
         assert batched["reevaluated"] and "descent" in batched
-        assert verdicts(batched) == verdicts(per_point)
+        assert verdicts(batched) == verdicts(pointwise)
 
     @pytest.mark.parametrize("config", [
         *(pytest.param(bench.preset("sec53", seed), id=str(seed)) for seed in range(5)),
         *(pytest.param(bhippa_config(100, seed), id=f"bhippa-n100-{seed}") for seed in (7, 8)),
     ])
     def test_bpga_batch_reevaluation_keeps_every_verdict(self, run_storing,
-                                                         certify_observed, config):
+                                                         certify_observed, per_point,
+                                                         config):
         problem = bench.build_problem(config.problem)
         for spec in config.solvers:
             result, xs, ctx = run_storing(problem, spec, config.run)
-            assert "rows" in ctx
             batched = result.certificates
-            per_point = certify_observed(result.trace, xs, ctx, rows=False)
+            pointwise = certify_observed(result.trace, xs, ctx,
+                                         per_point(problem, result.trace))
             assert batched["reevaluated"] and "descent" in batched
-            assert verdicts(batched) == verdicts(per_point)
+            assert verdicts(batched) == verdicts(pointwise)
 
     def test_summary_counts_terminations_by_cause(self, tmp_path):
         out = bench.run_experiment(bench.preset("sec53", 0, out_dir=str(tmp_path)))
@@ -415,7 +430,7 @@ class TestLiveReevaluation:
     the same run whose observed iterates are re-evaluated afterwards."""
 
     @pytest.fixture
-    def assert_live_is_observed(self, run_storing, certify_observed):
+    def assert_live_is_observed(self, run_storing, certify_observed, per_point):
         def check(kind, solver, spec_kw, run):
             problem = bench.build_problem(bench.ProblemSpec(kind=kind, m=40, n=8, seed=1))
             result, xs, ctx = run_storing(
@@ -425,10 +440,10 @@ class TestLiveReevaluation:
             assert result.certificates["reevaluated"]
             assert (json.dumps(result.certificates, indent=2, default=bench._json_default)
                     == json.dumps(later, indent=2, default=bench._json_default))
-            evaluate = ctx["evaluate"]
-            checked = bench.reevaluate_trace(result.trace, xs,
-                                             lambda x: tuple(evaluate(x))[0],
-                                             lambda x: tuple(evaluate(x))[1], ctx["rows"])
+            # the per-point oracle reaches the verdicts of the batch one
+            pointwise = certify_observed(result.trace, xs, ctx, per_point(problem, result.trace))
+            assert verdicts(pointwise) == verdicts(result.certificates)
+            checked = bench.reevaluate_trace(result.trace, xs, ctx["rows"])
             assert column_bits(live.result(result.trace)[0]) == column_bits(checked)
             assert live.last is xs[-1]
             return result, 1 + sum(b is not a for a, b in zip(xs, xs[1:]))
@@ -472,6 +487,23 @@ class TestLiveReevaluation:
             assert len(distances) == len(result.trace)
             assert "iterate" in [c["criterion"]
                                  for c in result.certificates["complexity"]["checks"]]
+
+    @pytest.mark.parametrize("kind, solver, spec_kw", LIVE_CASES)
+    def test_reevaluation_does_not_perturb_the_run(self, kind, solver, spec_kw):
+        # a solve logs the same trace, bit for bit, whether or not a
+        # re-evaluation observes its iterates, past a block of them
+        problem = bench.build_problem(bench.ProblemSpec(kind=kind, m=40, n=8, seed=1))
+        spec = bench.SolverSpec(solver=solver, **spec_kw)
+        run = bench.RunSpec(x0_seed=3, eps=1e-30, max_iter=2 * REEVALUATE_BLOCK)
+        x0 = np.random.default_rng(run.x0_seed).uniform(-5.0, 5.0, size=problem.n)
+        alone = bench._configure_variant(problem, spec, run)[0](x0, None)
+        solve, ctx = bench._configure_variant(problem, spec, run)
+        reevaluation = Reevaluation(ctx["rows"])
+        observed = solve(x0, reevaluation.add)
+        assert len(reevaluation.result(observed)[0]) == len(observed) > REEVALUATE_BLOCK
+        assert column_bits(observed) == column_bits(alone)
+        assert (json.dumps(observed.extras, default=bench._json_default)
+                == json.dumps(alone.extras, default=bench._json_default))
 
     @pytest.mark.parametrize("kind, solver, spec_kw", LIVE_CASES)
     def test_an_infinite_eps_is_refused(self, kind, solver, spec_kw):

@@ -15,7 +15,7 @@ from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, CapabilityError,
 from dealopt.directions import DirectionRule
 from dealopt.envelopes import (AbsPower, SeparableProx, fbe_value,
                                fbe_value_grad, forward_backward_map,
-                               home_value, home_value_grad)
+                               home_rows, home_value_grad)
 from dealopt.problems import (LassoProblem, PowerAbsProblem, generate_problem,
                               reference_optimum)
 
@@ -90,10 +90,7 @@ class TestBPGA:
         xs = []
         tr = run_bpga(comp, np.random.default_rng(0).uniform(-5, 5, 6), cfg, xs.append)
         assert tr.extras["termination"] == "tolerance"
-        checked = reevaluate_trace(
-            tr, xs,
-            lambda x: fbe_value(comp, x, gamma),
-            lambda x: fbe_value_grad(comp, x, gamma).gradient)
+        checked = reevaluate_trace(tr, xs, lambda X: prob.fbe_rows(X, gamma))
         assert certify_descent(checked, tr.rho, tr.theta).passed
 
     def test_envelope_monotone(self):
@@ -458,10 +455,7 @@ class TestBHiPPA:
         assert tr.theta == pytest.approx(4.0 / 3.0)
         assert tr.rho == pytest.approx(0.1 / 4.0)
         phi = pa.as_prox_capable()
-        checked = reevaluate_trace(
-            tr, xs,
-            lambda x: home_value(phi, x, 1.0, p),
-            lambda x: home_value_grad(phi, x, 1.0, p).gradient)
+        checked = reevaluate_trace(tr, xs, lambda X: home_rows(phi, X, 1.0, p))
         assert certify_descent(checked, tr.rho, tr.theta).passed
 
     def test_starts_at_minimizer(self):

@@ -150,8 +150,7 @@ def test_reevaluated_leastp_trace_matches_the_reference_loops(runner):
     xs = []
     trace = runner(objective, x0, DealConfig(eps=1e-30, max_iter=1500), xs.append)
     assert "fixed_point_at" in trace.extras
-    checked = reevaluate_trace(trace, xs, problem.value, problem.grad,
-                               problem.value_grad_rows)
+    checked = reevaluate_trace(trace, xs, problem.value_grad_rows)
     fstar = problems.reference_optimum(problem).fstar
     q_theory = 1.0 - trace.rho / problem.reference().tau ** trace.theta
     pairs = all_four(checked, trace.rho, trace.theta, trace.extras["c"], fstar, q_theory)

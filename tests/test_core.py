@@ -256,9 +256,7 @@ def test_reevaluate_trace_overrides_logged_values():
     xs = [np.array([2.0]), np.array([1.0]), np.array([0.5])]
     # logged values are deliberately wrong
     tr = make_trace([9.0, 9.0, 9.0], [9.0, 9.0, 9.0])
-    value = lambda x: 0.5 * float(x @ x)
-    grad = lambda x: np.asarray(x, dtype=float)
-    fixed = reevaluate_trace(tr, xs, value, grad)
+    fixed = reevaluate_trace(tr, xs, CountingHalfSquare().rows)
     assert fixed.f_values() == pytest.approx([2.0, 0.5, 0.125])
     assert fixed.grad_norms() == pytest.approx([2.0, 1.0, 0.5])
     assert fixed.displacements()[:-1] == pytest.approx([1.0, 0.5])
@@ -270,29 +268,15 @@ def test_reevaluate_trace_refuses_another_number_of_iterates(given):
     tr = make_trace([9.0, 9.0, 9.0], [9.0, 9.0, 9.0])
     with pytest.raises(DataError, match=f"{given} iterates were re-evaluated for a "
                                         "trace of 3 records"):
-        reevaluate_trace(tr, xs[:given], lambda x: 0.5 * float(x @ x),
-                         lambda x: np.asarray(x, dtype=float))
+        reevaluate_trace(tr, xs[:given], CountingHalfSquare().rows)
 
 
 class CountingHalfSquare:
-    """f(x) = ||x||^2 / 2 through per-point and batch oracles that log what
-    they are given."""
+    """f(x) = ||x||^2 / 2 through a batch oracle that logs the blocks it is
+    given."""
 
     def __init__(self):
-        self.points = []
         self.blocks = []
-
-    def value(self, x):
-        self.points.append(("value", x))
-        return 0.5 * float(x @ x)
-
-    def grad(self, x):
-        self.points.append(("grad", x))
-        return x.copy()
-
-    def evaluate(self, x):
-        self.points.append(("evaluate", x))
-        return 0.5 * float(x @ x), x.copy()
 
     def rows(self, X):
         self.blocks.append(X.copy())
@@ -318,22 +302,13 @@ def replayed_trace(distinct, tail, n=3):
 @pytest.mark.parametrize("distinct, tail", [
     (1, 0), (1, 5), (REEVALUATE_BLOCK - 1, 300), (REEVALUATE_BLOCK, 300),
     (REEVALUATE_BLOCK + 1, 300), (300, 400), (511, 300), (512, 300), (513, 300), (1100, 0)])
-@pytest.mark.parametrize("batched", [False, True])
-def test_reevaluate_trace_evaluates_each_distinct_iterate_once(distinct, tail,
-                                                               batched):
+def test_reevaluate_trace_evaluates_each_distinct_iterate_once(distinct, tail):
     tr, xs, X = replayed_trace(distinct, tail)
     oracle = CountingHalfSquare()
-    fixed = reevaluate_trace(tr, xs, oracle.value, oracle.grad,
-                             oracle.rows if batched else None)
-    if batched:
-        assert oracle.points == []
-        full, rest = divmod(distinct, REEVALUATE_BLOCK)
-        assert [len(B) for B in oracle.blocks] == [REEVALUATE_BLOCK] * full + [rest] * (rest > 0)
-        assert np.array_equal(np.vstack(oracle.blocks), X)
-    else:
-        assert oracle.blocks == []
-        assert [name for name, _ in oracle.points] == ["grad", "value"] * distinct
-        assert all(x is xs[i // 2] for i, (_, x) in enumerate(oracle.points))
+    fixed = reevaluate_trace(tr, xs, oracle.rows)
+    full, rest = divmod(distinct, REEVALUATE_BLOCK)
+    assert [len(B) for B in oracle.blocks] == [REEVALUATE_BLOCK] * full + [rest] * (rest > 0)
+    assert np.array_equal(np.vstack(oracle.blocks), X)
     last = len(tr) - 1
     assert len(fixed) == len(tr)
     for i, (f, g, disp) in enumerate(zip(fixed.f, fixed.grad_norm, fixed.displacement)):
@@ -360,7 +335,7 @@ def test_reevaluation_measures_each_distance_as_its_point_alone(n):
     tr, xs, _ = replayed_trace(REEVALUATE_BLOCK + 5, 3, n=n)
     xstar = np.random.default_rng(n).standard_normal(n)
     oracle = CountingHalfSquare()
-    reevaluation = Reevaluation(oracle.evaluate, oracle.rows, xstar)
+    reevaluation = Reevaluation(oracle.rows, xstar)
     for x in xs:
         reevaluation.add(x)
     distances = reevaluation.result(tr)[1]
@@ -368,29 +343,10 @@ def test_reevaluation_measures_each_distance_as_its_point_alone(n):
     assert distances.tobytes() == np.array(alone).tobytes()
 
 
-@pytest.mark.parametrize("distinct, tail", [(1, 0), (1, 5), (REEVALUATE_BLOCK + 1, 300)])
-def test_reevaluation_evaluates_each_distinct_iterate_in_one_call(distinct, tail):
-    # without a batch oracle each distinct iterate is one call of the
-    # per-point oracle, and a replayed fixed point, however many records it
-    # fills, is one iterate
-    tr, xs, X = replayed_trace(distinct, tail)
-    oracle = CountingHalfSquare()
-    reevaluation = Reevaluation(oracle.evaluate)
-    for x in xs:
-        reevaluation.add(x)
-    checked = reevaluation.result(tr)[0]
-    assert [name for name, _ in oracle.points] == ["evaluate"] * distinct
-    assert all(x is xs[i] for i, (_, x) in enumerate(oracle.points))
-    assert oracle.blocks == []
-    expected = reevaluate_trace(tr, xs, lambda x: 0.5 * float(x @ x), lambda x: x.copy())
-    for name in ("f", "grad_norm", "displacement"):
-        assert getattr(checked, name).tobytes() == getattr(expected, name).tobytes(), name
-
-
 def test_reevaluation_refuses_a_trace_of_other_records():
     tr, xs, _ = replayed_trace(5, 2)
     oracle = CountingHalfSquare()
-    reevaluation = Reevaluation(oracle.evaluate, oracle.rows)
+    reevaluation = Reevaluation(oracle.rows)
     for x in xs[:-1]:
         reevaluation.add(x)
     with pytest.raises(DataError, match="6 iterates were re-evaluated for a trace of 7"):
@@ -407,8 +363,7 @@ def test_reevaluate_trace_working_set_is_bounded_by_its_block():
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        checked = reevaluate_trace(tr, xs, problem.value, problem.grad,
-                                   problem.value_grad_rows)
+        checked = reevaluate_trace(tr, xs, problem.value_grad_rows)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         if not tracing:
@@ -439,19 +394,20 @@ def traced(call):
 def test_run_variant_working_set_is_bounded_by_its_block(max_iter):
     # a least-p 1000 x 200 run of max_iter distinct iterates (DEAL-C2 descends
     # slowly and never stops early), re-evaluated while it proceeds: above
-    # what the same run keeps when it re-evaluates nothing, it allocates at
-    # most that again (the re-evaluated copy of its records) and four
-    # (REEVALUATE_BLOCK x max(m, n)) arrays of doubles, whatever max_iter is;
-    # storing the iterates would take max_iter x n doubles
+    # what its solve alone keeps, it allocates at most that again (the
+    # re-evaluated copy of its records) and four (REEVALUATE_BLOCK x
+    # max(m, n)) arrays of doubles, whatever max_iter is; storing the
+    # iterates would take max_iter x n doubles
     problem = generate_problem(0, "leastp", 1000, 200, p=1.5, consistent=True)
     spec = bench.SolverSpec(solver="deal-c", beta=0.0)
     # the problem's reference optimum and cached products, as every variant
     # but the first finds them
     bench.run_variant(problem, spec, bench.RunSpec(max_iter=2))
-    _, unchecked, _ = traced(lambda: bench.run_variant(
-        problem, spec, bench.RunSpec(max_iter=max_iter, store_iterates=False)))
-    result, _, peak = traced(lambda: bench.run_variant(
-        problem, spec, bench.RunSpec(max_iter=max_iter)))
+    run = bench.RunSpec(max_iter=max_iter)
+    # the start run_variant draws for repetition 0
+    x0 = np.random.default_rng(run.x0_seed).uniform(-5.0, 5.0, size=problem.n)
+    _, unchecked, _ = traced(lambda: bench._configure_variant(problem, spec, run)[0](x0, None))
+    result, _, peak = traced(lambda: bench.run_variant(problem, spec, run))
     assert result.certificates["reevaluated"] and len(result.trace) == max_iter + 1
     assert peak <= 2 * unchecked + 4 * REEVALUATE_BLOCK * max(problem.m, problem.n) * 8
 

@@ -26,8 +26,9 @@ class TestProxL1:
         assert prox_l1(x, 1e-12) == pytest.approx(x, abs=1e-11)
 
     def test_matches_scalar_oracle(self):
-        res = scalar_minimize(lambda t: abs(t) + 0.5 * (2.0 - t) ** 2, (-10, 10))
-        assert abs(prox_l1(np.array([2.0]), 1.0)[0] - res.argmin) < 1e-8
+        res = scalar_minimize(lambda T: np.abs(T) + 0.5 * (2.0 - T) ** 2,
+                              (np.array([-10.0]), np.array([10.0])))
+        assert abs(prox_l1(np.array([2.0]), 1.0)[0] - res.argmin[0]) < 1e-8
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(UsageError):
@@ -217,9 +218,12 @@ class TestBatchedSeparableProx:
         assert singles[0].multi_valued and res.multi_valued
         for xi, one in zip(x.tolist(), singles):
             h = lambda u: g(u) + abs(xi - u) ** p / (p * 20.0)
-            loop = scalar_minimize(h, reference_bracket(h, xi))
-            assert one.multi_valued == loop.multi_valued
-            assert one.point[0] == min((u for u, _ in loop.candidates), key=abs)
+            # h on each entry as a float, as the separable prox evaluates it
+            loop = scalar_minimize(
+                lambda U: np.array([h(u) for u in U.ravel().tolist()]).reshape(U.shape),
+                tuple(np.array([end]) for end in reference_bracket(h, xi)))
+            assert one.multi_valued == loop.multi_valued[0]
+            assert one.point[0] == min(loop.points[0][loop.candidates[0]].tolist(), key=abs)
 
 
 class TestProxOracleCheck:

@@ -35,25 +35,36 @@ def test_fd_nonfinite_probe_raises():
         finite_diff_gradient(lambda x: float("nan"), np.array([1.0]))
 
 
+def one_row(lo, hi):
+    """The one-row bracket [lo, hi] of ``scalar_minimize``."""
+    return np.array([lo]), np.array([hi])
+
+
+def row_candidates(res, i=0):
+    """Row ``i``'s near-optimal basins as (point, value) pairs, best first."""
+    kept = res.candidates[i]
+    return list(zip(res.points[i][kept].tolist(), res.values[i][kept].tolist()))
+
+
 def test_scalar_minimize_parabola():
-    res = scalar_minimize(lambda t: (t - 3.0) ** 2, (-10.0, 10.0))
-    assert abs(res.argmin - 3.0) < 1e-9
-    assert not res.multi_valued
+    res = scalar_minimize(lambda T: (T - 3.0) ** 2, one_row(-10.0, 10.0))
+    assert abs(res.argmin[0] - 3.0) < 1e-9
+    assert not res.multi_valued[0]
 
 
 def test_scalar_minimize_soft_threshold_case():
     # argmin |t| + (2-t)^2/2 is the soft threshold soft(2, 1) = 1
-    res = scalar_minimize(lambda t: abs(t) + 0.5 * (2.0 - t) ** 2, (-10.0, 10.0))
-    assert abs(res.argmin - 1.0) < 1e-8
+    res = scalar_minimize(lambda T: np.abs(T) + 0.5 * (2.0 - T) ** 2, one_row(-10.0, 10.0))
+    assert abs(res.argmin[0] - 1.0) < 1e-8
 
 
 def test_scalar_minimize_quartic_vs_dense_grid():
     h = lambda t: t ** 4 + (1.0 - t) ** 2
-    res = scalar_minimize(h, (-5.0, 5.0))
+    res = scalar_minimize(h, one_row(-5.0, 5.0))
     grid = np.arange(-2.0, 2.0, 1e-5)
     gv = grid[np.argmin([h(t) for t in grid])]
-    assert abs(res.argmin - gv) < 1e-5
-    assert abs(res.minval - h(gv)) < 1e-6
+    assert abs(res.argmin[0] - gv) < 1e-5
+    assert abs(res.minval[0] - h(gv)) < 1e-6
 
 
 def test_scalar_minimize_matches_soft_threshold_grid():
@@ -61,40 +72,40 @@ def test_scalar_minimize_matches_soft_threshold_grid():
     for _ in range(50):
         x = float(rng.uniform(-4, 4))
         w = float(rng.uniform(0.05, 2.0))
-        res = scalar_minimize(lambda t: w * abs(t) + 0.5 * (x - t) ** 2,
-                              (x - 10.0, x + 10.0))
-        assert abs(res.argmin - prox_l1(np.array([x]), w)[0]) < 1e-8
+        res = scalar_minimize(lambda T: w * np.abs(T) + 0.5 * (x - T) ** 2,
+                              one_row(x - 10.0, x + 10.0))
+        assert abs(res.argmin[0] - prox_l1(np.array([x]), w)[0]) < 1e-8
 
 
 def test_scalar_minimize_detects_double_well():
-    res = scalar_minimize(lambda t: (t * t - 1.0) ** 2, (-3.0, 3.0))
-    assert res.multi_valued
-    assert sorted(round(u, 6) for u, _ in res.candidates) == [-1.0, 1.0]
+    res = scalar_minimize(lambda T: (T * T - 1.0) ** 2, one_row(-3.0, 3.0))
+    assert res.multi_valued[0]
+    assert sorted(round(u, 6) for u, _ in row_candidates(res)) == [-1.0, 1.0]
 
 
 def test_scalar_minimize_unbounded_raises():
     with pytest.raises(DataError):
-        scalar_minimize(lambda t: -abs(t), (-1.0, 1.0))
+        scalar_minimize(lambda T: -np.abs(T), one_row(-1.0, 1.0))
 
 
-# exactly rounded operations only, so that a row and a float agree bit for bit
+# exactly rounded operations only, so that an array and a float agree bit
+# for bit
 ROW_FUNCTIONS = [lambda t: (t - 3.0) * (t - 3.0), lambda t: (t * t - 1.0) * (t * t - 1.0),
                  lambda t: t * t * t * t - 3.0 * t * t + t, lambda t: abs(t + 0.5)]
 
 
 def test_scalar_minimize_rows_are_the_one_row_calls():
-    # one function per row, all at once: every row's result is the float
-    # form's, bit for bit, although the rows refine for different lengths
+    # one function per row, all at once: every row's result is its one-row
+    # call's, bit for bit, although the rows refine for different lengths
     lo, hi = np.array([-10.0, -3.0, -5.0, -1.0]), np.array([10.0, 3.0, 4.0, 2.0])
 
     def rows(T):
         return np.stack([f(T[i]) for i, f in enumerate(ROW_FUNCTIONS)])
     res = scalar_minimize(rows, (lo, hi))
     for i, f in enumerate(ROW_FUNCTIONS):
-        one = scalar_minimize(lambda t: float(f(t)), (lo[i], hi[i]))
-        assert (res.argmin[i], res.minval[i]) == (one.argmin, one.minval)
-        kept = res.candidates[i]
-        assert list(zip(res.points[i][kept], res.values[i][kept])) == one.candidates
+        one = scalar_minimize(f, one_row(lo[i], hi[i]))
+        assert (res.argmin[i], res.minval[i]) == (one.argmin[0], one.minval[0])
+        assert row_candidates(res, i) == row_candidates(one)
     assert res.multi_valued.tolist() == [False, True, False, False]
 
 
@@ -146,12 +157,12 @@ def reference_scalar_minimize(g, lo, hi):
 
 
 @pytest.mark.parametrize("bracket", [(-10.0, 10.0), (-3.0, 3.0), (-1.0, 2.5)])
-@pytest.mark.parametrize("f", ROW_FUNCTIONS + [lambda t: 0.0 if abs(t) <= 1e-3 else 1e9])
+@pytest.mark.parametrize("f", ROW_FUNCTIONS + [lambda t: np.where(abs(t) <= 1e-3, 0.0, 1e9)])
 def test_scalar_minimize_is_the_reference_loop(f, bracket):
-    res = scalar_minimize(f, bracket)
+    res = scalar_minimize(f, one_row(*bracket))
     candidates = reference_scalar_minimize(f, *bracket)
-    assert res.candidates == candidates
-    assert (res.argmin, res.minval) == candidates[0]
+    assert row_candidates(res) == candidates
+    assert (res.argmin[0], res.minval[0]) == candidates[0]
 
 
 def test_scalar_minimize_rows_reject_bad_brackets():

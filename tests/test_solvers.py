@@ -69,7 +69,7 @@ class TestDealC:
         tr = run_dealc(obj, np.random.default_rng(0).uniform(-5, 5, 12), DealConfig(),
                        xs.append)
         assert tr.extras["termination"] == "tolerance"
-        checked = reevaluate_trace(tr, xs, obj.value, obj.grad)
+        checked = reevaluate_trace(tr, xs, prob.value_grad_rows)
         assert certify_descent(checked, tr.rho, tr.theta).passed
         c = 1.0 * tr.extras["alpha"]  # c2 * alpha
         assert certify_displacement(checked, c, tr.theta).passed
@@ -207,7 +207,7 @@ class TestDealA:
         inner = tr.inner_counts()[:-1]
         assert np.all(inner <= p_bar)
         assert np.all(steps >= a_tilde * (1 - 1e-12))
-        checked = reevaluate_trace(tr, xs, obj.value, obj.grad)
+        checked = reevaluate_trace(tr, xs, prob.value_grad_rows)
         assert certify_descent(checked, tr.rho, tr.theta).passed
         assert certify_displacement(checked, 1.0 * cfg.armijo.alpha_bar, tr.theta).passed
 
