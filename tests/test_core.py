@@ -273,14 +273,26 @@ def test_reevaluate_trace_refuses_another_number_of_iterates(given):
 
 class CountingHalfSquare:
     """f(x) = ||x||^2 / 2 through a batch oracle that logs the blocks it is
-    given."""
+    given, and through ``each_row``, a rows oracle that evaluates each row
+    alone by one call of the per-point oracle ``evaluate``, as the tests'
+    ``per_point`` oracles do, which logs the points it is given."""
 
     def __init__(self):
         self.blocks = []
+        self.points = []
 
     def rows(self, X):
         self.blocks.append(X.copy())
         return 0.5 * np.einsum("ij,ij->i", X, X), X.copy()
+
+    def evaluate(self, x):
+        self.points.append(x.copy())
+        # the row alone through the batch oracle's own sum, bit for bit its row
+        return 0.5 * np.einsum("ij,ij->i", x[None], x[None])[0], x.copy()
+
+    def each_row(self, X):
+        values, gradients = zip(*(self.evaluate(x) for x in X))
+        return np.array(values), np.stack(gradients)
 
 
 def replayed_trace(distinct, tail, n=3):
@@ -302,13 +314,23 @@ def replayed_trace(distinct, tail, n=3):
 @pytest.mark.parametrize("distinct, tail", [
     (1, 0), (1, 5), (REEVALUATE_BLOCK - 1, 300), (REEVALUATE_BLOCK, 300),
     (REEVALUATE_BLOCK + 1, 300), (300, 400), (511, 300), (512, 300), (513, 300), (1100, 0)])
-def test_reevaluate_trace_evaluates_each_distinct_iterate_once(distinct, tail):
+@pytest.mark.parametrize("batched", [False, True])
+def test_reevaluate_trace_evaluates_each_distinct_iterate_once(distinct, tail,
+                                                               batched):
+    # through the fused batch oracle, or a rows oracle that makes one
+    # per-point call a row: either way each distinct iterate is evaluated once
     tr, xs, X = replayed_trace(distinct, tail)
     oracle = CountingHalfSquare()
-    fixed = reevaluate_trace(tr, xs, oracle.rows)
-    full, rest = divmod(distinct, REEVALUATE_BLOCK)
-    assert [len(B) for B in oracle.blocks] == [REEVALUATE_BLOCK] * full + [rest] * (rest > 0)
-    assert np.array_equal(np.vstack(oracle.blocks), X)
+    fixed = reevaluate_trace(tr, xs, oracle.rows if batched else oracle.each_row)
+    if batched:
+        assert oracle.points == []
+        full, rest = divmod(distinct, REEVALUATE_BLOCK)
+        assert [len(B) for B in oracle.blocks] == [REEVALUATE_BLOCK] * full + [rest] * (rest > 0)
+        assert np.array_equal(np.vstack(oracle.blocks), X)
+    else:
+        assert oracle.blocks == []
+        assert len(oracle.points) == distinct
+        assert np.array_equal(np.stack(oracle.points), X)
     last = len(tr) - 1
     assert len(fixed) == len(tr)
     for i, (f, g, disp) in enumerate(zip(fixed.f, fixed.grad_norm, fixed.displacement)):
@@ -341,6 +363,26 @@ def test_reevaluation_measures_each_distance_as_its_point_alone(n):
     distances = reevaluation.result(tr)[1]
     alone = [np.sqrt(np.add.reduce((x - xstar) * (x - xstar))) for x in xs]
     assert distances.tobytes() == np.array(alone).tobytes()
+
+
+@pytest.mark.parametrize("distinct, tail", [(1, 0), (1, 5), (REEVALUATE_BLOCK + 1, 300)])
+def test_reevaluation_evaluates_each_distinct_iterate_in_one_call(distinct, tail):
+    # through a rows oracle that makes one per-point call a row, each distinct
+    # iterate is one call, and a replayed fixed point, however many records
+    # it fills, is one iterate; the columns are bit for bit the fused oracle's
+    tr, xs, X = replayed_trace(distinct, tail)
+    oracle = CountingHalfSquare()
+    reevaluation = Reevaluation(oracle.each_row)
+    for x in xs:
+        reevaluation.add(x)
+    checked = reevaluation.result(tr)[0]
+    assert len(oracle.points) == distinct
+    assert all(np.array_equal(x, xs[i]) for i, x in enumerate(oracle.points))
+    assert oracle.blocks == []
+    expected = reevaluate_trace(tr, xs, CountingHalfSquare().rows)
+    for name in ("f", "grad_norm", "displacement"):
+        assert (np.asarray(getattr(checked, name)).tobytes()
+                == np.asarray(getattr(expected, name)).tobytes()), name
 
 
 def test_reevaluation_refuses_a_trace_of_other_records():
