@@ -9,14 +9,14 @@ iteration-count bounds.
 """
 
 from .core import (CapabilityError, CertificateReport, CompositeObjective,
-                   DataError, HolderInfo, IterateTrace, KLInfo,
+                   DataError, Evaluation, HolderInfo, IterateTrace, KLInfo,
                    NumericalError, Reevaluation, SmoothObjective, UsageError,
                    certify_descent, certify_displacement, min_grad_bound_check,
                    reevaluate_trace)
 from .directions import DirectionRule, beta_for_holder, generalize, validate_sufficient_descent
 from .solvers import ArmijoParams, DealConfig, armijo_bound, dealc_step_size, run_deala, run_dealc
 from .boosted import BoostedConfig, choose_order, run_bhippa, run_bpga
-from .envelopes import (AbsPower, EnvelopeEval, L1Norm, SeparableProx, fbe_value,
+from .envelopes import (AbsPower, L1Norm, SeparableProx, fbe_value,
                         fbe_value_grad, forward_backward_map, home_value,
                         home_value_grad, prox_home_separable, prox_l1,
                         prox_oracle_check)

@@ -14,10 +14,11 @@ in which the envelope values contract linearly.
 
 Both are DEAL on their envelope: they run the loop of the smooth solvers,
 :func:`~dealopt.solvers.deal_loop`, whose points are here envelope
-evaluations (``EnvelopeEval``, unpacking as value, gradient and proximal
-point), so the proximal point is the point a step falls back to when no
-trial passes the threshold value - rho ||grad||^theta.  They differ only in
-the envelope, the candidate point built from a trial step, and the trials.
+evaluations (``core.Evaluation``, as a smooth point is, unpacking as value,
+gradient and proximal point), so the proximal point is the point a step
+falls back to when no trial passes the threshold value - rho
+||grad||^theta.  They differ only in the envelope, the candidate point
+built from a trial step, and the trials.
 The envelope is valued once per point, by ``fbe_value`` or ``home_value``,
 and the value of the point taken is completed in place with its gradient
 for the next step.  The envelope functions are looked up in this module at
@@ -115,7 +116,7 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig,
         as_vector(x0, problem.smooth.dim, "x0"), config, rule, trace, trials,
         candidate=lambda x, T, alpha, d: T + alpha * d,
         value=lambda z: fbe_value(problem, z, gamma),
-        complete=lambda z, trial: fbe_complete(problem, trial, gamma),
+        complete=lambda ev: fbe_complete(problem, ev, gamma),
         schedule=_schedule(trace, trials), observe=observe)
 
 
@@ -156,7 +157,7 @@ def run_bhippa(phi, x0, config: BoostedConfig, observe=None) -> IterateTrace:
         x, config, rule, trace, trials,
         candidate=lambda x, y, kappa, d: (1.0 - kappa) * y + kappa * (x + d),
         value=lambda z: home_value(phi, z, gamma, p),
-        complete=lambda z, trial: home_complete(trial, gamma, p),
+        complete=lambda ev: home_complete(ev, gamma, p),
         schedule=_schedule(trace, trials), x_tol=config.eps * gamma ** q,
         observe=observe)
 
@@ -194,7 +195,7 @@ def bhippa_constants(config: BoostedConfig):
 def _schedule(trace: IterateTrace, trials):
     """The schedule hook of a boosted solver: its trials, each against the
     step's threshold value - rho ||grad||^theta."""
-    def schedule(x, f, g, gn, d):
-        threshold = f - trace.rho * gn ** trace.theta
+    def schedule(ev, gn, d):
+        threshold = ev.value - trace.rho * gn ** trace.theta
         return ((m, t, threshold) for m, t in trials)
     return schedule

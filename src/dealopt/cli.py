@@ -279,11 +279,15 @@ def _cmd_oracle(args) -> int:
         prob = problems.generate_problem(args.seed, args.problem, args.m, args.n,
                                          p=args.p, lam=args.lam)
         x = as_vector(json.loads(Path(args.at).read_text()), prob.n, "--at")
-        # powerabs, a bhippa family, has no smooth objective: phi's own oracles
-        smooth = prob.as_smooth() if hasattr(prob, "as_smooth") else prob
-        fd = oracles.finite_diff_gradient(smooth.value, x)
+        if hasattr(prob, "as_smooth"):
+            smooth = prob.as_smooth()
+            value, gradient = smooth.value, smooth.complete(smooth.value(x)).gradient
+        else:
+            # powerabs, a bhippa family, has no smooth objective: phi's own oracles
+            value, gradient = prob.value, prob.grad(x)
+        fd = oracles.finite_diff_gradient(value, x)
         print(json.dumps({"finite_diff": fd.tolist(),
-                          "closed_form": np.asarray(smooth.grad(x)).tolist()}, indent=2))
+                          "closed_form": np.asarray(gradient).tolist()}, indent=2))
         return EXIT_OK
     if args.oracle_verb == "spectral":
         A = np.asarray(json.loads(Path(args.matrix).read_text()), dtype=float)

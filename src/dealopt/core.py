@@ -1,9 +1,13 @@
 """Objective/trace data model and the per-run descent certificates.
 
-Every solver in this package emits an :class:`IterateTrace`; the certificate
-functions below re-check the inequalities the solver is supposed to maintain
-(per-iteration sufficient decrease, bounded displacement, min-gradient decay)
-directly from the logged or re-evaluated quantities.
+Every point a solver values is an :class:`Evaluation`, the value as a float
+that keeps what the gradient needs, and is completed with the gradient in
+place once it is taken (``SmoothObjective.value`` and ``complete``, or an
+envelope's, see ``envelopes``).  Every solver in this package emits an
+:class:`IterateTrace`; the certificate functions below re-check the
+inequalities the solver is supposed to maintain (per-iteration sufficient
+decrease, bounded displacement, min-gradient decay) directly from the logged
+or re-evaluated quantities.
 """
 
 from __future__ import annotations
@@ -89,44 +93,76 @@ class KLInfo:
             raise UsageError(f"tau must be positive, got {self.tau}")
 
 
+class Evaluation(float):
+    """A point's value, as the float it is, that keeps the point ``x`` and
+    what its gradient reuses: ``work``, a family's intermediate (least-p's
+    residual A x - b, quadratic's Q x, lasso's G x), or, for an envelope,
+    the proximal point with its ``multi_valued`` flag.  ``gradient`` is None
+    until the point is completed, and always at a multi-valued point.  It
+    unpacks as (value, gradient, prox_point), a point of
+    ``solvers.deal_loop``, whose fallback point is None for a smooth point."""
+
+    __slots__ = ("x", "prox_point", "gradient", "multi_valued", "work")
+
+    def __new__(cls, x, value, gradient=None, prox_point=None, multi_valued=False,
+                work=None):
+        ev = super().__new__(cls, value)
+        ev.x, ev.prox_point, ev.gradient, ev.multi_valued, ev.work = (
+            x, prox_point, gradient, multi_valued, work)
+        return ev
+
+    @property
+    def value(self) -> float:
+        return float(self)
+
+    @property
+    def grad_norm(self) -> float:
+        if self.gradient is None:
+            return math.nan
+        # sqrt(g . g) is np.linalg.norm(g) for a vector, bit for bit
+        return math.sqrt(self.gradient @ self.gradient)
+
+    def __iter__(self):
+        return iter((float(self), self.gradient, self.prox_point))
+
+    def __reduce__(self):
+        # copy and pickle rebuild it through __new__, which float's own
+        # reduction would call with the value alone
+        return Evaluation, (self.x, float(self), self.gradient, self.prox_point,
+                            self.multi_valued, self.work)
+
+
 @dataclass
 class SmoothObjective:
-    """Value/gradient oracle with an optional Hessian-apply and the Hölder
-    pair of its gradient: only what the solvers read.  The optimal value
-    and the dominance constant tau are not carried here; they come from the
-    problem's ``reference()``.
+    """Value oracle, its completion with a gradient, an optional
+    Hessian-apply and the Hölder pair of the gradient: only what the solvers
+    read.  The optimal value and the dominance constant tau are not carried
+    here; they come from the problem's ``reference()``.
 
-    Oracles must be re-entrant: no hidden mutable state across calls, so the
-    same ``x`` always gives the same result, bit for bit.  The solvers rely
-    on that to replay an exact fixed point instead of re-evaluating it.
-    ``value_grad(x) -> (value, gradient)``, when given, is a fused oracle
-    that must equal ``(value(x), grad(x))`` bit for bit; callers that want
-    both go through ``value_and_grad``, which composes ``value`` and ``grad``
-    without it.  ``line_values(x, d, steps) -> (values, margins)``, when
-    given, screens the Armijo trials ``x + t d`` for every ``t`` in
-    ``steps`` at once: each ``values[i]`` lies within ``margins[i]`` of
-    ``value(x + steps[i] d)`` as ``value`` computes it, so a trial whose
-    screened value exceeds the test by more than its margin fails the exact
-    test too (see ``solvers.screened``).
+    ``value(x)`` returns an :class:`Evaluation` without a gradient, and
+    ``complete(ev)`` sets ``ev.gradient`` in place and returns ``ev``,
+    reusing what the value left in ``ev.work``: each point is valued once,
+    and only a point that is taken is completed.  Oracles must be
+    re-entrant: no hidden mutable state across calls, so the same ``x``
+    always gives the same result, bit for bit.  The solvers rely on that to
+    replay an exact fixed point instead of re-evaluating it.
+    ``line_values(ev, d, steps) -> (values, margins)``, when given, screens
+    the Armijo trials ``ev.x + t d`` for every ``t`` in ``steps`` at once:
+    each ``values[i]`` lies within ``margins[i]`` of ``value(ev.x + steps[i]
+    d)`` as ``value`` computes it, so a trial whose screened value exceeds
+    the test by more than its margin fails the exact test too (see
+    ``solvers.screened``).
     """
 
     dim: int
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    value_grad: Optional[Callable[[np.ndarray], tuple]] = None
+    value: Callable[[np.ndarray], Evaluation]
+    complete: Callable[[Evaluation], Evaluation]
     hess_apply: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     holder: Optional[HolderInfo] = None
-    line_values: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]] = None
+    line_values: Optional[Callable[[Evaluation, np.ndarray, np.ndarray], tuple]] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise UsageError("dimension must be >= 1")
-
-    def value_and_grad(self, x):
-        """(value(x), grad(x)) in one call of ``value_grad`` when given."""
-        if self.value_grad is not None:
-            return self.value_grad(x)
-        return self.value(x), self.grad(x)
+        check_count("dim", self.dim, 1)
 
 
 @dataclass

@@ -16,12 +16,14 @@ through a ``multi_valued`` flag instead of assuming them away;
 validated 1-D float array, as the problem oracles do.  ``fbe_value``, called
 once per trial, also takes gamma as checked in (0, 1/L): ``fbe_value_grad``
 and ``forward_backward_map`` check it themselves, and a BPGA run checks it
-once (``boosted.bpga_constants``).  An evaluation is an
-``EnvelopeEval``, the envelope value as a float that keeps its point and
-proximal point: ``fbe_value`` and ``home_value`` are the one evaluation of
-a point and return it without the gradient, ``fbe_complete`` and
-``home_complete`` add the gradient in place, and the ``*_value_grad``
-functions are the value plus that completion.
+once (``boosted.bpga_constants``).  An envelope evaluation is a
+``core.Evaluation``, as a smooth point's is: the envelope value as a float
+that keeps its point and proximal point.  ``fbe_value`` and ``home_value``
+are the one evaluation of a point and return it without the gradient,
+``fbe_complete`` and ``home_complete`` add the gradient in place, and the
+``*_value_grad`` functions are the value plus that completion.  The smooth
+part of a composite is valued and completed at x, ``complete(value(x))``,
+for the forward-backward point.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import oracles
-from .core import (CapabilityError, CompositeObjective, DataError,
+from .core import (CapabilityError, CompositeObjective, DataError, Evaluation,
                    NumericalError, UsageError)
 
 
@@ -303,41 +305,7 @@ def _expand_brackets(h, centers):
         r = np.where(pending, 4.0 * r, r)
 
 
-class EnvelopeEval(float):
-    """An envelope value, as the float it is, that keeps the point ``x``,
-    its proximal point, the ``multi_valued`` flag and, once completed, the
-    ``gradient`` (None before, and always at a multi-valued point).  It
-    unpacks as (value, gradient, prox_point), a point of ``deal_loop``."""
-
-    __slots__ = ("x", "prox_point", "gradient", "multi_valued")
-
-    def __new__(cls, x, prox_point, value, gradient, multi_valued=False):
-        ev = super().__new__(cls, value)
-        ev.x, ev.prox_point, ev.gradient, ev.multi_valued = x, prox_point, gradient, multi_valued
-        return ev
-
-    @property
-    def value(self) -> float:
-        return float(self)
-
-    @property
-    def grad_norm(self) -> float:
-        if self.gradient is None:
-            return math.nan
-        # sqrt(g . g) is np.linalg.norm(g) for a vector, bit for bit
-        return math.sqrt(self.gradient @ self.gradient)
-
-    def __iter__(self):
-        return iter((float(self), self.gradient, self.prox_point))
-
-    def __reduce__(self):
-        # copy and pickle rebuild it through __new__, which float's own
-        # reduction would call with the value alone
-        return EnvelopeEval, (self.x, self.prox_point, float(self), self.gradient,
-                              self.multi_valued)
-
-
-def home_value_grad(g, x, gamma: float, p: float = 2.0) -> EnvelopeEval:
+def home_value_grad(g, x, gamma: float, p: float = 2.0) -> Evaluation:
     """Order-p Moreau envelope value and gradient of a prox-capable g:
     ``home_value`` completed by ``home_complete``.
 
@@ -349,7 +317,7 @@ def home_value_grad(g, x, gamma: float, p: float = 2.0) -> EnvelopeEval:
     return home_complete(home_value(g, x, gamma, p), gamma, p)
 
 
-def home_complete(ev: EnvelopeEval, gamma: float, p: float = 2.0) -> EnvelopeEval:
+def home_complete(ev: Evaluation, gamma: float, p: float = 2.0) -> Evaluation:
     """Adds the envelope gradient to an evaluation without one, in closed form
     from its point and proximal point; a multi-valued one keeps None."""
     if not ev.multi_valued:
@@ -375,7 +343,7 @@ def _home_gradient(d, gamma, p):
     return grad
 
 
-def home_value(g, x, gamma: float, p: float = 2.0) -> EnvelopeEval:
+def home_value(g, x, gamma: float, p: float = 2.0) -> Evaluation:
     """Order-p proximal point and envelope value at x, without the gradient:
     one prox solve.  ``home_complete(value, gamma, p)`` then adds the
     gradient without a second one."""
@@ -385,8 +353,7 @@ def home_value(g, x, gamma: float, p: float = 2.0) -> EnvelopeEval:
            else ProxResult(np.asarray(g.prox(x, gamma, p), dtype=float), False))
     y = np.atleast_1d(res.point)
     value = float(g.value(y) + _penalty(x - y, gamma, p))
-    return EnvelopeEval(x=x, prox_point=y, value=value, gradient=None,
-                        multi_valued=res.multi_valued)
+    return Evaluation(x, value, prox_point=y, multi_valued=res.multi_valued)
 
 
 def _penalty(d, gamma, p):
@@ -399,10 +366,11 @@ def _penalty(d, gamma, p):
 def forward_backward_map(problem: CompositeObjective, x, gamma: float) -> np.ndarray:
     """Gradient step on the smooth part followed by the order-2 prox of the rest."""
     _check_gamma(problem, gamma)
-    return _forward_backward(problem, x, problem.smooth.grad(x), gamma)
+    smooth = problem.smooth
+    return _forward_backward(problem, x, smooth.complete(smooth.value(x)).gradient, gamma)
 
 
-def fbe_value_grad(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval:
+def fbe_value_grad(problem: CompositeObjective, x, gamma: float) -> Evaluation:
     """Forward-backward envelope value and gradient: ``fbe_value`` completed
     by ``fbe_complete``.
 
@@ -417,23 +385,25 @@ def fbe_value_grad(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval
     return fbe_complete(problem, fbe_value(problem, x, gamma), gamma)
 
 
-def fbe_complete(problem: CompositeObjective, ev: EnvelopeEval, gamma: float) -> EnvelopeEval:
+def fbe_complete(problem: CompositeObjective, ev: Evaluation, gamma: float) -> Evaluation:
     """Adds the envelope gradient to an evaluation without one: one Hessian-apply."""
     xmT = ev.x - ev.prox_point
     ev.gradient = xmT / gamma - problem.smooth.hess_apply(ev.x, xmT)
     return ev
 
 
-def fbe_value(problem: CompositeObjective, x, gamma: float) -> EnvelopeEval:
+def fbe_value(problem: CompositeObjective, x, gamma: float) -> Evaluation:
     """Forward-backward point T and envelope value at x, without the gradient:
-    one call of the smooth part, its fused ``value_grad`` when it has one.
+    the smooth part valued and completed at x once.
     ``fbe_complete(problem, value, gamma)`` then adds the gradient without a
     second forward-backward step.  gamma is taken as checked in (0, 1/L)."""
-    f, gf = problem.smooth.value_and_grad(x)
+    smooth = problem.smooth
+    ev = smooth.complete(smooth.value(x))
+    gf = ev.gradient
     T = _forward_backward(problem, x, gf, gamma)
     d = T - x
-    value = float(f + gf @ d + (d @ d) / (2.0 * gamma) + problem.nonsmooth.value(T))
-    return EnvelopeEval(x=x, prox_point=T, value=value, gradient=None)
+    value = float(ev.value + gf @ d + (d @ d) / (2.0 * gamma) + problem.nonsmooth.value(T))
+    return Evaluation(x, value, prox_point=T)
 
 
 def _forward_backward(problem: CompositeObjective, x, gf, gamma: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import envelopes, oracles
-from .core import (CompositeObjective, DataError, HolderInfo, KLInfo,
+from .core import (CompositeObjective, DataError, Evaluation, HolderInfo, KLInfo,
                    NumericalError, SmoothObjective, UsageError, as_vector)
 
 
@@ -49,7 +49,9 @@ class LeastPProblem:
 
     The gradient is ||r||^(p-2) A^T r for the residual r = A x - b, extended
     by 0 at r = 0 (the continuous limit; the formula's singular factor is
-    never evaluated).  Spectral constants are computed once at construction.
+    never evaluated).  ``value`` keeps r in its evaluation, so ``complete``
+    and ``line_values`` make one product with A each, not two.  Spectral
+    constants are computed once at construction.
     """
 
     kind = "leastp"
@@ -78,7 +80,7 @@ class LeastPProblem:
         if self.sigma_min < 1e-10:
             raise NumericalError("A is numerically rank deficient")
         self.x_ls, *_ = np.linalg.lstsq(A, self.b, rcond=None)
-        self.fstar = self.value(self.x_ls)
+        self.fstar = float(self.value(self.x_ls))
         # the norms the line oracle's margin reads
         self._frobenius = float(np.linalg.norm(A))
         self._b_norm = math.sqrt(self.b @ self.b)
@@ -87,30 +89,23 @@ class LeastPProblem:
     # vector, bit for bit, without its wrapper
     def value(self, x):
         r = self.A @ x - self.b
-        return float(math.sqrt(r @ r) ** self.p / self.p)
+        return Evaluation(x, math.sqrt(r @ r) ** self.p / self.p, work=r)
 
-    def grad(self, x):
-        r = self.A @ x - self.b
+    def complete(self, ev):
+        r = ev.work
         nr = math.sqrt(r @ r)
-        if nr == 0.0:
-            return np.zeros(self.n)
-        return nr ** (self.p - 2.0) * (self.A.T @ r)
-
-    def value_grad(self, x):
-        r = self.A @ x - self.b
-        nr = math.sqrt(r @ r)
-        if nr == 0.0:
-            return 0.0, np.zeros(self.n)
-        return float(nr ** self.p / self.p), nr ** (self.p - 2.0) * (self.A.T @ r)
+        ev.gradient = nr ** (self.p - 2.0) * (self.A.T @ r) if nr else np.zeros(self.n)
+        return ev
 
     def value_grad_rows(self, X):
         """Values and gradients at the rows of ``X``: one product with A each way.
 
-        Equals ``value_grad`` row by row up to rounding (the products are
-        summed in another order); a zero-residual row gives exactly 0 and a
-        zero gradient, as ``value_grad`` does.  The residuals are formed and
-        the gradients scaled in place, and the residuals are dropped once the
-        gradients are taken, so one (rows x m) array is alive at a time.
+        Equals ``complete(value(x))`` row by row up to rounding (the
+        products are summed in another order); a zero-residual row gives
+        exactly 0 and a zero gradient, as ``complete`` does.  The residuals
+        are formed and the gradients scaled in place, and the residuals are
+        dropped once the gradients are taken, so one (rows x m) array is
+        alive at a time.
         """
         R = X @ self.A.T
         R -= self.b
@@ -122,19 +117,20 @@ class LeastPProblem:
         G[zero] = 0.0
         return nr ** self.p / self.p, G
 
-    def line_values(self, x, d, steps):
+    def line_values(self, ev, d, steps):
         """Screened values of the trials ``x + t d``, ``t`` in ``steps``, and
-        their margins: two products with A in all.
+        their margins, for the point ``x`` of the evaluation ``ev``: one
+        product with A in all.
 
         Along the line the residual is affine, r(t) = (A x - b) + t A d, so
-        every trial's residual comes from the same two vectors, and its
+        every trial's residual comes from ``ev``'s residual and A d, and its
         screened value is ||r(t)||^p / p.  That differs from ``value(x + t d)``
         by rounding alone; the margin bounds the difference (see
         LINE_RESIDUAL_MARGIN).
         """
-        r = self.A @ x - self.b
+        x = ev.x
         ad = self.A @ d
-        W = r + steps[:, None] * ad
+        W = ev.work + steps[:, None] * ad
         norms = np.sqrt(np.einsum("ij,ij->i", W, W))
         eps = np.finfo(float).eps
         delta_r = LINE_RESIDUAL_MARGIN * eps * (
@@ -162,8 +158,7 @@ class LeastPProblem:
         return SmoothObjective(
             dim=self.n,
             value=self.value,
-            grad=self.grad,
-            value_grad=self.value_grad,
+            complete=self.complete,
             line_values=self.line_values,
             holder=HolderInfo(nu=nu, L=L),
         )
@@ -193,7 +188,8 @@ class LassoProblem:
     33 (2010), section 2.2): the gradient is G x - c, the Hessian-apply G v
     and the value x.G x / 2 - c.x + ||b||^2 / 2, so each costs O(n^2)
     instead of one or two m x n products (generated instances have m >= n,
-    so G is never larger than A).  The value's rounding scales with
+    so G is never larger than A); ``smooth_value`` keeps G x in its
+    evaluation for ``smooth_complete``.  The value's rounding scales with
     ||b||^2 / 2 + |c.x| + x.G x / 2, not with f: near a consistent optimum
     its three terms cancel to f, and it carries a few eps of ||b||^2 in
     absolute terms.  ``fbe_rows``, which certificates use, keeps the
@@ -227,15 +223,12 @@ class LassoProblem:
         self._half_bb = 0.5 * (self.b @ self.b)
 
     def smooth_value(self, x):
-        return self.smooth_value_grad(x)[0]
-
-    def smooth_grad(self, x):
-        return self.G @ x - self.c
-
-    def smooth_value_grad(self, x):
-        """(smooth_value(x), smooth_grad(x)) from one product G x."""
         Gx = self.G @ x
-        return float(0.5 * (x @ Gx) - self.c @ x + self._half_bb), Gx - self.c
+        return Evaluation(x, 0.5 * (x @ Gx) - self.c @ x + self._half_bb, work=Gx)
+
+    def smooth_complete(self, ev):
+        ev.gradient = ev.work - self.c
+        return ev
 
     def hess_apply(self, x, v):
         # constant Hessian G; x accepted for interface uniformity
@@ -281,8 +274,7 @@ class LassoProblem:
         return SmoothObjective(
             dim=self.n,
             value=self.smooth_value,
-            grad=self.smooth_grad,
-            value_grad=self.smooth_value_grad,
+            complete=self.smooth_complete,
             hess_apply=self.hess_apply,
             holder=HolderInfo(nu=1.0, L=self.L),
         )
@@ -379,18 +371,15 @@ class QuadraticProblem:
             self.xstar = np.linalg.solve(Q, -self.c)
         else:
             self.xstar = _attained_minimiser(Q, self.c, self.L)
-        self.fstar = None if self.xstar is None else self.value(self.xstar)
+        self.fstar = None if self.xstar is None else float(self.value(self.xstar))
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ (self.Q @ x) + self.c @ x)
-
-    def grad(self, x):
-        return self.Q @ x + self.c
-
-    def value_grad(self, x):
         Qx = self.Q @ x
-        return float(0.5 * x @ Qx + self.c @ x), Qx + self.c
+        return Evaluation(x, 0.5 * x @ Qx + self.c @ x, work=Qx)
+
+    def complete(self, ev):
+        ev.gradient = ev.work + self.c
+        return ev
 
     def value_grad_rows(self, X):
         """Values and gradients at the rows of ``X`` (``Q`` is symmetric, so
@@ -400,8 +389,7 @@ class QuadraticProblem:
 
     def as_smooth(self) -> SmoothObjective:
         return SmoothObjective(
-            dim=self.n, value=self.value, grad=self.grad,
-            value_grad=self.value_grad,
+            dim=self.n, value=self.value, complete=self.complete,
             holder=HolderInfo(nu=1.0, L=self.L) if self.L > 0 else None,
         )
 
@@ -487,7 +475,8 @@ def _lasso_reference(problem: LassoProblem) -> ReferenceOptimum:
     gamma = 1.0 / problem.L
     x = np.zeros(problem.n)
     for _ in range(10 ** 6):
-        x_next = envelopes.prox_l1(x - gamma * problem.smooth_grad(x), gamma * problem.lam)
+        # the smooth gradient G x - c, without an evaluation's value
+        x_next = envelopes.prox_l1(x - gamma * (problem.G @ x - problem.c), gamma * problem.lam)
         if np.linalg.norm(x_next - x) <= 1e-12 * (1.0 + np.linalg.norm(x)):
             return ReferenceOptimum(problem.value(x_next), x_next, True)
         x = x_next

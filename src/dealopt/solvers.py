@@ -20,10 +20,11 @@ All four solvers run one loop, :func:`deal_loop`, DEAL on a function given
 by hooks: the candidate point of a trial step, a point's value and its
 completion with a gradient, and the schedule of trials, each with the bound
 its value must meet.  Here the function is the objective itself
-(``_descend``), whose points have no fallback point, and the constant step
-is the case with no Armijo test, a single trial at alpha that is always
-taken; the boosted solvers run it on an envelope, whose points fall back to
-their proximal point.  When the first trial fails and the
+(``_descend``), valued by its ``value`` and completed by its ``complete``,
+whose points have no fallback point, and the constant step is the case with
+no Armijo test, a single trial at alpha that is always taken; the boosted
+solvers run it on an envelope, whose points fall back to their proximal
+point.  When the first trial fails and the
 objective has a line oracle (least-p's on f), the remaining trials are
 screened at once by :func:`screened` and only those it cannot rule out are
 evaluated, in order; the step taken is the one the per-trial loop takes.
@@ -160,50 +161,38 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
              trace: IterateTrace, alpha: float,
              armijo: Optional[ArmijoParams] = None, observe=None) -> IterateTrace:
     """Both step rules as hooks of :func:`deal_loop`, DEAL on the objective
-    itself.
+    itself, whose points are its ``value`` completed by its ``complete``.
 
-    Every step first tries ``alpha``.  Without ``armijo`` that trial is
-    always taken, so each point's value and gradient, x0's too, come from
-    one fused oracle call; with it, the step shrinks to eta^p alpha_bar until
-    the Armijo test passes or p exceeds max_backtracks, and the gradient is
-    taken at the accepted point.  The backtracks that :func:`screened` rules
-    out with the objective's ``line_values`` are not evaluated.
+    Every step first tries ``alpha``.  Without ``armijo`` that is the one
+    trial, with no bound, so it is always taken; with it, the step shrinks
+    to eta^p alpha_bar until the Armijo test passes or p exceeds
+    max_backtracks.  The backtracks that :func:`screened` rules out with
+    the objective's ``line_values`` are not evaluated.
     """
     x = as_vector(x0, objective.dim, "x0")
-
-    def candidate(x, y, t, d):
-        return x + t * d
-
+    trials = [(0, alpha)]
     if armijo is None:
-        gradient = None
+        def schedule(ev, gn, d):
+            return ((0, alpha, None),)
+    else:
+        trials += [(p, armijo.eta ** p * armijo.alpha_bar)
+                   for p in range(1, armijo.max_backtracks + 1)]
 
-        def value(z):
-            # every value is completed: keep its gradient for complete
-            nonlocal gradient
-            f, gradient = objective.value_and_grad(z)
-            return f
-        return deal_loop(x, config, rule, trace, [(0, alpha)],
-                         candidate=candidate, value=value,
-                         complete=lambda z, f: (f, gradient, None),
-                         schedule=lambda *step: ((0, alpha, None),), observe=observe)
-    trials = [(0, alpha)] + [(p, armijo.eta ** p * armijo.alpha_bar)
-                             for p in range(1, armijo.max_backtracks + 1)]
-
-    def schedule(x, f, g, gn, d):
-        slope = float(g @ d)
-        line = None
-        if objective.line_values is not None:
-            def line(steps):
-                values, margins = objective.line_values(x, d, steps)
-                # a trial point that is x, bit for bit, has value f exactly
-                unmoved = ((x + steps[:, None] * d).view(np.int64)
-                           == x.view(np.int64)).all(axis=1)
-                return np.where(unmoved, f, values), np.where(unmoved, 0.0, margins)
-        return screened(trials, lambda t: f + armijo.sigma * t * slope, line)
+        def schedule(ev, gn, d):
+            x, f = ev.x, ev.value
+            slope = float(ev.gradient @ d)
+            line = None
+            if objective.line_values is not None:
+                def line(steps):
+                    values, margins = objective.line_values(ev, d, steps)
+                    # a trial point that is x, bit for bit, has value f exactly
+                    unmoved = ((x + steps[:, None] * d).view(np.int64)
+                               == x.view(np.int64)).all(axis=1)
+                    return np.where(unmoved, f, values), np.where(unmoved, 0.0, margins)
+            return screened(trials, lambda t: f + armijo.sigma * t * slope, line)
     return deal_loop(x, config, rule, trace, trials,
-                     candidate=candidate, value=objective.value,
-                     complete=lambda z, f: (f, objective.grad(z), None),
-                     schedule=schedule, observe=observe)
+                     candidate=lambda x, y, t, d: x + t * d, value=objective.value,
+                     complete=objective.complete, schedule=schedule, observe=observe)
 
 
 # an overflowing trial ends the run or fails its test; numpy need not warn
@@ -214,16 +203,16 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
     """The iteration loop of all four solvers, DEAL on a function phi given
     by hooks, filling ``trace``.
 
-    Each point x is ``complete(x, value(x))``: (phi(x), grad phi(x), y),
-    where y is the fallback point, None for the objective itself and the
-    proximal point for an envelope, whose ``EnvelopeEval`` unpacks so.
-    Each step takes a direction d from ``rule`` and, for each (m, t, bound)
-    that ``schedule(x, phi(x), grad, ||grad||, d)`` yields, tries
-    ``z = candidate(x, y, t, d)``; the first trial whose value ``value(z)``
-    is at most its bound (any value when the bound is None) is taken, and
-    ``complete`` makes that value the next step's point, so phi is valued
-    once per point.  ``trials`` are the step's (m, t); with none the
-    direction rule is never consulted.
+    Each point x is ``complete(value(x))``, a ``core.Evaluation`` that
+    unpacks as (phi(x), grad phi(x), y), where y is the fallback point, None
+    for the objective itself and the proximal point for an envelope.  Each
+    step takes a direction d from ``rule`` and, for each (m, t, bound) that
+    ``schedule(ev, ||grad||, d)`` yields for the point's evaluation ``ev``,
+    tries ``z = candidate(x, y, t, d)``; the first trial whose value
+    ``value(z)`` is at most its bound (any value when the bound is None) is
+    taken, and ``complete`` adds its gradient in place to make it the next
+    step's point, so phi is valued once per point.  ``trials`` are the
+    step's (m, t); with none the direction rule is never consulted.
 
     Each record goes into ``trace``'s columns, no record object being made:
     ``trace.append(k, phi(x), ||grad||)`` as the point is recorded, whose
@@ -257,7 +246,8 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
     unmoved = 0
     fell_back = False
     for k in range(config.max_iter + 1):
-        f, g, y = complete(x, value(x) if trial is None else trial)
+        ev = complete(value(x) if trial is None else trial)
+        f, g, y = ev
         if g is None:
             trace.extras["termination"] = "multivalued"
             trace.extras["diagnostic"] = (
@@ -296,7 +286,7 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
             fell_back = rule.fallback_count > fallbacks
             rule.push(x, g)
             d = generalize(d_bar, g, rule.beta, gn)
-            for m, t, bound in schedule(x, f, g, gn, d):
+            for m, t, bound in schedule(ev, gn, d):
                 z = candidate(x, y, t, d)
                 v = value(z)
                 if bound is None or v <= bound:

@@ -54,11 +54,11 @@ def certify_observed():
 
 
 # per solver, the per-point oracle of a run of ``problem`` from its trace's
-# extras: the objective's fused value and gradient, or the envelope at the
-# run's gamma (and, for bhippa, its order p)
+# extras: the objective's value completed with its gradient, or the envelope
+# at the run's gamma (and, for bhippa, its order p)
 PER_POINT = {
-    "deal-c": lambda problem, extras: problem.value_grad,
-    "deal-a": lambda problem, extras: problem.value_grad,
+    "deal-c": lambda problem, extras: lambda x: problem.complete(problem.value(x)),
+    "deal-a": lambda problem, extras: lambda x: problem.complete(problem.value(x)),
     "bpga": lambda problem, extras: lambda x, composite=problem.as_composite(): (
         envelopes.fbe_value_grad(composite, x, extras["gamma"])),
     "bhippa": lambda problem, extras: lambda x, phi=problem.as_prox_capable(): (

@@ -310,7 +310,7 @@ class TestRunExperiment:
         problem = bench.build_problem(bench.ProblemSpec(kind="leastp", m=40, n=8, seed=1))
         calls = Counter()
         rows = []
-        for name in ("value", "grad", "value_grad", "value_grad_rows"):
+        for name in ("value", "complete", "value_grad_rows"):
             def counted(x, _real=getattr(problem, name), _name=name):
                 calls[_name] += 1
                 if _name == "value_grad_rows":

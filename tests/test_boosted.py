@@ -10,7 +10,7 @@ from dealopt import bench, boosted, envelopes
 from dealopt.analysis import fit_linear_rate
 from dealopt.boosted import BoostedConfig, choose_order, run_bhippa, run_bpga
 from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, CapabilityError,
-                          CompositeObjective, DataError, HolderInfo, SmoothObjective,
+                          CompositeObjective, DataError, HolderInfo,
                           UsageError, certify_descent, reevaluate_trace)
 from dealopt.directions import DirectionRule
 from dealopt.envelopes import (AbsPower, SeparableProx, fbe_value,
@@ -18,6 +18,7 @@ from dealopt.envelopes import (AbsPower, SeparableProx, fbe_value,
                                home_rows, home_value_grad)
 from dealopt.problems import (LassoProblem, PowerAbsProblem, generate_problem,
                               reference_optimum)
+from objectives import plain
 
 
 class TestChooseOrder:
@@ -153,8 +154,8 @@ class TestBPGA:
         def value(x):
             calls.append(x)
             return 0.5 * float(x @ x)
-        smooth = SmoothObjective(dim=1, value=value, grad=lambda x: np.asarray(x, dtype=float),
-                                 holder=HolderInfo(nu=1.0, L=1.0))
+        smooth = plain(1, value, lambda x: np.asarray(x, dtype=float),
+                       holder=HolderInfo(nu=1.0, L=1.0))
         comp = CompositeObjective(smooth=smooth, nonsmooth=envelopes.L1Norm(1.0))
         xs = []
         with pytest.raises(CapabilityError, match="Hessian-apply"):
@@ -298,9 +299,9 @@ class TestBPGATrials:
         def schedule(trace, trials):
             step = real_schedule(trace, trials)
 
-            def offered(x, f, g, gn, d):
-                offers = list(step(x, f, g, gn, d))
-                steps.append((offers, trials, f - trace.rho * gn ** trace.theta))
+            def offered(ev, gn, d):
+                offers = list(step(ev, gn, d))
+                steps.append((offers, trials, ev.value - trace.rho * gn ** trace.theta))
                 return iter(offers)
             return offered
         monkeypatch.setattr(boosted, "_schedule", schedule)
@@ -339,7 +340,7 @@ def test_fbe_rows_matches_the_per_point_envelope(case):
     for x, value, gradient in zip(X, values, G):
         ev = fbe_value_grad(comp, x, gamma)
         D = ev.prox_point - x
-        gf = problem.smooth_grad(x)
+        gf = problem.smooth_complete(problem.smooth_value(x)).gradient
         terms = (problem.smooth_value(x) + abs(gf @ D) + D @ D / (2.0 * gamma)
                  + problem.lam * np.abs(ev.prox_point).sum())
         assert abs(value - ev.value) <= 32.0 * eps * terms
@@ -356,24 +357,28 @@ def counted(smooth, calls):
             return fn(*args)
         return None if fn is None else wrapper
     return dataclasses.replace(smooth, **{name: count(name, getattr(smooth, name))
-                                          for name in ("value", "grad", "value_grad",
-                                                       "hess_apply")})
+                                          for name in ("value", "complete", "hess_apply")})
 
 
 class TestOneSmoothCallPerPoint:
-    """An envelope point prices lasso's smooth part once, through its fused
-    value and gradient; the certificate's batch path keeps the residual form."""
+    """An envelope point values lasso's smooth part once and completes it
+    once, the completion reusing the value's G x; the certificate's batch
+    path keeps the residual form."""
 
     @pytest.mark.parametrize("fused", [True, False], ids=["fused", "composed"])
     def test_each_envelope_point_makes_one_smooth_call(self, fused):
+        # fused: lasso's own smooth part; composed: the same value and
+        # gradient as plain functions, the gradient formed from x alone
         problem = generate_problem(2, "lasso", 50, 5)
         calls = Counter()
-        smooth = counted(problem.as_smooth(), calls)
+        smooth = problem.as_smooth()
         if not fused:
-            smooth = dataclasses.replace(smooth, value_grad=None)
-        comp = CompositeObjective(smooth, envelopes.L1Norm(problem.lam))
+            smooth = plain(problem.n, lambda x: problem.smooth_value(x).value,
+                           lambda x: problem.G @ x - problem.c,
+                           hess_apply=smooth.hess_apply, holder=smooth.holder)
+        comp = CompositeObjective(counted(smooth, calls), envelopes.L1Norm(problem.lam))
         gamma = 0.95 / problem.L
-        one = {"value_grad": 1} if fused else {"value": 1, "grad": 1}
+        one = {"value": 1, "complete": 1}
         for x in np.random.default_rng(4).uniform(-5.0, 5.0, (20, 5)):
             calls.clear()
             value = fbe_value(comp, x, gamma)
@@ -385,7 +390,7 @@ class TestOneSmoothCallPerPoint:
             assert calls == {**one, "hess_apply": 1}
             calls.clear()
             forward_backward_map(comp, x, gamma)
-            assert calls == {"grad": 1}
+            assert calls == one
 
     def test_fbe_rows_uses_no_gram_oracle(self):
         problem = bench.build_problem(bench.preset("sec53", 0).problem)
@@ -395,7 +400,7 @@ class TestOneSmoothCallPerPoint:
 
         def refuse(*args):
             raise AssertionError("a Gram oracle was called")
-        for name in ("smooth_value", "smooth_grad", "smooth_value_grad", "hess_apply"):
+        for name in ("smooth_value", "smooth_complete", "hess_apply"):
             setattr(problem, name, refuse)
         problem.G = problem.c = problem._half_bb = None
         rows = problem.fbe_rows(X, gamma)
@@ -641,10 +646,10 @@ def logcosh_lasso():
     """f = 0.5 ||A x - b||^2 + 4 sum log cosh(x_i) with the l1 term."""
     lasso = generate_problem(4, "lasso", 60, 6)
     A = lasso.A
-    smooth = SmoothObjective(
-        dim=6,
-        value=lambda x: lasso.smooth_value(x) + 4.0 * float(np.sum(np.log(np.cosh(x)))),
-        grad=lambda x: lasso.smooth_grad(x) + 4.0 * np.tanh(x),
+    smooth = plain(
+        6,
+        lambda x: lasso.smooth_value(x) + 4.0 * float(np.sum(np.log(np.cosh(x)))),
+        lambda x: lasso.G @ x - lasso.c + 4.0 * np.tanh(x),
         hess_apply=lambda x, v: A.T @ (A @ v) + 4.0 * v / np.cosh(x) ** 2,
         holder=HolderInfo(nu=1.0, L=lasso.L + 4.0))
     return CompositeObjective(smooth, envelopes.L1Norm(lasso.lam))

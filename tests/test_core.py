@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, DataError,
+from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, DataError, Evaluation,
                           HolderInfo, IterateTrace, KLInfo,
-                          Reevaluation, UsageError, _fmt,
+                          Reevaluation, SmoothObjective, UsageError, _fmt,
                           as_vector, certify_descent, column,
                           certify_displacement, config_digest,
                           min_grad_bound_check, reevaluate_trace)
@@ -37,6 +37,19 @@ def test_metadata_validation():
         as_vector([1.0, float("nan")])
     with pytest.raises(UsageError):
         as_vector([1.0, 2.0], dim=3)
+
+
+@pytest.mark.parametrize("dim, message", [
+    (2.5, "dim must be an integer, got 2.5"), (True, "dim must be an integer, got True"),
+    (0, "dim must be >= 1, got 0"), (np.float64(3.0), "dim must be an integer")])
+def test_smooth_objective_refuses_a_dim_that_is_no_count(dim, message):
+    # a fractional or boolean dim is refused where the objective is made,
+    # not by the run that compares it with x0's dimension
+    def value(x):
+        return Evaluation(x, 0.0)
+    with pytest.raises(UsageError, match=message):
+        SmoothObjective(dim, value, lambda ev: ev)
+    assert SmoothObjective(np.int64(2), value, lambda ev: ev).dim == 2
 
 
 def test_trace_validate():

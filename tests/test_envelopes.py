@@ -1,20 +1,22 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
 
 from dealopt import envelopes
 from dealopt.boosted import choose_order
-from dealopt.core import (CapabilityError, CompositeObjective, HolderInfo,
-                          NumericalError, SmoothObjective, UsageError)
-from dealopt.envelopes import (PROX_ORACLE_REL_TOL, AbsPower, EnvelopeEval, L1Norm,
+from dealopt.core import (CapabilityError, CompositeObjective, Evaluation, HolderInfo,
+                          NumericalError, UsageError)
+from dealopt.envelopes import (PROX_ORACLE_REL_TOL, AbsPower, L1Norm,
                                SeparableProx, fbe_complete, fbe_value,
                                fbe_value_grad, forward_backward_map, home_complete,
                                home_value, home_value_grad, prox_home_separable,
                                prox_l1, prox_oracle_check)
 from dealopt.envelopes import _abs_power_matched, _abs_power_root
 from dealopt.oracles import finite_diff_gradient, scalar_minimize
-from dealopt.problems import LassoProblem, PowerAbsProblem, generate_problem
+from dealopt.problems import LassoProblem, LeastPProblem, PowerAbsProblem, generate_problem
+from objectives import plain
 
 
 class TestProxL1:
@@ -360,9 +362,9 @@ class TestForwardBackward:
             def prox(self, x, gamma, p=2.0):
                 return np.asarray(x, dtype=float)
 
-        smooth = SmoothObjective(dim=1, value=lambda x: 0.5 * float(x @ x),
-                                 grad=lambda x: np.asarray(x, dtype=float),
-                                 holder=HolderInfo(nu=1.0, L=1.0))
+        smooth = plain(dim=1, value=lambda x: 0.5 * float(x @ x),
+                       grad=lambda x: np.asarray(x, dtype=float),
+                       holder=HolderInfo(nu=1.0, L=1.0))
         comp = CompositeObjective(smooth=smooth, nonsmooth=Zero())
         T = forward_backward_map(comp, np.array([3.0]), gamma=0.5)
         assert T == pytest.approx([1.5])
@@ -401,9 +403,9 @@ class TestFBE:
         assert np.linalg.norm(ev.gradient) <= 1e-8
 
     def test_requires_hessian_apply(self):
-        smooth = SmoothObjective(dim=1, value=lambda x: 0.5 * float(x @ x),
-                                 grad=lambda x: np.asarray(x, dtype=float),
-                                 holder=HolderInfo(nu=1.0, L=1.0))
+        smooth = plain(dim=1, value=lambda x: 0.5 * float(x @ x),
+                       grad=lambda x: np.asarray(x, dtype=float),
+                       holder=HolderInfo(nu=1.0, L=1.0))
         comp = CompositeObjective(smooth=smooth, nonsmooth=L1Norm(1.0))
         with pytest.raises(CapabilityError):
             fbe_value_grad(comp, np.array([1.0]), gamma=0.5)
@@ -478,7 +480,7 @@ def test_envelope_eval_contract(name):
     # (value, gradient, prox_point) that deal_loop takes
     value, complete, value_grad, x, multi = _envelope_case(name)
     ev = value(x)
-    assert isinstance(ev, EnvelopeEval) and isinstance(ev, float)
+    assert isinstance(ev, Evaluation) and isinstance(ev, float)
     assert type(ev.value) is float and ev == ev.value
     assert ev.gradient is None and ev.multi_valued is multi
     assert complete(ev) is ev
@@ -494,14 +496,31 @@ def test_envelope_eval_contract(name):
 
 
 def test_envelope_eval_keyword_construction():
-    ev = EnvelopeEval(x=np.array([1.0, 2.0]), prox_point=np.array([0.5, 1.0]),
-                      value=3.0, gradient=np.array([3.0, 4.0]))
+    ev = Evaluation(x=np.array([1.0, 2.0]), prox_point=np.array([0.5, 1.0]),
+                    value=3.0, gradient=np.array([3.0, 4.0]))
     assert ev == 3.0 and ev.value == 3.0 and ev.grad_norm == 5.0
-    assert ev.multi_valued is False
+    assert ev.multi_valued is False and ev.work is None
     assert type(ev + 1.0) is float and ev + 1.0 == 4.0
     copied = copy.deepcopy(ev)
-    assert type(copied) is EnvelopeEval and copied == ev and copied.x is not ev.x
+    assert type(copied) is Evaluation and copied == ev and copied.x is not ev.x
     assert np.array_equal(copied.gradient, ev.gradient) and copied.multi_valued is False
-    bare = EnvelopeEval(x=np.zeros(1), prox_point=np.ones(1), value=-1.0, gradient=None,
-                        multi_valued=True)
+    bare = Evaluation(x=np.zeros(1), prox_point=np.ones(1), value=-1.0, gradient=None,
+                      multi_valued=True)
     assert bare < ev and bare.multi_valued and np.isnan(bare.grad_norm)
+    # a smooth point keeps its work array through a copy, a deep copy and a
+    # pickle, and unpacks with no proximal point
+    smooth = Evaluation(x=np.array([1.0, -2.0]), value=0.5, work=np.array([0.25, -0.75, 2.0]))
+    assert tuple(smooth) == (0.5, None, None)
+    for made in (copy.copy(smooth), copy.deepcopy(smooth), pickle.loads(pickle.dumps(smooth))):
+        assert type(made) is Evaluation and made == smooth and made.prox_point is None
+        assert made.gradient is None and made.multi_valued is False
+        assert np.array_equal(made.x, smooth.x) and _bits(made.work) == _bits(smooth.work)
+    assert copy.copy(smooth).work is smooth.work
+    assert copy.deepcopy(smooth).work is not smooth.work
+    # a least-p point at zero residual completes to the value 0.0 and an
+    # all-zero gradient exactly: the singular factor is never formed
+    b = np.array([1.0, 2.0])
+    problem = LeastPProblem(np.eye(2), b, p=1.5)
+    zero = problem.complete(problem.value(b.copy()))
+    assert type(zero.value) is float and _bits(zero.value) == _bits(0.0)
+    assert _bits(zero.gradient) == _bits(np.zeros(2)) and _bits(zero.work) == _bits(np.zeros(2))

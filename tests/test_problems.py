@@ -12,17 +12,32 @@ from dealopt.problems import (LassoProblem, LeastPProblem, PowerAbsProblem,
                               reference_optimum)
 
 
+def evaluated(problem, x):
+    """The completed evaluation of ``problem`` at ``x``: its value and gradient."""
+    return problem.complete(problem.value(np.asarray(x, dtype=float)))
+
+
+def grad(problem, x):
+    return evaluated(problem, x).gradient
+
+
 def assert_rows_match_points(problem, X):
-    """value_grad_rows(X) agrees with value_grad at every row of X to within
-    16 eps relative: the batch products round in another order."""
+    """value_grad_rows(X) agrees with the completed evaluation at every row
+    of X to within 16 eps relative: the batch products round in another
+    order."""
     eps = np.finfo(float).eps
     f, G = problem.value_grad_rows(X)
     assert f.shape == (len(X),) and G.shape == X.shape
     for x, f_row, g_row in zip(X, f, G):
-        f_pt, g_pt = problem.value_grad(x)
+        f_pt, g_pt, _ = evaluated(problem, x)
         assert abs(f_row - f_pt) <= 16 * eps * max(1.0, abs(f_pt))
         assert (np.linalg.norm(g_row - g_pt)
                 <= 16 * eps * max(1.0, np.linalg.norm(g_pt)))
+
+
+def smooth_grad(problem, x):
+    """The gradient of lasso's smooth part at ``x``."""
+    return problem.smooth_complete(problem.smooth_value(np.asarray(x, dtype=float))).gradient
 
 
 def uniform_rows(n, seed=0, count=700):
@@ -33,26 +48,32 @@ class TestLeastP:
     def test_value_grad_identity_p2(self):
         prob = LeastPProblem(np.eye(2), np.zeros(2), p=2.0)
         assert prob.value([1.0, 2.0]) == pytest.approx(2.5)
-        assert prob.grad([1.0, 2.0]) == pytest.approx([1.0, 2.0])
+        assert grad(prob, [1.0, 2.0]) == pytest.approx([1.0, 2.0])
 
     def test_value_grad_p15_hand(self):
         prob = LeastPProblem(np.eye(2), np.zeros(2), p=1.5)
         assert prob.value([4.0, 0.0]) == pytest.approx(16.0 / 3.0)
-        assert prob.grad([4.0, 0.0]) == pytest.approx([2.0, 0.0])
+        assert grad(prob, [4.0, 0.0]) == pytest.approx([2.0, 0.0])
 
     def test_zero_residual_gradient(self):
         prob = LeastPProblem(np.eye(2), np.array([1.0, 2.0]), p=1.7)
         assert prob.value([1.0, 2.0]) == 0.0
-        assert prob.grad([1.0, 2.0]) == pytest.approx([0.0, 0.0])
+        assert grad(prob, [1.0, 2.0]) == pytest.approx([0.0, 0.0])
 
     def test_fused_value_grad_is_value_and_grad_bit_for_bit(self):
+        # a value keeps its residual, and completing it leaves the value as
+        # it was and gives the gradient of a fresh evaluation, bit for bit
         prob = generate_problem(5, "leastp", 30, 6, p=1.5, consistent=False)
         x = np.random.default_rng(0).uniform(-5, 5, 6)
         exact = LeastPProblem(np.eye(2), np.array([1.0, 2.0]), p=1.7)
         for problem, point in ((prob, x), (exact, np.array([1.0, 2.0]))):
-            value, grad = problem.value_grad(point)
-            assert value == problem.value(point)
-            assert np.array_equal(grad, problem.grad(point))
+            ev = problem.value(point)
+            value = ev.value
+            assert ev.x is point and ev.gradient is None
+            assert np.array_equal(ev.work, problem.A @ point - problem.b)
+            assert problem.complete(ev) is ev and ev.value == value
+            fresh = evaluated(problem, point)
+            assert fresh.value == value and np.array_equal(ev.gradient, fresh.gradient)
 
     @pytest.mark.parametrize("make", [
         lambda: build_problem(preset("sec51", 0).problem),
@@ -68,8 +89,8 @@ class TestLeastP:
         X = np.vstack([uniform_rows(3, count=3), b, uniform_rows(3, seed=1, count=2)])
         f, G = prob.value_grad_rows(X)
         assert f[3] == 0.0 and np.array_equal(G[3], np.zeros(3))
-        value, grad = prob.value_grad(b)
-        assert (value, grad.tolist()) == (0.0, [0.0, 0.0, 0.0])
+        value, gradient, _ = evaluated(prob, b)
+        assert (value, gradient.tolist()) == (0.0, [0.0, 0.0, 0.0])
         assert np.all(f[[0, 1, 2, 4, 5]] > 0.0)
         assert_rows_match_points(prob, X)
 
@@ -98,7 +119,7 @@ class TestLeastP:
         for _ in range(20):
             x = rng.uniform(-5, 5, 6)
             fd = finite_diff_gradient(prob.value, x)
-            g = prob.grad(x)
+            g = grad(prob, x)
             assert np.linalg.norm(fd - g) <= 1e-6 * max(1.0, np.linalg.norm(g))
 
     def test_holder_gradient_inequality_sampled(self):
@@ -107,7 +128,7 @@ class TestLeastP:
         rng = np.random.default_rng(3)
         for _ in range(200):
             x, y = rng.uniform(-5, 5, 5), rng.uniform(-5, 5, 5)
-            lhs = np.linalg.norm(prob.grad(x) - prob.grad(y))
+            lhs = np.linalg.norm(grad(prob, x) - grad(prob, y))
             rhs = L * np.linalg.norm(x - y) ** nu
             assert lhs <= rhs * (1 + 1e-10)
 
@@ -129,11 +150,13 @@ class TestLeastP:
         assert np.array_equal(a.A, b.A) and np.array_equal(a.b, b.b)
         assert a.descriptor() == b.descriptor()
         c = generate_problem(7, "leastp", 50, 10, p=1.5, consistent=True)
+        # a plain float: the descriptor keeps no evaluation, and no residual
+        assert type(c.fstar) is float and type(c.descriptor()["fstar"]) is float
         assert c.fstar == pytest.approx(0.0, abs=1e-20)
         rng = np.random.default_rng(7)
         rng.standard_normal((50, 10))
         x_true = rng.standard_normal(10)
-        assert np.linalg.norm(c.grad(x_true)) <= 1e-8
+        assert np.linalg.norm(grad(c, x_true)) <= 1e-8
 
     def test_rejects_wide_or_bad_p(self):
         with pytest.raises(UsageError):
@@ -146,23 +169,28 @@ class TestLasso:
     def test_smooth_value_grad_examples(self):
         prob = LassoProblem(np.eye(2), np.zeros(2), lam=1.0)
         assert prob.smooth_value([3.0, -4.0]) == pytest.approx(12.5)
-        assert prob.smooth_grad([3.0, -4.0]) == pytest.approx([3.0, -4.0])
+        assert smooth_grad(prob, [3.0, -4.0]) == pytest.approx([3.0, -4.0])
         prob2 = LassoProblem(np.eye(2), np.ones(2), lam=1.0)
         assert prob2.smooth_value([1.0, 1.0]) == 0.0
-        assert prob2.smooth_grad([1.0, 1.0]) == pytest.approx([0.0, 0.0])
+        assert smooth_grad(prob2, [1.0, 1.0]) == pytest.approx([0.0, 0.0])
         prob3 = LassoProblem(np.array([[1.0, 0.0], [0.0, 2.0]]), np.zeros(2), lam=1.0)
         assert prob3.smooth_value([1.0, 1.0]) == pytest.approx(2.5)
-        assert prob3.smooth_grad([1.0, 1.0]) == pytest.approx([1.0, 4.0])
+        assert smooth_grad(prob3, [1.0, 1.0]) == pytest.approx([1.0, 4.0])
 
     def test_fused_smooth_value_grad_is_value_and_grad_bit_for_bit(self):
+        # the smooth part's value keeps G x, and its completion gives the
+        # gradient G x - c that the reference solve forms, bit for bit
         prob = build_problem(preset("sec53", 0).problem)
-        assert prob.as_smooth().value_grad == prob.smooth_value_grad
+        smooth = prob.as_smooth()
+        assert (smooth.value, smooth.complete) == (prob.smooth_value, prob.smooth_complete)
         X = np.vstack([uniform_rows(prob.n, count=200), np.zeros(prob.n),
                        reference_optimum(prob).xstar])
         for x in X:
-            value, grad = prob.smooth_value_grad(x)
-            assert value == prob.smooth_value(x)
-            assert np.array_equal(grad, prob.smooth_grad(x))
+            ev = prob.smooth_value(x)
+            value = ev.value
+            assert np.array_equal(ev.work, prob.G @ x)
+            assert prob.smooth_complete(ev) is ev and ev.value == value
+            assert np.array_equal(ev.gradient, prob.G @ x - prob.c)
 
     @pytest.mark.parametrize("make", [
         *(lambda s=s: build_problem(preset("sec53", s).problem) for s in range(3)),
@@ -191,7 +219,7 @@ class TestLasso:
             r = A @ x - b
             u = np.abs(A) @ np.abs(x) + np.abs(b)
             assert abs(prob.smooth_value(x) - 0.5 * (r @ r)) <= tol * 0.5 * (u @ u)
-            assert np.all(np.abs(prob.smooth_grad(x) - A.T @ r) <= tol * (np.abs(A).T @ u))
+            assert np.all(np.abs(smooth_grad(prob, x) - A.T @ r) <= tol * (np.abs(A).T @ u))
             assert np.all(np.abs(prob.hess_apply(x, v) - A.T @ (A @ v))
                           <= tol * (np.abs(A).T @ (np.abs(A) @ np.abs(v))))
 
@@ -258,14 +286,18 @@ class TestQuadratic:
         assert prob.fstar == 0.0
         prob2 = QuadraticProblem(np.diag([1.0, 4.0]), np.array([1.0, 0.0]))
         assert prob2.xstar == pytest.approx([-1.0, 0.0])
-        assert prob2.fstar == pytest.approx(-0.5)
+        assert type(prob2.fstar) is float and prob2.fstar == pytest.approx(-0.5)
 
     def test_fused_value_grad_is_value_and_grad_bit_for_bit(self):
+        # a value keeps Q x, and completing it leaves the value as it was
+        # and gives Q x + c, bit for bit
         prob = generate_problem(3, "quadratic", 12, 5)
         x = np.random.default_rng(1).uniform(-5, 5, 5)
-        value, grad = prob.value_grad(x)
-        assert value == prob.value(x)
-        assert np.array_equal(grad, prob.grad(x))
+        ev = prob.value(x)
+        value = ev.value
+        assert np.array_equal(ev.work, prob.Q @ x)
+        assert prob.complete(ev) is ev and ev.value == value
+        assert np.array_equal(ev.gradient, prob.Q @ x + prob.c)
 
     @pytest.mark.parametrize("size", [(1000, 200), (12, 5)])
     def test_rows_match_value_grad(self, size):
@@ -277,7 +309,7 @@ class TestQuadratic:
         X = np.vstack([uniform_rows(5, count=2), np.zeros(5), uniform_rows(5, seed=1, count=2)])
         f, G = prob.value_grad_rows(X)
         assert f[2] == 0.0 and np.array_equal(G[2], prob.c)
-        assert prob.value_grad(np.zeros(5))[0] == 0.0
+        assert prob.value(np.zeros(5)) == 0.0
         assert_rows_match_points(prob, X)
 
     def test_singular_reference_is_not_converged(self):
@@ -299,7 +331,7 @@ class TestQuadratic:
     def test_generated(self):
         prob = generate_problem(0, "quadratic", 12, 5)
         ref = reference_optimum(prob)
-        assert np.linalg.norm(prob.grad(ref.xstar)) <= 1e-9
+        assert np.linalg.norm(grad(prob, ref.xstar)) <= 1e-9
 
 
 def _with_zero_residual_row(problem, X, row):

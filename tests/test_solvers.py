@@ -2,6 +2,7 @@ import dataclasses
 import math
 import types
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from dealopt import bench, solvers
 from dealopt.boosted import BoostedConfig, run_bhippa, run_bpga
 from dealopt.core import (TRACE_COLUMNS, CapabilityError, CompositeObjective,
-                          HolderInfo, SmoothObjective, UsageError, as_vector,
+                          HolderInfo, UsageError, as_vector,
                           certify_descent, certify_displacement,
                           reevaluate_trace)
 from dealopt.directions import KINDS, DirectionRule, beta_for_holder, generalize
@@ -17,10 +18,11 @@ from dealopt.envelopes import SeparableProx
 from dealopt.problems import PowerAbsProblem, generate_problem
 from dealopt.solvers import (ArmijoParams, DealConfig, armijo_bound,
                              dealc_step_size, run_deala, run_dealc)
+from objectives import plain
 
 
 def quadratic_objective(L=1.0):
-    return SmoothObjective(
+    return plain(
         dim=1,
         value=lambda x: 0.5 * float(x @ x),
         grad=lambda x: np.asarray(x, dtype=float),
@@ -82,8 +84,8 @@ class TestDealC:
         assert tr.theta == pytest.approx(1.8)
 
     def test_requires_holder(self):
-        obj = SmoothObjective(dim=1, value=lambda x: float(x @ x),
-                              grad=lambda x: 2 * np.asarray(x))
+        obj = plain(dim=1, value=lambda x: float(x @ x),
+                    grad=lambda x: 2 * np.asarray(x))
         with pytest.raises(CapabilityError):
             run_dealc(obj, np.ones(1), DealConfig())
 
@@ -92,7 +94,7 @@ class TestDealC:
         assert len(tr) == 1 and tr.extras["termination"] == "tolerance"
 
     def test_nonfinite_abort_diagnostic(self):
-        obj = SmoothObjective(
+        obj = plain(
             dim=1,
             value=lambda x: float("inf") if abs(x[0]) > 10 else -float(x[0] ** 3),
             grad=lambda x: -3.0 * np.asarray(x, dtype=float) ** 2,
@@ -148,9 +150,9 @@ class TestArmijoBound:
         # = 1.125e-4, so 2^-14 at p = 14, against alpha_tilde 5.6e-5 and
         # p_bar 14.1 from the c2^(1+nu) of the Hölder bound (2.2e-4 and 12.1
         # with c2^(1/nu))
-        obj = SmoothObjective(dim=2, value=lambda x: 5.0 * float(x @ x),
-                              grad=lambda x: 10.0 * np.asarray(x, dtype=float),
-                              holder=HolderInfo(nu=1.0, L=10.0))
+        obj = plain(dim=2, value=lambda x: 5.0 * float(x @ x),
+                    grad=lambda x: 10.0 * np.asarray(x, dtype=float),
+                    holder=HolderInfo(nu=1.0, L=10.0))
         c1, c2 = 0.9, 4.0
         rule = DirectionRule("gradient", beta=0.0, c1=c1, c2=c2)
         w = math.sqrt(c2 ** 2 - c1 ** 2)
@@ -168,9 +170,9 @@ class TestArmijoBound:
     def test_the_floor_is_capped_at_alpha_bar(self):
         # a flat objective: c_bar = 10 > 1/eta makes p_bar negative, and
         # eta^p_bar alpha_bar = 5 exceeds every step the search tries
-        obj = SmoothObjective(dim=2, value=lambda x: 0.05 * float(x @ x),
-                              grad=lambda x: 0.1 * np.asarray(x, dtype=float),
-                              holder=HolderInfo(nu=1.0, L=0.1))
+        obj = plain(dim=2, value=lambda x: 0.05 * float(x @ x),
+                    grad=lambda x: 0.1 * np.asarray(x, dtype=float),
+                    holder=HolderInfo(nu=1.0, L=0.1))
         tr = run_deala(obj, np.array([3.0, -4.0]),
                        DealConfig(max_iter=50, armijo=ArmijoParams(sigma=0.5)))
         assert tr.extras["p_bar"] < 0.0
@@ -231,9 +233,9 @@ class TestDealA:
     def test_backtrack_limit_diagnostic(self):
         # a quartic with a wrongly declared Lipschitz constant needs many
         # shrinks far from the origin; a tiny cap triggers the diagnostic
-        obj = SmoothObjective(dim=1, value=lambda x: float(x[0] ** 4),
-                              grad=lambda x: 4.0 * np.asarray(x, dtype=float) ** 3,
-                              holder=HolderInfo(nu=1.0, L=1.0))
+        obj = plain(dim=1, value=lambda x: float(x[0] ** 4),
+                    grad=lambda x: 4.0 * np.asarray(x, dtype=float) ** 3,
+                    holder=HolderInfo(nu=1.0, L=1.0))
         cfg = DealConfig(armijo=ArmijoParams(max_backtracks=2))
         tr = run_deala(obj, np.array([50.0]), cfg)
         assert tr.extras["termination"] == "backtrack_limit"
@@ -245,9 +247,9 @@ class TestDealA:
         # f = x'Hx/2 with exact L = max eig H: the constant step 1/L always
         # passes the Armijo test, so both step rules take the same steps
         h = np.array([1.0, 3.0, 10.0])
-        obj = SmoothObjective(dim=3, value=lambda x: 0.5 * float(x @ (h * x)),
-                              grad=lambda x: h * np.asarray(x, dtype=float),
-                              holder=HolderInfo(nu=1.0, L=10.0))
+        obj = plain(dim=3, value=lambda x: 0.5 * float(x @ (h * x)),
+                    grad=lambda x: h * np.asarray(x, dtype=float),
+                    holder=HolderInfo(nu=1.0, L=10.0))
         x0 = np.array([4.0, -2.0, 1.0])
         const = run_dealc(obj, x0, DealConfig())
         alpha = const.extras["alpha"]
@@ -302,13 +304,13 @@ def test_traces_monotone_and_terminal_gradient():
 
 def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None,
                       observe=None):
-    """The descent loop evaluated at every step: no fused oracle, no replay.
-    Like the solvers, it records the rule's fallbacks in the extras and hands
-    each recorded iterate to ``observe``."""
+    """The descent loop evaluated at every step: no carried evaluation, no
+    replay.  Like the solvers, it records the rule's fallbacks in the extras
+    and hands each recorded iterate to ``observe``."""
     x = as_vector(x0, objective.dim, "x0")
-    f = objective.value(x)
+    f = objective.value(x).value
     for k in range(config.max_iter + 1):
-        g = objective.grad(x)
+        g = objective.complete(objective.value(x)).gradient
         gn = float(np.linalg.norm(g))
         trace.append(k, f, gn)
         if observe is not None:
@@ -325,7 +327,7 @@ def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None,
         p = 0
         step = alpha
         x_next = x + step * d
-        f_next = objective.value(x_next)
+        f_next = objective.value(x_next).value
         if armijo is not None:
             slope = float(g @ d)
             while not f_next <= f + armijo.sigma * step * slope:
@@ -339,7 +341,7 @@ def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None,
                     return trace
                 step = armijo.eta ** p * armijo.alpha_bar
                 x_next = x + step * d
-                f_next = objective.value(x_next)
+                f_next = objective.value(x_next).value
         if not math.isfinite(f_next):
             trace.extras["termination"] = "nonfinite"
             trace.extras["diagnostic"] = f"non-finite objective at k={k + 1}"
@@ -380,9 +382,9 @@ def test_direct_runs_record_the_direction_fallbacks(runner):
 def test_backtrack_limit_records_the_direction_fallbacks():
     # the quartic of test_backtrack_limit_diagnostic: the run ends at k=0,
     # where BB1 has no history and falls back to the gradient
-    obj = SmoothObjective(dim=1, value=lambda x: float(x[0] ** 4),
-                          grad=lambda x: 4.0 * np.asarray(x, dtype=float) ** 3,
-                          holder=HolderInfo(nu=1.0, L=1.0))
+    obj = plain(dim=1, value=lambda x: float(x[0] ** 4),
+                grad=lambda x: 4.0 * np.asarray(x, dtype=float) ** 3,
+                holder=HolderInfo(nu=1.0, L=1.0))
     rule = DirectionRule("bb1")
     tr = run_deala(obj, np.array([50.0]),
                    DealConfig(rule=rule, armijo=ArmijoParams(max_backtracks=2)))
@@ -430,9 +432,9 @@ class TestFixedPointReplay:
         # and needs one more backtrack to stay put, so a replay after one
         # unmoved step would repeat the wrong inner count
         table = {1.0: 1.0, 0.5: 0.5}
-        obj = SmoothObjective(dim=1, value=lambda x: table.get(float(x[0]), math.nan),
-                              grad=lambda x: 2.0 * np.asarray(x, dtype=float),
-                              holder=HolderInfo(nu=1.0, L=1.0))
+        obj = plain(dim=1, value=lambda x: table.get(float(x[0]), math.nan),
+                    grad=lambda x: 2.0 * np.asarray(x, dtype=float),
+                    holder=HolderInfo(nu=1.0, L=1.0))
 
         def config():
             return DealConfig(max_iter=20,
@@ -453,8 +455,8 @@ class TestFixedPointReplay:
         def value(x):
             calls[0] += 1
             return 1.0 if np.array_equal(x, x0) else math.nan
-        obj = SmoothObjective(dim=2, value=value, grad=lambda x: np.ones(2),
-                              holder=HolderInfo(nu=1.0, L=1.0))
+        obj = plain(dim=2, value=value, grad=lambda x: np.ones(2),
+                    holder=HolderInfo(nu=1.0, L=1.0))
         cfg = DealConfig(max_iter=200)
         tr = run_deala(obj, x0, cfg)
         assert calls[0] <= 2 * (cfg.armijo.max_backtracks + 1) + 1
@@ -477,7 +479,8 @@ class TestFixedPointReplay:
 
     def test_dealc_takes_one_fused_oracle_call_per_step(self, monkeypatch):
         prob, x0 = consistent_leastp(2)
-        calls = {"value": 0, "grad": 0, "value_grad": 0}
+        # each record's point is valued once and completed once
+        calls = {"value": 0, "complete": 0}
 
         def counted(name):
             def call(x):
@@ -487,7 +490,7 @@ class TestFixedPointReplay:
         obj = dataclasses.replace(prob.as_smooth(),
                                   **{name: counted(name) for name in calls})
         tr = run_dealc(obj, x0, DealConfig(max_iter=100))
-        assert calls == {"value": 0, "grad": 0, "value_grad": len(tr)}
+        assert calls == {"value": len(tr), "complete": len(tr)}
         ref = run_without_replay(monkeypatch, run_dealc, prob.as_smooth(), x0,
                                  DealConfig(max_iter=100))
         assert column_bits(tr) == column_bits(ref)
@@ -508,7 +511,7 @@ def test_a_nonfinite_start_stops_without_a_record(runner):
 
 def test_a_nonfinite_gradient_after_a_step_is_not_recorded():
     # f stays finite, but the gradient below x = 1.5 is infinite
-    objective = SmoothObjective(
+    objective = plain(
         dim=1, value=lambda x: 0.5 * float(x @ x),
         grad=lambda x: np.where(x < 1.5, np.inf, x),
         holder=HolderInfo(nu=1.0, L=1.0))
@@ -527,7 +530,6 @@ def deala_runs(problem, specs, run, **oracles):
     oracle."""
     objective = dataclasses.replace(problem.as_smooth(), **oracles)
     family = types.SimpleNamespace(as_smooth=lambda: objective,
-                                   value_grad=problem.value_grad,
                                    value_grad_rows=problem.value_grad_rows)
     x0 = np.random.default_rng(run.x0_seed).uniform(-5.0, 5.0, size=problem.n)
     runs = []
@@ -558,9 +560,9 @@ def sec51_deala():
     calls = {}
     ratios = []
 
-    def line_values(x, d, steps):
-        values, margins = problem.line_values(x, d, steps)
-        exact = np.array([problem.value(x + t * d) for t in steps])
+    def line_values(ev, d, steps):
+        values, margins = problem.line_values(ev, d, steps)
+        exact = np.array([problem.value(ev.x + t * d).value for t in steps])
         finite = np.isfinite(values) & np.isfinite(exact)
         ratios.extend((np.abs(values - exact) / margins)[finite].tolist())
         return values, margins
@@ -629,6 +631,32 @@ class TestScreenedBacktracks:
         calls[0] = 0
         deala_runs(problem, [spec], run, value=value)
         assert calls[0] < 1 + len(steps) * 4
+
+
+def test_deala_forms_one_product_with_A_per_value_completion_and_line_call():
+    # the value keeps its residual r = A x - b: the completion forms A^T r
+    # alone and the line oracle A d alone (the three took two products each
+    # for the gradient and the line when each formed r again)
+    problem = generate_problem(1, "leastp", 40, 8, p=1.5, consistent=True)
+    products = [0]
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            products[0] += ufunc is np.matmul
+            return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+    problem.A = problem.A.view(Counted)
+    calls = Counter()
+    for name in ("value", "complete", "line_values"):
+        def counted(*args, _real=getattr(problem, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        setattr(problem, name, counted)
+    x0 = np.random.default_rng(1).uniform(-5.0, 5.0, 8)
+    trace = run_deala(problem.as_smooth(), x0, DealConfig())
+    assert trace.extras["termination"] == "tolerance"
+    assert calls["complete"] == len(trace) and calls["line_values"] > len(trace) // 2
+    assert calls["value"] > calls["complete"] + calls["line_values"]
+    assert products[0] == calls["value"] + calls["complete"] + calls["line_values"]
 
 
 TRIALS = [(m, 0.5 ** m) for m in range(1, 6)]
@@ -708,9 +736,9 @@ class Sink:
 
 def composite(nonsmooth):
     """0.5 ||x||^2 in 1-D, with L = 1, plus ``nonsmooth``."""
-    smooth = SmoothObjective(dim=1, value=lambda x: 0.5 * float(x @ x),
-                             grad=lambda x: np.asarray(x, dtype=float),
-                             hess_apply=lambda x, v: v, holder=HolderInfo(nu=1.0, L=1.0))
+    smooth = plain(dim=1, value=lambda x: 0.5 * float(x @ x),
+                   grad=lambda x: np.asarray(x, dtype=float),
+                   hess_apply=lambda x, v: v, holder=HolderInfo(nu=1.0, L=1.0))
     return CompositeObjective(smooth, nonsmooth)
 
 
@@ -719,9 +747,9 @@ def stalled_bpga():
     # of 4 v: the envelope gradient is -(x - T)/gamma, so the first trial
     # T + 0.5 (x - T)/0.5 is x, bit for bit, and the decrease it must show is
     # below the rounding of the envelope value
-    smooth = SmoothObjective(dim=1, value=lambda x: 0.0, grad=lambda x: np.zeros_like(x),
-                             hess_apply=lambda x, v: 4.0 * v,
-                             holder=HolderInfo(nu=1.0, L=1.0))
+    smooth = plain(dim=1, value=lambda x: 0.0, grad=lambda x: np.zeros_like(x),
+                   hess_apply=lambda x, v: 4.0 * v,
+                   holder=HolderInfo(nu=1.0, L=1.0))
     return (run_bpga, CompositeObjective(smooth, Tilt(2.0 ** -25)), np.array([1e8]),
             BoostedConfig(gamma=0.5, eps=1e-12, max_iter=20))
 
@@ -741,9 +769,9 @@ def leastp_case(runner, **config):
 
 # an objective whose gradient is infinite below 1.5: from 2, the first step
 # of either step rule lands at 0
-INFINITE_BELOW = SmoothObjective(dim=1, value=lambda x: 0.5 * float(x @ x),
-                                 grad=lambda x: np.where(x < 1.5, np.inf, x),
-                                 holder=HolderInfo(nu=1.0, L=1.0))
+INFINITE_BELOW = plain(dim=1, value=lambda x: 0.5 * float(x @ x),
+                       grad=lambda x: np.where(x < 1.5, np.inf, x),
+                       holder=HolderInfo(nu=1.0, L=1.0))
 
 SOLVERS = ("deal-c", "deal-a", "bpga", "bhippa")
 RUNNERS = {"deal-c": run_dealc, "deal-a": run_deala}
