@@ -13,10 +13,13 @@ or re-evaluated quantities.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 import numbers
+import threading
+import weakref
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -167,17 +170,16 @@ class SmoothObjective:
 
 @dataclass
 class CompositeObjective:
-    """Smooth part plus a prox-capable nonsmooth part, with no optimal
-    value or dominance constant of its own (see ``SmoothObjective``).
+    """Smooth part plus a prox-capable nonsmooth part, with no value oracle,
+    optimal value or dominance constant of its own (see
+    ``SmoothObjective``): the solvers read its envelope, and the full
+    objective is the problem family's (``LassoProblem.value``).
 
     ``nonsmooth`` must expose ``value(x)`` and ``prox(x, gamma, p)``.
     """
 
     smooth: SmoothObjective
     nonsmooth: object
-
-    def value(self, x):
-        return self.smooth.value(x) + self.nonsmooth.value(x)
 
 
 TRACE_COLUMNS = ("k", "f", "grad_norm", "step", "inner_count", "displacement")
@@ -469,7 +471,8 @@ def min_grad_bound_check(trace: IterateTrace, rho: float, theta: float,
 
 # distinct iterates per batch call: a block of residuals of a 1000-row
 # least-p problem is 128 x 1000 doubles, 1 MB, the one (rows x m) array its
-# batch oracle keeps alive; at most one block of iterates is held at once
+# batch oracle keeps alive; one block is evaluated at a time, and at most two
+# blocks of iterates are held at once (the one evaluated and the one filling)
 REEVALUATE_BLOCK = 128
 
 
@@ -481,17 +484,33 @@ class Reevaluation:
     is the same array as its predecessor (a replayed fixed point) is not
     evaluated again: its record takes its predecessor's values and that
     record's displacement becomes 0.  Distinct iterates are evaluated in
-    blocks of ``REEVALUATE_BLOCK``, each as soon as it is full, by one call
-    of the batch oracle ``rows(X) -> (values, gradients)`` over the rows of
-    ``X``.  Only the per-point results are kept (value, gradient norm,
-    displacement to the next point and, given ``xstar``, the distance to
-    it), with the pending block and the last iterate (``last``).
+    blocks of ``REEVALUATE_BLOCK`` by one call of the batch oracle
+    ``rows(X) -> (values, gradients)`` over the rows of ``X``.  Only the
+    per-point results are kept (value, gradient norm, displacement to the
+    next point and, given ``xstar``, the distance to it), with the blocks
+    of iterates not yet evaluated and the last iterate (``last``).
+
+    Each full block goes to the re-evaluation's one worker thread, started
+    on the first full block, and ``add`` returns while the worker evaluates
+    it, so a run goes on with its next iterates meanwhile: the batch
+    products release the interpreter lock.  At most one block is in flight:
+    the add that fills the next block takes this one's results first, so
+    they are kept in order.  The worker evaluates under the numpy error
+    state (``np.geterr()``) its block was handed over in, and an error the
+    oracle raises there is raised unchanged by the add that takes its
+    results, or by ``result``.  ``rows`` runs on two threads, so it must
+    not depend on thread-local state, and no two of its calls overlap.  The
+    last, partial block is evaluated on the caller's thread in ``result``,
+    which stops the worker: a run of fewer than ``REEVALUATE_BLOCK``
+    distinct iterates starts no thread.  A re-evaluation dropped before its
+    ``result`` stops its worker when it is collected.
     """
 
     def __init__(self, rows: Callable[[np.ndarray], tuple], xstar=None):
         self._rows = rows
         self._xstar = None if xstar is None else np.asarray(xstar, dtype=float)
         self._block = []
+        self._worker: Optional[_Worker] = None
         # per distinct point: value, gradient norm, displacement to the next
         # point, distance to xstar and the number of records it fills
         self._f, self._gnorm = array("d"), array("d")
@@ -511,25 +530,42 @@ class Reevaluation:
         self._block.append(x)
         self.last = x
         if len(self._block) == REEVALUATE_BLOCK:
-            self._flush()
+            if self._worker is None:
+                # the worker holds the oracle, not this object, so that a
+                # re-evaluation dropped mid-run is collected and stops it
+                self._worker = _Worker(functools.partial(_evaluate, self._rows, self._xstar))
+                self._stop_worker = weakref.finalize(self, self._worker.stop)
+            else:
+                self._take()
+            self._worker.submit(self._block)
+            self._block = []
 
-    def _flush(self):
-        X = np.stack(self._block)
-        self._block = []
-        if self._xstar is not None:
-            D = X - self._xstar
-            # each row pairwise-summed, as np.add.reduce sums one point's alone
-            self._dist.extend(np.sqrt(np.add.reduce(D * D, axis=1)).tolist())
-        values, G = self._rows(X)
-        self._f.extend(np.asarray(values, dtype=float).tolist())
-        self._gnorm.extend(np.linalg.norm(G, axis=1).tolist())
+    def _take(self):
+        """Keep the results of the block in flight; stop the worker if the
+        oracle raised there, and raise that error."""
+        try:
+            self._store(*self._worker.take())
+        except BaseException:
+            self._stop()
+            raise
+
+    def _stop(self):
+        self._stop_worker()
+        self._worker = None
+
+    def _store(self, values, gnorms, distances):
+        self._f.extend(values)
+        self._gnorm.extend(gnorms)
+        if distances is not None:
+            self._dist.extend(distances)
 
     def result(self, trace: IterateTrace) -> tuple:
         """``(checked, distances)`` for ``trace``, whose records' iterates
         were added: a trace of the columns alone, with every f, grad_norm
         and displacement re-evaluated and none of ``trace``'s constants or
         extras, and each record's distance to ``xstar`` as an array
-        (None without ``xstar``).  The last pending block is evaluated here.
+        (None without ``xstar``).  The block in flight is waited for and the
+        worker stopped, and the last pending block is evaluated here.
 
         ``checked``'s ``f`` and ``grad_norm`` columns are the re-evaluated
         values, expanded to one per record only where a replayed record
@@ -539,8 +575,12 @@ class Reevaluation:
         columns are not copied and no record is built, so take the result
         once the last iterate is added.
         """
+        if self._worker is not None:
+            self._take()
+            self._stop()
         if self._block:
-            self._flush()
+            self._store(*_evaluate(self._rows, self._xstar, self._block))
+            self._block = []
         repeats = np.frombuffer(self._repeats, dtype=np.int64)
         if int(repeats.sum()) != len(trace):
             raise DataError(f"{int(repeats.sum())} iterates were re-evaluated for a "
@@ -563,6 +603,70 @@ class Reevaluation:
         if self._xstar is not None:
             distances = np.repeat(np.frombuffer(self._dist), repeats)
         return checked, distances
+
+
+def _evaluate(rows, xstar, block) -> tuple:
+    """The values, gradient norms and, given ``xstar``, distances to it of
+    the iterates in ``block``, as lists, through one call of ``rows``."""
+    X = np.stack(block)
+    distances = None
+    if xstar is not None:
+        D = X - xstar
+        # each row pairwise-summed, as np.add.reduce sums one point's alone
+        distances = np.sqrt(np.add.reduce(D * D, axis=1)).tolist()
+    values, G = rows(X)
+    return (np.asarray(values, dtype=float).tolist(), np.linalg.norm(G, axis=1).tolist(),
+            distances)
+
+
+class _Worker:
+    """A daemon thread that calls ``fn`` on one argument at a time: ``submit``
+    hands it the next, once ``take`` has returned the previous call's
+    result.  Each call runs under the numpy error state its argument was
+    submitted in, which a thread does not inherit."""
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._job = self._out = None
+        self._submitted, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve, name="reevaluation", daemon=True)
+        self._thread.start()
+
+    def submit(self, arg) -> None:
+        self._job = (arg, np.geterr())
+        self._submitted.release()
+
+    def take(self):
+        """The result of the call submitted last, once it returns; what it
+        raised is raised here, unchanged."""
+        self._done.acquire()
+        out, self._out = self._out, None
+        if isinstance(out, BaseException):
+            raise out
+        return out
+
+    def stop(self) -> None:
+        """End the thread once its call in flight, if one started, returns;
+        a call submitted and not yet started is dropped."""
+        self._job = None
+        self._submitted.release()
+        self._thread.join()
+
+    def _serve(self):
+        while True:
+            self._submitted.acquire()
+            job, self._job = self._job, None
+            if job is None:
+                return
+            arg, errors = job
+            try:
+                with np.errstate(**errors):
+                    self._out = self._fn(arg)
+            except BaseException as exc:     # raised again on the caller's thread by take
+                self._out = exc
+            # an idle worker holds no argument, so a block's iterates die with it
+            del job, arg
+            self._done.release()
 
 
 def reevaluate_trace(trace: IterateTrace, iterates,

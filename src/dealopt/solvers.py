@@ -238,8 +238,11 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
     record is made, a replayed record's being the same array as its
     predecessor's; it is the only way to a run's iterates, which the records
     do not keep.  ``core.Reevaluation.add`` is such a hook, re-evaluating
-    the iterates while the run proceeds.  The loop never writes into an
-    iterate it has handed over: the one at k=0 is ``x`` itself, and every
+    the iterates while the run proceeds: it hands each full block of them
+    to a worker thread and returns, so the block is evaluated, under this
+    loop's numpy error state, while the loop takes its next steps.  The
+    loop never writes into an iterate it has handed over, which such a
+    worker may still be reading: the one at k=0 is ``x`` itself, and every
     later one is a trial or a proximal point, an array of its own.
     """
     trial = None

@@ -1,7 +1,11 @@
 import csv
+import gc
 import io
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -406,6 +410,140 @@ def test_reevaluation_refuses_a_trace_of_other_records():
         reevaluation.add(x)
     with pytest.raises(DataError, match="6 iterates were re-evaluated for a trace of 7"):
         reevaluation.result(tr)
+
+class ThreadLoggingHalfSquare(CountingHalfSquare):
+    """``CountingHalfSquare`` whose batch oracle also logs the thread of
+    each call."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = []
+
+    def rows(self, X):
+        self.threads.append(threading.get_ident())
+        return super().rows(X)
+
+
+@pytest.mark.parametrize("distinct", [REEVALUATE_BLOCK - 1, REEVALUATE_BLOCK,
+                                      REEVALUATE_BLOCK + 1, 3 * REEVALUATE_BLOCK + 1])
+def test_reevaluation_evaluates_full_blocks_on_one_worker_thread(distinct):
+    # every full block goes to one thread that is not the caller's, the
+    # last, partial block stays on the caller's, and result() leaves no
+    # thread behind: a run of fewer than a block starts none
+    tr, xs, X = replayed_trace(distinct, 5)
+    oracle = ThreadLoggingHalfSquare()
+    threads = threading.active_count()
+    reevaluation = Reevaluation(oracle.rows)
+    for x in xs:
+        reevaluation.add(x)
+    checked = reevaluation.result(tr)[0]
+    assert threading.active_count() == threads
+    full, rest = divmod(distinct, REEVALUATE_BLOCK)
+    caller = threading.get_ident()
+    assert len(oracle.threads) == full + (rest > 0)
+    workers = set(oracle.threads[:full])
+    assert len(workers) == (full > 0) and caller not in workers
+    assert oracle.threads[full:] == [caller] * (rest > 0)
+    assert np.array_equal(np.vstack(oracle.blocks), X)
+    assert np.array_equal(np.asarray(checked.f)[:distinct], 0.5 * np.einsum("ij,ij->i", X, X))
+
+
+@pytest.mark.parametrize("over", ["ignore", "raise"])
+def test_reevaluation_evaluates_a_full_block_under_the_callers_error_state(over):
+    # a full block fed under np.errstate(over=...) is evaluated under it, as
+    # it was when the block was evaluated in add: an overflow that is
+    # ignored there warns nowhere, even with every warning an error, and one
+    # that raises there raises from the re-evaluation
+    def rows(X):
+        np.float64(1e308) * 10.0
+        return 0.5 * np.einsum("ij,ij->i", X, X), X.copy()
+
+    tr, xs, X = replayed_trace(REEVALUATE_BLOCK, 3)
+    reevaluation = Reevaluation(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if over == "ignore":
+            with np.errstate(over=over):
+                for x in xs:
+                    reevaluation.add(x)
+            checked = reevaluation.result(tr)[0]
+            assert np.array_equal(np.asarray(checked.f)[:-3], 0.5 * np.einsum("ij,ij->i", X, X))
+        else:
+            with pytest.raises(FloatingPointError, match="overflow"):
+                with np.errstate(over=over):
+                    for x in xs:
+                        reevaluation.add(x)
+                reevaluation.result(tr)
+
+
+@pytest.mark.parametrize("distinct", [2 * REEVALUATE_BLOCK, 3 * REEVALUATE_BLOCK + 1])
+def test_reevaluation_raises_its_oracles_error_from_the_worker(distinct):
+    # the second block's error is raised, the same object, by the add that
+    # takes that block's results (the third full block's) or by result(),
+    # and the worker is stopped
+    error = DataError("malformed block")
+    calls = []
+
+    def rows(X):
+        calls.append(len(X))
+        if len(calls) == 2:
+            raise error
+        return 0.5 * np.einsum("ij,ij->i", X, X), X.copy()
+
+    tr, xs, _ = replayed_trace(distinct, 0)
+    threads = threading.active_count()
+    reevaluation = Reevaluation(rows)
+    with pytest.raises(DataError) as raised:
+        for x in xs:
+            reevaluation.add(x)
+        reevaluation.result(tr)
+    assert raised.value is error and calls == [REEVALUATE_BLOCK] * 2
+    assert threading.active_count() == threads
+
+
+def test_a_dropped_reevaluation_stops_its_worker():
+    # a run that stops before its result, as one whose solver raises does,
+    # leaves no thread once its re-evaluation is collected
+    tr, xs, _ = replayed_trace(2 * REEVALUATE_BLOCK + 5, 0)
+    threads = threading.active_count()
+    reevaluation = Reevaluation(CountingHalfSquare().rows)
+    for x in xs:
+        reevaluation.add(x)
+    assert threading.active_count() == threads + 1
+    del reevaluation
+    gc.collect()
+    assert threading.active_count() == threads
+
+
+def test_concurrent_reevaluations_keep_their_blocks_in_order():
+    # eight threads on two cores, each with a re-evaluation of 20 blocks and
+    # so a worker of its own, the interpreter switching threads every
+    # microsecond: each re-evaluation's values are its own points', in order
+    def reevaluate(seed, out):
+        X = np.random.default_rng(seed).uniform(-5.0, 5.0, (20 * REEVALUATE_BLOCK + 7, 3))
+        trace = IterateTrace()
+        reevaluation = Reevaluation(CountingHalfSquare().rows)
+        for k, x in enumerate(X):
+            trace.append(k, 9.0, 9.0)
+            reevaluation.add(x)
+        out[seed] = (X, reevaluation.result(trace)[0])
+
+    out = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [threading.Thread(target=reevaluate, args=(seed, out)) for seed in range(8)]
+        for run in runs:
+            run.start()
+        for run in runs:
+            run.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(run.is_alive() for run in runs) and sorted(out) == list(range(8))
+    for X, checked in out.values():
+        assert np.asarray(checked.f).tobytes() == (0.5 * np.einsum("ij,ij->i", X, X)).tobytes()
+        assert np.asarray(checked.grad_norm).tobytes() == np.linalg.norm(X, axis=1).tobytes()
+
 
 def test_reevaluate_trace_working_set_is_bounded_by_its_block():
     # least-p 1000 x 200 with 1,100 distinct iterates: above the trace it
