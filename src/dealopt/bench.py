@@ -32,7 +32,7 @@ from .core import (IterateTrace, Reevaluation, UsageError, certify_descent,
                    certify_displacement, config_digest, is_integer,
                    min_grad_bound_check, reevaluate_trace, write_rows)  # noqa: F401
 from .directions import DirectionRule, beta_for_holder
-from .solvers import ArmijoParams, DealConfig, is_guaranteed, run_deala, run_dealc
+from .solvers import ArmijoParams, DealConfig, deal_trace, run_deala, run_dealc
 
 HEURISTIC_BETAS = (0.5, 0.0, -0.2)
 
@@ -328,9 +328,10 @@ def _run_deal(problem, spec, run):
                           **_given(sigma=spec.sigma, alpha_bar=spec.alpha_bar))
     cfg = DealConfig(eps=run.eps, max_iter=run.max_iter, rule=rule, armijo=armijo)
     runner = run_dealc if spec.solver == "deal-c" else run_deala
+    # the run's constants, each refused here unless it is a positive finite double
+    guaranteed = deal_trace(objective, cfg, spec.solver)[1].guaranteed
     return (lambda x0, observe: runner(objective, x0, cfg, observe),
-            {"rows": problem.value_grad_rows,
-             "guaranteed": is_guaranteed(rule, objective.holder.nu)})
+            {"rows": problem.value_grad_rows, "guaranteed": guaranteed})
 
 
 def _run_bpga(problem, spec, run):
@@ -355,7 +356,7 @@ def _run_bhippa(problem, spec, run):
     cfg = BoostedConfig(gamma=spec.gamma, sigma=spec.sigma, eta=spec.eta, p=order,
                         max_linesearch=spec.max_linesearch, rule=rule,
                         eps=run.eps, max_iter=run.max_iter)
-    gamma = bhippa_constants(cfg)[0]
+    gamma = bhippa_constants(cfg, problem.n)[0]
     return (lambda x0, observe: run_bhippa(phi, x0, cfg, observe), {
         "rows": lambda X: envelopes.home_rows(phi, X, gamma, order),
         "prox_oracle": lambda x: envelopes.prox_oracle_check(phi, x, gamma, order),

@@ -38,7 +38,7 @@ from .directions import DirectionRule
 # perfbench's tracer wraps them
 from .envelopes import (_check_gamma, fbe_complete, fbe_value, fbe_value_grad,
                         home_complete, home_value, home_value_grad)  # noqa: F401
-from .solvers import deal_loop
+from .solvers import check_constant, deal_loop
 
 
 @dataclass
@@ -136,15 +136,11 @@ def run_bhippa(phi, x0, config: BoostedConfig, observe=None) -> IterateTrace:
     for :func:`run_bpga`.
     """
     p = config.p
-    gamma, sigma = bhippa_constants(config)
+    x = as_vector(x0, name="x0")
+    gamma, sigma, rho = bhippa_constants(config, x.size)
     rule = config.rule if config.rule is not None else DirectionRule("gradient")
     rule.reset()
-    x = as_vector(x0, name="x0")
     q = 1.0 / (p - 1.0)
-    # the fallback decreases the envelope by ||x - y||_p^p / (p gamma), and
-    # ||grad|| = ||x - y||_r^(p-1) / gamma with r = 2(p-1); for p < 2, r < p
-    # and only ||.||_p^p >= n^(1 - p/r) ||.||_r^p holds
-    rho = sigma * gamma ** q * x.size ** min(0.0, 1.0 - p / (2.0 * (p - 1.0))) / p
     theta = p / (p - 1.0)
     trace = IterateTrace(
         solver_id="bhippa", rho=rho, theta=theta, guaranteed=True,
@@ -180,16 +176,25 @@ def bpga_constants(problem: CompositeObjective, config: BoostedConfig):
     return gamma, L, sigma
 
 
-def bhippa_constants(config: BoostedConfig):
-    """``(gamma, sigma)`` of a BHiPPA run, once sigma is checked below its
-    cap min(1, 1/(p gamma))."""
+def bhippa_constants(config: BoostedConfig, n: int):
+    """``(gamma, sigma, rho)`` of a BHiPPA run on ``n`` coordinates, once
+    sigma is checked below its cap min(1, 1/(p gamma)) and rho is a positive
+    finite double (see ``solvers.check_constant``)."""
     p = config.p
     gamma = config.gamma if config.gamma is not None else 1.0
     sigma_cap = min(1.0, 1.0 / (p * gamma))
     sigma = config.sigma if config.sigma is not None else 0.5 * sigma_cap
     if not sigma < sigma_cap:
         raise UsageError(f"sigma must lie in (0, {sigma_cap:g}) for order {p}")
-    return gamma, sigma
+    # the fallback decreases the envelope by ||x - y||_p^p / (p gamma), and
+    # ||grad|| = ||x - y||_r^(p-1) / gamma with r = 2(p-1); for p < 2, r < p
+    # and only ||.||_p^p >= n^(1 - p/r) ||.||_r^p holds
+    q = 1.0 / (p - 1.0)
+    try:
+        rho = sigma * gamma ** q * n ** min(0.0, 1.0 - p / (2.0 * (p - 1.0))) / p
+    except OverflowError:
+        rho = math.nan
+    return gamma, sigma, check_constant("rho", rho, gamma=gamma, sigma=sigma, p=p, n=n)
 
 
 def _schedule(trace: IterateTrace, trials):

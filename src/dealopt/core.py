@@ -13,12 +13,10 @@ or re-evaluated quantities.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import math
 import numbers
-import threading
 import weakref
 from array import array
 from dataclasses import dataclass, field
@@ -472,7 +470,9 @@ def min_grad_bound_check(trace: IterateTrace, rho: float, theta: float,
 # distinct iterates per batch call: a block of residuals of a 1000-row
 # least-p problem is 128 x 1000 doubles, 1 MB, the one (rows x m) array its
 # batch oracle keeps alive; one block is evaluated at a time, and at most two
-# blocks of iterates are held at once (the one evaluated and the one filling)
+# blocks of iterates are held at once (the one evaluated and the one
+# filling).  A run of fewer distinct iterates fills no block: it starts no
+# thread and does not import concurrent.futures (see Reevaluation)
 REEVALUATE_BLOCK = 128
 
 
@@ -490,27 +490,29 @@ class Reevaluation:
     next point and, given ``xstar``, the distance to it), with the blocks
     of iterates not yet evaluated and the last iterate (``last``).
 
-    Each full block goes to the re-evaluation's one worker thread, started
-    on the first full block, and ``add`` returns while the worker evaluates
-    it, so a run goes on with its next iterates meanwhile: the batch
-    products release the interpreter lock.  At most one block is in flight:
-    the add that fills the next block takes this one's results first, so
-    they are kept in order.  The worker evaluates under the numpy error
-    state (``np.geterr()``) its block was handed over in, and an error the
-    oracle raises there is raised unchanged by the add that takes its
-    results, or by ``result``.  ``rows`` runs on two threads, so it must
-    not depend on thread-local state, and no two of its calls overlap.  The
-    last, partial block is evaluated on the caller's thread in ``result``,
-    which stops the worker: a run of fewer than ``REEVALUATE_BLOCK``
-    distinct iterates starts no thread.  A re-evaluation dropped before its
-    ``result`` stops its worker when it is collected.
+    Each full block is submitted to the re-evaluation's own
+    ``ThreadPoolExecutor(max_workers=1)``, made, and ``concurrent.futures``
+    imported, on the first full block; ``add`` returns while the pool's
+    thread evaluates it, so a run goes on with its next iterates meanwhile:
+    the batch products release the interpreter lock.  At most one block is
+    in flight: the add that fills the next block takes this one's results
+    first, so they are kept in order.  The pool evaluates under the numpy
+    error state (``np.geterr()``) its block was submitted in, and an error
+    the oracle raises there shuts the pool down and is raised unchanged by
+    the add that takes its results, or by ``result``.  ``rows`` runs on two
+    threads, so it must not depend on thread-local state, and no two of its
+    calls overlap.  The last, partial block is evaluated on the caller's
+    thread in ``result``, which first shuts the pool down: a run of fewer
+    than ``REEVALUATE_BLOCK`` distinct iterates starts no thread and
+    imports nothing.  A re-evaluation dropped before its ``result`` shuts
+    its pool down, joining the thread, when it is collected.
     """
 
     def __init__(self, rows: Callable[[np.ndarray], tuple], xstar=None):
         self._rows = rows
         self._xstar = None if xstar is None else np.asarray(xstar, dtype=float)
         self._block = []
-        self._worker: Optional[_Worker] = None
+        self._pool = self._pending = None
         # per distinct point: value, gradient norm, displacement to the next
         # point, distance to xstar and the number of records it fills
         self._f, self._gnorm = array("d"), array("d")
@@ -530,28 +532,27 @@ class Reevaluation:
         self._block.append(x)
         self.last = x
         if len(self._block) == REEVALUATE_BLOCK:
-            if self._worker is None:
-                # the worker holds the oracle, not this object, so that a
-                # re-evaluation dropped mid-run is collected and stops it
-                self._worker = _Worker(functools.partial(_evaluate, self._rows, self._xstar))
-                self._stop_worker = weakref.finalize(self, self._worker.stop)
+            if self._pool is None:
+                from concurrent.futures import ThreadPoolExecutor
+                self._pool = ThreadPoolExecutor(max_workers=1,
+                                                thread_name_prefix="reevaluation")
+                # the pool holds the oracle, not this object, so that a
+                # re-evaluation dropped mid-run is collected and joins its thread
+                self._shutdown = weakref.finalize(self, self._pool.shutdown)
             else:
                 self._take()
-            self._worker.submit(self._block)
+            self._pending = self._pool.submit(_evaluate, self._rows, self._xstar,
+                                              self._block, np.geterr())
             self._block = []
 
     def _take(self):
-        """Keep the results of the block in flight; stop the worker if the
-        oracle raised there, and raise that error."""
+        """Keep the results of the block in flight; if the oracle raised
+        there, shut the pool down and raise that error."""
         try:
-            self._store(*self._worker.take())
+            self._store(*self._pending.result())
         except BaseException:
-            self._stop()
+            self._shutdown()
             raise
-
-    def _stop(self):
-        self._stop_worker()
-        self._worker = None
 
     def _store(self, values, gnorms, distances):
         self._f.extend(values)
@@ -565,7 +566,7 @@ class Reevaluation:
         and displacement re-evaluated and none of ``trace``'s constants or
         extras, and each record's distance to ``xstar`` as an array
         (None without ``xstar``).  The block in flight is waited for and the
-        worker stopped, and the last pending block is evaluated here.
+        pool shut down, and the last pending block is evaluated here.
 
         ``checked``'s ``f`` and ``grad_norm`` columns are the re-evaluated
         values, expanded to one per record only where a replayed record
@@ -575,9 +576,10 @@ class Reevaluation:
         columns are not copied and no record is built, so take the result
         once the last iterate is added.
         """
-        if self._worker is not None:
+        if self._pool is not None:
             self._take()
-            self._stop()
+            self._shutdown()
+            self._pool = self._pending = None
         if self._block:
             self._store(*_evaluate(self._rows, self._xstar, self._block))
             self._block = []
@@ -605,9 +607,14 @@ class Reevaluation:
         return checked, distances
 
 
-def _evaluate(rows, xstar, block) -> tuple:
+def _evaluate(rows, xstar, block, errors=None) -> tuple:
     """The values, gradient norms and, given ``xstar``, distances to it of
-    the iterates in ``block``, as lists, through one call of ``rows``."""
+    the iterates in ``block``, as lists, through one call of ``rows``, under
+    the numpy error state ``errors`` if one is given: a pool thread does not
+    inherit its submitter's."""
+    if errors is not None:
+        with np.errstate(**errors):
+            return _evaluate(rows, xstar, block)
     X = np.stack(block)
     distances = None
     if xstar is not None:
@@ -617,56 +624,6 @@ def _evaluate(rows, xstar, block) -> tuple:
     values, G = rows(X)
     return (np.asarray(values, dtype=float).tolist(), np.linalg.norm(G, axis=1).tolist(),
             distances)
-
-
-class _Worker:
-    """A daemon thread that calls ``fn`` on one argument at a time: ``submit``
-    hands it the next, once ``take`` has returned the previous call's
-    result.  Each call runs under the numpy error state its argument was
-    submitted in, which a thread does not inherit."""
-
-    def __init__(self, fn):
-        self._fn = fn
-        self._job = self._out = None
-        self._submitted, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._serve, name="reevaluation", daemon=True)
-        self._thread.start()
-
-    def submit(self, arg) -> None:
-        self._job = (arg, np.geterr())
-        self._submitted.release()
-
-    def take(self):
-        """The result of the call submitted last, once it returns; what it
-        raised is raised here, unchanged."""
-        self._done.acquire()
-        out, self._out = self._out, None
-        if isinstance(out, BaseException):
-            raise out
-        return out
-
-    def stop(self) -> None:
-        """End the thread once its call in flight, if one started, returns;
-        a call submitted and not yet started is dropped."""
-        self._job = None
-        self._submitted.release()
-        self._thread.join()
-
-    def _serve(self):
-        while True:
-            self._submitted.acquire()
-            job, self._job = self._job, None
-            if job is None:
-                return
-            arg, errors = job
-            try:
-                with np.errstate(**errors):
-                    self._out = self._fn(arg)
-            except BaseException as exc:     # raised again on the caller's thread by take
-                self._out = exc
-            # an idle worker holds no argument, so a block's iterates die with it
-            del job, arg
-            self._done.release()
 
 
 def reevaluate_trace(trace: IterateTrace, iterates,

@@ -72,15 +72,31 @@ class DealConfig:
             raise UsageError(f"eps must be positive and finite, got {self.eps}")
         check_count("max_iter", self.max_iter, 1)
 
+def check_constant(name: str, value: float, **inputs) -> float:
+    """``value``, a constant derived from ``inputs``, once it is checked to
+    be a positive finite double: one that underflows to 0 or overflows
+    (NaN, as its caller gives a float power past the largest double) is
+    refused with the inputs it came from."""
+    if not 0.0 < value < math.inf:
+        given = ", ".join(f"{k}={v!r}" for k, v in inputs.items())
+        raise UsageError(f"{name} must be a positive finite double, got {value!r} "
+                         f"from {given}")
+    return value
+
 
 def dealc_step_size(c1: float, c2: float, nu: float, L: float) -> float:
     """Step size maximizing the guaranteed decrease: (c1/(c2^(1+nu) L))^(1/nu).
 
-    Always inside the admissible interval (0, (c1(1+nu)/(c2^(1+nu)L))^(1/nu)].
+    Always inside the admissible interval (0, (c1(1+nu)/(c2^(1+nu)L))^(1/nu)],
+    once it is a positive finite double (see :func:`check_constant`).
     """
     if min(c1, c2, nu, L) <= 0.0 or nu > 1.0:
         raise UsageError("need c1, c2, L > 0 and nu in (0, 1]")
-    return (c1 / (c2 ** (1.0 + nu) * L)) ** (1.0 / nu)
+    try:
+        alpha = (c1 / (c2 ** (1.0 + nu) * L)) ** (1.0 / nu)
+    except OverflowError:
+        alpha = math.nan
+    return check_constant("step", alpha, c1=c1, c2=c2, nu=nu, L=L)
 
 
 def armijo_bound(nu: float, sigma: float, eta: float, c1: float, c2: float,
@@ -94,14 +110,19 @@ def armijo_bound(nu: float, sigma: float, eta: float, c1: float, c2: float,
     The Hölder bound ||d||^(1+nu) <= c2^(1+nu) ||grad||^((1+beta)(1+nu))
     gives the c2 exponent, as in :func:`dealc_step_size`.  p_bar may be
     negative when c_bar > 1/eta; then every first trial is accepted, and
-    alpha_tilde is alpha_bar, the largest step the search tries.
+    alpha_tilde is alpha_bar, the largest step the search tries.  c_bar
+    must be a positive finite double (see :func:`check_constant`).
     """
     if min(nu, sigma, eta, c1, c2, L, alpha_bar) <= 0.0:
         raise UsageError("all inputs must be positive")
     if nu > 1.0 or sigma >= 1.0 or eta >= 1.0:
         raise UsageError("need nu in (0,1], sigma in (0,1), eta in (0,1)")
-    c_bar = ((1.0 + nu) * (1.0 - sigma) * c1
-             / (L * alpha_bar ** nu * c2 ** (1.0 + nu))) ** (1.0 / nu)
+    try:
+        c_bar = ((1.0 + nu) * (1.0 - sigma) * c1
+                 / (L * alpha_bar ** nu * c2 ** (1.0 + nu))) ** (1.0 / nu)
+    except OverflowError:
+        c_bar = math.nan
+    check_constant("c_bar", c_bar, c1=c1, c2=c2, nu=nu, L=L, alpha_bar=alpha_bar)
     p_bar = 1.0 + math.log(c_bar) / math.log(eta)
     alpha_tilde = min(alpha_bar, eta ** p_bar * alpha_bar)
     return c_bar, p_bar, alpha_tilde
@@ -117,17 +138,9 @@ def run_dealc(objective: SmoothObjective, x0, config: DealConfig,
     of raising, and is not recorded.  ``observe``, when given, is called
     with each recorded iterate (see :func:`deal_loop`).
     """
-    rule, nu, L, guaranteed = _prepare(objective, config, "deal-c")
-    alpha = dealc_step_size(rule.c1, rule.c2, nu, L)
-    rho = rule.c1 * alpha * nu / (1.0 + nu)
-    theta = rule.beta + 2.0
-    trace = IterateTrace(
-        solver_id="deal-c", rho=rho, theta=theta, guaranteed=guaranteed,
-        extras={"alpha": alpha, "c": rule.c2 * alpha, "nu": nu, "L": L,
-                "c1": rule.c1, "c2": rule.c2,
-                "beta": rule.beta, "eps": config.eps, "direction": rule.kind},
-    )
-    return _descend(objective, x0, config, rule, trace, alpha, observe=observe)
+    rule, trace = deal_trace(objective, config, "deal-c")
+    return _descend(objective, x0, config, rule, trace, trace.extras["alpha"],
+                    observe=observe)
 
 
 def run_deala(objective: SmoothObjective, x0, config: DealConfig,
@@ -140,20 +153,8 @@ def run_deala(objective: SmoothObjective, x0, config: DealConfig,
     aborts with a diagnostic (possible only when the declared L is wrong).
     ``observe`` is as for :func:`run_dealc`.
     """
-    rule, nu, L, guaranteed = _prepare(objective, config, "deal-a")
+    rule, trace = deal_trace(objective, config, "deal-a")
     ap = config.armijo
-    c_bar, p_bar, alpha_tilde = armijo_bound(nu, ap.sigma, ap.eta, rule.c1,
-                                             rule.c2, L, ap.alpha_bar)
-    rho = ap.sigma * alpha_tilde * rule.c1
-    theta = rule.beta + 2.0
-    trace = IterateTrace(
-        solver_id="deal-a", rho=rho, theta=theta, guaranteed=guaranteed,
-        extras={"nu": nu, "L": L, "c1": rule.c1, "c2": rule.c2, "beta": rule.beta,
-                "sigma": ap.sigma, "eta": ap.eta, "alpha_bar": ap.alpha_bar,
-                "c": rule.c2 * ap.alpha_bar,
-                "c_bar": c_bar, "p_bar": p_bar, "alpha_tilde": alpha_tilde,
-                "eps": config.eps, "direction": rule.kind},
-    )
     return _descend(objective, x0, config, rule, trace, ap.alpha_bar, ap, observe)
 
 
@@ -185,7 +186,10 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
             if objective.line_values is not None:
                 def line(steps):
                     values, margins = objective.line_values(ev, d, steps)
-                    # a trial point that is x, bit for bit, has value f exactly
+                    # a trial point that is x, bit for bit, has value f exactly,
+                    # with no margin, so the screen rules it out unevaluated;
+                    # without this rule the traces stay bit-equal, but sec51's
+                    # four deal-a variants make 1,120 exact values, not 984
                     unmoved = ((x + steps[:, None] * d).view(np.int64)
                                == x.view(np.int64)).all(axis=1)
                     return np.where(unmoved, f, values), np.where(unmoved, 0.0, margins)
@@ -238,12 +242,12 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
     record is made, a replayed record's being the same array as its
     predecessor's; it is the only way to a run's iterates, which the records
     do not keep.  ``core.Reevaluation.add`` is such a hook, re-evaluating
-    the iterates while the run proceeds: it hands each full block of them
-    to a worker thread and returns, so the block is evaluated, under this
-    loop's numpy error state, while the loop takes its next steps.  The
-    loop never writes into an iterate it has handed over, which such a
-    worker may still be reading: the one at k=0 is ``x`` itself, and every
-    later one is a trial or a proximal point, an array of its own.
+    the iterates while the run proceeds: it submits each full block of them
+    to its one-thread pool and returns, so the block is evaluated, under
+    this loop's numpy error state, while the loop takes its next steps.
+    The loop never writes into an iterate it has handed over, which that
+    pool's thread may still be reading: the one at k=0 is ``x`` itself, and
+    every later one is a trial or a proximal point, an array of its own.
     """
     trial = None
     unmoved = 0
@@ -380,14 +384,37 @@ def _replay_fixed_point(trace: IterateTrace, x: np.ndarray, max_iter: int, obser
     trace.extras["termination"] = "max_iter"
 
 
-def _prepare(objective: SmoothObjective, config: DealConfig, solver: str):
+def deal_trace(objective: SmoothObjective, config: DealConfig, solver: str) -> tuple:
+    """``(rule, trace)`` of a ``solver`` run, "deal-c" or "deal-a": its
+    direction rule, reset, and its empty trace, which carries the certified
+    (rho, theta) and the constants its extras record.  A step, Armijo
+    constant or rho that is not a positive finite double is refused here,
+    so a variant's configuration refuses it before anything runs."""
     if objective.holder is None:
         raise CapabilityError(f"{solver} needs declared Hölder gradient metadata (nu, L)")
     nu, L = objective.holder.nu, objective.holder.L
     rule = config.rule if config.rule is not None else DirectionRule("gradient",
                                                                      beta=beta_for_holder(nu))
     rule.reset()
-    return rule, nu, L, is_guaranteed(rule, nu)
+    if solver == "deal-c":
+        alpha = dealc_step_size(rule.c1, rule.c2, nu, L)
+        rho = check_constant("rho", rule.c1 * alpha * nu / (1.0 + nu),
+                             c1=rule.c1, alpha=alpha, nu=nu)
+        extras = {"alpha": alpha, "c": rule.c2 * alpha, "nu": nu, "L": L,
+                  "c1": rule.c1, "c2": rule.c2, "beta": rule.beta}
+    else:
+        ap = config.armijo
+        c_bar, p_bar, alpha_tilde = armijo_bound(nu, ap.sigma, ap.eta, rule.c1,
+                                                 rule.c2, L, ap.alpha_bar)
+        rho = check_constant("rho", ap.sigma * alpha_tilde * rule.c1,
+                             sigma=ap.sigma, alpha_tilde=alpha_tilde, c1=rule.c1)
+        extras = {"nu": nu, "L": L, "c1": rule.c1, "c2": rule.c2, "beta": rule.beta,
+                  "sigma": ap.sigma, "eta": ap.eta, "alpha_bar": ap.alpha_bar,
+                  "c": rule.c2 * ap.alpha_bar,
+                  "c_bar": c_bar, "p_bar": p_bar, "alpha_tilde": alpha_tilde}
+    extras.update(eps=config.eps, direction=rule.kind)
+    return rule, IterateTrace(solver_id=solver, rho=rho, theta=rule.beta + 2.0,
+                              guaranteed=is_guaranteed(rule, nu), extras=extras)
 
 
 def is_guaranteed(rule: DirectionRule, nu: float) -> bool:

@@ -137,6 +137,27 @@ class TestConfigValidation:
         assert "--no-store-iterates" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    # a constant that underflows to 0 or overflows a double exits 1 with an
+    # error line and no run directory before anything runs: it raised an
+    # OverflowError or ValueError, or ran to a certificate that refused it
+    @pytest.mark.parametrize("args, error", [
+        ({"solver": "deal-c", "c2": 1e308}, "step must be a positive finite double, got nan"),
+        ({"solver": "deal-c", "c1": 1e-300}, "step must be a positive finite double, got 0.0"),
+        ({"solver": "deal-a", "c1": 1e-300}, "c_bar must be a positive finite double, got 0.0"),
+        (["run", "--problem", "powerabs", "--n", "10", "--s", "4", "--solver", "bhippa",
+          "--gamma", "1e-300", "--order", "1.5", "--max-iter", "50"],
+         "rho must be a positive finite double, got 0.0"),
+    ])
+    def test_a_constant_out_of_a_doubles_range_is_refused(self, tmp_path, capsys, args,
+                                                          error):
+        if isinstance(args, dict):
+            override = tmp_path / "f.json"
+            override.write_text(json.dumps({"solvers": [{"name": "V", **args}]}))
+            args = ["sweep", "--preset", "sec51", "--config", str(override)]
+        assert cli.main(args + ["--out", str(tmp_path / "runs")]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {error} from ")
+        assert not (tmp_path / "runs").exists()
+
 
 class TestRunExperiment:
     def test_files_and_certificates(self, tmp_path):

@@ -2,6 +2,8 @@ import csv
 import gc
 import io
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -16,6 +18,7 @@ from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, DataError, Evaluation
                           as_vector, certify_descent, column,
                           certify_displacement, config_digest,
                           min_grad_bound_check, reevaluate_trace)
+import dealopt
 from dealopt import bench
 from dealopt.problems import generate_problem
 
@@ -543,6 +546,34 @@ def test_concurrent_reevaluations_keep_their_blocks_in_order():
     for X, checked in out.values():
         assert np.asarray(checked.f).tobytes() == (0.5 * np.einsum("ij,ij->i", X, X)).tobytes()
         assert np.asarray(checked.grad_norm).tobytes() == np.linalg.norm(X, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("distinct, imported", [(REEVALUATE_BLOCK - 1, False),
+                                                 (REEVALUATE_BLOCK, True)])
+def test_only_a_full_block_imports_concurrent_futures(distinct, imported):
+    # the package, its benchmark harness and its CLI load no
+    # concurrent.futures (nor the logging it loads): a run that fills no
+    # block, as every sec53-seeds and bhippa-n100 run, pays for neither in
+    # set-up time or memory; the first full block imports it
+    code = f"""if True:
+        import sys
+        import numpy as np
+        import dealopt, dealopt.bench, dealopt.cli
+        from dealopt.core import IterateTrace, reevaluate_trace
+        xs = [np.full(3, float(k)) for k in range({distinct})]
+        trace = IterateTrace()
+        for k in range(len(xs)):
+            trace.append(k, 9.0, 9.0)
+        reevaluate_trace(trace, xs, lambda X: (0.5 * np.einsum("ij,ij->i", X, X), X))
+        print("concurrent.futures" in sys.modules)
+    """
+    src = os.path.dirname(os.path.dirname(dealopt.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{imported}\n"
 
 
 def test_reevaluate_trace_working_set_is_bounded_by_its_block():

@@ -45,6 +45,19 @@ class TestStepSize:
         with pytest.raises(UsageError):
             dealc_step_size(1.0, 1.0, 1.5, 1.0)
 
+    def test_refuses_constants_out_of_a_doubles_range(self):
+        # c2^(1+nu) overflows, the step underflows, c_bar underflows, or the
+        # step is a double and rho = c1 alpha nu / (1 + nu) underflows
+        with pytest.raises(UsageError, match="step must be a positive finite double, got nan"):
+            dealc_step_size(1.0, 1e308, 0.5, 1.0)
+        with pytest.raises(UsageError, match="step must be a positive finite double, got 0.0"):
+            dealc_step_size(1e-300, 1.0, 0.5, 1.0)
+        with pytest.raises(UsageError, match="c_bar must be a positive finite double, got 0.0"):
+            armijo_bound(0.5, 1e-4, 0.5, 1e-300, 1.0, 1.0, 1.0)
+        cfg = DealConfig(rule=DirectionRule("gradient", beta=0.0, c1=1e-200))
+        with pytest.raises(UsageError, match="rho must be a positive finite double, got 0.0"):
+            run_dealc(quadratic_objective(), np.array([5.0]), cfg)
+
 
 class TestDealC:
     def test_one_step_exact_quadratic(self):
