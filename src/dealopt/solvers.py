@@ -72,11 +72,12 @@ class DealConfig:
             raise UsageError(f"eps must be positive and finite, got {self.eps}")
         check_count("max_iter", self.max_iter, 1)
 
+
 def check_constant(name: str, value: float, **inputs) -> float:
     """``value``, a constant derived from ``inputs``, once it is checked to
-    be a positive finite double: one that underflows to 0 or overflows
-    (NaN, as its caller gives a float power past the largest double) is
-    refused with the inputs it came from."""
+    be a positive finite double.  One that underflowed to 0 or overflowed,
+    or is NaN, as a caller sets it when a float power raises
+    ``OverflowError``, is refused with the inputs it came from."""
     if not 0.0 < value < math.inf:
         given = ", ".join(f"{k}={v!r}" for k, v in inputs.items())
         raise UsageError(f"{name} must be a positive finite double, got {value!r} "
