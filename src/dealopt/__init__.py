@@ -15,7 +15,7 @@ from .core import (CapabilityError, CertificateReport, CompositeObjective,
                    reevaluate_trace)
 from .directions import DirectionRule, beta_for_holder, generalize, validate_sufficient_descent
 from .solvers import ArmijoParams, DealConfig, armijo_bound, dealc_step_size, run_deala, run_dealc
-from .boosted import BoostedConfig, choose_order, run_bhippa, run_bpga
+from .boosted import BoostedConfig, run_bhippa, run_bpga
 from .envelopes import (AbsPower, L1Norm, SeparableProx, fbe_value,
                         fbe_value_grad, forward_backward_map, home_value,
                         home_value_grad, prox_home_separable, prox_l1,

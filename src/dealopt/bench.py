@@ -24,8 +24,7 @@ from typing import Literal, Optional, Union
 import numpy as np
 
 from . import analysis, envelopes, problems
-from .boosted import (BoostedConfig, bhippa_constants, bpga_constants, choose_order,
-                      run_bhippa, run_bpga)
+from .boosted import BoostedConfig, bhippa_constants, bpga_constants, run_bhippa, run_bpga
 # reevaluate_trace is not called here since runs re-evaluate while they
 # proceed; it stays in this namespace, where perfbench's tracer wraps it
 from .core import (IterateTrace, Reevaluation, UsageError, certify_descent,
@@ -349,8 +348,9 @@ def _run_bpga(problem, spec, run):
 
 def _run_bhippa(problem, spec, run):
     phi = problem.as_prox_capable()
+    # kl_info refuses an exponent out of (0, 1), s = 1e17 say, whatever the order
     kl = problem.kl_info()
-    order = choose_order(kl.vartheta) if spec.order == "auto" else float(spec.order)
+    order = kl.order if spec.order == "auto" else float(spec.order)
     rule = DirectionRule(spec.direction, beta=0.0 if spec.beta == "auto" else float(spec.beta),
                          memory=spec.memory)
     cfg = BoostedConfig(gamma=spec.gamma, sigma=spec.sigma, eta=spec.eta, p=order,

@@ -9,8 +9,9 @@ sequence directly:
   boosted proximal point:     rho = sigma gamma^(1/(p-1)) n^min(0, 1 - p/(2(p-1))) / p,
                               theta = p/(p-1)
 
-Order selection p = 1/(1 - vartheta) matches theta to 1/vartheta, the regime
-in which the envelope values contract linearly.
+The order p = 1/(1 - vartheta) matches theta to 1/vartheta, the regime in
+which the envelope values contract linearly; a family declares it exactly
+(``KLInfo.order``, s for |x|^s), and ``order auto`` takes it.
 
 Both are DEAL on their envelope: they run the loop of the smooth solvers,
 :func:`~dealopt.solvers.deal_loop`, whose points are here envelope
@@ -68,15 +69,6 @@ class BoostedConfig:
         if not 0.0 < self.eps < math.inf:
             raise UsageError("need a finite eps > 0")
         check_count("max_iter", self.max_iter, 1)
-
-
-def choose_order(vartheta: float) -> float:
-    """Envelope order p = 1/(1 - vartheta), so that theta = p/(p-1) = 1/vartheta."""
-    if not 0.0 < vartheta < 1.0:
-        raise UsageError(f"vartheta must lie in (0, 1), got {vartheta}")
-    p = 1.0 / (1.0 - vartheta)
-    assert abs(p / (p - 1.0) - 1.0 / vartheta) <= 1e-9 * (1.0 / vartheta)
-    return p
 
 
 def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig,

@@ -82,10 +82,13 @@ class HolderInfo:
 
 @dataclass(frozen=True)
 class KLInfo:
-    """Gradient-dominance metadata: (f(x) - f*)^vartheta <= tau ||grad f(x)||."""
+    """Gradient-dominance metadata: (f(x) - f*)^vartheta <= tau ||grad f(x)||,
+    and the proximal order matched to vartheta, p = 1/(1 - vartheta), where
+    the family declares it exactly (bhippa's ``order auto``)."""
 
     vartheta: float
     tau: float
+    order: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 < self.vartheta < 1.0:

@@ -166,7 +166,7 @@ def _parabolic_polish(g, u, gu, lo, hi):
     """Sharpen golden-section argmins past the value-comparison noise floor.
 
     Golden section alone cannot resolve a smooth argmin below roughly
-    sqrt(machine eps); two guarded parabolic-vertex steps recover ~1e-9.
+    sqrt(machine eps); two guarded parabolic-vertex steps recover about 10^-9.
     A kinked minimum rejects the polish (the vertex strictly worsens g).
     An entry whose probes would leave its bracket skips the step, and g is
     evaluated at the entry itself in their place.

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import envelopes, oracles
 from .core import (CompositeObjective, DataError, Evaluation, HolderInfo, KLInfo,
-                   NumericalError, SmoothObjective, UsageError, as_vector)
+                   NumericalError, SmoothObjective, UsageError, as_vector, check_count)
 
 
 # The least-p line oracle's margin has the shape of a forward-error bound
@@ -295,7 +295,8 @@ class LassoProblem:
 class PowerAbsProblem:
     """phi(x) = sum_i |x_i|^s with s > 1; tunable gradient-dominance exponent.
 
-    The exponent is vartheta = 1 - 1/s.  A matching constant follows from the
+    The exponent is vartheta = 1 - 1/s, and the proximal order matched to it
+    is s itself, declared exactly.  A matching constant follows from the
     norm comparison between the s- and 2(s-1)-norms:
     tau = max(1, n^(1/2 - 1/s)) / s.
     """
@@ -305,7 +306,7 @@ class PowerAbsProblem:
 
     @classmethod
     def generate(cls, seed, m, n, *, s, **_):
-        return cls(s=s, n=max(n, 1))
+        return cls(s=s, n=n)
 
     def __init__(self, s, n=1):
         if not s > 1.0:
@@ -322,7 +323,7 @@ class PowerAbsProblem:
     def kl_info(self) -> KLInfo:
         vartheta = 1.0 - 1.0 / self.s
         tau = max(1.0, self.n ** (0.5 - 1.0 / self.s)) / self.s
-        return KLInfo(vartheta=vartheta, tau=tau)
+        return KLInfo(vartheta=vartheta, tau=tau, order=self.s)
 
     def as_prox_capable(self):
         return envelopes.AbsPower(self.s)
@@ -435,12 +436,13 @@ def generate_problem(seed: int, kind: str, m: int = 0, n: int = 0, *,
     family = FAMILIES.get(kind.lower())
     if family is None:
         raise UsageError(f"unknown problem kind {kind!r}")
+    check_count("n", n, 1)
     return family.generate(seed, m, n, p=p, lam=lam, s=s, consistent=consistent)
 
 
 def _draw(seed, m, n, consistent, build):
     """``build(A, b, seed)`` on the first draw it accepts without NumericalError."""
-    if m < n or n < 1:
+    if m < n:
         raise UsageError("need m >= n >= 1 for data-driven families")
     attempt = seed
     for _ in range(_MAX_REGEN):

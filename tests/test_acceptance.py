@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dealopt import analysis, bench, envelopes, oracles
-from dealopt.boosted import BoostedConfig, choose_order, run_bhippa, run_bpga
+from dealopt.boosted import BoostedConfig, run_bhippa, run_bpga
 from dealopt.core import (Reevaluation, certify_descent, min_grad_bound_check,
                           reevaluate_trace)
 from dealopt.problems import PowerAbsProblem, generate_problem, reference_optimum
@@ -82,7 +82,7 @@ def bpga_runs():
 def bhippa_runs():
     out = []
     pa = PowerAbsProblem(s=4.0, n=1)
-    order = choose_order(pa.kl_info().vartheta)
+    order = pa.kl_info().order
     for seed in range(10):
         phi = pa.as_prox_capable()
         x0 = np.random.default_rng(500 + seed).uniform(-5.0, 5.0, 1)
@@ -333,9 +333,9 @@ def test_criterion_08_holder_and_dominance(dominance):
 
 def test_criterion_09_order_matching():
     pa = PowerAbsProblem(s=4.0, n=1)
-    vt = pa.kl_info().vartheta
-    matched_p = choose_order(vt)
-    assert matched_p == pytest.approx(4.0)
+    kl = pa.kl_info()
+    vt, matched_p = kl.vartheta, kl.order
+    assert matched_p == 4.0
     phi = pa.as_prox_capable()
     x0 = np.array([2.0])
     matched = run_bhippa(phi, x0, BoostedConfig(gamma=1.0, sigma=0.1,

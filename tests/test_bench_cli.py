@@ -1266,6 +1266,19 @@ class TestRunDirectoryInputs:
          "eta must lie in (0, 1), got 2.0"),
         (["--problem", "leastp", "--m", "5", "--n", "8"],
          "need m >= n >= 1 for data-driven families"),
+        (["--problem", "powerabs", "--n", "-3", "--s", "4", "--solver", "bhippa"],
+         "n must be >= 1, got -3"),
+        (["--problem", "powerabs", "--n", "0", "--s", "4", "--solver", "bhippa"],
+         "n must be >= 1, got 0"),
+        (["--problem", "quadratic", "--m", "3", "--n", "0", "--solver", "deal-c"],
+         "n must be >= 1, got 0"),
+        (["--problem", "quadratic", "--m", "3", "--n", "-1", "--solver", "deal-c"],
+         "n must be >= 1, got -1"),
+        # 1 - 1/s rounds to 1: the exponent is refused, whatever the order
+        (["--problem", "powerabs", "--n", "10", "--s", "1e17", "--solver", "bhippa"],
+         "vartheta must lie in (0, 1), got 1.0"),
+        (["--problem", "powerabs", "--n", "10", "--s", "1e17", "--solver", "bhippa",
+          "--order", "2"], "vartheta must lie in (0, 1), got 1.0"),
         (["--problem", "lasso", "--m", "30", "--n", "4", "--solver", "bpga", "--gamma", "100"],
          "gamma must lie in (0, 1/L)"),
         (["--problem", "lasso", "--m", "30", "--n", "4", "--solver", "bpga", "--sigma", "1"],

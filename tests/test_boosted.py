@@ -8,7 +8,7 @@ import pytest
 
 from dealopt import bench, boosted, envelopes
 from dealopt.analysis import fit_linear_rate
-from dealopt.boosted import BoostedConfig, choose_order, run_bhippa, run_bpga
+from dealopt.boosted import BoostedConfig, run_bhippa, run_bpga
 from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, CapabilityError,
                           CompositeObjective, DataError, HolderInfo,
                           UsageError, certify_descent, reevaluate_trace)
@@ -19,23 +19,6 @@ from dealopt.envelopes import (AbsPower, SeparableProx, fbe_value,
 from dealopt.problems import (LassoProblem, PowerAbsProblem, generate_problem,
                               reference_optimum)
 from objectives import plain
-
-
-class TestChooseOrder:
-    def test_values(self):
-        assert choose_order(0.5) == pytest.approx(2.0)
-        assert choose_order(0.75) == pytest.approx(4.0)
-        assert choose_order(1.0 / 3.0) == pytest.approx(1.5)
-
-    def test_theta_matching(self):
-        for vt in (0.3, 0.5, 0.8):
-            p = choose_order(vt)
-            assert p / (p - 1.0) == pytest.approx(1.0 / vt)
-
-    def test_range_errors(self):
-        for bad in (0.0, 1.0, -0.2, 2.0):
-            with pytest.raises(UsageError):
-                choose_order(bad)
 
 
 def column_bits(trace):
@@ -424,8 +407,9 @@ def test_home_rows_matches_the_per_point_envelope(s, p):
     # agrees to a few eps of its own magnitude (measured: bitwise).  The
     # warnings come from |d|^(p-2) at d = 0 for p < 2, zeroed by both.
     eps = np.finfo(float).eps
-    p = choose_order(1.0 - 1.0 / s) if p == "matched" else p
-    g = PowerAbsProblem(s=s, n=6).as_prox_capable()
+    problem = PowerAbsProblem(s=s, n=6)
+    p = problem.kl_info().order if p == "matched" else p
+    g = problem.as_prox_capable()
     for gamma in (1.0, 0.3):
         values, G = envelopes.home_rows(g, HOME_ROWS_POINTS, gamma, p)
         assert values.shape == (len(HOME_ROWS_POINTS),) and G.shape == HOME_ROWS_POINTS.shape
@@ -451,8 +435,8 @@ class TestBHiPPA:
 
     def test_powerabs_matched_order_certifies(self):
         pa = PowerAbsProblem(s=4.0, n=1)
-        p = choose_order(pa.kl_info().vartheta)
-        assert p == pytest.approx(4.0)
+        p = pa.kl_info().order
+        assert p == 4.0
         cfg = BoostedConfig(gamma=1.0, sigma=0.1, p=p)
         xs = []
         tr = run_bhippa(pa.as_prox_capable(), np.array([2.0]), cfg, xs.append)

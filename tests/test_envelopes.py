@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dealopt import envelopes
-from dealopt.boosted import choose_order
 from dealopt.core import (CapabilityError, CompositeObjective, Evaluation, HolderInfo,
                           NumericalError, UsageError)
 from dealopt.envelopes import (PROX_ORACLE_REL_TOL, AbsPower, L1Norm,
@@ -182,21 +181,19 @@ class TestMatchedOrder:
         report = prox_oracle_check(AbsPower(s), x, 1.0, s)
         assert report["passed"], report
 
-    @pytest.mark.parametrize("s", (3.0, 4.0, 6.0, 8.0))
-    def test_auto_order_takes_the_closed_form_only_at_p_equal_s(self, monkeypatch, s):
-        # choose_order(1 - 1/s) rounds to s exactly for s = 4 and 8, but to 2
-        # ulps above s for s = 3 and 6: those runs keep Newton, and pass
-        p = choose_order(1.0 - 1.0 / s)
-        matched = s in (4.0, 8.0)
-        if not matched:
-            assert p == np.nextafter(np.nextafter(s, np.inf), np.inf)
+    @pytest.mark.parametrize("s", (3.0, 4.0, 5.0, 6.0, 8.0))
+    def test_the_declared_order_takes_the_closed_form(self, monkeypatch, s):
+        # the family declares its matched order as s itself, so order auto
+        # is p == s exactly: 1/(1 - (1 - 1/s)) rounds above s for s = 3, 5, 6
+        p = PowerAbsProblem(s=s, n=1).kl_info().order
+        assert p == s
         calls = []
         newton = envelopes._abs_power_root
         monkeypatch.setattr(envelopes, "_abs_power_root",
                             lambda *args: calls.append(args) or newton(*args))
         x = _coordinates()
         AbsPower(s).prox(x, 1.0, p)
-        assert (p == s) == matched and bool(calls) != matched
+        assert not calls
         assert prox_oracle_check(AbsPower(s), x, 1.0, p)["passed"]
 
 
