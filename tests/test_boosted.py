@@ -569,6 +569,22 @@ class TestBHiPPARhoBelowOrderTwo:
             assert result.ok and certs["termination"] == "displacement"
 
 
+@pytest.mark.parametrize("s", [3.0, 5.0, 6.0])
+def test_auto_order_is_the_run_at_order_s(monkeypatch, s):
+    # 1/(1 - (1 - 1/s)) rounds above s for these s; the declared order does
+    # not, so order auto is the run at order s, closed-form prox throughout
+    calls = []
+    newton = envelopes._abs_power_root
+    monkeypatch.setattr(envelopes, "_abs_power_root",
+                        lambda *args: calls.append(args) or newton(*args))
+    problem, spec, run = _bhippa_experiment(200, s=s)
+    auto = bench.run_variant(problem, spec, run)
+    assert auto.trace.extras["p"] == s and not calls
+    explicit = bench.run_variant(problem, dataclasses.replace(spec, order=s), run)
+    assert column_bits(auto.trace) == column_bits(explicit.trace)
+    assert auto.ok and auto.certificates["termination"] == "tolerance"
+
+
 class TestBHiPPAScale:
     def test_n1000_reaches_tolerance_with_every_certificate(self):
         result = bench.run_variant(*_bhippa_experiment(1000))
