@@ -8,10 +8,10 @@ writes every run of ``RUNS`` through ``dealopt.cli.main`` into
 ``DIR/<side>/runs``: ``deal sweep`` of ``sec51`` at seeds 0, 2 and 13, of
 ``sec52`` at seed 0 and of ``sec53`` at seeds 0-39, and ``deal run`` of
 ``bhippa`` on powerabs with n = 100, s = 4 at seeds 7-46.  For each run it
-prints how many files are equal, different and missing on one side, leaving
-out ``config.json``, which records the output path.  It exits 1 if any file
-differs or is missing, or if a run wrote no file, and refuses (exit 1) an
-``--out`` that exists before anything runs or is written.
+prints how many files are equal, different and missing on one side,
+``config.json`` included.  It exits 1 if any file differs or is missing, or
+if a run wrote no file, and refuses (exit 1) an ``--out`` that exists before
+anything runs or is written.
 """
 
 from __future__ import annotations
@@ -58,11 +58,10 @@ def write_tree(tree: Path, runs_dir: Path) -> None:
 
 
 def compare(parent: Path, change: Path) -> tuple:
-    """(equal, different, missing) file counts of two run directories,
-    ``config.json`` left out; a file on one side only is missing."""
+    """(equal, different, missing) file counts of two run directories; a
+    file on one side only is missing."""
     def files(root):
-        return {path.relative_to(root) for path in root.rglob("*")
-                if path.is_file() and path.name != "config.json"}
+        return {path.relative_to(root) for path in root.rglob("*") if path.is_file()}
     ours, theirs = files(parent), files(change)
     both = ours & theirs
     equal = sum((parent / rel).read_bytes() == (change / rel).read_bytes() for rel in both)

@@ -191,9 +191,9 @@ class ComplexityReport:
 
     @property
     def passed(self) -> Optional[bool]:
-        """All verdicts passed; None when no criterion reached a verdict."""
-        if self.skipped:
-            return True
+        """All verdicts passed; None when no criterion reached a verdict.
+        A skipped report (q outside (0, 1)) checks no criterion, so it is
+        None too: vacuous, not a pass."""
         verdicts = [c.passed for c in self.checks if c.passed is not None]
         return all(verdicts) if verdicts else None
 

@@ -469,7 +469,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
         run_dir.mkdir()
         (run_dir / "problem.json").write_text(json.dumps(problem.descriptor(), indent=2,
                                                          default=_json_default))
-        (run_dir / "config.json").write_text(json.dumps(config.as_dict(), indent=2))
+        # where the run is written is the caller's choice, not part of the run
+        recorded = {key: value for key, value in config.as_dict().items() if key != "output"}
+        (run_dir / "config.json").write_text(json.dumps(recorded, indent=2))
         summary = {"variants": [], "ok": True, "terminations": Counter()}
         series = {}
         for spec in config.solvers:

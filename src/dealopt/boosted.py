@@ -91,10 +91,9 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig,
     ``sigma`` to 0.9 of its cap.  ``observe``, when given, is called with
     each recorded iterate (see :func:`~dealopt.solvers.deal_loop`).
     """
-    gamma, L, sigma = bpga_constants(problem, config)
+    gamma, L, sigma, rho = bpga_constants(problem, config)
     rule = config.rule if config.rule is not None else DirectionRule("gradient")
     rule.reset()
-    rho = sigma / (1.0 + gamma * L) ** 2
     trace = IterateTrace(
         solver_id="bpga", rho=rho, theta=2.0, guaranteed=True,
         extras={"gamma": gamma, "sigma": sigma, "L": L,
@@ -151,9 +150,11 @@ def run_bhippa(phi, x0, config: BoostedConfig, observe=None) -> IterateTrace:
 
 
 def bpga_constants(problem: CompositeObjective, config: BoostedConfig):
-    """``(gamma, L, sigma)`` of a BPGA run, once gamma is checked in (0, 1/L),
-    sigma below its cap gamma (1 - gamma L) / 2 and the smooth part for the
-    Hessian-apply oracle that the envelope gradient needs."""
+    """``(gamma, L, sigma, rho)`` of a BPGA run, once gamma is checked in
+    (0, 1/L), sigma below its cap gamma (1 - gamma L) / 2, rho = sigma /
+    (1 + gamma L)^2 a positive finite double (see ``solvers.check_constant``)
+    and the smooth part for the Hessian-apply oracle that the envelope
+    gradient needs."""
     if problem.smooth.hess_apply is None:
         raise CapabilityError("forward-backward envelope gradient needs a Hessian-apply oracle")
     holder = problem.smooth.holder
@@ -165,7 +166,8 @@ def bpga_constants(problem: CompositeObjective, config: BoostedConfig):
     sigma = config.sigma if config.sigma is not None else 0.9 * sigma_cap
     if not sigma < sigma_cap:
         raise UsageError(f"sigma must lie in (0, {sigma_cap:g})")
-    return gamma, L, sigma
+    rho = sigma / (1.0 + gamma * L) ** 2
+    return gamma, L, sigma, check_constant("rho", rho, sigma=sigma, gamma=gamma, L=L)
 
 
 def bhippa_constants(config: BoostedConfig, n: int):

@@ -33,6 +33,7 @@ evaluated, in order; the step taken is the one the per-trial loop takes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -75,13 +76,18 @@ class DealConfig:
 
 def check_constant(name: str, value: float, **inputs) -> float:
     """``value``, a constant derived from ``inputs``, once it is checked to
-    be a positive finite double.  One that underflowed to 0 or overflowed,
-    or is NaN, as a caller sets it when a float power raises
-    ``OverflowError``, is refused with the inputs it came from."""
-    if not 0.0 < value < math.inf:
+    be a positive finite double of full precision.  One that underflowed to
+    0 or overflowed, or is NaN, as a caller sets it when a float power raises
+    ``OverflowError``, is refused with the inputs it came from.  So is a
+    subnormal one, below ``sys.float_info.min``: it keeps only a few
+    significant bits, and a bound divided by it, such as
+    ``min_grad_bound``'s, overflows to an infinite bound that checks
+    nothing."""
+    if not sys.float_info.min <= value < math.inf:
         given = ", ".join(f"{k}={v!r}" for k, v in inputs.items())
-        raise UsageError(f"{name} must be a positive finite double, got {value!r} "
-                         f"from {given}")
+        subnormal = " (subnormal)" if 0.0 < value < sys.float_info.min else ""
+        raise UsageError(f"{name} must be a positive finite double, got {value!r}"
+                         f"{subnormal} from {given}")
     return value
 
 

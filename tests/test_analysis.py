@@ -125,7 +125,8 @@ class TestVerifyComplexity:
     def test_vacuous_skipped(self):
         tr = synthetic_trace([1.0, 0.5])
         rep = verify_complexity(tr, fstar=0.0, rho=2.0, theta=2.0, tau=1.0, eps=0.1)
-        assert rep.skipped and rep.passed
+        # q = 1 - rho/tau^theta = -1 checks no criterion: vacuous, not a pass
+        assert rep.skipped and rep.passed is None and rep.checks == []
 
     def test_degenerate_start(self):
         tr = synthetic_trace([0.0, 0.0], grads=[0.0, 0.0])

@@ -28,6 +28,12 @@ def small_config(tmp_path, solvers=None, **problem_kw):
     )
 
 
+def tree_bytes(run_dir):
+    """{relative path: bytes} of every file under ``run_dir``."""
+    return {path.relative_to(run_dir): path.read_bytes()
+            for path in run_dir.rglob("*") if path.is_file()}
+
+
 def run_keeping_traces(config):
     """Run an experiment; return its run directory, the solver's trace of
     each variant, and the trace its certificates re-evaluated."""
@@ -137,9 +143,11 @@ class TestConfigValidation:
         assert "--no-store-iterates" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    # a constant that underflows to 0 or overflows a double exits 1 with an
-    # error line and no run directory before anything runs: it raised an
-    # OverflowError or ValueError, or ran to a certificate that refused it
+    # a constant that underflows to 0 or below the smallest normal double, or
+    # overflows one, exits 1 with an error line and no run directory before
+    # anything runs: it raised an OverflowError or ValueError, ran to a
+    # certificate that refused it, or (bpga's rho, and a subnormal rho) ran
+    # to an infinite min_grad_bound with a numpy warning
     @pytest.mark.parametrize("args, error", [
         ({"solver": "deal-c", "c2": 1e308}, "step must be a positive finite double, got nan"),
         ({"solver": "deal-c", "c1": 1e-300}, "step must be a positive finite double, got 0.0"),
@@ -147,15 +155,28 @@ class TestConfigValidation:
         (["run", "--problem", "powerabs", "--n", "10", "--s", "4", "--solver", "bhippa",
           "--gamma", "1e-300", "--order", "1.5", "--max-iter", "50"],
          "rho must be a positive finite double, got 0.0"),
+        (["run", "--problem", "lasso", "--m", "30", "--n", "10", "--solver", "bpga",
+          "--sigma", "5e-324", "--max-iter", "20"],
+         "rho must be a positive finite double, got 0.0"),
+        (["run", "--problem", "lasso", "--m", "30", "--n", "10", "--solver", "bpga",
+          "--sigma", "1e-320", "--max-iter", "20"],
+         "rho must be a positive finite double, got 2.63e-321 (subnormal)"),
+        (["run", "--problem", "leastp", "--m", "40", "--n", "8", "--solver", "deal-a",
+          "--sigma", "1e-320", "--max-iter", "20"],
+         "rho must be a positive finite double, got 1e-323 (subnormal)"),
     ])
-    def test_a_constant_out_of_a_doubles_range_is_refused(self, tmp_path, capsys, args,
-                                                          error):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_constant_out_of_a_doubles_range_is_refused(self, tmp_path, capsys,
+                                                          monkeypatch, args, error):
+        monkeypatch.setattr(bench, "run_variant",
+                            lambda *a: pytest.fail("a variant ran before the refusal"))
         if isinstance(args, dict):
             override = tmp_path / "f.json"
             override.write_text(json.dumps({"solvers": [{"name": "V", **args}]}))
             args = ["sweep", "--preset", "sec51", "--config", str(override)]
         assert cli.main(args + ["--out", str(tmp_path / "runs")]) == cli.EXIT_USAGE
-        assert capsys.readouterr().err.startswith(f"error: {error} from ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error} from ") and err.count("\n") == 1
         assert not (tmp_path / "runs").exists()
 
 
@@ -178,10 +199,12 @@ class TestRunExperiment:
             assert sidecar["fstar"] == pytest.approx(0.0, abs=1e-18)
 
     def test_determinism_byte_identical(self, tmp_path):
+        # config.json records no output path, so one config written into two
+        # directories whose paths differ in length gives the same files
         out1 = bench.run_experiment(small_config(tmp_path / "a"))
-        out2 = bench.run_experiment(small_config(tmp_path / "b"))
-        for name in ("DEAL-C.csv", "DEAL-A.csv", "series.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        out2 = bench.run_experiment(small_config(tmp_path / "a-much-longer-directory-name"))
+        assert "output" not in json.loads((out1 / "config.json").read_text())
+        assert len(tree_bytes(out1)) == 10 and tree_bytes(out1) == tree_bytes(out2)
 
     def test_a_finished_variant_is_released_before_the_next_runs(self, tmp_path,
                                                                   monkeypatch):
@@ -783,6 +806,21 @@ class TestCLI:
         assert cli.main(["--help"]) == cli.EXIT_OK
         capsys.readouterr()
 
+    def test_a_sweep_from_a_runs_own_config_json_writes_the_same_run(self, tmp_path,
+                                                                      capsys):
+        # the recorded config names no output directory, so --out decides
+        # where the second run goes, and the first is left as it was
+        first, second = tmp_path / "A" / "sec53", tmp_path / "B" / "sec53"
+        assert cli.main(["sweep", "--preset", "sec53", "--out", str(tmp_path / "A")]) == 0
+        written = {path: path.stat().st_mtime_ns for path in first.iterdir()}
+        inode = first.stat().st_ino
+        assert cli.main(["sweep", "--preset", "sec53", "--config",
+                         str(first / "config.json"), "--out", str(tmp_path / "B")]) == 0
+        capsys.readouterr()
+        assert tree_bytes(second) == tree_bytes(first) != {}
+        assert first.stat().st_ino == inode
+        assert {path: path.stat().st_mtime_ns for path in first.iterdir()} == written
+
     def test_sweep_sec53_small_override(self, tmp_path, capsys):
         override = tmp_path / "cfg.json"
         override.write_text(json.dumps({
@@ -942,6 +980,19 @@ class TestTraceVerbs:
         assert rc == cli.EXIT_CERTIFICATE
         doc = json.loads(capsys.readouterr().out)
         assert doc["descent"]["passed"] is False and "rate" in doc
+
+    def test_a_skipped_complexity_report_reaches_no_verdict(self, tmp_path, capsys):
+        # q = 1 - rho/tau^theta = -99 lies outside (0, 1): no criterion is
+        # checked, so the report is vacuous, not a pass, and fails no run
+        trace = tmp_path / "t.csv"
+        trace.write_text("k,f,grad_norm,step,inner_count,displacement\n"
+                         "0,1.0,0.5,0.1,0,0.05\n1,0.5,0.3,0.1,0,0.03\n2,0.2,0.1,0.1,0,\n")
+        rc = cli.main(["analyze", "--trace", str(trace), "--rho", "1", "--theta", "2",
+                       "--tau", "0.1", "--fstar", "0", "--eps", "1e-6"])
+        assert rc == cli.EXIT_OK
+        complexity = json.loads(capsys.readouterr().out)["complexity"]
+        assert complexity["skipped"] is True and complexity["checks"] == []
+        assert complexity["passed"] is None
 
     def test_analyze_without_constants_fits_the_rate_alone(self, tmp_path, capsys):
         trace = tmp_path / "bad.csv"

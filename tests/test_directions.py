@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dealopt import bench
 from dealopt.core import UsageError
 from dealopt.directions import (ALPHA_MAX, DirectionRule, beta_for_holder, generalize,
                                 validate_sufficient_descent)
@@ -182,3 +183,36 @@ def test_push_keeps_history_only_for_rules_that_read_it():
         rule.push(x1, g1)
         assert np.array_equal(rule._prev_x, x1) and np.array_equal(rule._prev_g, g1)
         assert len(rule._pairs) == 1
+
+
+def test_lbfgs_memory_is_one_pair_behind_through_a_run(monkeypatch):
+    # deal_loop takes the direction at x_k before it pushes (x_k, g_k): the
+    # memory at x_k holds k - 1 pairs, the newest (x_{k-1} - x_{k-2}, ...),
+    # and the directions at x_0 and x_1 are -g.  Pushing first moves
+    # BPGA-LBFGS on sec53 (876 -> 915 steps over seeds 0-39), so the order
+    # is pinned here.
+    pushed, seen = [], []
+    push, lbfgs = DirectionRule.push, DirectionRule._lbfgs_direction
+
+    def recording_push(self, x, grad):
+        pushed.append(np.array(x))
+        push(self, x, grad)
+
+    def recording_lbfgs(self, grad):
+        d = lbfgs(self, grad)
+        newest = (np.array_equal(self._pairs[-1][0], pushed[-1] - pushed[-2])
+                  if self._pairs else None)
+        seen.append((len(pushed), len(self._pairs), newest, np.array_equal(d, -grad)))
+        return d
+    monkeypatch.setattr(DirectionRule, "push", recording_push)
+    monkeypatch.setattr(DirectionRule, "_lbfgs_direction", recording_lbfgs)
+    config = bench.preset("sec53", seed=0)
+    spec, = (s for s in config.solvers if s.direction == "lbfgs")
+    result = bench.run_variant(bench.build_problem(config.problem), spec, config.run)
+    assert result.trace.extras["termination"] == "tolerance"
+    assert len(seen) == len(result.trace) - 1 > spec.memory + 2
+    for k, (n_pushed, n_pairs, newest, is_minus_g) in enumerate(seen):
+        assert n_pushed == k
+        assert n_pairs == min(max(k - 1, 0), spec.memory)
+        assert newest is (None if k < 2 else True)
+        assert is_minus_g is (k < 2)

@@ -15,8 +15,8 @@ _spec.loader.exec_module(same_outputs)
 @pytest.fixture
 def stubbed(monkeypatch):
     """The revisions exported and the trees written, in order.  Every run
-    writes ``a.csv``, ``sub/b.json`` and a ``config.json`` naming its side;
-    ``edits`` maps (side, label) to files to write over or delete (None)."""
+    writes ``a.csv``, ``sub/b.json`` and ``config.json``; ``edits`` maps
+    (side, label) to files to write over or delete (None)."""
     exports, writes, edits = [], [], {}
 
     def export(rev, work):
@@ -31,7 +31,7 @@ def stubbed(monkeypatch):
             (run / "sub").mkdir(parents=True)
             (run / "a.csv").write_text("k,f\n0,1.0\n")
             (run / "sub" / "b.json").write_text("{}\n")
-            (run / "config.json").write_text(f'{{"directory": "{side}"}}\n')
+            (run / "config.json").write_text('{"run": {"eps": 1e-06}}\n')
             for name, text in edits.get((side, label), {}).items():
                 if text is None:
                     (run / name).unlink()
@@ -55,15 +55,27 @@ def test_the_runs_are_the_presets_and_the_bhippa_seeds():
                                                        "--seed", "13"]
 
 
-def test_equal_trees_exit_0_and_leave_config_json_out(tmp_path, stubbed, capsys):
+def test_equal_trees_exit_0(tmp_path, stubbed, capsys):
     exports, writes, _ = stubbed
     assert same_outputs.main(["PARENT", "CHANGE", "--out", str(tmp_path / "out")]) == 0
     assert exports == ["PARENT", "CHANGE"] and writes == ["parent", "change"]
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["parent: PARENT-commit", "change: CHANGE-commit"]
-    assert lines[2:-1] == [f"{label}: 2 equal, 0 different, 0 missing"
+    assert lines[2:-1] == [f"{label}: 3 equal, 0 different, 0 missing"
                            for label, _ in same_outputs.RUNS]
     assert lines[-1] == "same outputs"
+
+
+def test_a_different_config_json_exits_1(tmp_path, stubbed, capsys):
+    # a run directory depends on its config alone: config.json is compared
+    # like every other file
+    _, _, edits = stubbed
+    edits["change", "sec51-seed2"] = {"config.json": '{"run": {"eps": 1e-08}}\n'}
+    assert same_outputs.main(["PARENT", "CHANGE", "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "sec51-seed2: 2 equal, 1 different, 0 missing" in lines
+    assert "sec51-seed0: 3 equal, 0 different, 0 missing" in lines
+    assert lines[-1] == "outputs differ"
 
 
 def test_a_different_or_missing_file_exits_1(tmp_path, stubbed, capsys):
@@ -72,16 +84,16 @@ def test_a_different_or_missing_file_exits_1(tmp_path, stubbed, capsys):
     edits["parent", "bhippa-seed9"] = {"sub/b.json": None, "extra.csv": "k\n"}
     assert same_outputs.main(["PARENT", "CHANGE", "--out", str(tmp_path / "out")]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert "sec53-seed4: 1 equal, 1 different, 0 missing" in lines
-    assert "bhippa-seed9: 1 equal, 0 different, 2 missing" in lines
-    assert "sec53-seed5: 2 equal, 0 different, 0 missing" in lines
+    assert "sec53-seed4: 2 equal, 1 different, 0 missing" in lines
+    assert "bhippa-seed9: 2 equal, 0 different, 2 missing" in lines
+    assert "sec53-seed5: 3 equal, 0 different, 0 missing" in lines
     assert lines[-1] == "outputs differ"
 
 
 def test_a_run_that_wrote_nothing_exits_1(tmp_path, stubbed, capsys):
     _, _, edits = stubbed
     for side in same_outputs.SIDES:
-        edits[side, "sec52-seed0"] = {"a.csv": None, "sub/b.json": None}
+        edits[side, "sec52-seed0"] = {"a.csv": None, "sub/b.json": None, "config.json": None}
     assert same_outputs.main(["PARENT", "CHANGE", "--out", str(tmp_path / "out")]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "sec52-seed0: 0 equal, 0 different, 0 missing" in lines

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import types
 import warnings
 from collections import Counter
@@ -16,7 +17,7 @@ from dealopt.core import (TRACE_COLUMNS, CapabilityError, CompositeObjective,
 from dealopt.directions import KINDS, DirectionRule, beta_for_holder, generalize
 from dealopt.envelopes import SeparableProx
 from dealopt.problems import PowerAbsProblem, generate_problem
-from dealopt.solvers import (ArmijoParams, DealConfig, armijo_bound,
+from dealopt.solvers import (ArmijoParams, DealConfig, armijo_bound, check_constant,
                              dealc_step_size, run_deala, run_dealc)
 from objectives import plain
 
@@ -57,6 +58,18 @@ class TestStepSize:
         cfg = DealConfig(rule=DirectionRule("gradient", beta=0.0, c1=1e-200))
         with pytest.raises(UsageError, match="rho must be a positive finite double, got 0.0"):
             run_dealc(quadratic_objective(), np.array([5.0]), cfg)
+
+    def test_refuses_a_subnormal_constant(self):
+        # positive and finite, but below the smallest normal double
+        tiny = sys.float_info.min
+        assert check_constant("rho", tiny) == tiny
+        with pytest.raises(UsageError, match=r"rho must be a positive finite double, "
+                                             r"got 5e-324 \(subnormal\) from sigma=1"):
+            check_constant("rho", 5e-324, sigma=1)
+        with pytest.raises(UsageError, match=r"got 1e-310 \(subnormal\)"):
+            check_constant("rho", 1e-310)
+        with pytest.raises(UsageError, match=r"got inf from $"):
+            check_constant("rho", math.inf)
 
 
 class TestDealC:
