@@ -120,8 +120,8 @@ class DirectionRule:
 
         The gradient direction reads no history, so it keeps none.
         ``solvers.deal_loop`` takes the direction at x_k before it pushes
-        (x_k, g_k), so the L-BFGS memory used at x_k holds k - 1 pairs and
-        ends with (x_{k-1} - x_{k-2}, g_{k-1} - g_{k-2}): one pair behind
+        (x_k, g_k), so the L-BFGS memory used at x_k holds up to k - 1 pairs
+        and ends with (x_{k-1} - x_{k-2}, g_{k-1} - g_{k-2}): one pair behind
         Nocedal & Wright's Algorithm 7.5, and the directions at x_0 and x_1
         are -g.  BB reads the previous point itself (``_bb_scaling``).  The
         order is kept because it is measured: over sec53 seeds 0-39, pushing

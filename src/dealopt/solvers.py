@@ -81,7 +81,7 @@ def check_constant(name: str, value: float, **inputs) -> float:
     ``OverflowError``, is refused with the inputs it came from.  So is a
     subnormal one, below ``sys.float_info.min``: it keeps only a few
     significant bits, and a bound divided by it, such as
-    ``min_grad_bound``'s, overflows to an infinite bound that checks
+    ``min_grad_bound``'s, can overflow to an infinite bound that checks
     nothing."""
     if not sys.float_info.min <= value < math.inf:
         given = ", ".join(f"{k}={v!r}" for k, v in inputs.items())

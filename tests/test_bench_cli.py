@@ -144,10 +144,8 @@ class TestConfigValidation:
         assert not (tmp_path / "runs").exists()
 
     # a constant that underflows to 0 or below the smallest normal double, or
-    # overflows one, exits 1 with an error line and no run directory before
-    # anything runs: it raised an OverflowError or ValueError, ran to a
-    # certificate that refused it, or (bpga's rho, and a subnormal rho) ran
-    # to an infinite min_grad_bound with a numpy warning
+    # overflows one, exits 1 with one error line and no run directory, before
+    # any variant runs and with no numpy warning
     @pytest.mark.parametrize("args, error", [
         ({"solver": "deal-c", "c2": 1e308}, "step must be a positive finite double, got nan"),
         ({"solver": "deal-c", "c1": 1e-300}, "step must be a positive finite double, got 0.0"),
