@@ -66,25 +66,17 @@ def test_equal_trees_exit_0(tmp_path, stubbed, capsys):
     assert lines[-1] == "same outputs"
 
 
-def test_a_different_config_json_exits_1(tmp_path, stubbed, capsys):
-    # a run directory depends on its config alone: config.json is compared
-    # like every other file
-    _, _, edits = stubbed
-    edits["change", "sec51-seed2"] = {"config.json": '{"run": {"eps": 1e-08}}\n'}
-    assert same_outputs.main(["PARENT", "CHANGE", "--out", str(tmp_path / "out")]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert "sec51-seed2: 2 equal, 1 different, 0 missing" in lines
-    assert "sec51-seed0: 3 equal, 0 different, 0 missing" in lines
-    assert lines[-1] == "outputs differ"
-
-
 def test_a_different_or_missing_file_exits_1(tmp_path, stubbed, capsys):
     _, _, edits = stubbed
     edits["change", "sec53-seed4"] = {"a.csv": "k,f\n0,1.5\n"}
     edits["parent", "bhippa-seed9"] = {"sub/b.json": None, "extra.csv": "k\n"}
+    # a run directory depends on its config alone: config.json is compared
+    # like every other file
+    edits["change", "sec51-seed2"] = {"config.json": '{"run": {"eps": 1e-08}}\n'}
     assert same_outputs.main(["PARENT", "CHANGE", "--out", str(tmp_path / "out")]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "sec53-seed4: 2 equal, 1 different, 0 missing" in lines
+    assert "sec51-seed2: 2 equal, 1 different, 0 missing" in lines
     assert "bhippa-seed9: 2 equal, 0 different, 2 missing" in lines
     assert "sec53-seed5: 3 equal, 0 different, 0 missing" in lines
     assert lines[-1] == "outputs differ"
