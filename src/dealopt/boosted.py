@@ -16,10 +16,11 @@ which the envelope values contract linearly; a family declares it exactly
 Both are DEAL on their envelope: they run the loop of the smooth solvers,
 :func:`~dealopt.solvers.deal_loop`, whose points are here envelope
 evaluations (``core.Evaluation``, as a smooth point is, unpacking as value,
-gradient and proximal point), so the proximal point is the point a step
-falls back to when no trial passes the threshold value - rho
-||grad||^theta.  They differ only in the envelope, the candidate point
-built from a trial step, and the trials.
+gradient and proximal point).  Their step (``_step``) takes the rule's raw
+direction, offers each trial point against the threshold value - rho
+||grad||^theta, and then falls back to the proximal point, which it offers
+with no bound.  They differ only in the envelope, the candidate point built
+from a trial step, and the trials.
 The envelope is valued once per point, by ``fbe_value`` or ``home_value``,
 and the value of the point taken is completed in place with its gradient
 for the next step.  The envelope functions are looked up in this module at
@@ -34,7 +35,7 @@ from typing import Optional
 
 from .core import (CapabilityError, CompositeObjective, IterateTrace, UsageError,
                    as_vector, check_count)
-from .directions import DirectionRule
+from .directions import DirectionRule, generalize
 # the solvers call no *_value_grad; the names stay in this namespace, where
 # perfbench's tracer wraps them
 from .envelopes import (_check_gamma, fbe_complete, fbe_value, fbe_value_grad,
@@ -104,11 +105,11 @@ def run_bpga(problem: CompositeObjective, x0, config: BoostedConfig,
     trials = [(m, unit * config.alpha_bar ** m)
               for m in range(1, config.max_linesearch + 1)]
     return deal_loop(
-        as_vector(x0, problem.smooth.dim, "x0"), config, rule, trace, trials,
-        candidate=lambda x, T, alpha, d: T + alpha * d,
+        as_vector(x0, problem.smooth.dim, "x0"), config, rule, trace,
         value=lambda z: fbe_value(problem, z, gamma),
         complete=lambda ev: fbe_complete(problem, ev, gamma),
-        schedule=_schedule(trace, trials), observe=observe)
+        step=_step(rule, trace, trials, lambda x, T, alpha, d: T + alpha * d),
+        observe=observe)
 
 
 def run_bhippa(phi, x0, config: BoostedConfig, observe=None) -> IterateTrace:
@@ -141,12 +142,12 @@ def run_bhippa(phi, x0, config: BoostedConfig, observe=None) -> IterateTrace:
     )
     trials = [(m, config.eta ** m) for m in range(config.max_linesearch)]
     return deal_loop(
-        x, config, rule, trace, trials,
-        candidate=lambda x, y, kappa, d: (1.0 - kappa) * y + kappa * (x + d),
+        x, config, rule, trace,
         value=lambda z: home_value(phi, z, gamma, p),
         complete=lambda ev: home_complete(ev, gamma, p),
-        schedule=_schedule(trace, trials), x_tol=config.eps * gamma ** q,
-        observe=observe)
+        step=_step(rule, trace, trials,
+                   lambda x, y, kappa, d: (1.0 - kappa) * y + kappa * (x + d)),
+        x_tol=config.eps * gamma ** q, observe=observe)
 
 
 def bpga_constants(problem: CompositeObjective, config: BoostedConfig):
@@ -191,10 +192,25 @@ def bhippa_constants(config: BoostedConfig, n: int):
     return gamma, sigma, check_constant("rho", rho, gamma=gamma, sigma=sigma, p=p, n=n)
 
 
-def _schedule(trace: IterateTrace, trials):
-    """The schedule hook of a boosted solver: its trials, each against the
-    step's threshold value - rho ||grad||^theta."""
-    def schedule(ev, gn, d):
-        threshold = ev.value - trace.rho * gn ** trace.theta
-        return ((m, t, threshold) for m, t in trials)
-    return schedule
+def _step(rule: DirectionRule, trace: IterateTrace, trials, candidate):
+    """The step hook of a boosted solver (see ``solvers.deal_loop``).
+
+    At a point x with proximal point y it takes the rule's raw direction d,
+    pushes x and generalizes d, then offers ``candidate(x, y, t, d)`` for
+    each of its ``trials`` (m, t), in order, against the step's threshold
+    value - rho ||grad||^theta.  Past the last of them it counts a fallback
+    in ``fallbacks`` and offers y itself as ``(len(trials), 0.0, y, None)``,
+    with no bound, so a step always takes a point.  With no trials it
+    offers y alone and never consults the rule."""
+    def step(ev, gn):
+        x, g, y = ev.x, ev.gradient, ev.prox_point
+        if trials:
+            d_bar = rule.base_direction(x, g, gn)
+            rule.push(x, g)
+            d = generalize(d_bar, g, rule.beta, gn)
+            threshold = ev.value - trace.rho * gn ** trace.theta
+            for m, t in trials:
+                yield m, t, candidate(x, y, t, d), threshold
+            trace.extras["fallbacks"] += 1
+        yield len(trials), 0.0, y, None
+    return step

@@ -17,17 +17,18 @@ the trace is marked heuristic and rate/bound certificates are skipped
 downstream.
 
 All four solvers run one loop, :func:`deal_loop`, DEAL on a function given
-by hooks: the candidate point of a trial step, a point's value and its
-completion with a gradient, and the schedule of trials, each with the bound
-its value must meet.  Here the function is the objective itself
-(``_descend``), valued by its ``value`` and completed by its ``complete``,
-whose points have no fallback point, and the constant step is the case with
-no Armijo test, a single trial at alpha that is always taken; the boosted
-solvers run it on an envelope, whose points fall back to their proximal
-point.  When the first trial fails and the
-objective has a line oracle (least-p's on f), the remaining trials are
-screened at once by :func:`screened` and only those it cannot rule out are
-evaluated, in order; the step taken is the one the per-trial loop takes.
+by hooks: a point's value and its completion with a gradient, and the step,
+which yields its trial points in order, each with the bound its value must
+meet.  Here the function is the objective itself (``_descend``), valued by
+its ``value`` and completed by its ``complete``; its step takes the
+direction that satisfies the sufficient-descent pair, the constant step is
+the case with no Armijo test, a single trial at alpha that is always taken,
+and an Armijo step that no trial passes ends the run ``backtrack_limit``.
+The boosted solvers run the loop on an envelope, whose steps fall back to
+the proximal point.  When the first trial fails and the objective has a
+line oracle (least-p's on f), the remaining trials are screened at once by
+:func:`screened` and only those it cannot rule out are offered, in order;
+the step taken is the one the per-trial loop takes.
 """
 
 from __future__ import annotations
@@ -168,27 +169,34 @@ def run_deala(objective: SmoothObjective, x0, config: DealConfig,
 def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: DirectionRule,
              trace: IterateTrace, alpha: float,
              armijo: Optional[ArmijoParams] = None, observe=None) -> IterateTrace:
-    """Both step rules as hooks of :func:`deal_loop`, DEAL on the objective
-    itself, whose points are its ``value`` completed by its ``complete``.
+    """Both step rules as the ``step`` hook of :func:`deal_loop`, DEAL on
+    the objective itself, whose points are its ``value`` completed by its
+    ``complete``.
 
-    Every step first tries ``alpha``.  Without ``armijo`` that is the one
-    trial, with no bound, so it is always taken; with it, the step shrinks
-    to eta^p alpha_bar until the Armijo test passes or p exceeds
-    max_backtracks.  The backtracks that :func:`screened` rules out with
-    the objective's ``line_values`` are not evaluated.
+    Each step takes the direction d that satisfies the sufficient-descent
+    pair, pushes the point, generalizes d and offers the trial points x + t d,
+    the first at ``alpha``.  Without ``armijo`` that is the one trial, with
+    no bound, so it is always taken; with it, the step shrinks to eta^p
+    alpha_bar until the Armijo test passes, and once p exceeds
+    max_backtracks it records ``backtrack_limit``.  The backtracks that
+    :func:`screened` rules out with the objective's ``line_values`` are not
+    offered.
     """
     x = as_vector(x0, objective.dim, "x0")
     trials = [(0, alpha)]
-    if armijo is None:
-        def schedule(ev, gn, d):
-            return ((0, alpha, None),)
-    else:
+    if armijo is not None:
         trials += [(p, armijo.eta ** p * armijo.alpha_bar)
                    for p in range(1, armijo.max_backtracks + 1)]
 
-        def schedule(ev, gn, d):
-            x, f = ev.x, ev.value
-            slope = float(ev.gradient @ d)
+    def step(ev, gn):
+        x, f, g = ev.x, ev.value, ev.gradient
+        d_bar = rule.sufficient_base_direction(x, g, gn)
+        rule.push(x, g)
+        d = generalize(d_bar, g, rule.beta, gn)
+        if armijo is None:
+            offers = ((0, alpha, None),)
+        else:
+            slope = float(g @ d)
             line = None
             if objective.line_values is not None:
                 def line(steps):
@@ -200,30 +208,39 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
                     unmoved = ((x + steps[:, None] * d).view(np.int64)
                                == x.view(np.int64)).all(axis=1)
                     return np.where(unmoved, f, values), np.where(unmoved, 0.0, margins)
-            return screened(trials, lambda t: f + armijo.sigma * t * slope, line)
-    return deal_loop(x, config, rule, trace, trials,
-                     candidate=lambda x, y, t, d: x + t * d, value=objective.value,
-                     complete=objective.complete, schedule=schedule, observe=observe)
+            offers = screened(trials, lambda t: f + armijo.sigma * t * slope, line)
+        for m, t, bound in offers:
+            yield m, t, x + t * d, bound
+        trace.extras["termination"] = "backtrack_limit"
+        trace.extras["diagnostic"] = (
+            f"no Armijo step within {len(trials) - 1} backtracks at "
+            f"k={trace.k[-1]}; declared Hölder constant is likely too small")
+    return deal_loop(x, config, rule, trace, value=objective.value,
+                     complete=objective.complete, step=step, observe=observe)
 
 
 # an overflowing trial ends the run or fails its test; numpy need not warn
 @np.errstate(over="ignore", invalid="ignore")
-def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
-              candidate, value, complete, schedule,
-              x_tol: Optional[float] = None, observe=None) -> IterateTrace:
+def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, *, value, complete,
+              step, x_tol: Optional[float] = None, observe=None) -> IterateTrace:
     """The iteration loop of all four solvers, DEAL on a function phi given
     by hooks, filling ``trace``.
 
     Each point x is ``complete(value(x))``, a ``core.Evaluation`` that
     unpacks as (phi(x), grad phi(x), y), where y is the fallback point, None
     for the objective itself and the proximal point for an envelope.  Each
-    step takes a direction d from ``rule`` and, for each (m, t, bound) that
-    ``schedule(ev, ||grad||, d)`` yields for the point's evaluation ``ev``,
-    tries ``z = candidate(x, y, t, d)``; the first trial whose value
-    ``value(z)`` is at most its bound (any value when the bound is None) is
-    taken, and ``complete`` adds its gradient in place to make it the next
-    step's point, so phi is valued once per point.  ``trials`` are the
-    step's (m, t); with none the direction rule is never consulted.
+    step is ``step(ev, ||grad||)`` for the point's evaluation ``ev``: a
+    generator that yields the step's trials in order as (m, t, z, bound),
+    inner count m, step t and trial point z.  The loop values each z, and
+    the first whose value ``value(z)`` is at most its bound (any value when
+    the bound is None) is taken: ``complete`` adds its gradient in place to
+    make it the next step's point, so phi is valued once per point.  The
+    step chooses its direction, consults ``rule`` and pushes the point, so
+    the loop only reads the rule's ``fallback_count``.  The generator runs
+    up to the trial taken, and past its last trial only when none is taken:
+    what it does there (records a termination, counts a fallback, yields
+    one more point) happens only then.  A step that yields no trial taken
+    ends the run with the termination it recorded.
 
     Each record goes into ``trace``'s columns, no record object being made:
     ``trace.append(k, phi(x), ||grad||)`` as the point is recorded, whose
@@ -234,14 +251,10 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
     A gradient of None (a multi-valued proximal point) ends the run
     ``multivalued``, and a point whose value or gradient norm is not finite
     ends it ``nonfinite``, both before the point is recorded; so does a
-    taken trial whose value is not finite.  With a fallback point the
-    rule's raw direction is taken, a step that no trial passes takes y
-    (counted in ``fallbacks``, recorded with step 0 and inner count
-    ``len(trials)``), and ``x_tol`` stops the run once ||x - y|| falls to
-    it.  Without one the direction satisfies the sufficient-descent pair
-    and a step that no trial passes ends the run ``backtrack_limit``.  Once
-    two consecutive steps leave ``x`` bitwise unchanged the rest of the run
-    is replayed (see :func:`_replay_fixed_point`).  The extras count the
+    taken trial whose value is not finite, and the step to it is not
+    recorded.  ``x_tol`` stops the run once ||x - y|| falls to it.  Once two
+    consecutive steps leave ``x`` bitwise unchanged the rest of the run is
+    replayed (see :func:`_replay_fixed_point`).  The extras count the
     direction rule's own fallbacks (``direction_fallbacks``), a replayed
     step's as it would be.
 
@@ -254,13 +267,12 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
     this loop's numpy error state, while the loop takes its next steps.
     The loop never writes into an iterate it has handed over, which that
     pool's thread may still be reading: the one at k=0 is ``x`` itself, and
-    every later one is a trial or a proximal point, an array of its own.
+    every later one is a trial point, an array of its own.
     """
-    trial = None
+    trial = value(x)
     unmoved = 0
-    fell_back = False
     for k in range(config.max_iter + 1):
-        ev = complete(value(x) if trial is None else trial)
+        ev = complete(trial)
         f, g, y = ev
         if g is None:
             trace.extras["termination"] = "multivalued"
@@ -290,33 +302,14 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
         if k == config.max_iter:
             trace.extras["termination"] = "max_iter"
             break
-        x_next = trial = None
-        if trials:
-            fallbacks = rule.fallback_count
-            if y is None:
-                d_bar = rule.sufficient_base_direction(x, g, gn)
-            else:
-                d_bar = rule.base_direction(x, g, gn)
-            fell_back = rule.fallback_count > fallbacks
-            rule.push(x, g)
-            d = generalize(d_bar, g, rule.beta, gn)
-            for m, t, bound in schedule(ev, gn, d):
-                z = candidate(x, y, t, d)
-                v = value(z)
-                if bound is None or v <= bound:
-                    x_next, trial = z, v
-                    break
-            else:
-                if y is None:
-                    trace.extras["termination"] = "backtrack_limit"
-                    trace.extras["diagnostic"] = (
-                        f"no Armijo step within {len(trials) - 1} backtracks at "
-                        f"k={k}; declared Hölder constant is likely too small")
-                    break
-                trace.extras["fallbacks"] += 1
-        if x_next is None:
-            x_next, m, t = y, len(trials), 0.0
-        elif not math.isfinite(trial):
+        fallbacks = rule.fallback_count
+        for m, t, x_next, bound in step(ev, gn):
+            trial = value(x_next)
+            if bound is None or trial <= bound:
+                break
+        else:
+            break
+        if not math.isfinite(trial):
             trace.extras["termination"] = "nonfinite"
             trace.extras["diagnostic"] = f"non-finite {what} at k={k + 1}"
             break
@@ -330,7 +323,7 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, trials, *,
         unmoved = 0 if moved else unmoved + 1
         if unmoved == 2:
             _replay_fixed_point(trace, x, config.max_iter, observe)
-            if fell_back:
+            if rule.fallback_count > fallbacks:
                 # each replayed step repeats this one, its fallback too
                 rule.fallback_count += config.max_iter - 1 - k
             break

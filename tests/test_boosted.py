@@ -275,19 +275,21 @@ class TestBPGATrials:
 
     def test_every_trial_is_offered_without_a_line_oracle(self, monkeypatch):
         # nothing screens the trials: each step offers all of them, in order,
-        # against the step's threshold f - rho ||grad||^theta
+        # against the step's threshold f - rho ||grad||^theta, and then the
+        # proximal point with no bound
         steps = []
-        real_schedule = boosted._schedule
+        real_step = boosted._step
 
-        def schedule(trace, trials):
-            step = real_schedule(trace, trials)
+        def offering(rule, trace, trials, candidate):
+            step = real_step(rule, trace, trials, candidate)
 
-            def offered(ev, gn, d):
-                offers = list(step(ev, gn, d))
-                steps.append((offers, trials, ev.value - trace.rho * gn ** trace.theta))
+            def offered(ev, gn):
+                offers = list(step(ev, gn))
+                steps.append((offers, trials, ev.prox_point,
+                              ev.value - trace.rho * gn ** trace.theta))
                 return iter(offers)
             return offered
-        monkeypatch.setattr(boosted, "_schedule", schedule)
+        monkeypatch.setattr(boosted, "_step", offering)
         x0 = np.ones(6)
         prob = generate_problem(3, "lasso", 60, 6)
         run_bpga(prob.as_composite(), x0, BoostedConfig())
@@ -295,8 +297,10 @@ class TestBPGATrials:
         run_bpga(CompositeObjective(smooth, SeparableProx(lambda t: 0.1 * abs(t))), x0,
                  BoostedConfig(max_iter=3))
         assert steps
-        for offers, trials, threshold in steps:
-            assert offers == [(m, t, threshold) for m, t in trials]
+        for offers, trials, y, threshold in steps:
+            assert [(m, t, bound) for m, t, _, bound in offers] == (
+                [(m, t, threshold) for m, t in trials] + [(len(trials), 0.0, None)])
+            assert offers[-1][2] is y
 
 
 FBE_ROWS_CASES = {
@@ -812,3 +816,27 @@ def test_bhippa_stops_on_a_taken_trial_whose_envelope_value_is_not_finite():
     assert trace.extras["diagnostic"] == "non-finite envelope value at k=1"
     assert len(trace) == 1 and trace.f[0] == 0.25
     assert math.isnan(trace.step[0])
+
+
+class Cliff:
+    """t^2/2 per coordinate, whose value is NaN everywhere but at t = 0.5."""
+
+    def value(self, y):
+        return 0.5 * float(y @ y) if y[0] == 0.5 else math.nan
+
+    def prox(self, x, gamma, p=2.0):
+        return np.asarray(x, dtype=float) / (1.0 + gamma)
+
+
+def test_bhippa_stops_on_a_fallback_point_whose_envelope_value_is_not_finite():
+    # from 1 the proximal point 0.5 is the one point of finite value; every
+    # trial's proximal point is elsewhere, so no trial passes and the step
+    # falls back to 0.5, whose own proximal point 0.25 makes its value NaN:
+    # the run stops there, as on a taken trial, and the step is not recorded
+    trace = run_bhippa(Cliff(), [1.0], BoostedConfig(gamma=1.0, max_iter=5))
+    assert trace.extras["termination"] == "nonfinite"
+    assert trace.extras["diagnostic"] == "non-finite envelope value at k=1"
+    assert trace.extras["fallbacks"] == 1
+    assert len(trace) == 1 and trace.f[0] == 0.25
+    assert math.isnan(trace.step[0]) and trace.inner_count[0] == 0
+    assert math.isnan(trace.displacement[0])

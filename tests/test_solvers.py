@@ -11,7 +11,7 @@ import pytest
 from dealopt import bench, solvers
 from dealopt.boosted import BoostedConfig, run_bhippa, run_bpga
 from dealopt.core import (TRACE_COLUMNS, CapabilityError, CompositeObjective,
-                          HolderInfo, UsageError, as_vector,
+                          HolderInfo, IterateTrace, UsageError, as_vector,
                           certify_descent, certify_displacement,
                           reevaluate_trace)
 from dealopt.directions import KINDS, DirectionRule, beta_for_holder, generalize
@@ -546,6 +546,29 @@ def test_a_nonfinite_gradient_after_a_step_is_not_recorded():
     assert trace.extras["diagnostic"].endswith(f"k={len(trace)}")
     assert np.all(np.isfinite(trace.f_values()))
     assert np.all(np.isfinite(trace.grad_norms()))
+
+
+def test_a_step_that_yields_no_trial_ends_the_run_with_its_termination():
+    # the loop knows no solver's stops: a step that records one and yields
+    # nothing ends the run there, after the records it made, and a step that
+    # never consults the rule leaves its fallbacks at 0
+    objective = quadratic_objective()
+
+    def step(ev, gn):
+        if gn < 0.1:
+            trace.extras["termination"] = "stalled"
+            return
+        yield 0, 0.5, ev.x - 0.5 * ev.gradient, None
+    trace = IterateTrace()
+    assert solvers.deal_loop(np.array([1.0]), DealConfig(), DirectionRule(), trace,
+                             value=objective.value, complete=objective.complete,
+                             step=step) is trace
+    assert trace.extras == {"termination": "stalled", "direction_fallbacks": 0}
+    assert list(trace.k) == [0, 1, 2, 3, 4]
+    assert list(trace.f) == [0.5 * 0.25 ** k for k in range(5)]
+    assert list(trace.step[:-1]) == [0.5] * 4 and list(trace.inner_count) == [0] * 5
+    assert list(trace.displacement[:-1]) == [0.5, 0.25, 0.125, 0.0625]
+    assert math.isnan(trace.step[-1]) and math.isnan(trace.displacement[-1])
 
 
 def deala_runs(problem, specs, run, **oracles):
