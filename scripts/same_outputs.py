@@ -6,8 +6,16 @@ Each commit is exported with ``git archive`` into ``DIR/<side>/<commit>``.  One
 Python process per tree, importing ``dealopt`` from that tree's ``src/``,
 writes every run of ``RUNS`` through ``dealopt.cli.main`` into
 ``DIR/<side>/runs``: ``deal sweep`` of ``sec51`` at seeds 0, 2 and 13, of
-``sec52`` at seed 0 and of ``sec53`` at seeds 0-39, and ``deal run`` of
-``bhippa`` on powerabs with n = 100, s = 4 at seeds 7-46.  For each run it
+``sec52`` at seed 0 and of ``sec53`` at seeds 0-39, ``deal run`` of
+``bhippa`` on powerabs with n = 100, s = 4 at seeds 7-46, and the nine
+``SINGLE_RUNS``, which reach the paths the sweeps do not: ``bpga`` on the
+40 x 40 lasso (seed 3, with boosted fallbacks); ``deal-c`` and ``deal-a``
+with BB1 on least-p 40 x 8 (seed 1), which replay a fixed point with a rule
+that falls back; ``deal-a`` with L-BFGS, and with ``--alpha-bar 1e300``,
+which ends ``backtrack_limit`` at k = 0; ``bhippa`` on powerabs with
+n = 1000, s = 3 at order 2.5 (the Newton prox) and with n = 100, s = 1.5
+(the ``displacement`` stop); and ``deal-c`` and ``deal-a`` on the 30 x 10
+quadratic.  For each run it
 prints how many files are equal, different and missing on one side,
 ``config.json`` included.  It exits 1 if any file differs or is missing, or
 if a run wrote no file, and refuses (exit 1) an ``--out`` that exists before
@@ -27,14 +35,28 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import export  # noqa: E402
 
 SIDES = ("parent", "change")
+# single deal runs that reach the paths the sweeps do not
+SINGLE_RUNS = (
+    ("lasso40-seed3", "lasso --m 40 --n 40 --seed 3 --x0-seed 3 --solver bpga"),
+    ("replay-deal-c", "leastp --m 40 --n 8 --seed 1 --solver deal-c --direction bb1 "
+                      "--eps 1e-30 --max-iter 3000"),
+    ("replay-deal-a", "leastp --m 40 --n 8 --seed 1 --solver deal-a --direction bb1 "
+                      "--eps 1e-30 --max-iter 3000"),
+    ("lbfgs-deal-a", "leastp --m 40 --n 8 --solver deal-a --direction lbfgs"),
+    ("huge-alpha-bar", "leastp --m 40 --n 8 --solver deal-a --alpha-bar 1e300"),
+    ("bhippa-n1000-s3-p2.5", "powerabs --n 1000 --s 3 --order 2.5 --solver bhippa"),
+    ("bhippa-n100-s1.5", "powerabs --n 100 --s 1.5 --solver bhippa"),
+    ("quadratic-deal-c", "quadratic --m 30 --n 10 --solver deal-c"),
+    ("quadratic-deal-a", "quadratic --m 30 --n 10 --solver deal-a"),
+)
 RUNS = ([(f"{preset}-seed{seed}", ["sweep", "--preset", preset, "--seed", str(seed)])
          for preset, seeds in (("sec51", (0, 2, 13)), ("sec52", (0,)), ("sec53", range(40)))
          for seed in seeds]
         + [(f"bhippa-seed{seed}", ["run", "--problem", "powerabs", "--n", "100", "--s", "4",
                                    "--seed", str(seed), "--x0-seed", str(seed),
                                    "--solver", "bhippa"])
-           for seed in range(7, 47)])
-
+           for seed in range(7, 47)]
+        + [(label, ["run", "--problem", *line.split()]) for label, line in SINGLE_RUNS])
 
 def write_runs(runs_dir: Path, src: Path) -> None:
     """Every run of ``RUNS`` into ``runs_dir``, with the ``dealopt`` that

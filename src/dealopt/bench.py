@@ -534,26 +534,28 @@ def _persist_variant(out: Path, stem: str, problem, rep: int, result: RunResult,
     })
     summary["ok"] = summary["ok"] and result.ok
     summary["terminations"][termination] += 1
-    return result.name, result.fstar, trace.k, trace.f, trace.grad_norm
+    return result.fstar, trace.k, trace.f, trace.grad_norm
 
 
 def emit_plot_data(run_dir, series) -> Path:
     """Write a run directory's series.csv: variant,k,f_gap,grad_norm.
 
-    ``series`` maps each trace's stem to its series ``(variant, fstar, k, f,
+    ``series`` maps each trace's stem to its series ``(fstar, k, f,
     grad_norm)``, the last three the trace's own columns, as
     ``run_experiment`` keeps them in memory.  The traces go in file-name
     order, each written by ``core.write_rows`` a line at a time, so no list
-    of a variant's rows is built.
+    of a variant's rows is built.  Each row's ``variant`` is its trace's
+    stem: the variant's name, and in a repeated run ``name_rep{r}``, so the
+    repetitions stay apart.
     """
     target = Path(run_dir) / "series.csv"
     with open(target, "w") as fh:
         fh.write("variant,k,f_gap,grad_norm\n")
         for stem in sorted(series, key=lambda stem: stem + ".csv"):
-            variant, fstar, k, f, grad_norm = series[stem]
+            fstar, k, f, grad_norm = series[stem]
             f = np.asarray(f)
             gap = f - (fstar if fstar is not None else float(f.min()))
-            write_rows(fh, f"{variant},", k, [gap, grad_norm], lambda a, b: f"{a!r},{b!r}\n")
+            write_rows(fh, f"{stem},", k, [gap, grad_norm], lambda a, b: f"{a!r},{b!r}\n")
     return target
 
 

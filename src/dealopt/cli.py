@@ -201,8 +201,11 @@ def _cmd_certify(args) -> int:
     constant the sidecar does not record, but one that contradicts it is an
     error.  Without a sidecar, ``certify`` needs --rho and --theta.
     ``analyze`` takes the constants from its flags, and only the run's
-    tolerance from the sidecar when --eps is unset.
+    tolerance from the sidecar when --eps is unset.  Only a guaranteed
+    bundle reads tau and c, so --tau or --c given for a trace that is not
+    guaranteed is an error, not a flag without effect.
     """
+    given = [name for name in ("tau", "c") if getattr(args, name) is not None]
     sidecar = _read_sidecar(args.trace)
     if args.verb == "certify":
         if sidecar is not None:
@@ -213,6 +216,9 @@ def _cmd_certify(args) -> int:
     if (args.rho is None) != (args.theta is None):
         raise UsageError("give both --rho and --theta, or neither")
     guaranteed = args.rho is not None
+    if given and not guaranteed:
+        raise UsageError(f"--{given[0]} needs a guaranteed trace: no --rho and --theta, "
+                         "and no sidecar of a guaranteed run records them")
     eps = args.eps
     if eps is None and sidecar is not None:
         eps = sidecar["extras"].get("eps")

@@ -454,6 +454,9 @@ def min_grad_bound_check(trace: IterateTrace, rho: float, theta: float,
     The bound follows from summing the descent inequality, so equality is
     attainable (one-step exact minimization); a 1e-12 relative guard absorbs
     round-off in that case.  The worst index is the prefix length N.
+    ``n_vacuous`` counts the prefixes whose bound is at least ||grad f(x^0)||,
+    an infinite one (rho so small that the quotient overflows) included:
+    min_{k<N} ||grad f(x^k)|| never exceeds it, so they check nothing.
     """
     if rho <= 0.0 or theta <= 1.0:
         raise UsageError("min_grad_bound_check needs rho > 0 and theta > 1")
@@ -464,10 +467,12 @@ def min_grad_bound_check(trace: IterateTrace, rho: float, theta: float,
         raise UsageError("fstar exceeds the smallest recorded objective value")
     gap0 = max(f[0] - fstar, 0.0)
     n = np.arange(1, len(f) + 1)
-    bound = (gap0 / (rho * n)) ** (1.0 / theta)
-    return _verdict("min_grad_bound",
-                    np.minimum.accumulate(g) - bound * (1.0 + 1e-12), 0.0, n,
-                    {"rho": rho, "theta": theta, "fstar": fstar}, None)
+    with np.errstate(over="ignore"):
+        bound = (gap0 / (rho * n)) ** (1.0 / theta)
+        excess = np.minimum.accumulate(g) - bound * (1.0 + 1e-12)
+    return _verdict("min_grad_bound", excess, 0.0, n,
+                    {"rho": rho, "theta": theta, "fstar": fstar},
+                    int(np.count_nonzero(bound >= g[0])))
 
 
 # distinct iterates per batch call: a block of residuals of a 1000-row

@@ -995,8 +995,7 @@ class TestTraceVerbs:
     def test_analyze_without_constants_fits_the_rate_alone(self, tmp_path, capsys):
         trace = tmp_path / "bad.csv"
         trace.write_text(BAD_TRACE)
-        rc = cli.main(["analyze", "--trace", str(trace), "--fstar", "0.0",
-                       "--tau", "1.0"])
+        rc = cli.main(["analyze", "--trace", str(trace), "--fstar", "0.0"])
         assert rc == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert not doc["guaranteed"]
@@ -1005,6 +1004,42 @@ class TestTraceVerbs:
         assert cli.main(["analyze", "--trace", str(trace),
                          "--rho", "0.5"]) == cli.EXIT_USAGE
         assert "--theta" in capsys.readouterr().err
+
+    def test_an_infinite_min_grad_bound_is_counted_vacuous_without_a_warning(
+            self, tmp_path, capsys):
+        # rho = 2.63e-307: (f_0 - f*) / rho overflows, so every prefix's bound
+        # is infinite and checks nothing; the run says so and warns nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["run", "--problem", "lasso", "--m", "30", "--n", "10",
+                             "--solver", "bpga", "--sigma", "1e-306", "--max-iter", "20",
+                             "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+        capsys.readouterr()
+        bundle = json.loads((tmp_path / "run" / "BPGA.certificates.json").read_text())
+        report = bundle["min_grad_bound"]
+        assert report["passed"] and report["n_vacuous"] == report["n_checked"] == 21
+
+    def test_tau_or_c_for_a_trace_that_is_not_guaranteed_exits_1(self, tmp_path, capsys):
+        # only a guaranteed bundle reads them: given for any other, they would
+        # change nothing, and the bundle would read as if they had been used
+        trace = tmp_path / "t.csv"
+        trace.write_text(BAD_TRACE)
+        specs = [bench.SolverSpec(name="DEAL-A1", solver="deal-a", beta=0.5)]
+        out = bench.run_experiment(small_config(tmp_path, solvers=specs))
+        heuristic = json.loads((out / "DEAL-A1.json").read_text())
+        for args in (["analyze", "--trace", str(trace), "--fstar", "0", "--eps", "1e-6",
+                      "--tau", "1"],
+                     ["analyze", "--trace", str(trace), "--c", "1"],
+                     ["certify", "--trace", str(out / "DEAL-A1.csv"), "--tau", "1"],
+                     ["certify", "--trace", str(out / "DEAL-A1.csv"),
+                      "--c", repr(heuristic["extras"]["c"])]):
+            assert cli.main(args) == cli.EXIT_USAGE, args
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith(f"error: {args[-2]} needs a guaranteed trace")
+        # the sidecar's own c is no flag: certify takes it in silence
+        assert cli.main(["certify", "--trace", str(out / "DEAL-A1.csv")]) == cli.EXIT_OK
+        assert not json.loads(capsys.readouterr().out)["guaranteed"]
 
     @pytest.mark.parametrize("verb", ["certify", "analyze"])
     def test_a_repeated_k_is_a_data_error(self, tmp_path, capsys, verb):
@@ -1146,7 +1181,7 @@ class TestRunDirectoryInputs:
         out = bench.run_experiment(cfg)
         lines = (out / "series.csv").read_text().splitlines()[1:]
         order = [line.split(",")[0] for line in lines if line.split(",")[1] == "0"]
-        assert order == ["A-B", "A-B", "B", "B"]
+        assert order == ["A-B_rep0", "A-B_rep1", "B_rep0", "B_rep1"]
 
     def test_emit_plot_data_rewrites_the_series_of_the_run(self, tmp_path, monkeypatch):
         # run_experiment writes series.csv from the traces it holds, without
@@ -1171,8 +1206,7 @@ class TestRunDirectoryInputs:
         for path in out.glob("*_rep?.csv"):
             trace = bench.IterateTrace.from_csv(path)
             meta = json.loads(path.with_suffix(".json").read_text())
-            series[path.stem] = (meta["variant"], meta["fstar"], trace.k, trace.f,
-                                 trace.grad_norm)
+            series[path.stem] = (meta["fstar"], trace.k, trace.f, trace.grad_norm)
         assert len(series) == 6
         assert bench.emit_plot_data(out, series) == out / "series.csv"
         assert (out / "series.csv").read_bytes() == written
@@ -1204,7 +1238,7 @@ class TestRunDirectoryInputs:
         f = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.0, -0.0, np.nan, np.nan, 2.0])
         g = np.array([2.0, 2.0, 3.0, 3.0, 3.0, 1.0, 1.0, np.inf, np.inf, np.inf])
         k = np.arange(len(f), dtype=np.int64)
-        bench.emit_plot_data(tmp_path, {"V": ("V", 0.25, k, f, g)})
+        bench.emit_plot_data(tmp_path, {"V": (0.25, k, f, g)})
         rows = "".join(f"V,{i},{gap!r},{gn!r}\n" for i, gap, gn in zip(
             k.tolist(), (f - 0.25).tolist(), g.tolist()))
         assert (tmp_path / "series.csv").read_text() == "variant,k,f_gap,grad_norm\n" + rows

@@ -51,16 +51,18 @@ def reference_displacement(trace, c, theta, rel_tol=1e-10):
 def reference_min_grad(trace, rho, theta, fstar):
     f, g = trace.f_values(), trace.grad_norms()
     gap0 = max(f[0] - fstar, 0.0)
-    running, worst, worst_n, passed = math.inf, -math.inf, -1, True
+    running, worst, worst_n, passed, vacuous = math.inf, -math.inf, -1, True, 0
     for n in range(1, len(f) + 1):
         running = min(running, g[n - 1])
         bound = (gap0 / (rho * n)) ** (1.0 / theta)
+        if bound >= g[0]:
+            vacuous += 1
         viol = running - bound * (1.0 + 1e-12)
         if viol > 0.0:
             passed = False
         if viol > worst:
             worst, worst_n = viol, n
-    return passed, len(f), None, worst, worst_n
+    return passed, len(f), vacuous, worst, worst_n
 
 
 def reference_ratio(trace, fstar, q_theory, rel_tol=1e-10):

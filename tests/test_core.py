@@ -157,6 +157,31 @@ def test_min_grad_bound_violation_and_usage():
         min_grad_bound_check(tr, rho=0.5, theta=2.0, fstar=2.0)
 
 
+@pytest.mark.parametrize("fs, gs, passed, n_vacuous", [
+    # every bound sqrt(2/N) >= ||g_0|| = 0.1: the check checks nothing
+    pytest.param([1.0, 0.5, 0.5], [0.1, 0.05, 0.05], True, 3, id="vacuous"),
+    # sqrt(2/N) >= ||g_0|| = 0.21 for N <= 45; the later prefixes pass
+    # against a live bound, down to sqrt(2/100) > 0.13
+    pytest.param([1.0] + [0.5] * 99, [0.21] + [0.13] * 99, True, 45, id="live-passing"),
+    # sqrt(2) < 3 already at N = 1
+    pytest.param([1.0, 0.99], [3.0, 3.0], False, 0, id="live-failing"),
+])
+def test_min_grad_bound_counts_its_vacuous_prefixes(fs, gs, passed, n_vacuous):
+    rep = min_grad_bound_check(make_trace(fs, gs), rho=0.5, theta=2.0, fstar=0.0)
+    assert (rep.passed, rep.n_checked, rep.n_vacuous) == (passed, len(fs), n_vacuous)
+    assert rep.as_dict()["n_vacuous"] == n_vacuous
+
+
+def test_an_infinite_min_grad_bound_is_vacuous_and_warns_nothing():
+    # gap / (rho N) overflows for the first prefixes: their bound is infinite
+    tr = make_trace([1e10, 1.0, 0.5], [1.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = min_grad_bound_check(tr, rho=1e-300, theta=2.0, fstar=0.0)
+    assert rep.passed and rep.n_vacuous == 3
+    assert rep.worst_violation == -math.inf
+
+
 def test_trace_csv_roundtrip(tmp_path):
     tr = make_trace([1.0, 0.5, 0.25], [1.0, 0.7, 1e-7],
                     steps=[0.1, 0.1, math.nan],
@@ -238,7 +263,7 @@ def test_both_writers_write_the_rows_of_the_reference_loop(tmp_path):
     expected_trace, expected_series = reference_rows(trace, 0.0)
     trace.to_csv(tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_bytes() == expected_trace
-    bench.emit_plot_data(tmp_path, {"V": ("V", 0.0, trace.k, trace.f, trace.grad_norm)})
+    bench.emit_plot_data(tmp_path, {"V": (0.0, trace.k, trace.f, trace.grad_norm)})
     assert (tmp_path / "series.csv").read_bytes() == (b"variant,k,f_gap,grad_norm\n"
                                                       + expected_series)
 
@@ -249,7 +274,7 @@ def test_columns_grow_again_after_both_writers(tmp_path):
     trace = make_trace([1.0, 0.5, 0.5], [1.0, 0.5, 0.5])
     trace.to_csv(tmp_path / "t.csv")
     trace.append(3, 0.25, 0.25)
-    bench.emit_plot_data(tmp_path, {"V": ("V", 0.0, trace.k, trace.f, trace.grad_norm)})
+    bench.emit_plot_data(tmp_path, {"V": (0.0, trace.k, trace.f, trace.grad_norm)})
     trace.append(4, 0.125, 0.125)
     for name in TRACE_COLUMNS:
         getattr(trace, name).append(getattr(trace, name)[-1])

@@ -42,12 +42,16 @@ def stubbed(monkeypatch):
     return exports, writes, edits
 
 
-def test_the_runs_are_the_presets_and_the_bhippa_seeds():
+def test_the_runs_are_the_presets_the_bhippa_seeds_and_the_single_runs():
     labels = [label for label, _ in same_outputs.RUNS]
-    assert len(set(labels)) == len(labels) == 3 + 1 + 40 + 40
+    assert len(set(labels)) == len(labels) == 3 + 1 + 40 + 40 + 9
     assert labels[:4] == ["sec51-seed0", "sec51-seed2", "sec51-seed13", "sec52-seed0"]
     assert labels[4:44] == [f"sec53-seed{s}" for s in range(40)]
-    assert labels[44:] == [f"bhippa-seed{s}" for s in range(7, 47)]
+    assert labels[44:84] == [f"bhippa-seed{s}" for s in range(7, 47)]
+    assert labels[84:] == [label for label, _ in same_outputs.SINGLE_RUNS]
+    assert dict(same_outputs.RUNS)["replay-deal-a"] == [
+        "run", "--problem", "leastp", "--m", "40", "--n", "8", "--seed", "1",
+        "--solver", "deal-a", "--direction", "bb1", "--eps", "1e-30", "--max-iter", "3000"]
     assert dict(same_outputs.RUNS)["bhippa-seed7"] == [
         "run", "--problem", "powerabs", "--n", "100", "--s", "4", "--seed", "7",
         "--x0-seed", "7", "--solver", "bhippa"]
