@@ -119,11 +119,12 @@ class DirectionRule:
         """Record the pair observed at the current iterate (call once per step).
 
         The gradient direction reads no history, so it keeps none.
-        ``solvers.deal_loop`` takes the direction at x_k before it pushes
-        (x_k, g_k), so the L-BFGS memory used at x_k holds up to k - 1 pairs
-        and ends with (x_{k-1} - x_{k-2}, g_{k-1} - g_{k-2}): one pair behind
-        Nocedal & Wright's Algorithm 7.5, and the directions at x_0 and x_1
-        are -g.  BB reads the previous point itself (``_bb_scaling``).  The
+        Each solver's step (the ``step`` hook of ``solvers.deal_loop``)
+        takes the direction at x_k before it pushes (x_k, g_k), so the
+        L-BFGS memory used at x_k holds up to k - 1 pairs and ends with
+        (x_{k-1} - x_{k-2}, g_{k-1} - g_{k-2}): one pair behind Nocedal &
+        Wright's Algorithm 7.5, and the directions at x_0 and x_1 are -g.
+        BB reads the previous point itself (``_bb_scaling``).  The
         order is kept because it is measured: over sec53 seeds 0-39, pushing
         first (with BB reading the pair that ``push`` forms) leaves BPGA,
         BPGA-1, BPGA-BB1 and BPGA-BB2 bit-identical, but BPGA-LBFGS takes

@@ -302,7 +302,7 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, *, value, com
         if k == config.max_iter:
             trace.extras["termination"] = "max_iter"
             break
-        fallbacks = rule.fallback_count
+        before = rule.fallback_count
         for m, t, x_next, bound in step(ev, gn):
             trial = value(x_next)
             if bound is None or trial <= bound:
@@ -323,7 +323,7 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, *, value, com
         unmoved = 0 if moved else unmoved + 1
         if unmoved == 2:
             _replay_fixed_point(trace, x, config.max_iter, observe)
-            if rule.fallback_count > fallbacks:
+            if rule.fallback_count > before:
                 # each replayed step repeats this one, its fallback too
                 rule.fallback_count += config.max_iter - 1 - k
             break

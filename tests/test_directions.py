@@ -186,7 +186,7 @@ def test_push_keeps_history_only_for_rules_that_read_it():
 
 
 def test_lbfgs_memory_is_one_pair_behind_through_a_run(monkeypatch):
-    # deal_loop takes the direction at x_k before it pushes (x_k, g_k): the
+    # each step takes the direction at x_k before it pushes (x_k, g_k): the
     # memory at x_k holds k - 1 pairs, the newest (x_{k-1} - x_{k-2}, ...),
     # and the directions at x_0 and x_1 are -g.  Pushing first moves
     # BPGA-LBFGS on sec53 (876 -> 915 steps over seeds 0-39), so the order
