@@ -308,6 +308,7 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, *, value, com
             if bound is None or trial <= bound:
                 break
         else:
+            # no trial taken: the step recorded why the run ends
             break
         if not math.isfinite(trial):
             trace.extras["termination"] = "nonfinite"
