@@ -10,6 +10,7 @@ long-format series.csv (variant, k, f_gap, grad_norm) for plotting.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -567,45 +568,47 @@ def _json_default(obj):
     return str(obj)
 
 
-def preset(name: str, seed: int = 0, out_dir: str = "runs") -> ExperimentConfig:
-    """Named experiment presets mirroring the benchmark studies.
+def _leastp_study(sigma: float, seed: int):
+    """The least-p study (1000 samples, 200 features): the constant-step and
+    backtracking families, each with its heuristic rescalings, at the Armijo
+    acceptance constant ``sigma``."""
+    solvers = []
+    for fam, solver in (("DEAL-C", "deal-c"), ("DEAL-A", "deal-a")):
+        solvers.append(SolverSpec(name=fam, solver=solver, beta="auto", sigma=sigma))
+        solvers.extend(SolverSpec(name=f"{fam}{i}", solver=solver, beta=b, sigma=sigma)
+                       for i, b in enumerate(HEURISTIC_BETAS, start=1))
+    return (ProblemSpec(kind="leastp", m=1000, n=200, p=1.5, seed=seed, consistent=True),
+            solvers)
 
-    sec51/sec52: the least-p study (1000 samples, 200 features) with the
-    constant-step and backtracking families and their heuristic rescalings;
-    they differ only in the Armijo acceptance constant (1e-4 vs 0.5).
-    sec53: the l1 regression study (1000 samples, 10 features) with the five
-    boosted proximal-gradient variants.
-    """
+
+def _lasso_study(seed: int):
+    """The l1 regression study (1000 samples, 10 features) with the five
+    boosted proximal-gradient variants."""
+    return (ProblemSpec(kind="lasso", m=1000, n=10, lam=0.1, seed=seed, consistent=False), [
+        SolverSpec(name="BPGA", solver="bpga", direction="gradient", beta=0.0),
+        SolverSpec(name="BPGA-1", solver="bpga", direction="gradient", beta=0.5),
+        SolverSpec(name="BPGA-BB1", solver="bpga", direction="bb1"),
+        SolverSpec(name="BPGA-BB2", solver="bpga", direction="bb2"),
+        SolverSpec(name="BPGA-LBFGS", solver="bpga", direction="lbfgs"),
+    ])
+
+
+# the named studies: each maps a seed to the study's problem and a fresh list
+# of its solver variants; sec51 and sec52 differ only in the Armijo constant
+PRESETS = {
+    "sec51": functools.partial(_leastp_study, 1e-4),
+    "sec52": functools.partial(_leastp_study, 0.5),
+    "sec53": _lasso_study,
+}
+
+
+def preset(name: str, seed: int = 0, out_dir: str = "runs") -> ExperimentConfig:
+    """The config of the named study of ``PRESETS`` (any case) at ``seed``,
+    which seeds both the problem and the start points, written to
+    ``out_dir/<name>``."""
     name = name.lower()
-    if name in ("sec51", "sec52"):
-        sigma = 1e-4 if name == "sec51" else 0.5
-        solvers = []
-        for fam, solver in (("DEAL-C", "deal-c"), ("DEAL-A", "deal-a")):
-            solvers.append(SolverSpec(name=fam, solver=solver, beta="auto",
-                                      sigma=sigma))
-            for i, b in enumerate(HEURISTIC_BETAS, start=1):
-                solvers.append(SolverSpec(name=f"{fam}{i}", solver=solver,
-                                          beta=b, sigma=sigma))
-        return ExperimentConfig(
-            problem=ProblemSpec(kind="leastp", m=1000, n=200, p=1.5, seed=seed,
-                                consistent=True),
-            solvers=solvers,
-            run=RunSpec(x0_seed=seed),
-            output=OutputSpec(directory=str(Path(out_dir) / name)),
-        )
-    if name == "sec53":
-        solvers = [
-            SolverSpec(name="BPGA", solver="bpga", direction="gradient", beta=0.0),
-            SolverSpec(name="BPGA-1", solver="bpga", direction="gradient", beta=0.5),
-            SolverSpec(name="BPGA-BB1", solver="bpga", direction="bb1"),
-            SolverSpec(name="BPGA-BB2", solver="bpga", direction="bb2"),
-            SolverSpec(name="BPGA-LBFGS", solver="bpga", direction="lbfgs"),
-        ]
-        return ExperimentConfig(
-            problem=ProblemSpec(kind="lasso", m=1000, n=10, lam=0.1, seed=seed,
-                                consistent=False),
-            solvers=solvers,
-            run=RunSpec(x0_seed=seed),
-            output=OutputSpec(directory=str(Path(out_dir) / name)),
-        )
-    raise UsageError(f"unknown preset {name!r}; expected sec51, sec52, or sec53")
+    if name not in PRESETS:
+        raise UsageError(f"unknown preset {name!r}; expected one of {', '.join(PRESETS)}")
+    problem, solvers = PRESETS[name](seed)
+    return ExperimentConfig(problem=problem, solvers=solvers, run=RunSpec(x0_seed=seed),
+                            output=OutputSpec(directory=str(Path(out_dir) / name)))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench, envelopes, oracles, problems
+from . import bench, directions, envelopes, oracles, problems
 from .core import DataError, IterateTrace, NumericalError, UsageError, as_vector
 
 EXIT_OK = 0
@@ -46,8 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--solver", choices=bench.DEAL_SOLVERS, default=solver_spec.solver)
     run.add_argument("--beta", default=solver_spec.beta,
                      help="'auto' = (1-nu)/nu, or a real > -1")
-    run.add_argument("--direction", choices=("grad", "bb1", "bb2", "lbfgs"),
-                     default="grad")
+    run.add_argument("--direction", choices=directions.KINDS, default=solver_spec.direction)
     run.add_argument("--sigma", type=float, default=solver_spec.sigma)
     run.add_argument("--eta", type=float, default=solver_spec.eta)
     run.add_argument("--alpha-bar", type=float, default=solver_spec.alpha_bar)
@@ -61,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="runs/single")
 
     sweep = sub.add_parser("sweep", help="run a named preset study")
-    sweep.add_argument("--preset", choices=("sec51", "sec52", "sec53"), required=True)
+    sweep.add_argument("--preset", choices=tuple(bench.PRESETS), required=True)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", default="runs")
     sweep.add_argument("--config", default=None,
@@ -137,9 +136,6 @@ def _dispatch(args) -> int:
     raise UsageError(f"unknown verb {args.verb!r}")
 
 
-_DIRECTION_ALIASES = {"grad": "gradient", "bb1": "bb1", "bb2": "bb2", "lbfgs": "lbfgs"}
-
-
 def _auto_or_float(text: str):
     """A real, or the text itself ("auto" or one that ``validate_config``
     then rejects, naming its key)."""
@@ -157,7 +153,7 @@ def _cmd_run(args) -> int:
                                   consistent=args.consistent),
         solvers=[bench.SolverSpec(
             name=args.solver.upper(), solver=args.solver, beta=beta,
-            direction=_DIRECTION_ALIASES[args.direction], sigma=args.sigma,
+            direction=args.direction, sigma=args.sigma,
             eta=args.eta, alpha_bar=args.alpha_bar, gamma=args.gamma,
             order=order)],
         run=bench.RunSpec(eps=args.eps, max_iter=args.max_iter,

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import io
 import json
 import os
+import re
 import warnings
 import weakref
 from collections import Counter
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dealopt import bench, cli, problems
+from dealopt import bench, cli, directions, problems
 from dealopt.core import REEVALUATE_BLOCK, TRACE_COLUMNS, Reevaluation, UsageError, _fmt
 
 
@@ -830,6 +832,69 @@ class TestCLI:
         summary = json.loads(capsys.readouterr().out)
         assert summary["ok"]
         assert len(summary["variants"]) == 5
+
+
+def option(verb, dest):
+    """The argparse action of ``deal VERB``'s option ``dest``."""
+    verbs, = (action for action in cli.build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction))
+    found, = (action for action in verbs.choices[verb]._actions if action.dest == dest)
+    return found
+
+
+class TestPresets:
+    def test_sweep_offers_exactly_the_presets_and_its_refusal_names_each(self, capsys):
+        assert option("sweep", "preset").choices == tuple(bench.PRESETS)
+        assert cli.main(["sweep", "--preset", "nope"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope'" in err
+        assert all(repr(name) in err for name in bench.PRESETS)
+
+    def test_an_unknown_preset_is_refused_naming_every_preset(self):
+        with pytest.raises(UsageError, match=re.escape(
+                f"unknown preset 'nope'; expected one of {', '.join(bench.PRESETS)}")):
+            bench.preset("Nope")
+
+    @pytest.mark.parametrize("name", list(bench.PRESETS))
+    def test_each_preset_gives_a_valid_config(self, tmp_path, name):
+        # any case names the preset; the seed seeds the problem and the start points
+        config = bench.preset(name.upper(), 7, out_dir=str(tmp_path))
+        assert bench.validate_config(config.as_dict()) == []
+        assert config.problem.seed == config.run.x0_seed == 7
+        assert config.output.directory == str(tmp_path / name)
+        assert config.as_dict() == bench.preset(name, 7, out_dir=str(tmp_path)).as_dict()
+
+    @pytest.mark.parametrize("name", list(bench.PRESETS))
+    def test_editing_a_preset_leaves_the_next_one_as_it_was(self, name):
+        first = bench.preset(name)
+        expected = first.as_dict()
+        first.solvers[0].beta = 0.9
+        first.solvers[-1].direction = "bb2"
+        first.solvers.append(bench.SolverSpec(name="EXTRA"))
+        first.problem.m = 5
+        assert bench.preset(name).as_dict() == expected
+
+    def test_run_direction_offers_exactly_the_direction_kinds(self):
+        direction = option("run", "direction")
+        assert direction.choices == directions.KINDS
+        assert direction.default == bench.SolverSpec.direction
+
+    def test_run_direction_is_spelled_as_in_a_config(self, tmp_path, monkeypatch, capsys):
+        built = []
+
+        def run_experiment(config):
+            built.append(config)
+            (tmp_path / "summary.json").write_text(json.dumps({"ok": True}))
+            return tmp_path
+        monkeypatch.setattr(bench, "run_experiment", run_experiment)
+        for kind in directions.KINDS:
+            assert cli.main(["run", "--direction", kind]) == cli.EXIT_OK
+        assert [config.solvers[0].direction for config in built] == list(directions.KINDS)
+        capsys.readouterr()
+        # the one spelling of the gradient is the config's
+        assert cli.main(["run", "--direction", "grad"]) == cli.EXIT_USAGE
+        assert "invalid choice: 'grad'" in capsys.readouterr().err
+        assert len(built) == len(directions.KINDS)
 
 
 def check_verdicts(bundle):
