@@ -29,7 +29,7 @@ from .boosted import BoostedConfig, bhippa_constants, bpga_constants, run_bhippa
 # reevaluate_trace is not called here since runs re-evaluate while they
 # proceed; it stays in this namespace, where perfbench's tracer wraps it
 from .core import (IterateTrace, Reevaluation, UsageError, certify_descent,
-                   certify_displacement, config_digest, is_integer,
+                   certify_displacement, check_count, config_digest, is_integer,
                    min_grad_bound_check, reevaluate_trace, write_rows)  # noqa: F401
 from .directions import DirectionRule, beta_for_holder
 from .solvers import ArmijoParams, DealConfig, deal_trace, run_deala, run_dealc
@@ -126,8 +126,6 @@ def validate_config(doc: dict) -> list:
         errors.extend(_field_errors(key, klass, sub))
     run = doc.get("run", {})
     repetitions = run.get("repetitions", 1) if isinstance(run, dict) else 1
-    if _number(repetitions) and repetitions < 1:
-        errors.append(f"run.repetitions must be at least 1, got {repetitions}")
     problem = doc.get("problem", {})
     kind = problem.get("kind", ProblemSpec.kind) if isinstance(problem, dict) else None
     family = problems.FAMILIES.get(kind) if isinstance(kind, str) else None
@@ -227,12 +225,15 @@ _FIELD_TYPES = {
     "Union[float, Literal['auto']]": (lambda v: _number(v) or isinstance(v, str) and v == "auto",
                                       "a number or 'auto'"),
 }
+# the least value of a field that has one: a run repeats at least once, and
+# numpy draws from no negative seed
+_LEAST = {"run.repetitions": 1, "problem.seed": 0, "run.x0_seed": 0}
 
 
 def _field_errors(key: str, klass, sub: dict) -> list:
     """Messages for the keys of ``sub`` that ``klass`` lacks and for the
-    values that fail their field's test in ``_FIELD_TYPES``.  No field takes
-    a NaN or an infinity."""
+    values that fail their field's test in ``_FIELD_TYPES`` or lie below
+    their least value in ``_LEAST``.  No field takes a NaN or an infinity."""
     types = {f.name: _FIELD_TYPES[f.type] for f in dataclasses.fields(klass)}
     errors = []
     for k, value in sub.items():
@@ -242,6 +243,8 @@ def _field_errors(key: str, klass, sub: dict) -> list:
             errors.append(f"{key}.{k} must be {types[k][1]}, got {value!r}")
         elif isinstance(value, float) and not math.isfinite(value):
             errors.append(f"{key}.{k} must be finite, got {value!r}")
+        elif f"{key}.{k}" in _LEAST and value < _LEAST[f"{key}.{k}"]:
+            errors.append(f"{key}.{k} must be at least {_LEAST[f'{key}.{k}']}, got {value}")
     return errors
 
 
@@ -277,6 +280,7 @@ def run_variant(problem, spec: SolverSpec, run: RunSpec, rep: int = 0) -> RunRes
     iterate to it is known where a certificate reads it, and no iterate
     outlives its re-evaluation block.
     """
+    check_count("run.x0_seed", run.x0_seed, 0)
     solve, ctx = _configure_variant(problem, spec, run)
     rng = np.random.default_rng(run.x0_seed + rep)
     x0 = rng.uniform(-5.0, 5.0, size=problem.n)
@@ -572,25 +576,21 @@ def _leastp_study(sigma: float, seed: int):
     """The least-p study (1000 samples, 200 features): the constant-step and
     backtracking families, each with its heuristic rescalings, at the Armijo
     acceptance constant ``sigma``."""
-    solvers = []
-    for fam, solver in (("DEAL-C", "deal-c"), ("DEAL-A", "deal-a")):
-        solvers.append(SolverSpec(name=fam, solver=solver, beta="auto", sigma=sigma))
-        solvers.extend(SolverSpec(name=f"{fam}{i}", solver=solver, beta=b, sigma=sigma)
-                       for i, b in enumerate(HEURISTIC_BETAS, start=1))
+    # each family's guaranteed variant ("auto"), then DEAL-C1, DEAL-C2, ...
     return (ProblemSpec(kind="leastp", m=1000, n=200, p=1.5, seed=seed, consistent=True),
-            solvers)
+            [SolverSpec(name=f"{fam}{i or ''}", solver=solver, beta=beta, sigma=sigma)
+             for fam, solver in (("DEAL-C", "deal-c"), ("DEAL-A", "deal-a"))
+             for i, beta in enumerate(("auto",) + HEURISTIC_BETAS)])
 
 
 def _lasso_study(seed: int):
     """The l1 regression study (1000 samples, 10 features) with the five
     boosted proximal-gradient variants."""
-    return (ProblemSpec(kind="lasso", m=1000, n=10, lam=0.1, seed=seed, consistent=False), [
-        SolverSpec(name="BPGA", solver="bpga", direction="gradient", beta=0.0),
-        SolverSpec(name="BPGA-1", solver="bpga", direction="gradient", beta=0.5),
-        SolverSpec(name="BPGA-BB1", solver="bpga", direction="bb1"),
-        SolverSpec(name="BPGA-BB2", solver="bpga", direction="bb2"),
-        SolverSpec(name="BPGA-LBFGS", solver="bpga", direction="lbfgs"),
-    ])
+    return (ProblemSpec(kind="lasso", m=1000, n=10, lam=0.1, seed=seed, consistent=False),
+            [SolverSpec(name="BPGA", solver="bpga", beta=0.0),
+             SolverSpec(name="BPGA-1", solver="bpga", beta=0.5)]
+            + [SolverSpec(name=f"BPGA-{kind.upper()}", solver="bpga", direction=kind)
+               for kind in ("bb1", "bb2", "lbfgs")])
 
 
 # the named studies: each maps a seed to the study's problem and a fresh list

@@ -123,17 +123,10 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.verb == "run":
-        return _cmd_run(args)
-    if args.verb == "sweep":
-        return _cmd_sweep(args)
-    if args.verb in ("certify", "analyze"):
-        return _cmd_certify(args)
-    if args.verb == "envelope":
-        return _cmd_envelope(args)
-    if args.verb == "oracle":
-        return _cmd_oracle(args)
-    raise UsageError(f"unknown verb {args.verb!r}")
+    # argparse admits only the verbs of build_parser
+    return {"run": _cmd_run, "sweep": _cmd_sweep, "certify": _cmd_certify,
+            "analyze": _cmd_certify, "envelope": _cmd_envelope,
+            "oracle": _cmd_oracle}[args.verb](args)
 
 
 def _auto_or_float(text: str):
@@ -292,7 +285,8 @@ def _cmd_oracle(args) -> int:
                           "closed_form": np.asarray(gradient).tolist()}, indent=2))
         return EXIT_OK
     if args.oracle_verb == "spectral":
-        A = np.asarray(json.loads(Path(args.matrix).read_text()), dtype=float)
+        # spectral_constants refuses a matrix that is not one of numbers
+        A = json.loads(Path(args.matrix).read_text())
         spec = oracles.spectral_constants(A)
         it = oracles.iterative_spectral_constants(A)
         print(json.dumps({"opnorm": spec.opnorm, "sigma_min": spec.sigma_min,

@@ -42,8 +42,13 @@ class CapabilityError(UsageError):
 
 
 def as_vector(x, dim: Optional[int] = None, name: str = "x") -> np.ndarray:
-    """Coerce to a finite 1-D float array, validating dimension if given."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    """Coerce to a finite 1-D float array, validating dimension if given.
+    An input numpy cannot read as numbers (a string, a ragged list) is a
+    ``DataError`` that names it."""
+    try:
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"{name} is not an array of numbers: {exc}") from None
     if arr.ndim != 1:
         raise UsageError(f"{name} must be a vector, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
@@ -361,10 +366,11 @@ def config_digest(config: dict) -> str:
 
 @dataclass
 class CertificateReport:
-    """Outcome of one per-trace inequality check."""
+    """Outcome of one per-trace inequality check; ``passed`` is None when
+    it checked no case that could fail (see ``_verdict``)."""
 
     name: str
-    passed: bool
+    passed: Optional[bool]
     n_checked: int
     worst_violation: float = -math.inf
     worst_index: int = -1
@@ -372,7 +378,8 @@ class CertificateReport:
     n_vacuous: Optional[int] = None
 
     def as_dict(self) -> dict:
-        doc = {"name": self.name, "passed": bool(self.passed),
+        doc = {"name": self.name,
+               "passed": None if self.passed is None else bool(self.passed),
                "n_checked": self.n_checked}
         if self.n_vacuous is not None:
             doc["n_vacuous"] = self.n_vacuous
@@ -388,11 +395,15 @@ def _verdict(name: str, excess, allowed, index, details: dict,
     Record ``i`` passes when ``excess[i] <= allowed`` (a scalar or one bound
     per record); ``index[i]`` names it in the trace.  The worst violation is
     the largest excess, at its first occurrence.  ``n_vacuous`` is None for
-    a check without a vacuous case.
+    a check without a vacuous case.  A check with no live case, none checked
+    or every one vacuous, that no record fails reaches no verdict: its
+    ``passed`` is None, not a pass, and ``bench.bundle_ok`` ignores it.
     """
-    report = CertificateReport(name=name, passed=bool(np.all(excess <= allowed)),
-                               n_checked=len(excess), details=details,
-                               n_vacuous=n_vacuous)
+    passed = bool(np.all(excess <= allowed))
+    if passed and len(excess) == (n_vacuous or 0):
+        passed = None
+    report = CertificateReport(name=name, passed=passed, n_checked=len(excess),
+                               details=details, n_vacuous=n_vacuous)
     if len(excess):
         i = int(np.argmax(excess))
         report.worst_violation = float(excess[i])

@@ -200,9 +200,13 @@ def spectral_constants(A) -> SpectralConstants:
     The computed values are exact for some A + E with ||E||_2 <= c eps ||A||_2,
     c a modest function of (m, n) (Golub & Van Loan, ch. 8), so padding by
     max(m, n) eps s_max makes ``opnorm`` an upper and ``sigma_min`` a lower
-    bound: declared constants sit on the safe side.
+    bound: declared constants sit on the safe side.  An ``A`` numpy cannot
+    read as numbers (a ragged list, say) is a ``DataError``.
     """
-    A = np.asarray(A, dtype=float)
+    try:
+        A = np.asarray(A, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"A is not a matrix of numbers: {exc}") from None
     if A.ndim != 2 or A.size == 0 or not np.all(np.isfinite(A)):
         raise DataError("A must be a finite, non-empty 2-D matrix")
     s = np.linalg.svd(A, compute_uv=False)

@@ -436,6 +436,7 @@ def generate_problem(seed: int, kind: str, m: int = 0, n: int = 0, *,
     family = FAMILIES.get(kind.lower())
     if family is None:
         raise UsageError(f"unknown problem kind {kind!r}")
+    check_count("seed", seed, 0)
     check_count("n", n, 1)
     return family.generate(seed, m, n, p=p, lam=lam, s=s, consistent=consistent)
 

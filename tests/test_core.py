@@ -20,6 +20,7 @@ from dealopt.core import (REEVALUATE_BLOCK, TRACE_COLUMNS, DataError, Evaluation
                           min_grad_bound_check, reevaluate_trace)
 import dealopt
 from dealopt import bench
+from dealopt.analysis import per_step_ratio_check
 from dealopt.problems import generate_problem
 
 
@@ -44,6 +45,12 @@ def test_metadata_validation():
         as_vector([1.0, float("nan")])
     with pytest.raises(UsageError):
         as_vector([1.0, 2.0], dim=3)
+
+
+@pytest.mark.parametrize("x", [["a", 1.0], [[1.0, 2.0], [3.0]], {"a": 1.0}])
+def test_as_vector_refuses_what_is_not_numbers_naming_it(x):
+    with pytest.raises(DataError, match="^--at is not an array of numbers: "):
+        as_vector(x, name="--at")
 
 
 @pytest.mark.parametrize("dim, message", [
@@ -158,8 +165,9 @@ def test_min_grad_bound_violation_and_usage():
 
 
 @pytest.mark.parametrize("fs, gs, passed, n_vacuous", [
-    # every bound sqrt(2/N) >= ||g_0|| = 0.1: the check checks nothing
-    pytest.param([1.0, 0.5, 0.5], [0.1, 0.05, 0.05], True, 3, id="vacuous"),
+    # every bound sqrt(2/N) >= ||g_0|| = 0.1: the check checks nothing and
+    # reaches no verdict
+    pytest.param([1.0, 0.5, 0.5], [0.1, 0.05, 0.05], None, 3, id="vacuous"),
     # sqrt(2/N) >= ||g_0|| = 0.21 for N <= 45; the later prefixes pass
     # against a live bound, down to sqrt(2/100) > 0.13
     pytest.param([1.0] + [0.5] * 99, [0.21] + [0.13] * 99, True, 45, id="live-passing"),
@@ -170,6 +178,26 @@ def test_min_grad_bound_counts_its_vacuous_prefixes(fs, gs, passed, n_vacuous):
     rep = min_grad_bound_check(make_trace(fs, gs), rho=0.5, theta=2.0, fstar=0.0)
     assert (rep.passed, rep.n_checked, rep.n_vacuous) == (passed, len(fs), n_vacuous)
     assert rep.as_dict()["n_vacuous"] == n_vacuous
+    assert rep.as_dict()["passed"] is passed
+
+
+def test_a_check_with_no_live_case_reaches_no_verdict():
+    # every pair's required decrease rho g^2 = 2^-42 is below the slack 2^-40
+    vacuous = make_trace([0.5, 0.5, 0.5], [2.0 ** -21, 2.0 ** -21, 0.0])
+    rep = certify_descent(vacuous, rho=1.0, theta=2.0, rel_tol=2.0 ** -40)
+    assert (rep.passed, rep.n_checked, rep.n_vacuous) == (None, 2, 2)
+    assert rep.as_dict()["passed"] is None
+    # one record: no pair, so nothing is checked
+    single = certify_descent(make_trace([1.0], [1.0]), 0.5, 2.0)
+    assert (single.passed, single.n_checked) == (None, 0)
+    # one live pair among vacuous ones gives a verdict
+    live = make_trace([0.5, 0.5, 0.25, 0.25], [2.0 ** -21, 0.5, 2.0 ** -21, 0.0])
+    assert certify_descent(live, rho=1.0, theta=2.0, rel_tol=2.0 ** -40).passed is True
+    # no gap above the floor: per_step_ratio checks nothing
+    flat = make_trace([0.0, 0.0], [1.0, 1.0])
+    ratio = per_step_ratio_check(flat, 0.0, 0.5)
+    assert (ratio.passed, ratio.n_checked) == (None, 0)
+    assert bench.bundle_ok({"descent": rep.as_dict(), "per_step_ratio": ratio.as_dict()})
 
 
 def test_an_infinite_min_grad_bound_is_vacuous_and_warns_nothing():
@@ -178,7 +206,7 @@ def test_an_infinite_min_grad_bound_is_vacuous_and_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = min_grad_bound_check(tr, rho=1e-300, theta=2.0, fstar=0.0)
-    assert rep.passed and rep.n_vacuous == 3
+    assert rep.passed is None and rep.n_vacuous == 3
     assert rep.worst_violation == -math.inf
 
 

@@ -216,6 +216,12 @@ def test_declared_constants_bracket_the_truth(name):
     assert LassoProblem(A, b, lam=0.1).L >= s[0] ** 2
 
 
+@pytest.mark.parametrize("A", [[[1, 2], [3]], [["a", 1], [2, 3]], {"a": 1}])
+def test_spectral_refuses_a_matrix_that_is_not_numbers(A):
+    with pytest.raises(DataError, match="^A is not a matrix of numbers: "):
+        spectral_constants(A)
+
+
 def test_spectral_large_gaussian_sane():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((400, 100))

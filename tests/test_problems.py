@@ -7,9 +7,8 @@ from dealopt.bench import build_problem, preset
 from dealopt.core import REEVALUATE_BLOCK, DataError, UsageError
 from dealopt.envelopes import prox_l1
 from dealopt.oracles import finite_diff_gradient, iterative_spectral_constants
-from dealopt.problems import (LassoProblem, LeastPProblem, PowerAbsProblem,
-                              QuadraticProblem, generate_problem,
-                              reference_optimum)
+from dealopt.problems import (FAMILIES, LassoProblem, LeastPProblem, PowerAbsProblem,
+                              QuadraticProblem, generate_problem, reference_optimum)
 
 
 def evaluated(problem, x):
@@ -391,3 +390,10 @@ def test_generate_problem_rejects_unknown():
         generate_problem(0, "mystery", 5, 5)
     with pytest.raises(UsageError):
         generate_problem(0, "leastp", 3, 5)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_generate_problem_refuses_a_negative_seed_for_every_family(kind):
+    # numpy draws from no negative seed
+    with pytest.raises(UsageError, match="^seed must be >= 0, got -1$"):
+        generate_problem(-1, kind, 20, 5)
