@@ -7,15 +7,16 @@ Python process per tree, importing ``dealopt`` from that tree's ``src/``,
 writes every run of ``RUNS`` through ``dealopt.cli.main`` into
 ``DIR/<side>/runs``: ``deal sweep`` of ``sec51`` at seeds 0, 2 and 13, of
 ``sec52`` at seed 0 and of ``sec53`` at seeds 0-39, ``deal run`` of
-``bhippa`` on powerabs with n = 100, s = 4 at seeds 7-46, and the nine
+``bhippa`` on powerabs with n = 100, s = 4 at seeds 7-46, and the ten
 ``SINGLE_RUNS``, which reach the paths the sweeps do not: ``bpga`` on the
 40 x 40 lasso (seed 3, with boosted fallbacks); ``deal-c`` and ``deal-a``
 with BB1 on least-p 40 x 8 (seed 1), which replay a fixed point with a rule
 that falls back; ``deal-a`` with L-BFGS, and with ``--alpha-bar 1e300``,
 which ends ``backtrack_limit`` at k = 0; ``bhippa`` on powerabs with
-n = 1000, s = 3 at order 2.5 (the Newton prox) and with n = 100, s = 1.5
-(the ``displacement`` stop); and ``deal-c`` and ``deal-a`` on the 30 x 10
-quadratic.  For each run it
+n = 1000, s = 3 at order 2.5 (the Newton prox), with n = 100, s = 3 at
+order 2 (the one order whose envelope penalty is a dot product) and with
+n = 100, s = 1.5 (the ``displacement`` stop); and ``deal-c`` and ``deal-a``
+on the 30 x 10 quadratic.  For each run it
 prints how many files are equal, different and missing on one side,
 ``config.json`` included.  It exits 1 if any file differs or is missing, or
 if a run wrote no file, and refuses (exit 1) an ``--out`` that exists before
@@ -45,6 +46,7 @@ SINGLE_RUNS = (
     ("lbfgs-deal-a", "leastp --m 40 --n 8 --solver deal-a --direction lbfgs"),
     ("huge-alpha-bar", "leastp --m 40 --n 8 --solver deal-a --alpha-bar 1e300"),
     ("bhippa-n1000-s3-p2.5", "powerabs --n 1000 --s 3 --order 2.5 --solver bhippa"),
+    ("bhippa-n100-s3-p2", "powerabs --n 100 --s 3 --order 2 --solver bhippa"),
     ("bhippa-n100-s1.5", "powerabs --n 100 --s 1.5 --solver bhippa"),
     ("quadratic-deal-c", "quadratic --m 30 --n 10 --solver deal-c"),
     ("quadratic-deal-a", "quadratic --m 30 --n 10 --solver deal-a"),

@@ -26,9 +26,17 @@ EXIT_CERTIFICATE = 2
 EXIT_NUMERICAL = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals are ``UsageError``s, so that a bad
+    command line gets the one ``error:`` line of every other refusal and no
+    usage block.  The verbs' parsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="deal",
-                                     description="generalized-descent benchmark runner")
+    parser = _Parser(prog="deal", description="generalized-descent benchmark runner")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     run = sub.add_parser("run", help="run one solver variant on a generated problem")
@@ -107,11 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits itself; fold into our codes
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits through argparse
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return _dispatch(args)
     except (UsageError, DataError, OSError, json.JSONDecodeError) as exc:
@@ -255,8 +265,24 @@ def _take_sidecar_constants(args, sidecar: dict) -> None:
         setattr(args, name, value)
 
 
+def _read_numbers(path, name: str, what: str):
+    """The JSON document of ``path``, refused (``DataError``) unless each of
+    its leaves is a number: numpy would read a string such as "1.5", or a
+    bool, as one."""
+    doc = json.loads(Path(path).read_text())
+    pending = [doc]
+    while pending:
+        leaf = pending.pop()
+        if isinstance(leaf, list):
+            # the first leaf in the document's order is refused first
+            pending.extend(reversed(leaf))
+        elif isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise DataError(f"{name} is not {what} of numbers: it holds {json.dumps(leaf)}")
+    return doc
+
+
 def _cmd_envelope(args) -> int:
-    x = as_vector(json.loads(Path(args.at).read_text()), name="--at")
+    x = as_vector(_read_numbers(args.at, "--at", "an array"), name="--at")
     g = envelopes.L1Norm(args.weight) if args.g == "l1" else envelopes.AbsPower(args.s)
     ev = envelopes.home_value_grad(g, x, args.gamma, args.p)
     print(json.dumps({
@@ -273,7 +299,7 @@ def _cmd_oracle(args) -> int:
     if args.oracle_verb == "fd-grad":
         prob = problems.generate_problem(args.seed, args.problem, args.m, args.n,
                                          p=args.p, lam=args.lam)
-        x = as_vector(json.loads(Path(args.at).read_text()), prob.n, "--at")
+        x = as_vector(_read_numbers(args.at, "--at", "an array"), prob.n, "--at")
         if hasattr(prob, "as_smooth"):
             smooth = prob.as_smooth()
             value, gradient = smooth.value, smooth.complete(smooth.value(x)).gradient
@@ -285,8 +311,8 @@ def _cmd_oracle(args) -> int:
                           "closed_form": np.asarray(gradient).tolist()}, indent=2))
         return EXIT_OK
     if args.oracle_verb == "spectral":
-        # spectral_constants refuses a matrix that is not one of numbers
-        A = json.loads(Path(args.matrix).read_text())
+        # spectral_constants refuses a ragged matrix
+        A = _read_numbers(args.matrix, "--matrix", "a matrix")
         spec = oracles.spectral_constants(A)
         it = oracles.iterative_spectral_constants(A)
         print(json.dumps({"opnorm": spec.opnorm, "sigma_min": spec.sigma_min,

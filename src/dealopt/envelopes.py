@@ -104,30 +104,37 @@ class AbsPower:
         if not (p > 1.0 and gamma > 0.0):
             raise UsageError("need p > 1 and gamma > 0")
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        a = np.abs(x).ravel()
         if p == self.s:
-            root = _abs_power_matched(a, self.s, gamma)
-        else:
-            root = _abs_power_root(a, self.s, gamma, p)
-        return np.sign(x) * root.reshape(x.shape)
+            return np.sign(x) * _abs_power_matched(np.abs(x), self.s, gamma)
+        return np.sign(x) * _abs_power_root(np.abs(x).ravel(), self.s, gamma, p).reshape(x.shape)
 
 
 def _abs_power_matched(a, s, gamma):
-    """Root v in [0, a] of s v^(s-1) - (a - v)^(s-1) / gamma, per entry of a >= 0.
+    """Root v in [0, a] of s v^(s-1) - (a - v)^(s-1) / gamma, per entry of an
+    array a >= 0 of any shape.
 
     At p = s the condition reads ((a - v) / v)^(s-1) = s gamma, so
     v = a / (1 + (s gamma)^(1/(s-1))).  As in ``_abs_power_root``, entries
-    of a below the smallest normal float give 0 and non-finite ones nan, and
-    a root at which s v^(s-1) overflows raises.
+    of a below the smallest normal float give 0 and non-finite ones nan (the
+    masking runs only when some entry is such), and a root at which
+    s v^(s-1) overflows raises.  s v^(s-1) increases with v, and v with a,
+    so only the largest live root is checked, and the error names the
+    largest live entry of a.
     """
-    live = np.isfinite(a) & (a >= np.finfo(float).tiny)
-    root = np.where(live, a / (1.0 + (s * gamma) ** (1.0 / (s - 1.0))),
-                    np.where(np.isfinite(a), 0.0, math.nan))
+    tiny = np.finfo(float).tiny
+    scale = 1.0 + (s * gamma) ** (1.0 / (s - 1.0))
+    root = a / scale
+    top = a.max(initial=0.0)
+    # a nan entry fails both comparisons
+    if not (a.min(initial=math.inf) >= tiny and top < math.inf):
+        live = np.isfinite(a) & (a >= tiny)
+        root = np.where(live, root, np.where(np.isfinite(a), 0.0, math.nan))
+        top = a.max(where=live, initial=0.0)
+    # the largest live root is top / scale, as division rounds monotonically
     with np.errstate(over="ignore"):
-        overflow = ~np.isfinite(s * root[live] ** (s - 1.0))
-    if overflow.any():
-        raise NumericalError(f"order-{s} prox of |t|^{s} overflows at |x| = "
-                             f"{a[live][overflow].max():g}")
+        overflow = not np.isfinite(s * np.array([top / scale]) ** (s - 1.0))[0]
+    if overflow:
+        raise NumericalError(f"order-{s} prox of |t|^{s} overflows at |x| = {top:g}")
     return root
 
 
@@ -328,11 +335,11 @@ def home_complete(ev: Evaluation, gamma: float, p: float = 2.0) -> Evaluation:
 def home_rows(g, X, gamma: float, p: float = 2.0):
     """Envelope values and gradients at the rows of ``X`` from one prox solve,
     for a term whose ``prox`` and ``scalar`` act elementwise (``AbsPower``).
-    Each row's sums are the per-point ones, so rows agree with ``home_value_grad``."""
+    Each row's sums are the per-point ones, taken for all rows at once, so
+    rows agree with ``home_value_grad`` bit for bit."""
     Y = g.prox(X, gamma, p)
     D = X - Y
-    values = g.scalar(Y).sum(axis=1) + [_penalty(d, gamma, p) for d in D]
-    return values, _home_gradient(D, gamma, p)
+    return g.scalar(Y).sum(axis=1) + _penalty_rows(D, gamma, p), _home_gradient(D, gamma, p)
 
 
 def _home_gradient(d, gamma, p):
@@ -361,6 +368,15 @@ def _penalty(d, gamma, p):
         return float(d @ d) / (2.0 * gamma)
     # separable construction: per-coordinate p-th powers
     return float(np.sum(np.abs(d) ** p)) / (p * gamma)
+
+
+def _penalty_rows(D, gamma, p):
+    """``_penalty`` of every row of D, each bit for bit the per-row one:
+    numpy sums a row of a row-wise reduction as it sums the row alone, and a
+    stack of 1 x n by n x 1 products takes the BLAS dot of ``d @ d``."""
+    if p == 2.0:
+        return (D[:, None, :] @ D[:, :, None])[:, 0, 0] / (2.0 * gamma)
+    return np.sum(np.abs(D) ** p, axis=1) / (p * gamma)
 
 
 def forward_backward_map(problem: CompositeObjective, x, gamma: float) -> np.ndarray:

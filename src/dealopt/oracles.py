@@ -85,8 +85,10 @@ def scalar_minimize(g: Callable, bracket) -> RowsMinResult:
     the basins whose refined value ties its best within ``_TIE_TOL`` as
     candidates, so callers can detect multi-valued minimizers.  Each row
     takes the steps of a one-row run at the same points; the entries of a
-    row that has finished refining, or has fewer basins, are evaluated but
-    not used.
+    row that has finished refining, or has fewer basins than another row,
+    are evaluated but not used.  Slots past the most basins of any row are
+    not evaluated: they are padded with nan points and inf values, as an
+    absent basin is, so every row has ``_MULTI_START`` slots.
     """
     lo, hi = (np.asarray(end, dtype=float) for end in bracket)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(hi > lo)):
@@ -104,6 +106,9 @@ def scalar_minimize(g: Callable, bracket) -> RowsMinResult:
     basin[:, :-1] &= vals[:, :-1] <= vals[:, 1:]
     best = np.argsort(np.where(basin, vals, np.inf), axis=1, kind="stable")[:, :_MULTI_START]
     valid = np.take_along_axis(basin, best, axis=1)
+    # basins sort first, so the slots that some row fills are the first few
+    slots = int(valid.sum(axis=1).max())
+    best, valid = best[:, :slots], valid[:, :slots]
     # a row's grid minimum is always a basin: it stands in for absent ones
     i = np.where(valid, best, best[:, :1])
     a = np.take_along_axis(ts, np.maximum(i - 1, 0), axis=1)
@@ -115,8 +120,10 @@ def scalar_minimize(g: Callable, bracket) -> RowsMinResult:
     grid_u = np.take_along_axis(ts, i, axis=1)
     grid_v = np.take_along_axis(vals, i, axis=1)
     scanned = grid_v < v
-    points = np.where(valid, np.where(scanned, grid_u, u), math.nan)
-    values = np.where(valid, np.where(scanned, grid_v, v), math.inf)
+    points = np.full(best.shape[:1] + (_MULTI_START,), math.nan)
+    values = np.full(points.shape, math.inf)
+    points[:, :slots] = np.where(valid, np.where(scanned, grid_u, u), math.nan)
+    values[:, :slots] = np.where(valid, np.where(scanned, grid_v, v), math.inf)
     order = np.argsort(values, axis=1, kind="stable")
     points = np.take_along_axis(points, order, axis=1)
     values = np.take_along_axis(values, order, axis=1)

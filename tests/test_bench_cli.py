@@ -668,9 +668,8 @@ class TestCLI:
     def test_consistent_flag_is_refused_and_inconsistent_reaches_the_problem(
             self, tmp_path, capsys):
         parser = cli.build_parser()
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(UsageError, match="^unrecognized arguments: --consistent$"):
             parser.parse_args(["run", "--consistent"])
-        assert exc.value.code == 2
         assert cli.main(["run", "--consistent", "--out", str(tmp_path / "no")]) \
             == cli.EXIT_USAGE
         assert not (tmp_path / "no").exists()
@@ -816,6 +815,35 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["envelope", "--at"], "--at is not an array of numbers"),
+        (["oracle", "fd-grad", "--n", "2", "--at"], "--at is not an array of numbers"),
+        (["oracle", "spectral", "--matrix"], "--matrix is not a matrix of numbers")])
+    def test_json_strings_and_bools_are_not_numbers(self, tmp_path, capsys, argv, message):
+        # numpy reads "1.5" and true as the numbers 1.5 and 1.0; the first
+        # leaf that is no number is named
+        path = tmp_path / "in.json"
+        for doc, leaf in ((["1.5", True], '"1.5"'), ([[1.0, 2.0], [True, 3.0]], "true")):
+            path.write_text(json.dumps(doc))
+            assert cli.main(argv + [str(path)]) == cli.EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}: it holds {leaf}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--preset", "nope"], "argument --preset: invalid choice: 'nope'"),
+        (["run", "--direction", "grad"], "argument --direction: invalid choice: 'grad'"),
+        (["run", "--at", "x.json"], "unrecognized arguments: --at x.json"),
+        (["envelope"], "the following arguments are required: --at")])
+    def test_a_command_line_argparse_refuses_gets_one_error_line(self, tmp_path, capsys,
+                                                                 argv, message):
+        out = [] if argv[0] == "envelope" else ["--out", str(tmp_path / "refused")]
+        assert cli.main(argv + out) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage:" not in captured.err
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert not (tmp_path / "refused").exists()
+
     def test_usage_exit_codes(self, capsys):
         assert cli.main(["sweep", "--preset", "nope"]) == cli.EXIT_USAGE
         assert cli.main(["--help"]) == cli.EXIT_OK
@@ -861,8 +889,11 @@ class TestPresets:
     def test_sweep_offers_exactly_the_presets_and_its_refusal_names_each(self, capsys):
         assert option("sweep", "preset").choices == tuple(bench.PRESETS)
         assert cli.main(["sweep", "--preset", "nope"]) == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "invalid choice: 'nope'" in err
+        captured = capsys.readouterr()
+        err = captured.err
+        # one error line, as every other refusal, with no usage block
+        assert err.startswith("error: argument --preset: invalid choice: 'nope'")
+        assert err.count("\n") == 1 and captured.out == ""
         assert all(repr(name) in err for name in bench.PRESETS)
 
     def test_an_unknown_preset_is_refused_naming_every_preset(self):
@@ -908,7 +939,9 @@ class TestPresets:
         capsys.readouterr()
         # the one spelling of the gradient is the config's
         assert cli.main(["run", "--direction", "grad"]) == cli.EXIT_USAGE
-        assert "invalid choice: 'grad'" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: argument --direction: invalid choice: 'grad'")
+        assert captured.err.count("\n") == 1 and captured.out == ""
         assert len(built) == len(directions.KINDS)
 
 

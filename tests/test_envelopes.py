@@ -175,6 +175,23 @@ class TestMatchedOrder:
         assert np.array_equal(closed, _abs_power_root(a, 4.0, 1.0, 4.0), equal_nan=True)
         assert closed[0] == closed[1] == 0.0 and np.isnan(closed[2:4]).all()
 
+    def test_overflow_names_the_largest_entry(self):
+        a = np.array([1.0, 1e200, 3e250, np.nan, 2e250, np.inf])
+        with pytest.raises(NumericalError, match=r"overflows at \|x\| = 3e\+250$"):
+            _abs_power_matched(a, 4.0, 1.0)
+        with pytest.raises(NumericalError, match=r"overflows at \|x\| = 3e\+250$"):
+            _abs_power_matched(a[[0, 1, 2, 4]].reshape(2, 2), 4.0, 1.0)
+
+    def test_non_finite_entries_give_nan_in_any_shape(self):
+        a = np.array([[np.nan, 2.0, 0.0], [np.inf, 1e-320, 3.0]])
+        root = _abs_power_matched(a, 4.0, 1.0)
+        assert root.shape == a.shape and np.isnan(root[:, 0]).all()
+        assert root[0, 2] == root[1, 1] == 0.0
+        assert root[[0, 1], [1, 2]].tolist() == _abs_power_matched(np.array([2.0, 3.0]),
+                                                                   4.0, 1.0).tolist()
+        assert np.isnan(_abs_power_matched(np.array([np.nan, -np.inf]), 4.0, 1.0)).all()
+        assert _abs_power_matched(np.array([]), 4.0, 1.0).shape == (0,)
+
     @pytest.mark.parametrize("s", (1.5, 4.0, 8.0))
     def test_closed_form_passes_the_oracle_at_n1000(self, s):
         x = np.random.default_rng(2).uniform(-5.0, 5.0, 1000)
@@ -223,6 +240,27 @@ class TestBatchedSeparableProx:
                 tuple(np.array([end]) for end in reference_bracket(h, xi)))
             assert one.multi_valued == loop.multi_valued[0]
             assert one.point[0] == min(loop.points[0][loop.candidates[0]].tolist(), key=abs)
+
+
+HOME_ROWS_BLOCK = np.vstack([
+    np.random.default_rng(4).uniform(-5.0, 5.0, (40, 7)),
+    [0.0, -0.0, 5e-324, -1e-310, 1e-12, -3.0, 2.0],
+    [-2.0, 1e-300, -5e-324, 0.0, 4.0, -1e-12, 0.0],
+])
+
+
+@pytest.mark.parametrize("s", (1.5, 3.0, 4.0))
+@pytest.mark.parametrize("order", (1.5, 2.0, 2.5, "s"))
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_home_rows_is_the_per_point_envelope_bit_for_bit(s, order):
+    # the warnings come from |d|^(p-2) at d = 0 for p < 2, zeroed by both
+    p = s if order == "s" else order
+    values, G = envelopes.home_rows(AbsPower(s), HOME_ROWS_BLOCK, 0.7, p)
+    for x, value, gradient in zip(HOME_ROWS_BLOCK, values.tolist(), G):
+        ev = home_value_grad(AbsPower(s), x, 0.7, p)
+        assert value == ev.value
+        assert gradient.tobytes() == ev.gradient.tobytes()
 
 
 class TestProxOracleCheck:

@@ -165,6 +165,34 @@ def test_scalar_minimize_is_the_reference_loop(f, bracket):
     assert (res.argmin[0], res.minval[0]) == candidates[0]
 
 
+def test_scalar_minimize_refines_both_basins_of_a_tied_row_and_pads_the_slots():
+    # row 0 is a double well, row 1 a parabola: two slots are refined, the
+    # other three hold nan points and inf values in every row
+    wells = np.array([[1.0], [0.0]])
+    res = scalar_minimize(lambda T: wells * (T * T - 1.0) ** 2 + (1.0 - wells) * (T - 0.5) ** 2,
+                          (np.array([-3.0, -3.0]), np.array([3.0, 3.0])))
+    assert res.points.shape == res.values.shape == res.candidates.shape == (2, 5)
+    assert sorted(res.points[0, :2].tolist()) == pytest.approx([-1.0, 1.0], abs=1e-8)
+    assert res.candidates[0].tolist() == [True, True, False, False, False]
+    assert res.multi_valued.tolist() == [True, False]
+    assert np.isnan(res.points[0, 2:]).all() and np.isinf(res.values[0, 2:]).all()
+    assert res.points[1, 0] == pytest.approx(0.5, abs=1e-8)
+    assert np.isnan(res.points[1, 1:]).all() and np.isinf(res.values[1, 1:]).all()
+
+
+def test_a_one_basin_call_returns_the_pinned_arrays():
+    # the arrays of the version that refined all five slots of every row
+    res = scalar_minimize(lambda T: np.exp(T) - np.array([[2.0], [3.0]]) * T,
+                          (np.array([-1.0, 0.0]), np.array([2.0, 3.0])))
+    argmin = [float.fromhex("0x1.62e42fefb7e3fp-1"), float.fromhex("0x1.193ea7aacb383p+0")]
+    minval = [float.fromhex("0x1.3a37a020b8c22p-1"), float.fromhex("-0x1.2eefdc01c2478p-2")]
+    pad = [math.nan] * 4
+    assert res.argmin.tolist() == argmin and res.minval.tolist() == minval
+    assert np.array_equal(res.points, [[argmin[0]] + pad, [argmin[1]] + pad], equal_nan=True)
+    assert res.values.tolist() == [[minval[0]] + [math.inf] * 4, [minval[1]] + [math.inf] * 4]
+    assert res.candidates.tolist() == [[True] + [False] * 4] * 2
+
+
 def test_scalar_minimize_rows_reject_bad_brackets():
     with pytest.raises(UsageError):
         scalar_minimize(lambda T: T * T, (np.array([0.0, 1.0]), np.array([1.0, 1.0])))

@@ -44,7 +44,7 @@ def stubbed(monkeypatch):
 
 def test_the_runs_are_the_presets_the_bhippa_seeds_and_the_single_runs():
     labels = [label for label, _ in same_outputs.RUNS]
-    assert len(set(labels)) == len(labels) == 3 + 1 + 40 + 40 + 9
+    assert len(set(labels)) == len(labels) == 3 + 1 + 40 + 40 + 10
     assert labels[:4] == ["sec51-seed0", "sec51-seed2", "sec51-seed13", "sec52-seed0"]
     assert labels[4:44] == [f"sec53-seed{s}" for s in range(40)]
     assert labels[44:84] == [f"bhippa-seed{s}" for s in range(7, 47)]
@@ -55,6 +55,10 @@ def test_the_runs_are_the_presets_the_bhippa_seeds_and_the_single_runs():
     assert dict(same_outputs.RUNS)["bhippa-seed7"] == [
         "run", "--problem", "powerabs", "--n", "100", "--s", "4", "--seed", "7",
         "--x0-seed", "7", "--solver", "bhippa"]
+    # p = 2, whose envelope penalty takes the BLAS dot of d @ d
+    assert dict(same_outputs.RUNS)["bhippa-n100-s3-p2"] == [
+        "run", "--problem", "powerabs", "--n", "100", "--s", "3", "--order", "2",
+        "--solver", "bhippa"]
     assert dict(same_outputs.RUNS)["sec51-seed13"] == ["sweep", "--preset", "sec51",
                                                        "--seed", "13"]
 
