@@ -116,14 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        return _dispatch(build_parser().parse_args(argv))
     except SystemExit as exc:  # --help exits through argparse
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _dispatch(args)
     except (UsageError, DataError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -120,7 +120,7 @@ def scalar_minimize(g: Callable, bracket) -> RowsMinResult:
     grid_u = np.take_along_axis(ts, i, axis=1)
     grid_v = np.take_along_axis(vals, i, axis=1)
     scanned = grid_v < v
-    points = np.full(best.shape[:1] + (_MULTI_START,), math.nan)
+    points = np.full((len(best), _MULTI_START), math.nan)
     values = np.full(points.shape, math.inf)
     points[:, :slots] = np.where(valid, np.where(scanned, grid_u, u), math.nan)
     values[:, :slots] = np.where(valid, np.where(scanned, grid_v, v), math.inf)

@@ -242,27 +242,6 @@ class TestBatchedSeparableProx:
             assert one.point[0] == min(loop.points[0][loop.candidates[0]].tolist(), key=abs)
 
 
-HOME_ROWS_BLOCK = np.vstack([
-    np.random.default_rng(4).uniform(-5.0, 5.0, (40, 7)),
-    [0.0, -0.0, 5e-324, -1e-310, 1e-12, -3.0, 2.0],
-    [-2.0, 1e-300, -5e-324, 0.0, 4.0, -1e-12, 0.0],
-])
-
-
-@pytest.mark.parametrize("s", (1.5, 3.0, 4.0))
-@pytest.mark.parametrize("order", (1.5, 2.0, 2.5, "s"))
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_home_rows_is_the_per_point_envelope_bit_for_bit(s, order):
-    # the warnings come from |d|^(p-2) at d = 0 for p < 2, zeroed by both
-    p = s if order == "s" else order
-    values, G = envelopes.home_rows(AbsPower(s), HOME_ROWS_BLOCK, 0.7, p)
-    for x, value, gradient in zip(HOME_ROWS_BLOCK, values.tolist(), G):
-        ev = home_value_grad(AbsPower(s), x, 0.7, p)
-        assert value == ev.value
-        assert gradient.tobytes() == ev.gradient.tobytes()
-
-
 class TestProxOracleCheck:
     def test_reports_worst_excess_and_point_gap(self):
         x = np.array([-2.0, 0.5, 3.0])
