@@ -10,15 +10,17 @@ writes every run of ``RUNS`` through ``dealopt.cli.main`` into
 ``bhippa`` on powerabs with n = 100, s = 4 at seeds 7-46, and the ten
 ``SINGLE_RUNS``, which reach the paths the sweeps do not: ``bpga`` on the
 40 x 40 lasso (seed 3, with boosted fallbacks); ``deal-c`` and ``deal-a``
-with BB1 on least-p 40 x 8 (seed 1), which replay a fixed point with a rule
-that falls back; ``deal-a`` with L-BFGS, and with ``--alpha-bar 1e300``,
+with BB1 on least-p 40 x 8 (seed 1), which reach a bitwise fixed point with
+a rule that falls back; ``deal-a`` with L-BFGS, and with ``--alpha-bar 1e300``,
 which ends ``backtrack_limit`` at k = 0; ``bhippa`` on powerabs with
 n = 1000, s = 3 at order 2.5 (the Newton prox), with n = 100, s = 3 at
 order 2 (the one order whose envelope penalty is a dot product) and with
 n = 100, s = 1.5 (the ``displacement`` stop); and ``deal-c`` and ``deal-a``
 on the 30 x 10 quadratic.  For each run it
 prints how many files are equal, different and missing on one side,
-``config.json`` included.  It exits 1 if any file differs or is missing, or
+``config.json`` included.  A change meant to alter some outputs, as the
+fixed-point jump did, shows here only which runs it altered; how their
+files differ is for the change to show.  It exits 1 if any file differs or is missing, or
 if a run wrote no file, and refuses (exit 1) an ``--out`` that exists before
 anything runs or is written.
 """

@@ -528,7 +528,8 @@ def _persist_variant(out: Path, stem: str, problem, rep: int, result: RunResult,
         json.dumps(sidecar, indent=2, default=_json_default))
     (out / f"{stem}.certificates.json").write_text(
         json.dumps(result.certificates, indent=2, default=_json_default))
-    iterations = max(len(trace) - 1, 0)
+    # the last record's k: a run that skips a fixed point's steps made them all
+    iterations = trace.k[-1] if len(trace) else 0
     termination = trace.extras.get("termination")
     summary["variants"].append({
         "variant": result.name, "rep": rep, "ok": result.ok,

@@ -154,7 +154,8 @@ class SmoothObjective:
     and only a point that is taken is completed.  Oracles must be
     re-entrant: no hidden mutable state across calls, so the same ``x``
     always gives the same result, bit for bit.  The solvers rely on that to
-    replay an exact fixed point instead of re-evaluating it.
+    skip the steps of an exact fixed point, which would repeat the last one
+    (see ``solvers.deal_loop``).
     ``line_values(ev, d, steps) -> (values, margins)``, when given, screens
     the Armijo trials ``ev.x + t d`` for every ``t`` in ``steps`` at once:
     each ``values[i]`` lies within ``margins[i]`` of ``value(ev.x + steps[i]
@@ -195,14 +196,8 @@ _TYPECODES = {"k": "q", "f": "d", "grad_norm": "d", "step": "d", "inner_count": 
 
 
 def column(name: str, values=()) -> array:
-    """A new column ``name`` of ``TRACE_COLUMNS`` holding ``values``; a
-    numpy array's bytes are taken whole."""
-    out = array(_TYPECODES[name])
-    if isinstance(values, np.ndarray):
-        out.frombytes(np.ascontiguousarray(values, dtype=out.typecode).view(np.uint8))
-    else:
-        out.extend(values)
-    return out
+    """A new column ``name`` of ``TRACE_COLUMNS`` holding ``values``."""
+    return array(_TYPECODES[name], values)
 
 
 class IterateTrace:
@@ -331,22 +326,15 @@ def write_rows(fh, prefix: str, ks, columns, tail) -> None:
     ``columns`` are equal-length buffers of 8-byte numbers (``array.array``
     columns or contiguous numpy arrays, none of them growing), read through
     memoryviews, so that ``tail(*fields)`` gets one row's fields as Python
-    numbers and formats them, line end included.  A row whose fields repeat
-    the previous row's bit for bit, as a replayed fixed point's do, reuses
-    its tail: so ``0.0`` and ``-0.0`` differ, and a NaN matches a NaN of the
-    same bits.  The views are released on return, so the columns can grow
-    again.
+    numbers and formats them, line end included.  The views are released
+    on return, so the columns can grow again.
     """
     fields = [memoryview(col) for col in columns]
-    words = [field.cast("B").cast("Q") for field in fields]
     try:
-        last = text = None
-        for k, row, key in zip(ks, zip(*fields), zip(*words)):
-            if key != last:
-                last, text = key, tail(*row)
-            fh.write(f"{prefix}{k},{text}")
+        for k, row in zip(ks, zip(*fields)):
+            fh.write(f"{prefix}{k},{tail(*row)}")
     finally:
-        for view in words + fields:
+        for view in fields:
             view.release()
 
 
@@ -464,7 +452,11 @@ def min_grad_bound_check(trace: IterateTrace, rho: float, theta: float,
 
     The bound follows from summing the descent inequality, so equality is
     attainable (one-step exact minimization); a 1e-12 relative guard absorbs
-    round-off in that case.  The worst index is the prefix length N.
+    round-off in that case.  Each record ends a prefix of N = k - k0 + 1
+    iterates, counted by its k from the first record's k0: a run that skips
+    the steps of a fixed point (see ``solvers.deal_loop``) records no
+    iterate between two of its k, yet made them all.  The worst index is
+    the prefix length N.
     ``n_vacuous`` counts the prefixes whose bound is at least ||grad f(x^0)||,
     an infinite one (rho so small that the quotient overflows) included:
     min_{k<N} ||grad f(x^k)|| never exceeds it, so they check nothing.
@@ -477,7 +469,8 @@ def min_grad_bound_check(trace: IterateTrace, rho: float, theta: float,
     if fstar > f.min() + 1e-12 * max(1.0, abs(fstar)):
         raise UsageError("fstar exceeds the smallest recorded objective value")
     gap0 = max(f[0] - fstar, 0.0)
-    n = np.arange(1, len(f) + 1)
+    ks = trace.ks()
+    n = ks - ks[0] + 1
     with np.errstate(over="ignore"):
         bound = (gap0 / (rho * n)) ** (1.0 / theta)
         excess = np.minimum.accumulate(g) - bound * (1.0 + 1e-12)
@@ -486,12 +479,12 @@ def min_grad_bound_check(trace: IterateTrace, rho: float, theta: float,
                     int(np.count_nonzero(bound >= g[0])))
 
 
-# distinct iterates per batch call: a block of residuals of a 1000-row
+# iterates per batch call: a block of residuals of a 1000-row
 # least-p problem is 128 x 1000 doubles, 1 MB, the one (rows x m) array its
 # batch oracle keeps alive; one block is evaluated at a time, and at most two
 # blocks of iterates are held at once (the one evaluated and the one
-# filling).  A run of fewer distinct iterates fills no block: it starts no
-# thread and does not import concurrent.futures (see Reevaluation)
+# filling).  A run of fewer records fills no block: it starts no thread and
+# does not import concurrent.futures (see Reevaluation)
 REEVALUATE_BLOCK = 128
 
 
@@ -499,15 +492,15 @@ class Reevaluation:
     """Re-evaluates a run's iterates in blocks, as the run records them.
 
     Hand ``add`` each recorded iterate in order, one call per record, as
-    ``solvers.deal_loop`` does through its ``observe`` hook.  An iterate that
-    is the same array as its predecessor (a replayed fixed point) is not
-    evaluated again: its record takes its predecessor's values and that
-    record's displacement becomes 0.  Distinct iterates are evaluated in
-    blocks of ``REEVALUATE_BLOCK`` by one call of the batch oracle
-    ``rows(X) -> (values, gradients)`` over the rows of ``X``.  Only the
-    per-point results are kept (value, gradient norm, displacement to the
-    next point and, given ``xstar``, the distance to it), with the blocks
-    of iterates not yet evaluated and the last iterate (``last``).
+    ``solvers.deal_loop`` does through its ``observe`` hook.  Each is
+    evaluated, so an array handed for two records is evaluated twice, and
+    its record's displacement is its distance to the next one.  The
+    iterates are evaluated in blocks of ``REEVALUATE_BLOCK`` by one call of
+    the batch oracle ``rows(X) -> (values, gradients)`` over the rows of
+    ``X``.  Only the per-point results are kept (value, gradient norm,
+    displacement to the next point and, given ``xstar``, the distance to
+    it), with the blocks of iterates not yet evaluated and the last iterate
+    (``last``).
 
     Each full block is submitted to the re-evaluation's own
     ``ThreadPoolExecutor(max_workers=1)``, made, and ``concurrent.futures``
@@ -522,9 +515,9 @@ class Reevaluation:
     threads, so it must not depend on thread-local state, and no two of its
     calls overlap.  The last, partial block is evaluated on the caller's
     thread in ``result``, which first shuts the pool down: a run of fewer
-    than ``REEVALUATE_BLOCK`` distinct iterates starts no thread and
-    imports nothing.  A re-evaluation dropped before its ``result`` shuts
-    its pool down, joining the thread, when it is collected.
+    than ``REEVALUATE_BLOCK`` records starts no thread and imports nothing.
+    A re-evaluation dropped before its ``result`` shuts its pool down,
+    joining the thread, when it is collected.
     """
 
     def __init__(self, rows: Callable[[np.ndarray], tuple], xstar=None):
@@ -532,22 +525,17 @@ class Reevaluation:
         self._xstar = None if xstar is None else np.asarray(xstar, dtype=float)
         self._block = []
         self._pool = self._pending = None
-        # per distinct point: value, gradient norm, displacement to the next
-        # point, distance to xstar and the number of records it fills
+        # per point: value, gradient norm, displacement to the next point and
+        # distance to xstar
         self._f, self._gnorm = array("d"), array("d")
         self._disp, self._dist = array("d"), array("d")
-        self._repeats = array("q")
         self.last: Optional[np.ndarray] = None
 
     def add(self, x: np.ndarray) -> None:
         """Take the iterate of the next record."""
-        if x is self.last:
-            self._repeats[-1] += 1
-            return
         if self.last is not None:
             d = x - self.last
             self._disp.append(math.sqrt(d @ d))
-        self._repeats.append(1)
         self._block.append(x)
         self.last = x
         if len(self._block) == REEVALUATE_BLOCK:
@@ -587,13 +575,11 @@ class Reevaluation:
         (None without ``xstar``).  The block in flight is waited for and the
         pool shut down, and the last pending block is evaluated here.
 
-        ``checked``'s ``f`` and ``grad_norm`` columns are the re-evaluated
-        values, expanded to one per record only where a replayed record
-        repeats its predecessor's iterate (else they are this re-evaluation's
-        own arrays), and its ``displacement`` column is new; its ``k``,
-        ``step`` and ``inner_count`` are ``trace``'s own columns.  Shared
-        columns are not copied and no record is built, so take the result
-        once the last iterate is added.
+        ``checked``'s ``f`` and ``grad_norm`` columns are this
+        re-evaluation's own arrays, and its ``displacement`` column is new;
+        its ``k``, ``step`` and ``inner_count`` are ``trace``'s own columns.
+        No column is copied and no record is built, so take the result once
+        the last iterate is added.
         """
         if self._pool is not None:
             self._take()
@@ -602,27 +588,18 @@ class Reevaluation:
         if self._block:
             self._store(*_evaluate(self._rows, self._xstar, self._block))
             self._block = []
-        repeats = np.frombuffer(self._repeats, dtype=np.int64)
-        if int(repeats.sum()) != len(trace):
-            raise DataError(f"{int(repeats.sum())} iterates were re-evaluated for a "
+        if len(self._f) != len(trace):
+            raise DataError(f"{len(self._f)} iterates were re-evaluated for a "
                             f"trace of {len(trace)} records")
-        disp = np.zeros(len(trace))
-        ends = np.cumsum(repeats) - 1
-        disp[ends[:-1]] = np.frombuffer(self._disp)
-        disp[ends[-1:]] = math.nan      # the final record, if any, took no step
-        if len(self._f) == len(trace):
-            # no record repeats its predecessor's iterate: a value per point
-            # is a value per record
-            f, gnorm = self._f, self._gnorm
-        else:
-            f = column("f", np.repeat(np.frombuffer(self._f), repeats))
-            gnorm = column("grad_norm", np.repeat(np.frombuffer(self._gnorm), repeats))
+        disp = column("displacement", self._disp)
+        if len(trace):
+            disp.append(math.nan)       # the final record took no step
         checked = IterateTrace(columns={
-            "k": trace.k, "f": f, "grad_norm": gnorm, "step": trace.step,
-            "inner_count": trace.inner_count, "displacement": column("displacement", disp)})
+            "k": trace.k, "f": self._f, "grad_norm": self._gnorm, "step": trace.step,
+            "inner_count": trace.inner_count, "displacement": disp})
         distances = None
         if self._xstar is not None:
-            distances = np.repeat(np.frombuffer(self._dist), repeats)
+            distances = np.array(self._dist)
         return checked, distances
 
 

@@ -311,6 +311,7 @@ class PowerAbsProblem:
     def __init__(self, s, n=1):
         if not s > 1.0:
             raise UsageError(f"s must exceed 1, got {s}")
+        check_count("n", n, 1)
         self.s = float(s)
         self.n = int(n)
 
@@ -358,7 +359,9 @@ class QuadraticProblem:
             raise DataError("Q contains non-finite entries")
         if not np.allclose(Q, Q.T, atol=1e-12):
             raise UsageError("Q must be symmetric")
-        self.Q = Q
+        # allclose passes a Q asymmetric within its tolerance: both oracles
+        # take its symmetric part, and an exactly symmetric Q keeps its bits
+        self.Q = Q = np.where(Q == Q.T, Q, 0.5 * Q + 0.5 * Q.T)
         self.n = Q.shape[0]
         self.c = np.zeros(self.n) if c is None else as_vector(c, self.n, "c")
         eig = np.linalg.eigvalsh(Q)

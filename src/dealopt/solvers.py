@@ -40,8 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (TRACE_COLUMNS, CapabilityError, IterateTrace, SmoothObjective,
-                   UsageError, as_vector, check_count, column)
+from .core import (CapabilityError, IterateTrace, SmoothObjective, UsageError,
+                   as_vector, check_count)
 from .directions import DirectionRule, beta_for_holder, generalize
 
 
@@ -252,26 +252,34 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, *, value, com
     ``multivalued``, and a point whose value or gradient norm is not finite
     ends it ``nonfinite``, both before the point is recorded; so does a
     taken trial whose value is not finite, and the step to it is not
-    recorded.  ``x_tol`` stops the run once ||x - y|| falls to it.  Once two
-    consecutive steps leave ``x`` bitwise unchanged the rest of the run is
-    replayed (see :func:`_replay_fixed_point`).  The extras count the
-    direction rule's own fallbacks (``direction_fallbacks``), a replayed
-    step's as it would be.
+    recorded.  ``x_tol`` stops the run once ||x - y|| falls to it.
 
-    ``observe(x)``, when given, is called with each record's iterate as the
-    record is made, a replayed record's being the same array as its
-    predecessor's; it is the only way to a run's iterates, which the records
-    do not keep.  ``core.Reevaluation.add`` is such a hook, re-evaluating
-    the iterates while the run proceeds: it submits each full block of them
-    to its one-thread pool and returns, so the block is evaluated, under
-    this loop's numpy error state, while the loop takes its next steps.
-    The loop never writes into an iterate it has handed over, which that
-    pool's thread may still be reading: the one at k=0 is ``x`` itself, and
-    every later one is a trial point, an array of its own.
+    Once two consecutive steps leave ``x`` bitwise unchanged the loop stops
+    stepping and jumps to k = ``max_iter``; the extra ``fixed_point_at``
+    names the k it jumps from, the first record it skips unless that is
+    ``max_iter`` itself.  The oracles are deterministic, and
+    ``DirectionRule.push`` of a repeated (x, g) adds no pair and keeps its
+    previous point, so every later step would take the same trials and stay
+    put again: the skipped records would repeat the last one.  The record at
+    ``max_iter`` is made as any other, from the unmoved trial point, and
+    ends the run ``max_iter``; so a trace's k need not be consecutive.  The
+    extras count the direction rule's own fallbacks
+    (``direction_fallbacks``), a skipped step's as it would be.
+
+    ``observe(x)``, when given, is called with each record's iterate, an
+    array of its own, as the record is made; it is the only way to a run's
+    iterates, which the records do not keep.  ``core.Reevaluation.add`` is
+    such a hook, re-evaluating the iterates while the run proceeds: it
+    submits each full block of them to its one-thread pool and returns, so
+    the block is evaluated, under this loop's numpy error state, while the
+    loop takes its next steps.  The loop never writes into an iterate it
+    has handed over, which that pool's thread may still be reading: the one
+    at k=0 is ``x`` itself, and every later one is a trial point, an array
+    of its own.
     """
     trial = value(x)
-    unmoved = 0
-    for k in range(config.max_iter + 1):
+    unmoved = k = 0
+    while True:
         ev = complete(trial)
         f, g, y = ev
         if g is None:
@@ -322,13 +330,14 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, *, value, com
         # reach by underflow; bytes tell them apart, and -0.0 from 0.0
         moved = displacement != 0.0 or x_next.tobytes() != x.tobytes()
         unmoved = 0 if moved else unmoved + 1
-        if unmoved == 2:
-            _replay_fixed_point(trace, x, config.max_iter, observe)
-            if rule.fallback_count > before:
-                # each replayed step repeats this one, its fallback too
-                rule.fallback_count += config.max_iter - 1 - k
-            break
         x = x_next
+        k += 1
+        if unmoved == 2:
+            trace.extras["fixed_point_at"] = k
+            if rule.fallback_count > before:
+                # each skipped step repeats this one, its fallback too
+                rule.fallback_count += config.max_iter - k
+            k = config.max_iter
     trace.extras["direction_fallbacks"] = rule.fallback_count
     return trace
 
@@ -354,35 +363,6 @@ def screened(trials, bound, line=None):
         rest = [trial for trial, skip in zip(rest, far) if not skip]
     for m, t in rest:
         yield m, t, bound(t)
-
-
-def _replay_fixed_point(trace: IterateTrace, x: np.ndarray, max_iter: int, observe):
-    """Extend ``trace`` by records k + 1 .. max_iter, each a repeat of its
-    last record k, whose iterate is ``x``.
-
-    Called after two consecutive steps left x bitwise unchanged.  The oracles
-    are deterministic, and ``DirectionRule.push`` of a repeated (x, g) adds no
-    pair and keeps its previous point, so every later step would evaluate the
-    same points, take the same step and stay put again: the run would end at
-    ``max_iter`` with these records.  Each column is extended in one call:
-    the replayed records repeat the last one's f, grad_norm, step and inner
-    count with displacement 0, and the final one, appended alone, takes no
-    step.  They share one iterate ``x``, made read-only and handed to
-    ``observe`` once for each after the columns are extended, and
-    ``fixed_point_at`` names the first of them.
-    """
-    x.flags.writeable = False
-    k, f, grad_norm, step, inner_count = (getattr(trace, name)[-1]
-                                          for name in TRACE_COLUMNS[:5])
-    trace.extras["fixed_point_at"] = k + 1
-    trace.k.extend(column("k", range(k + 1, max_iter)))
-    for name, value in zip(TRACE_COLUMNS[1:], (f, grad_norm, step, inner_count, 0.0)):
-        getattr(trace, name).extend(column(name, (value,)) * (max_iter - 1 - k))
-    trace.append(max_iter, f, grad_norm)
-    if observe is not None:
-        for _ in range(max_iter - k):
-            observe(x)
-    trace.extras["termination"] = "max_iter"
 
 
 def deal_trace(objective: SmoothObjective, config: DealConfig, solver: str) -> tuple:

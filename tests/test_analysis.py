@@ -149,10 +149,10 @@ class TestVerifyComplexity:
 
     def test_iterate_distances_stack_no_iterates(self):
         # 10,001 records x 200 coordinates: stacking them would take 16 MB;
-        # a re-evaluation measures each distinct iterate's distance alone
+        # a re-evaluation holds one block of iterates at a time
         rng = np.random.default_rng(0)
         distinct = [rng.standard_normal(200) for _ in range(1000)]
-        xs = distinct + [distinct[-1]] * 9001   # a replayed fixed-point tail
+        xs = distinct + [distinct[-1]] * 9001   # the last one handed for 9,001 more records
         gaps = 0.5 ** np.minimum(np.arange(len(xs)), 999)
         tr = synthetic_trace(gaps)
         assert xs[-1] is xs[999]

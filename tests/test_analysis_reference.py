@@ -174,8 +174,8 @@ def make_trace(gaps, grads, fstar, ks=None):
 
 def random_trace(seed):
     """``(trace, fstar, xs)``: decaying or noisy gaps, some at or below the
-    floor, gaps in k, and, when ``xs`` is not None, the trace's iterates with
-    a replayed tail of shared ones."""
+    floor, gaps in k, and, when ``xs`` is not None, the trace's iterates,
+    ending in a tail of one shared array."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 60))
     fstar = float(rng.choice([0.0, -1.5, 3e4]))
@@ -248,7 +248,7 @@ def test_single_record(fstar):
     assert_same_outputs(make_trace([0.7], [0.3], fstar), fstar, [np.ones(3)])
 
 
-def test_replayed_tail():
+def test_a_tail_of_one_iterate():
     rng = np.random.default_rng(5)
     distinct = [rng.normal(size=3) * 0.5 ** k for k in range(30)]
     xs = distinct + [distinct[-1]] * 70

@@ -350,9 +350,10 @@ class TestRunExperiment:
 
     def test_leastp_reevaluation_makes_one_fused_call_per_record(self, monkeypatch,
                                                                   run_storing):
-        # each distinct iterate is re-evaluated once, through one fused batch
-        # call per block of REEVALUATE_BLOCK distinct iterates: the run makes
-        # those calls and every per-point call of its solve alone, no more
+        # each record's iterate is re-evaluated once, through one fused batch
+        # call per block of REEVALUATE_BLOCK iterates: the run makes those
+        # calls and every per-point call of its solve alone, no more; a run
+        # that jumps at its fixed point re-evaluates the records it kept
         problem = bench.build_problem(bench.ProblemSpec(kind="leastp", m=40, n=8, seed=1))
         calls = Counter()
         rows = []
@@ -375,16 +376,16 @@ class TestRunExperiment:
             rows.clear()
             result, xs, _ = run_storing(problem, spec, run)
             assert result.certificates["reevaluated"]
-            distinct = 1 + sum(b is not a for a, b in zip(xs, xs[1:]))
-            assert distinct < len(xs)      # a replayed fixed-point tail
-            assert calls - unchecked == {"value_grad_rows": -(-distinct // REEVALUATE_BLOCK)}
+            trace = result.trace
+            assert trace.extras["fixed_point_at"] + 1 == len(xs) == len(trace) < 1501
+            assert calls - unchecked == {"value_grad_rows": -(-len(xs) // REEVALUATE_BLOCK)}
             assert unchecked - calls == {}
             assert calls["value_grad_rows"] > 1
-            assert sum(rows) == distinct
+            assert sum(rows) == len(xs)
 
     @pytest.mark.parametrize("solver", ["deal-c", "deal-a"])
     @pytest.mark.parametrize("kind, run", [
-        pytest.param("leastp", dict(max_iter=1500, eps=1e-30), id="replayed-tail"),
+        pytest.param("leastp", dict(max_iter=1500, eps=1e-30), id="fixed-point"),
         pytest.param("leastp", dict(max_iter=100), id="one-block"),
         pytest.param("leastp", dict(eps=1e9), id="one-record"),
         pytest.param("quadratic", dict(max_iter=1500, eps=1e-30), id="quadratic"),
@@ -492,7 +493,7 @@ class TestLiveReevaluation:
             checked = bench.reevaluate_trace(result.trace, xs, ctx["rows"])
             assert column_bits(live.result(result.trace)[0]) == column_bits(checked)
             assert live.last is xs[-1]
-            return result, 1 + sum(b is not a for a, b in zip(xs, xs[1:]))
+            return result, len({id(x) for x in xs})
         return check
 
     @pytest.mark.parametrize("kind, solver, spec_kw", LIVE_CASES)
@@ -509,11 +510,13 @@ class TestLiveReevaluation:
                     ] == ["gap", "grad", "iterate"]
 
     @pytest.mark.parametrize("solver", ["deal-c", "deal-a"])
-    def test_a_replayed_fixed_point(self, assert_live_is_observed, solver):
+    def test_a_fixed_point_jump(self, assert_live_is_observed, solver):
         result, seen = assert_live_is_observed(
             "leastp", solver, {},
             bench.RunSpec(x0_seed=3, eps=1e-30, max_iter=1500))
-        assert seen == result.trace.extras["fixed_point_at"] < len(result.trace)
+        trace = result.trace
+        assert seen == len(trace) == trace.extras["fixed_point_at"] + 1
+        assert trace.k[-1] == 1500
 
     @pytest.mark.parametrize("kind, solver, beta, measured", [
         ("lasso", "bpga", "auto", False), ("leastp", "deal-c", 0.5, False),

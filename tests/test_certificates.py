@@ -49,11 +49,15 @@ def reference_displacement(trace, c, theta, rel_tol=1e-10):
 
 
 def reference_min_grad(trace, rho, theta, fstar):
-    f, g = trace.f_values(), trace.grad_norms()
+    """The prefix loop, each record ending a prefix of N = k - k0 + 1
+    iterates: a run that jumps at a fixed point made the iterates it did
+    not record, each the last one recorded."""
+    f, g, ks = trace.f_values(), trace.grad_norms(), trace.ks()
     gap0 = max(f[0] - fstar, 0.0)
     running, worst, worst_n, passed, vacuous = math.inf, -math.inf, -1, True, 0
-    for n in range(1, len(f) + 1):
-        running = min(running, g[n - 1])
+    for i, k in enumerate(ks):
+        n = int(k - ks[0]) + 1
+        running = min(running, g[i])
         bound = (gap0 / (rho * n)) ** (1.0 / theta)
         if bound >= g[0]:
             vacuous += 1
@@ -117,7 +121,9 @@ def all_four(trace, rho, theta, c, fstar, q_theory):
 
 def random_trace(rng, n, tail):
     """A trace on a dyadic grid, so that equal violations (ties) are common,
-    mostly decreasing with some rises, ending in ``tail`` replayed records."""
+    mostly decreasing with some rises; given a ``tail``, it ends as a run
+    that jumps at a fixed point: a record repeating the last one, and the
+    final one ``tail`` iterations after it."""
     steps = rng.integers(-1, 4, n) / 8.0
     f = 4.0 - np.concatenate([[0.0], np.cumsum(steps[1:])])
     g = rng.integers(0, 5, n) / 4.0
@@ -129,9 +135,9 @@ def random_trace(rng, n, tail):
         trace.append(k, float(f[k]), float(g[k]), displacement=float(disp[k]))
     if tail:
         trace.displacement[-1] = 0.0
-        for j in range(tail):
-            trace.append(n + j, trace.f[n - 1], trace.grad_norm[n - 1],
-                         displacement=0.0 if j < tail - 1 else math.nan)
+        f, g = trace.f[-1], trace.grad_norm[-1]
+        trace.append(n, f, g, displacement=0.0)
+        trace.append(n + tail, f, g)
     return trace
 
 
@@ -152,13 +158,14 @@ def test_random_traces_match_the_reference_loops(seed):
 
 @pytest.mark.parametrize("runner", [run_dealc, run_deala])
 def test_reevaluated_leastp_trace_matches_the_reference_loops(runner):
-    # the sec51 family at a smaller size, run into a replayed fixed-point tail
+    # the sec51 family at a smaller size, run into a fixed point that jumps to
+    # max_iter
     problem = problems.generate_problem(0, "leastp", 200, 40, p=1.5, consistent=True)
     objective = problem.as_smooth()
     x0 = np.random.default_rng(0).uniform(-5.0, 5.0, 40)
     xs = []
     trace = runner(objective, x0, DealConfig(eps=1e-30, max_iter=1500), xs.append)
-    assert "fixed_point_at" in trace.extras
+    assert trace.extras["fixed_point_at"] < len(trace) and trace.k[-1] == 1500
     checked = reevaluate_trace(trace, xs, problem.value_grad_rows)
     fstar = problems.reference_optimum(problem).fstar
     q_theory = 1.0 - trace.rho / problem.reference().tau ** trace.theta
@@ -166,6 +173,30 @@ def test_reevaluated_leastp_trace_matches_the_reference_loops(runner):
     assert len(pairs) == 4
     for report, reference in pairs:
         assert_same(report, reference)
+
+
+def test_min_grad_bound_counts_the_iterates_a_jump_skips():
+    # a run that jumps from its fixed point at k = 5 to max_iter 40 records
+    # k = 0..4 and 40; it made the iterates it skipped, each its last one, so
+    # it checks the bound of the run that recorded all 41: the same verdict,
+    # worst violation and prefix length, on 6 records
+    f, g = [4.0, 2.0, 1.5, 1.5, 1.5], [2.0, 1.0, 0.75, 0.75, 0.75]
+    full, jumped = IterateTrace(), IterateTrace()
+    for k in range(41):
+        record = (k, f[min(k, 4)], g[min(k, 4)])
+        full.append(*record)
+        if k < 5 or k == 40:
+            jumped.append(*record)
+    # at rho 0.5 the prefix of all 41 iterates fails; counted by records, as
+    # N = 6, it would pass
+    for rho, passed in ((0.5, False), (0.05, True)):
+        report = min_grad_bound_check(jumped, rho, 2.0, 0.0)
+        whole = min_grad_bound_check(full, rho, 2.0, 0.0)
+        assert_same(report, reference_min_grad(jumped, rho, 2.0, 0.0))
+        assert (report.n_checked, whole.n_checked) == (6, 41)
+        assert (report.passed, report.worst_index) == (whole.passed, whole.worst_index) == (
+            passed, 41)
+        assert report.worst_violation == whole.worst_violation
 
 
 def test_nan_ratio_fails_the_per_step_check():

@@ -241,8 +241,7 @@ def csv_writer_bytes(trace):
 
 def test_trace_csv_writes_the_bytes_of_csv_writer(tmp_path):
     # -0.0, inf and NaN fields, numpy scalars, records appended from the
-    # same field objects (as a replayed fixed point's are), and equal values
-    # appended from distinct objects
+    # same field objects, and equal values appended from distinct objects
     trace = IterateTrace()
     trace.append(0, 1e300, 5e-324, -0.0, 1000, -math.inf)
     trace.append(1, float("nan"), 0.1 + 0.2, math.nan)
@@ -272,8 +271,8 @@ def reference_rows(trace, fstar):
 
 def test_both_writers_write_the_rows_of_the_reference_loop(tmp_path):
     # rows that differ only in 0.0 against -0.0, NaN step fields, NaNs of
-    # either sign and a long replayed stretch, each row of it repeating the
-    # last one's bits
+    # either sign and a long stretch of rows, each repeating the last one's
+    # bits
     trace = IterateTrace()
     trace.append(0, 2.0, 1.0, 0.5, 1, 0.25)
     trace.append(1, 0.0, 0.5, 0.5, 1, 0.0)
@@ -368,14 +367,12 @@ class CountingHalfSquare:
         return np.array(values), np.stack(gradients)
 
 
-def replayed_trace(distinct, tail, n=3):
-    """``(trace, xs, X)``: a trace of ``distinct`` iterates, the rows of
-    ``X``, then ``tail`` replayed records, and the iterates ``xs`` a run
-    hands to ``observe`` for it, the last one repeated as one shared array,
-    as a fixed-point replay hands it."""
-    X = np.random.default_rng(distinct).uniform(-5.0, 5.0, (distinct, n))
+def iterate_trace(count, n=3):
+    """``(trace, xs, X)``: a trace of ``count`` records, whose iterates are
+    the rows of ``X``, and the iterates ``xs`` a run hands to ``observe``
+    for it, each an array of its own."""
+    X = np.random.default_rng(count).uniform(-5.0, 5.0, (count, n))
     xs = [row.copy() for row in X]
-    xs += [xs[-1]] * tail
     trace = IterateTrace()
     for k in range(len(xs)):
         trace.append(k, 9.0, 9.0, 0.5, k % 3)
@@ -384,38 +381,34 @@ def replayed_trace(distinct, tail, n=3):
 
 # one short of, at and one past REEVALUATE_BLOCK, and several blocks whose
 # last is short, full and one point long (511, 512 and 513 at a block of 128)
-@pytest.mark.parametrize("distinct, tail", [
-    (1, 0), (1, 5), (REEVALUATE_BLOCK - 1, 300), (REEVALUATE_BLOCK, 300),
-    (REEVALUATE_BLOCK + 1, 300), (300, 400), (511, 300), (512, 300), (513, 300), (1100, 0)])
+@pytest.mark.parametrize("count", [1, REEVALUATE_BLOCK - 1, REEVALUATE_BLOCK,
+                                   REEVALUATE_BLOCK + 1, 300, 511, 512, 513, 1100])
 @pytest.mark.parametrize("batched", [False, True])
-def test_reevaluate_trace_evaluates_each_distinct_iterate_once(distinct, tail,
-                                                               batched):
+def test_reevaluate_trace_evaluates_each_iterate_once(count, batched):
     # through the fused batch oracle, or a rows oracle that makes one
-    # per-point call a row: either way each distinct iterate is evaluated once
-    tr, xs, X = replayed_trace(distinct, tail)
+    # per-point call a row: either way each record's iterate is evaluated once
+    tr, xs, X = iterate_trace(count)
     oracle = CountingHalfSquare()
     fixed = reevaluate_trace(tr, xs, oracle.rows if batched else oracle.each_row)
     if batched:
         assert oracle.points == []
-        full, rest = divmod(distinct, REEVALUATE_BLOCK)
+        full, rest = divmod(count, REEVALUATE_BLOCK)
         assert [len(B) for B in oracle.blocks] == [REEVALUATE_BLOCK] * full + [rest] * (rest > 0)
         assert np.array_equal(np.vstack(oracle.blocks), X)
     else:
         assert oracle.blocks == []
-        assert len(oracle.points) == distinct
+        assert len(oracle.points) == count
         assert np.array_equal(np.stack(oracle.points), X)
     last = len(tr) - 1
     assert len(fixed) == len(tr)
     for i, (f, g, disp) in enumerate(zip(fixed.f, fixed.grad_norm, fixed.displacement)):
-        x = X[min(i, distinct - 1)]
+        x = X[i]
         assert ((fixed.k[i], fixed.step[i], fixed.inner_count[i])
                 == (tr.k[i], tr.step[i], tr.inner_count[i]))
         assert f == pytest.approx(0.5 * float(x @ x), rel=1e-15)
         assert g == pytest.approx(float(np.linalg.norm(x)), rel=1e-15)
         if i == last:
             assert math.isnan(disp)
-        elif i >= distinct - 1:
-            assert disp == 0.0
         else:
             assert disp == float(np.linalg.norm(X[i + 1] - x))
     # the columns the re-evaluation leaves as logged are the solver's own
@@ -426,8 +419,8 @@ def test_reevaluate_trace_evaluates_each_distinct_iterate_once(distinct, tail,
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 200, 1025])
 def test_reevaluation_measures_each_distance_as_its_point_alone(n):
     # the distances to xstar are taken a block at a time, bit for bit those
-    # of each point reduced alone; a replayed record repeats its point's
-    tr, xs, _ = replayed_trace(REEVALUATE_BLOCK + 5, 3, n=n)
+    # of each point reduced alone
+    tr, xs, _ = iterate_trace(REEVALUATE_BLOCK + 5, n=n)
     xstar = np.random.default_rng(n).standard_normal(n)
     oracle = CountingHalfSquare()
     reevaluation = Reevaluation(oracle.rows, xstar)
@@ -438,18 +431,18 @@ def test_reevaluation_measures_each_distance_as_its_point_alone(n):
     assert distances.tobytes() == np.array(alone).tobytes()
 
 
-@pytest.mark.parametrize("distinct, tail", [(1, 0), (1, 5), (REEVALUATE_BLOCK + 1, 300)])
-def test_reevaluation_evaluates_each_distinct_iterate_in_one_call(distinct, tail):
-    # through a rows oracle that makes one per-point call a row, each distinct
-    # iterate is one call, and a replayed fixed point, however many records
-    # it fills, is one iterate; the columns are bit for bit the fused oracle's
-    tr, xs, X = replayed_trace(distinct, tail)
+@pytest.mark.parametrize("count", [1, REEVALUATE_BLOCK + 1])
+def test_reevaluation_evaluates_each_iterate_in_one_call(count):
+    # through a rows oracle that makes one per-point call a row, each
+    # record's iterate is one call; the columns are bit for bit the fused
+    # oracle's
+    tr, xs, X = iterate_trace(count)
     oracle = CountingHalfSquare()
     reevaluation = Reevaluation(oracle.each_row)
     for x in xs:
         reevaluation.add(x)
     checked = reevaluation.result(tr)[0]
-    assert len(oracle.points) == distinct
+    assert len(oracle.points) == count
     assert all(np.array_equal(x, xs[i]) for i, x in enumerate(oracle.points))
     assert oracle.blocks == []
     expected = reevaluate_trace(tr, xs, CountingHalfSquare().rows)
@@ -458,8 +451,24 @@ def test_reevaluation_evaluates_each_distinct_iterate_in_one_call(distinct, tail
                 == np.asarray(getattr(expected, name)).tobytes()), name
 
 
+def test_reevaluation_evaluates_an_array_handed_twice_twice():
+    # one array handed for two records is two points, evaluated twice, the
+    # step between them of displacement 0
+    tr, xs, X = iterate_trace(3)
+    xs.insert(2, xs[1])
+    tr.append(3, 9.0, 9.0)
+    oracle = CountingHalfSquare()
+    checked = reevaluate_trace(tr, xs, oracle.each_row)
+    assert len(oracle.points) == 4
+    assert np.array_equal(np.stack(oracle.points), X[[0, 1, 1, 2]])
+    assert checked.f[1] == checked.f[2] and checked.grad_norm[1] == checked.grad_norm[2]
+    assert list(checked.displacement[:3]) == [
+        float(np.linalg.norm(X[1] - X[0])), 0.0, float(np.linalg.norm(X[2] - X[1]))]
+    assert math.isnan(checked.displacement[3])
+
+
 def test_reevaluation_refuses_a_trace_of_other_records():
-    tr, xs, _ = replayed_trace(5, 2)
+    tr, xs, _ = iterate_trace(7)
     oracle = CountingHalfSquare()
     reevaluation = Reevaluation(oracle.rows)
     for x in xs[:-1]:
@@ -486,7 +495,7 @@ def test_reevaluation_evaluates_full_blocks_on_one_worker_thread(distinct):
     # every full block goes to one thread that is not the caller's, the
     # last, partial block stays on the caller's, and result() leaves no
     # thread behind: a run of fewer than a block starts none
-    tr, xs, X = replayed_trace(distinct, 5)
+    tr, xs, X = iterate_trace(distinct)
     oracle = ThreadLoggingHalfSquare()
     threads = threading.active_count()
     reevaluation = Reevaluation(oracle.rows)
@@ -501,7 +510,7 @@ def test_reevaluation_evaluates_full_blocks_on_one_worker_thread(distinct):
     assert len(workers) == (full > 0) and caller not in workers
     assert oracle.threads[full:] == [caller] * (rest > 0)
     assert np.array_equal(np.vstack(oracle.blocks), X)
-    assert np.array_equal(np.asarray(checked.f)[:distinct], 0.5 * np.einsum("ij,ij->i", X, X))
+    assert np.array_equal(np.asarray(checked.f), 0.5 * np.einsum("ij,ij->i", X, X))
 
 
 @pytest.mark.parametrize("over", ["ignore", "raise"])
@@ -514,7 +523,7 @@ def test_reevaluation_evaluates_a_full_block_under_the_callers_error_state(over)
         np.float64(1e308) * 10.0
         return 0.5 * np.einsum("ij,ij->i", X, X), X.copy()
 
-    tr, xs, X = replayed_trace(REEVALUATE_BLOCK, 3)
+    tr, xs, X = iterate_trace(REEVALUATE_BLOCK)
     reevaluation = Reevaluation(rows)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -523,7 +532,7 @@ def test_reevaluation_evaluates_a_full_block_under_the_callers_error_state(over)
                 for x in xs:
                     reevaluation.add(x)
             checked = reevaluation.result(tr)[0]
-            assert np.array_equal(np.asarray(checked.f)[:-3], 0.5 * np.einsum("ij,ij->i", X, X))
+            assert np.array_equal(np.asarray(checked.f), 0.5 * np.einsum("ij,ij->i", X, X))
         else:
             with pytest.raises(FloatingPointError, match="overflow"):
                 with np.errstate(over=over):
@@ -546,7 +555,7 @@ def test_reevaluation_raises_its_oracles_error_from_the_worker(distinct):
             raise error
         return 0.5 * np.einsum("ij,ij->i", X, X), X.copy()
 
-    tr, xs, _ = replayed_trace(distinct, 0)
+    tr, xs, _ = iterate_trace(distinct)
     threads = threading.active_count()
     reevaluation = Reevaluation(rows)
     with pytest.raises(DataError) as raised:
@@ -560,7 +569,7 @@ def test_reevaluation_raises_its_oracles_error_from_the_worker(distinct):
 def test_a_dropped_reevaluation_stops_its_worker():
     # a run that stops before its result, as one whose solver raises does,
     # leaves no thread once its re-evaluation is collected
-    tr, xs, _ = replayed_trace(2 * REEVALUATE_BLOCK + 5, 0)
+    tr, xs, _ = iterate_trace(2 * REEVALUATE_BLOCK + 5)
     threads = threading.active_count()
     reevaluation = Reevaluation(CountingHalfSquare().rows)
     for x in xs:
@@ -634,7 +643,7 @@ def test_reevaluate_trace_working_set_is_bounded_by_its_block():
     # returns, re-evaluation holds at most two (REEVALUATE_BLOCK x m) arrays
     # of doubles at once, whatever the trace's length
     problem = generate_problem(0, "leastp", 1000, 200, p=1.5, consistent=True)
-    tr, xs, _ = replayed_trace(1100, 0, n=problem.n)
+    tr, xs, _ = iterate_trace(1100, n=problem.n)
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()

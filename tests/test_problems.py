@@ -277,6 +277,14 @@ class TestPowerAbs:
         ref = reference_optimum(PowerAbsProblem(s=3.0, n=4))
         assert ref.fstar == 0.0
 
+    @pytest.mark.parametrize("n, message", [
+        (2.7, "n must be an integer, got 2.7"), (0, "n must be >= 1, got 0"),
+        (True, "n must be an integer, got True")])
+    def test_a_dimension_that_is_no_count_is_refused(self, n, message):
+        # 2.7 was taken as 2, and n = 0 built a problem no run could start on
+        with pytest.raises(UsageError, match=message):
+            PowerAbsProblem(s=4.0, n=n)
+
 
 class TestQuadratic:
     def test_closed_form_and_pl_constant(self):
@@ -321,6 +329,26 @@ class TestQuadratic:
         ref = reference_optimum(QuadraticProblem(np.diag([1.0, 0.0]), [1.0, 0.0]))
         assert ref.converged
         assert ref.fstar == -0.5 and np.array_equal(ref.xstar, [-1.0, 0.0])
+
+    def test_both_oracles_take_the_symmetric_part_of_a_nearly_symmetric_Q(self):
+        # Q[0, 1] off by 5e-6 relative passes allclose; Q x and x^T Q then
+        # differed by 4.1e-6, and neither was (Q + Q^T) x / 2
+        M = np.random.default_rng(0).standard_normal((5, 5))
+        Q = M.T @ M + np.eye(5)
+        Q[0, 1] *= 1.0 + 5e-6
+        prob = QuadraticProblem(Q)
+        X = uniform_rows(5, count=20)
+        expected = X @ (0.5 * (Q + Q.T))
+        for x, want in zip(X, expected):
+            assert np.allclose(grad(prob, x), want, rtol=1e-13, atol=1e-12)
+        assert np.allclose(prob.value_grad_rows(X)[1], expected, rtol=1e-13, atol=1e-12)
+        assert np.array_equal(prob.Q, prob.Q.T)
+
+    def test_a_symmetric_Q_keeps_its_bits(self):
+        M = np.random.default_rng(1).standard_normal((6, 4))
+        Q = M.T @ M + np.eye(4)
+        assert np.array_equal(Q, Q.T)
+        assert QuadraticProblem(Q).Q.tobytes() == Q.tobytes()
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nonfinite_Q_rejected(self, bad):

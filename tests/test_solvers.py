@@ -330,8 +330,8 @@ def test_traces_monotone_and_terminal_gradient():
 
 def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None,
                       observe=None):
-    """The descent loop evaluated at every step: no carried evaluation, no
-    replay.  Like the solvers, it records the rule's fallbacks in the extras
+    """The descent loop evaluated at every step: no carried evaluation, and
+    no jump at a fixed point.  Like the solvers, it records the rule's fallbacks in the extras
     and hands each recorded iterate to ``observe``."""
     x = as_vector(x0, objective.dim, "x0")
     f = objective.value(x).value
@@ -379,7 +379,7 @@ def reference_descend(objective, x0, config, rule, trace, alpha, armijo=None,
     return trace
 
 
-def run_without_replay(monkeypatch, runner, objective, x0, config, observe=None):
+def run_every_step(monkeypatch, runner, objective, x0, config, observe=None):
     with monkeypatch.context() as m:
         m.setattr(solvers, "_descend", reference_descend)
         return runner(objective, x0, config, observe)
@@ -418,9 +418,9 @@ def test_backtrack_limit_records_the_direction_fallbacks():
     assert tr.extras["direction_fallbacks"] == rule.fallback_count == 1
 
 
-def test_the_replay_counts_the_fallbacks_of_the_replayed_steps():
+def test_the_jump_counts_the_fallbacks_of_the_skipped_steps():
     # BB1 falls back on every step here; at a bitwise fixed point it keeps
-    # falling back, so all 3000 steps count, as the run without replay counts
+    # falling back, so all 3000 steps count, as the loop of every step counts
     prob, x0 = consistent_leastp(1)
     objective = prob.as_smooth()
     rule = DirectionRule("bb1", beta=beta_for_holder(objective.holder.nu))
@@ -429,10 +429,17 @@ def test_the_replay_counts_the_fallbacks_of_the_replayed_steps():
     assert tr.extras["direction_fallbacks"] == rule.fallback_count == 3000
 
 
-class TestFixedPointReplay:
+def kept_rows(full, ks):
+    """The bytes of ``full``'s six columns at the records ``ks``."""
+    return [np.asarray(getattr(full, name))[ks].tobytes() for name in TRACE_COLUMNS]
+
+
+class TestFixedPointJump:
     @pytest.mark.parametrize("kind", KINDS)
-    def test_bitwise_equal_to_the_loop_without_replay(self, monkeypatch, kind):
-        replayed = 0
+    def test_kept_rows_are_the_rows_of_the_loop_of_every_step(self, monkeypatch, kind):
+        # the run that jumps keeps the records of the loop without the
+        # fixed-point rule at its own k, bit for bit, and the same iterates
+        jumped = 0
         for seed in (1, 2):
             prob, x0 = consistent_leastp(seed)
             obj = prob.as_smooth()
@@ -443,20 +450,27 @@ class TestFixedPointReplay:
                                           rule=DirectionRule(kind, beta=beta))
                     xs, ref_xs = [], []
                     tr = runner(obj, x0, config(), xs.append)
-                    ref = run_without_replay(monkeypatch, runner, obj, x0, config(),
-                                             ref_xs.append)
-                    replayed += tr.extras.pop("fixed_point_at", None) is not None
+                    ref = run_every_step(monkeypatch, runner, obj, x0, config(),
+                                         ref_xs.append)
+                    ks = tr.ks()
+                    first = tr.extras.pop("fixed_point_at", None)
+                    if first is None:
+                        assert list(ks) == list(ref.k)
+                    else:
+                        jumped += 1
+                        assert list(ks) == list(range(first)) + [3000]
+                        assert tr.extras["termination"] == "max_iter"
                     assert tr.extras == ref.extras
-                    assert len(tr) == len(ref) == len(xs) == len(ref_xs)
-                    assert column_bits(tr) == column_bits(ref)
-                    assert [x.tobytes() for x in xs] == [x.tobytes() for x in ref_xs]
-        assert replayed
+                    assert len(xs) == len(tr)
+                    assert column_bits(tr) == kept_rows(ref, ks)
+                    assert [x.tobytes() for x in xs] == [ref_xs[k].tobytes() for k in ks]
+        assert jumped
 
-    def test_replay_waits_for_a_second_unmoved_step(self, monkeypatch):
+    def test_the_jump_waits_for_a_second_unmoved_step(self, monkeypatch):
         # f is NaN off two points and grad f = 2x.  Step 1 uses the BB1 scale
         # 1/2 and cannot move x; step 2 then sees s = 0, falls back to -grad
-        # and needs one more backtrack to stay put, so a replay after one
-        # unmoved step would repeat the wrong inner count
+        # and needs one more backtrack to stay put, so a jump after one
+        # unmoved step would skip a record that differs from the one kept
         table = {1.0: 1.0, 0.5: 0.5}
         obj = plain(dim=1, value=lambda x: table.get(float(x[0]), math.nan),
                     grad=lambda x: 2.0 * np.asarray(x, dtype=float),
@@ -466,11 +480,12 @@ class TestFixedPointReplay:
             return DealConfig(max_iter=20,
                               rule=DirectionRule("bb1", beta=0.0, c1=0.25, c2=4.0))
         tr = run_deala(obj, np.array([1.0]), config())
-        ref = run_without_replay(monkeypatch, run_deala, obj, np.array([1.0]), config())
+        ref = run_every_step(monkeypatch, run_deala, obj, np.array([1.0]), config())
         assert tr.extras.pop("fixed_point_at") == 3
+        assert list(tr.k) == [0, 1, 2, 20]
         assert tr.inner_count[2] == tr.inner_count[1] + 1
         assert tr.extras == ref.extras
-        assert column_bits(tr, *TRACE_COLUMNS[:5]) == column_bits(ref, *TRACE_COLUMNS[:5])
+        assert column_bits(tr) == kept_rows(ref, tr.ks())
 
     def test_nan_objective_stops_evaluating_at_the_fixed_point(self):
         # NaN everywhere except at x0: every trial fails until the step is
@@ -486,40 +501,43 @@ class TestFixedPointReplay:
         cfg = DealConfig(max_iter=200)
         tr = run_deala(obj, x0, cfg)
         assert calls[0] <= 2 * (cfg.armijo.max_backtracks + 1) + 1
-        assert tr.extras["termination"] == "max_iter" and len(tr) == 201
+        assert tr.extras["termination"] == "max_iter" and list(tr.k) == [0, 1, 200]
         assert tr.extras["fixed_point_at"] == 2
 
-    def test_replayed_records_share_one_read_only_iterate(self):
+    def test_each_kept_record_hands_an_array_of_its_own(self):
         prob, x0 = consistent_leastp(1)
         xs = []
         tr = run_deala(prob.as_smooth(), x0, DealConfig(eps=1e-30, max_iter=3000),
                        xs.append)
         first = tr.extras["fixed_point_at"]
         assert isinstance(first, int) and 0 < first < 3000
-        assert len(xs) == len(tr)
-        shared = xs[first]
-        assert all(x is shared for x in xs[first:])
-        assert all(disp == 0.0 for disp in tr.displacement[first:-1])
-        with pytest.raises(ValueError):
-            shared[0] = 0.0
+        assert len(xs) == len(tr) == first + 1 and tr.k[-1] == 3000
+        assert len({id(x) for x in xs}) == len(xs)
+        assert all(x.flags.writeable for x in xs)
+        # the last two records are one point, bit for bit: the unmoved step
+        # leaving the first has displacement 0, and the last takes no step
+        assert xs[-1].tobytes() == xs[-2].tobytes()
+        assert (tr.f[-1], tr.grad_norm[-1]) == (tr.f[-2], tr.grad_norm[-2])
+        assert tr.displacement[-2] == 0.0 and math.isnan(tr.displacement[-1])
 
-    def test_dealc_takes_one_fused_oracle_call_per_step(self, monkeypatch):
-        prob, x0 = consistent_leastp(2)
-        # each record's point is valued once and completed once
-        calls = {"value": 0, "complete": 0}
 
-        def counted(name):
-            def call(x):
-                calls[name] += 1
-                return getattr(prob, name)(x)
-            return call
-        obj = dataclasses.replace(prob.as_smooth(),
-                                  **{name: counted(name) for name in calls})
-        tr = run_dealc(obj, x0, DealConfig(max_iter=100))
-        assert calls == {"value": len(tr), "complete": len(tr)}
-        ref = run_without_replay(monkeypatch, run_dealc, prob.as_smooth(), x0,
-                                 DealConfig(max_iter=100))
-        assert column_bits(tr) == column_bits(ref)
+def test_dealc_takes_one_fused_oracle_call_per_step(monkeypatch):
+    prob, x0 = consistent_leastp(2)
+    # each record's point is valued once and completed once
+    calls = {"value": 0, "complete": 0}
+
+    def counted(name):
+        def call(x):
+            calls[name] += 1
+            return getattr(prob, name)(x)
+        return call
+    obj = dataclasses.replace(prob.as_smooth(),
+                              **{name: counted(name) for name in calls})
+    tr = run_dealc(obj, x0, DealConfig(max_iter=100))
+    assert calls == {"value": len(tr), "complete": len(tr)}
+    ref = run_every_step(monkeypatch, run_dealc, prob.as_smooth(), x0,
+                         DealConfig(max_iter=100))
+    assert column_bits(tr) == column_bits(ref)
 
 
 @pytest.mark.parametrize("runner", [run_dealc, run_deala])
@@ -868,8 +886,7 @@ def observed(case, solver):
 
 class TestObserve:
     """``observe``, the only way to a run's iterates: one call per record,
-    with the record's iterate, and a replayed record's is its
-    predecessor's array."""
+    with the record's iterate, an array of its own."""
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_a_run_to_its_tolerance_hands_one_array_per_record(self, solver):
@@ -879,14 +896,17 @@ class TestObserve:
         assert len({id(x) for x in xs}) == len(xs)
 
     @pytest.mark.parametrize("solver", SOLVERS)
-    def test_replayed_records_hand_their_predecessors_array(self, solver):
+    def test_a_fixed_point_hands_one_array_per_kept_record(self, solver):
         tr, xs = observed("fixed point", solver)
         first = tr.extras["fixed_point_at"]
         assert tr.extras["termination"] == "max_iter"
-        assert len(xs) == len(tr) == tr.k[-1] + 1 > first > 0
-        assert len({id(x) for x in xs[:first]}) == first
-        assert all(x is xs[first - 1] for x in xs[first:])
-        assert not xs[first].flags.writeable
+        assert list(tr.k) == list(range(first)) + [tr.k[-1]] and tr.k[-1] > first > 0
+        assert len(xs) == len(tr) == first + 1
+        assert len({id(x) for x in xs}) == len(xs)
+        assert all(x.flags.writeable for x in xs)
+        # the record at max_iter is its predecessor's point, valued again
+        assert xs[-1].tobytes() == xs[-2].tobytes()
+        assert (tr.f[-1], tr.grad_norm[-1]) == (tr.f[-2], tr.grad_norm[-2])
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_a_nonfinite_stop_after_a_step_hands_the_recorded_iterates(self, solver):
