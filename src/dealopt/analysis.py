@@ -79,19 +79,12 @@ def _tail(trace: IterateTrace, fstar: float):
     return ks[start:], gaps[start:]
 
 
-def _power_fit(ks, log_gaps):
-    """Least-squares fit of log gap = log mu - decay log k over the k > 0.
-
-    Returns (mu, decay, mean squared residual), or None with fewer than two
-    such points.
-    """
-    pos = ks > 0
-    if pos.sum() < 2:
-        return None
-    logk = np.log(ks[pos])
-    fit = np.polyfit(logk, log_gaps[pos], 1)
-    residual = float(np.mean((np.polyval(fit, logk) - log_gaps[pos]) ** 2))
-    return float(math.exp(fit[1])), float(-fit[0]), residual
+def _line_fit(x, y):
+    """Least-squares line y = slope x + intercept: (slope, intercept, mean
+    squared residual).  The three fits of a rate report are this one."""
+    slope, intercept = np.polyfit(x, y, 1)
+    residual = float(np.mean((slope * x + intercept - y) ** 2))
+    return float(slope), float(intercept), residual
 
 
 def fit_linear_rate(trace: IterateTrace, fstar: float, *,
@@ -123,12 +116,13 @@ def fit_linear_rate(trace: IterateTrace, fstar: float, *,
         ratios = gaps[1:] / gaps[:-1]
         report.q_hat_max = float(ratios.max())
         logg = np.log(gaps)
-        geo = np.polyfit(ks, logg, 1)
-        report.q_hat_ls = float(math.exp(geo[0]))
-        report.residual_geometric = float(np.mean((np.polyval(geo, ks) - logg) ** 2))
-        power = _power_fit(ks, logg)
-        if power is not None:
-            report.mu_hat, report.decay_hat, report.residual_power = power
+        slope, _, report.residual_geometric = _line_fit(ks, logg)
+        report.q_hat_ls = math.exp(slope)
+        # the power law log gap = log mu - decay log k, over the k > 0
+        pos = ks > 0
+        if pos.sum() >= 2:
+            slope, intercept, report.residual_power = _line_fit(np.log(ks[pos]), logg[pos])
+            report.mu_hat, report.decay_hat = math.exp(intercept), -slope
     if report.n_tail >= 5 and report.q_hat_max is not None:
         if report.q_hat_max >= 1.0:
             report.regime = "inconclusive"
@@ -163,10 +157,8 @@ def estimate_kl_exponent(trace: IterateTrace, fstar: float) -> Optional[KLEstima
     del gaps, gns, keep
     if len(log_gaps) < 2 or np.ptp(log_gaps) < 1e-12:
         return None
-    slope, intercept = np.polyfit(log_gaps, log_gns, 1)
-    fitted = slope * log_gaps + intercept
-    residual = float(np.mean((fitted - log_gns) ** 2))
-    return KLEstimate(vartheta_hat=float(slope), residual=residual, n=len(log_gaps))
+    slope, _, residual = _line_fit(log_gaps, log_gns)
+    return KLEstimate(vartheta_hat=slope, residual=residual, n=len(log_gaps))
 
 
 @dataclass

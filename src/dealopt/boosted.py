@@ -146,8 +146,9 @@ def run_bhippa(phi, x0, config: BoostedConfig, observe=None) -> IterateTrace:
         value=lambda z: home_value(phi, z, gamma, p),
         complete=lambda ev: home_complete(ev, gamma, p),
         step=_step(rule, trace, trials,
-                   lambda x, y, kappa, d: (1.0 - kappa) * y + kappa * (x + d)),
-        x_tol=config.eps * gamma ** q, observe=observe)
+                   lambda x, y, kappa, d: (1.0 - kappa) * y + kappa * (x + d),
+                   x_tol=config.eps * gamma ** q),
+        observe=observe)
 
 
 def bpga_constants(problem: CompositeObjective, config: BoostedConfig):
@@ -192,7 +193,8 @@ def bhippa_constants(config: BoostedConfig, n: int):
     return gamma, sigma, check_constant("rho", rho, gamma=gamma, sigma=sigma, p=p, n=n)
 
 
-def _step(rule: DirectionRule, trace: IterateTrace, trials, candidate):
+def _step(rule: DirectionRule, trace: IterateTrace, trials, candidate,
+          x_tol: Optional[float] = None):
     """The step hook of a boosted solver (see ``solvers.deal_loop``).
 
     At a point x with proximal point y it takes the rule's raw direction d,
@@ -201,9 +203,17 @@ def _step(rule: DirectionRule, trace: IterateTrace, trials, candidate):
     value - rho ||grad||^theta.  Past the last of them it counts a fallback
     in ``fallbacks`` and offers y itself as ``(len(trials), 0.0, y, None)``,
     with no bound, so a step always takes a point.  With no trials it
-    offers y alone and never consults the rule."""
+    offers y alone and never consults the rule.  With ``x_tol`` (BHiPPA's),
+    a point whose proximal residual ||x - y||, kept in its ``work`` by
+    ``home_value``, is at most ``x_tol`` records ``displacement`` and
+    yields nothing, which ends the run."""
     def step(ev, gn):
         x, g, y = ev.x, ev.gradient, ev.prox_point
+        if x_tol is not None and math.sqrt(ev.work @ ev.work) <= x_tol:
+            # for orders below 2 this can stop a run whose envelope gradient
+            # is still above eps
+            trace.extras["termination"] = "displacement"
+            return
         if trials:
             d_bar = rule.base_direction(x, g, gn)
             rule.push(x, g)

@@ -118,14 +118,15 @@ class DirectionRule:
     def push(self, x, grad):
         """Record the pair observed at the current iterate (call once per step).
 
-        The gradient direction reads no history, so it keeps none.
+        The gradient direction reads no history, so it keeps none; BB
+        reads only the previous point and gradient (``_bb_scaling``), so it
+        keeps those and forms no curvature pair, which L-BFGS alone reads.
         Each solver's step (the ``step`` hook of ``solvers.deal_loop``)
         takes the direction at x_k before it pushes (x_k, g_k), so the
         L-BFGS memory used at x_k holds up to k - 1 pairs and ends with
         (x_{k-1} - x_{k-2}, g_{k-1} - g_{k-2}): one pair behind Nocedal &
         Wright's Algorithm 7.5, and the directions at x_0 and x_1 are -g.
-        BB reads the previous point itself (``_bb_scaling``).  The
-        order is kept because it is measured: over sec53 seeds 0-39, pushing
+        The order is kept because it is measured: over sec53 seeds 0-39, pushing
         first (with BB reading the pair that ``push`` forms) leaves BPGA,
         BPGA-1, BPGA-BB1 and BPGA-BB2 bit-identical, but BPGA-LBFGS takes
         915 steps instead of 876, more on 26 seeds and fewer on none.
@@ -134,7 +135,7 @@ class DirectionRule:
             return
         x = np.asarray(x, dtype=float).copy()
         g = np.asarray(grad, dtype=float).copy()
-        if self._prev_x is not None:
+        if self.kind == "lbfgs" and self._prev_x is not None:
             s = x - self._prev_x
             y = g - self._prev_g
             sy = float(s @ y)

@@ -326,9 +326,10 @@ def home_value_grad(g, x, gamma: float, p: float = 2.0) -> Evaluation:
 
 def home_complete(ev: Evaluation, gamma: float, p: float = 2.0) -> Evaluation:
     """Adds the envelope gradient to an evaluation without one, in closed form
-    from its point and proximal point; a multi-valued one keeps None."""
+    from the residual x - y that ``home_value`` kept; a multi-valued one
+    keeps None."""
     if not ev.multi_valued:
-        ev.gradient = _home_gradient(ev.x - ev.prox_point, gamma, p)
+        ev.gradient = _home_gradient(ev.work, gamma, p)
     return ev
 
 
@@ -352,15 +353,17 @@ def _home_gradient(d, gamma, p):
 
 def home_value(g, x, gamma: float, p: float = 2.0) -> Evaluation:
     """Order-p proximal point and envelope value at x, without the gradient:
-    one prox solve.  ``home_complete(value, gamma, p)`` then adds the
-    gradient without a second one."""
+    one prox solve.  The evaluation keeps the residual x - y in its ``work``,
+    from which ``home_complete(value, gamma, p)`` adds the gradient and
+    BHiPPA's step reads its stop."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     # a closed-form prox is single-valued; only SeparableProx's can tie
     res = (g.prox_detailed(x, gamma, p) if hasattr(g, "prox_detailed")
            else ProxResult(np.asarray(g.prox(x, gamma, p), dtype=float), False))
     y = np.atleast_1d(res.point)
-    value = float(g.value(y) + _penalty(x - y, gamma, p))
-    return Evaluation(x, value, prox_point=y, multi_valued=res.multi_valued)
+    d = x - y
+    value = float(g.value(y) + _penalty(d, gamma, p))
+    return Evaluation(x, value, prox_point=y, multi_valued=res.multi_valued, work=d)
 
 
 def _penalty(d, gamma, p):
@@ -380,10 +383,10 @@ def _penalty_rows(D, gamma, p):
 
 
 def forward_backward_map(problem: CompositeObjective, x, gamma: float) -> np.ndarray:
-    """Gradient step on the smooth part followed by the order-2 prox of the rest."""
+    """Gradient step on the smooth part followed by the order-2 prox of the
+    rest: the proximal point of ``fbe_value``."""
     _check_gamma(problem, gamma)
-    smooth = problem.smooth
-    return _forward_backward(problem, x, smooth.complete(smooth.value(x)).gradient, gamma)
+    return fbe_value(problem, x, gamma).prox_point
 
 
 def fbe_value_grad(problem: CompositeObjective, x, gamma: float) -> Evaluation:
@@ -416,16 +419,11 @@ def fbe_value(problem: CompositeObjective, x, gamma: float) -> Evaluation:
     smooth = problem.smooth
     ev = smooth.complete(smooth.value(x))
     gf = ev.gradient
-    T = _forward_backward(problem, x, gf, gamma)
+    T = np.atleast_1d(np.asarray(problem.nonsmooth.prox(x - gamma * gf, gamma, 2.0),
+                                 dtype=float))
     d = T - x
     value = float(ev.value + gf @ d + (d @ d) / (2.0 * gamma) + problem.nonsmooth.value(T))
     return Evaluation(x, value, prox_point=T)
-
-
-def _forward_backward(problem: CompositeObjective, x, gf, gamma: float) -> np.ndarray:
-    """The forward-backward point T from x and grad f(x)."""
-    T = problem.nonsmooth.prox(x - gamma * gf, gamma, 2.0)
-    return np.atleast_1d(np.asarray(T, dtype=float))
 
 
 def _check_gamma(problem: CompositeObjective, gamma: float) -> float:

@@ -49,9 +49,10 @@ class LeastPProblem:
 
     The gradient is ||r||^(p-2) A^T r for the residual r = A x - b, extended
     by 0 at r = 0 (the continuous limit; the formula's singular factor is
-    never evaluated).  ``value`` keeps r in its evaluation, so ``complete``
-    and ``line_values`` make one product with A each, not two.  Spectral
-    constants are computed once at construction.
+    never evaluated).  ``value`` keeps (r, ||r||) in its evaluation, so
+    ``complete`` and ``line_values`` make one product with A each, not two,
+    and take no second norm.  Spectral constants are computed once at
+    construction.
     """
 
     kind = "leastp"
@@ -89,11 +90,11 @@ class LeastPProblem:
     # vector, bit for bit, without its wrapper
     def value(self, x):
         r = self.A @ x - self.b
-        return Evaluation(x, math.sqrt(r @ r) ** self.p / self.p, work=r)
+        nr = math.sqrt(r @ r)
+        return Evaluation(x, nr ** self.p / self.p, work=(r, nr))
 
     def complete(self, ev):
-        r = ev.work
-        nr = math.sqrt(r @ r)
+        r, nr = ev.work
         ev.gradient = nr ** (self.p - 2.0) * (self.A.T @ r) if nr else np.zeros(self.n)
         return ev
 
@@ -130,7 +131,7 @@ class LeastPProblem:
         """
         x = ev.x
         ad = self.A @ d
-        W = ev.work + steps[:, None] * ad
+        W = ev.work[0] + steps[:, None] * ad
         norms = np.sqrt(np.einsum("ij,ij->i", W, W))
         eps = np.finfo(float).eps
         delta_r = LINE_RESIDUAL_MARGIN * eps * (

@@ -222,7 +222,7 @@ def _descend(objective: SmoothObjective, x0, config: DealConfig, rule: Direction
 # an overflowing trial ends the run or fails its test; numpy need not warn
 @np.errstate(over="ignore", invalid="ignore")
 def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, *, value, complete,
-              step, x_tol: Optional[float] = None, observe=None) -> IterateTrace:
+              step, observe=None) -> IterateTrace:
     """The iteration loop of all four solvers, DEAL on a function phi given
     by hooks, filling ``trace``.
 
@@ -252,7 +252,12 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, *, value, com
     ``multivalued``, and a point whose value or gradient norm is not finite
     ends it ``nonfinite``, both before the point is recorded; so does a
     taken trial whose value is not finite, and the step to it is not
-    recorded.  ``x_tol`` stops the run once ||x - y|| falls to it.
+    recorded.  A recorded point then ends the run ``tolerance`` once
+    ||grad|| <= eps, and else ``max_iter`` at k = ``max_iter``, before its
+    step runs.  The loop takes no parameter of one solver: a stop of its own,
+    as BHiPPA's on the proximal residual, the step makes by recording its
+    termination and yielding no trial, so a point at ``max_iter`` ends the
+    run ``max_iter`` whatever its step would have done.
 
     Once two consecutive steps leave ``x`` bitwise unchanged the loop stops
     stepping and jumps to k = ``max_iter``; the extra ``fixed_point_at``
@@ -288,8 +293,7 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, *, value, com
                 f"multi-valued proximal point at k={k}; envelope gradient undefined")
             break
         what = "objective" if y is None else "envelope value"
-        # sqrt(v . v) is np.linalg.norm(v) for a vector, bit for bit
-        gn = math.sqrt(g @ g)
+        gn = ev.grad_norm
         if not (math.isfinite(f) and math.isfinite(gn)):
             trace.extras["termination"] = "nonfinite"
             trace.extras["diagnostic"] = f"non-finite {what} or gradient at k={k}"
@@ -300,13 +304,6 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, *, value, com
         if gn <= config.eps:
             trace.extras["termination"] = "tolerance"
             break
-        if x_tol is not None:
-            residual = x - y
-            if math.sqrt(residual @ residual) <= x_tol:
-                # proximal residual below the scaled tolerance; for orders below
-                # 2 this can trigger while the envelope gradient is still above eps
-                trace.extras["termination"] = "displacement"
-                break
         if k == config.max_iter:
             trace.extras["termination"] = "max_iter"
             break
@@ -394,11 +391,7 @@ def deal_trace(objective: SmoothObjective, config: DealConfig, solver: str) -> t
                   "c": rule.c2 * ap.alpha_bar,
                   "c_bar": c_bar, "p_bar": p_bar, "alpha_tilde": alpha_tilde}
     extras.update(eps=config.eps, direction=rule.kind)
+    # the paper's guarantee holds for the rescaling exponent matched to nu
+    guaranteed = abs(rule.beta - beta_for_holder(nu)) <= 1e-12
     return rule, IterateTrace(solver_id=solver, rho=rho, theta=rule.beta + 2.0,
-                              guaranteed=is_guaranteed(rule, nu), extras=extras)
-
-
-def is_guaranteed(rule: DirectionRule, nu: float) -> bool:
-    """Whether a DEAL run with ``rule`` on a nu-Hölder gradient carries the
-    paper's guarantee: its rescaling exponent is the one matched to nu."""
-    return abs(rule.beta - beta_for_holder(nu)) <= 1e-12
+                              guaranteed=guaranteed, extras=extras)

@@ -177,12 +177,19 @@ def test_push_keeps_history_only_for_rules_that_read_it():
     rule.push(x1, g1)
     assert rule._prev_x is None and rule._prev_g is None and not rule._pairs
     assert rule.base_direction(x1, g1) == pytest.approx(-g1)
-    for kind in ("bb1", "bb2", "lbfgs"):
+    # BB reads its previous point and gradient alone, and no curvature pair
+    for kind in ("bb1", "bb2"):
         rule = DirectionRule(kind)
         rule.push(x0, g0)
         rule.push(x1, g1)
         assert np.array_equal(rule._prev_x, x1) and np.array_equal(rule._prev_g, g1)
-        assert len(rule._pairs) == 1
+        assert not rule._pairs
+    rule = DirectionRule("lbfgs")
+    rule.push(x0, g0)
+    rule.push(x1, g1)
+    assert np.array_equal(rule._prev_x, x1) and np.array_equal(rule._prev_g, g1)
+    (s, y, sy), = rule._pairs
+    assert np.array_equal(s, x1 - x0) and np.array_equal(y, g1 - g0) and sy == 2.0
 
 
 def test_lbfgs_memory_is_one_pair_behind_through_a_run(monkeypatch):

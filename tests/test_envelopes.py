@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -537,4 +538,22 @@ def test_envelope_eval_keyword_construction():
     problem = LeastPProblem(np.eye(2), b, p=1.5)
     zero = problem.complete(problem.value(b.copy()))
     assert type(zero.value) is float and _bits(zero.value) == _bits(0.0)
-    assert _bits(zero.gradient) == _bits(np.zeros(2)) and _bits(zero.work) == _bits(np.zeros(2))
+    r, nr = zero.work
+    assert _bits(zero.gradient) == _bits(np.zeros(2)) and _bits(r) == _bits(np.zeros(2))
+    assert _bits(nr) == _bits(math.sqrt(r @ r)) == _bits(0.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+def test_home_value_keeps_its_residual_and_home_complete_reads_it(p):
+    # the order-p envelope's value keeps x - y bit for bit, and its completion
+    # takes the gradient from that kept array, not from x and y again
+    g, gamma = AbsPower(4.0), 0.8
+    x = np.array([1.5, -0.3, 2.0, 5e-324])
+    ev = home_value(g, x, gamma, p)
+    assert _bits(ev.work) == _bits(x - ev.prox_point)
+    assert _bits(home_complete(home_value(g, x, gamma, p), gamma, p).gradient) == _bits(
+        home_value_grad(g, x, gamma, p).gradient)
+    ev.work = 2.0 * ev.work
+    assert _bits(home_complete(ev, gamma, p).gradient) == _bits(
+        envelopes._home_gradient(ev.work, gamma, p))
+    assert _bits(ev.gradient) != _bits(home_value_grad(g, x, gamma, p).gradient)

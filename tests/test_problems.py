@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -60,8 +61,9 @@ class TestLeastP:
         assert grad(prob, [1.0, 2.0]) == pytest.approx([0.0, 0.0])
 
     def test_fused_value_grad_is_value_and_grad_bit_for_bit(self):
-        # a value keeps its residual, and completing it leaves the value as
-        # it was and gives the gradient of a fresh evaluation, bit for bit
+        # a value keeps its residual with its norm, and completing it leaves
+        # the value as it was and gives the gradient of a fresh evaluation,
+        # bit for bit
         prob = generate_problem(5, "leastp", 30, 6, p=1.5, consistent=False)
         x = np.random.default_rng(0).uniform(-5, 5, 6)
         exact = LeastPProblem(np.eye(2), np.array([1.0, 2.0]), p=1.7)
@@ -69,7 +71,9 @@ class TestLeastP:
             ev = problem.value(point)
             value = ev.value
             assert ev.x is point and ev.gradient is None
-            assert np.array_equal(ev.work, problem.A @ point - problem.b)
+            r, nr = ev.work
+            assert np.array_equal(r, problem.A @ point - problem.b)
+            assert type(nr) is float and nr.hex() == math.sqrt(r @ r).hex()
             assert problem.complete(ev) is ev and ev.value == value
             fresh = evaluated(problem, point)
             assert fresh.value == value and np.array_equal(ev.gradient, fresh.gradient)
