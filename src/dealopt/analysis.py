@@ -163,11 +163,16 @@ def estimate_kl_exponent(trace: IterateTrace, fstar: float) -> Optional[KLEstima
 
 @dataclass
 class BoundCheck:
+    """One iteration-count criterion.  ``vacuous`` is true when its bound is
+    at least the trace's last k: then the criterion cannot fail within the
+    trace, so a pass shows nothing; ``passed`` is the verdict all the same."""
+
     criterion: str
     measured: Optional[int]
     bound: Optional[int]
     passed: Optional[bool]
     note: str = ""
+    vacuous: bool = False
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -219,9 +224,11 @@ def verify_complexity(trace: IterateTrace, fstar: float, rho: float, theta: floa
     g = trace.grad_norms()
     ks = trace.ks()
     gap0 = f[0] - fstar
+    last = int(ks[-1])
     report = ComplexityReport(q_theory=q, eps=eps)
     if gap0 <= 0.0:
-        report.checks.append(BoundCheck("gap", 0, 1, True, "started at the optimum"))
+        report.checks.append(BoundCheck("gap", 0, 1, True, "started at the optimum",
+                                        vacuous=1 >= last))
         return report
 
     def criterion(name: str, reached, bound: int):
@@ -230,7 +237,8 @@ def verify_complexity(trace: IterateTrace, fstar: float, rho: float, theta: floa
         report.checks.append(BoundCheck(
             name, measured, bound,
             None if measured is None else measured <= bound,
-            "" if measured is not None else "criterion not reached within the trace"))
+            "" if measured is not None else "criterion not reached within the trace",
+            vacuous=bound >= last))
 
     criterion("gap", f - fstar <= eps, complexity_K(gap0, 1.0, eps, q))
     criterion("grad", g <= eps, complexity_K(gap0 / rho, theta, eps, q))

@@ -19,7 +19,8 @@ evaluations (``core.Evaluation``, as a smooth point is, unpacking as value,
 gradient and proximal point).  Their step (``_step``) takes the rule's raw
 direction, offers each trial point against the threshold value - rho
 ||grad||^theta, and then falls back to the proximal point, which it offers
-with no bound.  They differ only in the envelope, the candidate point built
+with no bound; BHiPPA's step first makes its stop on the proximal
+residual, which the loop is not told of.  They differ only in the envelope, the candidate point built
 from a trial step, and the trials.
 The envelope is valued once per point, by ``fbe_value`` or ``home_value``,
 and the value of the point taken is completed in place with its gradient

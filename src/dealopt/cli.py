@@ -305,16 +305,15 @@ def _cmd_oracle(args) -> int:
         print(json.dumps({"finite_diff": fd.tolist(),
                           "closed_form": np.asarray(gradient).tolist()}, indent=2))
         return EXIT_OK
-    if args.oracle_verb == "spectral":
-        # spectral_constants refuses a ragged matrix
-        A = _read_numbers(args.matrix, "--matrix", "a matrix")
-        spec = oracles.spectral_constants(A)
-        it = oracles.iterative_spectral_constants(A)
-        print(json.dumps({"opnorm": spec.opnorm, "sigma_min": spec.sigma_min,
-                          "iterative": {"opnorm": it.opnorm,
-                                        "sigma_min": it.sigma_min}}, indent=2))
-        return EXIT_OK
-    raise UsageError(f"unknown oracle verb {args.oracle_verb!r}")
+    # argparse admits fd-grad and spectral alone; spectral_constants refuses
+    # a ragged matrix
+    A = _read_numbers(args.matrix, "--matrix", "a matrix")
+    spec = oracles.spectral_constants(A)
+    it = oracles.iterative_spectral_constants(A)
+    print(json.dumps({"opnorm": spec.opnorm, "sigma_min": spec.sigma_min,
+                      "iterative": {"opnorm": it.opnorm,
+                                    "sigma_min": it.sigma_min}}, indent=2))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -229,7 +229,7 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, *, value, com
     Each point x is ``complete(value(x))``, a ``core.Evaluation`` that
     unpacks as (phi(x), grad phi(x), y), where y is the fallback point, None
     for the objective itself and the proximal point for an envelope.  Each
-    step is ``step(ev, ||grad||)`` for the point's evaluation ``ev``: a
+    step is ``step(ev, ev.grad_norm)`` for the point's evaluation ``ev``: a
     generator that yields the step's trials in order as (m, t, z, bound),
     inner count m, step t and trial point z.  The loop values each z, and
     the first whose value ``value(z)`` is at most its bound (any value when

@@ -119,7 +119,8 @@ def ref_verify_complexity(trace, fstar, rho, theta, tau, eps, *, xstar=None, c=N
     gap0 = f[0] - fstar
     report = ComplexityReport(q_theory=q, eps=eps)
     if gap0 <= 0.0:
-        report.checks.append(BoundCheck("gap", 0, 1, True, "started at the optimum"))
+        report.checks.append(BoundCheck("gap", 0, 1, True, "started at the optimum",
+                                        vacuous=bool(ks.max() <= 1)))
         return report
 
     def first_k(mask):
@@ -131,14 +132,16 @@ def ref_verify_complexity(trace, fstar, rho, theta, tau, eps, *, xstar=None, c=N
     report.checks.append(BoundCheck(
         "gap", m_gap, b_gap,
         None if m_gap is None else m_gap <= b_gap,
-        "" if m_gap is not None else "criterion not reached within the trace"))
+        "" if m_gap is not None else "criterion not reached within the trace",
+        vacuous=bool(b_gap >= ks.max())))
 
     m_grad = first_k(g <= eps)
     b_grad = complexity_K(gap0 / rho, theta, eps, q)
     report.checks.append(BoundCheck(
         "grad", m_grad, b_grad,
         None if m_grad is None else m_grad <= b_grad,
-        "" if m_grad is not None else "criterion not reached within the trace"))
+        "" if m_grad is not None else "criterion not reached within the trace",
+        vacuous=bool(b_grad >= ks.max())))
 
     if xstar is not None and c is not None and xs is not None:
         xstar = np.asarray(xstar, dtype=float)
@@ -160,7 +163,8 @@ def ref_verify_complexity(trace, fstar, rho, theta, tau, eps, *, xstar=None, c=N
         report.checks.append(BoundCheck(
             "iterate", m_x, b_x,
             None if m_x is None else m_x <= b_x,
-            "" if m_x is not None else "criterion not reached within the trace"))
+            "" if m_x is not None else "criterion not reached within the trace",
+            vacuous=bool(b_x >= ks.max())))
     return report
 
 

@@ -1039,6 +1039,22 @@ class TestTraceVerbs:
             assert check_verdicts(doc) == check_verdicts(bundle), stem
             assert doc["guaranteed"] == bundle["guaranteed"]
 
+    @pytest.mark.parametrize("stem, vacuous", [("DEAL-A", True), ("DEAL-C", False)])
+    def test_sec51_complexity_criteria_are_vacuous_or_live(self, sec51_run, stem, vacuous):
+        # DEAL-A's bounds, 5M and more, lie past its last k, 10,000, so none of
+        # its criteria can fail within the trace; DEAL-C's lie inside it.  The
+        # flag moves no verdict: both reports pass and both variants are ok
+        out, traces, _ = sec51_run
+        complexity = json.loads((out / f"{stem}.certificates.json").read_text())["complexity"]
+        checks, last = complexity["checks"], traces[stem].k[-1]
+        assert [c["criterion"] for c in checks] == ["gap", "grad", "iterate"] and last == 10000
+        for check in checks:
+            assert check["vacuous"] is vacuous and (check["bound"] >= last) is vacuous, check
+            assert check["bound"] >= 5_000_000 if vacuous else check["bound"] < last
+        assert complexity["passed"] is True
+        summary = json.loads((out / "summary.json").read_text())
+        assert [v["ok"] for v in summary["variants"] if v["variant"] == stem] == [True]
+
     def test_certify_takes_every_constant_from_the_sidecar(self, tmp_path, capsys):
         specs = [bench.SolverSpec(name="DEAL-C", solver="deal-c"),
                  bench.SolverSpec(name="DEAL-A", solver="deal-a"),

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dealopt import bench, solvers
+from dealopt import bench, boosted, solvers
 from dealopt.boosted import BoostedConfig, run_bhippa, run_bpga
 from dealopt.core import (TRACE_COLUMNS, CapabilityError, CompositeObjective,
                           HolderInfo, IterateTrace, UsageError, as_vector,
@@ -920,3 +920,46 @@ class TestObserve:
         tr, xs = observed("no record", solver)
         assert tr.extras["termination"] in ("nonfinite", "multivalued")
         assert len(tr) == 0 and xs == []
+
+
+def steps_started_at(monkeypatch):
+    """The k of each point whose step ``deal_loop`` starts, in order, once
+    the loop of every solver is patched to record them."""
+    ks, loop = [], solvers.deal_loop
+
+    def recording(x, config, rule, trace, *, step, **hooks):
+        def recorded(ev, gn):
+            ks.append(trace.k[-1])
+            return (yield from step(ev, gn))
+        return loop(x, config, rule, trace, step=recorded, **hooks)
+    monkeypatch.setattr(solvers, "deal_loop", recording)
+    monkeypatch.setattr(boosted, "deal_loop", recording)
+    return ks
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_a_point_at_max_iter_ends_the_run_before_its_step_runs(monkeypatch, solver):
+    runner, objective, x0, config = CASES["tolerance"][solver]()
+    full = runner(objective, x0, config)
+    assert len(full) > 3
+    ks = steps_started_at(monkeypatch)
+    runner, objective, x0, config = CASES["tolerance"][solver]()
+    short = runner(objective, x0, dataclasses.replace(config, max_iter=2))
+    assert short.extras["termination"] == "max_iter" and ks == [0, 1]
+    assert list(short.k) == [0, 1, 2]
+    for name in ("f", "grad_norm"):
+        assert getattr(short, name).tobytes() == np.asarray(getattr(full, name))[:3].tobytes()
+
+
+def test_a_bhippa_point_at_its_residual_stop_and_max_iter_ends_max_iter():
+    # powerabs n = 100, s = 1.5 stops on its proximal residual at k = 21, in
+    # bhippa's step; with max_iter = 21 the loop ends the run there first,
+    # max_iter, with the same records, as deal-a's max_iter comes before its
+    # backtrack_limit
+    problem = bench.build_problem(bench.ProblemSpec(kind="powerabs", n=100, s=1.5))
+    spec = bench.SolverSpec(name="BHIPPA", solver="bhippa", order="auto")
+    stopped = bench.run_variant(problem, spec, bench.RunSpec()).trace
+    assert stopped.extras["termination"] == "displacement" and stopped.k[-1] == 21
+    capped = bench.run_variant(problem, spec, bench.RunSpec(max_iter=21)).trace
+    assert capped.extras["termination"] == "max_iter"
+    assert column_bits(capped) == column_bits(stopped)
