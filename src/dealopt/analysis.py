@@ -163,9 +163,8 @@ def estimate_kl_exponent(trace: IterateTrace, fstar: float) -> Optional[KLEstima
 
 @dataclass
 class BoundCheck:
-    """One iteration-count criterion.  ``vacuous`` is true when its bound is
-    at least the trace's last k: then the criterion cannot fail within the
-    trace, so a pass shows nothing; ``passed`` is the verdict all the same."""
+    """One iteration-count criterion, ``vacuous`` when its bound is at least
+    the trace's last k, so that it cannot fail within the trace."""
 
     criterion: str
     measured: Optional[int]

@@ -19,9 +19,8 @@ evaluations (``core.Evaluation``, as a smooth point is, unpacking as value,
 gradient and proximal point).  Their step (``_step``) takes the rule's raw
 direction, offers each trial point against the threshold value - rho
 ||grad||^theta, and then falls back to the proximal point, which it offers
-with no bound; BHiPPA's step first makes its stop on the proximal
-residual, which the loop is not told of.  They differ only in the envelope, the candidate point built
-from a trial step, and the trials.
+with no bound.  They differ only in the envelope, the candidate point built
+from a trial step, the trials and BHiPPA's stop on the proximal residual.
 The envelope is valued once per point, by ``fbe_value`` or ``home_value``,
 and the value of the point taken is completed in place with its gradient
 for the next step.  The envelope functions are looked up in this module at
@@ -204,15 +203,13 @@ def _step(rule: DirectionRule, trace: IterateTrace, trials, candidate,
     value - rho ||grad||^theta.  Past the last of them it counts a fallback
     in ``fallbacks`` and offers y itself as ``(len(trials), 0.0, y, None)``,
     with no bound, so a step always takes a point.  With no trials it
-    offers y alone and never consults the rule.  With ``x_tol`` (BHiPPA's),
-    a point whose proximal residual ||x - y||, kept in its ``work`` by
-    ``home_value``, is at most ``x_tol`` records ``displacement`` and
-    yields nothing, which ends the run."""
+    offers y alone and never consults the rule.  With ``x_tol``, a point
+    whose ||x - y||, its ``work``, is at most that records ``displacement``
+    and yields nothing."""
     def step(ev, gn):
         x, g, y = ev.x, ev.gradient, ev.prox_point
         if x_tol is not None and math.sqrt(ev.work @ ev.work) <= x_tol:
-            # for orders below 2 this can stop a run whose envelope gradient
-            # is still above eps
+            # below order 2 this can stop while ||grad|| is still above eps
             trace.extras["termination"] = "displacement"
             return
         if trials:

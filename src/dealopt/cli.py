@@ -305,8 +305,7 @@ def _cmd_oracle(args) -> int:
         print(json.dumps({"finite_diff": fd.tolist(),
                           "closed_form": np.asarray(gradient).tolist()}, indent=2))
         return EXIT_OK
-    # argparse admits fd-grad and spectral alone; spectral_constants refuses
-    # a ragged matrix
+    # spectral, the one other verb; spectral_constants refuses a ragged matrix
     A = _read_numbers(args.matrix, "--matrix", "a matrix")
     spec = oracles.spectral_constants(A)
     it = oracles.iterative_spectral_constants(A)

@@ -104,15 +104,13 @@ class KLInfo:
 
 class Evaluation(float):
     """A point's value, as the float it is, that keeps the point ``x`` and
-    what its completion and its step's stops reuse: ``work``, what the value
-    formed on the way (least-p's residual with its norm (A x - b,
-    ||A x - b||), quadratic's Q x, lasso's G x, the order-p envelope's
-    residual x - y), and, for an envelope, the proximal point with its
-    ``multi_valued`` flag.  ``gradient`` is None until the point is
-    completed, and always at a multi-valued point; ``grad_norm`` is the
-    one formula for ||gradient||.  It unpacks as (value, gradient,
-    prox_point), a point of ``solvers.deal_loop``, whose fallback point is
-    None for a smooth point."""
+    what its completion and stops reuse: ``work`` (least-p's (r, ||r||) for
+    r = A x - b, quadratic's Q x, lasso's G x, the order-p envelope's x - y)
+    and, for an envelope, the proximal point with its ``multi_valued`` flag.
+    ``gradient`` is None until the point is completed, and always at a
+    multi-valued point.  It unpacks as (value, gradient, prox_point), a
+    point of ``solvers.deal_loop``, whose fallback point is None for a
+    smooth point."""
 
     __slots__ = ("x", "prox_point", "gradient", "multi_valued", "work")
 

@@ -326,8 +326,7 @@ def home_value_grad(g, x, gamma: float, p: float = 2.0) -> Evaluation:
 
 def home_complete(ev: Evaluation, gamma: float, p: float = 2.0) -> Evaluation:
     """Adds the envelope gradient to an evaluation without one, in closed form
-    from the residual x - y that ``home_value`` kept; a multi-valued one
-    keeps None."""
+    from the x - y in its ``work``; a multi-valued one keeps None."""
     if not ev.multi_valued:
         ev.gradient = _home_gradient(ev.work, gamma, p)
     return ev
@@ -353,9 +352,8 @@ def _home_gradient(d, gamma, p):
 
 def home_value(g, x, gamma: float, p: float = 2.0) -> Evaluation:
     """Order-p proximal point and envelope value at x, without the gradient:
-    one prox solve.  The evaluation keeps the residual x - y in its ``work``,
-    from which ``home_complete(value, gamma, p)`` adds the gradient and
-    BHiPPA's step reads its stop."""
+    one prox solve.  ``work`` keeps x - y, from which ``home_complete(value,
+    gamma, p)`` adds the gradient and BHiPPA's step reads its stop."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     # a closed-form prox is single-valued; only SeparableProx's can tie
     res = (g.prox_detailed(x, gamma, p) if hasattr(g, "prox_detailed")
@@ -383,8 +381,7 @@ def _penalty_rows(D, gamma, p):
 
 
 def forward_backward_map(problem: CompositeObjective, x, gamma: float) -> np.ndarray:
-    """Gradient step on the smooth part followed by the order-2 prox of the
-    rest: the proximal point of ``fbe_value``."""
+    """The forward-backward point T of ``fbe_value``: gradient step, order-2 prox."""
     _check_gamma(problem, gamma)
     return fbe_value(problem, x, gamma).prox_point
 

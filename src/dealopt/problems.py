@@ -49,10 +49,9 @@ class LeastPProblem:
 
     The gradient is ||r||^(p-2) A^T r for the residual r = A x - b, extended
     by 0 at r = 0 (the continuous limit; the formula's singular factor is
-    never evaluated).  ``value`` keeps (r, ||r||) in its evaluation, so
-    ``complete`` and ``line_values`` make one product with A each, not two,
-    and take no second norm.  Spectral constants are computed once at
-    construction.
+    never evaluated).  ``value`` keeps (r, ||r||), so ``complete`` and
+    ``line_values`` make one product with A each, not two, and no second
+    norm.  Spectral constants are computed once at construction.
     """
 
     kind = "leastp"

@@ -252,12 +252,10 @@ def deal_loop(x, config, rule: DirectionRule, trace: IterateTrace, *, value, com
     ``multivalued``, and a point whose value or gradient norm is not finite
     ends it ``nonfinite``, both before the point is recorded; so does a
     taken trial whose value is not finite, and the step to it is not
-    recorded.  A recorded point then ends the run ``tolerance`` once
-    ||grad|| <= eps, and else ``max_iter`` at k = ``max_iter``, before its
-    step runs.  The loop takes no parameter of one solver: a stop of its own,
-    as BHiPPA's on the proximal residual, the step makes by recording its
-    termination and yielding no trial, so a point at ``max_iter`` ends the
-    run ``max_iter`` whatever its step would have done.
+    recorded.  A recorded point ends it ``tolerance`` once ||grad|| <= eps,
+    else ``max_iter`` at k = ``max_iter``, before its step runs.  A solver's
+    own stop, as BHiPPA's on the proximal residual, is its step's: it
+    records the termination and yields no trial.
 
     Once two consecutive steps leave ``x`` bitwise unchanged the loop stops
     stepping and jumps to k = ``max_iter``; the extra ``fixed_point_at``
@@ -392,6 +390,6 @@ def deal_trace(objective: SmoothObjective, config: DealConfig, solver: str) -> t
                   "c_bar": c_bar, "p_bar": p_bar, "alpha_tilde": alpha_tilde}
     extras.update(eps=config.eps, direction=rule.kind)
     # the paper's guarantee holds for the rescaling exponent matched to nu
-    guaranteed = abs(rule.beta - beta_for_holder(nu)) <= 1e-12
     return rule, IterateTrace(solver_id=solver, rho=rho, theta=rule.beta + 2.0,
-                              guaranteed=guaranteed, extras=extras)
+                              guaranteed=abs(rule.beta - beta_for_holder(nu)) <= 1e-12,
+                              extras=extras)
