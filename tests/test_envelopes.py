@@ -548,7 +548,7 @@ def test_home_value_keeps_its_residual_and_home_complete_reads_it(p):
     # the order-p envelope's value keeps x - y bit for bit, and its completion
     # takes the gradient from that kept array, not from x and y again
     g, gamma = AbsPower(4.0), 0.8
-    x = np.array([1.5, -0.3, 2.0, 5e-324])
+    x = np.array([1.5, -0.3, 0.0, 2.0, 5e-324])
     ev = home_value(g, x, gamma, p)
     assert _bits(ev.work) == _bits(x - ev.prox_point)
     assert _bits(home_complete(home_value(g, x, gamma, p), gamma, p).gradient) == _bits(
